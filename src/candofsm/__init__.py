@@ -20,7 +20,6 @@ from .fsm import (
     check_roster,
     check_statemap,
     check_totality,
-    classify,
     lookup_next,
     reachable,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "PacketTemplate", "ParseError", "Roster", "SpecDocument", "StateDef",
     "StateKind", "StepOutcome", "Trace", "TraceRow", "Violation",
     "bundled_spec_path", "check_cando", "check_roster", "check_statemap",
-    "check_totality", "classify", "diff", "equivalence_report",
+    "check_totality", "diff", "equivalence_report",
     "gen_definitions", "gen_dictionary", "gen_requirements", "generate_model",
     "init_model", "load_bundled_cando", "load_spec", "lookup_next",
     "parse_spec", "reachable", "run", "serialize_spec", "state_operation",

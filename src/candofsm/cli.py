@@ -26,7 +26,7 @@ from .generate import (
     render_requirements_markdown,
 )
 from .specio import ParseError, SpecDocument, load_spec, read_trace_csv, write_trace_csv
-from .trace import DEFAULT_IGNORE, PACKET_FIELD_MAP, diff, equivalence_report
+from .trace import PACKET_FIELD_MAP, diff, equivalence_report
 
 
 class ExitStatus(enum.IntEnum):
@@ -136,7 +136,7 @@ def _cmd_diff(args) -> int:
         except ParseError as exc:
             print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
             return ExitStatus.LOAD_ERROR
-    ignore = {f for f in (args.ignore or "").split(",") if f}
+    ignore = {f for f in args.ignore.split(",") if f}
     entries = diff(rows[0], rows[1], field_map=PACKET_FIELD_MAP, ignore=ignore)
     for e in entries:
         print(f"round {e.round}, {e.field}: {e.left!r} != {e.right!r}")
@@ -152,11 +152,11 @@ def _cmd_verify(args) -> int:
         print(f"verify: FAIL ({len(violations)} structural violations)")
         return ExitStatus.FINDINGS
     try:
-        _, gen_report = generate_model(spec)
+        model, gen_report = generate_model(spec)
     except FsmError as exc:
         print(f"cannot generate the requirements model: {exc}", file=sys.stderr)
         return ExitStatus.LOAD_ERROR
-    report = equivalence_report(spec, max_rounds=args.max_rounds)
+    report = equivalence_report(spec, model, max_rounds=args.max_rounds)
     print(gen_report.summary())
     print(report.render_markdown())
     return ExitStatus.OK if report.passed else ExitStatus.FINDINGS
@@ -198,8 +198,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diff", help="compare two trace CSV files")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--ignore", default=",".join(sorted(DEFAULT_IGNORE)),
-                   help="comma-separated fields to exclude")
+    p.add_argument("--ignore", default="",
+                   help="comma-separated fields to exclude (default: none)")
     p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("verify", help="check, generate and compare both engines "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 # Packet protocol bounds.
@@ -140,11 +141,15 @@ class Roster:
     def command_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.commands)
 
+    @cached_property
+    def _kinds(self) -> dict[str, StateKind]:
+        return {s.name: s.kind for s in self.states}
+
     def kind_of(self, state: str) -> StateKind:
-        for s in self.states:
-            if s.name == state:
-                return s.kind
-        raise UnknownState(state)
+        try:
+            return self._kinds[state]
+        except KeyError:
+            raise UnknownState(state) from None
 
     def states_of_kind(self, *kinds: StateKind) -> tuple[str, ...]:
         wanted = set(kinds)
@@ -177,11 +182,6 @@ class Violation:
 
 def _sorted(violations: Iterable[Violation]) -> list[Violation]:
     return sorted(violations, key=Violation.sort_key)
-
-
-def classify(roster: Roster, state: str) -> StateKind:
-    """Return the kind recorded for ``state`` in the roster."""
-    return roster.kind_of(state)
 
 
 def lookup_next(fsm: FsmTable, event: str, state: str) -> str:

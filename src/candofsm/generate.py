@@ -48,8 +48,7 @@ from .reqs.model import (
     SignalDef,
     Template,
 )
-
-STATE_COMPONENT = "fsm"
+from .reqs.engine import STATE_COMPONENT
 
 # Scale of the hand-written model of this machine, for the generation report.
 HAND_MODEL_RECORDS = 26
@@ -181,7 +180,9 @@ def _dispatch_groups(spec: SpecDocument) -> dict[str, tuple[str, ...]]:
     return {t: tuple(cmds) for t, cmds in groups.items()}
 
 
-def _arrival_terms(spec: SpecDocument, state: str):
+def _arrival_terms(spec: SpecDocument, state: str,
+                   preimage: dict[str, list[tuple[str, str]]],
+                   groups: dict[str, tuple[str, ...]]):
     """Start-snapshot conditions under which this round transitions into
     ``state``: the table preimage terms plus any dispatch-group term.
 
@@ -192,14 +193,14 @@ def _arrival_terms(spec: SpecDocument, state: str):
     kind = spec.roster.kind_of(state)
     terms = [
         _and(DefRef(f"from_{frm}"), _event_is(ev))
-        for ev, frm in _preimage(spec)[state]
+        for ev, frm in preimage[state]
         if ev not in (SPI_TX_FINISH, SPI_RX_FINISH)
     ]
     if kind is StateKind.SEND:
         terms.append(_and(DefRef(f"from_{state}"), _event_is(SPI_TX_FINISH)))
     elif kind is StateKind.RECEIVE:
         terms.append(_and(DefRef(f"from_{state}"), _event_is(SPI_RX_FINISH)))
-    group = _dispatch_groups(spec).get(state)
+    group = groups.get(state)
     if group:
         terms.append(_and(
             DefRef(f"from_{GET_CMD}"), _event_is(CONT),
@@ -268,8 +269,9 @@ def gen_definitions(spec: SpecDocument) -> tuple[Definition, ...]:
         "Some receive state is active at both the start and the end of the round",
         _or_all([_and(DefRef(f"from_{s}"), DefRef(f"to_{s}")) for s in receives])))
 
+    preimage, groups = _preimage(spec), _dispatch_groups(spec)
     for st in roster.state_names:
-        terms = _arrival_terms(spec, st)
+        terms = _arrival_terms(spec, st, preimage, groups)
         if terms:
             defs.append(Definition(
                 f"arrive_{st}",
@@ -530,8 +532,9 @@ def _class_monitors(spec: SpecDocument) -> list[Requirement]:
     return reqs
 
 
-def gen_requirements(spec: SpecDocument) -> tuple[tuple[Requirement, ...], GenReport]:
-    """All requirements plus the generation report with the id index.
+def gen_requirements(spec: SpecDocument) -> tuple[
+        tuple[Requirement, ...], dict[tuple[str, str, str], str]]:
+    """All requirements plus the id index: (event, from, to) -> requirement id.
 
     Ids are stable: the requirement for table entry (event e, state s) is
     ``"<eventIndex>.<stateIndex>"``; the extra dispatch-target requirements
@@ -587,27 +590,25 @@ def gen_requirements(spec: SpecDocument) -> tuple[tuple[Requirement, ...], GenRe
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
         template=Template.MODE_SET, component=STATE_COMPONENT, exclusive=True))
-
-    dictionary = gen_dictionary(spec)
-    definitions = gen_definitions(spec)
-    report = GenReport(
-        data_records=dictionary.record_count,
-        definitions=len(definitions),
-        requirements=len(reqs),
-        id_index=id_index,
-    )
-    return tuple(reqs), report
+    return tuple(reqs), id_index
 
 
 def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
-    """Dictionary, definitions and requirements as one validated model."""
-    requirements, report = gen_requirements(spec)
+    """Dictionary, definitions and requirements as one validated model, with
+    the generation report counted from that model."""
+    requirements, id_index = gen_requirements(spec)
     model = RequirementsModel(
         dictionary=gen_dictionary(spec),
         definitions=gen_definitions(spec),
         requirements=requirements,
     )
     model.validate()
+    report = GenReport(
+        data_records=model.dictionary.record_count,
+        definitions=len(model.definitions),
+        requirements=len(model.requirements),
+        id_index=id_index,
+    )
     return model, report
 
 

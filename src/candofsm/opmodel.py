@@ -31,7 +31,6 @@ from .fsm import (
     StateKind,
     UnknownCommand,
     Violation,
-    classify,
     lookup_next,
 )
 from .specio import SpecDocument
@@ -105,7 +104,7 @@ def state_operation(spec: SpecDocument, m: ModelState) -> tuple[ModelState, str]
     """Run the operation of the current state; returns the updated state
     (same current_state) and the name of the operation that fired."""
     st = m.current_state
-    kind = classify(spec.roster, st)
+    kind = spec.roster.kind_of(st)
 
     if st == START:
         return replace(m, current_event=CONT), "start_idle"
@@ -179,7 +178,7 @@ def _op_contract(spec: SpecDocument, before: ModelState,
                  after: ModelState) -> list[Violation]:
     """Declarative post-condition: exact next event and tx_cnt delta per branch."""
     st = before.current_state
-    kind = classify(spec.roster, st)
+    kind = spec.roster.kind_of(st)
 
     expected_event = CONT
     expected_tx = before.tx_cnt

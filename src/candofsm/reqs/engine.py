@@ -292,6 +292,7 @@ _SHADOW_COLUMNS = {
     "next_bytes_received": "bytes_received",
     "next_tx_cnt": "tx_cnt",
 }
+# the mode component that carries the machine state in a generated model
 STATE_COMPONENT = "fsm"
 
 

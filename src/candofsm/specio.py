@@ -23,22 +23,14 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import IO, Iterable, Mapping
 
 from .fsm import MemberDef, Roster, StateDef, StateKind
+from .trace import TraceRow
 
 SPEC_EXTENSION = ".fsm"
-
-# Fixed trace CSV header; the interchange format for diffing.
-TRACE_COLUMNS = (
-    "round", "state", "event", "command",
-    "packet_addr", "packet_cmd", "packet_data",
-    "bytes_sent", "bytes_received", "tx_cnt",
-    "tx_finish", "rx_finish", "cmd_finish",
-    "attribution",
-)
 
 _KIND_TOKENS = {k.value: k for k in StateKind}
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -70,11 +62,6 @@ class SpecDocument:
     fsm: Mapping[str, Mapping[str, str]]
     dispatch: Mapping[str, str] = field(default_factory=dict)
     packets: Mapping[str, PacketTemplate] = field(default_factory=dict)
-
-    @property
-    def initial(self) -> tuple[str, str]:
-        """Seed values for a run: the start state and the continue event."""
-        return ("start", "CONT")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecDocument):
@@ -276,30 +263,56 @@ def load_spec(path) -> SpecDocument:
         return parse_spec(fh.read())
 
 
-def load_bundled_cando() -> SpecDocument:
-    """The embedded CANDO machine: 34 states, 21 events, 17 commands."""
-    from .bundled import build_cando_spec
-
-    return build_cando_spec()
-
-
 def bundled_spec_path():
-    """Filesystem path of the shipped ``cando.fsm`` copy of the bundled spec."""
+    """Filesystem path of the shipped ``cando.fsm``."""
     return resources.files("candofsm").joinpath("data/cando.fsm")
+
+
+def load_bundled_cando() -> SpecDocument:
+    """The shipped CANDO machine: 34 states, 21 events, 17 commands."""
+    return load_spec(bundled_spec_path())
 
 
 # ---------------------------------------------------------------------------
 # Trace CSV
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _parse_int(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError("bad integer cell") from None
 
 
-def write_trace_csv(rows: Iterable, fh: IO[str]) -> None:
+def _parse_bool(cell: str) -> bool:
+    if cell in ("true", "false"):
+        return cell == "true"
+    raise ValueError(f"bad boolean cell {cell!r}")
+
+
+def _write_ids(attribution: Mapping[str, tuple[str, ...]]) -> str:
+    return ";".join(sorted({rid for rids in attribution.values() for rid in rids}))
+
+
+def _read_ids(cell: str) -> dict[str, tuple[str, ...]]:
+    return {"*": tuple(cell.split(";"))} if cell else {}
+
+
+# (write, read) cell conversions, keyed on the declared TraceRow field type.
+_CELL_CODECS = {
+    "int": (str, _parse_int),
+    "str": (str, str),
+    "str | None": (lambda v: "" if v is None else v, lambda cell: cell or None),
+    "bool": (lambda v: "true" if v else "false", _parse_bool),
+    "Mapping[str, tuple[str, ...]]": (_write_ids, _read_ids),
+}
+_ROW_CODECS = tuple((f.name, *_CELL_CODECS[f.type]) for f in fields(TraceRow))
+
+# Fixed trace CSV header, one column per TraceRow field; the interchange
+# format for diffing.
+TRACE_COLUMNS = tuple(name for name, _, _ in _ROW_CODECS)
+
+
+def write_trace_csv(rows: Iterable[TraceRow], fh: IO[str]) -> None:
     """Write trace rows with the fixed header.
 
     The attribution cell flattens the per-field map to the sorted,
@@ -308,24 +321,15 @@ def write_trace_csv(rows: Iterable, fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
     for row in rows:
-        ids = sorted({rid for rids in row.attribution.values() for rid in rids})
-        writer.writerow([
-            row.round, row.state, row.event, row.command,
-            _cell(row.packet_addr), _cell(row.packet_cmd), _cell(row.packet_data),
-            row.bytes_sent, row.bytes_received, row.tx_cnt,
-            _cell(row.tx_finish), _cell(row.rx_finish), _cell(row.cmd_finish),
-            ";".join(ids),
-        ])
+        writer.writerow([write(getattr(row, name)) for name, write, _ in _ROW_CODECS])
 
 
-def read_trace_csv(fh: IO[str]):
+def read_trace_csv(fh: IO[str]) -> list[TraceRow]:
     """Read a trace CSV back into rows.
 
     Per-field attribution cannot be recovered from the flattened cell, so the
     ids come back under the single wildcard key ``"*"``.
     """
-    from .trace import TraceRow
-
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -334,13 +338,6 @@ def read_trace_csv(fh: IO[str]):
     if tuple(header) != TRACE_COLUMNS:
         raise ParseError(1, 1, f"bad trace header: expected {','.join(TRACE_COLUMNS)}")
 
-    def parse_bool(cell: str, lineno: int) -> bool:
-        if cell == "true":
-            return True
-        if cell == "false":
-            return False
-        raise ParseError(lineno, 1, f"bad boolean cell {cell!r}")
-
     rows = []
     for lineno, rec in enumerate(reader, start=2):
         if not rec:
@@ -348,21 +345,8 @@ def read_trace_csv(fh: IO[str]):
         if len(rec) != len(TRACE_COLUMNS):
             raise ParseError(lineno, 1, f"expected {len(TRACE_COLUMNS)} cells, got {len(rec)}")
         try:
-            round_no = int(rec[0])
-            bs, br, tx = int(rec[7]), int(rec[8]), int(rec[9])
-        except ValueError:
-            raise ParseError(lineno, 1, "bad integer cell") from None
-        attribution = {}
-        if rec[13]:
-            attribution["*"] = tuple(rec[13].split(";"))
-        rows.append(TraceRow(
-            round=round_no, state=rec[1], event=rec[2], command=rec[3],
-            packet_addr=rec[4] or None, packet_cmd=rec[5] or None,
-            packet_data=rec[6] or None,
-            bytes_sent=bs, bytes_received=br, tx_cnt=tx,
-            tx_finish=parse_bool(rec[10], lineno),
-            rx_finish=parse_bool(rec[11], lineno),
-            cmd_finish=parse_bool(rec[12], lineno),
-            attribution=attribution,
-        ))
+            rows.append(TraceRow(**{name: read(cell)
+                                    for (name, _, read), cell in zip(_ROW_CODECS, rec)}))
+        except ValueError as exc:
+            raise ParseError(lineno, 1, str(exc)) from None
     return rows

@@ -4,17 +4,21 @@ A trace is one row per round with every observable field.  Rows from the
 operational engine and the requirements engine share this schema, so the
 equivalence check reduces to a per-round field comparison (after applying
 a field map that explodes any composite packet column into the three split
-columns, and dropping ignored fields).
+columns, and dropping ignored fields).  ``TraceRow``'s fields are the one
+column list: the row values, the CSV header and the CSV cells follow them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .fsm import Violation
-from .specio import SpecDocument
+
+if TYPE_CHECKING:
+    from .reqs.model import RequirementsModel
+    from .specio import SpecDocument
 
 
 @dataclass(frozen=True)
@@ -36,21 +40,11 @@ class TraceRow:
     attribution: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def values(self) -> dict[str, object]:
-        return {
-            "round": self.round,
-            "state": self.state,
-            "event": self.event,
-            "command": self.command,
-            "packet_addr": self.packet_addr,
-            "packet_cmd": self.packet_cmd,
-            "packet_data": self.packet_data,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "tx_cnt": self.tx_cnt,
-            "tx_finish": self.tx_finish,
-            "rx_finish": self.rx_finish,
-            "cmd_finish": self.cmd_finish,
-        }
+        """The observable columns; attribution is not one of them."""
+        return {name: getattr(self, name) for name in ROW_COLUMNS}
+
+
+ROW_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "attribution")
 
 
 @dataclass(frozen=True)
@@ -88,9 +82,6 @@ class FieldMap:
 
 
 PACKET_FIELD_MAP = FieldMap({"packet": ("packet_addr", "packet_cmd", "packet_data")})
-
-# The flag columns the source comparison left out of the operational traces.
-DEFAULT_IGNORE = frozenset({"tx_finish", "rx_finish"})
 
 
 def _rows_as_dicts(trace) -> list[dict[str, object]]:
@@ -130,8 +121,10 @@ def diff(a, b, field_map: FieldMap | None = None,
     return entries
 
 
-def trace_all(spec: SpecDocument, engine: str, max_rounds: int) -> dict[str, Trace]:
-    """One trace per roster command, via the requested engine."""
+def trace_all(spec: SpecDocument, model: RequirementsModel, engine: str,
+              max_rounds: int) -> dict[str, Trace]:
+    """One trace per roster command, via the requested engine: ``ops`` runs
+    ``spec``, ``reqs`` runs ``model``, the requirements generated from it."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if engine == "ops":
@@ -139,10 +132,8 @@ def trace_all(spec: SpecDocument, engine: str, max_rounds: int) -> dict[str, Tra
 
         return {cmd: run(spec, cmd, max_rounds) for cmd in spec.roster.command_names}
     if engine == "reqs":
-        from .generate import generate_model
         from .reqs.engine import run_requirements_trace
 
-        model, _ = generate_model(spec)
         return {
             cmd: run_requirements_trace(model, cmd, max_rounds)
             for cmd in spec.roster.command_names
@@ -191,13 +182,15 @@ class EquivalenceReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def equivalence_report(spec: SpecDocument, max_rounds: int = 500) -> EquivalenceReport:
-    """Run both engines for every command and diff each pair of traces."""
-    ops_traces = trace_all(spec, "ops", max_rounds)
-    reqs_traces = trace_all(spec, "reqs", max_rounds)
+def equivalence_report(spec: SpecDocument, model: RequirementsModel,
+                       max_rounds: int = 500) -> EquivalenceReport:
+    """Run both engines for every command and diff each pair of traces on
+    every column."""
+    ops_traces = trace_all(spec, model, "ops", max_rounds)
+    reqs_traces = trace_all(spec, model, "reqs", max_rounds)
     per_command = {
         cmd: tuple(diff(ops_traces[cmd], reqs_traces[cmd],
-                        field_map=PACKET_FIELD_MAP, ignore=DEFAULT_IGNORE))
+                        field_map=PACKET_FIELD_MAP))
         for cmd in spec.roster.command_names
     }
     return EquivalenceReport(per_command=per_command, max_rounds=max_rounds)

@@ -110,9 +110,9 @@ def test_criterion_3_totality(spec):
     print("PASS criterion 3: table defines all 714 transitions and is total")
 
 
-def test_criterion_4_cross_engine_equivalence(spec):
+def test_criterion_4_cross_engine_equivalence(spec, model):
     started = time.perf_counter()
-    report = equivalence_report(spec, max_rounds=500)
+    report = equivalence_report(spec, model, max_rounds=500)
     elapsed = time.perf_counter() - started
     assert report.passed
     assert len(report.per_command) == 17

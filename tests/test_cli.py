@@ -5,8 +5,15 @@ import sys
 
 import pytest
 
+import candofsm.cli
+import candofsm.generate
 from candofsm.cli import main
-from candofsm.specio import serialize_spec
+from candofsm.specio import (
+    bundled_spec_path,
+    load_bundled_cando,
+    load_spec,
+    serialize_spec,
+)
 from conftest import mutate_table
 
 
@@ -97,6 +104,20 @@ class TestDiff:
         assert "1 differences" in out
         assert "state" in out
 
+    def test_completion_flags_are_compared_by_default(self, spec_file, tmp_path,
+                                                      capsys):
+        left = tmp_path / "left.csv"
+        main(["simulate", spec_file, "--command", "DUMMY_C", "--out", str(left)])
+        lines = left.read_text().splitlines()
+        target = next(i for i, ln in enumerate(lines) if ",true,false,false," in ln)
+        lines[target] = lines[target].replace(",true,false,false,", ",false,false,false,")
+        right = tmp_path / "right.csv"
+        right.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diff", str(left), str(right)]) == 1
+        assert "tx_finish" in capsys.readouterr().out
+        assert main(["diff", str(left), str(right), "--ignore", "tx_finish"]) == 0
+
     def test_malformed_csv_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
@@ -114,6 +135,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "Overall: PASS" in out
         assert "requirements" in out  # the generation scale summary
+
+    def test_shipped_spec_generates_the_model_once(self, monkeypatch, capsys):
+        calls = []
+        original = candofsm.generate.generate_model
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        # patch every name a caller can look the generator up by
+        monkeypatch.setattr(candofsm.generate, "generate_model", counting)
+        monkeypatch.setattr(candofsm.cli, "generate_model", counting)
+        assert main(["verify", str(bundled_spec_path())]) == 0
+        assert len(calls) == 1
+        assert load_bundled_cando() == load_spec(bundled_spec_path())
 
     def test_structural_violations_fail_verification(self, broken_spec_file,
                                                      capsys):

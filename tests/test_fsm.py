@@ -14,7 +14,6 @@ from candofsm.fsm import (
     check_roster,
     check_statemap,
     check_totality,
-    classify,
     is_errormap,
     is_idmap,
     is_packetmap,
@@ -32,17 +31,17 @@ def codes(violations):
 
 class TestClassify:
     def test_stage_one_creator(self, spec):
-        assert classify(spec.roster, "set_vLED") is StateKind.CREATOR_STAGE1
+        assert spec.roster.kind_of("set_vLED") is StateKind.CREATOR_STAGE1
 
     def test_stage_two_creator(self, spec):
-        assert classify(spec.roster, "set_sDac") is StateKind.CREATOR_STAGE2
+        assert spec.roster.kind_of("set_sDac") is StateKind.CREATOR_STAGE2
 
     def test_error_state(self, spec):
-        assert classify(spec.roster, "error_") is StateKind.ERROR
+        assert spec.roster.kind_of("error_") is StateKind.ERROR
 
     def test_unknown_state(self, spec):
         with pytest.raises(UnknownState):
-            classify(spec.roster, "no_such_state")
+            spec.roster.kind_of("no_such_state")
 
 
 class TestLookupNext:

@@ -152,10 +152,10 @@ class TestRequirements:
 
     def test_empty_transition_spec_generates_only_modeset_and_every(self, spec):
         bare = dataclasses.replace(spec, fsm={}, dispatch={}, packets={})
-        requirements, report = gen_requirements(bare)
+        requirements, id_index = gen_requirements(bare)
         templates = sorted(r.template.value for r in requirements)
         assert templates == ["every", "modeset"]
-        assert report.id_index == {}
+        assert id_index == {}
 
     def test_generated_model_validates(self, model):
         model.validate()

@@ -12,6 +12,7 @@ from candofsm.specio import (
     PacketTemplate,
     SpecDocument,
     bundled_spec_path,
+    load_bundled_cando,
     parse_spec,
     read_trace_csv,
     serialize_spec,
@@ -93,9 +94,9 @@ def test_round_trip_bundled(spec):
     assert serialize_spec(parse_spec(text)) == text
 
 
-def test_shipped_data_file_matches_the_builder(spec):
+def test_shipped_data_file_round_trips_byte_exact():
     shipped = bundled_spec_path().read_text(encoding="utf-8")
-    assert shipped == serialize_spec(spec)
+    assert serialize_spec(load_bundled_cando()) == shipped
 
 
 def test_serialize_then_parse_canonicalizes_in_one_pass(spec):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from candofsm.generate import generate_model
 from candofsm.opmodel import run
 from candofsm.trace import (
-    DEFAULT_IGNORE,
     DiffEntry,
     FieldMap,
     PACKET_FIELD_MAP,
@@ -54,8 +54,10 @@ class TestDiff:
         ops = run(spec, "LED_ON_C", 500)
         reqs = run_requirements_trace(model, "LED_ON_C", 500)
         assert any(r.attribution for r in reqs.rows)
-        assert diff(ops, reqs, field_map=PACKET_FIELD_MAP,
-                    ignore=DEFAULT_IGNORE) == []
+        # every row column is compared, the tx/rx completion flags included
+        assert any(r.tx_finish for r in ops.rows)
+        assert any(r.rx_finish for r in ops.rows)
+        assert diff(ops, reqs, field_map=PACKET_FIELD_MAP) == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.fixed_dictionaries({
@@ -73,24 +75,24 @@ class TestDiff:
 
 
 class TestTraceAll:
-    def test_one_trace_per_command(self, spec):
-        traces = trace_all(spec, "ops", 500)
+    def test_one_trace_per_command(self, spec, model):
+        traces = trace_all(spec, model, "ops", 500)
         assert set(traces) == set(spec.roster.command_names)
         assert len(traces) == 17
 
-    def test_ops_traces_end_in_cmd_finish_or_error(self, spec):
-        for trace in trace_all(spec, "ops", 500).values():
+    def test_ops_traces_end_in_cmd_finish_or_error(self, spec, model):
+        for trace in trace_all(spec, model, "ops", 500).values():
             assert trace.reason in ("cmd_finish", "error")
 
     def test_reqs_attributions_reference_generated_ids_only(self, spec, model):
         known = {r.req_id for r in model.requirements}
-        for trace in trace_all(spec, "reqs", 500).values():
+        for trace in trace_all(spec, model, "reqs", 500).values():
             for row in trace.rows:
                 for ids in row.attribution.values():
                     assert set(ids) <= known
 
-    def test_attribution_marks_only_changed_fields(self, spec):
-        for trace in trace_all(spec, "reqs", 500).values():
+    def test_attribution_marks_only_changed_fields(self, spec, model):
+        for trace in trace_all(spec, model, "reqs", 500).values():
             for prev, cur in zip(trace.rows, trace.rows[1:]):
                 before, after = prev.values(), cur.values()
                 for field, ids in cur.attribution.items():
@@ -110,24 +112,24 @@ class TestTraceAll:
             assert ids[0].endswith(".count_next")
             assert ids[1].endswith(".count")
 
-    def test_round_numbers_increase_by_one_from_zero(self, spec):
+    def test_round_numbers_increase_by_one_from_zero(self, spec, model):
         for engine in ("ops", "reqs"):
-            for trace in trace_all(spec, engine, 500).values():
+            for trace in trace_all(spec, model, engine, 500).values():
                 assert [row.round for row in trace.rows] \
                     == list(range(len(trace.rows)))
 
-    def test_bad_engine_name_rejected(self, spec):
+    def test_bad_engine_name_rejected(self, spec, model):
         with pytest.raises(ValueError):
-            trace_all(spec, "nope", 10)
+            trace_all(spec, model, "nope", 10)
 
-    def test_zero_round_budget_rejected(self, spec):
+    def test_zero_round_budget_rejected(self, spec, model):
         with pytest.raises(ValueError):
-            trace_all(spec, "ops", 0)
+            trace_all(spec, model, "ops", 0)
 
 
 class TestEquivalenceReport:
-    def test_bundled_spec_passes_for_all_commands(self, spec):
-        report = equivalence_report(spec, max_rounds=500)
+    def test_bundled_spec_passes_for_all_commands(self, spec, model):
+        report = equivalence_report(spec, model, max_rounds=500)
         assert report.passed
         assert set(report.per_command) == set(spec.roster.command_names)
         assert all(not entries for entries in report.per_command.values())
@@ -135,26 +137,27 @@ class TestEquivalenceReport:
     def test_broken_self_loop_fails_with_a_state_entry(self, spec):
         mutated = mutate_table(spec, "SPI_TX_FINISH", "send_packet_1",
                                "receive_packet_21")
-        report = equivalence_report(mutated, max_rounds=120)
+        mutated_model, _ = generate_model(mutated)
+        report = equivalence_report(mutated, mutated_model, max_rounds=120)
         assert not report.passed
         assert any(e.field == "state"
                    for entries in report.per_command.values() for e in entries)
 
-    def test_zero_round_budget_rejected(self, spec):
+    def test_zero_round_budget_rejected(self, spec, model):
         with pytest.raises(ValueError):
-            equivalence_report(spec, max_rounds=0)
+            equivalence_report(spec, model, max_rounds=0)
 
-    def test_report_renders_deterministically(self, spec):
-        first = equivalence_report(spec, max_rounds=500)
-        second = equivalence_report(spec, max_rounds=500)
+    def test_report_renders_deterministically(self, spec, model):
+        first = equivalence_report(spec, model, max_rounds=500)
+        second = equivalence_report(spec, model, max_rounds=500)
         assert first.render_markdown() == second.render_markdown()
         assert first.render_json() == second.render_json()
         assert "Overall: PASS" in first.render_markdown()
 
-    def test_json_rendering_is_machine_readable(self, spec):
+    def test_json_rendering_is_machine_readable(self, spec, model):
         import json
 
-        report = equivalence_report(spec, max_rounds=500)
+        report = equivalence_report(spec, model, max_rounds=500)
         payload = json.loads(report.render_json())
         assert payload["passed"] is True
         assert len(payload["commands"]) == 17

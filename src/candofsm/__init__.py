@@ -40,6 +40,7 @@ from .trace import (
     EquivalenceReport,
     FieldMap,
     PACKET_FIELD_MAP,
+    RunOutcome,
     Trace,
     TraceRow,
     diff,
@@ -52,8 +53,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GenReport", "DiffEntry", "EquivalenceReport", "FieldMap", "MAX_COUNT",
     "MemberDef", "ModelState", "PACKET_FIELD_MAP", "PACKET_LENGTH", "Packet",
-    "PacketTemplate", "ParseError", "Roster", "SpecDocument", "StateDef",
-    "StateKind", "StepOutcome", "Trace", "TraceRow", "Violation",
+    "PacketTemplate", "ParseError", "Roster", "RunOutcome", "SpecDocument",
+    "StateDef", "StateKind", "StepOutcome", "Trace", "TraceRow", "Violation",
     "bundled_spec_path", "check_cando", "check_roster", "check_statemap",
     "check_totality", "diff", "equivalence_report",
     "gen_definitions", "gen_dictionary", "gen_requirements", "generate_model",

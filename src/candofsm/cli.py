@@ -97,13 +97,19 @@ def _cmd_check(args) -> int:
     return ExitStatus.OK
 
 
+def _bad_budget(max_rounds: int) -> bool:
+    if max_rounds < 1:
+        print("--max-rounds must be at least 1", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_simulate(args) -> int:
     spec = _load(args.spec)
     if args.command not in spec.roster.command_names:
         print(f"unknown command {args.command!r}", file=sys.stderr)
         return ExitStatus.USAGE
-    if args.max_rounds < 1:
-        print("--max-rounds must be at least 1", file=sys.stderr)
+    if _bad_budget(args.max_rounds):
         return ExitStatus.USAGE
     if args.engine == "ops":
         from .opmodel import run
@@ -145,6 +151,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if _bad_budget(args.max_rounds):
+        return ExitStatus.USAGE
     spec = _load(args.spec)
     violations = _all_checks(spec)
     if violations:

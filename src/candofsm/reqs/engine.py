@@ -13,6 +13,13 @@ One round takes the model from a start snapshot to an end snapshot:
 7. status history and the pending obligation set are updated.
 
 The function is total: breaches are returned as violations, never raised.
+
+A model's first round compiles its requirements into a plan kept on the
+model instance (see :mod:`.compiled`).  A round then visits only the
+candidates of its active start modes: the requirements whose guard can
+hold from there, plus the ones that act every round, in model order, so
+writes, conflicts, fired ids and violations keep the order a walk over
+every requirement gives.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ from dataclasses import dataclass
 
 from ..fsm import Violation
 from ..trace import Trace, TraceRow
-from .expr import EvalContext, EvalError, eval_expr
+from .compiled import Compiled, Compiler, Frame, active_modes
+# eval_expr is the reference interpreter the compiled closures are tested
+# against; it stays importable from here
+from .expr import EvalContext, EvalError, eval_expr  # noqa: F401
 from .model import (
     Env,
     Obligation,
@@ -46,27 +56,140 @@ def _violation(code: str, req: Requirement | None, message: str) -> Violation:
     return Violation(code, message=prefix + message)
 
 
+class _Step:
+    """One requirement with its expressions compiled, the round phase it acts
+    in, and its start-state support: the active start modes one of which it
+    needs to do anything this round (None: it may act from any start)."""
+
+    __slots__ = ("req", "template", "phase", "guard", "effects", "required",
+                 "value", "branches", "support")
+
+    def __init__(self, req: Requirement, compiler: Compiler):
+        # a missing guard always holds and a missing latch value holds the
+        # signal; anything else missing raises as the interpreter does
+        def compiled(expr) -> Compiled | None:
+            return None if expr is None else compiler.compile(expr)
+
+        def fn(expr):
+            return compiler.compile(expr).fn
+
+        def effects(assignments):
+            return tuple(
+                ("sig", a.name, fn(a.expr)) if isinstance(a, SignalAssign)
+                else ("mode", a.component, a.mode)
+                for a in assignments)
+
+        t = req.template
+        guard = compiled(req.guard)
+        branch_guards = [compiled(b.guard) for b in req.branches]
+        self.req = req
+        self.template = t
+        self.guard = None if guard is None else guard.fn
+        self.effects = effects(req.effects)
+        self.required = fn(req.required)
+        self.value = None if req.value is None else fn(req.value)
+        self.branches = tuple((None if g is None else g.fn, effects(b.effects))
+                              for g, b in zip(branch_guards, req.branches))
+
+        on_change = t is Template.TRIGGER_ON_CHANGE
+        if t in (Template.TRIGGER_ON_EVENT, Template.LATCH, Template.CASE) \
+                or (on_change and req.constructive):
+            self.phase = "effect"
+        elif t in (Template.EVERY, Template.WHEN) or on_change \
+                or (t is Template.MODE_SET and req.exclusive):
+            self.phase = "check"
+        else:
+            self.phase = None
+
+        # a False guard means no effect, obligation or violation; a total
+        # case, every-monitors and on-change monitors act in every round
+        self.support = None
+        if t is Template.CASE:
+            supports = [None if g is None else g.support for g in branch_guards]
+            if not req.total and None not in supports:
+                self.support = frozenset().union(*supports)
+        elif t in (Template.TRIGGER_ON_EVENT, Template.LATCH, Template.WHEN) \
+                or (on_change and req.constructive):
+            self.support = None if guard is None else guard.support
+
+
+class _Plan:
+    """The compiled, indexed form of one model that :func:`fire_round` runs.
+
+    It is built on a model's first round and kept on the model instance.
+    Candidates are kept per active start-mode set, in model order.
+    """
+
+    def __init__(self, model: RequirementsModel):
+        self.definitions = model.definition_map()
+        compiler = Compiler(self.definitions)
+        self.components = model.dictionary.modes
+        self.steps = tuple(_Step(req, compiler) for req in model.requirements)
+        self.obligations = {s.req.req_id: (s.req.required, s.required)
+                            for s in self.steps if s.req.required is not None}
+        # signal name -> (bounds, enumeration members, type name)
+        self.ranges = {}
+        for sig in model.dictionary.signals:
+            self.ranges.setdefault(sig.name, (
+                model.dictionary.int_bounds(sig), model.dictionary.enum_members(sig),
+                sig.type_name))
+        self._candidates: dict[frozenset, tuple[tuple[_Step, ...], tuple[_Step, ...]]] = {}
+
+    def candidates(self, active: frozenset) -> tuple[tuple[_Step, ...], tuple[_Step, ...]]:
+        """The requirements that can act from this active start-mode set:
+        those that contribute effects, and those that check the end snapshot."""
+        found = self._candidates.get(active)
+        if found is None:
+            live = [s for s in self.steps
+                    if s.support is None or not s.support.isdisjoint(active)]
+            found = self._candidates[active] = (
+                tuple(s for s in live if s.phase == "effect"),
+                tuple(s for s in live if s.phase == "check"))
+        return found
+
+    def obligation(self, ob: Obligation):
+        """The compiled condition of an obligation."""
+        known = self.obligations.get(ob.req_id)
+        if known is not None and known[0] is ob.expr:
+            return known[1]
+        return Compiler(self.definitions).compile(ob.expr).fn
+
+
+def _plan_of(model: RequirementsModel) -> _Plan:
+    """The model's plan, built on first use.  It lives on the instance, so it
+    goes when the model does; a copy made by ``dataclasses.replace`` starts
+    without one."""
+    plan = model.__dict__.get("_plan")
+    if plan is None:
+        plan = _Plan(model)
+        # the model is frozen; the plan is derived data, not a field
+        object.__setattr__(model, "_plan", plan)
+    return plan
+
+
 def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> RoundResult:
-    defs = model.definition_map()
+    plan = _plan_of(model)
     current_round = env.round_no + 1
-    guard_ctx = EvalContext(
+    active = active_modes(env.modes)
+    effect_steps, check_steps = plan.candidates(active)
+    prev_signals = prev_env.signals if prev_env else None
+    prev_modes = prev_env.modes if prev_env else None
+    start = Frame(EvalContext(
         start_signals=env.signals, start_modes=env.modes, history=env.history,
-        definitions=defs,
-        prev_signals=prev_env.signals if prev_env else None,
-        prev_modes=prev_env.modes if prev_env else None,
-        ambient="start",
-    )
+        definitions=plan.definitions, prev_signals=prev_signals,
+        prev_modes=prev_modes, ambient="start",
+    ), active)
 
     violations: list[Violation] = []
     # record key -> ordered writes; signals keyed ("sig", name), modes ("mode", comp)
     writes: dict[tuple[str, str], list[tuple[str, object]]] = {}
     new_obligations: list[Obligation] = []
 
-    def guard_true(expr, req: Requirement) -> bool:
-        if expr is None:
+    def guard_true(guard, req: Requirement) -> bool:
+        if guard is None:
             return True
         try:
-            value = eval_expr(expr, guard_ctx)
+            value = guard(start)
         except EvalError as exc:
             violations.append(_violation("EVAL", req, str(exc)))
             return False
@@ -76,25 +199,25 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
         return value
 
     def add_effects(req: Requirement, effects) -> None:
-        for a in effects:
-            if isinstance(a, SignalAssign):
+        for kind, name, effect in effects:
+            if kind == "sig":
                 try:
-                    value = eval_expr(a.expr, guard_ctx)
+                    value = effect(start)
                 except EvalError as exc:
                     violations.append(_violation("EVAL", req, str(exc)))
                     continue
-                writes.setdefault(("sig", a.name), []).append((req.req_id, value))
+                writes.setdefault((kind, name), []).append((req.req_id, value))
             else:
-                writes.setdefault(("mode", a.component), []).append((req.req_id, a.mode))
+                writes.setdefault((kind, name), []).append((req.req_id, effect))
 
     def changed_signal(name: str) -> bool:
         return prev_env is not None and prev_env.signals.get(name) != env.signals.get(name)
 
-    for req in model.requirements:
-        t = req.template
+    for step in effect_steps:
+        req, t = step.req, step.template
         if t is Template.TRIGGER_ON_EVENT:
-            if guard_true(req.guard, req):
-                add_effects(req, req.effects)
+            if guard_true(step.guard, req):
+                add_effects(req, step.effects)
                 if req.required is not None:
                     due = (current_round + req.within
                            if req.within is not None
@@ -102,10 +225,10 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                     new_obligations.append(
                         Obligation(req.req_id, req.required, due, current_round))
         elif t is Template.LATCH:
-            if guard_true(req.guard, req):
-                if req.value is not None:
+            if guard_true(step.guard, req):
+                if step.value is not None:
                     try:
-                        held = eval_expr(req.value, guard_ctx)
+                        held = step.value(start)
                     except EvalError as exc:
                         violations.append(_violation("EVAL", req, str(exc)))
                         continue
@@ -114,17 +237,16 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                 writes.setdefault(("sig", req.signal), []).append((req.req_id, held))
         elif t is Template.CASE:
             taken = False
-            for branch in req.branches:
-                if guard_true(branch.guard, req):
-                    add_effects(req, branch.effects)
+            for guard, effects in step.branches:
+                if guard_true(guard, req):
+                    add_effects(req, effects)
                     taken = True
                     break
             if not taken and req.total:
                 violations.append(
                     _violation("CASE", req, "no branch matched a total case"))
-        elif t is Template.TRIGGER_ON_CHANGE and req.constructive:
-            if changed_signal(req.signal) and guard_true(req.guard, req):
-                add_effects(req, req.effects)
+        elif changed_signal(req.signal) and guard_true(step.guard, req):
+            add_effects(req, step.effects)   # constructive trigger-on-change
 
     # build the end snapshot, detecting conflicts and range breaches
     end_signals = dict(env.signals)
@@ -144,10 +266,9 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             continue
         value = values[0]
         if kind == "sig":
-            sig = model.dictionary.signal_named(name)
-            if sig is not None:
-                lo, hi = model.dictionary.int_bounds(sig)
-                members = model.dictionary.enum_members(sig)
+            limits = plan.ranges.get(name)
+            if limits is not None:
+                (lo, hi), members, type_name = limits
                 if (lo is not None or hi is not None) and not isinstance(value, bool) \
                         and isinstance(value, int):
                     if (lo is not None and value < lo) or (hi is not None and value > hi):
@@ -160,7 +281,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                     violations.append(Violation(
                         "RANGE",
                         message=f"assignment of {value!r} to {name!r} is not a "
-                                f"member of {sig.type_name}; record keeps its "
+                                f"member of {type_name}; record keeps its "
                                 "start value"))
                     continue
             end_signals[name] = value
@@ -169,51 +290,50 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
         for rid, _ in entries:
             applied.setdefault(rid, []).append(name)
 
-    for req in model.requirements:
-        if req.req_id in applied:
-            fired.append((req.req_id, tuple(applied[req.req_id])))
+    # only effect candidates write, so they are the only ones that can fire
+    for step in effect_steps:
+        if step.req.req_id in applied:
+            fired.append((step.req.req_id, tuple(applied[step.req.req_id])))
 
-    end_ctx = EvalContext(
+    end = Frame(EvalContext(
         start_signals=env.signals, start_modes=env.modes, history=env.history,
-        definitions=defs, end_signals=end_signals, end_modes=end_modes,
-        prev_signals=prev_env.signals if prev_env else None,
-        prev_modes=prev_env.modes if prev_env else None,
-        ambient="end",
-    )
+        definitions=plan.definitions, end_signals=end_signals, end_modes=end_modes,
+        prev_signals=prev_signals, prev_modes=prev_modes, ambient="end",
+    ), active)
 
-    def required_holds(expr, req: Requirement) -> bool:
+    def required_holds(required, req: Requirement) -> bool:
         try:
-            value = eval_expr(expr, end_ctx)
+            value = required(end)
         except EvalError as exc:
             violations.append(_violation("EVAL", req, str(exc)))
             return True
         return bool(value)
 
-    for req in model.requirements:
-        t = req.template
+    for step in check_steps:
+        req, t = step.req, step.template
         if t is Template.EVERY:
-            if not required_holds(req.required, req):
+            if not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "condition breached"))
         elif t is Template.WHEN:
-            if guard_true(req.guard, req) and not required_holds(req.required, req):
+            if guard_true(step.guard, req) and not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "required condition "
                                                              "breached under guard"))
-        elif t is Template.TRIGGER_ON_CHANGE and not req.constructive:
-            if changed_signal(req.signal) and not required_holds(req.required, req):
+        elif t is Template.TRIGGER_ON_CHANGE:
+            if changed_signal(req.signal) and not required_holds(step.required, req):
                 violations.append(_violation(
                     "MONITOR", req, f"condition breached on change of {req.signal!r}"))
-        elif t is Template.MODE_SET and req.exclusive:
-            active = end_modes.get(req.component, frozenset())
-            if len(active) != 1:
+        else:
+            active_end = end_modes.get(req.component, frozenset())
+            if len(active_end) != 1:
                 violations.append(_violation(
                     "MODESET", req,
-                    f"component {req.component!r} has {len(active)} active modes "
+                    f"component {req.component!r} has {len(active_end)} active modes "
                     "at end of round"))
 
     still_pending: list[Obligation] = []
     for ob in tuple(env.pending) + tuple(new_obligations):
         try:
-            satisfied = bool(eval_expr(ob.expr, end_ctx))
+            satisfied = bool(plan.obligation(ob)(end))
         except EvalError as exc:
             violations.append(Violation(
                 "EVAL", message=f"obligation of requirement {ob.req_id}: {exc}"))
@@ -232,7 +352,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     end_env = Env(
         signals=end_signals,
         modes=end_modes,
-        history=env.history | _history_of(end_modes, model.dictionary.modes),
+        history=env.history | _history_of(end_modes, plan.components),
         pending=tuple(still_pending),
         round_no=current_round,
     )

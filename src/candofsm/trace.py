@@ -142,13 +142,38 @@ def trace_all(spec: SpecDocument, model: RequirementsModel, engine: str,
 
 
 @dataclass(frozen=True)
+class RunOutcome:
+    """How one engine's run of one command ended."""
+
+    reason: str                      # the trace's stop reason
+    violations: tuple[str, ...]      # constraint ids of its violations, in order
+
+    @classmethod
+    def of(cls, trace: Trace) -> RunOutcome:
+        return cls(trace.reason, tuple(v.constraint_id for v in trace.violations))
+
+    def render(self) -> str:
+        codes = ", ".join(self.violations) if self.violations else "no violations"
+        return f"{self.reason}, {codes}"
+
+
+@dataclass(frozen=True)
 class EquivalenceReport:
     per_command: Mapping[str, tuple[DiffEntry, ...]]
     max_rounds: int
+    # (ops, reqs) outcome per command
+    outcomes: Mapping[str, tuple[RunOutcome, RunOutcome]]
+
+    def command_passed(self, cmd: str) -> bool:
+        """The traces agree, neither engine reports a violation, neither ran
+        out of budget, and both stopped for the same reason."""
+        ops, reqs = self.outcomes[cmd]
+        return (not self.per_command[cmd] and not ops.violations
+                and not reqs.violations and ops.reason == reqs.reason != "budget")
 
     @property
     def passed(self) -> bool:
-        return all(not entries for entries in self.per_command.values())
+        return all(self.command_passed(cmd) for cmd in self.per_command)
 
     def render_markdown(self) -> str:
         lines = ["# Trace equivalence report", ""]
@@ -157,8 +182,12 @@ class EquivalenceReport:
         lines.append("")
         for cmd in sorted(self.per_command):
             entries = self.per_command[cmd]
-            status = "PASS" if not entries else f"FAIL ({len(entries)} differences)"
-            lines.append(f"- `{cmd}`: {status}")
+            ops, reqs = self.outcomes[cmd]
+            status = "PASS" if self.command_passed(cmd) else "FAIL"
+            if entries:
+                status += f" ({len(entries)} differences)"
+            lines.append(f"- `{cmd}`: {status}; ops: {ops.render()}; "
+                         f"reqs: {reqs.render()}")
             for e in entries:
                 lines.append(f"    - round {e.round}, {e.field}: "
                              f"ops={e.left!r} reqs={e.right!r}")
@@ -178,19 +207,32 @@ class EquivalenceReport:
                 ]
                 for cmd, entries in sorted(self.per_command.items())
             },
+            "outcomes": {
+                cmd: {
+                    "passed": self.command_passed(cmd),
+                    **{engine: {"reason": run.reason,
+                                "violations": list(run.violations)}
+                       for engine, run in zip(("ops", "reqs"), self.outcomes[cmd])},
+                }
+                for cmd in sorted(self.per_command)
+            },
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def equivalence_report(spec: SpecDocument, model: RequirementsModel,
                        max_rounds: int = 500) -> EquivalenceReport:
-    """Run both engines for every command and diff each pair of traces on
-    every column."""
+    """Run both engines for every command, diff each pair of traces on
+    every column, and keep each run's stop reason and violations."""
     ops_traces = trace_all(spec, model, "ops", max_rounds)
     reqs_traces = trace_all(spec, model, "reqs", max_rounds)
+    commands = spec.roster.command_names
     per_command = {
         cmd: tuple(diff(ops_traces[cmd], reqs_traces[cmd],
                         field_map=PACKET_FIELD_MAP))
-        for cmd in spec.roster.command_names
+        for cmd in commands
     }
-    return EquivalenceReport(per_command=per_command, max_rounds=max_rounds)
+    outcomes = {cmd: (RunOutcome.of(ops_traces[cmd]), RunOutcome.of(reqs_traces[cmd]))
+                for cmd in commands}
+    return EquivalenceReport(per_command=per_command, max_rounds=max_rounds,
+                             outcomes=outcomes)

@@ -169,6 +169,21 @@ class TestVerify:
         path.write_text("nonsense\n", encoding="utf-8")
         assert main(["verify", str(path)]) == 2
 
+    def test_zero_round_budget_is_a_usage_error(self, spec_file, capsys):
+        assert main(["simulate", spec_file, "--command", "LED_ON_C",
+                     "--max-rounds", "0"]) == 3
+        simulate_err = capsys.readouterr().err
+        assert main(["verify", spec_file, "--max-rounds", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == simulate_err == "--max-rounds must be at least 1\n"
+        assert captured.out == ""
+
+    def test_a_budget_too_small_to_finish_fails(self, spec_file, capsys):
+        assert main(["verify", spec_file, "--max-rounds", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "ops: budget, no violations; reqs: budget, no violations" in out
+        assert "Overall: FAIL" in out
+
 
 class TestReport:
     def test_markdown_contains_the_vled_title(self, spec_file, capsys):

@@ -1,0 +1,396 @@
+"""Differential test: compiled closures against the reference interpreter.
+
+Every expression of the generated model is evaluated both ways over
+sampled round contexts: start states (one, none or two active), events,
+counters, flags, end snapshots, previous snapshots, and now and then a
+missing record or a value of the wrong type.  Value and type, or exception
+type and message, must agree.  Hand-built cases cover the error paths the
+generated model does not reach.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from candofsm.reqs import (
+    BinOp,
+    Call,
+    CaseBranch,
+    DefRef,
+    Definition,
+    EvalError,
+    IllegalEndOfRoundRead,
+    Lit,
+    ModeActive,
+    ModeAssign,
+    ModeBecomes,
+    ModeComponent,
+    ModeEver,
+    Not,
+    Obligation,
+    Requirement,
+    SigRead,
+    SignalAssign,
+    SignalDef,
+    Template,
+    TypeMismatch,
+    fire_round,
+    initial_env,
+)
+from candofsm.reqs.compiled import Compiler, Frame, active_modes
+from candofsm.reqs.engine import STATE_COMPONENT
+from candofsm.reqs.expr import EvalContext, eval_expr
+from candofsm.reqs.model import Env
+from test_reqs import tiny_model
+
+CONTEXTS = 90
+
+
+def outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raises", type(exc), str(exc))
+    return ("value", type(value), value)
+
+
+def agree(expr, ctx, compiler):
+    compiled = compiler.compile(expr).fn
+    return outcome(eval_expr, expr, ctx) == outcome(compiled, Frame(ctx))
+
+
+def model_expressions(model) -> list:
+    """Every expression the engine evaluates, and every definition body."""
+    found = [d.expr for d in model.definitions]
+    found += [DefRef(d.name) for d in model.definitions]
+    for req in model.requirements:
+        found += [e for e in (req.guard, req.required, req.value) if e is not None]
+        found += [a.expr for a in req.effects if isinstance(a, SignalAssign)]
+        for branch in req.branches:
+            found.append(branch.guard)
+            found += [a.expr for a in branch.effects if isinstance(a, SignalAssign)]
+    return found
+
+
+def sampled_signals(rng, base: dict, spec) -> dict:
+    signals = dict(base)
+    signals["current_event"] = rng.choice(spec.roster.event_names + (None,))
+    signals["current_command"] = rng.choice(spec.roster.command_names)
+    for name in ("bytes_sent", "bytes_received", "tx_cnt", "next_bytes_sent",
+                 "next_bytes_received", "next_tx_cnt"):
+        signals[name] = rng.randrange(-1, 6)
+    for name in ("command_finish_flag", "optrode_TX_finish", "optrode_RX_finish"):
+        signals[name] = rng.random() < 0.5
+    if rng.random() < 0.15:   # a value of the wrong type
+        name = rng.choice(sorted(signals))
+        signals[name] = rng.choice([True, 1, 0, "x", None])
+    if rng.random() < 0.05:   # a missing record
+        del signals[rng.choice(sorted(signals))]
+    return signals
+
+
+def sampled_modes(rng, states, i: int) -> frozenset:
+    if i < len(states):
+        return frozenset({states[i]})          # every state once
+    return frozenset(rng.sample(states, rng.choice((0, 1, 1, 2))))
+
+
+def sampled_contexts(spec, model, count: int) -> list[EvalContext]:
+    rng = random.Random(7)
+    states = list(spec.roster.state_names)
+    base = initial_env(model)
+    definitions = model.definition_map()
+    contexts = []
+    for i in range(count):
+        start_modes = {STATE_COMPONENT: sampled_modes(rng, states, i)}
+        end = rng.random() < 0.6
+        prev = rng.random() < 0.5
+        history = set(base.history)
+        history.update((STATE_COMPONENT, s, "active") for s in rng.sample(states, 3))
+        contexts.append(EvalContext(
+            start_signals=sampled_signals(rng, base.signals, spec),
+            start_modes=start_modes,
+            history=frozenset(history),
+            definitions=definitions,
+            end_signals=sampled_signals(rng, base.signals, spec) if end else None,
+            end_modes=({STATE_COMPONENT: frozenset({rng.choice(states)})}
+                       if end else None),
+            prev_signals=sampled_signals(rng, base.signals, spec) if prev else None,
+            prev_modes=({STATE_COMPONENT: sampled_modes(rng, states, count)}
+                        if prev else None),
+            ambient=rng.choice(("start", "end")) if end else "start",
+        ))
+    return contexts
+
+
+@pytest.fixture(scope="module")
+def contexts(spec, model):
+    return sampled_contexts(spec, model, CONTEXTS)
+
+
+def test_every_generated_expression_agrees_with_the_interpreter(model, contexts):
+    compiler = Compiler(model.definition_map())
+    expressions = model_expressions(model)
+    assert len(expressions) > 1000
+    mismatched = [(expr, i) for expr in expressions
+                  for i, ctx in enumerate(contexts) if not agree(expr, ctx, compiler)]
+    assert mismatched == []
+
+
+def test_the_samples_reach_values_and_every_kind_of_error(model, contexts):
+    compiler = Compiler(model.definition_map())
+    seen = {outcome(compiler.compile(expr).fn, Frame(ctx))[1]
+            for expr in model_expressions(model) for ctx in contexts}
+    assert {bool, int, str, TypeMismatch, IllegalEndOfRoundRead, EvalError} <= seen
+
+
+def test_a_missed_support_means_false_without_raising(model, contexts):
+    compiler = Compiler(model.definition_map())
+    checked = 0
+    for expr in model_expressions(model):
+        support = compiler.compile(expr).support
+        if support is None:
+            continue
+        for ctx in contexts:
+            if support.isdisjoint(active_modes(ctx.start_modes)):
+                assert eval_expr(expr, ctx) is False
+                checked += 1
+    assert checked > 10_000
+
+
+# --- hand-built cases --------------------------------------------------------
+
+def hand_ctx(**overrides) -> EvalContext:
+    fields = dict(
+        start_signals={"x": 3, "flag": True, "colour": "red", "n": 1},
+        start_modes={"lamp": frozenset({"on"})},
+        history=frozenset({("lamp", "off", "active")}),
+        definitions={
+            "lamp_on": Definition("lamp_on", "lamp on", ModeActive("lamp", "on", "start")),
+            "double": Definition("double", "twice n", BinOp("+", SigRead("n"),
+                                                            SigRead("n")), params=("n",)),
+            "lamp_on_end": Definition("lamp_on_end", "lamp on at end",
+                                      ModeActive("lamp", "on", "end")),
+        },
+    )
+    fields.update(overrides)
+    return EvalContext(**fields)
+
+
+def chain(op: str, *operands):
+    """A left-nested same-operator chain."""
+    expr = operands[0]
+    for operand in operands[1:]:
+        expr = BinOp(op, expr, operand)
+    return expr
+
+
+MANY_MODES = ("a", "b", "c", "d", "e", "off", "g", "h", "i", "on", "k")
+
+HAND_CASES = [
+    # type mismatches in and, or, not, < and +, on either side
+    BinOp("and", Lit(1), Lit(True)),
+    BinOp("and", Lit(True), Lit(0)),
+    BinOp("and", Lit(False), Lit(0)),
+    BinOp("and", BinOp("and", Lit(True), Lit(True)), SigRead("x")),
+    BinOp("or", Lit("red"), Lit(True)),
+    BinOp("or", Lit(False), SigRead("colour")),
+    BinOp("or", Lit(True), Lit(0)),
+    BinOp("or", BinOp("or", Lit(False), Lit(False)), Lit(None)),
+    Not(Lit(0)),
+    Not(SigRead("x")),
+    BinOp("<", Lit("red"), Lit("green")),
+    BinOp("<", Lit(True), Lit(2)),
+    BinOp("<", SigRead("x"), Lit(False)),
+    BinOp("+", Lit(1), Lit(True)),
+    BinOp("+", Lit(None), SigRead("x")),
+    BinOp(">=", SigRead("x"), Lit(3)),
+    BinOp("*", SigRead("x"), Lit(4)),
+    # unknown records, definitions and operators
+    SigRead("nowhere"),
+    DefRef("nowhere"),
+    BinOp("and", Lit(True), DefRef("nowhere")),
+    BinOp("%", SigRead("x"), Lit(2)),
+    BinOp("%", SigRead("nowhere"), Lit(2)),
+    "not a node",
+    # a DefRef to a parameterised definition, and calls that bind parameters
+    DefRef("double"),
+    Call("double", (Lit(4),)),
+    Call("double", (SigRead("x"),)),
+    Call("double", (Lit(4), Lit(5))),
+    Call("nowhere", ()),
+    # end-of-round reads, inlined or not
+    ModeActive("lamp", "on", "end"),
+    DefRef("lamp_on_end"),
+    BinOp("or", DefRef("lamp_on"), DefRef("lamp_on_end")),
+    BinOp("or", Not(DefRef("lamp_on")), DefRef("lamp_on_end")),
+    # becomes and ever
+    ModeBecomes("lamp", "on", "active"),
+    ModeBecomes("lamp", "on", "inactive"),
+    ModeBecomes("lamp", "off", "inactive"),
+    ModeEver("lamp", "off", "active"),
+    ModeEver("lamp", "on", "active"),
+    # n-ary chains, and a disjunction long enough to pick its operands per
+    # active mode set, with a non-boolean operand among them
+    chain("and", Lit(True), DefRef("lamp_on"), Lit(True), SigRead("x")),
+    chain("or", Lit(False), Not(DefRef("lamp_on")), Lit(False), SigRead("n")),
+    chain("or", *[ModeActive("lamp", m, "start") for m in MANY_MODES]),
+    chain("or", *[ModeActive("lamp", m, "start") for m in MANY_MODES], Lit(0)),
+    chain("or", Lit(0), *[ModeActive("lamp", m, "start") for m in MANY_MODES]),
+    chain("or", *[BinOp("and", ModeActive("lamp", m, "start"), SigRead("flag"))
+                  for m in MANY_MODES]),
+    # literals that compare equal across types
+    Lit(0), Lit(False), Lit(1), Lit(True),
+    BinOp("=", SigRead("n"), Lit(True)),
+    BinOp("=", SigRead("n"), Lit(1)),
+    BinOp("+", Lit(0), Lit(1)),
+    BinOp("and", Lit(True), Lit(False)),
+]
+
+HAND_CONTEXTS = [
+    hand_ctx(),
+    hand_ctx(end_modes={"lamp": frozenset({"off"})},
+             end_signals={"x": 4, "flag": False}, ambient="end"),
+    hand_ctx(ambient="end"),                              # no end snapshot at all
+    hand_ctx(prev_modes={"lamp": frozenset({"off"})}),
+    hand_ctx(prev_modes={"lamp": frozenset({"on"})}),
+    hand_ctx(start_modes={"lamp": frozenset()}),          # no active mode
+    hand_ctx(start_modes={"lamp": frozenset({"on", "off"})}),  # two active modes
+    hand_ctx(start_modes={}),                             # unknown component
+    hand_ctx(params={"x": 9, "nowhere": 1}),
+]
+
+
+@pytest.mark.parametrize("expr", HAND_CASES, ids=repr)
+def test_hand_built_expression_agrees_with_the_interpreter(expr):
+    compiler = Compiler(HAND_CONTEXTS[0].definitions)
+    for ctx in HAND_CONTEXTS:
+        assert outcome(eval_expr, expr, ctx) \
+            == outcome(compiler.compile(expr).fn, Frame(ctx)), ctx
+
+
+def test_the_hand_cases_raise_each_error_kind():
+    ctx = HAND_CONTEXTS[0]
+    kinds = {outcome(eval_expr, expr, ctx)[1] for expr in HAND_CASES}
+    assert {TypeMismatch, IllegalEndOfRoundRead, EvalError} <= kinds
+
+
+def test_literals_that_compare_equal_keep_their_types():
+    # one compiler for all four, so a shared closure would show
+    compiler = Compiler({})
+    frame = Frame(hand_ctx())
+    values = [compiler.compile(Lit(v)).fn(frame) for v in (0, False, 1, True)]
+    assert [(type(v), v) for v in values] == [(int, 0), (bool, False),
+                                             (int, 1), (bool, True)]
+    assert compiler.compile(BinOp("+", Lit(0), Lit(1))).fn(frame) == 1
+    with pytest.raises(TypeMismatch):
+        compiler.compile(BinOp("+", Lit(False), Lit(True))).fn(frame)
+
+
+# --- rounds from zero or two active modes ------------------------------------
+
+def two_lamp_model():
+    """Two triggers guarded by lamp modes, one by a disjunction of both, and
+    the mode-set check."""
+    modes = [ModeComponent("lamp", ("off", "on", "dim"), exclusive=True, initial="off")]
+    return tiny_model(
+        Requirement("from_off", "off goes on", Template.TRIGGER_ON_EVENT,
+                    guard=ModeActive("lamp", "off", "start"),
+                    effects=(ModeAssign("lamp", "on"),)),
+        Requirement("from_on", "on goes dim", Template.TRIGGER_ON_EVENT,
+                    guard=BinOp("and", ModeActive("lamp", "on", "start"),
+                                BinOp("<", SigRead("x"), Lit(5))),
+                    effects=(ModeAssign("lamp", "dim"),
+                             SignalAssign("x", BinOp("+", SigRead("x"), Lit(1))))),
+        Requirement("any", "lit or dim counts", Template.TRIGGER_ON_EVENT,
+                    guard=BinOp("or", ModeActive("lamp", "on", "start"),
+                                ModeActive("lamp", "dim", "start")),
+                    effects=(SignalAssign("seen", Lit(True)),)),
+        Requirement("ms", "one lamp mode", Template.MODE_SET, component="lamp"),
+        signals=[SignalDef("x", "small", initial=0),
+                 SignalDef("seen", "Flag", initial=False)],
+        modes=modes)
+
+
+def start_with(model, active) -> Env:
+    init = initial_env(model)
+    return Env(signals=init.signals, modes={"lamp": frozenset(active)},
+               history=init.history)
+
+
+def test_no_active_mode_fires_nothing_and_breaks_the_mode_set():
+    model = two_lamp_model()
+    result = fire_round(model, start_with(model, ()), None)
+    assert result.fired == ()
+    assert [v.constraint_id for v in result.violations] == ["MODESET"]
+    assert result.end_env.modes["lamp"] == frozenset()
+
+
+def test_two_active_modes_fire_every_candidate_in_model_order():
+    model = two_lamp_model()
+    result = fire_round(model, start_with(model, ("off", "on")), None)
+    # both mode writers conflict; the counter and the flag still apply
+    assert [rid for rid, _ in result.fired] == ["from_on", "any"]
+    assert result.end_env.signals["x"] == 1
+    assert result.end_env.signals["seen"] is True
+    assert [v.constraint_id for v in result.violations] == ["CONFLICT", "MODESET"]
+    assert "from_off, from_on" in result.violations[0].message
+
+
+def test_the_plan_is_built_once_per_model_instance():
+    model = two_lamp_model()
+    env = start_with(model, ("off",))
+    fire_round(model, env, None)
+    plan = model.__dict__["_plan"]
+    fire_round(model, env, None)
+    assert model.__dict__["_plan"] is plan
+    assert "_plan" not in two_lamp_model().__dict__
+
+
+def test_a_total_case_reports_from_states_its_branches_miss():
+    model = tiny_model(
+        Requirement("pick", "dim lamps count", Template.CASE, total=True,
+                    branches=(CaseBranch(ModeActive("lamp", "dim", "start"),
+                                         (SignalAssign("x", Lit(1)),)),)),
+        Requirement("quiet", "dim lamps count quietly", Template.CASE,
+                    branches=(CaseBranch(ModeActive("lamp", "dim", "start"),
+                                         (SignalAssign("y", Lit(1)),)),)),
+        signals=[SignalDef("x", "small", initial=0), SignalDef("y", "small", initial=0)],
+        modes=[ModeComponent("lamp", ("off", "on", "dim"), initial="off")])
+    result = fire_round(model, initial_env(model), None)
+    assert [v.constraint_id for v in result.violations] == ["CASE"]
+    assert "pick" in result.violations[0].message
+    dim = fire_round(model, start_with(model, ("dim",)), None)
+    assert dim.violations == ()
+    assert [rid for rid, _ in dim.fired] == ["pick", "quiet"]
+
+
+def test_pending_obligations_from_elsewhere_are_compiled_on_demand():
+    model = tiny_model(
+        Requirement("met", "demand x = 5", Template.TRIGGER_ON_EVENT,
+                    guard=Lit(False), required=BinOp("=", SigRead("x"), Lit(5))),
+        signals=[SignalDef("x", "small", initial=2)])
+    init = initial_env(model)
+    # "met" names a requirement of the model but carries its own condition
+    pending = (Obligation("kept", BinOp("=", SigRead("x"), Lit(3)), None, 0),
+               Obligation("met", BinOp("=", SigRead("x"), Lit(2)), None, 0),
+               Obligation("broken", "not a node", 1, 0))
+    result = fire_round(model, Env(signals=init.signals, modes=init.modes,
+                                   pending=pending), None)
+    assert [ob.req_id for ob in result.end_env.pending] == ["kept"]
+    assert [v.constraint_id for v in result.violations] == ["EVAL", "OBLIGATION"]
+    assert "not an expression node" in result.violations[0].message
+
+
+def test_a_missing_condition_or_effect_value_is_an_eval_violation():
+    model = tiny_model(
+        Requirement("set", "x from nothing", Template.TRIGGER_ON_EVENT,
+                    guard=Lit(True), effects=(SignalAssign("x", None),)),
+        Requirement("watch", "nothing to watch", Template.EVERY),
+        signals=[SignalDef("x", "small", initial=2)])
+    result = fire_round(model, initial_env(model), None)
+    assert [v.constraint_id for v in result.violations] == ["EVAL", "EVAL"]
+    assert all("not an expression node: None" in v.message for v in result.violations)
+    assert result.fired == ()

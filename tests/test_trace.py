@@ -8,8 +8,10 @@ from candofsm.generate import generate_model
 from candofsm.opmodel import run
 from candofsm.trace import (
     DiffEntry,
+    EquivalenceReport,
     FieldMap,
     PACKET_FIELD_MAP,
+    RunOutcome,
     diff,
     equivalence_report,
     trace_all,
@@ -161,6 +163,39 @@ class TestEquivalenceReport:
         payload = json.loads(report.render_json())
         assert payload["passed"] is True
         assert len(payload["commands"]) == 17
+        assert payload["outcomes"]["LED_ON_C"] == {
+            "passed": True,
+            "ops": {"reason": "cmd_finish", "violations": []},
+            "reqs": {"reason": "cmd_finish", "violations": []},
+        }
+
+    def test_each_run_keeps_its_stop_reason_and_violations(self, spec, model):
+        report = equivalence_report(spec, model, max_rounds=500)
+        assert set(report.outcomes) == set(spec.roster.command_names)
+        assert all(ops == reqs == RunOutcome("cmd_finish", ())
+                   for ops, reqs in report.outcomes.values())
+
+    def test_budget_stops_fail_even_when_the_rows_agree(self, spec, model):
+        report = equivalence_report(spec, model, max_rounds=5)
+        assert all(not entries for entries in report.per_command.values())
+        assert not report.passed
+        assert "Overall: FAIL" in report.render_markdown()
+
+    @pytest.mark.parametrize("ops, reqs", [
+        (RunOutcome("cmd_finish", ()), RunOutcome("cmd_finish", ("MONITOR",))),
+        (RunOutcome("cmd_finish", ("POST",)), RunOutcome("cmd_finish", ())),
+        (RunOutcome("error", ()), RunOutcome("cmd_finish", ())),
+        (RunOutcome("budget", ()), RunOutcome("budget", ())),
+    ])
+    def test_violations_and_stop_reasons_decide_the_verdict(self, ops, reqs):
+        report = EquivalenceReport(per_command={"A_C": ()}, max_rounds=10,
+                                   outcomes={"A_C": (ops, reqs)})
+        assert not report.passed
+        assert "- `A_C`: FAIL; ops: " in report.render_markdown()
+        agreeing = EquivalenceReport(
+            per_command={"A_C": ()}, max_rounds=10,
+            outcomes={"A_C": (RunOutcome("error", ()), RunOutcome("error", ()))})
+        assert agreeing.passed
 
 
 class TestFieldMap:

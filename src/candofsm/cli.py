@@ -60,6 +60,15 @@ class _LoadFailure(Exception):
     pass
 
 
+def _generate(spec: SpecDocument):
+    """The generated model and its report; a spec the generator cannot turn
+    into a model is a load error."""
+    try:
+        return generate_model(spec)
+    except FsmError as exc:
+        raise _LoadFailure(f"cannot generate the requirements model: {exc}")
+
+
 def _all_checks(spec: SpecDocument) -> list[Violation]:
     violations = list(check_roster(spec.roster))
     for ev in spec.roster.event_names:
@@ -112,13 +121,17 @@ def _cmd_simulate(args) -> int:
     if _bad_budget(args.max_rounds):
         return ExitStatus.USAGE
     if args.engine == "ops":
-        from .opmodel import run
+        from .opmodel import RunError, run
 
-        trace = run(spec, args.command, args.max_rounds)
+        try:
+            trace = run(spec, args.command, args.max_rounds)
+        except RunError as exc:
+            raise _LoadFailure(f"cannot run {args.command} on the operational "
+                               f"model: {exc}")
     else:
         from .reqs.engine import run_requirements_trace
 
-        model, _ = generate_model(spec)
+        model, _ = _generate(spec)
         trace = run_requirements_trace(model, args.command, args.max_rounds)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -159,11 +172,7 @@ def _cmd_verify(args) -> int:
         _print_violations(violations)
         print(f"verify: FAIL ({len(violations)} structural violations)")
         return ExitStatus.FINDINGS
-    try:
-        model, gen_report = generate_model(spec)
-    except FsmError as exc:
-        print(f"cannot generate the requirements model: {exc}", file=sys.stderr)
-        return ExitStatus.LOAD_ERROR
+    model, gen_report = _generate(spec)
     report = equivalence_report(spec, model, max_rounds=args.max_rounds)
     print(gen_report.summary())
     print(report.render_markdown())
@@ -171,12 +180,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    spec = _load(args.spec)
-    try:
-        model, _ = generate_model(spec)
-    except FsmError as exc:
-        print(f"cannot generate the requirements model: {exc}", file=sys.stderr)
-        return ExitStatus.LOAD_ERROR
+    model, _ = _generate(_load(args.spec))
     if args.format == "md":
         sys.stdout.write(render_requirements_markdown(model))
     else:

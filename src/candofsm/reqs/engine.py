@@ -416,10 +416,11 @@ _SHADOW_COLUMNS = {
 STATE_COMPONENT = "fsm"
 
 
-def _env_row(env: Env, round_no: int, attribution) -> TraceRow:
+def _env_values(env: Env, round_no: int) -> dict[str, object]:
+    """The trace columns of an env, keyed as :class:`TraceRow`'s fields."""
     active = sorted(env.modes.get(STATE_COMPONENT, frozenset()))
     sig = env.signals
-    return TraceRow(
+    return dict(
         round=round_no,
         state="|".join(active),
         event=str(sig.get("current_event")),
@@ -433,12 +434,11 @@ def _env_row(env: Env, round_no: int, attribution) -> TraceRow:
         tx_finish=bool(sig.get("optrode_TX_finish", False)),
         rx_finish=bool(sig.get("optrode_RX_finish", False)),
         cmd_finish=bool(sig.get("command_finish_flag", False)),
-        attribution=attribution,
     )
 
 
-def _round_attribution(result: RoundResult, row: TraceRow,
-                       prev_row: TraceRow) -> dict[str, tuple[str, ...]]:
+def _round_attribution(result: RoundResult, new_values: dict[str, object],
+                       old_values: dict[str, object]) -> dict[str, tuple[str, ...]]:
     """Requirement ids per changed trace column.  Shadow writers come first,
     so counters show the next-value updater and then the committing
     requirement, in that order."""
@@ -451,8 +451,6 @@ def _round_attribution(result: RoundResult, row: TraceRow,
                 by_column.setdefault(_SHADOW_COLUMNS[record], []).insert(0, rid)
             elif record in _SIGNAL_COLUMNS:
                 by_column.setdefault(_SIGNAL_COLUMNS[record], []).append(rid)
-    new_values = row.values()
-    old_values = prev_row.values()
     return {
         column: tuple(ids)
         for column, ids in by_column.items()
@@ -472,12 +470,14 @@ def run_reqs(model: RequirementsModel, init_env: Env, stop, max_rounds: int,
     """
     envs, results, reason = run_rounds(model, init_env, stop, max_rounds,
                                        on_violation)
-    rows = [_env_row(envs[0], 0, {})]
+    values = _env_values(envs[0], 0)
+    rows = [TraceRow(**values)]
     violations: list[Violation] = []
     for i, result in enumerate(results, start=1):
-        row = _env_row(envs[i], i, {})
-        attribution = _round_attribution(result, row, rows[-1])
-        rows.append(_env_row(envs[i], i, attribution))
+        new_values = _env_values(envs[i], i)
+        rows.append(TraceRow(**new_values, attribution=_round_attribution(
+            result, new_values, values)))
+        values = new_values
         violations.extend(result.violations)
     for ob in envs[-1].pending:
         if ob.due_round is None:

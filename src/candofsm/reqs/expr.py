@@ -197,32 +197,16 @@ def eval_expr(expr, ctx: EvalContext):
 
 
 def walk(expr) -> Iterator[object]:
-    """Yield the node and all descendants (not following definition refs)."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, Not):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk(arg)
-
-
-def referenced_definitions(expr) -> set[str]:
-    return {n.name for n in walk(expr) if isinstance(n, (DefRef, Call))}
-
-
-def has_end_reads(expr, definitions: Mapping[str, object],
-                  _seen: frozenset[str] = frozenset()) -> bool:
-    """True if evaluating the expression can read an end-of-round mode."""
-    for node in walk(expr):
-        if isinstance(node, ModeActive) and node.at == "end":
-            return True
-        if isinstance(node, (DefRef, Call)) and node.name not in _seen:
-            target = definitions.get(node.name)
-            if target is not None and has_end_reads(
-                target.expr, definitions, _seen | {node.name}
-            ):
-                return True
-    return False
+    """Yield the node and all its descendants in pre-order, not following
+    definition references.  It keeps an explicit stack, so a left-deep chain
+    of any length (a long ``or``) stays clear of the recursion limit."""
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, BinOp):
+            pending += (node.right, node.left)
+        elif isinstance(node, Not):
+            pending.append(node.operand)
+        elif isinstance(node, Call):
+            pending += reversed(node.args)

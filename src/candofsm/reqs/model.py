@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from .expr import DefRef, has_end_reads, referenced_definitions, walk
+from .expr import Call, DefRef, ModeActive, walk
 
 
 class ModelError(Exception):
@@ -84,12 +84,6 @@ class DataDictionary:
         for s in self.signals:
             if s.name == name:
                 return s
-        return None
-
-    def component_named(self, name: str) -> ModeComponent | None:
-        for m in self.modes:
-            if m.name == name:
-                return m
         return None
 
     @property
@@ -260,9 +254,13 @@ class RequirementsModel:
         return {d.name: d for d in self.definitions}
 
     def validate(self) -> None:
-        """Structural checks: unique ids, acyclic definitions, end-of-round
-        reads confined to required conditions, latch and trigger-on-change
-        subjects being raw signals."""
+        """Structural checks: unique names and ids, acyclic definitions,
+        known definitions and end-of-round reads confined to required
+        conditions in every expression slot, effects on known signals and
+        modes, latch and trigger-on-change subjects being raw signals.
+
+        Each definition body is walked once, on first use; what it can read
+        is remembered for every later reference."""
         self.dictionary.validate()
 
         names = [d.name for d in self.definitions]
@@ -275,62 +273,74 @@ class RequirementsModel:
             raise ModelError(f"duplicate requirement ids: {dupes}")
 
         defs = self.definition_map()
-        # acyclicity of the definition reference graph
-        state: dict[str, int] = {}  # 1 visiting, 2 done
+        signals = {s.name for s in self.dictionary.signals}
+        components = {m.name: m.modes for m in self.dictionary.modes}
+        reads_end: dict[str, bool] = {}   # definition -> can it read an end mode
+        visiting: set[str] = set()
 
-        def visit(name: str) -> None:
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                raise ModelError(f"definition cycle through {name!r}")
-            state[name] = 1
-            target = defs.get(name)
-            if target is not None:
-                for ref in sorted(referenced_definitions(target.expr)):
-                    visit(ref)
-            state[name] = 2
+        def visit(name: str) -> bool:
+            """Scan a definition's body on first use; a name met again while
+            its own body is being scanned closes a cycle."""
+            if name not in reads_end:
+                if name in visiting:
+                    raise ModelError(f"definition cycle through {name!r}")
+                visiting.add(name)
+                reads_end[name] = scan(defs[name].expr, f"definition {name!r}")
+            return reads_end[name]
+
+        def scan(expr, where: str) -> bool:
+            """Walk one expression once: every definition it names must exist.
+            True if evaluating it can read an end-of-round mode."""
+            if expr is None:
+                return False   # a missing expression stays a runtime EVAL case
+            named: dict[str, None] = {}
+            end = False
+            for node in walk(expr):
+                if isinstance(node, (DefRef, Call)):
+                    named[node.name] = None
+                elif isinstance(node, ModeActive) and node.at == "end":
+                    end = True
+            for name in named:
+                if name not in defs:
+                    raise ModelError(f"{where}: unknown definition {name!r}")
+            for name in sorted(named):
+                end = visit(name) or end
+            return end
+
+        def start_only(expr, where: str, slot: str) -> None:
+            if scan(expr, where):
+                raise ModelError(
+                    f"{where}: {slot}: end-of-round reads are only legal in "
+                    "required conditions")
+
+        def check_effects(effects, where: str) -> None:
+            for a in effects:
+                if isinstance(a, SignalAssign):
+                    start_only(a.expr, where, f"effect {a.name}")
+                    if a.name not in signals:
+                        raise ModelError(
+                            f"{where}: effect targets unknown or non-signal "
+                            f"record {a.name!r}")
+                elif a.mode not in components.get(a.component, ()):
+                    raise ModelError(
+                        f"{where}: bad mode assignment {a.component}.{a.mode}")
 
         for name in names:
             visit(name)
 
-        def check_guard(expr, where: str) -> None:
-            if expr is not None and has_end_reads(expr, defs):
-                raise ModelError(
-                    f"{where}: end-of-round reads are only legal in required "
-                    "conditions")
-
         for r in self.requirements:
-            check_guard(r.guard, f"requirement {r.req_id}: guard")
-            for a in r.effects:
-                if isinstance(a, SignalAssign):
-                    check_guard(a.expr, f"requirement {r.req_id}: effect {a.name}")
-                    if self.dictionary.signal_named(a.name) is None:
-                        raise ModelError(
-                            f"requirement {r.req_id}: effect targets unknown or "
-                            f"non-signal record {a.name!r}")
-                else:
-                    comp = self.dictionary.component_named(a.component)
-                    if comp is None or a.mode not in comp.modes:
-                        raise ModelError(
-                            f"requirement {r.req_id}: bad mode assignment "
-                            f"{a.component}.{a.mode}")
+            where = f"requirement {r.req_id}"
+            start_only(r.guard, where, "guard")
+            check_effects(r.effects, where)
             for branch in r.branches:
-                check_guard(branch.guard, f"requirement {r.req_id}: case guard")
+                start_only(branch.guard, where, "case guard")
+                check_effects(branch.effects, where)
+            start_only(r.value, where, "latch value")
+            scan(r.required, where)
             if r.template in (Template.LATCH, Template.TRIGGER_ON_CHANGE):
-                if r.signal is None or self.dictionary.signal_named(r.signal) is None:
+                if r.signal not in signals:
                     raise ModelError(
-                        f"requirement {r.req_id}: {r.template.value} needs a raw "
-                        "signal, not a definition")
-            if r.template is Template.MODE_SET:
-                if r.component is None or self.dictionary.component_named(r.component) is None:
-                    raise ModelError(
-                        f"requirement {r.req_id}: mode-set needs a mode component")
-            # definition references must resolve
-            for expr in (r.guard, r.required, r.value):
-                if expr is None:
-                    continue
-                for node in walk(expr):
-                    if isinstance(node, DefRef) and node.name not in defs:
-                        raise ModelError(
-                            f"requirement {r.req_id}: unknown definition "
-                            f"{node.name!r}")
+                        f"{where}: {r.template.value} needs a raw signal, not a "
+                        "definition")
+            if r.template is Template.MODE_SET and r.component not in components:
+                raise ModelError(f"{where}: mode-set needs a mode component")

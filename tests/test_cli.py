@@ -83,6 +83,24 @@ class TestSimulate:
         assert main(["simulate", spec_file, "--command", "LED_ON_C",
                      "--frobnicate"]) == 3
 
+    @pytest.mark.parametrize("engine, message", [
+        ("ops", "cannot run LED_ON_C on the operational model: round 2: "),
+        ("reqs", "cannot generate the requirements model: "),
+    ], ids=["ops", "reqs"])
+    def test_missing_packet_template_is_a_load_error(self, tmp_path, capsys,
+                                                     engine, message):
+        lines = bundled_spec_path().read_text(encoding="utf-8").splitlines(True)
+        path = tmp_path / "no_vled_packet.fsm"
+        path.write_text("".join(ln for ln in lines
+                                if not ln.startswith("packet set_vLED ")),
+                        encoding="utf-8")
+        assert main(["simulate", str(path), "--command", "LED_ON_C",
+                     "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{message}no packet template for creator "
+                                "state 'set_vLED'\n")
+
 
 class TestDiff:
     def test_identical_files(self, spec_file, tmp_path, capsys):

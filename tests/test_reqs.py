@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import candofsm.reqs.model
 from candofsm.reqs import (
     BinOp,
     BoolType,
@@ -21,6 +24,7 @@ from candofsm.reqs import (
     ModeComponent,
     ModeEver,
     ModelError,
+    Not,
     Requirement,
     RequirementsModel,
     SigRead,
@@ -31,7 +35,7 @@ from candofsm.reqs import (
     fire_round,
     initial_env,
 )
-from candofsm.reqs.expr import Call, EvalContext, eval_expr
+from candofsm.reqs.expr import Call, EvalContext, eval_expr, walk
 from candofsm.reqs.engine import run_rounds
 from candofsm.reqs.model import ArrayType
 from candofsm.reqs.text import parse_model, serialize_model
@@ -409,6 +413,67 @@ class TestValidation:
                 Requirement("r", "one", Template.EVERY, required=Lit(True)),
                 Requirement("r", "two", Template.EVERY, required=Lit(True)))
 
+    def test_case_branch_effect_on_an_unknown_signal_is_rejected(self):
+        with pytest.raises(ModelError, match="unknown or non-signal record 'ghost'"):
+            tiny_model(
+                Requirement("r", "ghost writer", Template.CASE, branches=(
+                    CaseBranch(Lit(True), (SignalAssign("ghost", Lit(1)),)),)),
+                signals=[SignalDef("x", "small", initial=0)])
+
+    def test_case_branch_assignment_of_a_missing_mode_is_rejected(self):
+        with pytest.raises(ModelError, match="bad mode assignment lamp.zzz"):
+            tiny_model(
+                Requirement("r", "no such mode", Template.CASE, branches=(
+                    CaseBranch(Lit(True), (ModeAssign("lamp", "zzz"),)),)),
+                modes=[lamp_component()])
+
+    def test_end_read_in_a_latch_value_is_rejected(self):
+        with pytest.raises(ModelError, match="r: latch value: end-of-round"):
+            tiny_model(
+                Requirement("r", "hold the end", Template.LATCH, guard=Lit(True),
+                            signal="flag", value=ModeActive("lamp", "on", "end")),
+                signals=[SignalDef("flag", "Flag", initial=False)],
+                modes=[lamp_component()])
+
+    def test_end_read_in_a_case_branch_effect_is_rejected(self):
+        with pytest.raises(ModelError, match="r: effect flag: end-of-round"):
+            tiny_model(
+                Requirement("r", "copy the end", Template.CASE, branches=(
+                    CaseBranch(Lit(True), (SignalAssign("flag", DefRef("lamp_on_end")),)),)),
+                definitions=[Definition("lamp_on_end", "lamp on at end",
+                                        ModeActive("lamp", "on", "end"))],
+                signals=[SignalDef("flag", "Flag", initial=False)],
+                modes=[lamp_component()])
+
+    @pytest.mark.parametrize("where, requirement, definitions", [
+        ("requirement r", Requirement(
+            "r", "effect", Template.TRIGGER_ON_EVENT, guard=Lit(True),
+            effects=(SignalAssign("x", DefRef("nowhere")),)), ()),
+        ("requirement r", Requirement(
+            "r", "case guard", Template.CASE,
+            branches=(CaseBranch(DefRef("nowhere"), ()),)), ()),
+        ("definition 'outer'", Requirement(
+            "r", "body", Template.EVERY, required=DefRef("outer")),
+         (Definition("outer", "outer", Not(DefRef("nowhere"))),)),
+    ], ids=["effect", "case guard", "definition body"])
+    def test_unknown_definition_in_any_slot_is_rejected(self, where, requirement,
+                                                        definitions):
+        with pytest.raises(ModelError, match=f"^{where}: unknown definition 'nowhere'$"):
+            tiny_model(requirement, definitions=definitions,
+                       signals=[SignalDef("x", "small", initial=0)])
+
+    def test_each_definition_body_is_walked_once(self, model, monkeypatch):
+        walked = Counter()
+
+        def counting_walk(expr):
+            walked[id(expr)] += 1
+            return walk(expr)
+
+        monkeypatch.setattr(candofsm.reqs.model, "walk", counting_walk)
+        model.validate()
+        assert [walked[id(d.expr)] for d in model.definitions] \
+            == [1] * len(model.definitions)
+
     def test_array_of_modes_is_rejected(self):
         dictionary = DataDictionary(
             types=(ArrayType("lamps", "lamp", 4),),
@@ -446,6 +511,15 @@ class TestReqText:
         assert model.requirements[0].within == 0
         assert serialize_model(parse_model(serialize_model(model))) \
             == serialize_model(model)
+
+    def test_a_wide_flat_disjunction_parses_validates_and_fires(self):
+        operands = " or ".join(f"x = {i}" for i in range(1200))
+        model = parse_model(f'signal x : int init=0\nreq r "wide" when {operands} '
+                            "=> x = 0\n")
+        guard = model.requirements[0].guard
+        assert isinstance(guard, BinOp) and guard.op == "or"
+        result = fire_round(model, initial_env(model), None)
+        assert result.violations == ()
 
     def test_unknown_name_is_a_parse_error(self):
         with pytest.raises(ParseError, match="unknown name"):

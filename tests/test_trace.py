@@ -114,6 +114,20 @@ class TestTraceAll:
             assert ids[0].endswith(".count_next")
             assert ids[1].endswith(".count")
 
+    def test_a_reqs_run_builds_each_row_once(self, model, monkeypatch):
+        import candofsm.reqs.engine as engine
+
+        row_type, built = engine.TraceRow, []
+
+        def counting_row(*args, **kwargs):
+            built.append(row_type(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "TraceRow", counting_row)
+        trace = engine.run_requirements_trace(model, "LED_ON_C", 500)
+        assert trace.reason == "cmd_finish"
+        assert list(trace.rows) == built
+
     def test_round_numbers_increase_by_one_from_zero(self, spec, model):
         for engine in ("ops", "reqs"):
             for trace in trace_all(spec, model, engine, 500).values():

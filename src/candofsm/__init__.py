@@ -17,6 +17,7 @@ from .fsm import (
     StateKind,
     Violation,
     check_cando,
+    check_dispatch,
     check_roster,
     check_statemap,
     check_totality,
@@ -38,8 +39,6 @@ from .generate import GenReport, gen_dictionary, gen_definitions, gen_requiremen
 from .trace import (
     DiffEntry,
     EquivalenceReport,
-    FieldMap,
-    PACKET_FIELD_MAP,
     RunOutcome,
     Trace,
     TraceRow,
@@ -51,11 +50,11 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GenReport", "DiffEntry", "EquivalenceReport", "FieldMap", "MAX_COUNT",
-    "MemberDef", "ModelState", "PACKET_FIELD_MAP", "PACKET_LENGTH", "Packet",
-    "PacketTemplate", "ParseError", "Roster", "RunOutcome", "SpecDocument",
-    "StateDef", "StateKind", "StepOutcome", "Trace", "TraceRow", "Violation",
-    "bundled_spec_path", "check_cando", "check_roster", "check_statemap",
+    "GenReport", "DiffEntry", "EquivalenceReport", "MAX_COUNT", "MemberDef",
+    "ModelState", "PACKET_LENGTH", "Packet", "PacketTemplate", "ParseError",
+    "Roster", "RunOutcome", "SpecDocument", "StateDef", "StateKind",
+    "StepOutcome", "Trace", "TraceRow", "Violation", "bundled_spec_path",
+    "check_cando", "check_dispatch", "check_roster", "check_statemap",
     "check_totality", "diff", "equivalence_report",
     "gen_definitions", "gen_dictionary", "gen_requirements", "generate_model",
     "init_model", "load_bundled_cando", "load_spec", "lookup_next",

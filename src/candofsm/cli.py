@@ -16,6 +16,7 @@ from .fsm import (
     FsmError,
     Violation,
     check_cando,
+    check_dispatch,
     check_roster,
     check_statemap,
     check_totality,
@@ -25,8 +26,15 @@ from .generate import (
     render_requirements_html,
     render_requirements_markdown,
 )
-from .specio import ParseError, SpecDocument, load_spec, read_trace_csv, write_trace_csv
-from .trace import PACKET_FIELD_MAP, diff, equivalence_report
+from .specio import (
+    TRACE_COLUMNS,
+    ParseError,
+    SpecDocument,
+    load_spec,
+    read_trace_csv,
+    write_trace_csv,
+)
+from .trace import diff, equivalence_report
 
 
 class ExitStatus(enum.IntEnum):
@@ -76,6 +84,7 @@ def _all_checks(spec: SpecDocument) -> list[Violation]:
             violations.extend(check_statemap(spec.roster, spec.fsm[ev], event=ev))
     violations.extend(check_totality(spec.roster, spec.fsm))
     violations.extend(check_cando(spec.roster, spec.fsm))
+    violations.extend(check_dispatch(spec.roster, spec.dispatch))
     return violations
 
 
@@ -144,6 +153,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    ignore = {f for f in args.ignore.split(",") if f}
+    unknown = sorted(ignore - set(TRACE_COLUMNS))
+    if unknown:
+        print(f"--ignore: unknown fields {', '.join(unknown)} "
+              f"(columns: {', '.join(TRACE_COLUMNS)})", file=sys.stderr)
+        return ExitStatus.USAGE
     rows = []
     for path in (args.left, args.right):
         try:
@@ -155,8 +170,7 @@ def _cmd_diff(args) -> int:
         except ParseError as exc:
             print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
             return ExitStatus.LOAD_ERROR
-    ignore = {f for f in args.ignore.split(",") if f}
-    entries = diff(rows[0], rows[1], field_map=PACKET_FIELD_MAP, ignore=ignore)
+    entries = diff(rows[0], rows[1], ignore=ignore)
     for e in entries:
         print(f"round {e.round}, {e.field}: {e.left!r} != {e.right!r}")
     print(f"{len(entries)} differences")

@@ -298,6 +298,18 @@ def check_statemap(roster: Roster, sm: StateMap, event: str | None = None) -> li
     return _sorted(out)
 
 
+def check_dispatch(roster: Roster, dispatch: Mapping[str, str]) -> list[Violation]:
+    """Apply C1.8 to the dispatch targets: ``get_cmd`` leaves under CONT
+    through the dispatch map, so each target must be a stage-one creator
+    state or ``error_``, as a table entry from ``get_cmd`` must be."""
+    return _sorted(
+        Violation("C1.8", event=CONT, from_state=GET_CMD, to_state=to,
+                  message=f"dispatch of {cmd!r}: {GET_CMD!r} maps only to "
+                          f"stage-one creator states or {ERROR_ST!r}")
+        for cmd, to in dispatch.items()
+        if not (roster.kind_of(to) is StateKind.CREATOR_STAGE1 or to == ERROR_ST))
+
+
 def check_totality(roster: Roster, fsm: FsmTable) -> list[Violation]:
     """Require an entry for every event and, per event, for every state.
 

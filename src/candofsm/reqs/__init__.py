@@ -41,7 +41,7 @@ from .model import (
     Template,
     initial_env,
 )
-from .engine import RoundResult, fire_round, run_reqs, run_requirements_trace
+from .engine import RoundResult, fire_round, run_requirements_trace
 
 __all__ = [
     "ArrayType", "BinOp", "BoolType", "Call", "CaseBranch", "ConstantDef",
@@ -50,5 +50,5 @@ __all__ = [
     "ModeBecomes", "ModeComponent", "ModeEver", "ModelError", "Not",
     "Obligation", "Requirement", "RequirementsModel", "RoundResult",
     "SigRead", "SignalAssign", "SignalDef", "Template", "TypeMismatch",
-    "fire_round", "initial_env", "run_reqs", "run_requirements_trace",
+    "fire_round", "initial_env", "run_requirements_trace",
 ]

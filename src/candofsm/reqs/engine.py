@@ -360,37 +360,6 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                        violations=tuple(violations))
 
 
-def run_rounds(model: RequirementsModel, init_env: Env, stop, max_rounds: int,
-               on_violation: str = "collect"):
-    """Iterate rounds until ``stop(env)`` holds, a violation halts the run
-    (``on_violation="halt"``), or the round budget is exhausted.
-
-    Returns ``(envs, results, reason)`` with one env per round boundary
-    (``envs[0]`` is the initial env) and one :class:`RoundResult` per round.
-    """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    envs = [init_env]
-    results: list[RoundResult] = []
-    prev: Env | None = None
-    reason = "budget"
-    while len(envs) < max_rounds:
-        if stop is not None and stop(envs[-1]):
-            reason = "stop"
-            break
-        result = fire_round(model, envs[-1], prev)
-        prev = envs[-1]
-        envs.append(result.end_env)
-        results.append(result)
-        if result.violations and on_violation == "halt":
-            reason = "violation"
-            break
-    else:
-        if stop is not None and stop(envs[-1]):
-            reason = "stop"
-    return envs, results, reason
-
-
 # --- trace building over the generated record naming convention -------------
 
 # dictionary record -> trace column (next_* shadows merge into their targets)
@@ -458,49 +427,43 @@ def _round_attribution(result: RoundResult, new_values: dict[str, object],
     }
 
 
-def run_reqs(model: RequirementsModel, init_env: Env, stop, max_rounds: int,
-             on_violation: str = "collect") -> Trace:
-    """Iterate rounds from ``init_env`` and emit a trace.
+def _finished(env: Env) -> bool:
+    return env.signals.get("command_finish_flag") is True
+
+
+def run_requirements_trace(model: RequirementsModel, command: str,
+                           max_rounds: int) -> Trace:
+    """Run the model for one initial command and emit its trace.
 
     Row 0 is the initial env; each later row is the round's end snapshot with
     per-field attribution (rebuilt from the round's fired requirements, kept
-    only on fields whose value changed).  The run halts on ``stop(env)``, on
-    any violation when ``on_violation="halt"``, or on the row budget;
-    obligations still open at the end of the run are reported as violations.
+    only on fields whose value changed).  The run stops with ``cmd_finish``
+    once the command's finish flag is up, checked before each round and once
+    more when the row budget runs out, and with ``budget`` otherwise;
+    at-some-point obligations still open at the end are reported as
+    violations.
     """
-    envs, results, reason = run_rounds(model, init_env, stop, max_rounds,
-                                       on_violation)
-    values = _env_values(envs[0], 0)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    env = initial_env(model, overrides={"current_command": command})
+    prev: Env | None = None
+    values = _env_values(env, 0)
     rows = [TraceRow(**values)]
     violations: list[Violation] = []
-    for i, result in enumerate(results, start=1):
-        new_values = _env_values(envs[i], i)
+    while len(rows) < max_rounds and not _finished(env):
+        result = fire_round(model, env, prev)
+        prev, env = env, result.end_env
+        new_values = _env_values(env, len(rows))
         rows.append(TraceRow(**new_values, attribution=_round_attribution(
             result, new_values, values)))
         values = new_values
         violations.extend(result.violations)
-    for ob in envs[-1].pending:
+    reason = "cmd_finish" if _finished(env) else "budget"
+    for ob in env.pending:
         if ob.due_round is None:
             violations.append(Violation(
                 "OBLIGATION",
                 message=f"at-some-point obligation of requirement {ob.req_id} "
                         "never satisfied before the run ended"))
-    return Trace(
-        rows=tuple(rows),
-        command=str(envs[0].signals.get("current_command") or ""),
-        engine="reqs",
-        reason=reason,
-        violations=tuple(violations),
-    )
-
-
-def run_requirements_trace(model: RequirementsModel, command: str,
-                           max_rounds: int) -> Trace:
-    """Run the model for one initial command, halting on its finish flag."""
-    init = initial_env(model, overrides={"current_command": command})
-    stop = lambda env: env.signals.get("command_finish_flag") is True  # noqa: E731
-    trace = run_reqs(model, init, stop, max_rounds)
-    if trace.reason == "stop":
-        trace = Trace(rows=trace.rows, command=command, engine="reqs",
-                      reason="cmd_finish", violations=trace.violations)
-    return trace
+    return Trace(rows=tuple(rows), command=command, engine="reqs",
+                 reason=reason, violations=tuple(violations))

@@ -553,6 +553,8 @@ def parse_model(text: str) -> RequirementsModel:
 
 _PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
                ">=": 4, "+": 5, "-": 5, "*": 6}
+_NOT_PRECEDENCE = 3
+_COMPARISON_PRECEDENCE = 4
 
 
 def _lit_text(value) -> str:
@@ -581,12 +583,25 @@ def render_expr(expr, parent_prec: int = 0) -> str:
     if isinstance(expr, ModeEver):
         return f"mode({expr.component}.{expr.mode}) ever {expr.status}"
     if isinstance(expr, Not):
-        inner = render_expr(expr.operand, 3)
-        return f"not {inner}"
+        text = f"not {render_expr(expr.operand, _NOT_PRECEDENCE)}"
+        return f"({text})" if _NOT_PRECEDENCE < parent_prec else text
     if isinstance(expr, BinOp):
         prec = _PRECEDENCE[expr.op]
-        text = (f"{render_expr(expr.left, prec)} {expr.op} "
-                f"{render_expr(expr.right, prec + 1)}")
+        if prec == _COMPARISON_PRECEDENCE:
+            # comparisons do not chain: both operands sit one level tighter
+            text = (f"{render_expr(expr.left, prec + 1)} {expr.op} "
+                    f"{render_expr(expr.right, prec + 1)}")
+        else:
+            # the parser nests a run of one operator to the left; walk that
+            # spine here instead of recursing once per operand
+            rights = []
+            left = expr
+            while isinstance(left, BinOp) and left.op == expr.op:
+                rights.append(left.right)
+                left = left.left
+            text = f" {expr.op} ".join(
+                [render_expr(left, prec)]
+                + [render_expr(r, prec + 1) for r in reversed(rights)])
         return f"({text})" if prec < parent_prec else text
     raise ValueError(f"cannot render {expr!r}")
 

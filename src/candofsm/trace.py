@@ -1,18 +1,17 @@
-"""Trace data model, the field-mapped diff, and the cross-engine report.
+"""Trace data model, the row-by-row diff, and the cross-engine report.
 
 A trace is one row per round with every observable field.  Rows from the
 operational engine and the requirements engine share this schema, so the
-equivalence check reduces to a per-round field comparison (after applying
-a field map that explodes any composite packet column into the three split
-columns, and dropping ignored fields).  ``TraceRow``'s fields are the one
-column list: the row values, the CSV header and the CSV cells follow them.
+equivalence check reduces to a per-round field comparison (minus any
+ignored fields).  ``TraceRow``'s fields are the one column list: the row
+values, the CSV header and the CSV cells follow them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .fsm import Violation
 
@@ -52,7 +51,7 @@ class Trace:
     rows: tuple[TraceRow, ...]
     command: str
     engine: str                      # "ops" or "reqs"
-    reason: str                      # "cmd_finish", "error", "stop" or "budget"
+    reason: str                      # "cmd_finish", "error" or "budget"
     violations: tuple[Violation, ...] = ()
 
 
@@ -64,49 +63,21 @@ class DiffEntry:
     right: object
 
 
-@dataclass(frozen=True)
-class FieldMap:
-    """Mapping from composite columns to their split component columns."""
-
-    pairs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def apply(self, row: dict[str, object]) -> dict[str, object]:
-        out = dict(row)
-        for composite, components in self.pairs.items():
-            if composite in out:
-                value = out.pop(composite)
-                parts = tuple(value) if isinstance(value, (tuple, list)) else (value,)
-                for name, part in zip(components, parts):
-                    out.setdefault(name, part)
-        return out
+def _rows_as_dicts(trace) -> list[Mapping[str, object]]:
+    rows = trace.rows if isinstance(trace, Trace) else trace
+    return [row.values() if isinstance(row, TraceRow) else row for row in rows]
 
 
-PACKET_FIELD_MAP = FieldMap({"packet": ("packet_addr", "packet_cmd", "packet_data")})
-
-
-def _rows_as_dicts(trace) -> list[dict[str, object]]:
-    if isinstance(trace, Trace):
-        rows: Sequence = trace.rows
-    else:
-        rows = trace
-    out = []
-    for row in rows:
-        out.append(row.values() if isinstance(row, TraceRow) else dict(row))
-    return out
-
-
-def diff(a, b, field_map: FieldMap | None = None,
-         ignore: Iterable[str] = ()) -> list[DiffEntry]:
+def diff(a, b, *, ignore: Iterable[str] = ()) -> list[DiffEntry]:
     """Field-by-field comparison of two traces.
 
     ``a`` and ``b`` may be :class:`Trace` objects, row lists or dict lists.
     Attribution is never compared.  A length mismatch yields one synthetic
     entry on field ``length``; the common prefix is still compared.
     """
-    fm = field_map or FieldMap()
     skip = set(ignore) | {"attribution"}
-    rows_a = [fm.apply(r) for r in _rows_as_dicts(a)]
-    rows_b = [fm.apply(r) for r in _rows_as_dicts(b)]
+    rows_a = _rows_as_dicts(a)
+    rows_b = _rows_as_dicts(b)
 
     entries: list[DiffEntry] = []
     if len(rows_a) != len(rows_b):
@@ -228,8 +199,7 @@ def equivalence_report(spec: SpecDocument, model: RequirementsModel,
     reqs_traces = trace_all(spec, model, "reqs", max_rounds)
     commands = spec.roster.command_names
     per_command = {
-        cmd: tuple(diff(ops_traces[cmd], reqs_traces[cmd],
-                        field_map=PACKET_FIELD_MAP))
+        cmd: tuple(diff(ops_traces[cmd], reqs_traces[cmd]))
         for cmd in commands
     }
     outcomes = {cmd: (RunOutcome.of(ops_traces[cmd]), RunOutcome.of(reqs_traces[cmd]))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 
@@ -32,6 +33,16 @@ def broken_spec_file(spec, tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def stray_dispatch_file(tmp_path):
+    text = bundled_spec_path().read_text(encoding="utf-8")
+    path = tmp_path / "stray_dispatch.fsm"
+    path.write_text(text.replace("dispatch LED_ON_C -> set_vLED\n",
+                                 "dispatch LED_ON_C -> cmd_finish\n"),
+                    encoding="utf-8")
+    return str(path)
+
+
 class TestCheck:
     def test_clean_spec_exits_zero(self, spec_file, capsys):
         assert main(["check", spec_file]) == 0
@@ -42,6 +53,14 @@ class TestCheck:
         assert main(["check", broken_spec_file]) == 1
         out = capsys.readouterr().out
         assert "C1.1" in out
+
+    def test_dispatch_target_outside_stage_one_breaks_c1_8(self, stray_dispatch_file,
+                                                          capsys):
+        assert main(["check", stray_dispatch_file]) == 1
+        out = capsys.readouterr().out
+        assert "C1.8 (1):\n  event=CONT get_cmd -> cmd_finish: dispatch of " \
+               "'LED_ON_C'" in out
+        assert out.endswith("1 violations\n")
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/spec.fsm"]) == 2
@@ -136,6 +155,19 @@ class TestDiff:
         assert "tx_finish" in capsys.readouterr().out
         assert main(["diff", str(left), str(right), "--ignore", "tx_finish"]) == 0
 
+    def test_unknown_ignore_field_is_a_usage_error(self, spec_file, tmp_path,
+                                                   capsys):
+        trace = tmp_path / "t.csv"
+        main(["simulate", spec_file, "--command", "DUMMY_C", "--out", str(trace)])
+        capsys.readouterr()
+        assert main(["diff", str(trace), str(trace),
+                     "--ignore", "packet,no_such_field"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "--ignore: unknown fields no_such_field, packet (columns: round, ")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_csv_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
@@ -173,6 +205,13 @@ class TestVerify:
                                                      capsys):
         assert main(["verify", broken_spec_file]) == 1
         assert "C1.1" in capsys.readouterr().out
+
+    def test_stray_dispatch_target_is_a_structural_failure(self, stray_dispatch_file,
+                                                           capsys):
+        assert main(["verify", stray_dispatch_file]) == 1
+        out = capsys.readouterr().out
+        assert "C1.8 (1):" in out
+        assert out.endswith("verify: FAIL (1 structural violations)\n")
 
     def test_diverging_spec_fails_verification(self, spec, tmp_path, capsys):
         mutated = mutate_table(spec, "SPI_TX_FINISH", "send_packet_1",
@@ -231,6 +270,15 @@ class TestTopLevel:
 
     def test_missing_subcommand_is_a_usage_error(self):
         assert main([]) == 3
+
+    @pytest.mark.parametrize("package", ["candofsm", "candofsm.reqs"])
+    def test_public_export_lists_import(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), name
+        removed = {"run_rounds", "run_reqs", "FieldMap", "PACKET_FIELD_MAP"}
+        assert not removed & set(module.__all__)
+        assert not any(hasattr(module, name) for name in removed)
 
     def test_module_entry_point_runs(self, spec_file):
         result = subprocess.run(

@@ -11,6 +11,7 @@ from candofsm.fsm import (
     UnknownState,
     Violation,
     check_cando,
+    check_dispatch,
     check_roster,
     check_statemap,
     check_totality,
@@ -152,6 +153,18 @@ class TestCheckCando:
             assert lookup_next(spec.fsm, "SPI_TX_FINISH", s) == s
         for r in spec.roster.states_of_kind(StateKind.RECEIVE):
             assert lookup_next(spec.fsm, "SPI_RX_FINISH", r) == r
+
+
+class TestCheckDispatch:
+    def test_bundled_dispatch_passes(self, spec):
+        assert check_dispatch(spec.roster, spec.dispatch) == []
+
+    def test_only_stage_one_creators_and_error_are_targets(self, spec):
+        dispatch = {**spec.dispatch, "LED_ON_C": "cmd_finish", "LED_OFF_C": "error_"}
+        assert check_dispatch(spec.roster, dispatch) == [Violation(
+            "C1.8", event=CONT, from_state="get_cmd", to_state="cmd_finish",
+            message="dispatch of 'LED_ON_C': 'get_cmd' maps only to stage-one "
+                    "creator states or 'error_'")]
 
 
 class TestReachable:

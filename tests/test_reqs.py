@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
@@ -36,7 +37,7 @@ from candofsm.reqs import (
     initial_env,
 )
 from candofsm.reqs.expr import Call, EvalContext, eval_expr, walk
-from candofsm.reqs.engine import run_rounds
+from candofsm.reqs.engine import run_requirements_trace
 from candofsm.reqs.model import ArrayType
 from candofsm.reqs.text import parse_model, serialize_model
 from candofsm.specio import ParseError
@@ -342,36 +343,42 @@ class TestFireRound:
         assert seen_true
 
 
+def command_signals():
+    """The two records a run loop reads: the command and its finish flag."""
+    return [SignalDef("current_command", "Colour", initial="red"),
+            SignalDef("command_finish_flag", "Flag", initial=False)]
+
+
 class TestRunRounds:
     def test_stop_predicate_halts_exactly_at_the_flag(self):
-        sig = SignalDef("x", "small", initial=0)
+        count = SignalDef("bytes_sent", "small", initial=0)
         model = tiny_model(
-            Requirement("bump", "x counts up", Template.TRIGGER_ON_EVENT,
-                        guard=BinOp("<", SigRead("x"), Lit(9)),
-                        effects=(SignalAssign("x",
-                                              BinOp("+", SigRead("x"), Lit(1))),)),
-            signals=[sig])
-        stop = lambda env: env.signals["x"] == 4  # noqa: E731
-        envs, results, reason = run_rounds(model, initial_env(model), stop, 50)
-        assert reason == "stop"
-        assert envs[-1].signals["x"] == 4
-        assert len(results) == 4
+            Requirement("bump", "the count goes up", Template.TRIGGER_ON_EVENT,
+                        guard=BinOp("<", SigRead("bytes_sent"), Lit(9)),
+                        effects=(SignalAssign("bytes_sent", BinOp(
+                            "+", SigRead("bytes_sent"), Lit(1))),)),
+            Requirement("finish", "the command finishes as the count reaches 4",
+                        Template.TRIGGER_ON_EVENT,
+                        guard=BinOp("=", SigRead("bytes_sent"), Lit(3)),
+                        effects=(SignalAssign("command_finish_flag", Lit(True)),)),
+            signals=[count, *command_signals()])
+        trace = run_requirements_trace(model, "green", 50)
+        assert trace.reason == "cmd_finish"
+        assert [row.bytes_sent for row in trace.rows] == [0, 1, 2, 3, 4]
+        assert [row.cmd_finish for row in trace.rows] == [False] * 4 + [True]
 
     def test_no_requirements_means_a_constant_env(self):
-        model = tiny_model(signals=[SignalDef("x", "small", initial=5)],
-                           modes=[lamp_component()])
-        envs, _, reason = run_rounds(model, initial_env(model), None, 5)
-        assert reason == "budget"
-        assert all(env.signals == envs[0].signals for env in envs)
-        assert all(env.modes == envs[0].modes for env in envs)
-
-    def test_halt_on_violation_mode(self):
         model = tiny_model(
-            Requirement("bad", "never holds", Template.EVERY, required=Lit(False)))
-        _, results, reason = run_rounds(model, initial_env(model), None, 10,
-                                        on_violation="halt")
-        assert reason == "violation"
-        assert len(results) == 1
+            signals=[SignalDef("tx_cnt", "small", initial=2), *command_signals()],
+            modes=[ModeComponent("fsm", ("off", "on"), exclusive=True,
+                                 initial="on")])
+        trace = run_requirements_trace(model, "green", 5)
+        assert trace.reason == "budget"
+        assert len(trace.rows) == 5
+        first = trace.rows[0]
+        assert (first.state, first.command, first.tx_cnt) == ("on", "green", 2)
+        assert all(row.values() == {**first.values(), "round": row.round}
+                   for row in trace.rows)
 
 
 class TestValidation:
@@ -520,6 +527,25 @@ class TestReqText:
         assert isinstance(guard, BinOp) and guard.op == "or"
         result = fire_round(model, initial_env(model), None)
         assert result.violations == ()
+
+    @pytest.mark.parametrize("expr", [
+        "(x = 1) = true",
+        "(x < 1) = (x > 2)",
+        "(not b) = true",
+        " or ".join(f"x = {i}" for i in range(1200)),
+    ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
+            "not-under-comparison", "1200-operand-or"])
+    def test_serialize_inverts_parse(self, expr):
+        model = parse_model("signal x : int init=0\nsignal b : bool init=false\n"
+                            f'req r "round trip" every {expr}\n')
+        parsed = parse_model(serialize_model(model))
+        # dataclass equality recurses once per nesting level of the guard
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 5000))
+        try:
+            assert parsed == model
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_unknown_name_is_a_parse_error(self):
         with pytest.raises(ParseError, match="unknown name"):

@@ -9,8 +9,6 @@ from candofsm.opmodel import run
 from candofsm.trace import (
     DiffEntry,
     EquivalenceReport,
-    FieldMap,
-    PACKET_FIELD_MAP,
     RunOutcome,
     diff,
     equivalence_report,
@@ -23,14 +21,6 @@ class TestDiff:
     def test_identical_traces_are_equivalent(self, spec):
         trace = run(spec, "LED_ON_C", 500)
         assert diff(trace, trace) == []
-
-    def test_composite_packet_maps_onto_the_split_fields(self):
-        composite = [{"round": 0, "state": "s",
-                      "packet": ("Optrode_addr", "LED_ON_C", "LED_addr")}]
-        split = [{"round": 0, "state": "s",
-                  "packet_addr": "Optrode_addr", "packet_cmd": "LED_ON_C",
-                  "packet_data": "LED_addr"}]
-        assert diff(composite, split, field_map=PACKET_FIELD_MAP) == []
 
     def test_state_mismatch_is_reported_at_its_round(self):
         rows_a = [{"round": i, "state": "x"} for i in range(6)]
@@ -59,7 +49,7 @@ class TestDiff:
         # every row column is compared, the tx/rx completion flags included
         assert any(r.tx_finish for r in ops.rows)
         assert any(r.rx_finish for r in ops.rows)
-        assert diff(ops, reqs, field_map=PACKET_FIELD_MAP) == []
+        assert diff(ops, reqs) == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.fixed_dictionaries({
@@ -127,6 +117,19 @@ class TestTraceAll:
         trace = engine.run_requirements_trace(model, "LED_ON_C", 500)
         assert trace.reason == "cmd_finish"
         assert list(trace.rows) == built
+
+    def test_both_engines_stop_alike_at_every_budget(self, spec, model):
+        from candofsm.reqs.engine import run_requirements_trace
+
+        for cmd in spec.roster.command_names:
+            length = len(run(spec, cmd, 500).rows)
+            for budget in range(1, length + 2):
+                ops = run(spec, cmd, budget)
+                reqs = run_requirements_trace(model, cmd, budget)
+                assert [r.values() for r in ops.rows] \
+                    == [r.values() for r in reqs.rows], (cmd, budget)
+                expected = "cmd_finish" if budget >= length else "budget"
+                assert ops.reason == reqs.reason == expected, (cmd, budget)
 
     def test_round_numbers_increase_by_one_from_zero(self, spec, model):
         for engine in ("ops", "reqs"):
@@ -210,16 +213,3 @@ class TestEquivalenceReport:
             per_command={"A_C": ()}, max_rounds=10,
             outcomes={"A_C": (RunOutcome("error", ()), RunOutcome("error", ()))})
         assert agreeing.passed
-
-
-class TestFieldMap:
-    def test_apply_explodes_composites_and_keeps_existing(self):
-        fm = FieldMap({"packet": ("packet_addr", "packet_cmd", "packet_data")})
-        row = {"round": 1, "packet": ("a", "b", None)}
-        assert fm.apply(row) == {"round": 1, "packet_addr": "a",
-                                 "packet_cmd": "b", "packet_data": None}
-
-    def test_apply_without_composite_is_identity(self):
-        fm = FieldMap({"packet": ("packet_addr",)})
-        row = {"round": 1, "state": "s"}
-        assert fm.apply(row) == row

@@ -32,7 +32,7 @@ from .fsm import (
     CREATOR_KINDS,
 )
 from .specio import SpecDocument
-from .reqs.expr import BinOp, DefRef, Lit, ModeActive, Not, SigRead
+from .reqs.expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
 from .reqs.model import (
     BoolType,
     CaseBranch,
@@ -66,26 +66,21 @@ _KIND_LABELS = {
 }
 
 
-def _balanced(op: str, exprs: list):
-    # pairwise fold keeps the tree depth logarithmic; the arrival condition
-    # of a heavily targeted state can have hundreds of disjuncts
-    while len(exprs) > 1:
-        exprs = [
-            BinOp(op, exprs[i], exprs[i + 1]) if i + 1 < len(exprs) else exprs[i]
-            for i in range(0, len(exprs), 2)
-        ]
-    return exprs[0]
+def _bool_op(op: str, exprs: tuple):
+    """One n-ary node; an operand with the same operator gives it its own
+    operands, so generated chains are flat."""
+    flat = tuple(o for e in exprs
+                 for o in (e.operands if isinstance(e, BoolOp) and e.op == op else (e,)))
+    return flat[0] if len(flat) == 1 else BoolOp(op, flat)
 
 
 def _and(*exprs):
-    return _balanced("and", list(exprs))
+    return _bool_op("and", exprs)
 
 
 def _or_all(exprs):
-    exprs = list(exprs)
-    if not exprs:
-        return Lit(False)
-    return _balanced("or", exprs)
+    exprs = tuple(exprs)
+    return _bool_op("or", exprs) if exprs else Lit(False)
 
 
 def _eq(name: str, value) -> BinOp:
@@ -209,10 +204,12 @@ def _arrival_terms(spec: SpecDocument, state: str,
     return terms
 
 
-def gen_definitions(spec: SpecDocument) -> tuple[Definition, ...]:
+def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
+                    groups: dict[str, tuple[str, ...]]) -> tuple[Definition, ...]:
     """Per-state from/to definitions, per-kind groups combined with logical
     OR, the identity-map definitions for send and receive states, and the
-    arrival conditions used by the operation requirements."""
+    arrival conditions used by the operation requirements.  ``preimage`` and
+    ``groups`` are the spec's :func:`_preimage` and :func:`_dispatch_groups`."""
     roster = spec.roster
     defs: list[Definition] = []
     for st in roster.state_names:
@@ -256,20 +253,19 @@ def gen_definitions(spec: SpecDocument) -> tuple[Definition, ...]:
         "idmap_send",
         "Every send state active at the start of the round is active at the end",
         Lit(True) if not sends else _and(*[
-            BinOp("or", Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")) for s in sends
+            _or_all([Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")]) for s in sends
         ])))
     defs.append(Definition(
         "idmap_receive",
         "Every receive state active at the start of the round is active at the end",
         Lit(True) if not receives else _and(*[
-            BinOp("or", Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")) for s in receives
+            _or_all([Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")]) for s in receives
         ])))
     defs.append(Definition(
         "receive_self_loop",
         "Some receive state is active at both the start and the end of the round",
         _or_all([_and(DefRef(f"from_{s}"), DefRef(f"to_{s}")) for s in receives])))
 
-    preimage, groups = _preimage(spec), _dispatch_groups(spec)
     for st in roster.state_names:
         terms = _arrival_terms(spec, st, preimage, groups)
         if terms:
@@ -532,18 +528,19 @@ def _class_monitors(spec: SpecDocument) -> list[Requirement]:
     return reqs
 
 
-def gen_requirements(spec: SpecDocument) -> tuple[
+def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
+                     groups: dict[str, tuple[str, ...]]) -> tuple[
         tuple[Requirement, ...], dict[tuple[str, str, str], str]]:
     """All requirements plus the id index: (event, from, to) -> requirement id.
 
     Ids are stable: the requirement for table entry (event e, state s) is
     ``"<eventIndex>.<stateIndex>"``; the extra dispatch-target requirements
-    extend that with the target index.
+    extend that with the target index.  ``preimage`` and ``groups`` are as
+    for :func:`gen_definitions`.
     """
     roster = spec.roster
     event_index = {e: i for i, e in enumerate(roster.event_names)}
     state_index = {s: i for i, s in enumerate(roster.state_names)}
-    groups = _dispatch_groups(spec)
 
     reqs: list[Requirement] = []
     id_index: dict[tuple[str, str, str], str] = {}
@@ -578,7 +575,6 @@ def gen_requirements(spec: SpecDocument) -> tuple[
                     effects=(ModeAssign(STATE_COMPONENT, to),)))
                 id_index[(ev, frm, to)] = base_id
 
-    preimage = _preimage(spec)
     for st in roster.state_names:
         if preimage[st] or st in groups:
             reqs.extend(_state_op_requirements(spec, st))
@@ -596,10 +592,11 @@ def gen_requirements(spec: SpecDocument) -> tuple[
 def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
     """Dictionary, definitions and requirements as one validated model, with
     the generation report counted from that model."""
-    requirements, id_index = gen_requirements(spec)
+    preimage, groups = _preimage(spec), _dispatch_groups(spec)
+    requirements, id_index = gen_requirements(spec, preimage, groups)
     model = RequirementsModel(
         dictionary=gen_dictionary(spec),
-        definitions=gen_definitions(spec),
+        definitions=gen_definitions(spec, preimage, groups),
         requirements=requirements,
     )
     model.validate()
@@ -630,12 +627,13 @@ def _prose(expr, defs: Mapping[str, Definition]) -> str:
         return expr.name.replace("_", " ")
     if isinstance(expr, Not):
         return f"it is not the case that {_prose(expr.operand, defs)}"
+    if isinstance(expr, BoolOp):
+        return f" {expr.op} ".join(_prose(o, defs) for o in expr.operands)
     if isinstance(expr, BinOp):
         if expr.op == "=" and isinstance(expr.left, SigRead):
             return (f"The {expr.left.name.replace('_', ' ')} is "
                     f"{_prose(expr.right, defs)}")
-        joiner = {"and": "and", "or": "or"}.get(expr.op, expr.op)
-        return f"{_prose(expr.left, defs)} {joiner} {_prose(expr.right, defs)}"
+        return f"{_prose(expr.left, defs)} {expr.op} {_prose(expr.right, defs)}"
     return str(expr)
 
 
@@ -650,8 +648,8 @@ def _effect_prose(effect, defs: Mapping[str, Definition]) -> str:
 
 
 def _conjuncts(expr) -> list:
-    if isinstance(expr, BinOp) and expr.op == "and":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    if isinstance(expr, BoolOp) and expr.op == "and":
+        return [c for o in expr.operands for c in _conjuncts(o)]
     return [expr]
 
 

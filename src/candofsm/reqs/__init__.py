@@ -8,20 +8,18 @@ requirements either contribute end-of-round effects or monitor the outcome.
 
 from .expr import (
     BinOp,
-    Call,
+    BoolOp,
     DefRef,
     EvalError,
     IllegalEndOfRoundRead,
     Lit,
     ModeActive,
-    ModeBecomes,
     ModeEver,
     Not,
     SigRead,
     TypeMismatch,
 )
 from .model import (
-    ArrayType,
     BoolType,
     CaseBranch,
     ConstantDef,
@@ -44,10 +42,10 @@ from .model import (
 from .engine import RoundResult, fire_round, run_requirements_trace
 
 __all__ = [
-    "ArrayType", "BinOp", "BoolType", "Call", "CaseBranch", "ConstantDef",
+    "BinOp", "BoolOp", "BoolType", "CaseBranch", "ConstantDef",
     "DataDictionary", "DefRef", "Definition", "EnumType", "Env", "EvalError",
     "IllegalEndOfRoundRead", "IntType", "Lit", "ModeActive", "ModeAssign",
-    "ModeBecomes", "ModeComponent", "ModeEver", "ModelError", "Not",
+    "ModeComponent", "ModeEver", "ModelError", "Not",
     "Obligation", "Requirement", "RequirementsModel", "RoundResult",
     "SigRead", "SignalAssign", "SignalDef", "Template", "TypeMismatch",
     "fire_round", "initial_env", "run_requirements_trace",

@@ -3,10 +3,10 @@
 A compiled expression is a function of one :class:`Frame`.  It has
 ``eval_expr``'s semantics exactly: the same values, the same
 :class:`EvalError` subclasses and messages, and the same left-to-right
-evaluation, short-circuit and boolean/integer checks.  Parameterless
-definition references are inlined, same-operator ``and``/``or`` chains are
-flattened into one n-ary closure, and ``Call`` nodes fall back to
-``eval_expr``.
+evaluation, short-circuit and boolean/integer checks.  Definition
+references are inlined, and a ``BoolOp`` takes the operands of a
+same-operator ``BoolOp`` under it (also through an inlined definition) into
+its own closure.
 
 Closures are hash-consed: structurally equal subexpressions share one
 closure.  The structural key carries each literal's type, because ``==``
@@ -14,7 +14,7 @@ on the frozen nodes would merge ``Lit(0)`` with ``Lit(False)``.
 
 An expression's *start-state support* is a set of (component, mode) pairs,
 one of which must be active at the start of the round for the expression
-to hold; ``None`` means no such set is known.  It follows the left operand
+to hold; ``None`` means no such set is known.  It follows the first operand
 of ``and`` and every operand of ``or``, so an expression whose support
 misses the active modes evaluates to ``False`` without raising, and may be
 skipped.  Large disjunctions use it themselves: they evaluate only the
@@ -29,22 +29,19 @@ from typing import Mapping
 from .expr import (
     ARITHMETIC,
     COMPARISONS,
-    LOGICAL,
     BinOp,
-    Call,
+    BoolOp,
     DefRef,
     EvalContext,
     EvalError,
     IllegalEndOfRoundRead,
     Lit,
     ModeActive,
-    ModeBecomes,
     ModeEver,
     Not,
     SigRead,
     _as_bool,
     _as_int,
-    eval_expr,
 )
 
 EMPTY: frozenset = frozenset()
@@ -68,20 +65,15 @@ class Frame:
     """What a compiled expression reads: the :class:`EvalContext` with its
     ambient signal snapshot resolved and its active start modes computed."""
 
-    __slots__ = ("signals", "start_modes", "end_modes", "prev_modes", "history",
-                 "active", "context")
+    __slots__ = ("signals", "start_modes", "end_modes", "history", "active")
 
     def __init__(self, ctx: EvalContext, active: frozenset | None = None):
         signals = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
-        if ctx.params:
-            signals = {**(signals or {}), **ctx.params}
         self.signals = {} if signals is None else signals
         self.start_modes = ctx.start_modes
         self.end_modes = ctx.end_modes
-        self.prev_modes = ctx.prev_modes
         self.history = ctx.history
         self.active = active_modes(ctx.start_modes) if active is None else active
-        self.context = ctx
 
 
 class Compiled:
@@ -94,8 +86,8 @@ class Compiled:
         self.uid = uid
         self.fn = fn
         self.support = support
-        self.op = op          # "and" / "or" for a flattened chain
-        self.parts = parts    # the chain's operands
+        self.op = op          # "and" / "or" for a BoolOp
+        self.parts = parts    # its compiled operands
 
 
 class Compiler:
@@ -107,18 +99,13 @@ class Compiler:
         self._inlined: dict[str, Compiled] = {}
         self._by_type = {
             Lit: self._lit, SigRead: self._sig_read, ModeActive: self._mode_active,
-            ModeBecomes: self._mode_becomes, ModeEver: self._mode_ever,
-            DefRef: self._def_ref, Call: self._call, Not: self._not,
-            BinOp: self._bin_op,
+            ModeEver: self._mode_ever, DefRef: self._def_ref, Not: self._not,
+            BoolOp: self._bool_op, BinOp: self._bin_op,
         }
 
     def compile(self, expr) -> Compiled:
         """``compile(expr).fn(Frame(ctx))`` computes ``eval_expr(expr, ctx)``."""
-        method = self._by_type.get(type(expr))
-        if method is None:
-            method = next((m for cls, m in self._by_type.items()
-                           if isinstance(expr, cls)), self._not_a_node)
-        return method(expr)
+        return self._by_type.get(type(expr), self._not_a_node)(expr)
 
     def _intern(self, key: tuple, build, *args, support=None, op=None,
                 parts=()) -> Compiled:
@@ -142,10 +129,6 @@ class Compiler:
                                 support=frozenset({(comp, mode)}))
         return self._intern(("end", comp, mode), _end_mode, comp, mode)
 
-    def _mode_becomes(self, expr: ModeBecomes) -> Compiled:
-        return self._intern(("becomes", expr.component, expr.mode, expr.status),
-                            _becomes, expr.component, expr.mode, expr.status)
-
     def _mode_ever(self, expr: ModeEver) -> Compiled:
         key = (expr.component, expr.mode, expr.status)
         return self._intern(("ever",) + key, _ever, key)
@@ -157,34 +140,30 @@ class Compiler:
             definition = self.definitions.get(name)
             if definition is None:
                 node = self._raising(f"unknown definition {name!r}")
-            elif definition.params:
-                node = self._raising(f"definition {name!r} takes parameters")
             else:
                 node = self.compile(definition.expr)
             self._inlined[name] = node
         return node
 
-    def _call(self, expr: Call) -> Compiled:
-        # the generator never emits calls: the interpreter binds them
-        return self._intern(("call", id(expr)), _interpreted, expr)
-
     def _not(self, expr: Not) -> Compiled:
         operand = self.compile(expr.operand)
         return self._intern(("not", operand.uid), _not, operand.fn)
 
+    def _bool_op(self, expr: BoolOp) -> Compiled:
+        op = expr.op
+        parts = tuple(p for operand in expr.operands
+                      for child in (self.compile(operand),)
+                      for p in (child.parts if child.op == op else (child,)))
+        if op == "and":
+            support = parts[0].support if parts else None
+        else:
+            supports = [p.support for p in parts]
+            support = None if None in supports else frozenset().union(*supports)
+        return self._intern((op,) + tuple(p.uid for p in parts), _chain, op, parts,
+                            support=support, op=op, parts=parts)
+
     def _bin_op(self, expr: BinOp) -> Compiled:
         op = expr.op
-        if op in LOGICAL:
-            parts = tuple(p for operand in _chained(expr, op)
-                          for child in (self.compile(operand),)
-                          for p in (child.parts if child.op == op else (child,)))
-            if op == "and":
-                support = parts[0].support
-            else:
-                supports = [p.support for p in parts]
-                support = None if None in supports else frozenset().union(*supports)
-            return self._intern((op,) + tuple(p.uid for p in parts), _chain, op, parts,
-                                support=support, op=op, parts=parts)
         left, right = self.compile(expr.left), self.compile(expr.right)
         return self._intern((op, left.uid, right.uid), _binary, op, left.fn, right.fn)
 
@@ -193,18 +172,6 @@ class Compiler:
 
     def _raising(self, message: str) -> Compiled:
         return self._intern(("raise", message), _raising, message)
-
-
-def _chained(expr: BinOp, op: str) -> list:
-    """The operands of a same-operator chain, left to right."""
-    operands, pending = [], [expr]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, BinOp) and node.op == op:
-            pending += (node.right, node.left)
-        else:
-            operands.append(node)
-    return operands
 
 
 # --- closure builders --------------------------------------------------------
@@ -217,10 +184,6 @@ def _raising(message):
     def fn(frame):
         raise EvalError(message)
     return fn
-
-
-def _interpreted(expr):
-    return lambda frame: eval_expr(expr, frame.context)
 
 
 def _sig_read(name):
@@ -247,18 +210,6 @@ def _end_mode(comp, mode):
         if end is None:
             raise IllegalEndOfRoundRead(message)
         return mode in end.get(comp, EMPTY)
-    return fn
-
-
-def _becomes(comp, mode, status):
-    wanted = status == "active"
-
-    def fn(frame):
-        now = (mode in frame.start_modes.get(comp, EMPTY)) is wanted
-        prev = frame.prev_modes
-        if prev is None:
-            return now
-        return now and (mode in prev.get(comp, EMPTY)) is not wanted
     return fn
 
 

@@ -172,12 +172,9 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     current_round = env.round_no + 1
     active = active_modes(env.modes)
     effect_steps, check_steps = plan.candidates(active)
-    prev_signals = prev_env.signals if prev_env else None
-    prev_modes = prev_env.modes if prev_env else None
     start = Frame(EvalContext(
         start_signals=env.signals, start_modes=env.modes, history=env.history,
-        definitions=plan.definitions, prev_signals=prev_signals,
-        prev_modes=prev_modes, ambient="start",
+        definitions=plan.definitions, ambient="start",
     ), active)
 
     violations: list[Violation] = []
@@ -298,7 +295,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     end = Frame(EvalContext(
         start_signals=env.signals, start_modes=env.modes, history=env.history,
         definitions=plan.definitions, end_signals=end_signals, end_modes=end_modes,
-        prev_signals=prev_signals, prev_modes=prev_modes, ambient="end",
+        ambient="end",
     ), active)
 
     def required_holds(required, req: Requirement) -> bool:

@@ -3,13 +3,17 @@
 Expressions are evaluated against round snapshots.  Plain signal reads use
 the ambient snapshot (start of round in guards and effect values, end of
 round in required conditions).  Mode comparisons name their time point
-explicitly; ``becomes`` compares consecutive start snapshots and ``ever``
-consults the accumulated status history.
+explicitly; ``ever`` consults the accumulated status history.
+
+The nodes are literals, signal reads, mode reads (``at`` start or end of
+round, ``ever`` active or inactive), references to parameterless
+definitions, ``not``, one n-ary :class:`BoolOp` per ``and``/``or`` chain,
+and :class:`BinOp` for comparisons and arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
@@ -43,13 +47,6 @@ class ModeActive:
 
 
 @dataclass(frozen=True)
-class ModeBecomes:
-    component: str
-    mode: str
-    status: str  # "active" or "inactive"
-
-
-@dataclass(frozen=True)
 class ModeEver:
     component: str
     mode: str
@@ -62,14 +59,14 @@ class DefRef:
 
 
 @dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple = ()
+class BoolOp:
+    op: str  # and or
+    operands: tuple
 
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # and or = != < <= > >= + - *
+    op: str  # = != < <= > >= + - *
     left: object
     right: object
 
@@ -81,7 +78,6 @@ class Not:
 
 COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 ARITHMETIC = {"+", "-", "*"}
-LOGICAL = {"and", "or"}
 
 
 @dataclass(frozen=True)
@@ -94,19 +90,7 @@ class EvalContext:
     definitions: Mapping[str, object]
     end_signals: Mapping[str, object] | None = None
     end_modes: Mapping[str, frozenset[str]] | None = None
-    prev_signals: Mapping[str, object] | None = None
-    prev_modes: Mapping[str, frozenset[str]] | None = None
     ambient: str = "start"
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def with_params(self, params: Mapping[str, object]) -> EvalContext:
-        return EvalContext(
-            start_signals=self.start_signals, start_modes=self.start_modes,
-            history=self.history, definitions=self.definitions,
-            end_signals=self.end_signals, end_modes=self.end_modes,
-            prev_signals=self.prev_signals, prev_modes=self.prev_modes,
-            ambient=self.ambient, params=params,
-        )
 
 
 def _as_bool(value: object, where: str) -> bool:
@@ -121,10 +105,8 @@ def _as_int(value: object, where: str) -> int:
     raise TypeMismatch(f"{where} expects an integer, got {value!r}")
 
 
-def _status_holds(modes: Mapping[str, frozenset[str]], component: str,
-                  mode: str, status: str) -> bool:
-    active = mode in modes.get(component, frozenset())
-    return active if status == "active" else not active
+def _active(modes: Mapping[str, frozenset[str]], component: str, mode: str) -> bool:
+    return mode in modes.get(component, frozenset())
 
 
 def eval_expr(expr, ctx: EvalContext):
@@ -132,54 +114,38 @@ def eval_expr(expr, ctx: EvalContext):
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, SigRead):
-        if expr.name in ctx.params:
-            return ctx.params[expr.name]
         snapshot = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
         if snapshot is None or expr.name not in snapshot:
             raise EvalError(f"unknown record {expr.name!r}")
         return snapshot[expr.name]
     if isinstance(expr, ModeActive):
         if expr.at == "start":
-            return _status_holds(ctx.start_modes, expr.component, expr.mode, "active")
+            return _active(ctx.start_modes, expr.component, expr.mode)
         if ctx.end_modes is None:
             raise IllegalEndOfRoundRead(
                 f"mode {expr.component}.{expr.mode} read at end of round outside a "
                 "required condition")
-        return _status_holds(ctx.end_modes, expr.component, expr.mode, "active")
-    if isinstance(expr, ModeBecomes):
-        now = _status_holds(ctx.start_modes, expr.component, expr.mode, expr.status)
-        if ctx.prev_modes is None:
-            return now
-        before = _status_holds(ctx.prev_modes, expr.component, expr.mode, expr.status)
-        return now and not before
+        return _active(ctx.end_modes, expr.component, expr.mode)
     if isinstance(expr, ModeEver):
         return (expr.component, expr.mode, expr.status) in ctx.history
     if isinstance(expr, DefRef):
         definition = ctx.definitions.get(expr.name)
         if definition is None:
             raise EvalError(f"unknown definition {expr.name!r}")
-        if definition.params:
-            raise EvalError(f"definition {expr.name!r} takes parameters")
         return eval_expr(definition.expr, ctx)
-    if isinstance(expr, Call):
-        definition = ctx.definitions.get(expr.name)
-        if definition is None:
-            raise EvalError(f"unknown definition {expr.name!r}")
-        if len(definition.params) != len(expr.args):
-            raise EvalError(
-                f"definition {expr.name!r} takes {len(definition.params)} "
-                f"arguments, got {len(expr.args)}")
-        bound = {p: eval_expr(a, ctx) for p, a in zip(definition.params, expr.args)}
-        return eval_expr(definition.expr, ctx.with_params(bound))
     if isinstance(expr, Not):
         return not _as_bool(eval_expr(expr.operand, ctx), "not")
+    if isinstance(expr, BoolOp):
+        # left to right; the first operand equal to the op's absorbing
+        # value (False for and, True for or) decides
+        op = expr.op
+        absorbing = op == "or"
+        for operand in expr.operands:
+            if _as_bool(eval_expr(operand, ctx), op) is absorbing:
+                return absorbing
+        return not absorbing
     if isinstance(expr, BinOp):
         op = expr.op
-        if op in LOGICAL:
-            left = _as_bool(eval_expr(expr.left, ctx), op)
-            if op == "and":
-                return left and _as_bool(eval_expr(expr.right, ctx), op)
-            return left or _as_bool(eval_expr(expr.right, ctx), op)
         left = eval_expr(expr.left, ctx)
         right = eval_expr(expr.right, ctx)
         if op == "=":
@@ -198,15 +164,15 @@ def eval_expr(expr, ctx: EvalContext):
 
 def walk(expr) -> Iterator[object]:
     """Yield the node and all its descendants in pre-order, not following
-    definition references.  It keeps an explicit stack, so a left-deep chain
-    of any length (a long ``or``) stays clear of the recursion limit."""
+    definition references.  It keeps an explicit stack, so a deep tree stays
+    clear of the recursion limit."""
     pending = [expr]
     while pending:
         node = pending.pop()
         yield node
-        if isinstance(node, BinOp):
+        if isinstance(node, BoolOp):
+            pending += reversed(node.operands)
+        elif isinstance(node, BinOp):
             pending += (node.right, node.left)
         elif isinstance(node, Not):
             pending.append(node.operand)
-        elif isinstance(node, Call):
-            pending += reversed(node.args)

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from .expr import Call, DefRef, ModeActive, walk
+from .expr import DefRef, ModeActive, walk
 
 
 class ModelError(Exception):
@@ -31,13 +31,6 @@ class IntType:
 class EnumType:
     name: str
     members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ArrayType:
-    name: str
-    element: str
-    size: int
 
 
 @dataclass(frozen=True)
@@ -97,17 +90,6 @@ class DataDictionary:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate dictionary record names: {dupes}")
-        component_names = {m.name for m in self.modes}
-        for t in self.types:
-            if isinstance(t, ArrayType):
-                if t.element in component_names:
-                    raise ModelError(
-                        f"array type {t.name!r}: element type may not be a mode")
-                if self.type_named(t.element) is None and t.element not in (
-                    "int", "bool"
-                ):
-                    raise ModelError(
-                        f"array type {t.name!r}: unknown element type {t.element!r}")
         basic = {"int", "bool"}
         for s in self.signals:
             if s.type_name not in basic and self.type_named(s.type_name) is None:
@@ -137,7 +119,6 @@ class Definition:
     name: str
     text: str
     expr: object
-    params: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -296,7 +277,7 @@ class RequirementsModel:
             named: dict[str, None] = {}
             end = False
             for node in walk(expr):
-                if isinstance(node, (DefRef, Call)):
+                if isinstance(node, DefRef):
                     named[node.name] = None
                 elif isinstance(node, ModeActive) and node.at == "end":
                     end = True

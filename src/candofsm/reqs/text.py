@@ -11,9 +11,11 @@ One record per line, ``#`` comments::
         => fsm := get_cmd
 
 Expressions are infix with ``and``/``or``/``not``, comparisons, arithmetic,
-``mode(C.M) at start|end``, ``mode(C.M) becomes active|inactive`` and
-``mode(C.M) ever active|inactive``.  Records must be declared before use,
-which is the order the serializer emits.
+``mode(C.M) at start|end`` and ``mode(C.M) ever active|inactive``; a name
+declared by ``def`` refers to that definition.  A run of ``and`` (or of
+``or``) parses to one n-ary ``BoolOp``; a parenthesised run stays a nested
+node, and the serializer parenthesises it again.  Records must be declared
+before use, which is the order the serializer emits.
 """
 
 from __future__ import annotations
@@ -23,17 +25,15 @@ import re
 from ..specio import ParseError
 from .expr import (
     BinOp,
-    Call,
+    BoolOp,
     DefRef,
     Lit,
     ModeActive,
-    ModeBecomes,
     ModeEver,
     Not,
     SigRead,
 )
 from .model import (
-    ArrayType,
     BoolType,
     CaseBranch,
     ConstantDef,
@@ -70,12 +70,6 @@ _TEMPLATE_KEYWORDS = {
     "case": Template.CASE,
 }
 
-_RESERVED = {
-    "and", "or", "not", "true", "false", "nil", "mode", "at", "start", "end",
-    "becomes", "ever", "active", "inactive", "require", "within",
-    "atsomepoint", "while", "when", "do", "total", "exclusive",
-}
-
 
 class _Scope:
     """Name resolution tables built up while reading the file top to bottom."""
@@ -90,7 +84,7 @@ class _Scope:
         self.value_names: set[str] = set()      # signals + constants
         self.enum_members: set[str] = set()
         self.component_names: set[str] = set()
-        self.def_params: dict[str, int] = {}
+        self.definition_names: set[str] = set()
 
 
 class _Cursor:
@@ -173,52 +167,50 @@ def _parse_literal_token(cur: _Cursor, scope: _Scope):
 
 # --- expressions -------------------------------------------------------------
 
-def _parse_expr(cur: _Cursor, scope: _Scope, params: tuple[str, ...] = ()):
-    return _parse_or(cur, scope, params)
+def _parse_chain(op: str, parse_operand, cur: _Cursor, scope: _Scope):
+    """A run of ``op`` as one n-ary node; a single operand is itself."""
+    operands = [parse_operand(cur, scope)]
+    while cur.accept(op):
+        operands.append(parse_operand(cur, scope))
+    return operands[0] if len(operands) == 1 else BoolOp(op, tuple(operands))
 
 
-def _parse_or(cur, scope, params):
-    left = _parse_and(cur, scope, params)
-    while cur.accept("or"):
-        left = BinOp("or", left, _parse_and(cur, scope, params))
-    return left
+def _parse_expr(cur: _Cursor, scope: _Scope):
+    return _parse_chain("or", _parse_and, cur, scope)
 
 
-def _parse_and(cur, scope, params):
-    left = _parse_not(cur, scope, params)
-    while cur.accept("and"):
-        left = BinOp("and", left, _parse_not(cur, scope, params))
-    return left
+def _parse_and(cur, scope):
+    return _parse_chain("and", _parse_not, cur, scope)
 
 
-def _parse_not(cur, scope, params):
+def _parse_not(cur, scope):
     if cur.accept("not"):
-        return Not(_parse_not(cur, scope, params))
-    return _parse_comparison(cur, scope, params)
+        return Not(_parse_not(cur, scope))
+    return _parse_comparison(cur, scope)
 
 
-def _parse_comparison(cur, scope, params):
-    left = _parse_additive(cur, scope, params)
+def _parse_comparison(cur, scope):
+    left = _parse_additive(cur, scope)
     tok = cur.peek()
     if tok in ("=", "!=", "<", "<=", ">", ">="):
         cur.next()
-        return BinOp(tok, left, _parse_additive(cur, scope, params))
+        return BinOp(tok, left, _parse_additive(cur, scope))
     return left
 
 
-def _parse_additive(cur, scope, params):
-    left = _parse_term(cur, scope, params)
+def _parse_additive(cur, scope):
+    left = _parse_term(cur, scope)
     while cur.peek() in ("+", "-"):
         op = cur.next()
-        left = BinOp(op, left, _parse_term(cur, scope, params))
+        left = BinOp(op, left, _parse_term(cur, scope))
     return left
 
 
-def _parse_term(cur, scope, params):
-    left = _parse_factor(cur, scope, params)
+def _parse_term(cur, scope):
+    left = _parse_factor(cur, scope)
     while cur.peek() == "*":
         cur.next()
-        left = BinOp("*", left, _parse_factor(cur, scope, params))
+        left = BinOp("*", left, _parse_factor(cur, scope))
     return left
 
 
@@ -236,22 +228,21 @@ def _parse_mode_op(cur: _Cursor, scope: _Scope):
         if at not in ("start", "end"):
             raise cur.error(f"expected 'start' or 'end', got {at!r}")
         return ModeActive(component, mode, at)
-    if tok in ("becomes", "ever"):
+    if tok == "ever":
         status = cur.next()
         if status not in ("active", "inactive"):
             raise cur.error(f"expected 'active' or 'inactive', got {status!r}")
-        cls = ModeBecomes if tok == "becomes" else ModeEver
-        return cls(component, mode, status)
-    raise cur.error(f"expected 'at', 'becomes' or 'ever' after mode(), got {tok!r}")
+        return ModeEver(component, mode, status)
+    raise cur.error(f"expected 'at' or 'ever' after mode(), got {tok!r}")
 
 
-def _parse_factor(cur: _Cursor, scope: _Scope, params):
+def _parse_factor(cur: _Cursor, scope: _Scope):
     tok = cur.peek()
     if tok is None:
         raise cur.error("unexpected end of expression")
     if tok == "(":
         cur.next()
-        inner = _parse_expr(cur, scope, params)
+        inner = _parse_expr(cur, scope)
         cur.expect(")")
         return inner
     if tok == "mode":
@@ -277,22 +268,11 @@ def _parse_factor(cur: _Cursor, scope: _Scope, params):
         return Lit(-int(num))
     if _is_name(tok):
         cur.next()
-        if cur.peek() == "(" and tok in scope.def_params:
-            cur.next()
-            args = []
-            if not cur.accept(")"):
-                args.append(_parse_expr(cur, scope, params))
-                while cur.accept(","):
-                    args.append(_parse_expr(cur, scope, params))
-                cur.expect(")")
-            return Call(tok, tuple(args))
-        if tok in params:
-            return SigRead(tok)
         if tok in scope.value_names:
             return SigRead(tok)
         if tok in scope.enum_members:
             return Lit(tok)
-        if tok in scope.def_params:
+        if tok in scope.definition_names:
             return DefRef(tok)
         raise cur.error(f"unknown name {tok!r}")
     raise cur.error(f"unexpected token {tok!r}")
@@ -336,12 +316,6 @@ def _parse_type_line(cur: _Cursor, scope: _Scope) -> None:
         t = IntType(name, lo, hi)
     elif kind == "bool":
         t = BoolType(name)
-    elif kind == "array":
-        element = cur.next()
-        cur.expect("[")
-        size = _parse_int(cur)
-        cur.expect("]")
-        t = ArrayType(name, element, size)
     else:
         raise cur.error(f"unknown type kind {kind!r}")
     scope.types.append(t)
@@ -401,19 +375,16 @@ def _parse_mode_line(cur: _Cursor, scope: _Scope) -> None:
 
 
 def _parse_def_line(line: str, lineno: int, scope: _Scope) -> None:
-    m = re.match(
-        r'def\s+([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s*("(?:[^"\\]|\\.)*")\s*:=\s*(.+)$',
-        line)
+    m = re.match(r'def\s+([A-Za-z_]\w*)\s*("(?:[^"\\]|\\.)*")\s*:=\s*(.+)$', line)
     if m is None:
         raise ParseError(lineno, 1, "expected 'def name \"text\" := expr'", line)
-    name, params_text, text, expr_text = m.groups()
-    params = tuple(p.strip() for p in params_text.split(",")) if params_text else ()
+    name, text, expr_text = m.groups()
     cur = _Cursor(_tokens(expr_text), lineno, line)
-    expr = _parse_expr(cur, scope, params)
+    expr = _parse_expr(cur, scope)
     if not cur.done():
         raise cur.error(f"trailing tokens after expression: {cur.peek()!r}")
-    scope.definitions.append(Definition(name, _unquote(text), expr, params))
-    scope.def_params[name] = len(params)
+    scope.definitions.append(Definition(name, _unquote(text), expr))
+    scope.definition_names.add(name)
 
 
 def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
@@ -574,34 +545,25 @@ def render_expr(expr, parent_prec: int = 0) -> str:
         return expr.name
     if isinstance(expr, DefRef):
         return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.name}({', '.join(render_expr(a) for a in expr.args)})"
     if isinstance(expr, ModeActive):
         return f"mode({expr.component}.{expr.mode}) at {expr.at}"
-    if isinstance(expr, ModeBecomes):
-        return f"mode({expr.component}.{expr.mode}) becomes {expr.status}"
     if isinstance(expr, ModeEver):
         return f"mode({expr.component}.{expr.mode}) ever {expr.status}"
     if isinstance(expr, Not):
         text = f"not {render_expr(expr.operand, _NOT_PRECEDENCE)}"
         return f"({text})" if _NOT_PRECEDENCE < parent_prec else text
+    if isinstance(expr, BoolOp):
+        # each operand one level tighter, so a nested chain keeps its brackets
+        prec = _PRECEDENCE[expr.op]
+        text = f" {expr.op} ".join(render_expr(o, prec + 1) for o in expr.operands)
+        return f"({text})" if prec < parent_prec else text
     if isinstance(expr, BinOp):
         prec = _PRECEDENCE[expr.op]
-        if prec == _COMPARISON_PRECEDENCE:
-            # comparisons do not chain: both operands sit one level tighter
-            text = (f"{render_expr(expr.left, prec + 1)} {expr.op} "
-                    f"{render_expr(expr.right, prec + 1)}")
-        else:
-            # the parser nests a run of one operator to the left; walk that
-            # spine here instead of recursing once per operand
-            rights = []
-            left = expr
-            while isinstance(left, BinOp) and left.op == expr.op:
-                rights.append(left.right)
-                left = left.left
-            text = f" {expr.op} ".join(
-                [render_expr(left, prec)]
-                + [render_expr(r, prec + 1) for r in reversed(rights)])
+        # comparisons do not chain: both operands sit one level tighter; the
+        # parser nests arithmetic to the left
+        left_prec = prec + 1 if prec == _COMPARISON_PRECEDENCE else prec
+        text = (f"{render_expr(expr.left, left_prec)} {expr.op} "
+                f"{render_expr(expr.right, prec + 1)}")
         return f"({text})" if prec < parent_prec else text
     raise ValueError(f"cannot render {expr!r}")
 
@@ -661,10 +623,8 @@ def serialize_model(model: RequirementsModel) -> str:
         elif isinstance(t, IntType):
             bounds = f" [{t.lo}, {t.hi}]" if t.lo is not None or t.hi is not None else ""
             lines.append(f"type {t.name} int{bounds}")
-        elif isinstance(t, BoolType):
-            lines.append(f"type {t.name} bool")
         else:
-            lines.append(f"type {t.name} array {t.element} [{t.size}]")
+            lines.append(f"type {t.name} bool")
     for c in model.dictionary.constants:
         opts = ""
         if c.minimum is not None:
@@ -688,9 +648,7 @@ def serialize_model(model: RequirementsModel) -> str:
         init = f" init={m.initial}" if m.initial is not None else ""
         lines.append(f"mode {m.name} {{ {' '.join(m.modes)} }}{exclusive}{init}")
     for d in model.definitions:
-        params = f"({', '.join(d.params)})" if d.params else ""
-        lines.append(
-            f"def {d.name}{params} {_quote(d.text)} := {render_expr(d.expr)}")
+        lines.append(f"def {d.name} {_quote(d.text)} := {render_expr(d.expr)}")
     for req in model.requirements:
         lines.append(_render_requirement(req))
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+import candofsm.generate
 from candofsm.fsm import CONT, MAX_COUNT, PACKET_LENGTH, StateKind, lookup_next
 from candofsm.generate import (
     HAND_MODEL_DEFINITIONS,
@@ -19,6 +21,12 @@ from candofsm.generate import (
 from candofsm.reqs import Template, fire_round, initial_env
 from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env
+
+
+def tables(spec):
+    """The preimage and dispatch groups that generation computes once."""
+    return (candofsm.generate._preimage(spec),
+            candofsm.generate._dispatch_groups(spec))
 
 
 class TestDictionary:
@@ -62,7 +70,7 @@ class TestDictionary:
 
 class TestDefinitions:
     def test_from_and_to_definitions_per_state(self, spec):
-        defs = {d.name: d for d in gen_definitions(spec)}
+        defs = {d.name: d for d in gen_definitions(spec, *tables(spec))}
         for st in spec.roster.state_names:
             assert defs[f"from_{st}"].text == (
                 f"The fsm is in state {st} at the start of the round")
@@ -78,7 +86,7 @@ class TestDefinitions:
             events=(fsm_mod.MemberDef("CONT"),),
             commands=(fsm_mod.MemberDef("DUMMY_C"),))
         doc = SpecDocument(roster=roster, fsm={})
-        defs = {d.name: d for d in gen_definitions(doc)}
+        defs = {d.name: d for d in gen_definitions(doc, *tables(doc))}
         expr = defs["from_start"].expr
         assert expr.component == "fsm" and expr.mode == "start"
 
@@ -101,7 +109,7 @@ class TestDefinitions:
 
     def test_definition_count_scale(self, spec):
         # 2 per state, plus kind groups, idmaps and arrival conditions
-        assert len(gen_definitions(spec)) > 2 * 34
+        assert len(gen_definitions(spec, *tables(spec))) > 2 * 34
 
 
 class TestRequirements:
@@ -152,13 +160,23 @@ class TestRequirements:
 
     def test_empty_transition_spec_generates_only_modeset_and_every(self, spec):
         bare = dataclasses.replace(spec, fsm={}, dispatch={}, packets={})
-        requirements, id_index = gen_requirements(bare)
+        requirements, id_index = gen_requirements(bare, *tables(bare))
         templates = sorted(r.template.value for r in requirements)
         assert templates == ["every", "modeset"]
         assert id_index == {}
 
     def test_generated_model_validates(self, model):
         model.validate()
+
+    def test_generation_computes_the_preimage_and_groups_once(self, spec, monkeypatch):
+        calls = Counter()
+        for name in ("_preimage", "_dispatch_groups"):
+            def counted(spec, name=name, original=getattr(candofsm.generate, name)):
+                calls[name] += 1
+                return original(spec)
+            monkeypatch.setattr(candofsm.generate, name, counted)
+        generate_model(spec)
+        assert calls == {"_preimage": 1, "_dispatch_groups": 1}
 
 
 class TestOracle:
@@ -196,6 +214,12 @@ class TestRendering:
         assert "occurs, then" in block
         assert "The fsm is in state send_packet_6 at the end of the round" in block
         assert "holds." in block
+
+    def test_markdown_joins_the_operands_of_a_disjunction_with_or(self, model):
+        text = render_requirements_markdown(model)
+        block = text[text.index("mon.C1.2:"):text.index("mon.C1.3:")]
+        assert ("  The fsm is in state get_cmd at the end of the round or The fsm "
+                "is in state error_ at the end of the round\n") in block
 
     def test_markdown_is_deterministic(self, model):
         assert render_requirements_markdown(model) \

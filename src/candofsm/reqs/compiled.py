@@ -6,19 +6,30 @@ A compiled expression is a function of one :class:`Frame`.  It has
 evaluation, short-circuit and boolean/integer checks.  Definition
 references are inlined, and a ``BoolOp`` takes the operands of a
 same-operator ``BoolOp`` under it (also through an inlined definition) into
-its own closure.
+its own closure.  A node is dispatched on the first node type it is an
+instance of, in ``eval_expr``'s order, so a subclass of a node type
+compiles as that type.
 
 Closures are hash-consed: structurally equal subexpressions share one
 closure.  The structural key carries each literal's type, because ``==``
 on the frozen nodes would merge ``Lit(0)`` with ``Lit(False)``.
+:meth:`Compiler.compile` only builds the node and its support; the closure
+is built when ``fn`` is first read.
 
-An expression's *start-state support* is a set of (component, mode) pairs,
-one of which must be active at the start of the round for the expression
-to hold; ``None`` means no such set is known.  It follows the first operand
-of ``and`` and every operand of ``or``, so an expression whose support
-misses the active modes evaluates to ``False`` without raising, and may be
-skipped.  Large disjunctions use it themselves: they evaluate only the
-operands the active modes can satisfy.
+An expression's *start-state support* is a set of terms ``(mode,
+literal)``: ``mode`` is a (component, mode) pair and ``literal`` is None or
+a (signal, value) pair.  A term is *missed* by a start when its mode is
+not active, or its signal is present with a value that is not ``==`` the
+literal's.  When every term is missed, the expression evaluates to
+``False`` without raising, so it may be skipped.  ``None`` means no such
+set is known.  The support follows the first operand of ``and`` and every
+operand of ``or``.  An ``and`` adds the first ``signal = literal``
+operand after its first one to each term, but only if no operand before
+that one can raise.  A support is *exact* when the expression is nothing
+but its terms: with every signal its literals read present, it evaluates
+without raising to ``True`` exactly when some term is not missed.  Large
+disjunctions use supports themselves: they evaluate only the operands the
+active modes can satisfy.
 """
 
 from __future__ import annotations
@@ -46,6 +57,10 @@ from .expr import (
 
 EMPTY: frozenset = frozenset()
 
+# The value of a signal a start does not hold, or whose value cannot key a
+# lookup: no literal on that signal is missed.
+ABSENT = object()
+
 # A disjunction with more operands than this picks its operands per active
 # mode set instead of trying each one.
 INDEXED_OR_MIN = 8
@@ -61,42 +76,106 @@ def active_modes(modes: Mapping[str, frozenset[str]]) -> frozenset:
     return frozenset((comp, mode) for comp, active in modes.items() for mode in active)
 
 
+def meets(support: frozenset, active: frozenset, signal: str | None = None,
+          value=ABSENT) -> bool:
+    """Whether some term of a support is not missed by a start with these
+    active modes in which ``signal`` holds ``value``.  Literals on any other
+    signal count as met."""
+    for mode, literal in support:
+        if mode in active and (literal is None or literal[0] != signal
+                               or value is ABSENT or value == literal[1]):
+            return True
+    return False
+
+
 class Frame:
-    """What a compiled expression reads: the :class:`EvalContext` with its
-    ambient signal snapshot resolved and its active start modes computed."""
+    """What a compiled expression reads: the ambient signal snapshot, the
+    start and end mode snapshots, the status history and the active start
+    modes."""
 
     __slots__ = ("signals", "start_modes", "end_modes", "history", "active")
 
-    def __init__(self, ctx: EvalContext, active: frozenset | None = None):
+    def __init__(self, signals, start_modes, end_modes, history, active):
+        self.signals = signals
+        self.start_modes = start_modes
+        self.end_modes = end_modes
+        self.history = history
+        self.active = active
+
+    @classmethod
+    def of(cls, ctx: EvalContext) -> Frame:
+        """The frame of an :class:`EvalContext`."""
         signals = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
-        self.signals = {} if signals is None else signals
-        self.start_modes = ctx.start_modes
-        self.end_modes = ctx.end_modes
-        self.history = ctx.history
-        self.active = active_modes(ctx.start_modes) if active is None else active
+        return cls({} if signals is None else signals, ctx.start_modes,
+                   ctx.end_modes, ctx.history, active_modes(ctx.start_modes))
 
 
 class Compiled:
-    """One hash-consed compiled subexpression: its closure and its
-    start-state support."""
+    """One hash-consed compiled subexpression: its start-state support, and
+    its closure, built from ``build(*args)`` when ``fn`` is first read."""
 
-    __slots__ = ("uid", "fn", "support", "op", "parts")
+    __slots__ = ("support", "exact", "literal", "op", "parts", "_build", "_fn")
 
-    def __init__(self, uid, fn, support=None, op=None, parts=()):
-        self.uid = uid
-        self.fn = fn
+    def __init__(self, build, support=None, exact=False, literal=None, op=None,
+                 parts=()):
+        self._build = build
+        self._fn = None
         self.support = support
-        self.op = op          # "and" / "or" for a BoolOp
-        self.parts = parts    # its compiled operands
+        self.exact = exact        # the support is exact
+        self.literal = literal    # (signal, value) of a `signal = literal` node
+        self.op = op              # "and" / "or" for a BoolOp
+        self.parts = parts        # its compiled operands
+
+    @property
+    def fn(self):
+        fn = self._fn
+        if fn is None:
+            build, args = self._build
+            fn = self._fn = build(*args)
+            self._build = None
+        return fn
+
+
+def _safe(node: Compiled) -> bool:
+    """Whether the node evaluates to a boolean without raising from any start:
+    an exact support that reads no signal."""
+    return node.exact and all(literal is None for _, literal in node.support)
+
+
+def _and_support(parts: tuple[Compiled, ...]) -> tuple[frozenset | None, bool]:
+    """The support of an ``and`` of these operands, and whether it is exact."""
+    first = parts[0].support if parts else None
+    if first is None:
+        return None, False
+    if _safe(parts[0]):
+        for part in parts[1:]:
+            if part.literal is not None:
+                support = frozenset((mode, part.literal) for mode, _ in first)
+                return support, len(parts) == 2
+            if not _safe(part):
+                break
+    return first, len(parts) == 1 and parts[0].exact
+
+
+def _or_support(parts: tuple[Compiled, ...]) -> tuple[frozenset | None, bool]:
+    """The support of an ``or`` of these operands, and whether it is exact."""
+    supports = [p.support for p in parts]
+    if None in supports:
+        return None, False
+    return frozenset().union(*supports), all(p.exact for p in parts)
 
 
 class Compiler:
-    """Compiles the expressions of one model against its definitions."""
+    """Compiles the expressions of one model against its definitions.
+
+    Nodes are interned under a key of their kind and their operands'
+    interned nodes, so structurally equal subexpressions share one node."""
 
     def __init__(self, definitions: Mapping[str, object]):
         self.definitions = definitions
         self._shared: dict[tuple, Compiled] = {}
         self._inlined: dict[str, Compiled] = {}
+        # in eval_expr's order, which decides a node of two node types
         self._by_type = {
             Lit: self._lit, SigRead: self._sig_read, ModeActive: self._mode_active,
             ModeEver: self._mode_ever, DefRef: self._def_ref, Not: self._not,
@@ -104,15 +183,17 @@ class Compiler:
         }
 
     def compile(self, expr) -> Compiled:
-        """``compile(expr).fn(Frame(ctx))`` computes ``eval_expr(expr, ctx)``."""
-        return self._by_type.get(type(expr), self._not_a_node)(expr)
+        """``compile(expr).fn(Frame.of(ctx))`` computes ``eval_expr(expr, ctx)``."""
+        compile_node = self._by_type.get(type(expr))
+        if compile_node is None:
+            compile_node = next((f for t, f in self._by_type.items() if isinstance(expr, t)),
+                                self._not_a_node)
+        return compile_node(expr)
 
-    def _intern(self, key: tuple, build, *args, support=None, op=None,
-                parts=()) -> Compiled:
+    def _intern(self, key: tuple, build, *args) -> Compiled:
         node = self._shared.get(key)
         if node is None:
-            node = self._shared[key] = Compiled(
-                len(self._shared), build(*args), support, op, parts)
+            node = self._shared[key] = Compiled((build, args))
         return node
 
     def _lit(self, expr: Lit) -> Compiled:
@@ -124,10 +205,14 @@ class Compiler:
 
     def _mode_active(self, expr: ModeActive) -> Compiled:
         comp, mode = expr.component, expr.mode
-        if expr.at == "start":
-            return self._intern(("start", comp, mode), _start_mode, comp, mode,
-                                support=frozenset({(comp, mode)}))
-        return self._intern(("end", comp, mode), _end_mode, comp, mode)
+        if expr.at != "start":
+            return self._intern(("end", comp, mode), _end_mode, comp, mode)
+        key = ("start", comp, mode)
+        node = self._shared.get(key)
+        if node is None:
+            node = self._shared[key] = Compiled(
+                (_start_mode, (comp, mode)), frozenset({((comp, mode), None)}), True)
+        return node
 
     def _mode_ever(self, expr: ModeEver) -> Compiled:
         key = (expr.component, expr.mode, expr.status)
@@ -147,25 +232,38 @@ class Compiler:
 
     def _not(self, expr: Not) -> Compiled:
         operand = self.compile(expr.operand)
-        return self._intern(("not", operand.uid), _not, operand.fn)
+        return self._intern(("not", operand), _not, operand)
 
     def _bool_op(self, expr: BoolOp) -> Compiled:
         op = expr.op
-        parts = tuple(p for operand in expr.operands
-                      for child in (self.compile(operand),)
-                      for p in (child.parts if child.op == op else (child,)))
-        if op == "and":
-            support = parts[0].support if parts else None
-        else:
-            supports = [p.support for p in parts]
-            support = None if None in supports else frozenset().union(*supports)
-        return self._intern((op,) + tuple(p.uid for p in parts), _chain, op, parts,
-                            support=support, op=op, parts=parts)
+        parts = []
+        for operand in expr.operands:
+            child = self.compile(operand)
+            if child.op == op:
+                parts += child.parts
+            else:
+                parts.append(child)
+        parts = tuple(parts)
+        key = (op, parts)
+        node = self._shared.get(key)
+        if node is None:
+            support, exact = (_and_support if op == "and" else _or_support)(parts)
+            node = self._shared[key] = Compiled(
+                (_chain, (op, parts)), support, exact, None, op, parts)
+        return node
 
     def _bin_op(self, expr: BinOp) -> Compiled:
         op = expr.op
         left, right = self.compile(expr.left), self.compile(expr.right)
-        return self._intern((op, left.uid, right.uid), _binary, op, left.fn, right.fn)
+        key = (op, left, right)
+        node = self._shared.get(key)
+        if node is None:
+            literal = None
+            if op == "=" and isinstance(expr.left, SigRead) and isinstance(expr.right, Lit):
+                literal = (expr.left.name, expr.right.value)
+            node = self._shared[key] = Compiled(
+                (_binary, (op, left, right)), literal=literal)
+        return node
 
     def _not_a_node(self, expr) -> Compiled:
         return self._raising(f"not an expression node: {expr!r}")
@@ -217,7 +315,9 @@ def _ever(key):
     return lambda frame: key in frame.history
 
 
-def _not(operand):
+def _not(node: Compiled):
+    operand = node.fn
+
     def fn(frame):
         value = operand(frame)
         if value is True:
@@ -262,7 +362,7 @@ def _or(fns):
 
 def _indexed_or(parts: tuple[Compiled, ...]):
     """A disjunction that tries, per active mode set, only the operands whose
-    support meets it; the others would all be False without raising."""
+    support it meets; the others would all be False without raising."""
     operands = tuple((p.fn, p.support) for p in parts)
     chosen: dict[frozenset, object] = {}
 
@@ -272,12 +372,13 @@ def _indexed_or(parts: tuple[Compiled, ...]):
         if narrowed is None:
             narrowed = chosen[active] = _or(tuple(
                 part for part, support in operands
-                if support is None or not support.isdisjoint(active)))
+                if support is None or meets(support, active)))
         return narrowed(frame)
     return fn
 
 
-def _binary(op: str, left, right):
+def _binary(op: str, left: Compiled, right: Compiled):
+    left, right = left.fn, right.fn
     if op == "=":
         return lambda frame: left(frame) == right(frame)
     if op == "!=":

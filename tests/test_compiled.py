@@ -4,8 +4,10 @@ Every expression of the generated model is evaluated both ways over
 sampled round contexts: start states (one, none or two active), events,
 counters, flags, end snapshots, and now and then a missing record or a
 value of the wrong type.  Value and type, or exception
-type and message, must agree.  Hand-built cases cover the error paths the
-generated model does not reach.
+type and message, must agree.  The same contexts check the start-state
+supports: a missed one means False, an exact one the key meets means True.
+Hand-built cases cover the error paths the generated model does not reach,
+and the plan's index on (active modes, key signal).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from candofsm.reqs import (
     fire_round,
     initial_env,
 )
-from candofsm.reqs.compiled import Compiler, Frame, active_modes
-from candofsm.reqs.engine import STATE_COMPONENT
+from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes, meets
+from candofsm.reqs.engine import STATE_COMPONENT, _plan_of
 from candofsm.reqs.expr import EvalContext, eval_expr, walk
 from candofsm.reqs.model import Env
 from test_reqs import tiny_model
@@ -57,7 +59,7 @@ def outcome(fn, *args):
 
 def agree(expr, ctx, compiler):
     compiled = compiler.compile(expr).fn
-    return outcome(eval_expr, expr, ctx) == outcome(compiled, Frame(ctx))
+    return outcome(eval_expr, expr, ctx) == outcome(compiled, Frame.of(ctx))
 
 
 def model_expressions(model) -> list:
@@ -144,23 +146,59 @@ def test_every_generated_expression_agrees_with_the_interpreter(model, contexts)
 
 def test_the_samples_reach_values_and_every_kind_of_error(model, contexts):
     compiler = Compiler(model.definition_map())
-    seen = {outcome(compiler.compile(expr).fn, Frame(ctx))[1]
+    seen = {outcome(compiler.compile(expr).fn, Frame.of(ctx))[1]
             for expr in model_expressions(model) for ctx in contexts}
     assert {bool, int, str, TypeMismatch, IllegalEndOfRoundRead, EvalError} <= seen
 
 
+# the signal the generated model's supports read; the plan keys on it
+KEY = "current_event"
+
+
+def key_of(ctx) -> object:
+    """The key signal's value in the snapshot an expression reads."""
+    return Frame.of(ctx).signals.get(KEY, ABSENT)
+
+
+def test_the_generated_supports_read_only_the_key_signal(model):
+    compiler = Compiler(model.definition_map())
+    read = {literal[0] for expr in model_expressions(model)
+            for _, literal in compiler.compile(expr).support or () if literal}
+    assert read == {KEY}
+    assert _plan_of(model).key == KEY
+
+
 def test_a_missed_support_means_false_without_raising(model, contexts):
     compiler = Compiler(model.definition_map())
-    checked = 0
+    checked = by_key = 0
     for expr in model_expressions(model):
         support = compiler.compile(expr).support
         if support is None:
             continue
         for ctx in contexts:
-            if support.isdisjoint(active_modes(ctx.start_modes)):
+            active = active_modes(ctx.start_modes)
+            if not meets(support, active, KEY, key_of(ctx)):
                 assert eval_expr(expr, ctx) is False
                 checked += 1
+                by_key += meets(support, active)   # missed only on the key
     assert checked > 10_000
+    assert by_key > 1_000
+
+
+def test_an_exact_support_the_key_meets_means_true(model, contexts):
+    compiler = Compiler(model.definition_map())
+    checked = 0
+    for expr in model_expressions(model):
+        node = compiler.compile(expr)
+        if not node.exact:
+            continue
+        for ctx in contexts:
+            value = key_of(ctx)
+            if value is not ABSENT \
+                    and meets(node.support, active_modes(ctx.start_modes), KEY, value):
+                assert eval_expr(expr, ctx) is True
+                checked += 1
+    assert checked > 500
 
 
 def test_the_language_has_no_node_type_the_translation_does_not_emit(model):
@@ -195,6 +233,10 @@ def or_(*operands):
 
 
 MANY_MODES = ("a", "b", "c", "d", "e", "off", "g", "h", "i", "on", "k")
+
+
+class MyLit(Lit):
+    """A subclass of a node type: both evaluators treat it as its base."""
 
 HAND_CASES = [
     # type mismatches in and, or, not, < and +, on either side
@@ -247,6 +289,10 @@ HAND_CASES = [
     # empty chains
     and_(),
     or_(),
+    # a subclass of a node type
+    MyLit(3),
+    BinOp("+", MyLit(1), SigRead("x")),
+    and_(DefRef("lamp_on"), MyLit(True)),
 ]
 
 HAND_CONTEXTS = [
@@ -265,7 +311,7 @@ def test_hand_built_expression_agrees_with_the_interpreter(expr):
     compiler = Compiler(HAND_CONTEXTS[0].definitions)
     for ctx in HAND_CONTEXTS:
         assert outcome(eval_expr, expr, ctx) \
-            == outcome(compiler.compile(expr).fn, Frame(ctx)), ctx
+            == outcome(compiler.compile(expr).fn, Frame.of(ctx)), ctx
 
 
 def test_the_hand_cases_raise_each_error_kind():
@@ -277,7 +323,7 @@ def test_the_hand_cases_raise_each_error_kind():
 def test_literals_that_compare_equal_keep_their_types():
     # one compiler for all four, so a shared closure would show
     compiler = Compiler({})
-    frame = Frame(hand_ctx())
+    frame = Frame.of(hand_ctx())
     values = [compiler.compile(Lit(v)).fn(frame) for v in (0, False, 1, True)]
     assert [(type(v), v) for v in values] == [(int, 0), (bool, False),
                                              (int, 1), (bool, True)]
@@ -391,3 +437,134 @@ def test_a_missing_condition_or_effect_value_is_an_eval_violation():
     assert [v.constraint_id for v in result.violations] == ["EVAL", "EVAL"]
     assert all("not an expression node: None" in v.message for v in result.violations)
     assert result.fired == ()
+
+
+# --- the (active modes, key signal) index ------------------------------------
+
+def event_lamp_model(*requirements):
+    """Requirements over the lamp modes and the ``ev`` signal, which their
+    literals read, so the plan keys on it."""
+    return tiny_model(
+        *requirements,
+        Requirement("ms", "one lamp mode", Template.MODE_SET, component="lamp"),
+        signals=[SignalDef("ev", "Colour", initial="red"),
+                 SignalDef("x", "small", initial=0)],
+        modes=[ModeComponent("lamp", ("off", "on", "dim"), initial="off")])
+
+
+def lamp_is(mode):
+    return ModeActive("lamp", mode, "start")
+
+
+def ev_is(value):
+    return BinOp("=", SigRead("ev"), Lit(value))
+
+
+def start_on(model, active, **signals) -> Env:
+    """A start with these lamp modes and signals; a signal given as ABSENT
+    is left out."""
+    init = initial_env(model)
+    values = {k: v for k, v in {**init.signals, **signals}.items() if v is not ABSENT}
+    return Env(signals=values, modes={"lamp": frozenset(active)},
+               history=init.history)
+
+
+def candidate_ids(model, env) -> list[str]:
+    plan = _plan_of(model)
+    effect, check = plan.candidates(active_modes(env.modes),
+                                    env.signals.get(plan.key, ABSENT))
+    return [step.req.req_id for step, _ in effect + check]
+
+
+def test_a_missing_key_signal_keeps_its_readers_and_reports_them():
+    model = event_lamp_model(
+        Requirement("green", "off and green", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("off"), ev_is("green")),
+                    effects=(SignalAssign("x", Lit(1)),)),
+        Requirement("red", "off and red", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("off"), ev_is("red")),
+                    effects=(SignalAssign("x", Lit(2)),)),
+        Requirement("dim", "dim and red", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("dim"), ev_is("red")),
+                    effects=(SignalAssign("x", Lit(3)),)))
+    assert _plan_of(model).key == "ev"
+    env = start_on(model, ("off",), ev=ABSENT)
+    assert candidate_ids(model, env) == ["green", "red", "ms"]
+    result = fire_round(model, env, None)
+    assert result.fired == ()
+    assert [(v.constraint_id, v.message) for v in result.violations] == [
+        ("EVAL", f"requirement {rid} (off and {rid}): unknown record 'ev'")
+        for rid in ("green", "red")]
+    # a value that cannot key a lookup is treated as unknown
+    unhashable = start_on(model, ("off",), ev=["green"])
+    assert candidate_ids(model, unhashable) == ["green", "red", "ms"]
+    assert fire_round(model, unhashable, None).fired == ()
+
+
+def test_a_literal_after_an_operand_that_can_raise_stays_out_of_the_support():
+    raising_first = and_(lamp_is("off"), BinOp("<", SigRead("x"), Lit(5)), ev_is("green"))
+    literal_first = and_(lamp_is("off"), ev_is("green"), BinOp("<", SigRead("x"), Lit(5)))
+    compiler = Compiler({})
+    assert compiler.compile(raising_first).support == {(("lamp", "off"), None)}
+    assert compiler.compile(literal_first).support == {(("lamp", "off"), ("ev", "green"))}
+    model = event_lamp_model(
+        Requirement("late", "x checked first", Template.TRIGGER_ON_EVENT,
+                    guard=raising_first, effects=(SignalAssign("x", Lit(1)),)),
+        Requirement("early", "ev checked first", Template.TRIGGER_ON_EVENT,
+                    guard=literal_first, effects=(SignalAssign("x", Lit(2)),)))
+    # x of the wrong type raises in the first guard; the second stops at ev
+    env = start_on(model, ("off",), ev="red", x="red")
+    assert candidate_ids(model, env) == ["late", "ms"]
+    result = fire_round(model, env, None)
+    assert [(v.constraint_id, v.message) for v in result.violations] == [
+        ("EVAL", "requirement late (x checked first): < expects an integer, "
+                 "got 'red'")]
+
+
+def test_a_start_with_two_active_modes_keys_on_both():
+    model = event_lamp_model(
+        Requirement("off_green", "off and green", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("off"), ev_is("green")),
+                    effects=(ModeAssign("lamp", "on"),)),
+        Requirement("on_green", "on and green", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("on"), ev_is("green")),
+                    effects=(ModeAssign("lamp", "dim"),)),
+        Requirement("on_red", "on and red", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("on"), ev_is("red")),
+                    effects=(SignalAssign("x", Lit(3)),)))
+    green = start_on(model, ("off", "on"), ev="green")
+    assert candidate_ids(model, green) == ["off_green", "on_green", "ms"]
+    result = fire_round(model, green, None)
+    assert result.fired == ()
+    assert [v.constraint_id for v in result.violations] == ["CONFLICT", "MODESET"]
+    assert "off_green, on_green" in result.violations[0].message
+    red = start_on(model, ("off", "on"), ev="red")
+    assert candidate_ids(model, red) == ["on_red", "ms"]
+    result = fire_round(model, red, None)
+    assert result.fired == (("on_red", ("x",)),)
+    assert [v.constraint_id for v in result.violations] == ["MODESET"]
+
+
+def test_an_exact_support_the_key_meets_decides_the_guard():
+    guard = and_(lamp_is("on"), ev_is("green"))
+    node = Compiler({}).compile(guard)
+    assert node.exact
+    assert node.support == {(("lamp", "on"), ("ev", "green"))}
+    model = event_lamp_model(
+        Requirement("go", "on and green", Template.TRIGGER_ON_EVENT,
+                    guard=guard, effects=(ModeAssign("lamp", "dim"),)),
+        Requirement("slow", "on, green and small", Template.TRIGGER_ON_EVENT,
+                    guard=and_(guard, BinOp("<", SigRead("x"), Lit(5))),
+                    effects=(SignalAssign("x", Lit(1)),)))
+    env = start_on(model, ("on",), ev="green")
+    ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
+                      history=env.history, definitions={})
+    assert eval_expr(guard, ctx) is True
+    assert node.fn(Frame.of(ctx)) is True
+    plan = _plan_of(model)
+    effect, _ = plan.candidates(active_modes(env.modes), "green")
+    # the exact guard is not called; the other one is
+    assert [(step.req.req_id, guard is None) for step, guard in effect] \
+        == [("go", True), ("slow", False)]
+    result = fire_round(model, env, None)
+    assert result.fired == (("go", ("lamp",)), ("slow", ("x",)))

@@ -23,14 +23,16 @@ from pathlib import Path
 import pytest
 
 from candofsm.fsm import MAX_COUNT, PACKET_LENGTH
+from candofsm.generate import generate_model
 from candofsm.reqs.engine import (
     STATE_COMPONENT,
     _plan_of,
     fire_round,
     run_requirements_trace,
 )
+from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env, initial_env
-from candofsm.trace import ROW_COLUMNS
+from candofsm.trace import ROW_COLUMNS, equivalence_report
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
 MAX_ROUNDS = 500
@@ -180,32 +182,62 @@ def _reporters(violation: list) -> set[str]:
     return set(writers.group(1).split(", ")) if writers else set()
 
 
-def test_candidates_hold_every_requirement_that_fired_or_reported(spec, model, golden):
+def _start_key(entry) -> tuple[frozenset, str]:
+    """The candidate key of a recorded round: its active states and event."""
+    state = entry["input"]["state"]
+    active = frozenset((STATE_COMPONENT, s)
+                       for s in ([state] if isinstance(state, str) else state))
+    return active, entry["input"]["event"]
+
+
+def test_candidates_hold_every_requirement_that_fired_or_reported(model, golden):
     plan = _plan_of(model)
+    assert plan.key == "current_event"
     for entry in golden["rounds"] + golden["fault_rounds"]:
-        state = entry["input"]["state"]
-        active = frozenset((STATE_COMPONENT, s)
-                           for s in ([state] if isinstance(state, str) else state))
-        effect, check = plan.candidates(active)
-        candidates = {step.req.req_id for step in effect + check}
+        effect, check = plan.candidates(*_start_key(entry))
+        candidates = {step.req.req_id for step, _ in effect + check}
         acted = {rid for rid, _ in entry["output"]["fired"]}
         for violation in entry["output"]["violations"]:
             acted |= _reporters(violation)
-        assert acted <= candidates, (state, acted - candidates)
+        assert acted <= candidates, (_start_key(entry), acted - candidates)
 
 
-def test_each_state_has_fewer_than_100_candidates(spec, model):
+def test_a_guard_the_key_decides_holds_under_the_interpreter(model, golden):
     plan = _plan_of(model)
-    sizes = {st: sum(map(len, plan.candidates(frozenset({(STATE_COMPONENT, st)}))))
-             for st in spec.roster.state_names}
+    decided = 0
+    for entry in golden["rounds"] + golden["fault_rounds"]:
+        env = start_env(model, entry["input"])
+        ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
+                          history=env.history, definitions=plan.definitions)
+        effect, check = plan.candidates(*_start_key(entry))
+        for step, guard in effect + check:
+            if guard is None and step.req.guard is not None:
+                assert eval_expr(step.req.guard, ctx) is True, step.req.req_id
+                decided += 1
+    # every table entry's own guard is decided by its start
+    assert decided >= len(golden["rounds"])
+
+
+def test_each_state_and_event_has_fewer_than_30_candidates(spec, model):
+    plan = _plan_of(model)
+    sizes = {(st, ev): sum(map(len, plan.candidates(
+                 frozenset({(STATE_COMPONENT, st)}), ev)))
+             for st in spec.roster.state_names for ev in spec.roster.event_names}
     assert len(model.requirements) == 872
-    assert max(sizes.values()) < 100
+    assert max(sizes.values()) < 30
     assert min(sizes.values()) > 0
+
+
+def test_a_verify_compiles_fewer_than_300_of_the_872_steps(spec):
+    model = generate_model(spec)[0]
+    assert equivalence_report(spec, model).passed
+    steps = _plan_of(model).steps
+    assert len(steps) == 872
+    assert sum(step.compiled for step in steps) < 300
 
 
 if __name__ == "__main__":
     from candofsm import load_bundled_cando
-    from candofsm.generate import generate_model
 
     shipped = load_bundled_cando()
     GOLDEN.parent.mkdir(exist_ok=True)

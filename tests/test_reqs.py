@@ -454,6 +454,23 @@ class TestValidation:
             tiny_model(requirement, definitions=definitions,
                        signals=[SignalDef("x", "small", initial=0)])
 
+    @pytest.mark.parametrize("where, requirement, definitions", [
+        ("requirement r", Requirement(
+            "r", "guard", Template.TRIGGER_ON_EVENT, guard=BoolOp("and", ()),
+            effects=(SignalAssign("x", Lit(1)),)), ()),
+        ("requirement r", Requirement(
+            "r", "nested", Template.EVERY,
+            required=BoolOp("and", (Lit(True), Not(BoolOp("or", ()))))), ()),
+        ("definition 'outer'", Requirement(
+            "r", "body", Template.EVERY, required=DefRef("outer")),
+         (Definition("outer", "outer", BoolOp("or", ())),)),
+    ], ids=["guard", "nested", "definition body"])
+    def test_an_empty_chain_is_rejected(self, where, requirement, definitions):
+        # serialize_model would render it as nothing, which parse_model rejects
+        with pytest.raises(ModelError, match=f"^{where}: empty '(and|or)' chain$"):
+            tiny_model(requirement, definitions=definitions,
+                       signals=[SignalDef("x", "small", initial=0)])
+
     def test_each_definition_body_is_walked_once(self, model, monkeypatch):
         walked = Counter()
 

@@ -34,7 +34,9 @@ from .specio import (
     parse_spec,
     serialize_spec,
 )
-from .opmodel import ModelState, Packet, StepOutcome, init_model, run, state_operation, step
+from .opmodel import (
+    ModelState, Packet, StepOutcome, init_model, ops_round, run, state_operation, step,
+)
 from .generate import GenReport, gen_dictionary, gen_definitions, gen_requirements, generate_model
 from .trace import (
     DiffEntry,
@@ -44,7 +46,6 @@ from .trace import (
     TraceRow,
     diff,
     equivalence_report,
-    trace_all,
 )
 
 __version__ = "0.1.0"
@@ -58,6 +59,6 @@ __all__ = [
     "check_totality", "diff", "equivalence_report",
     "gen_definitions", "gen_dictionary", "gen_requirements", "generate_model",
     "init_model", "load_bundled_cando", "load_spec", "lookup_next",
-    "parse_spec", "reachable", "run", "serialize_spec", "state_operation",
-    "step", "trace_all",
+    "ops_round", "parse_spec", "reachable", "run", "serialize_spec",
+    "state_operation", "step",
 ]

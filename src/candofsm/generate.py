@@ -181,15 +181,19 @@ def _arrival_terms(spec: SpecDocument, state: str,
     """Start-snapshot conditions under which this round transitions into
     ``state``: the table preimage terms plus any dispatch-group term.
 
-    Under the two SPI completion events the identity-map reading is encoded
-    instead of the table: a send (receive) state is re-entered from itself,
-    never from elsewhere.  On a table passing the checkers the two coincide.
+    For a send state under ``SPI_TX_FINISH`` and a receive state under
+    ``SPI_RX_FINISH`` the identity-map reading is encoded instead of the
+    table: the state is re-entered from itself, whatever its entry says.
+    Every other entry, under these two events too, follows the table.  The
+    two readings agree on a table that satisfies C3 and C4.
     """
-    kind = spec.roster.kind_of(state)
+    kind_of = spec.roster.kind_of
+    identity = {SPI_TX_FINISH: StateKind.SEND, SPI_RX_FINISH: StateKind.RECEIVE}
+    kind = kind_of(state)
     terms = [
         _and(DefRef(f"from_{frm}"), _event_is(ev))
         for ev, frm in preimage[state]
-        if ev not in (SPI_TX_FINISH, SPI_RX_FINISH)
+        if ev not in identity or kind_of(frm) is not identity[ev]
     ]
     if kind is StateKind.SEND:
         terms.append(_and(DefRef(f"from_{state}"), _event_is(SPI_TX_FINISH)))

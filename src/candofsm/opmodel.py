@@ -228,6 +228,19 @@ def step(spec: SpecDocument, m: ModelState) -> StepOutcome:
     )
 
 
+def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
+    """One round in :func:`run`'s order: transition on the current event,
+    then the operation of the state entered and its post-condition check.
+    ``next`` is the machine after the operation."""
+    moved = _move(spec, m)
+    operated, fired = state_operation(spec, moved)
+    return StepOutcome(
+        next=operated,
+        fired_op=fired,
+        post_violations=tuple(_op_contract(spec, moved, operated)),
+    )
+
+
 def _snapshot(m: ModelState, round_no: int) -> TraceRow:
     packet = m.packet or Packet()
     return TraceRow(
@@ -267,12 +280,11 @@ def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
     while len(rows) < max_rounds:
         round_no += 1
         try:
-            m = _move(spec, m)
-            before = m
-            m, _ = state_operation(spec, m)
+            outcome = ops_round(spec, m)
         except Exception as exc:  # noqa: BLE001 - tag and re-raise any step fault
             raise RunError(round_no, exc) from exc
-        violations.extend(_op_contract(spec, before, m))
+        m = outcome.next
+        violations.extend(outcome.post_violations)
         rows.append(_snapshot(m, round_no))
         if m.command_finish_flag:
             reason = "cmd_finish"

@@ -27,9 +27,7 @@ operand of ``or``.  An ``and`` adds the first ``signal = literal``
 operand after its first one to each term, but only if no operand before
 that one can raise.  A support is *exact* when the expression is nothing
 but its terms: with every signal its literals read present, it evaluates
-without raising to ``True`` exactly when some term is not missed.  Large
-disjunctions use supports themselves: they evaluate only the operands the
-active modes can satisfy.
+without raising to ``True`` exactly when some term is not missed.
 """
 
 from __future__ import annotations
@@ -61,10 +59,6 @@ EMPTY: frozenset = frozenset()
 # lookup: no literal on that signal is missed.
 ABSENT = object()
 
-# A disjunction with more operands than this picks its operands per active
-# mode set instead of trying each one.
-INDEXED_OR_MIN = 8
-
 _INT_OPERATORS = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -90,24 +84,22 @@ def meets(support: frozenset, active: frozenset, signal: str | None = None,
 
 class Frame:
     """What a compiled expression reads: the ambient signal snapshot, the
-    start and end mode snapshots, the status history and the active start
-    modes."""
+    start and end mode snapshots and the status history."""
 
-    __slots__ = ("signals", "start_modes", "end_modes", "history", "active")
+    __slots__ = ("signals", "start_modes", "end_modes", "history")
 
-    def __init__(self, signals, start_modes, end_modes, history, active):
+    def __init__(self, signals, start_modes, end_modes, history):
         self.signals = signals
         self.start_modes = start_modes
         self.end_modes = end_modes
         self.history = history
-        self.active = active
 
     @classmethod
     def of(cls, ctx: EvalContext) -> Frame:
         """The frame of an :class:`EvalContext`."""
         signals = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
         return cls({} if signals is None else signals, ctx.start_modes,
-                   ctx.end_modes, ctx.history, active_modes(ctx.start_modes))
+                   ctx.end_modes, ctx.history)
 
 
 class Compiled:
@@ -330,8 +322,6 @@ def _not(node: Compiled):
 
 def _chain(op: str, parts: tuple[Compiled, ...]):
     """An n-ary ``and``/``or`` closure."""
-    if op == "or" and len(parts) > INDEXED_OR_MIN:
-        return _indexed_or(parts)
     return (_and if op == "and" else _or)(tuple(p.fn for p in parts))
 
 
@@ -357,23 +347,6 @@ def _or(fns):
             if value is not False:
                 _as_bool(value, "or")
         return False
-    return fn
-
-
-def _indexed_or(parts: tuple[Compiled, ...]):
-    """A disjunction that tries, per active mode set, only the operands whose
-    support it meets; the others would all be False without raising."""
-    operands = tuple((p.fn, p.support) for p in parts)
-    chosen: dict[frozenset, object] = {}
-
-    def fn(frame):
-        active = frame.active
-        narrowed = chosen.get(active)
-        if narrowed is None:
-            narrowed = chosen[active] = _or(tuple(
-                part for part, support in operands
-                if support is None or meets(support, active)))
-        return narrowed(frame)
     return fn
 
 

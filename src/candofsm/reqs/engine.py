@@ -152,22 +152,19 @@ class _Plan:
         self._anywhere: list[int] = []
         self._by_mode: dict[tuple[str, str], list[tuple[int, set | None]]] = {}
         self._decided: set[int] = set()
-        allowed_of: dict[frozenset, dict] = {}   # steps often share a support
         for i, s in enumerate(self.steps):
             if s.phase is None:
                 continue
             if s.support is None:
                 self._anywhere.append(i)
                 continue
-            values = allowed_of.get(s.support)
-            if values is None:
-                values = allowed_of[s.support] = {}
-                for mode, literal in s.support:
-                    if values.setdefault(mode, set()) is not None:
-                        if literal is None or literal[0] != key:
-                            values[mode] = None
-                        else:
-                            values[mode].add(literal[1])
+            values = {}
+            for mode, literal in s.support:
+                if values.setdefault(mode, set()) is not None:
+                    if literal is None or literal[0] != key:
+                        values[mode] = None
+                    else:
+                        values[mode].add(literal[1])
             for mode, allowed in values.items():
                 self._by_mode.setdefault(mode, []).append((i, allowed))
             guard = s.guard_node
@@ -181,8 +178,8 @@ class _Plan:
                 model.dictionary.int_bounds(sig), model.dictionary.enum_members(sig),
                 sig.type_name))
         self._candidates: dict[tuple, tuple[tuple, tuple]] = {}
-        # end mode set -> [its statuses, the last history known to hold them]
-        self._statuses: dict[frozenset, list] = {}
+        # end mode set -> its statuses
+        self._statuses: dict[frozenset, frozenset] = {}
 
     def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:
         """The requirements that can act from a start with these active modes
@@ -216,17 +213,10 @@ class _Plan:
     def history_after(self, history: frozenset, end_modes, end_active: frozenset):
         """``history | _history_of(end_modes, …)``: the statuses are built
         once per end mode set, and the union only when they are new."""
-        known = self._statuses.get(end_active)
-        if known is None:
-            known = self._statuses[end_active] = [
-                _history_of(end_modes, self.components), None]
-        statuses, holder = known
-        if holder is history:
-            return history
-        if statuses <= history:
-            known[1] = history
-            return history
-        return history | statuses
+        statuses = self._statuses.get(end_active)
+        if statuses is None:
+            statuses = self._statuses[end_active] = _history_of(end_modes, self.components)
+        return history if statuses <= history else history | statuses
 
     def obligation(self, ob: Obligation):
         """The compiled condition of an obligation."""
@@ -254,7 +244,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     current_round = env.round_no + 1
     active = active_modes(env.modes)
     effect_steps, check_steps = plan.candidates(active, env.signals.get(plan.key, ABSENT))
-    start = Frame(env.signals, env.modes, None, env.history, active)
+    start = Frame(env.signals, env.modes, None, env.history)
 
     violations: list[Violation] = []
     # record key -> ordered writes; signals keyed ("sig", name), modes ("mode", comp)
@@ -371,7 +361,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
         if step.req.req_id in applied:
             fired.append((step.req.req_id, tuple(applied[step.req.req_id])))
 
-    end = Frame(end_signals, env.modes, end_modes, env.history, active)
+    end = Frame(end_signals, env.modes, end_modes, env.history)
 
     def required_holds(required, req: Requirement) -> bool:
         try:

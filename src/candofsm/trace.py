@@ -92,26 +92,6 @@ def diff(a, b, *, ignore: Iterable[str] = ()) -> list[DiffEntry]:
     return entries
 
 
-def trace_all(spec: SpecDocument, model: RequirementsModel, engine: str,
-              max_rounds: int) -> dict[str, Trace]:
-    """One trace per roster command, via the requested engine: ``ops`` runs
-    ``spec``, ``reqs`` runs ``model``, the requirements generated from it."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    if engine == "ops":
-        from .opmodel import run
-
-        return {cmd: run(spec, cmd, max_rounds) for cmd in spec.roster.command_names}
-    if engine == "reqs":
-        from .reqs.engine import run_requirements_trace
-
-        return {
-            cmd: run_requirements_trace(model, cmd, max_rounds)
-            for cmd in spec.roster.command_names
-        }
-    raise ValueError(f"unknown engine {engine!r} (expected 'ops' or 'reqs')")
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """How one engine's run of one command ended."""
@@ -193,16 +173,19 @@ class EquivalenceReport:
 
 def equivalence_report(spec: SpecDocument, model: RequirementsModel,
                        max_rounds: int = 500) -> EquivalenceReport:
-    """Run both engines for every command, diff each pair of traces on
-    every column, and keep each run's stop reason and violations."""
-    ops_traces = trace_all(spec, model, "ops", max_rounds)
-    reqs_traces = trace_all(spec, model, "reqs", max_rounds)
-    commands = spec.roster.command_names
-    per_command = {
-        cmd: tuple(diff(ops_traces[cmd], reqs_traces[cmd]))
-        for cmd in commands
-    }
-    outcomes = {cmd: (RunOutcome.of(ops_traces[cmd]), RunOutcome.of(reqs_traces[cmd]))
-                for cmd in commands}
+    """Run both engines for every command (``ops`` runs ``spec``, ``reqs``
+    runs ``model``, the requirements generated from it), diff each pair of
+    traces on every column, and keep each run's stop reason and violations."""
+    # both engine modules import this one; their run functions are looked up
+    # at call time
+    from . import opmodel
+    from .reqs import engine
+
+    per_command, outcomes = {}, {}
+    for cmd in spec.roster.command_names:
+        ops = opmodel.run(spec, cmd, max_rounds)
+        reqs = engine.run_requirements_trace(model, cmd, max_rounds)
+        per_command[cmd] = tuple(diff(ops, reqs))
+        outcomes[cmd] = (RunOutcome.of(ops), RunOutcome.of(reqs))
     return EquivalenceReport(per_command=per_command, max_rounds=max_rounds,
                              outcomes=outcomes)

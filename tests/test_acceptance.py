@@ -6,7 +6,9 @@ lines alongside the pytest verdicts.
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 
 from candofsm.fsm import (
     CONT,
@@ -17,8 +19,8 @@ from candofsm.fsm import (
     check_totality,
     lookup_next,
 )
-from candofsm.opmodel import run
-from candofsm.reqs.engine import fire_round, run_requirements_trace
+from candofsm.opmodel import ModelState, _snapshot, ops_round, run
+from candofsm.reqs.engine import _env_values, fire_round, run_requirements_trace
 from candofsm.reqs.model import Env, initial_env
 from candofsm.specio import parse_spec, serialize_spec
 from candofsm.trace import equivalence_report
@@ -74,9 +76,9 @@ def distinct_states(rows):
     return out
 
 
-def oracle_env(model, event, state):
+def oracle_env(model, event, state, **signals):
     init = initial_env(model, overrides={"current_command": "LED_ON_C",
-                                         "current_event": event})
+                                         "current_event": event, **signals})
     return Env(signals=init.signals, modes={"fsm": frozenset({state})},
                history=init.history)
 
@@ -123,16 +125,41 @@ def test_criterion_4_cross_engine_equivalence(spec, model):
 
 
 def test_criterion_5_exhaustive_single_round_oracle(spec, model):
-    cases = 0
     for ev in spec.roster.event_names:
         for st in spec.roster.state_names:
             result = fire_round(model, oracle_env(model, ev, st), None)
             want = lookup_next(spec.fsm, ev, st)
             assert result.end_env.modes["fsm"] == frozenset({want}), (ev, st)
-            cases += 1
-    assert cases == 714
+
+    # one ops round in run's order against one fire_round from the same
+    # state, event and counters: every row column, and no violation
+    started = time.perf_counter()
+    counter = range(PACKET_LENGTH + 1)
+    cases = violations = 0
+    diverging: Counter = Counter()
+    for st, ev, sent, received, tx in itertools.product(
+            spec.roster.state_names, spec.roster.event_names, counter, counter,
+            range(MAX_COUNT + 1)):
+        ops = ops_round(spec, ModelState(
+            current_state=st, current_event=ev, current_command="LED_ON_C",
+            bytes_sent=sent, bytes_received=received, tx_cnt=tx))
+        reqs = fire_round(model, oracle_env(model, ev, st, bytes_sent=sent,
+                                            bytes_received=received, tx_cnt=tx), None)
+        violations += len(ops.post_violations) + len(reqs.violations)
+        ops_row, reqs_row = _snapshot(ops.next, 1).values(), _env_values(reqs.end_env, 1)
+        for column in ops_row:
+            if ops_row[column] != reqs_row[column]:
+                diverging[ev, st, column] += 1
+        cases += 1
+    elapsed = time.perf_counter() - started
+    assert cases == 34 * 21 * 4 * 4 * 3 == 34_272
+    assert violations == 0
+    assert not diverging, (f"{sum(diverging.values())} diverging cases, "
+                           f"{len(diverging)} (event, state, column) triples: "
+                           f"{sorted(diverging.items())}")
     print("PASS criterion 5: one fire_round agrees with lookup_next on all "
-          "714 (event, state) pairs")
+          f"714 (event, state) pairs, and with one ops round on all 13 columns "
+          f"in {cases} (state, event, counter) cases ({elapsed:.1f} s)")
 
 
 def test_criterion_6_invariant_preservation(spec, model):

@@ -6,15 +6,23 @@ from hypothesis import strategies as st
 
 from candofsm.generate import generate_model
 from candofsm.opmodel import run
+from candofsm.reqs.engine import run_requirements_trace
 from candofsm.trace import (
     DiffEntry,
     EquivalenceReport,
     RunOutcome,
     diff,
     equivalence_report,
-    trace_all,
 )
 from conftest import mutate_table
+
+
+def ops_traces(spec):
+    return [run(spec, cmd, 500) for cmd in spec.roster.command_names]
+
+
+def reqs_traces(spec, model):
+    return [run_requirements_trace(model, cmd, 500) for cmd in spec.roster.command_names]
 
 
 class TestDiff:
@@ -41,8 +49,6 @@ class TestDiff:
         assert diff(rows_a, rows_b) != []
 
     def test_attribution_is_never_compared(self, spec, model):
-        from candofsm.reqs.engine import run_requirements_trace
-
         ops = run(spec, "LED_ON_C", 500)
         reqs = run_requirements_trace(model, "LED_ON_C", 500)
         assert any(r.attribution for r in reqs.rows)
@@ -68,32 +74,32 @@ class TestDiff:
 
 class TestTraceAll:
     def test_one_trace_per_command(self, spec, model):
-        traces = trace_all(spec, model, "ops", 500)
-        assert set(traces) == set(spec.roster.command_names)
-        assert len(traces) == 17
+        # each run tags its trace with its command and engine
+        for engine, traces in (("ops", ops_traces(spec)), ("reqs", reqs_traces(spec, model))):
+            assert [(t.command, t.engine) for t in traces] \
+                == [(cmd, engine) for cmd in spec.roster.command_names]
+            assert len(traces) == 17
 
-    def test_ops_traces_end_in_cmd_finish_or_error(self, spec, model):
-        for trace in trace_all(spec, model, "ops", 500).values():
+    def test_ops_traces_end_in_cmd_finish_or_error(self, spec):
+        for trace in ops_traces(spec):
             assert trace.reason in ("cmd_finish", "error")
 
     def test_reqs_attributions_reference_generated_ids_only(self, spec, model):
         known = {r.req_id for r in model.requirements}
-        for trace in trace_all(spec, model, "reqs", 500).values():
+        for trace in reqs_traces(spec, model):
             for row in trace.rows:
                 for ids in row.attribution.values():
                     assert set(ids) <= known
 
     def test_attribution_marks_only_changed_fields(self, spec, model):
-        for trace in trace_all(spec, model, "reqs", 500).values():
+        for trace in reqs_traces(spec, model):
             for prev, cur in zip(trace.rows, trace.rows[1:]):
                 before, after = prev.values(), cur.values()
                 for field, ids in cur.attribution.items():
                     assert ids, field
                     assert before[field] != after[field]
 
-    def test_counters_carry_the_updater_and_the_committer(self, spec, model):
-        from candofsm.reqs.engine import run_requirements_trace
-
+    def test_counters_carry_the_updater_and_the_committer(self, model):
         trace = run_requirements_trace(model, "LED_ON_C", 500)
         counted = [row.attribution["bytes_sent"] for row in trace.rows
                    if "bytes_sent" in row.attribution
@@ -119,8 +125,6 @@ class TestTraceAll:
         assert list(trace.rows) == built
 
     def test_both_engines_stop_alike_at_every_budget(self, spec, model):
-        from candofsm.reqs.engine import run_requirements_trace
-
         for cmd in spec.roster.command_names:
             length = len(run(spec, cmd, 500).rows)
             for budget in range(1, length + 2):
@@ -132,18 +136,14 @@ class TestTraceAll:
                 assert ops.reason == reqs.reason == expected, (cmd, budget)
 
     def test_round_numbers_increase_by_one_from_zero(self, spec, model):
-        for engine in ("ops", "reqs"):
-            for trace in trace_all(spec, model, engine, 500).values():
-                assert [row.round for row in trace.rows] \
-                    == list(range(len(trace.rows)))
-
-    def test_bad_engine_name_rejected(self, spec, model):
-        with pytest.raises(ValueError):
-            trace_all(spec, model, "nope", 10)
+        for trace in ops_traces(spec) + reqs_traces(spec, model):
+            assert [row.round for row in trace.rows] == list(range(len(trace.rows)))
 
     def test_zero_round_budget_rejected(self, spec, model):
         with pytest.raises(ValueError):
-            trace_all(spec, model, "ops", 0)
+            run(spec, "LED_ON_C", 0)
+        with pytest.raises(ValueError):
+            run_requirements_trace(model, "LED_ON_C", 0)
 
 
 class TestEquivalenceReport:
@@ -165,6 +165,21 @@ class TestEquivalenceReport:
     def test_zero_round_budget_rejected(self, spec, model):
         with pytest.raises(ValueError):
             equivalence_report(spec, model, max_rounds=0)
+
+    def test_the_run_functions_are_looked_up_at_call_time(self, spec, model,
+                                                          monkeypatch):
+        import candofsm.opmodel as opmodel
+        import candofsm.reqs.engine as engine
+
+        seen = []
+        for module, name in ((opmodel, "run"), (engine, "run_requirements_trace")):
+            def recorder(*args, original=getattr(module, name)):
+                seen.append(original(*args))
+                return seen[-1]
+            monkeypatch.setattr(module, name, recorder)
+        assert equivalence_report(spec, model, max_rounds=500).passed
+        assert sorted((t.engine, t.command) for t in seen) == sorted(
+            (e, cmd) for e in ("ops", "reqs") for cmd in spec.roster.command_names)
 
     def test_report_renders_deterministically(self, spec, model):
         first = equivalence_report(spec, model, max_rounds=500)

@@ -4,7 +4,9 @@ Each round the machine runs the operation of its current state (counting
 packet bytes, constructing packets, raising flags, choosing the next event)
 and then moves through the transition table on the event the operation just
 produced.  The one data-dependent transition is get_cmd under CONT, which
-consults the command dispatch table instead of the table entry.
+consults the command dispatch table instead of the table entry.  A round
+computes the operation's changed fields and the target state first, and
+then builds its one new :class:`ModelState`.
 
 Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`step` re-evaluates it after executing
@@ -19,6 +21,7 @@ from .fsm import (
     CHIP_RST,
     CMD_FINISH,
     CONT,
+    CREATOR_KINDS,
     ERROR_ST,
     GET_CMD,
     GET_CMD_E,
@@ -46,14 +49,17 @@ class RunError(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     addr: str | None = None
     cmd: str | None = None
     data: str | None = None
 
 
-@dataclass(frozen=True)
+_NO_PACKET = Packet()
+
+
+@dataclass(frozen=True, slots=True)
 class ModelState:
     current_state: str
     current_event: str
@@ -75,7 +81,7 @@ class ModelState:
             raise ValueError(f"tx_cnt out of range: {self.tx_cnt}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     next: ModelState
     fired_op: str
@@ -89,97 +95,72 @@ def init_model(spec: SpecDocument, command: str) -> ModelState:
     return ModelState(current_state=START, current_event=CONT, current_command=command)
 
 
-def _instantiate_stage1(spec: SpecDocument, m: ModelState) -> Packet:
-    template = spec.packets.get(m.current_state)
-    if template is None:
-        raise MissingPacketTemplate(m.current_state)
-    return Packet(
-        addr=template.addr,
-        cmd=template.cmd if template.cmd is not None else m.current_command,
-        data=template.data,
-    )
+def _operation(spec: SpecDocument, m: ModelState, st: str,
+               kind: StateKind) -> tuple[dict, str]:
+    """The fields the operation of state ``st`` (of ``kind``) changes, read
+    from ``m``'s counters, packet and command, and the operation's name."""
+    if st == START:
+        return {"current_event": CONT}, "start_idle"
+    if st == GET_CMD:
+        return {"current_event": CONT}, "get_command"
+    if st == CMD_FINISH:
+        return {"command_finish_flag": True, "current_event": CONT}, "finish_command"
+    if st == ERROR_ST:
+        return {"current_event": CONT}, "error_idle"
+    if st == CHIP_RST:
+        return {
+            "command_finish_flag": False,
+            "optrode_tx_finish": False,
+            "optrode_rx_finish": False,
+            "packet": None,
+            "bytes_sent": 0,
+            "bytes_received": 0,
+            "tx_cnt": 0,
+            "current_event": GET_CMD_E,
+        }, "chip_reset"
+    if kind in CREATOR_KINDS:
+        template = spec.packets.get(st)
+        if template is None:
+            raise MissingPacketTemplate(st)
+        if kind is StateKind.CREATOR_STAGE2:
+            base = m.packet or _NO_PACKET
+            return ({"packet": Packet(base.addr, base.cmd, template.data),
+                     "current_event": CONT}, "set_packet_data")
+        # A plain creator builds the whole packet the way stage one does.
+        cmd = template.cmd if template.cmd is not None else m.current_command
+        return ({"packet": Packet(template.addr, cmd, template.data),
+                 "current_event": CONT}, "create_packet")
+    if kind is StateKind.SEND:
+        if m.bytes_sent < PACKET_LENGTH:
+            return ({"bytes_sent": m.bytes_sent + 1, "current_event": SPI_TX_FINISH},
+                    "send_packet")
+        return {
+            "bytes_sent": 0,
+            "optrode_tx_finish": True,
+            "tx_cnt": min(m.tx_cnt + 1, MAX_COUNT),
+            "current_event": CONT,
+        }, "send_packet"
+    if kind is StateKind.RECEIVE:
+        if m.bytes_received < PACKET_LENGTH:
+            return ({"bytes_received": m.bytes_received + 1,
+                     "current_event": SPI_RX_FINISH}, "receive_packet")
+        return ({"bytes_received": 0, "optrode_rx_finish": True, "current_event": CONT},
+                "receive_packet")
+    raise AssertionError(f"unhandled state kind {kind} for {st!r}")
 
 
 def state_operation(spec: SpecDocument, m: ModelState) -> tuple[ModelState, str]:
     """Run the operation of the current state; returns the updated state
     (same current_state) and the name of the operation that fired."""
     st = m.current_state
-    kind = spec.roster.kind_of(st)
-
-    if st == START:
-        return replace(m, current_event=CONT), "start_idle"
-    if st == GET_CMD:
-        return replace(m, current_event=CONT), "get_command"
-    if st == CMD_FINISH:
-        return replace(m, command_finish_flag=True, current_event=CONT), "finish_command"
-    if st == ERROR_ST:
-        return replace(m, current_event=CONT), "error_idle"
-    if st == CHIP_RST:
-        return (
-            replace(
-                m,
-                command_finish_flag=False,
-                optrode_tx_finish=False,
-                optrode_rx_finish=False,
-                packet=None,
-                bytes_sent=0,
-                bytes_received=0,
-                tx_cnt=0,
-                current_event=GET_CMD_E,
-            ),
-            "chip_reset",
-        )
-    if kind in (StateKind.CREATOR_STAGE1, StateKind.CREATOR):
-        # A plain creator builds the whole packet the way stage one does.
-        return (
-            replace(m, packet=_instantiate_stage1(spec, m), current_event=CONT),
-            "create_packet",
-        )
-    if kind is StateKind.CREATOR_STAGE2:
-        template = spec.packets.get(st)
-        if template is None:
-            raise MissingPacketTemplate(st)
-        base = m.packet or Packet()
-        return (
-            replace(m, packet=replace(base, data=template.data), current_event=CONT),
-            "set_packet_data",
-        )
-    if kind is StateKind.SEND:
-        if m.bytes_sent < PACKET_LENGTH:
-            return (
-                replace(m, bytes_sent=m.bytes_sent + 1, current_event=SPI_TX_FINISH),
-                "send_packet",
-            )
-        return (
-            replace(
-                m,
-                bytes_sent=0,
-                optrode_tx_finish=True,
-                tx_cnt=min(m.tx_cnt + 1, MAX_COUNT),
-                current_event=CONT,
-            ),
-            "send_packet",
-        )
-    if kind is StateKind.RECEIVE:
-        if m.bytes_received < PACKET_LENGTH:
-            return (
-                replace(m, bytes_received=m.bytes_received + 1,
-                        current_event=SPI_RX_FINISH),
-                "receive_packet",
-            )
-        return (
-            replace(m, bytes_received=0, optrode_rx_finish=True, current_event=CONT),
-            "receive_packet",
-        )
-    raise AssertionError(f"unhandled state kind {kind} for {st!r}")
+    changes, fired = _operation(spec, m, st, spec.roster.kind_of(st))
+    return replace(m, **changes), fired
 
 
-def _op_contract(spec: SpecDocument, before: ModelState,
-                 after: ModelState) -> list[Violation]:
-    """Declarative post-condition: exact next event and tx_cnt delta per branch."""
-    st = before.current_state
-    kind = spec.roster.kind_of(st)
-
+def _op_contract(st: str, kind: StateKind, before: ModelState,
+                 changes: dict) -> tuple[Violation, ...]:
+    """Declarative post-condition of the operation of ``st`` run on
+    ``before``: exact next event and tx_cnt delta per branch."""
     expected_event = CONT
     expected_tx = before.tx_cnt
     if st == CHIP_RST:
@@ -193,56 +174,53 @@ def _op_contract(spec: SpecDocument, before: ModelState,
     elif kind is StateKind.RECEIVE and before.bytes_received < PACKET_LENGTH:
         expected_event = SPI_RX_FINISH
 
-    out = []
-    if after.current_event != expected_event:
-        out.append(Violation("POST", event=after.current_event, from_state=st,
-                             message=f"operation of {st!r} must end in event "
-                                     f"{expected_event!r}, got {after.current_event!r}"))
-    if after.tx_cnt != expected_tx:
-        out.append(Violation("POST", from_state=st,
-                             message=f"operation of {st!r} must leave tx_cnt at "
-                                     f"{expected_tx}, got {after.tx_cnt}"))
+    event = changes["current_event"]
+    tx = changes.get("tx_cnt", before.tx_cnt)
+    out = ()
+    if event != expected_event:
+        out += (Violation("POST", event=event, from_state=st,
+                          message=f"operation of {st!r} must end in event "
+                                  f"{expected_event!r}, got {event!r}"),)
+    if tx != expected_tx:
+        out += (Violation("POST", from_state=st,
+                          message=f"operation of {st!r} must leave tx_cnt at "
+                                  f"{expected_tx}, got {tx}"),)
     return out
 
 
-def _move(spec: SpecDocument, m: ModelState) -> ModelState:
-    """Transition on the current event; get_cmd under CONT uses dispatch."""
-    if m.current_state == GET_CMD and m.current_event == CONT:
-        target = spec.dispatch.get(m.current_command)
+def _target(spec: SpecDocument, st: str, event: str, command: str) -> str:
+    """The state ``st`` moves to on ``event``; get_cmd under CONT uses dispatch."""
+    if st == GET_CMD and event == CONT:
+        target = spec.dispatch.get(command)
         if target is None:
-            raise UnknownCommand(m.current_command)
-        return replace(m, current_state=target)
-    return replace(
-        m, current_state=lookup_next(spec.fsm, m.current_event, m.current_state)
-    )
+            raise UnknownCommand(command)
+        return target
+    return lookup_next(spec.fsm, event, st)
 
 
 def step(spec: SpecDocument, m: ModelState) -> StepOutcome:
     """One full step: state operation, post-condition check, transition."""
-    operated, fired = state_operation(spec, m)
-    violations = _op_contract(spec, m, operated)
-    return StepOutcome(
-        next=_move(spec, operated),
-        fired_op=fired,
-        post_violations=tuple(violations),
-    )
+    st = m.current_state
+    kind = spec.roster.kind_of(st)
+    changes, fired = _operation(spec, m, st, kind)
+    target = _target(spec, st, changes["current_event"], m.current_command)
+    return StepOutcome(replace(m, current_state=target, **changes), fired,
+                       _op_contract(st, kind, m, changes))
 
 
 def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
     """One round in :func:`run`'s order: transition on the current event,
     then the operation of the state entered and its post-condition check.
     ``next`` is the machine after the operation."""
-    moved = _move(spec, m)
-    operated, fired = state_operation(spec, moved)
-    return StepOutcome(
-        next=operated,
-        fired_op=fired,
-        post_violations=tuple(_op_contract(spec, moved, operated)),
-    )
+    st = _target(spec, m.current_state, m.current_event, m.current_command)
+    kind = spec.roster.kind_of(st)
+    changes, fired = _operation(spec, m, st, kind)
+    return StepOutcome(replace(m, current_state=st, **changes), fired,
+                       _op_contract(st, kind, m, changes))
 
 
 def _snapshot(m: ModelState, round_no: int) -> TraceRow:
-    packet = m.packet or Packet()
+    packet = m.packet or _NO_PACKET
     return TraceRow(
         round=round_no,
         state=m.current_state,
@@ -276,6 +254,7 @@ def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
     rows = [_snapshot(m, 0)]
     reason = "budget"
     violations: list[Violation] = []
+    error_is_final = spec.fsm.get(CONT, {}).get(ERROR_ST) == ERROR_ST
     round_no = 0
     while len(rows) < max_rounds:
         round_no += 1
@@ -289,10 +268,7 @@ def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
         if m.command_finish_flag:
             reason = "cmd_finish"
             break
-        if (
-            m.current_state == ERROR_ST
-            and spec.fsm.get(CONT, {}).get(ERROR_ST) == ERROR_ST
-        ):
+        if error_is_final and m.current_state == ERROR_ST:
             reason = "error"
             break
     return Trace(

@@ -1,14 +1,27 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
-from candofsm.fsm import MAX_COUNT, PACKET_LENGTH, UnknownCommand
+from candofsm.fsm import (
+    CONT,
+    GET_CMD,
+    MAX_COUNT,
+    PACKET_LENGTH,
+    MissingPacketTemplate,
+    MissingTransition,
+    UnknownCommand,
+    lookup_next,
+)
 from candofsm.opmodel import (
+    ModelState,
     Packet,
     RunError,
+    StepOutcome,
     init_model,
+    ops_round,
     run,
     state_operation,
     step,
@@ -47,6 +60,10 @@ class TestInit:
             dataclasses.replace(init_model(spec, "LED_ON_C"), bytes_sent=4)
         with pytest.raises(ValueError):
             dataclasses.replace(init_model(spec, "LED_ON_C"), tx_cnt=3)
+        for counter, bad in itertools.product(
+                ("bytes_sent", "bytes_received", "tx_cnt"), (-1, PACKET_LENGTH + 1)):
+            with pytest.raises(ValueError, match=counter):
+                ModelState("start", CONT, "LED_ON_C", **{counter: bad})
 
 
 class TestStateOperation:
@@ -134,6 +151,58 @@ class TestStep:
             m = dataclasses.replace(init_model(spec, cmd), current_state="get_cmd")
             assert step(spec, m).next.current_state == target
 
+    def test_step_and_ops_round_equal_the_two_updates_over_the_full_state(self, spec):
+        # every state x event x bytes_sent x bytes_received x tx_cnt; the
+        # command, the three flags and the packet vary with the case index
+        def target(m):
+            if m.current_state == GET_CMD and m.current_event == CONT:
+                return spec.dispatch[m.current_command]
+            return lookup_next(spec.fsm, m.current_event, m.current_state)
+
+        commands = spec.roster.command_names
+        counter = range(PACKET_LENGTH + 1)
+        cases = 0
+        wrong = []
+        for i, (st, ev, sent, received, tx) in enumerate(itertools.product(
+                spec.roster.state_names, spec.roster.event_names, counter, counter,
+                range(MAX_COUNT + 1))):
+            command = commands[i % len(commands)]
+            m = ModelState(
+                current_state=st, current_event=ev, current_command=command,
+                command_finish_flag=bool(i & 1), optrode_tx_finish=bool(i & 2),
+                optrode_rx_finish=bool(i & 4),
+                packet=Packet("Optrode_addr", command, "LED_addr") if i & 8 else None,
+                bytes_sent=sent, bytes_received=received, tx_cnt=tx)
+            operated, fired = state_operation(spec, m)
+            want_step = StepOutcome(
+                dataclasses.replace(operated, current_state=target(operated)), fired)
+            moved = dataclasses.replace(m, current_state=target(m))
+            want_round = StepOutcome(*state_operation(spec, moved))
+            if step(spec, m) != want_step:
+                wrong.append(("step", m))
+            if ops_round(spec, m) != want_round:
+                wrong.append(("ops_round", m))
+            cases += 1
+        assert cases == 34 * 21 * 4 * 4 * 3 == 34_272
+        assert not wrong, (len(wrong), wrong[:3])
+
+    def test_the_operation_fails_before_the_move(self, spec):
+        # set_vLED has neither a packet template nor a CONT entry: step
+        # operates first, ops_round moves first
+        broken = mutate_table(spec, CONT, "set_vLED", None)
+        broken = dataclasses.replace(broken, packets={
+            st: t for st, t in spec.packets.items() if st != "set_vLED"})
+        with pytest.raises(MissingPacketTemplate):
+            step(broken, self.at(broken, "set_vLED"))
+        with pytest.raises(MissingTransition):
+            ops_round(broken, self.at(broken, "set_vLED"))
+
+    def test_get_cmd_rejects_a_command_missing_from_dispatch(self, spec):
+        broken = dataclasses.replace(spec, dispatch={
+            cmd: st for cmd, st in spec.dispatch.items() if cmd != "LED_ON_C"})
+        with pytest.raises(UnknownCommand):
+            step(broken, self.at(broken, GET_CMD))
+
 
 class TestRun:
     def test_vled_dispatch_reproduces_the_valid_sequence(self, spec):
@@ -203,3 +272,10 @@ def test_model_state_is_immutable(spec):
     m = init_model(spec, "LED_ON_C")
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.bytes_sent = 1
+    # slotted records: no per-instance __dict__, and no field outside the class
+    for record in (m, Packet(), step(spec, m)):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(TypeError):
+        dataclasses.replace(m, no_such_field=1)
+    same = init_model(spec, "LED_ON_C")
+    assert same == m and same is not m and hash(same) == hash(m)

@@ -6,8 +6,9 @@ byte and retransmission counters become bounded integers with next_*
 shadow signals.  Every transition table entry becomes one trigger-on-event
 requirement ("<from> to <to>"), the data-dependent get_cmd hand-off becomes
 one requirement per dispatch target guarded by its command group, and each
-state's operation is split into guarded requirements per conditional branch
-with strengthened end-of-round monitors (exact end event and counter delta).
+state's operation is built once: one guarded requirement per conditional
+branch, with a strengthened end-of-round monitor per branch (exact end event
+and counter delta) on the same guard.
 """
 
 from __future__ import annotations
@@ -216,59 +217,37 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
     ``groups`` are the spec's :func:`_preimage` and :func:`_dispatch_groups`."""
     roster = spec.roster
     defs: list[Definition] = []
+    sides = (("from", "start"), ("to", "end"))
     for st in roster.state_names:
-        defs.append(Definition(
-            f"from_{st}",
-            f"The fsm is in state {st} at the start of the round",
-            ModeActive(STATE_COMPONENT, st, "start")))
-        defs.append(Definition(
-            f"to_{st}",
-            f"The fsm is in state {st} at the end of the round",
-            ModeActive(STATE_COMPONENT, st, "end")))
+        for side, at in sides:
+            defs.append(Definition(
+                f"{side}_{st}", f"The fsm is in state {st} at the {at} of the round",
+                ModeActive(STATE_COMPONENT, st, at)))
 
-    kinds_present = []
-    for kind in StateKind:
+    kind_groups = [(kind.value, _KIND_LABELS[kind], members) for kind in StateKind
+                   if (members := roster.states_of_kind(kind))]
+    kind_groups.append(("creators", "packet creator", roster.states_of_kind(*CREATOR_KINDS)))
+    for name, label, members in kind_groups:
+        for side, at in sides:
+            defs.append(Definition(
+                f"{side}_kind_{name}",
+                f"The fsm is in a {label} state at the {at} of the round",
+                _or_all([DefRef(f"{side}_{s}") for s in members])))
+
+    for kind in (StateKind.SEND, StateKind.RECEIVE):
         members = roster.states_of_kind(kind)
-        if members:
-            kinds_present.append((kind, members))
-    for kind, members in kinds_present:
-        label = _KIND_LABELS[kind]
         defs.append(Definition(
-            f"from_kind_{kind.value}",
-            f"The fsm is in a {label} state at the start of the round",
-            _or_all([DefRef(f"from_{s}") for s in members])))
-        defs.append(Definition(
-            f"to_kind_{kind.value}",
-            f"The fsm is in a {label} state at the end of the round",
-            _or_all([DefRef(f"to_{s}") for s in members])))
-    creators = roster.states_of_kind(*CREATOR_KINDS)
-    defs.append(Definition(
-        "from_kind_creators",
-        "The fsm is in a packet creator state at the start of the round",
-        _or_all([DefRef(f"from_{s}") for s in creators])))
-    defs.append(Definition(
-        "to_kind_creators",
-        "The fsm is in a packet creator state at the end of the round",
-        _or_all([DefRef(f"to_{s}") for s in creators])))
-
-    sends = roster.states_of_kind(StateKind.SEND)
-    receives = roster.states_of_kind(StateKind.RECEIVE)
-    defs.append(Definition(
-        "idmap_send",
-        "Every send state active at the start of the round is active at the end",
-        Lit(True) if not sends else _and(*[
-            _or_all([Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")]) for s in sends
-        ])))
-    defs.append(Definition(
-        "idmap_receive",
-        "Every receive state active at the start of the round is active at the end",
-        Lit(True) if not receives else _and(*[
-            _or_all([Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")]) for s in receives
-        ])))
+            f"idmap_{kind.value}",
+            f"Every {kind.value} state active at the start of the round is active "
+            "at the end",
+            Lit(True) if not members else _and(*[
+                _or_all([Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")]) for s in members
+            ])))
     defs.append(Definition(
         "receive_self_loop",
         "Some receive state is active at both the start and the end of the round",
-        _or_all([_and(DefRef(f"from_{s}"), DefRef(f"to_{s}")) for s in receives])))
+        _or_all([_and(DefRef(f"from_{s}"), DefRef(f"to_{s}"))
+                 for s in roster.states_of_kind(StateKind.RECEIVE)])))
 
     for st in roster.state_names:
         terms = _arrival_terms(spec, st, preimage, groups)
@@ -280,34 +259,31 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
     return tuple(defs)
 
 
-def _state_op_requirements(spec: SpecDocument, state: str) -> list[Requirement]:
-    """The operation of one state, split per conditional branch, with the
-    counter updates going through next_* shadows under within-0 obligations."""
+def _state_operation(spec: SpecDocument, state: str) -> tuple[
+        list[Requirement], list[Requirement]]:
+    """The operation of one state, split per conditional branch, and one
+    strengthened post-condition monitor per branch (the exact end event and
+    counter value relative to its start), each branch guard built once for
+    both.  Counter updates go through next_* shadows under within-0
+    obligations.  Returns the ``op.*`` and the ``post.*`` requirements."""
     kind = spec.roster.kind_of(state)
     arrive = DefRef(f"arrive_{state}")
-    reqs: list[Requirement] = []
+    ops: list[Requirement] = []
+    posts: list[Requirement] = []
 
     def toe(suffix: str, title: str, guard, effects, required=None, within=None):
-        reqs.append(Requirement(
+        ops.append(Requirement(
             req_id=f"op.{state}.{suffix}", title=title,
             template=Template.TRIGGER_ON_EVENT, guard=guard,
             effects=tuple(effects), required=required, within=within))
 
+    def when(suffix: str, title: str, guard, required):
+        posts.append(Requirement(
+            req_id=f"post.{state}.{suffix}", title=title,
+            template=Template.WHEN, guard=guard, required=required))
+
     if state == START:
-        return reqs
-    if state == GET_CMD:
-        toe("event", "get_cmd awaits the command",
-            arrive, [SignalAssign("current_event", Lit(CONT))])
-        return reqs
-    if state == CMD_FINISH:
-        toe("flag", "cmd_finish raises the command finish flag",
-            arrive, [SignalAssign("command_finish_flag", Lit(True)),
-                     SignalAssign("current_event", Lit(CONT))])
-        return reqs
-    if state == ERROR_ST:
-        toe("event", "error_ idles", arrive,
-            [SignalAssign("current_event", Lit(CONT))])
-        return reqs
+        return ops, posts
     if state == CHIP_RST:
         toe("reset", "chip_rst clears flags, counters and the packet",
             arrive,
@@ -324,32 +300,20 @@ def _state_op_requirements(spec: SpecDocument, state: str) -> list[Requirement]:
              SignalAssign("packet_cmd", Lit(None)),
              SignalAssign("packet_data", Lit(None)),
              SignalAssign("current_event", Lit(GET_CMD_E))])
-        return reqs
-
-    if kind in (StateKind.CREATOR_STAGE1, StateKind.CREATOR):
-        template = spec.packets.get(state)
-        if template is None:
-            raise MissingPacketTemplate(state)
-        cmd_expr = (Lit(template.cmd) if template.cmd is not None
-                    else SigRead("current_command"))
-        toe("make", f"{state} creates the packet address and command",
-            arrive,
-            [SignalAssign("packet_addr", Lit(template.addr)),
-             SignalAssign("packet_cmd", cmd_expr),
-             SignalAssign("packet_data", Lit(template.data)),
-             SignalAssign("current_event", Lit(CONT))])
-        return reqs
-    if kind is StateKind.CREATOR_STAGE2:
-        template = spec.packets.get(state)
-        if template is None:
-            raise MissingPacketTemplate(state)
-        toe("data", f"{state} fills in the packet data",
-            arrive,
-            [SignalAssign("packet_data", Lit(template.data)),
-             SignalAssign("current_event", Lit(CONT))])
-        return reqs
-
-    if kind is StateKind.SEND:
+        when("reset", f"after {state} everything is cleared",
+             arrive,
+             _and(_event_is(GET_CMD_E), _eq("bytes_sent", 0),
+                  _eq("bytes_received", 0), _eq("tx_cnt", 0),
+                  Not(SigRead("command_finish_flag")),
+                  Not(SigRead("optrode_TX_finish")),
+                  Not(SigRead("optrode_RX_finish"))))
+    elif state == CMD_FINISH:
+        toe("flag", "cmd_finish raises the command finish flag",
+            arrive, [SignalAssign("command_finish_flag", Lit(True)),
+                     SignalAssign("current_event", Lit(CONT))])
+        when("flag", f"after {state} the finish flag is up",
+             arrive, _and(_event_is(CONT), SigRead("command_finish_flag")))
+    elif kind is StateKind.SEND:
         counting = _and(arrive, BinOp("<", SigRead("bytes_sent"), Lit(PACKET_LENGTH)))
         done = _and(arrive, _eq("bytes_sent", PACKET_LENGTH))
         can_count_tx = _and(done, BinOp("<", SigRead("tx_cnt"), Lit(MAX_COUNT)))
@@ -363,7 +327,7 @@ def _state_op_requirements(spec: SpecDocument, state: str) -> list[Requirement]:
              SignalAssign("current_event", Lit(SPI_TX_FINISH))],
             required=BinOp("=", SigRead("bytes_sent"), SigRead("next_bytes_sent")),
             within=0)
-        reqs.append(Requirement(
+        ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the transmission",
             template=Template.CASE,
@@ -380,8 +344,20 @@ def _state_op_requirements(spec: SpecDocument, state: str) -> list[Requirement]:
             [SignalAssign("tx_cnt", BinOp("+", SigRead("tx_cnt"), Lit(1)))],
             required=BinOp("=", SigRead("tx_cnt"), SigRead("next_tx_cnt")),
             within=0)
-        return reqs
-    if kind is StateKind.RECEIVE:
+        when("progress", f"{state} in progress ends in SPI_TX_FINISH",
+             counting,
+             _and(_event_is(SPI_TX_FINISH),
+                  BinOp("=", SigRead("bytes_sent"), SigRead("next_bytes_sent"))))
+        when("complete", f"{state} completion counts the transmission",
+             can_count_tx,
+             _and(_event_is(CONT), _eq("bytes_sent", 0),
+                  SigRead("optrode_TX_finish"),
+                  BinOp("=", SigRead("tx_cnt"), SigRead("next_tx_cnt"))))
+        when("saturated", f"{state} completion at the retransmission cap",
+             _and(done, BinOp(">=", SigRead("tx_cnt"), Lit(MAX_COUNT))),
+             _and(_event_is(CONT), _eq("bytes_sent", 0),
+                  SigRead("optrode_TX_finish"), _eq("tx_cnt", MAX_COUNT)))
+    elif kind is StateKind.RECEIVE:
         counting = _and(arrive, BinOp("<", SigRead("bytes_received"),
                                       Lit(PACKET_LENGTH)))
         done = _and(arrive, _eq("bytes_received", PACKET_LENGTH))
@@ -397,7 +373,7 @@ def _state_op_requirements(spec: SpecDocument, state: str) -> list[Requirement]:
             required=BinOp("=", SigRead("bytes_received"),
                            SigRead("next_bytes_received")),
             within=0)
-        reqs.append(Requirement(
+        ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the reception",
             template=Template.CASE,
@@ -406,68 +382,42 @@ def _state_op_requirements(spec: SpecDocument, state: str) -> list[Requirement]:
                 SignalAssign("optrode_RX_finish", Lit(True)),
                 SignalAssign("current_event", Lit(CONT)),
             )),)))
-        return reqs
-    raise AssertionError(f"unhandled kind {kind} for {state!r}")
-
-
-def _post_monitors(spec: SpecDocument, state: str) -> list[Requirement]:
-    """Strengthened post-conditions: the exact end event (and counter value
-    relative to its start) for every branch of the state's operation."""
-    kind = spec.roster.kind_of(state)
-    arrive = DefRef(f"arrive_{state}")
-    reqs: list[Requirement] = []
-
-    def when(suffix: str, title: str, guard, required):
-        reqs.append(Requirement(
-            req_id=f"post.{state}.{suffix}", title=title,
-            template=Template.WHEN, guard=guard, required=required))
-
-    if state == START:
-        return reqs
-    if state == CHIP_RST:
-        when("reset", f"after {state} everything is cleared",
-             arrive,
-             _and(_event_is(GET_CMD_E), _eq("bytes_sent", 0),
-                  _eq("bytes_received", 0), _eq("tx_cnt", 0),
-                  Not(SigRead("command_finish_flag")),
-                  Not(SigRead("optrode_TX_finish")),
-                  Not(SigRead("optrode_RX_finish"))))
-        return reqs
-    if state == CMD_FINISH:
-        when("flag", f"after {state} the finish flag is up",
-             arrive, _and(_event_is(CONT), SigRead("command_finish_flag")))
-        return reqs
-    if kind is StateKind.SEND:
-        when("progress", f"{state} in progress ends in SPI_TX_FINISH",
-             _and(arrive, BinOp("<", SigRead("bytes_sent"), Lit(PACKET_LENGTH))),
-             _and(_event_is(SPI_TX_FINISH),
-                  BinOp("=", SigRead("bytes_sent"), SigRead("next_bytes_sent"))))
-        when("complete", f"{state} completion counts the transmission",
-             _and(arrive, _eq("bytes_sent", PACKET_LENGTH),
-                  BinOp("<", SigRead("tx_cnt"), Lit(MAX_COUNT))),
-             _and(_event_is(CONT), _eq("bytes_sent", 0),
-                  SigRead("optrode_TX_finish"),
-                  BinOp("=", SigRead("tx_cnt"), SigRead("next_tx_cnt"))))
-        when("saturated", f"{state} completion at the retransmission cap",
-             _and(arrive, _eq("bytes_sent", PACKET_LENGTH),
-                  BinOp(">=", SigRead("tx_cnt"), Lit(MAX_COUNT))),
-             _and(_event_is(CONT), _eq("bytes_sent", 0),
-                  SigRead("optrode_TX_finish"), _eq("tx_cnt", MAX_COUNT)))
-        return reqs
-    if kind is StateKind.RECEIVE:
         when("progress", f"{state} in progress ends in SPI_RX_FINISH",
-             _and(arrive, BinOp("<", SigRead("bytes_received"), Lit(PACKET_LENGTH))),
+             counting,
              _and(_event_is(SPI_RX_FINISH),
                   BinOp("=", SigRead("bytes_received"),
                         SigRead("next_bytes_received"))))
         when("complete", f"{state} completion raises the receive flag",
-             _and(arrive, _eq("bytes_received", PACKET_LENGTH)),
+             done,
              _and(_event_is(CONT), _eq("bytes_received", 0),
                   SigRead("optrode_RX_finish")))
-        return reqs
-    # control, error and creator operations all end in a fixed event
-    when("event", f"after {state} the event is CONT", arrive, _event_is(CONT))
-    return reqs
+    else:
+        # the other operations set fixed fields and end in CONT
+        if state == GET_CMD:
+            suffix, title, effects = "event", "get_cmd awaits the command", []
+        elif state == ERROR_ST or kind is StateKind.ERROR:
+            # every error state but chip_rst idles like error_
+            suffix, title, effects = "event", f"{state} idles", []
+        elif kind in CREATOR_KINDS:
+            template = spec.packets.get(state)
+            if template is None:
+                raise MissingPacketTemplate(state)
+            if kind is StateKind.CREATOR_STAGE2:
+                suffix, title = "data", f"{state} fills in the packet data"
+                effects = [SignalAssign("packet_data", Lit(template.data))]
+            else:
+                cmd_expr = (Lit(template.cmd) if template.cmd is not None
+                            else SigRead("current_command"))
+                suffix = "make"
+                title = f"{state} creates the packet address and command"
+                effects = [SignalAssign("packet_addr", Lit(template.addr)),
+                           SignalAssign("packet_cmd", cmd_expr),
+                           SignalAssign("packet_data", Lit(template.data))]
+        else:
+            raise AssertionError(f"unhandled kind {kind} for {state!r}")
+        toe(suffix, title, arrive, [*effects, SignalAssign("current_event", Lit(CONT))])
+        when("event", f"after {state} the event is CONT", arrive, _event_is(CONT))
+    return ops, posts
 
 
 def _class_monitors(spec: SpecDocument) -> list[Requirement]:
@@ -579,12 +529,13 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
                     effects=(ModeAssign(STATE_COMPONENT, to),)))
                 id_index[(ev, frm, to)] = base_id
 
+    posts: list[Requirement] = []
     for st in roster.state_names:
         if preimage[st] or st in groups:
-            reqs.extend(_state_op_requirements(spec, st))
-    for st in roster.state_names:
-        if preimage[st] or st in groups:
-            reqs.extend(_post_monitors(spec, st))
+            state_ops, state_posts = _state_operation(spec, st)
+            reqs.extend(state_ops)
+            posts.extend(state_posts)
+    reqs.extend(posts)
     reqs.extend(_class_monitors(spec))
     reqs.append(Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",

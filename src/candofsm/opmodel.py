@@ -105,8 +105,6 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
         return {"current_event": CONT}, "get_command"
     if st == CMD_FINISH:
         return {"command_finish_flag": True, "current_event": CONT}, "finish_command"
-    if st == ERROR_ST:
-        return {"current_event": CONT}, "error_idle"
     if st == CHIP_RST:
         return {
             "command_finish_flag": False,
@@ -118,6 +116,9 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
             "tx_cnt": 0,
             "current_event": GET_CMD_E,
         }, "chip_reset"
+    if st == ERROR_ST or kind is StateKind.ERROR:
+        # every error state but chip_rst idles like error_
+        return {"current_event": CONT}, "error_idle"
     if kind in CREATOR_KINDS:
         template = spec.packets.get(st)
         if template is None:

@@ -60,16 +60,6 @@ _TOKEN_RE = re.compile(
     r"|\d+"
 )
 
-_TEMPLATE_KEYWORDS = {
-    "every": Template.EVERY,
-    "when": Template.WHEN,
-    "trigger": Template.TRIGGER_ON_EVENT,
-    "latch": Template.LATCH,
-    "onchange": Template.TRIGGER_ON_CHANGE,
-    "modeset": Template.MODE_SET,
-    "case": Template.CASE,
-}
-
 
 class _Scope:
     """Name resolution tables built up while reading the file top to bottom."""
@@ -392,10 +382,11 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
     if m is None:
         raise ParseError(lineno, 1, "expected 'req id \"title\" TEMPLATE ...'", line)
     req_id, title_tok, template_word, rest = m.groups()
-    template = _TEMPLATE_KEYWORDS.get(template_word)
-    if template is None:
+    try:
+        template = Template(template_word)
+    except ValueError:
         raise ParseError(lineno, 1, f"unknown requirement template {template_word!r}",
-                         line)
+                         line) from None
     title = _unquote(title_tok)
     cur = _Cursor(_tokens(rest), lineno, line)
 
@@ -575,14 +566,14 @@ def _render_assignment(a) -> str:
 
 
 def _render_requirement(req: Requirement) -> str:
-    head = f"req {req.req_id} {_quote(req.title)}"
+    head = f"req {req.req_id} {_quote(req.title)} {req.template.value}"
     if req.template is Template.EVERY:
-        return f"{head} every {render_expr(req.required)}"
+        return f"{head} {render_expr(req.required)}"
     if req.template is Template.WHEN:
-        return (f"{head} when {render_expr(req.guard)} => "
+        return (f"{head} {render_expr(req.guard)} => "
                 f"{render_expr(req.required)}")
     if req.template is Template.TRIGGER_ON_EVENT:
-        parts = [f"{head} trigger {render_expr(req.guard)} =>",
+        parts = [f"{head} {render_expr(req.guard)} =>",
                  ", ".join(_render_assignment(a) for a in req.effects)]
         if req.required is not None:
             parts.append(f"require {render_expr(req.required)}")
@@ -592,7 +583,7 @@ def _render_requirement(req: Requirement) -> str:
             parts.append("atsomepoint")
         return " ".join(parts)
     if req.template is Template.LATCH:
-        out = f"{head} latch {req.signal} while {render_expr(req.guard)}"
+        out = f"{head} {req.signal} while {render_expr(req.guard)}"
         if req.value is not None:
             out += f" := {render_expr(req.value)}"
         return out
@@ -600,17 +591,17 @@ def _render_requirement(req: Requirement) -> str:
         if req.constructive:
             guard = f" when {render_expr(req.guard)}" if req.guard is not None else ""
             effects = ", ".join(_render_assignment(a) for a in req.effects)
-            return f"{head} onchange {req.signal}{guard} do {effects}"
-        return f"{head} onchange {req.signal} => {render_expr(req.required)}"
+            return f"{head} {req.signal}{guard} do {effects}"
+        return f"{head} {req.signal} => {render_expr(req.required)}"
     if req.template is Template.MODE_SET:
         exclusive = " exclusive" if req.exclusive else ""
-        return f"{head} modeset {req.component}{exclusive}"
+        return f"{head} {req.component}{exclusive}"
     branches = " | ".join(
         f"{render_expr(b.guard)} => "
         + ", ".join(_render_assignment(a) for a in b.effects)
         for b in req.branches)
     total = " total" if req.total else ""
-    return f"{head} case {branches}{total}"
+    return f"{head} {branches}{total}"
 
 
 def serialize_model(model: RequirementsModel) -> str:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from candofsm import load_bundled_cando
+from candofsm.fsm import StateDef, StateKind
 from candofsm.generate import generate_model
 
 
@@ -32,3 +33,13 @@ def mutate_table(spec, event: str, state: str, target: str | None):
     else:
         fsm[event][state] = target
     return dataclasses.replace(spec, fsm=fsm)
+
+
+def with_second_error_state(spec):
+    """Copy of the spec with a second error state ``error_2``: every event
+    takes it to error_, and ERROR takes send_packet_1 to it."""
+    roster = dataclasses.replace(
+        spec.roster, states=(*spec.roster.states, StateDef("error_2", StateKind.ERROR)))
+    fsm = {e: {**m, "error_2": "error_"} for e, m in spec.fsm.items()}
+    fsm["ERROR"]["send_packet_1"] = "error_2"
+    return dataclasses.replace(spec, roster=roster, fsm=fsm)

@@ -15,7 +15,7 @@ from candofsm.specio import (
     load_spec,
     serialize_spec,
 )
-from conftest import mutate_table
+from conftest import mutate_table, with_second_error_state
 
 
 @pytest.fixture()
@@ -43,6 +43,13 @@ def stray_dispatch_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def second_error_file(spec, tmp_path):
+    path = tmp_path / "second_error.fsm"
+    path.write_text(serialize_spec(with_second_error_state(spec)), encoding="utf-8")
+    return str(path)
+
+
 class TestCheck:
     def test_clean_spec_exits_zero(self, spec_file, capsys):
         assert main(["check", spec_file]) == 0
@@ -61,6 +68,10 @@ class TestCheck:
         assert "C1.8 (1):\n  event=CONT get_cmd -> cmd_finish: dispatch of " \
                "'LED_ON_C'" in out
         assert out.endswith("1 violations\n")
+
+    def test_a_second_error_state_is_accepted(self, second_error_file, capsys):
+        assert main(["check", second_error_file]) == 0
+        assert "0 violations" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/spec.fsm"]) == 2
@@ -185,6 +196,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "Overall: PASS" in out
         assert "requirements" in out  # the generation scale summary
+
+    def test_a_second_error_state_verifies(self, second_error_file, capsys):
+        assert main(["verify", second_error_file]) == 0
+        captured = capsys.readouterr()
+        assert "Overall: PASS" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_shipped_spec_generates_the_model_once(self, monkeypatch, capsys):
         calls = []

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from collections import Counter
 
 import pytest
 
 import candofsm.generate
-from candofsm.fsm import CONT, MAX_COUNT, PACKET_LENGTH, StateKind, lookup_next
+from candofsm.fsm import (
+    CONT, MAX_COUNT, PACKET_LENGTH, StateDef, StateKind, lookup_next,
+)
 from candofsm.generate import (
     HAND_MODEL_DEFINITIONS,
     HAND_MODEL_RECORDS,
@@ -18,9 +21,13 @@ from candofsm.generate import (
     render_requirements_html,
     render_requirements_markdown,
 )
+from candofsm.opmodel import ModelState, _snapshot, ops_round
 from candofsm.reqs import Template, fire_round, initial_env
+from candofsm.reqs.engine import _env_values
 from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env
+from candofsm.reqs.text import serialize_model
+from conftest import with_second_error_state
 
 
 def tables(spec):
@@ -202,6 +209,33 @@ class TestOracle:
             trace = run_requirements_trace(model, cmd, 500)
             assert trace.violations == (), cmd
 
+    def test_a_second_error_state_idles_like_error_(self, spec):
+        # one ops round and one fire_round from every (state, event) pair
+        # agree on all 13 row columns, and neither engine reports a violation
+        spec = with_second_error_state(spec)
+        model, _ = generate_model(spec)
+        titles = {r.req_id: r.title for r in model.requirements}
+        assert titles["op.error_2.event"] == "error_2 idles"
+        assert titles["op.error_.event"] == "error_ idles"
+        assert "post.error_2.event" in titles
+        for st in spec.roster.state_names:
+            for ev in spec.roster.event_names:
+                ops = ops_round(spec, ModelState(
+                    current_state=st, current_event=ev, current_command="LED_ON_C"))
+                init = initial_env(model, overrides={
+                    "current_command": "LED_ON_C", "current_event": ev})
+                reqs = fire_round(model, Env(signals=init.signals,
+                                             modes={"fsm": frozenset({st})},
+                                             history=init.history), None)
+                assert ops.post_violations == reqs.violations == (), (st, ev)
+                assert _snapshot(ops.next, 1).values() \
+                    == _env_values(reqs.end_env, 1), (st, ev)
+        entered = ops_round(spec, ModelState(
+            current_state="send_packet_1", current_event="ERROR",
+            current_command="LED_ON_C"))
+        assert (entered.next.current_state, entered.next.current_event,
+                entered.fired_op) == ("error_2", CONT, "error_idle")
+
 
 class TestRendering:
     def test_markdown_contains_the_vled_block(self, model):
@@ -245,3 +279,28 @@ def test_generation_requires_packet_templates(spec):
         spec, packets={k: v for k, v in spec.packets.items() if k != "set_vLED"})
     with pytest.raises(MissingPacketTemplate):
         generate_model(stripped)
+
+
+def test_a_state_kind_without_an_operation_is_an_explicit_error(spec):
+    # a control state other than start, get_cmd and cmd_finish has no
+    # operation; it must not be read as a packet creator
+    roster = dataclasses.replace(
+        spec.roster, states=(*spec.roster.states, StateDef("idle", StateKind.CONTROL)))
+    fsm = {e: dict(m) for e, m in spec.fsm.items()}
+    fsm["EVT_6"]["start"] = "idle"
+    with pytest.raises(AssertionError, match="unhandled kind StateKind.CONTROL for 'idle'"):
+        generate_model(dataclasses.replace(spec, roster=roster, fsm=fsm))
+
+
+def test_the_generated_model_and_its_report_are_pinned(model):
+    """SHA-256 of the shipped spec's generated model as ``.req`` text and of
+    its markdown report.  A deliberate change to the generator re-records
+    both hashes, as ``tests/data/engine_golden.json`` is re-recorded for a
+    deliberate change to the engines."""
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    assert sha256(serialize_model(model)) \
+        == "a0795f35b9a690a48e1e4e07ed01b8f93173fd7ca2dab468ae0b184acd5f529b"
+    assert sha256(render_requirements_markdown(model)) \
+        == "4ae5db697310c84f56e093447b26fefd41299a22737469d4e31c97d7ee654da6"

@@ -12,6 +12,7 @@ from candofsm.fsm import (
     PACKET_LENGTH,
     MissingPacketTemplate,
     MissingTransition,
+    StateKind,
     UnknownCommand,
     lookup_next,
 )
@@ -20,6 +21,7 @@ from candofsm.opmodel import (
     Packet,
     RunError,
     StepOutcome,
+    _op_contract,
     init_model,
     ops_round,
     run,
@@ -125,6 +127,14 @@ class TestStateOperation:
         assert m.packet is None
         assert not m.optrode_tx_finish
         assert m.current_event == "GET_CMD_E"
+
+    def test_the_contract_reports_a_send_that_ends_in_the_wrong_event(self, spec):
+        before = self.at(spec, "send_packet_6", bytes_sent=1)
+        [violation] = _op_contract("send_packet_6", StateKind.SEND, before,
+                                   {"bytes_sent": 2, "current_event": CONT})
+        assert violation.constraint_id == "POST"
+        assert violation.message == ("operation of 'send_packet_6' must end in event "
+                                     "'SPI_TX_FINISH', got 'CONT'")
 
 
 class TestStep:

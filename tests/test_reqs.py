@@ -252,6 +252,53 @@ class TestFireRound:
         second = fire_round(model, first.end_env, env)
         assert second.end_env.signals["y"] == 1
 
+    def test_latch_without_a_value_holds_the_start_value_as_a_write(self):
+        sig = SignalDef("x", "small", initial=2)
+        model = tiny_model(
+            Requirement("hold", "hold x", Template.LATCH, guard=Lit(True), signal="x"),
+            Requirement("set", "x to 5", Template.TRIGGER_ON_EVENT, guard=Lit(True),
+                        effects=(SignalAssign("x", Lit(5)),)),
+            signals=[sig])
+        result = fire_round(model, initial_env(model), None)
+        assert result.end_env.signals["x"] == 2
+        [violation] = result.violations
+        assert violation.constraint_id == "CONFLICT"
+        assert "hold, set" in violation.message
+
+    def test_latch_value_that_fails_to_evaluate_keeps_the_signal(self):
+        model = tiny_model(
+            Requirement("hold", "x plus an unset count", Template.LATCH,
+                        guard=Lit(True), signal="x",
+                        value=BinOp("+", SigRead("x"), SigRead("c"))),
+            signals=[SignalDef("x", "small", initial=2),
+                     SignalDef("c", "small", initial=None)])
+        result = fire_round(model, initial_env(model), None)
+        assert result.end_env.signals["x"] == 2
+        assert [v.constraint_id for v in result.violations] == ["EVAL"]
+
+    def test_a_guard_that_is_not_boolean_is_reported(self):
+        model = tiny_model(
+            Requirement("r", "integer guard", Template.TRIGGER_ON_EVENT,
+                        guard=SigRead("x"), effects=(SignalAssign("x", Lit(5)),)),
+            signals=[SignalDef("x", "small", initial=2)])
+        result = fire_round(model, initial_env(model), None)
+        assert result.end_env.signals["x"] == 2
+        [violation] = result.violations
+        assert violation.constraint_id == "EVAL"
+        assert violation.message.endswith("guard is not boolean: 2")
+
+    def test_a_non_member_write_to_an_enum_signal_is_rejected(self):
+        model = tiny_model(
+            Requirement("r", "paint it blue", Template.TRIGGER_ON_EVENT,
+                        guard=Lit(True), effects=(SignalAssign("hue", Lit("blue")),)),
+            signals=[SignalDef("hue", "Colour", initial="red")])
+        result = fire_round(model, initial_env(model), None)
+        assert result.end_env.signals["hue"] == "red"
+        [violation] = result.violations
+        assert violation.constraint_id == "RANGE"
+        assert violation.message.endswith(
+            "is not a member of Colour; record keeps its start value")
+
     def test_case_first_match_wins_and_totality_is_optional(self):
         sig = SignalDef("x", "small", initial=0)
         model = tiny_model(
@@ -361,6 +408,19 @@ class TestRunRounds:
         assert (first.state, first.command, first.tx_cnt) == ("on", "green", 2)
         assert all(row.values() == {**first.values(), "round": row.round}
                    for row in trace.rows)
+
+    def test_an_open_at_some_point_obligation_is_reported_at_the_end(self):
+        model = tiny_model(
+            Requirement("arm", "x reaches 5 some day", Template.TRIGGER_ON_EVENT,
+                        guard=BinOp("=", SigRead("x"), Lit(2)),
+                        effects=(SignalAssign("x", Lit(3)),),
+                        required=BinOp("=", SigRead("x"), Lit(5)), at_some_point=True),
+            signals=[SignalDef("x", "small", initial=2), *command_signals()])
+        trace = run_requirements_trace(model, "green", 4)
+        assert trace.reason == "budget"
+        [violation] = trace.violations
+        assert violation.constraint_id == "OBLIGATION"
+        assert violation.message.endswith("never satisfied before the run ended")
 
 
 class TestValidation:
@@ -540,19 +600,34 @@ class TestReqText:
         assert hash(first.requirements[0].required) \
             == hash(second.requirements[0].required)
 
-    @pytest.mark.parametrize("expr", [
-        "(x = 1) = true",
-        "(x < 1) = (x > 2)",
-        "(not b) = true",
-        "(x = 1 or x = 2) or x = 3 and (b and x > 0)",
-        " or ".join(f"x = {i}" for i in range(1200)),
-        " and ".join(f"x != {i}" for i in range(1, 1201)),
+    @pytest.mark.parametrize("lines", [
+        'req r "round trip" every (x = 1) = true',
+        'req r "round trip" every (x < 1) = (x > 2)',
+        'req r "round trip" every (not b) = true',
+        'req r "round trip" every (x = 1 or x = 2) or x = 3 and (b and x > 0)',
+        'req r "round trip" every ' + " or ".join(f"x = {i}" for i in range(1200)),
+        'req r "round trip" every ' + " and ".join(f"x != {i}" for i in range(1, 1201)),
+        'req r "hold" latch x while b',
+        'req r "pin" latch x while b := x + 1',
+        'req r "watch" onchange x => b',
+        'req r "mirror" onchange x when b do y := x',
+        'req r "lit" every mode(lamp.on) ever active',
+        'req r "dark" every mode(lamp.on) ever inactive',
+        "type t int [0, 3]\nsignal z : t init=0",
+        "const LIMIT : int = 3 min=0 max=9 tol=1",
+        'req r "product" every x * 2 = -1',
+        'req r "eventually" trigger b => x := 1 require x = 2 within 3 atsomepoint',
     ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
             "not-under-comparison", "nested-chains", "1200-operand-or",
-            "1200-operand-and"])
-    def test_serialize_inverts_parse(self, expr):
+            "1200-operand-and", "latch-holding-its-start-value", "latch-with-a-value",
+            "onchange-monitor", "onchange-constructive", "mode-ever-active",
+            "mode-ever-inactive", "bounded-int-type", "constant-with-options",
+            "product-and-negative-literal", "within-n-atsomepoint"])
+    def test_serialize_inverts_parse(self, lines):
         model = parse_model("signal x : int init=0\nsignal b : bool init=false\n"
-                            f'req r "round trip" every {expr}\n')
+                            "signal y : int init=0\n"
+                            "mode lamp { off on } exclusive init=off\n"
+                            f"{lines}\n")
         assert parse_model(serialize_model(model)) == model
 
     @pytest.mark.parametrize("line", [
@@ -568,6 +643,10 @@ class TestReqText:
     def test_unknown_name_is_a_parse_error(self):
         with pytest.raises(ParseError, match="unknown name"):
             parse_model('req r "bad" every nonsense = 1\n')
+
+    def test_unknown_template_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown requirement template 'sometimes'"):
+            parse_model('signal x : int init=0\nreq r "bad" sometimes x = 1\n')
 
     def test_unknown_directive_is_a_parse_error(self):
         with pytest.raises(ParseError, match="unknown directive"):

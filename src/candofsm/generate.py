@@ -9,6 +9,14 @@ one requirement per dispatch target guarded by its command group, and each
 state's operation is built once: one guarded requirement per conditional
 branch, with a strengthened end-of-round monitor per branch (exact end event
 and counter delta) on the same guard.
+
+Every expression node is built through one node table per
+:func:`generate_model` call, so each structurally distinct subexpression is
+one object and the model is a DAG: a table entry's guard is the same object
+as its term in ``arrive_<to>``, and ``current_event = CONT`` is built once.
+``RequirementsModel.validate`` and the plan's ``Compiler`` then do their
+work once per distinct node.  The table goes when the call returns, so two
+models share no node.
 """
 
 from __future__ import annotations
@@ -67,29 +75,78 @@ _KIND_LABELS = {
 }
 
 
-def _bool_op(op: str, exprs: tuple):
-    """One n-ary node; an operand with the same operator gives it its own
-    operands, so generated chains are flat."""
-    flat = tuple(o for e in exprs
-                 for o in (e.operands if isinstance(e, BoolOp) and e.op == op else (e,)))
-    return flat[0] if len(flat) == 1 else BoolOp(op, flat)
+# The kind groups a class monitor names; they are emitted even when empty.
+_MONITORED_KINDS = frozenset({StateKind.SEND, StateKind.RECEIVE,
+                              StateKind.CREATOR_STAGE1, StateKind.CREATOR_STAGE2})
 
 
-def _and(*exprs):
-    return _bool_op("and", exprs)
+class _Nodes:
+    """The expression nodes of one generation, one object per distinct
+    structure.  A literal is keyed on its type and value, so ``0`` and
+    ``false`` stay apart; a node with children is keyed on its children's
+    identities, which the table keeps alive.  :meth:`eq` and :meth:`entered`
+    are also keyed on their arguments, so asking again costs one lookup.  A
+    table lasts one :func:`generate_model` call."""
 
+    def __init__(self) -> None:
+        self._table: dict[tuple, object] = {}
 
-def _or_all(exprs):
-    exprs = tuple(exprs)
-    return _bool_op("or", exprs) if exprs else Lit(False)
+    def _node(self, key: tuple, make, *args):
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = make(*args)
+        return node
 
+    def lit(self, value) -> Lit:
+        return self._node(("lit", type(value), value), Lit, value)
 
-def _eq(name: str, value) -> BinOp:
-    return BinOp("=", SigRead(name), Lit(value))
+    def sig(self, name: str) -> SigRead:
+        return self._node(("sig", name), SigRead, name)
 
+    def ref(self, name: str) -> DefRef:
+        return self._node(("ref", name), DefRef, name)
 
-def _event_is(event: str) -> BinOp:
-    return _eq("current_event", event)
+    def mode(self, mode: str, at: str) -> ModeActive:
+        return self._node(("mode", mode, at), ModeActive, STATE_COMPONENT, mode, at)
+
+    def not_(self, operand) -> Not:
+        return self._node(("not", id(operand)), Not, operand)
+
+    def binop(self, op: str, left, right) -> BinOp:
+        return self._node((op, id(left), id(right)), BinOp, op, left, right)
+
+    def _bool_op(self, op: str, exprs):
+        """One n-ary node; an operand with the same operator gives it its own
+        operands, so generated chains are flat."""
+        flat: list = []
+        for e in exprs:
+            if isinstance(e, BoolOp) and e.op == op:
+                flat += e.operands
+            else:
+                flat.append(e)
+        if len(flat) == 1:
+            return flat[0]
+        return self._node((op, *map(id, flat)), BoolOp, op, tuple(flat))
+
+    def and_(self, *exprs):
+        return self._bool_op("and", exprs)
+
+    def or_all(self, exprs):
+        exprs = tuple(exprs)
+        return self._bool_op("or", exprs) if exprs else self.lit(False)
+
+    def eq(self, name: str, value) -> BinOp:
+        return self._node(("eq", name, type(value), value),
+                          lambda: self.binop("=", self.sig(name), self.lit(value)))
+
+    def event_is(self, event: str) -> BinOp:
+        return self.eq("current_event", event)
+
+    def entered(self, frm: str, event: str):
+        """``from_<frm> and current_event = <event>``: a table entry's guard
+        and its term in ``arrive_<to>``."""
+        return self._node(("entered", frm, event),
+                          lambda: self.and_(self.ref(f"from_{frm}"), self.event_is(event)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +235,7 @@ def _dispatch_groups(spec: SpecDocument) -> dict[str, tuple[str, ...]]:
 
 def _arrival_terms(spec: SpecDocument, state: str,
                    preimage: dict[str, list[tuple[str, str]]],
-                   groups: dict[str, tuple[str, ...]]):
+                   groups: dict[str, tuple[str, ...]], nodes: _Nodes):
     """Start-snapshot conditions under which this round transitions into
     ``state``: the table preimage terms plus any dispatch-group term.
 
@@ -192,29 +249,35 @@ def _arrival_terms(spec: SpecDocument, state: str,
     identity = {SPI_TX_FINISH: StateKind.SEND, SPI_RX_FINISH: StateKind.RECEIVE}
     kind = kind_of(state)
     terms = [
-        _and(DefRef(f"from_{frm}"), _event_is(ev))
+        nodes.entered(frm, ev)
         for ev, frm in preimage[state]
         if ev not in identity or kind_of(frm) is not identity[ev]
     ]
     if kind is StateKind.SEND:
-        terms.append(_and(DefRef(f"from_{state}"), _event_is(SPI_TX_FINISH)))
+        terms.append(nodes.entered(state, SPI_TX_FINISH))
     elif kind is StateKind.RECEIVE:
-        terms.append(_and(DefRef(f"from_{state}"), _event_is(SPI_RX_FINISH)))
+        terms.append(nodes.entered(state, SPI_RX_FINISH))
     group = groups.get(state)
     if group:
-        terms.append(_and(
-            DefRef(f"from_{GET_CMD}"), _event_is(CONT),
-            _or_all([_eq("current_command", c) for c in group]),
-        ))
+        terms.append(_dispatched(group, nodes))
     return terms
 
 
+def _dispatched(group: tuple[str, ...], nodes: _Nodes):
+    """The get_cmd hand-off under ``CONT`` to a command group."""
+    return nodes.and_(nodes.entered(GET_CMD, CONT),
+                      nodes.or_all([nodes.eq("current_command", c) for c in group]))
+
+
 def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
-                    groups: dict[str, tuple[str, ...]]) -> tuple[Definition, ...]:
+                    groups: dict[str, tuple[str, ...]],
+                    nodes: _Nodes | None = None) -> tuple[Definition, ...]:
     """Per-state from/to definitions, per-kind groups combined with logical
     OR, the identity-map definitions for send and receive states, and the
     arrival conditions used by the operation requirements.  ``preimage`` and
-    ``groups`` are the spec's :func:`_preimage` and :func:`_dispatch_groups`."""
+    ``groups`` are the spec's :func:`_preimage` and :func:`_dispatch_groups`;
+    ``nodes`` is the node table to build with (a fresh one if not given)."""
+    nodes = _Nodes() if nodes is None else nodes
     roster = spec.roster
     defs: list[Definition] = []
     sides = (("from", "start"), ("to", "end"))
@@ -222,17 +285,18 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
         for side, at in sides:
             defs.append(Definition(
                 f"{side}_{st}", f"The fsm is in state {st} at the {at} of the round",
-                ModeActive(STATE_COMPONENT, st, at)))
+                nodes.mode(st, at)))
 
     kind_groups = [(kind.value, _KIND_LABELS[kind], members) for kind in StateKind
-                   if (members := roster.states_of_kind(kind))]
+                   if (members := roster.states_of_kind(kind))
+                   or kind in _MONITORED_KINDS]
     kind_groups.append(("creators", "packet creator", roster.states_of_kind(*CREATOR_KINDS)))
     for name, label, members in kind_groups:
         for side, at in sides:
             defs.append(Definition(
                 f"{side}_kind_{name}",
                 f"The fsm is in a {label} state at the {at} of the round",
-                _or_all([DefRef(f"{side}_{s}") for s in members])))
+                nodes.or_all([nodes.ref(f"{side}_{s}") for s in members])))
 
     for kind in (StateKind.SEND, StateKind.RECEIVE):
         members = roster.states_of_kind(kind)
@@ -240,26 +304,26 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
             f"idmap_{kind.value}",
             f"Every {kind.value} state active at the start of the round is active "
             "at the end",
-            Lit(True) if not members else _and(*[
-                _or_all([Not(DefRef(f"from_{s}")), DefRef(f"to_{s}")]) for s in members
-            ])))
+            nodes.lit(True) if not members else nodes.and_(*[
+                nodes.or_all([nodes.not_(nodes.ref(f"from_{s}")), nodes.ref(f"to_{s}")])
+                for s in members])))
     defs.append(Definition(
         "receive_self_loop",
         "Some receive state is active at both the start and the end of the round",
-        _or_all([_and(DefRef(f"from_{s}"), DefRef(f"to_{s}"))
-                 for s in roster.states_of_kind(StateKind.RECEIVE)])))
+        nodes.or_all([nodes.and_(nodes.ref(f"from_{s}"), nodes.ref(f"to_{s}"))
+                      for s in roster.states_of_kind(StateKind.RECEIVE)])))
 
     for st in roster.state_names:
-        terms = _arrival_terms(spec, st, preimage, groups)
+        terms = _arrival_terms(spec, st, preimage, groups, nodes)
         if terms:
             defs.append(Definition(
                 f"arrive_{st}",
                 f"A transition into {st} fires this round",
-                _or_all(terms)))
+                nodes.or_all(terms)))
     return tuple(defs)
 
 
-def _state_operation(spec: SpecDocument, state: str) -> tuple[
+def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         list[Requirement], list[Requirement]]:
     """The operation of one state, split per conditional branch, and one
     strengthened post-condition monitor per branch (the exact end event and
@@ -267,9 +331,10 @@ def _state_operation(spec: SpecDocument, state: str) -> tuple[
     both.  Counter updates go through next_* shadows under within-0
     obligations.  Returns the ``op.*`` and the ``post.*`` requirements."""
     kind = spec.roster.kind_of(state)
-    arrive = DefRef(f"arrive_{state}")
+    arrive = nodes.ref(f"arrive_{state}")
     ops: list[Requirement] = []
     posts: list[Requirement] = []
+    lit, sig, binop, and_, eq = nodes.lit, nodes.sig, nodes.binop, nodes.and_, nodes.eq
 
     def toe(suffix: str, title: str, guard, effects, required=None, within=None):
         ops.append(Requirement(
@@ -282,115 +347,109 @@ def _state_operation(spec: SpecDocument, state: str) -> tuple[
             req_id=f"post.{state}.{suffix}", title=title,
             template=Template.WHEN, guard=guard, required=required))
 
+    def set_(name: str, value) -> SignalAssign:
+        return SignalAssign(name, lit(value))
+
+    def counts(counter: str):
+        """``<counter> + 1``, the value a counting branch stages and commits,
+        and ``<counter> = next_<counter>``, its commit check."""
+        return (binop("+", sig(counter), lit(1)),
+                binop("=", sig(counter), sig(f"next_{counter}")))
+
     if state == START:
         return ops, posts
     if state == CHIP_RST:
         toe("reset", "chip_rst clears flags, counters and the packet",
             arrive,
-            [SignalAssign("bytes_sent", Lit(0)),
-             SignalAssign("bytes_received", Lit(0)),
-             SignalAssign("tx_cnt", Lit(0)),
-             SignalAssign("next_bytes_sent", Lit(0)),
-             SignalAssign("next_bytes_received", Lit(0)),
-             SignalAssign("next_tx_cnt", Lit(0)),
-             SignalAssign("command_finish_flag", Lit(False)),
-             SignalAssign("optrode_TX_finish", Lit(False)),
-             SignalAssign("optrode_RX_finish", Lit(False)),
-             SignalAssign("packet_addr", Lit(None)),
-             SignalAssign("packet_cmd", Lit(None)),
-             SignalAssign("packet_data", Lit(None)),
-             SignalAssign("current_event", Lit(GET_CMD_E))])
+            [set_("bytes_sent", 0),
+             set_("bytes_received", 0),
+             set_("tx_cnt", 0),
+             set_("next_bytes_sent", 0),
+             set_("next_bytes_received", 0),
+             set_("next_tx_cnt", 0),
+             set_("command_finish_flag", False),
+             set_("optrode_TX_finish", False),
+             set_("optrode_RX_finish", False),
+             set_("packet_addr", None),
+             set_("packet_cmd", None),
+             set_("packet_data", None),
+             set_("current_event", GET_CMD_E)])
         when("reset", f"after {state} everything is cleared",
              arrive,
-             _and(_event_is(GET_CMD_E), _eq("bytes_sent", 0),
-                  _eq("bytes_received", 0), _eq("tx_cnt", 0),
-                  Not(SigRead("command_finish_flag")),
-                  Not(SigRead("optrode_TX_finish")),
-                  Not(SigRead("optrode_RX_finish"))))
+             and_(nodes.event_is(GET_CMD_E), eq("bytes_sent", 0),
+                  eq("bytes_received", 0), eq("tx_cnt", 0),
+                  nodes.not_(sig("command_finish_flag")),
+                  nodes.not_(sig("optrode_TX_finish")),
+                  nodes.not_(sig("optrode_RX_finish"))))
     elif state == CMD_FINISH:
         toe("flag", "cmd_finish raises the command finish flag",
-            arrive, [SignalAssign("command_finish_flag", Lit(True)),
-                     SignalAssign("current_event", Lit(CONT))])
+            arrive, [set_("command_finish_flag", True),
+                     set_("current_event", CONT)])
         when("flag", f"after {state} the finish flag is up",
-             arrive, _and(_event_is(CONT), SigRead("command_finish_flag")))
+             arrive, and_(nodes.event_is(CONT), sig("command_finish_flag")))
     elif kind is StateKind.SEND:
-        counting = _and(arrive, BinOp("<", SigRead("bytes_sent"), Lit(PACKET_LENGTH)))
-        done = _and(arrive, _eq("bytes_sent", PACKET_LENGTH))
-        can_count_tx = _and(done, BinOp("<", SigRead("tx_cnt"), Lit(MAX_COUNT)))
+        counting = and_(arrive, binop("<", sig("bytes_sent"), lit(PACKET_LENGTH)))
+        done = and_(arrive, eq("bytes_sent", PACKET_LENGTH))
+        can_count_tx = and_(done, binop("<", sig("tx_cnt"), lit(MAX_COUNT)))
+        byte_up, byte_committed = counts("bytes_sent")
+        tx_up, tx_committed = counts("tx_cnt")
         toe("count_next", f"{state} stages the next byte count",
-            counting,
-            [SignalAssign("next_bytes_sent",
-                          BinOp("+", SigRead("bytes_sent"), Lit(1)))])
+            counting, [SignalAssign("next_bytes_sent", byte_up)])
         toe("count", f"{state} sends one byte",
             counting,
-            [SignalAssign("bytes_sent", BinOp("+", SigRead("bytes_sent"), Lit(1))),
-             SignalAssign("current_event", Lit(SPI_TX_FINISH))],
-            required=BinOp("=", SigRead("bytes_sent"), SigRead("next_bytes_sent")),
-            within=0)
+            [SignalAssign("bytes_sent", byte_up),
+             set_("current_event", SPI_TX_FINISH)],
+            required=byte_committed, within=0)
         ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the transmission",
             template=Template.CASE,
             branches=(CaseBranch(done, (
-                SignalAssign("bytes_sent", Lit(0)),
-                SignalAssign("optrode_TX_finish", Lit(True)),
-                SignalAssign("current_event", Lit(CONT)),
+                set_("bytes_sent", 0),
+                set_("optrode_TX_finish", True),
+                set_("current_event", CONT),
             )),)))
         toe("tx_next", f"{state} stages the transmission count",
-            can_count_tx,
-            [SignalAssign("next_tx_cnt", BinOp("+", SigRead("tx_cnt"), Lit(1)))])
+            can_count_tx, [SignalAssign("next_tx_cnt", tx_up)])
         toe("tx", f"{state} counts the completed transmission",
-            can_count_tx,
-            [SignalAssign("tx_cnt", BinOp("+", SigRead("tx_cnt"), Lit(1)))],
-            required=BinOp("=", SigRead("tx_cnt"), SigRead("next_tx_cnt")),
-            within=0)
+            can_count_tx, [SignalAssign("tx_cnt", tx_up)],
+            required=tx_committed, within=0)
         when("progress", f"{state} in progress ends in SPI_TX_FINISH",
-             counting,
-             _and(_event_is(SPI_TX_FINISH),
-                  BinOp("=", SigRead("bytes_sent"), SigRead("next_bytes_sent"))))
+             counting, and_(nodes.event_is(SPI_TX_FINISH), byte_committed))
         when("complete", f"{state} completion counts the transmission",
              can_count_tx,
-             _and(_event_is(CONT), _eq("bytes_sent", 0),
-                  SigRead("optrode_TX_finish"),
-                  BinOp("=", SigRead("tx_cnt"), SigRead("next_tx_cnt"))))
+             and_(nodes.event_is(CONT), eq("bytes_sent", 0),
+                  sig("optrode_TX_finish"), tx_committed))
         when("saturated", f"{state} completion at the retransmission cap",
-             _and(done, BinOp(">=", SigRead("tx_cnt"), Lit(MAX_COUNT))),
-             _and(_event_is(CONT), _eq("bytes_sent", 0),
-                  SigRead("optrode_TX_finish"), _eq("tx_cnt", MAX_COUNT)))
+             and_(done, binop(">=", sig("tx_cnt"), lit(MAX_COUNT))),
+             and_(nodes.event_is(CONT), eq("bytes_sent", 0),
+                  sig("optrode_TX_finish"), eq("tx_cnt", MAX_COUNT)))
     elif kind is StateKind.RECEIVE:
-        counting = _and(arrive, BinOp("<", SigRead("bytes_received"),
-                                      Lit(PACKET_LENGTH)))
-        done = _and(arrive, _eq("bytes_received", PACKET_LENGTH))
+        counting = and_(arrive, binop("<", sig("bytes_received"), lit(PACKET_LENGTH)))
+        done = and_(arrive, eq("bytes_received", PACKET_LENGTH))
+        byte_up, byte_committed = counts("bytes_received")
         toe("count_next", f"{state} stages the next byte count",
-            counting,
-            [SignalAssign("next_bytes_received",
-                          BinOp("+", SigRead("bytes_received"), Lit(1)))])
+            counting, [SignalAssign("next_bytes_received", byte_up)])
         toe("count", f"{state} receives one byte",
             counting,
-            [SignalAssign("bytes_received",
-                          BinOp("+", SigRead("bytes_received"), Lit(1))),
-             SignalAssign("current_event", Lit(SPI_RX_FINISH))],
-            required=BinOp("=", SigRead("bytes_received"),
-                           SigRead("next_bytes_received")),
-            within=0)
+            [SignalAssign("bytes_received", byte_up),
+             set_("current_event", SPI_RX_FINISH)],
+            required=byte_committed, within=0)
         ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the reception",
             template=Template.CASE,
             branches=(CaseBranch(done, (
-                SignalAssign("bytes_received", Lit(0)),
-                SignalAssign("optrode_RX_finish", Lit(True)),
-                SignalAssign("current_event", Lit(CONT)),
+                set_("bytes_received", 0),
+                set_("optrode_RX_finish", True),
+                set_("current_event", CONT),
             )),)))
         when("progress", f"{state} in progress ends in SPI_RX_FINISH",
-             counting,
-             _and(_event_is(SPI_RX_FINISH),
-                  BinOp("=", SigRead("bytes_received"),
-                        SigRead("next_bytes_received"))))
+             counting, and_(nodes.event_is(SPI_RX_FINISH), byte_committed))
         when("complete", f"{state} completion raises the receive flag",
              done,
-             _and(_event_is(CONT), _eq("bytes_received", 0),
-                  SigRead("optrode_RX_finish")))
+             and_(nodes.event_is(CONT), eq("bytes_received", 0),
+                  sig("optrode_RX_finish")))
     else:
         # the other operations set fixed fields and end in CONT
         if state == GET_CMD:
@@ -404,28 +463,29 @@ def _state_operation(spec: SpecDocument, state: str) -> tuple[
                 raise MissingPacketTemplate(state)
             if kind is StateKind.CREATOR_STAGE2:
                 suffix, title = "data", f"{state} fills in the packet data"
-                effects = [SignalAssign("packet_data", Lit(template.data))]
+                effects = [set_("packet_data", template.data)]
             else:
-                cmd_expr = (Lit(template.cmd) if template.cmd is not None
-                            else SigRead("current_command"))
+                cmd_expr = (lit(template.cmd) if template.cmd is not None
+                            else sig("current_command"))
                 suffix = "make"
                 title = f"{state} creates the packet address and command"
-                effects = [SignalAssign("packet_addr", Lit(template.addr)),
+                effects = [set_("packet_addr", template.addr),
                            SignalAssign("packet_cmd", cmd_expr),
-                           SignalAssign("packet_data", Lit(template.data))]
+                           set_("packet_data", template.data)]
         else:
             raise AssertionError(f"unhandled kind {kind} for {state!r}")
-        toe(suffix, title, arrive, [*effects, SignalAssign("current_event", Lit(CONT))])
-        when("event", f"after {state} the event is CONT", arrive, _event_is(CONT))
+        toe(suffix, title, arrive, [*effects, set_("current_event", CONT)])
+        when("event", f"after {state} the event is CONT", arrive, nodes.event_is(CONT))
     return ops, posts
 
 
-def _class_monitors(spec: SpecDocument) -> list[Requirement]:
+def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
     roster = spec.roster
+    ref = nodes.ref
     reqs: list[Requirement] = [Requirement(
         req_id="mon.C1.1", title="no transition targets start",
         template=Template.EVERY,
-        required=Not(ModeActive(STATE_COMPONENT, START, "end")))]
+        required=nodes.not_(nodes.mode(START, "end")))]
     if not any(spec.fsm.get(ev) for ev in roster.event_names):
         return reqs  # with no transitions the run-time rules have nothing to watch
     have = set(roster.state_names)
@@ -436,62 +496,64 @@ def _class_monitors(spec: SpecDocument) -> list[Requirement]:
                                     template=Template.WHEN, guard=guard,
                                     required=required))
 
-    to_err = DefRef(f"to_{ERROR_ST}")
+    to_err = ref(f"to_{ERROR_ST}")
     when("C1.2", "start moves to get_cmd or error_",
-         DefRef(f"from_{START}"), _or_all([DefRef(f"to_{GET_CMD}"), to_err]),
+         ref(f"from_{START}"), nodes.or_all([ref(f"to_{GET_CMD}"), to_err]),
          needs=(START, GET_CMD, ERROR_ST))
     when("C1.3", "chip_rst moves to get_cmd or error_",
-         DefRef(f"from_{CHIP_RST}"), _or_all([DefRef(f"to_{GET_CMD}"), to_err]),
+         ref(f"from_{CHIP_RST}"), nodes.or_all([ref(f"to_{GET_CMD}"), to_err]),
          needs=(CHIP_RST, GET_CMD, ERROR_ST))
     when("C1.4", "error_ moves to get_cmd, error_ or chip_rst",
-         DefRef(f"from_{ERROR_ST}"),
-         _or_all([DefRef(f"to_{GET_CMD}"), to_err, DefRef(f"to_{CHIP_RST}")]),
+         ref(f"from_{ERROR_ST}"),
+         nodes.or_all([ref(f"to_{GET_CMD}"), to_err, ref(f"to_{CHIP_RST}")]),
          needs=(ERROR_ST, GET_CMD, CHIP_RST))
     when("C1.5", "cmd_finish moves to error_",
-         DefRef(f"from_{CMD_FINISH}"), to_err, needs=(CMD_FINISH, ERROR_ST))
+         ref(f"from_{CMD_FINISH}"), to_err, needs=(CMD_FINISH, ERROR_ST))
     when("C1.6", "packet creators move to send states or error_",
-         DefRef("from_kind_creators"),
-         _or_all([DefRef("to_kind_send"), to_err]), needs=(ERROR_ST,))
+         ref("from_kind_creators"),
+         nodes.or_all([ref("to_kind_send"), to_err]), needs=(ERROR_ST,))
     when("C1.7", "receives move to stage-two creators, cmd_finish, error_ or "
                  "themselves",
-         DefRef("from_kind_receive"),
-         _or_all([DefRef("to_kind_creator_stage2"), DefRef(f"to_{CMD_FINISH}"),
-                  to_err, DefRef("receive_self_loop")]),
+         ref("from_kind_receive"),
+         nodes.or_all([ref("to_kind_creator_stage2"), ref(f"to_{CMD_FINISH}"),
+                    to_err, ref("receive_self_loop")]),
          needs=(CMD_FINISH, ERROR_ST))
     when("C1.8", "get_cmd moves to stage-one creators or error_",
-         DefRef(f"from_{GET_CMD}"),
-         _or_all([DefRef("to_kind_creator_stage1"), to_err]),
+         ref(f"from_{GET_CMD}"),
+         nodes.or_all([ref("to_kind_creator_stage1"), to_err]),
          needs=(GET_CMD, ERROR_ST))
     when("C2", "under CONT send states move to receive states",
-         _and(DefRef("from_kind_send"), _event_is(CONT)),
-         DefRef("to_kind_receive"))
+         nodes.and_(ref("from_kind_send"), nodes.event_is(CONT)),
+         ref("to_kind_receive"))
     when("C5", "under CONT packet creators move to send states",
-         _and(DefRef("from_kind_creators"), _event_is(CONT)),
-         DefRef("to_kind_send"))
+         nodes.and_(ref("from_kind_creators"), nodes.event_is(CONT)),
+         ref("to_kind_send"))
     other_error = [s for s in roster.states_of_kind(StateKind.ERROR)
                    if s != ERROR_ST]
     if other_error and ERROR_ST in have:
         when("C6", "under CONT error states move to error_",
-             _and(_or_all([DefRef(f"from_{s}") for s in other_error]),
-                  _event_is(CONT)),
+             nodes.and_(nodes.or_all([ref(f"from_{s}") for s in other_error]),
+                     nodes.event_is(CONT)),
              to_err)
     when("C11", "under CONT receives move to stage-two creators or cmd_finish",
-         _and(DefRef("from_kind_receive"), _event_is(CONT)),
-         _or_all([DefRef("to_kind_creator_stage2"), DefRef(f"to_{CMD_FINISH}")]),
+         nodes.and_(ref("from_kind_receive"), nodes.event_is(CONT)),
+         nodes.or_all([ref("to_kind_creator_stage2"), ref(f"to_{CMD_FINISH}")]),
          needs=(CMD_FINISH,))
     return reqs
 
 
 def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
-                     groups: dict[str, tuple[str, ...]]) -> tuple[
+                     groups: dict[str, tuple[str, ...]],
+                     nodes: _Nodes | None = None) -> tuple[
         tuple[Requirement, ...], dict[tuple[str, str, str], str]]:
     """All requirements plus the id index: (event, from, to) -> requirement id.
 
     Ids are stable: the requirement for table entry (event e, state s) is
     ``"<eventIndex>.<stateIndex>"``; the extra dispatch-target requirements
-    extend that with the target index.  ``preimage`` and ``groups`` are as
-    for :func:`gen_definitions`.
+    extend that with the target index.  ``preimage``, ``groups`` and ``nodes``
+    are as for :func:`gen_definitions`.
     """
+    nodes = _Nodes() if nodes is None else nodes
     roster = spec.roster
     event_index = {e: i for i, e in enumerate(roster.event_names)}
     state_index = {s: i for i, s in enumerate(roster.state_names)}
@@ -515,28 +577,25 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
                     reqs.append(Requirement(
                         req_id=rid, title=f"{frm} to {target}",
                         template=Template.TRIGGER_ON_EVENT,
-                        guard=_and(
-                            DefRef(f"from_{frm}"), _event_is(ev),
-                            _or_all([_eq("current_command", c)
-                                     for c in groups[target]])),
+                        guard=_dispatched(groups[target], nodes),
                         effects=(ModeAssign(STATE_COMPONENT, target),)))
                     id_index[(ev, frm, target)] = rid
             else:
                 reqs.append(Requirement(
                     req_id=base_id, title=f"{frm} to {to}",
                     template=Template.TRIGGER_ON_EVENT,
-                    guard=_and(DefRef(f"from_{frm}"), _event_is(ev)),
+                    guard=nodes.entered(frm, ev),
                     effects=(ModeAssign(STATE_COMPONENT, to),)))
                 id_index[(ev, frm, to)] = base_id
 
     posts: list[Requirement] = []
     for st in roster.state_names:
         if preimage[st] or st in groups:
-            state_ops, state_posts = _state_operation(spec, st)
+            state_ops, state_posts = _state_operation(spec, st, nodes)
             reqs.extend(state_ops)
             posts.extend(state_posts)
     reqs.extend(posts)
-    reqs.extend(_class_monitors(spec))
+    reqs.extend(_class_monitors(spec, nodes))
     reqs.append(Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
@@ -546,12 +605,15 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
 
 def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
     """Dictionary, definitions and requirements as one validated model, with
-    the generation report counted from that model."""
+    the generation report counted from that model.  Definitions and
+    requirements are built from one node table, so equal subexpressions are
+    one object; the table goes when the call returns."""
     preimage, groups = _preimage(spec), _dispatch_groups(spec)
-    requirements, id_index = gen_requirements(spec, preimage, groups)
+    nodes = _Nodes()
+    requirements, id_index = gen_requirements(spec, preimage, groups, nodes)
     model = RequirementsModel(
         dictionary=gen_dictionary(spec),
-        definitions=gen_definitions(spec, preimage, groups),
+        definitions=gen_definitions(spec, preimage, groups, nodes),
         requirements=requirements,
     )
     model.validate()

@@ -12,9 +12,13 @@ compiles as that type.
 
 Closures are hash-consed: structurally equal subexpressions share one
 closure.  The structural key carries each literal's type, because ``==``
-on the frozen nodes would merge ``Lit(0)`` with ``Lit(False)``.
-:meth:`Compiler.compile` only builds the node and its support; the closure
-is built when ``fn`` is first read.
+on the frozen nodes would merge ``Lit(0)`` with ``Lit(False)``.  On top of
+that, :meth:`Compiler.compile` remembers each expression object it has
+compiled, by identity, for the life of the ``Compiler``: in a generated
+model, where equal subexpressions are one object, a node met again costs one
+lookup.  A hand-written model shares no node and goes by the structural key
+alone, to the same compiled nodes.  :meth:`Compiler.compile` only builds the
+node and its support; the closure is built when ``fn`` is first read.
 
 An expression's *start-state support* is a set of terms ``(mode,
 literal)``: ``mode`` is a (component, mode) pair and ``literal`` is None or
@@ -161,11 +165,14 @@ class Compiler:
     """Compiles the expressions of one model against its definitions.
 
     Nodes are interned under a key of their kind and their operands'
-    interned nodes, so structurally equal subexpressions share one node."""
+    interned nodes, so structurally equal subexpressions share one node.
+    An expression object already compiled costs one lookup by identity."""
 
     def __init__(self, definitions: Mapping[str, object]):
         self.definitions = definitions
         self._shared: dict[tuple, Compiled] = {}
+        # id(expr) -> (expr, its node); holding expr keeps its id from reuse
+        self._seen: dict[int, tuple[object, Compiled]] = {}
         self._inlined: dict[str, Compiled] = {}
         # in eval_expr's order, which decides a node of two node types
         self._by_type = {
@@ -176,11 +183,16 @@ class Compiler:
 
     def compile(self, expr) -> Compiled:
         """``compile(expr).fn(Frame.of(ctx))`` computes ``eval_expr(expr, ctx)``."""
+        seen = self._seen.get(id(expr))
+        if seen is not None:
+            return seen[1]
         compile_node = self._by_type.get(type(expr))
         if compile_node is None:
             compile_node = next((f for t, f in self._by_type.items() if isinstance(expr, t)),
                                 self._not_a_node)
-        return compile_node(expr)
+        node = compile_node(expr)
+        self._seen[id(expr)] = expr, node
+        return node
 
     def _intern(self, key: tuple, build, *args) -> Compiled:
         node = self._shared.get(key)

@@ -14,7 +14,7 @@ and :class:`BinOp` for comparisons and arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class EvalError(Exception):
@@ -161,18 +161,3 @@ def eval_expr(expr, ctx: EvalContext):
         raise EvalError(f"unknown operator {op!r}")
     raise EvalError(f"not an expression node: {expr!r}")
 
-
-def walk(expr) -> Iterator[object]:
-    """Yield the node and all its descendants in pre-order, not following
-    definition references.  It keeps an explicit stack, so a deep tree stays
-    clear of the recursion limit."""
-    pending = [expr]
-    while pending:
-        node = pending.pop()
-        yield node
-        if isinstance(node, BoolOp):
-            pending += reversed(node.operands)
-        elif isinstance(node, BinOp):
-            pending += (node.right, node.left)
-        elif isinstance(node, Not):
-            pending.append(node.operand)

@@ -6,11 +6,80 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping
 
-from .expr import BoolOp, DefRef, ModeActive, walk
+from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
 
 
 class ModelError(Exception):
     """A structurally invalid requirements model."""
+
+
+# The deepest expression validate accepts, counted in nodes from the root to
+# a leaf with definitions inlined.  Compiling, evaluating and rendering an
+# expression recurse once or twice per level, so this keeps them well inside
+# Python's default limit of 1,000 frames.
+MAX_DEPTH = 200
+
+
+# On a scan's stack: the children of the node under this marker are done.
+_DONE = object()
+_LEAF = (False, 1)
+
+
+def _scan(expr, facts: dict, bodies: Mapping, where: str) -> dict[str, None]:
+    """Scan the nodes under ``expr`` that ``facts`` does not hold, each once.
+
+    Raises on the first empty ``and``/``or`` chain in pre-order.  Records in
+    ``facts``, by node id, whether evaluating the node can read an
+    end-of-round mode and how deep it is with definitions inlined, for
+    every node whose children and definitions (``bodies``) are known.
+    Returns the definitions the scanned nodes name, in pre-order.  It keeps
+    an explicit stack, so a deep tree stays clear of the recursion limit."""
+    named: dict[str, None] = {}
+    unknown: set[int] = set()   # scanned here, but a definition's facts are missing
+    pending: list = [expr]
+    while pending:
+        node = pending.pop()
+        if node is _DONE:
+            node, children = pending.pop(), pending.pop()
+            end, depth = False, 0
+            for child in children:
+                found = facts.get(id(child))
+                if found is None:
+                    unknown.add(id(node))
+                    break
+                end = end or found[0]
+                depth = found[1] if found[1] > depth else depth
+            else:
+                facts[id(node)] = end, depth + 1
+            continue
+        key = id(node)
+        if key in facts or key in unknown:
+            continue   # done already, under this root or another
+        kind = type(node)
+        if kind is Lit or kind is SigRead:
+            facts[key] = _LEAF
+            continue
+        if isinstance(node, BinOp):
+            children = node.left, node.right
+        elif isinstance(node, BoolOp):
+            children = node.operands
+            if not children:
+                raise ModelError(f"{where}: empty {node.op!r} chain")
+        elif isinstance(node, Not):
+            children = (node.operand,)
+        elif isinstance(node, DefRef):
+            named[node.name] = None
+            body = bodies.get(node.name)
+            if body is None:
+                unknown.add(key)
+            else:
+                facts[key] = body[0], body[1] + 1
+            continue
+        else:
+            facts[key] = isinstance(node, ModeActive) and node.at == "end", 1
+            continue
+        pending += (children, node, _DONE, *reversed(children))
+    return named
 
 
 # --- data dictionary -------------------------------------------------------
@@ -236,12 +305,15 @@ class RequirementsModel:
 
     def validate(self) -> None:
         """Structural checks: unique names and ids, acyclic definitions,
-        known definitions, no empty ``and``/``or`` chain and end-of-round
-        reads confined to required conditions in every expression slot, effects on known signals and
-        modes, latch and trigger-on-change subjects being raw signals.
+        known definitions, no empty ``and``/``or`` chain, no expression
+        deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
+        required conditions in every expression slot, effects on known
+        signals and modes, latch and trigger-on-change subjects being raw
+        signals.
 
-        Each definition body is walked once, on first use; what it can read
-        is remembered for every later reference."""
+        Each distinct node is scanned once, by identity: what it can read
+        and how deep it is are remembered for every later use, in any slot.
+        A definition body is scanned on first use."""
         self.dictionary.validate()
 
         names = [d.name for d in self.definitions]
@@ -256,43 +328,49 @@ class RequirementsModel:
         defs = self.definition_map()
         signals = {s.name for s in self.dictionary.signals}
         components = {m.name: m.modes for m in self.dictionary.modes}
-        reads_end: dict[str, bool] = {}   # definition -> can it read an end mode
+        # id(node) -> (can evaluating it read an end mode, its depth with
+        # definitions inlined); the model keeps every node, so ids hold
+        facts: dict[int, tuple[bool, int]] = {}
+        bodies: dict[str, tuple[bool, int]] = {}   # definition -> its body's facts
         visiting: set[str] = set()
 
-        def visit(name: str) -> bool:
+        def visit(name: str) -> tuple[bool, int]:
             """Scan a definition's body on first use; a name met again while
             its own body is being scanned closes a cycle."""
-            if name not in reads_end:
+            if name not in bodies:
                 if name in visiting:
                     raise ModelError(f"definition cycle through {name!r}")
                 visiting.add(name)
-                reads_end[name] = scan(defs[name].expr, f"definition {name!r}")
-            return reads_end[name]
+                bodies[name] = scan(defs[name].expr, f"definition {name!r}")
+            return bodies[name]
 
-        def scan(expr, where: str) -> bool:
-            """Walk one expression once: every definition it names must exist
-            and every chain must have operands.  True if evaluating it can
-            read an end-of-round mode."""
+        def scan(expr, where: str) -> tuple[bool, int]:
+            """The facts of one expression.  Its nodes not scanned before are
+            checked: every definition they name must exist, every chain must
+            have operands, and the whole may be at most MAX_DEPTH deep."""
             if expr is None:
-                return False   # a missing expression stays a runtime EVAL case
-            named: dict[str, None] = {}
-            end = False
-            for node in walk(expr):
-                if isinstance(node, DefRef):
-                    named[node.name] = None
-                elif isinstance(node, ModeActive) and node.at == "end":
-                    end = True
-                elif isinstance(node, BoolOp) and not node.operands:
-                    raise ModelError(f"{where}: empty {node.op!r} chain")
+                return False, 0   # a missing expression stays a runtime EVAL case
+            found = facts.get(id(expr))
+            if found is not None:
+                return found
+            named = _scan(expr, facts, bodies, where)
             for name in named:
                 if name not in defs:
                     raise ModelError(f"{where}: unknown definition {name!r}")
             for name in sorted(named):
-                end = visit(name) or end
-            return end
+                visit(name)
+            if id(expr) not in facts:
+                # it names a definition scanned only just now
+                _scan(expr, facts, bodies, where)
+            found = facts[id(expr)]
+            if found[1] > MAX_DEPTH:
+                raise ModelError(
+                    f"{where}: expression nested {found[1]} deep, deeper than "
+                    f"{MAX_DEPTH}")
+            return found
 
         def start_only(expr, where: str, slot: str) -> None:
-            if scan(expr, where):
+            if scan(expr, where)[0]:
                 raise ModelError(
                     f"{where}: {slot}: end-of-round reads are only legal in "
                     "required conditions")

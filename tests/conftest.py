@@ -43,3 +43,16 @@ def with_second_error_state(spec):
     fsm = {e: {**m, "error_2": "error_"} for e, m in spec.fsm.items()}
     fsm["ERROR"]["send_packet_1"] = "error_2"
     return dataclasses.replace(spec, roster=roster, fsm=fsm)
+
+
+def with_no_stage_two_creator(spec):
+    """Copy of the spec with every stage-two creator made stage-one and every
+    receive state's CONT entry sent to cmd_finish, so no state has the
+    kind ``creator_stage2`` that monitors C1.7 and C11 name."""
+    roster = dataclasses.replace(spec.roster, states=tuple(
+        dataclasses.replace(s, kind=StateKind.CREATOR_STAGE1)
+        if s.kind is StateKind.CREATOR_STAGE2 else s
+        for s in spec.roster.states))
+    cont = {frm: "cmd_finish" if roster.kind_of(frm) is StateKind.RECEIVE else to
+            for frm, to in spec.fsm["CONT"].items()}
+    return dataclasses.replace(spec, roster=roster, fsm={**spec.fsm, "CONT": cont})

@@ -15,7 +15,7 @@ from candofsm.specio import (
     load_spec,
     serialize_spec,
 )
-from conftest import mutate_table, with_second_error_state
+from conftest import mutate_table, with_no_stage_two_creator, with_second_error_state
 
 
 @pytest.fixture()
@@ -50,6 +50,13 @@ def second_error_file(spec, tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def no_stage_two_file(spec, tmp_path):
+    path = tmp_path / "no_stage_two.fsm"
+    path.write_text(serialize_spec(with_no_stage_two_creator(spec)), encoding="utf-8")
+    return str(path)
+
+
 class TestCheck:
     def test_clean_spec_exits_zero(self, spec_file, capsys):
         assert main(["check", spec_file]) == 0
@@ -71,6 +78,11 @@ class TestCheck:
 
     def test_a_second_error_state_is_accepted(self, second_error_file, capsys):
         assert main(["check", second_error_file]) == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_a_spec_without_stage_two_creators_is_accepted(self, no_stage_two_file,
+                                                           capsys):
+        assert main(["check", no_stage_two_file]) == 0
         assert "0 violations" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self, capsys):
@@ -199,6 +211,13 @@ class TestVerify:
 
     def test_a_second_error_state_verifies(self, second_error_file, capsys):
         assert main(["verify", second_error_file]) == 0
+        captured = capsys.readouterr()
+        assert "Overall: PASS" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_a_spec_without_stage_two_creators_verifies(self, no_stage_two_file,
+                                                         capsys):
+        assert main(["verify", no_stage_two_file]) == 0
         captured = capsys.readouterr()
         assert "Overall: PASS" in captured.out
         assert "Traceback" not in captured.out + captured.err

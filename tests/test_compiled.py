@@ -13,6 +13,7 @@ and the plan's index on (active modes, key signal).
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,10 +42,10 @@ from candofsm.reqs import (
     initial_env,
 )
 from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes, meets
-from candofsm.reqs.engine import STATE_COMPONENT, _plan_of
-from candofsm.reqs.expr import EvalContext, eval_expr, walk
+from candofsm.reqs.engine import STATE_COMPONENT, _Plan, _plan_of
+from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env
-from test_reqs import tiny_model
+from test_reqs import tiny_model, walk
 
 CONTEXTS = 90
 
@@ -568,3 +569,29 @@ def test_an_exact_support_the_key_meets_decides_the_guard():
         == [("go", True), ("slow", False)]
     result = fire_round(model, env, None)
     assert result.fired == (("go", ("lamp",)), ("slow", ("x",)))
+
+
+def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
+    # the plan compiles every guard; a node met again costs one lookup, and
+    # a definition body is compiled where its first reference is
+    dispatched = Counter()
+    for name in ("_lit", "_sig_read", "_mode_active", "_mode_ever", "_def_ref",
+                 "_not", "_bool_op", "_bin_op"):
+        def counting(self, expr, _compile=getattr(Compiler, name)):
+            dispatched[id(expr)] += 1
+            return _compile(self, expr)
+        monkeypatch.setattr(Compiler, name, counting)
+    _Plan(model)
+    defs = model.definition_map()
+    reached, pending = set(), [
+        g for r in model.requirements
+        for g in (r.guard, *(b.guard for b in r.branches)) if g is not None]
+    while pending:
+        expr = pending.pop()
+        for node in walk(expr):
+            if id(node) not in reached:
+                reached.add(id(node))
+                if isinstance(node, DefRef):
+                    pending.append(defs[node.name].expr)
+    assert set(dispatched.values()) == {1}
+    assert set(dispatched) == reached

@@ -23,11 +23,12 @@ from candofsm.generate import (
 )
 from candofsm.opmodel import ModelState, _snapshot, ops_round
 from candofsm.reqs import Template, fire_round, initial_env
-from candofsm.reqs.engine import _env_values
-from candofsm.reqs.expr import EvalContext, eval_expr
+from candofsm.reqs.engine import _env_values, _plan_of, run_requirements_trace
+from candofsm.reqs.expr import EvalContext, Lit, eval_expr
 from candofsm.reqs.model import Env
-from candofsm.reqs.text import serialize_model
-from conftest import with_second_error_state
+from candofsm.reqs.text import parse_model, serialize_model
+from conftest import with_no_stage_two_creator, with_second_error_state
+from test_reqs import slots, walk
 
 
 def tables(spec):
@@ -209,15 +210,10 @@ class TestOracle:
             trace = run_requirements_trace(model, cmd, 500)
             assert trace.violations == (), cmd
 
-    def test_a_second_error_state_idles_like_error_(self, spec):
-        # one ops round and one fire_round from every (state, event) pair
-        # agree on all 13 row columns, and neither engine reports a violation
-        spec = with_second_error_state(spec)
-        model, _ = generate_model(spec)
-        titles = {r.req_id: r.title for r in model.requirements}
-        assert titles["op.error_2.event"] == "error_2 idles"
-        assert titles["op.error_.event"] == "error_ idles"
-        assert "post.error_2.event" in titles
+    @staticmethod
+    def assert_one_round_agreement(spec, model):
+        """One ops round and one fire_round from every (state, event) pair
+        agree on all 13 row columns, and neither engine reports a violation."""
         for st in spec.roster.state_names:
             for ev in spec.roster.event_names:
                 ops = ops_round(spec, ModelState(
@@ -230,11 +226,67 @@ class TestOracle:
                 assert ops.post_violations == reqs.violations == (), (st, ev)
                 assert _snapshot(ops.next, 1).values() \
                     == _env_values(reqs.end_env, 1), (st, ev)
+
+    def test_a_second_error_state_idles_like_error_(self, spec):
+        spec = with_second_error_state(spec)
+        model, _ = generate_model(spec)
+        titles = {r.req_id: r.title for r in model.requirements}
+        assert titles["op.error_2.event"] == "error_2 idles"
+        assert titles["op.error_.event"] == "error_ idles"
+        assert "post.error_2.event" in titles
+        self.assert_one_round_agreement(spec, model)
         entered = ops_round(spec, ModelState(
             current_state="send_packet_1", current_event="ERROR",
             current_command="LED_ON_C"))
         assert (entered.next.current_state, entered.next.current_event,
                 entered.fired_op) == ("error_2", CONT, "error_idle")
+
+    def test_an_empty_kind_that_a_monitor_names_is_false(self, spec):
+        # C1.7 and C11 name to_kind_creator_stage2; with no such state it is
+        # emitted as false, and the engines still agree from every pair
+        spec = with_no_stage_two_creator(spec)
+        assert not spec.roster.states_of_kind(StateKind.CREATOR_STAGE2)
+        model, _ = generate_model(spec)
+        defs = model.definition_map()
+        for side in ("from", "to"):
+            assert defs[f"{side}_kind_creator_stage2"].expr == Lit(False)
+        self.assert_one_round_agreement(spec, model)
+
+
+class TestSharedGraph:
+    """generate_model builds each distinct subexpression once, so the model
+    is a DAG; the sharing is an optimisation only."""
+
+    def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
+        positions = [node for expr in slots(model) for node in walk(expr)]
+        assert len(positions) == 9083
+        assert len({id(node) for node in positions}) == 1174
+        # literals that compare equal keep their types: 0 is not false
+        zeros = {(type(n.value), id(n)) for n in positions
+                 if isinstance(n, Lit) and n.value == 0}
+        assert {t for t, _ in zeros} == {int, bool} and len(zeros) == 2
+
+    def test_two_generations_share_no_expression_object(self, spec, model):
+        again, _ = generate_model(spec)
+        first = {id(n) for expr in slots(model) for n in walk(expr)}
+        assert not first & {id(n) for expr in slots(again) for n in walk(expr)}
+
+    def test_an_unshared_copy_plans_and_runs_the_same(self, spec, model):
+        unshared = parse_model(serialize_model(model))
+        assert unshared == model
+        assert len({id(n) for expr in slots(unshared) for n in walk(expr)}) \
+            == len([n for expr in slots(unshared) for n in walk(expr)])
+        shared_plan, plain_plan = _plan_of(model), _plan_of(unshared)
+        assert plain_plan.key == shared_plan.key
+        assert [s.support for s in plain_plan.steps] \
+            == [s.support for s in shared_plan.steps]
+        assert plain_plan._decided == shared_plan._decided
+        for cmd in spec.roster.command_names:
+            a = run_requirements_trace(model, cmd, 500)
+            b = run_requirements_trace(unshared, cmd, 500)
+            assert [r.values() for r in a.rows] == [r.values() for r in b.rows], cmd
+            assert [r.attribution for r in a.rows] == [r.attribution for r in b.rows]
+            assert (a.reason, a.violations) == (b.reason, b.violations), cmd
 
 
 class TestRendering:

@@ -14,6 +14,7 @@ from candofsm.reqs import (
     DefRef,
     Definition,
     EnumType,
+    Env,
     IllegalEndOfRoundRead,
     IntType,
     Lit,
@@ -33,8 +34,9 @@ from candofsm.reqs import (
     fire_round,
     initial_env,
 )
-from candofsm.reqs.expr import EvalContext, eval_expr, walk
+from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.engine import run_requirements_trace
+from candofsm.reqs.model import MAX_DEPTH
 from candofsm.reqs.text import parse_model, serialize_model
 from candofsm.specio import ParseError
 
@@ -532,16 +534,108 @@ class TestValidation:
                        signals=[SignalDef("x", "small", initial=0)])
 
     def test_each_definition_body_is_walked_once(self, model, monkeypatch):
+        # _scan walks the nodes under its root that it has no facts for yet;
+        # every distinct node of the model, each definition body among them,
+        # is walked by exactly one call
         walked = Counter()
+        original = candofsm.reqs.model._scan
 
-        def counting_walk(expr):
-            walked[id(expr)] += 1
-            return walk(expr)
+        def counting_scan(expr, facts, bodies, where):
+            fresh, pending = set(), [expr]
+            while pending:
+                node = pending.pop()
+                if id(node) not in facts and id(node) not in fresh:
+                    fresh.add(id(node))
+                    pending += children(node)
+            walked.update(fresh)
+            return original(expr, facts, bodies, where)
 
-        monkeypatch.setattr(candofsm.reqs.model, "walk", counting_walk)
+        monkeypatch.setattr(candofsm.reqs.model, "_scan", counting_scan)
         model.validate()
         assert [walked[id(d.expr)] for d in model.definitions] \
             == [1] * len(model.definitions)
+        assert set(walked.values()) == {1}
+        assert set(walked) == {id(node) for expr in slots(model) for node in walk(expr)}
+
+    def test_a_shared_node_with_an_end_read_is_rejected_in_a_later_guard(self):
+        # the node is scanned first as a required condition, where the end
+        # read is legal; the same object as a guard must still be rejected
+        lamp_on_at_end = Not(ModeActive("lamp", "on", "end"))
+        with pytest.raises(ModelError,
+                           match="^requirement r2: guard: end-of-round reads"):
+            tiny_model(
+                Requirement("r1", "monitor", Template.EVERY, required=lamp_on_at_end),
+                Requirement("r2", "bad guard", Template.TRIGGER_ON_EVENT,
+                            guard=lamp_on_at_end, effects=(ModeAssign("lamp", "off"),)),
+                modes=[lamp_component()])
+
+    @staticmethod
+    def sum_model(terms: int, definitions: str = "") -> str:
+        return ("signal x : int min=0 max=9 init=0\n" + definitions
+                + 'req r "sum" every ' + " + ".join(["x"] * terms) + " = 0\n")
+
+    def test_deep_arithmetic_is_rejected_with_the_requirement_named(self):
+        with pytest.raises(ModelError, match=(
+                f"^requirement r: expression nested 1201 deep, deeper than "
+                f"{MAX_DEPTH}$")):
+            parse_model(self.sum_model(1200))
+
+    def test_depth_counts_through_definitions(self):
+        body = " + ".join(["x"] * (MAX_DEPTH - 50))
+        with pytest.raises(ModelError, match="^requirement r: expression nested"):
+            parse_model(self.sum_model(60, f'def total "t" := {body}\n')
+                        .replace("every x", "every total"))
+
+    @pytest.mark.parametrize("terms", [100, MAX_DEPTH - 1])
+    def test_a_sum_within_the_limit_validates_evaluates_and_serializes(self, terms):
+        model = parse_model(self.sum_model(terms))
+        env = initial_env(model)
+        result = fire_round(model, env, None)
+        assert result.violations == ()   # 0 + 0 + ... = 0
+        worse = fire_round(model, replace_signals(env, x=1), None)
+        assert [v.constraint_id for v in worse.violations] == ["MONITOR"]
+        assert parse_model(serialize_model(model)) == model
+        assert eval_expr(model.requirements[0].required, EvalContext(
+            start_signals=env.signals, start_modes=env.modes, history=env.history,
+            definitions=model.definition_map(), end_signals=env.signals,
+            end_modes=env.modes, ambient="end")) is True
+
+
+def children(node) -> tuple:
+    if isinstance(node, BoolOp):
+        return node.operands
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Not):
+        return (node.operand,)
+    return ()
+
+
+def walk(expr):
+    """Yield the node and all its descendants in pre-order, once per tree
+    position, not following definition references."""
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending += reversed(children(node))
+
+
+def slots(model) -> list:
+    """Every expression slot of a model: definition bodies, guards, required
+    conditions, latch values and effect values."""
+    found = [d.expr for d in model.definitions]
+    for req in model.requirements:
+        found += [e for e in (req.guard, req.required, req.value) if e is not None]
+        found += [a.expr for a in req.effects if isinstance(a, SignalAssign)]
+        for branch in req.branches:
+            found += [branch.guard] if branch.guard is not None else []
+            found += [a.expr for a in branch.effects if isinstance(a, SignalAssign)]
+    return found
+
+
+def replace_signals(env, **values):
+    return Env(signals={**env.signals, **values}, modes=env.modes, history=env.history)
 
 
 class TestReqText:

@@ -55,17 +55,21 @@ def _load(path: str) -> SpecDocument:
     try:
         return load_spec(path)
     except FileNotFoundError:
-        raise _LoadFailure(f"cannot read {path!r}: no such file")
+        raise _Failure(f"cannot read {path!r}: no such file")
     except OSError as exc:
-        raise _LoadFailure(f"cannot read {path!r}: {exc}")
+        raise _Failure(f"cannot read {path!r}: {exc}")
     except ParseError as exc:
         snippet = f"\n  {exc.snippet}" if exc.snippet else ""
-        raise _LoadFailure(
+        raise _Failure(
             f"{path}:{exc.line}:{exc.column}: {exc.message}{snippet}")
 
 
-class _LoadFailure(Exception):
-    pass
+class _Failure(Exception):
+    """Ends a command: the message goes to stderr, ``status`` is the exit code."""
+
+    def __init__(self, message: str, status: ExitStatus = ExitStatus.LOAD_ERROR):
+        super().__init__(message)
+        self.status = status
 
 
 def _generate(spec: SpecDocument):
@@ -74,7 +78,17 @@ def _generate(spec: SpecDocument):
     try:
         return generate_model(spec)
     except FsmError as exc:
-        raise _LoadFailure(f"cannot generate the requirements model: {exc}")
+        raise _Failure(f"cannot generate the requirements model: {exc}")
+
+
+def _checked_generate(spec: SpecDocument):
+    """:func:`_generate` on a spec that passes the structural checks; the
+    violations of one that does not go to stderr, and the command fails."""
+    violations = _all_checks(spec)
+    if violations:
+        _print_violations(violations, sys.stderr)
+        raise _Failure(f"{len(violations)} structural violations", ExitStatus.FINDINGS)
+    return _generate(spec)
 
 
 def _all_checks(spec: SpecDocument) -> list[Violation]:
@@ -88,12 +102,12 @@ def _all_checks(spec: SpecDocument) -> list[Violation]:
     return violations
 
 
-def _print_violations(violations: list[Violation]) -> None:
+def _print_violations(violations: list[Violation], file=None) -> None:
     grouped: dict[str, list[Violation]] = defaultdict(list)
     for v in violations:
         grouped[v.constraint_id].append(v)
     for constraint in sorted(grouped, key=lambda c: grouped[c][0].sort_key()):
-        print(f"{constraint} ({len(grouped[constraint])}):")
+        print(f"{constraint} ({len(grouped[constraint])}):", file=file)
         for v in sorted(grouped[constraint], key=Violation.sort_key):
             where = " ".join(
                 part for part in (
@@ -101,7 +115,7 @@ def _print_violations(violations: list[Violation]) -> None:
                     f"{v.from_state} -> {v.to_state}" if v.from_state and v.to_state
                     else (v.from_state or ""),
                 ) if part)
-            print(f"  {where + ': ' if where else ''}{v.message}")
+            print(f"  {where + ': ' if where else ''}{v.message}", file=file)
 
 
 def _cmd_check(args) -> int:
@@ -135,16 +149,19 @@ def _cmd_simulate(args) -> int:
         try:
             trace = run(spec, args.command, args.max_rounds)
         except RunError as exc:
-            raise _LoadFailure(f"cannot run {args.command} on the operational "
-                               f"model: {exc}")
+            raise _Failure(f"cannot run {args.command} on the operational "
+                           f"model: {exc}")
     else:
         from .reqs.engine import run_requirements_trace
 
-        model, _ = _generate(spec)
+        model, _ = _checked_generate(spec)
         trace = run_requirements_trace(model, args.command, args.max_rounds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_trace_csv(trace.rows, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                write_trace_csv(trace.rows, fh)
+        except OSError as exc:
+            raise _Failure(f"cannot write {args.out!r}: {exc}")
         print(f"{len(trace.rows)} rows ({trace.reason}) -> {args.out}",
               file=sys.stderr)
     else:
@@ -194,7 +211,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    model, _ = _generate(_load(args.spec))
+    model, _ = _checked_generate(_load(args.spec))
     if args.format == "md":
         sys.stdout.write(render_requirements_markdown(model))
     else:
@@ -249,9 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except _LoadFailure as exc:
+    except _Failure as exc:
         print(str(exc), file=sys.stderr)
-        return ExitStatus.LOAD_ERROR
+        return exc.status
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .expr import (
     IllegalEndOfRoundRead,
     Lit,
     ModeActive,
-    ModeEver,
     Not,
     SigRead,
     TypeMismatch,
@@ -45,7 +44,7 @@ __all__ = [
     "BinOp", "BoolOp", "BoolType", "CaseBranch", "ConstantDef",
     "DataDictionary", "DefRef", "Definition", "EnumType", "Env", "EvalError",
     "IllegalEndOfRoundRead", "IntType", "Lit", "ModeActive", "ModeAssign",
-    "ModeComponent", "ModeEver", "ModelError", "Not",
+    "ModeComponent", "ModelError", "Not",
     "Obligation", "Requirement", "RequirementsModel", "RoundResult",
     "SigRead", "SignalAssign", "SignalDef", "Template", "TypeMismatch",
     "fire_round", "initial_env", "run_requirements_trace",

@@ -50,7 +50,6 @@ from .expr import (
     IllegalEndOfRoundRead,
     Lit,
     ModeActive,
-    ModeEver,
     Not,
     SigRead,
     _as_bool,
@@ -87,23 +86,21 @@ def meets(support: frozenset, active: frozenset, signal: str | None = None,
 
 
 class Frame:
-    """What a compiled expression reads: the ambient signal snapshot, the
-    start and end mode snapshots and the status history."""
+    """What a compiled expression reads: the ambient signal snapshot and the
+    start and end mode snapshots."""
 
-    __slots__ = ("signals", "start_modes", "end_modes", "history")
+    __slots__ = ("signals", "start_modes", "end_modes")
 
-    def __init__(self, signals, start_modes, end_modes, history):
+    def __init__(self, signals, start_modes, end_modes):
         self.signals = signals
         self.start_modes = start_modes
         self.end_modes = end_modes
-        self.history = history
 
     @classmethod
     def of(cls, ctx: EvalContext) -> Frame:
         """The frame of an :class:`EvalContext`."""
         signals = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
-        return cls({} if signals is None else signals, ctx.start_modes,
-                   ctx.end_modes, ctx.history)
+        return cls({} if signals is None else signals, ctx.start_modes, ctx.end_modes)
 
 
 class Compiled:
@@ -177,8 +174,8 @@ class Compiler:
         # in eval_expr's order, which decides a node of two node types
         self._by_type = {
             Lit: self._lit, SigRead: self._sig_read, ModeActive: self._mode_active,
-            ModeEver: self._mode_ever, DefRef: self._def_ref, Not: self._not,
-            BoolOp: self._bool_op, BinOp: self._bin_op,
+            DefRef: self._def_ref, Not: self._not, BoolOp: self._bool_op,
+            BinOp: self._bin_op,
         }
 
     def compile(self, expr) -> Compiled:
@@ -217,10 +214,6 @@ class Compiler:
             node = self._shared[key] = Compiled(
                 (_start_mode, (comp, mode)), frozenset({((comp, mode), None)}), True)
         return node
-
-    def _mode_ever(self, expr: ModeEver) -> Compiled:
-        key = (expr.component, expr.mode, expr.status)
-        return self._intern(("ever",) + key, _ever, key)
 
     def _def_ref(self, expr: DefRef) -> Compiled:
         name = expr.name
@@ -313,10 +306,6 @@ def _end_mode(comp, mode):
             raise IllegalEndOfRoundRead(message)
         return mode in end.get(comp, EMPTY)
     return fn
-
-
-def _ever(key):
-    return lambda frame: key in frame.history
 
 
 def _not(node: Compiled):

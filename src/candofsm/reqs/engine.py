@@ -10,7 +10,7 @@ One round takes the model from a start snapshot to an end snapshot:
 4. monitor templates are checked against the end snapshot;
 5. mode-set exclusivity is checked on the end snapshot;
 6. obligations fall due (within 0 means this very round) or expire;
-7. status history and the pending obligation set are updated.
+7. the pending obligation set is updated.
 
 The function is total: breaches are returned as violations, never raised.
 
@@ -26,8 +26,6 @@ nothing but terms its key meets is not called: the guard holds.  A
 requirement is compiled to closures when it first becomes a candidate.  On
 the shipped machine a ``verify`` compiles 197 of the 872 requirements, and
 a round visits 10.6 candidates and makes 6.4 guard calls on average.
-The status history grows by a memoised set per end mode set, and only
-when that set is not in it yet.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .model import (
     RequirementsModel,
     SignalAssign,
     Template,
-    _history_of,
     initial_env,
 )
 
@@ -139,7 +136,6 @@ class _Plan:
     def __init__(self, model: RequirementsModel):
         self.definitions = model.definition_map()
         self.compiler = Compiler(self.definitions)
-        self.components = model.dictionary.modes
         self.steps = tuple(_Step(req, self.compiler) for req in model.requirements)
         self.by_id = {s.req.req_id: s for s in self.steps}
         read = Counter(signal for s in self.steps if s.phase and s.support
@@ -178,8 +174,6 @@ class _Plan:
                 model.dictionary.int_bounds(sig), model.dictionary.enum_members(sig),
                 sig.type_name))
         self._candidates: dict[tuple, tuple[tuple, tuple]] = {}
-        # end mode set -> its statuses
-        self._statuses: dict[frozenset, frozenset] = {}
 
     def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:
         """The requirements that can act from a start with these active modes
@@ -210,14 +204,6 @@ class _Plan:
             (effect if step.phase == "effect" else check).append((step, guard))
         return tuple(effect), tuple(check)
 
-    def history_after(self, history: frozenset, end_modes, end_active: frozenset):
-        """``history | _history_of(end_modes, …)``: the statuses are built
-        once per end mode set, and the union only when they are new."""
-        statuses = self._statuses.get(end_active)
-        if statuses is None:
-            statuses = self._statuses[end_active] = _history_of(end_modes, self.components)
-        return history if statuses <= history else history | statuses
-
     def obligation(self, ob: Obligation):
         """The compiled condition of an obligation."""
         step = self.by_id.get(ob.req_id)
@@ -242,9 +228,9 @@ def _plan_of(model: RequirementsModel) -> _Plan:
 def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> RoundResult:
     plan = _plan_of(model)
     current_round = env.round_no + 1
-    active = active_modes(env.modes)
-    effect_steps, check_steps = plan.candidates(active, env.signals.get(plan.key, ABSENT))
-    start = Frame(env.signals, env.modes, None, env.history)
+    effect_steps, check_steps = plan.candidates(active_modes(env.modes),
+                                                env.signals.get(plan.key, ABSENT))
+    start = Frame(env.signals, env.modes, None)
 
     violations: list[Violation] = []
     # record key -> ordered writes; signals keyed ("sig", name), modes ("mode", comp)
@@ -317,7 +303,6 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     # build the end snapshot, detecting conflicts and range breaches
     end_signals = dict(env.signals)
     end_modes = dict(env.modes)
-    end_active = active
     fired: list[tuple[str, tuple[str, ...]]] = []
     applied: dict[str, list[str]] = {}
 
@@ -352,7 +337,6 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             end_signals[name] = value
         else:
             end_modes[name] = frozenset({value})
-            end_active = None
         for rid, _ in entries:
             applied.setdefault(rid, []).append(name)
 
@@ -361,7 +345,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
         if step.req.req_id in applied:
             fired.append((step.req.req_id, tuple(applied[step.req.req_id])))
 
-    end = Frame(end_signals, env.modes, end_modes, env.history)
+    end = Frame(end_signals, env.modes, end_modes)
 
     def required_holds(required, req: Requirement) -> bool:
         try:
@@ -414,9 +398,6 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     end_env = Env(
         signals=end_signals,
         modes=end_modes,
-        history=plan.history_after(
-            env.history, end_modes,
-            active_modes(end_modes) if end_active is None else end_active),
         pending=tuple(still_pending),
         round_no=current_round,
     )

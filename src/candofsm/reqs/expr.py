@@ -2,13 +2,13 @@
 
 Expressions are evaluated against round snapshots.  Plain signal reads use
 the ambient snapshot (start of round in guards and effect values, end of
-round in required conditions).  Mode comparisons name their time point
-explicitly; ``ever`` consults the accumulated status history.
+round in required conditions).  Mode reads name their time point
+explicitly.
 
 The nodes are literals, signal reads, mode reads (``at`` start or end of
-round, ``ever`` active or inactive), references to parameterless
-definitions, ``not``, one n-ary :class:`BoolOp` per ``and``/``or`` chain,
-and :class:`BinOp` for comparisons and arithmetic.
+round), references to parameterless definitions, ``not``, one n-ary
+:class:`BoolOp` per ``and``/``or`` chain, and :class:`BinOp` for
+comparisons and arithmetic.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ class ModeActive:
 
 
 @dataclass(frozen=True)
-class ModeEver:
-    component: str
-    mode: str
-    status: str
-
-
-@dataclass(frozen=True)
 class DefRef:
     name: str
 
@@ -86,7 +79,6 @@ class EvalContext:
 
     start_signals: Mapping[str, object]
     start_modes: Mapping[str, frozenset[str]]
-    history: frozenset[tuple[str, str, str]]
     definitions: Mapping[str, object]
     end_signals: Mapping[str, object] | None = None
     end_modes: Mapping[str, frozenset[str]] | None = None
@@ -126,8 +118,6 @@ def eval_expr(expr, ctx: EvalContext):
                 f"mode {expr.component}.{expr.mode} read at end of round outside a "
                 "required condition")
         return _active(ctx.end_modes, expr.component, expr.mode)
-    if isinstance(expr, ModeEver):
-        return (expr.component, expr.mode, expr.status) in ctx.history
     if isinstance(expr, DefRef):
         definition = ctx.definitions.get(expr.name)
         if definition is None:

@@ -250,22 +250,14 @@ class Obligation:
 
 @dataclass(frozen=True)
 class Env:
-    """Record values at a round boundary, plus history and open obligations."""
+    """Record values at a round boundary, plus open obligations."""
 
     signals: Mapping[str, object]
     modes: Mapping[str, frozenset[str]]
-    history: frozenset[tuple[str, str, str]] = frozenset()
+    # inert: nothing reads or writes it; kept while perfbench/workloads.py passes it
+    history: frozenset = frozenset()
     pending: tuple[Obligation, ...] = ()
     round_no: int = 0
-
-
-def _history_of(modes: Mapping[str, frozenset[str]], components) -> frozenset:
-    out = set()
-    for comp in components:
-        for mode in comp.modes:
-            status = "active" if mode in modes.get(comp.name, frozenset()) else "inactive"
-            out.add((comp.name, mode, status))
-    return frozenset(out)
 
 
 def initial_env(model: RequirementsModel,
@@ -285,13 +277,7 @@ def initial_env(model: RequirementsModel,
         m.name: (frozenset({m.initial}) if m.initial is not None else frozenset())
         for m in model.dictionary.modes
     }
-    return Env(
-        signals=signals,
-        modes=modes,
-        history=_history_of(modes, model.dictionary.modes),
-        pending=(),
-        round_no=0,
-    )
+    return Env(signals=signals, modes=modes)
 
 
 @dataclass(frozen=True)

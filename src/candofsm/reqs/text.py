@@ -11,8 +11,8 @@ One record per line, ``#`` comments::
         => fsm := get_cmd
 
 Expressions are infix with ``and``/``or``/``not``, comparisons, arithmetic,
-``mode(C.M) at start|end`` and ``mode(C.M) ever active|inactive``; a name
-declared by ``def`` refers to that definition.  A run of ``and`` (or of
+and ``mode(C.M) at start|end``; a name declared by ``def`` refers to that
+definition.  A run of ``and`` (or of
 ``or``) parses to one n-ary ``BoolOp``; a parenthesised run stays a nested
 node, and the serializer parenthesises it again.  Records must be declared
 before use, which is the order the serializer emits.
@@ -29,7 +29,6 @@ from .expr import (
     DefRef,
     Lit,
     ModeActive,
-    ModeEver,
     Not,
     SigRead,
 )
@@ -213,17 +212,12 @@ def _parse_mode_op(cur: _Cursor, scope: _Scope):
     mode = cur.next()
     cur.expect(")")
     tok = cur.next()
-    if tok == "at":
-        at = cur.next()
-        if at not in ("start", "end"):
-            raise cur.error(f"expected 'start' or 'end', got {at!r}")
-        return ModeActive(component, mode, at)
-    if tok == "ever":
-        status = cur.next()
-        if status not in ("active", "inactive"):
-            raise cur.error(f"expected 'active' or 'inactive', got {status!r}")
-        return ModeEver(component, mode, status)
-    raise cur.error(f"expected 'at' or 'ever' after mode(), got {tok!r}")
+    if tok != "at":
+        raise cur.error(f"expected 'at' after mode(), got {tok!r}")
+    at = cur.next()
+    if at not in ("start", "end"):
+        raise cur.error(f"expected 'start' or 'end', got {at!r}")
+    return ModeActive(component, mode, at)
 
 
 def _parse_factor(cur: _Cursor, scope: _Scope):
@@ -538,8 +532,6 @@ def render_expr(expr, parent_prec: int = 0) -> str:
         return expr.name
     if isinstance(expr, ModeActive):
         return f"mode({expr.component}.{expr.mode}) at {expr.at}"
-    if isinstance(expr, ModeEver):
-        return f"mode({expr.component}.{expr.mode}) ever {expr.status}"
     if isinstance(expr, Not):
         text = f"not {render_expr(expr.operand, _NOT_PRECEDENCE)}"
         return f"({text})" if _NOT_PRECEDENCE < parent_prec else text

@@ -79,8 +79,7 @@ def distinct_states(rows):
 def oracle_env(model, event, state, **signals):
     init = initial_env(model, overrides={"current_command": "LED_ON_C",
                                          "current_event": event, **signals})
-    return Env(signals=init.signals, modes={"fsm": frozenset({state})},
-               history=init.history)
+    return Env(signals=init.signals, modes={"fsm": frozenset({state})})
 
 
 def test_criterion_1_valid_sequence_reproduction(spec):

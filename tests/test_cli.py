@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import candofsm.cli
 import candofsm.generate
 from candofsm.cli import main
+from candofsm.fsm import StateDef, StateKind
 from candofsm.specio import (
     bundled_spec_path,
     load_bundled_cando,
@@ -47,6 +49,21 @@ def stray_dispatch_file(tmp_path):
 def second_error_file(spec, tmp_path):
     path = tmp_path / "second_error.fsm"
     path.write_text(serialize_spec(with_second_error_state(spec)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def extra_control_file(spec, tmp_path):
+    """The shipped spec with a control state ``idle`` that ``check`` rejects
+    and the generator has no rule for: every event takes it to error_, and
+    EVT_6 takes start to it."""
+    roster = dataclasses.replace(
+        spec.roster, states=(*spec.roster.states, StateDef("idle", StateKind.CONTROL)))
+    fsm = {e: {**m, "idle": "error_"} for e, m in spec.fsm.items()}
+    fsm["EVT_6"]["start"] = "idle"
+    path = tmp_path / "extra_control.fsm"
+    path.write_text(serialize_spec(dataclasses.replace(spec, roster=roster, fsm=fsm)),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -124,6 +141,27 @@ class TestSimulate:
     def test_unknown_flag_is_a_usage_error(self, spec_file, capsys):
         assert main(["simulate", spec_file, "--command", "LED_ON_C",
                      "--frobnicate"]) == 3
+
+    def test_unwritable_out_is_a_load_error(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main(["simulate", spec_file, "--command", "LED_ON_C",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {str(out)!r}: ")
+        assert "Traceback" not in captured.err
+
+    def test_reqs_engine_on_a_rejected_spec_reports_the_violations(
+            self, extra_control_file, capsys):
+        assert main(["check", extra_control_file]) == 1
+        checked = capsys.readouterr().out
+        assert main(["simulate", extra_control_file, "--command", "LED_ON_C",
+                     "--engine", "reqs"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ROSTER" in captured.err and "C1.2" in captured.err
+        count = checked.splitlines()[-1].split()[0]
+        assert captured.err.endswith(f"\n{count} structural violations\n")
 
     @pytest.mark.parametrize("engine, message", [
         ("ops", "cannot run LED_ON_C on the operational model: round 2: "),
@@ -233,8 +271,13 @@ class TestVerify:
         # patch every name a caller can look the generator up by
         monkeypatch.setattr(candofsm.generate, "generate_model", counting)
         monkeypatch.setattr(candofsm.cli, "generate_model", counting)
+        checks = []
+        check_all = candofsm.cli._all_checks
+        monkeypatch.setattr(candofsm.cli, "_all_checks",
+                            lambda spec: checks.append(spec) or check_all(spec))
         assert main(["verify", str(bundled_spec_path())]) == 0
         assert len(calls) == 1
+        assert len(checks) == 1
         assert load_bundled_cando() == load_spec(bundled_spec_path())
 
     def test_structural_violations_fail_verification(self, broken_spec_file,
@@ -294,6 +337,14 @@ class TestReport:
     def test_html_format(self, spec_file, capsys):
         assert main(["report", spec_file, "--format", "html"]) == 0
         assert capsys.readouterr().out.startswith("<!DOCTYPE html>")
+
+    def test_a_spec_check_rejects_reports_the_violations(self, extra_control_file,
+                                                        capsys):
+        assert main(["report", extra_control_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ROSTER" in captured.err and "C1.2" in captured.err
+        assert captured.err.endswith(" structural violations\n")
 
     def test_unknown_format_is_a_usage_error(self, spec_file):
         assert main(["report", spec_file, "--format", "pdf"]) == 3

@@ -29,7 +29,6 @@ from candofsm.reqs import (
     ModeActive,
     ModeAssign,
     ModeComponent,
-    ModeEver,
     Not,
     Obligation,
     Requirement,
@@ -109,8 +108,9 @@ def sampled_contexts(spec, model, count: int) -> list[EvalContext]:
         start_modes = {STATE_COMPONENT: sampled_modes(rng, states, i)}
         end = rng.random() < 0.6
         prev = rng.random() < 0.5
-        history = set(base.history)
-        history.update((STATE_COMPONENT, s, "active") for s in rng.sample(states, 3))
+        # a draw once spent on a status history, kept so the stream and thus
+        # the sampled contexts stay as they were
+        rng.sample(states, 3)
         start_signals = sampled_signals(rng, base.signals, spec)
         end_signals = sampled_signals(rng, base.signals, spec) if end else None
         end_modes = {STATE_COMPONENT: frozenset({rng.choice(states)})} if end else None
@@ -122,7 +122,6 @@ def sampled_contexts(spec, model, count: int) -> list[EvalContext]:
         contexts.append(EvalContext(
             start_signals=start_signals,
             start_modes=start_modes,
-            history=frozenset(history),
             definitions=definitions,
             end_signals=end_signals,
             end_modes=end_modes,
@@ -203,9 +202,8 @@ def test_an_exact_support_the_key_meets_means_true(model, contexts):
 
 
 def test_the_language_has_no_node_type_the_translation_does_not_emit(model):
-    # ModeEver stays for the history deltas the engine records
     emitted = {type(node) for expr in model_expressions(model) for node in walk(expr)}
-    assert emitted == set(Compiler({})._by_type) - {ModeEver}
+    assert emitted == set(Compiler({})._by_type)
 
 
 # --- hand-built cases --------------------------------------------------------
@@ -214,7 +212,6 @@ def hand_ctx(**overrides) -> EvalContext:
     fields = dict(
         start_signals={"x": 3, "flag": True, "colour": "red", "n": 1},
         start_modes={"lamp": frozenset({"on"})},
-        history=frozenset({("lamp", "off", "active")}),
         definitions={
             "lamp_on": Definition("lamp_on", "lamp on", ModeActive("lamp", "on", "start")),
             "lamp_on_end": Definition("lamp_on_end", "lamp on at end",
@@ -270,9 +267,6 @@ HAND_CASES = [
     DefRef("lamp_on_end"),
     or_(DefRef("lamp_on"), DefRef("lamp_on_end")),
     or_(Not(DefRef("lamp_on")), DefRef("lamp_on_end")),
-    # ever
-    ModeEver("lamp", "off", "active"),
-    ModeEver("lamp", "on", "active"),
     # n-ary chains, and a disjunction long enough to pick its operands per
     # active mode set, with a non-boolean operand among them
     and_(Lit(True), DefRef("lamp_on"), Lit(True), SigRead("x")),
@@ -360,8 +354,7 @@ def two_lamp_model():
 
 def start_with(model, active) -> Env:
     init = initial_env(model)
-    return Env(signals=init.signals, modes={"lamp": frozenset(active)},
-               history=init.history)
+    return Env(signals=init.signals, modes={"lamp": frozenset(active)})
 
 
 def test_no_active_mode_fires_nothing_and_breaks_the_mode_set():
@@ -466,8 +459,7 @@ def start_on(model, active, **signals) -> Env:
     is left out."""
     init = initial_env(model)
     values = {k: v for k, v in {**init.signals, **signals}.items() if v is not ABSENT}
-    return Env(signals=values, modes={"lamp": frozenset(active)},
-               history=init.history)
+    return Env(signals=values, modes={"lamp": frozenset(active)})
 
 
 def candidate_ids(model, env) -> list[str]:
@@ -558,8 +550,7 @@ def test_an_exact_support_the_key_meets_decides_the_guard():
                     guard=and_(guard, BinOp("<", SigRead("x"), Lit(5))),
                     effects=(SignalAssign("x", Lit(1)),)))
     env = start_on(model, ("on",), ev="green")
-    ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
-                      history=env.history, definitions={})
+    ctx = EvalContext(start_signals=env.signals, start_modes=env.modes, definitions={})
     assert eval_expr(guard, ctx) is True
     assert node.fn(Frame.of(ctx)) is True
     plan = _plan_of(model)
@@ -575,8 +566,8 @@ def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
     # the plan compiles every guard; a node met again costs one lookup, and
     # a definition body is compiled where its first reference is
     dispatched = Counter()
-    for name in ("_lit", "_sig_read", "_mode_active", "_mode_ever", "_def_ref",
-                 "_not", "_bool_op", "_bin_op"):
+    for name in ("_lit", "_sig_read", "_mode_active", "_def_ref", "_not", "_bool_op",
+                 "_bin_op"):
         def counting(self, expr, _compile=getattr(Compiler, name)):
             dispatched[id(expr)] += 1
             return _compile(self, expr)

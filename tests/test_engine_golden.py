@@ -100,8 +100,7 @@ def start_env(model, case: dict) -> Env:
     init = initial_env(model, overrides={**overrides, "current_event": case["event"]})
     active = case["state"]
     active = frozenset([active] if isinstance(active, str) else active)
-    return Env(signals=init.signals, modes={**init.modes, STATE_COMPONENT: active},
-               history=init.history)
+    return Env(signals=init.signals, modes={**init.modes, STATE_COMPONENT: active})
 
 
 def round_snapshot(model, env: Env) -> dict:
@@ -115,8 +114,6 @@ def round_snapshot(model, env: Env) -> dict:
                     if k not in env.signals or _differs(v, env.signals[k])},
         "dropped_signals": sorted(set(env.signals) - set(end.signals)),
         "modes": {k: sorted(v) for k, v in end.modes.items()},
-        "history_added": sorted(map(list, end.history - env.history)),
-        "history_removed": sorted(map(list, env.history - end.history)),
         "pending": [[ob.req_id, ob.due_round, ob.registered_round]
                     for ob in end.pending],
         "round_no": end.round_no,
@@ -208,7 +205,7 @@ def test_a_guard_the_key_decides_holds_under_the_interpreter(model, golden):
     for entry in golden["rounds"] + golden["fault_rounds"]:
         env = start_env(model, entry["input"])
         ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
-                          history=env.history, definitions=plan.definitions)
+                          definitions=plan.definitions)
         effect, check = plan.candidates(*_start_key(entry))
         for step, guard in effect + check:
             if guard is None and step.req.guard is not None:

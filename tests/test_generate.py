@@ -104,11 +104,11 @@ class TestDefinitions:
         for active in (sends[0], sends[-1]):
             ctx = EvalContext(
                 start_signals={}, start_modes={"fsm": frozenset({active})},
-                history=frozenset(), definitions=defs)
+                definitions=defs)
             assert eval_expr(defs["from_kind_send"].expr, ctx) is True
         ctx = EvalContext(
             start_signals={}, start_modes={"fsm": frozenset({"start"})},
-            history=frozenset(), definitions=defs)
+            definitions=defs)
         assert eval_expr(defs["from_kind_send"].expr, ctx) is False
 
     def test_idmap_definitions_exist_for_send_and_receive(self, model):
@@ -197,8 +197,7 @@ class TestOracle:
         for ev, st in pairs:
             init = initial_env(model, overrides={
                 "current_command": "LED_ON_C", "current_event": ev})
-            env = Env(signals=init.signals, modes={"fsm": frozenset({st})},
-                      history=init.history)
+            env = Env(signals=init.signals, modes={"fsm": frozenset({st})})
             result = fire_round(model, env, None)
             assert result.end_env.modes["fsm"] \
                 == frozenset({lookup_next(spec.fsm, ev, st)}), (ev, st)
@@ -221,8 +220,7 @@ class TestOracle:
                 init = initial_env(model, overrides={
                     "current_command": "LED_ON_C", "current_event": ev})
                 reqs = fire_round(model, Env(signals=init.signals,
-                                             modes={"fsm": frozenset({st})},
-                                             history=init.history), None)
+                                             modes={"fsm": frozenset({st})}), None)
                 assert ops.post_violations == reqs.violations == (), (st, ev)
                 assert _snapshot(ops.next, 1).values() \
                     == _env_values(reqs.end_env, 1), (st, ev)

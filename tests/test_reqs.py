@@ -21,7 +21,6 @@ from candofsm.reqs import (
     ModeActive,
     ModeAssign,
     ModeComponent,
-    ModeEver,
     ModelError,
     Not,
     Requirement,
@@ -62,18 +61,10 @@ def lamp_component(initial="off"):
 
 
 class TestEvalExpr:
-    def ctx(self, start_modes, history=frozenset(), end_modes=None,
-            ambient="start"):
+    def ctx(self, start_modes, end_modes=None, ambient="start"):
         return EvalContext(
-            start_signals={}, start_modes=start_modes, history=history,
-            definitions={}, end_modes=end_modes, ambient=ambient)
-
-    def test_ever_reads_the_history(self):
-        expr = ModeEver("lamp", "on", "active")
-        held = self.ctx({"lamp": frozenset({"off"})},
-                        history=frozenset({("lamp", "on", "active")}))
-        assert eval_expr(expr, held) is True
-        assert eval_expr(expr, self.ctx({"lamp": frozenset({"off"})})) is False
+            start_signals={}, start_modes=start_modes, definitions={},
+            end_modes=end_modes, ambient=ambient)
 
     def test_end_read_outside_required_position_is_rejected(self):
         expr = ModeActive("lamp", "on", "end")
@@ -350,29 +341,6 @@ class TestFireRound:
         assert first.fired == second.fired
         assert first.violations == second.violations
 
-    def test_history_is_monotone(self):
-        model = tiny_model(
-            Requirement("go", "switch on", Template.TRIGGER_ON_EVENT,
-                        guard=ModeActive("lamp", "off", "start"),
-                        effects=(ModeAssign("lamp", "on"),)),
-            Requirement("back", "switch off", Template.TRIGGER_ON_EVENT,
-                        guard=ModeActive("lamp", "on", "start"),
-                        effects=(ModeAssign("lamp", "off"),)),
-            modes=[lamp_component()])
-        env = initial_env(model)
-        prev = None
-        ever_on = ModeEver("lamp", "on", "active")
-        seen_true = False
-        for _ in range(6):
-            result = fire_round(model, env, prev)
-            prev, env = env, result.end_env
-            ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
-                              history=env.history, definitions={})
-            if seen_true:
-                assert eval_expr(ever_on, ctx) is True
-            seen_true = seen_true or eval_expr(ever_on, ctx)
-        assert seen_true
-
 
 def command_signals():
     """The two records a run loop reads: the command and its finish flag."""
@@ -596,7 +564,7 @@ class TestValidation:
         assert [v.constraint_id for v in worse.violations] == ["MONITOR"]
         assert parse_model(serialize_model(model)) == model
         assert eval_expr(model.requirements[0].required, EvalContext(
-            start_signals=env.signals, start_modes=env.modes, history=env.history,
+            start_signals=env.signals, start_modes=env.modes,
             definitions=model.definition_map(), end_signals=env.signals,
             end_modes=env.modes, ambient="end")) is True
 
@@ -635,7 +603,7 @@ def slots(model) -> list:
 
 
 def replace_signals(env, **values):
-    return Env(signals={**env.signals, **values}, modes=env.modes, history=env.history)
+    return Env(signals={**env.signals, **values}, modes=env.modes)
 
 
 class TestReqText:
@@ -705,8 +673,6 @@ class TestReqText:
         'req r "pin" latch x while b := x + 1',
         'req r "watch" onchange x => b',
         'req r "mirror" onchange x when b do y := x',
-        'req r "lit" every mode(lamp.on) ever active',
-        'req r "dark" every mode(lamp.on) ever inactive',
         "type t int [0, 3]\nsignal z : t init=0",
         "const LIMIT : int = 3 min=0 max=9 tol=1",
         'req r "product" every x * 2 = -1',
@@ -714,8 +680,7 @@ class TestReqText:
     ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
             "not-under-comparison", "nested-chains", "1200-operand-or",
             "1200-operand-and", "latch-holding-its-start-value", "latch-with-a-value",
-            "onchange-monitor", "onchange-constructive", "mode-ever-active",
-            "mode-ever-inactive", "bounded-int-type", "constant-with-options",
+            "onchange-monitor", "onchange-constructive", "bounded-int-type", "constant-with-options",
             "product-and-negative-literal", "within-n-atsomepoint"])
     def test_serialize_inverts_parse(self, lines):
         model = parse_model("signal x : int init=0\nsignal b : bool init=false\n"
@@ -728,7 +693,10 @@ class TestReqText:
         'def double(n) "twice n" := n + n',
         "type lamps array Flag [4]",
         'req r "rising" every mode(lamp.on) becomes active',
-    ], ids=["parameterised-definition", "array-type", "becomes"])
+        'req r "lit" every mode(lamp.on) ever active',
+        'req r "dark" every mode(lamp.on) ever inactive',
+    ], ids=["parameterised-definition", "array-type", "becomes", "mode-ever-active",
+            "mode-ever-inactive"])
     def test_removed_constructs_are_parse_errors(self, line):
         with pytest.raises(ParseError):
             parse_model("type Flag bool\nmode lamp { off on } exclusive init=off\n"

@@ -6,7 +6,9 @@ and then moves through the transition table on the event the operation just
 produced.  The one data-dependent transition is get_cmd under CONT, which
 consults the command dispatch table instead of the table entry.  A round
 computes the operation's changed fields and the target state first, and
-then builds its one new :class:`ModelState`.
+then builds its one new :class:`ModelState` with a single constructor call
+(:func:`_next_state`): each field comes from the changes, or else from the
+state before the round.
 
 Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`step` re-evaluates it after executing
@@ -15,13 +17,12 @@ and reports breaches as violations, which stay empty on a conforming spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fsm import (
     CHIP_RST,
     CMD_FINISH,
     CONT,
-    CREATOR_KINDS,
     ERROR_ST,
     GET_CMD,
     GET_CMD_E,
@@ -119,18 +120,6 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
     if st == ERROR_ST or kind is StateKind.ERROR:
         # every error state but chip_rst idles like error_
         return {"current_event": CONT}, "error_idle"
-    if kind in CREATOR_KINDS:
-        template = spec.packets.get(st)
-        if template is None:
-            raise MissingPacketTemplate(st)
-        if kind is StateKind.CREATOR_STAGE2:
-            base = m.packet or _NO_PACKET
-            return ({"packet": Packet(base.addr, base.cmd, template.data),
-                     "current_event": CONT}, "set_packet_data")
-        # A plain creator builds the whole packet the way stage one does.
-        cmd = template.cmd if template.cmd is not None else m.current_command
-        return ({"packet": Packet(template.addr, cmd, template.data),
-                 "current_event": CONT}, "create_packet")
     if kind is StateKind.SEND:
         if m.bytes_sent < PACKET_LENGTH:
             return ({"bytes_sent": m.bytes_sent + 1, "current_event": SPI_TX_FINISH},
@@ -147,7 +136,38 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
                      "current_event": SPI_RX_FINISH}, "receive_packet")
         return ({"bytes_received": 0, "optrode_rx_finish": True, "current_event": CONT},
                 "receive_packet")
-    raise AssertionError(f"unhandled state kind {kind} for {st!r}")
+    if kind is StateKind.CONTROL:
+        raise AssertionError(f"unhandled state kind {kind} for {st!r}")
+    # what is left is one of the three creator kinds
+    template = spec.packets.get(st)
+    if template is None:
+        raise MissingPacketTemplate(st)
+    if kind is StateKind.CREATOR_STAGE2:
+        base = m.packet or _NO_PACKET
+        return ({"packet": Packet(base.addr, base.cmd, template.data),
+                 "current_event": CONT}, "set_packet_data")
+    # A plain creator builds the whole packet the way stage one does.
+    cmd = template.cmd if template.cmd is not None else m.current_command
+    return ({"packet": Packet(template.addr, cmd, template.data),
+             "current_event": CONT}, "create_packet")
+
+
+def _next_state(m: ModelState, st: str, changes: dict) -> ModelState:
+    """The machine after a round that ends in state ``st``: each field from
+    the operation's ``changes``, or else from ``m``, in one constructor call."""
+    get = changes.get
+    return ModelState(
+        st,
+        changes["current_event"],
+        m.current_command,
+        get("command_finish_flag", m.command_finish_flag),
+        get("optrode_tx_finish", m.optrode_tx_finish),
+        get("optrode_rx_finish", m.optrode_rx_finish),
+        get("packet", m.packet),
+        get("bytes_received", m.bytes_received),
+        get("bytes_sent", m.bytes_sent),
+        get("tx_cnt", m.tx_cnt),
+    )
 
 
 def state_operation(spec: SpecDocument, m: ModelState) -> tuple[ModelState, str]:
@@ -155,7 +175,7 @@ def state_operation(spec: SpecDocument, m: ModelState) -> tuple[ModelState, str]
     (same current_state) and the name of the operation that fired."""
     st = m.current_state
     changes, fired = _operation(spec, m, st, spec.roster.kind_of(st))
-    return replace(m, **changes), fired
+    return _next_state(m, st, changes), fired
 
 
 def _op_contract(st: str, kind: StateKind, before: ModelState,
@@ -205,7 +225,7 @@ def step(spec: SpecDocument, m: ModelState) -> StepOutcome:
     kind = spec.roster.kind_of(st)
     changes, fired = _operation(spec, m, st, kind)
     target = _target(spec, st, changes["current_event"], m.current_command)
-    return StepOutcome(replace(m, current_state=target, **changes), fired,
+    return StepOutcome(_next_state(m, target, changes), fired,
                        _op_contract(st, kind, m, changes))
 
 
@@ -216,7 +236,7 @@ def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
     st = _target(spec, m.current_state, m.current_event, m.current_command)
     kind = spec.roster.kind_of(st)
     changes, fired = _operation(spec, m, st, kind)
-    return StepOutcome(replace(m, current_state=st, **changes), fired,
+    return StepOutcome(_next_state(m, st, changes), fired,
                        _op_contract(st, kind, m, changes))
 
 

@@ -22,6 +22,7 @@ from candofsm.opmodel import (
     RunError,
     StepOutcome,
     _op_contract,
+    _operation,
     init_model,
     ops_round,
     run,
@@ -163,12 +164,15 @@ class TestStep:
 
     def test_step_and_ops_round_equal_the_two_updates_over_the_full_state(self, spec):
         # every state x event x bytes_sent x bytes_received x tx_cnt; the
-        # command, the three flags and the packet vary with the case index
-        def target(m):
-            if m.current_state == GET_CMD and m.current_event == CONT:
-                return spec.dispatch[m.current_command]
-            return lookup_next(spec.fsm, m.current_event, m.current_state)
+        # command, the three flags and the packet vary with the case index.
+        # The expected states go through dataclasses.replace, not the
+        # builder that step and ops_round share.
+        def target(st, event, command):
+            if st == GET_CMD and event == CONT:
+                return spec.dispatch[command]
+            return lookup_next(spec.fsm, event, st)
 
+        kind_of = spec.roster.kind_of
         commands = spec.roster.command_names
         counter = range(PACKET_LENGTH + 1)
         cases = 0
@@ -183,11 +187,14 @@ class TestStep:
                 optrode_rx_finish=bool(i & 4),
                 packet=Packet("Optrode_addr", command, "LED_addr") if i & 8 else None,
                 bytes_sent=sent, bytes_received=received, tx_cnt=tx)
-            operated, fired = state_operation(spec, m)
+            changes, fired = _operation(spec, m, st, kind_of(st))
+            moved = target(st, changes["current_event"], command)
             want_step = StepOutcome(
-                dataclasses.replace(operated, current_state=target(operated)), fired)
-            moved = dataclasses.replace(m, current_state=target(m))
-            want_round = StepOutcome(*state_operation(spec, moved))
+                dataclasses.replace(m, current_state=moved, **changes), fired)
+            entered = target(st, ev, command)
+            changes, fired = _operation(spec, m, entered, kind_of(entered))
+            want_round = StepOutcome(
+                dataclasses.replace(m, current_state=entered, **changes), fired)
             if step(spec, m) != want_step:
                 wrong.append(("step", m))
             if ops_round(spec, m) != want_round:
@@ -280,12 +287,44 @@ class TestRun:
 
 def test_model_state_is_immutable(spec):
     m = init_model(spec, "LED_ON_C")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m.bytes_sent = 1
+    assert ModelState.__dataclass_params__.frozen
+    assert "__slots__" in vars(ModelState)
+    # the states a round builds are as frozen, slotted and hashable as init's
+    built = step(spec, m).next
+    for state in (m, built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.bytes_sent = 1
     # slotted records: no per-instance __dict__, and no field outside the class
-    for record in (m, Packet(), step(spec, m)):
+    for record in (m, built, Packet(), step(spec, m)):
         assert not hasattr(record, "__dict__"), type(record).__name__
     with pytest.raises(TypeError):
         dataclasses.replace(m, no_such_field=1)
     same = init_model(spec, "LED_ON_C")
     assert same == m and same is not m and hash(same) == hash(m)
+    again = step(spec, m).next
+    assert again == built and again is not built and hash(again) == hash(built)
+
+
+def test_each_round_constructs_exactly_one_model_state(spec, monkeypatch):
+    # counting __post_init__ counts constructions, and shows that the range
+    # checks run on every state a round builds
+    starts = [dataclasses.replace(init_model(spec, "LED_ON_C"), current_state=st)
+              for st in spec.roster.state_names]
+    checked = []
+    post_init = ModelState.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ModelState, "__post_init__", counted)
+    for cmd in spec.roster.command_names:
+        checked.clear()
+        trace = run(spec, cmd, 500)
+        assert len(checked) == len(trace.rows), cmd
+    for m in starts:
+        for round_fn in (step, ops_round):
+            checked.clear()
+            outcome = round_fn(spec, m)
+            assert len(checked) == 1 and checked[0] is outcome.next, (
+                round_fn.__name__, m.current_state)

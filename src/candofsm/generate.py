@@ -599,7 +599,7 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
     reqs.append(Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
-        template=Template.MODE_SET, component=STATE_COMPONENT, exclusive=True))
+        template=Template.MODE_SET, component=STATE_COMPONENT))
     return tuple(reqs), id_index
 
 
@@ -696,16 +696,13 @@ def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
         lines.append(f"  {_prose(req.required, defs)}")
         lines.append("holds.")
     elif req.template is Template.MODE_SET:
-        exclusivity = "exactly one" if req.exclusive else "any number"
-        lines.append(f"The {req.component} component has {exclusivity} of its "
+        lines.append(f"The {req.component} component has exactly one of its "
                      "modes active at a time.")
-    elif req.template is Template.CASE:
+    else:   # a case
         for i, branch in enumerate(req.branches, start=1):
             lines.append(f"Case {i}: if {_prose(branch.guard, defs)} then")
             for effect in branch.effects:
                 lines.append(f"  {_effect_prose(effect, defs)}")
-    else:
-        lines.append(f"({req.template.value} requirement on {req.signal})")
     lines.append("")
     return lines
 

@@ -3,7 +3,7 @@
 One round takes the model from a start snapshot to an end snapshot:
 
 1. guards and triggers are evaluated against the start snapshot;
-2. constructive templates contribute end-of-round effects, every effect
+2. triggers and cases contribute end-of-round effects, every effect
    expression itself evaluated against the start snapshot only;
 3. records nobody wrote carry their start value over (frame property);
    conflicting writes leave the start value and report both writers;
@@ -69,41 +69,33 @@ class _Step:
     :meth:`compile` builds its closures, when it first becomes a candidate."""
 
     __slots__ = ("req", "template", "phase", "guard_node", "support", "compiled",
-                 "guard", "effects", "required", "value", "branches")
+                 "guard", "effects", "required", "branches")
 
     def __init__(self, req: Requirement, compiler: Compiler):
         t = req.template
         self.req = req
         self.template = t
         self.compiled = False
-        on_change = t is Template.TRIGGER_ON_CHANGE
-        if t in (Template.TRIGGER_ON_EVENT, Template.LATCH, Template.CASE) \
-                or (on_change and req.constructive):
-            self.phase = "effect"
-        elif t in (Template.EVERY, Template.WHEN) or on_change \
-                or (t is Template.MODE_SET and req.exclusive):
-            self.phase = "check"
-        else:
-            self.phase = None
+        self.phase = "effect" if t in (Template.TRIGGER_ON_EVENT, Template.CASE) \
+            else "check"
 
-        # a False guard means no effect, obligation or violation; a total
-        # case, every-monitors and on-change monitors act in every round
+        # a False guard means no effect, obligation or violation; every-monitors
+        # and mode-sets act in every round
         guard = self.guard_node = None if req.guard is None else compiler.compile(req.guard)
         self.support = None
         if t is Template.CASE:
             supports = [None if b.guard is None else compiler.compile(b.guard).support
                         for b in req.branches]
-            if not req.total and None not in supports:
+            if None not in supports:
                 self.support = frozenset().union(*supports)
-        elif t in (Template.TRIGGER_ON_EVENT, Template.LATCH, Template.WHEN) \
-                or (on_change and req.constructive):
+        elif t in (Template.TRIGGER_ON_EVENT, Template.WHEN):
             self.support = None if guard is None else guard.support
 
     def compile(self, compiler: Compiler) -> None:
         if self.compiled:
             return
-        # a missing guard always holds and a missing latch value holds the
-        # signal; anything else missing raises as the interpreter does
+        # a missing guard always holds; anything else missing raises as the
+        # interpreter does
         def fn(expr):
             return compiler.compile(expr).fn
 
@@ -117,7 +109,6 @@ class _Step:
         self.guard = None if self.guard_node is None else self.guard_node.fn
         self.effects = effects(req.effects)
         self.required = fn(req.required)
-        self.value = None if req.value is None else fn(req.value)
         self.branches = tuple((None if b.guard is None else fn(b.guard), effects(b.effects))
                               for b in req.branches)
         self.compiled = True
@@ -138,7 +129,7 @@ class _Plan:
         self.compiler = Compiler(self.definitions)
         self.steps = tuple(_Step(req, self.compiler) for req in model.requirements)
         self.by_id = {s.req.req_id: s for s in self.steps}
-        read = Counter(signal for s in self.steps if s.phase and s.support
+        read = Counter(signal for s in self.steps if s.support
                        for signal in {lit[0] for _, lit in s.support if lit})
         key = self.key = read.most_common(1)[0][0] if read else None
         # step indices: those that may act from any start; per mode, those
@@ -149,8 +140,6 @@ class _Plan:
         self._by_mode: dict[tuple[str, str], list[tuple[int, set | None]]] = {}
         self._decided: set[int] = set()
         for i, s in enumerate(self.steps):
-            if s.phase is None:
-                continue
             if s.support is None:
                 self._anywhere.append(i)
                 continue
@@ -226,6 +215,8 @@ def _plan_of(model: RequirementsModel) -> _Plan:
 
 
 def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> RoundResult:
+    # prev_env is unread: no template compares a round with the one before;
+    # the parameter stays while perfbench/workloads.py passes it
     plan = _plan_of(model)
     current_round = env.round_no + 1
     effect_steps, check_steps = plan.candidates(active_modes(env.modes),
@@ -262,43 +253,20 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             else:
                 writes.setdefault((kind, name), []).append((req.req_id, effect))
 
-    def changed_signal(name: str) -> bool:
-        return prev_env is not None and prev_env.signals.get(name) != env.signals.get(name)
-
     for step, guard in effect_steps:
-        req, t = step.req, step.template
-        if t is Template.TRIGGER_ON_EVENT:
+        req = step.req
+        if step.template is Template.TRIGGER_ON_EVENT:
             if guard_true(guard, req):
                 add_effects(req, step.effects)
                 if req.required is not None:
-                    due = (current_round + req.within
-                           if req.within is not None
-                           else (None if req.at_some_point else current_round))
+                    due = current_round + (req.within or 0)
                     new_obligations.append(
                         Obligation(req.req_id, req.required, due, current_round))
-        elif t is Template.LATCH:
-            if guard_true(guard, req):
-                if step.value is not None:
-                    try:
-                        held = step.value(start)
-                    except EvalError as exc:
-                        violations.append(_violation("EVAL", req, str(exc)))
-                        continue
-                else:
-                    held = env.signals.get(req.signal)
-                writes.setdefault(("sig", req.signal), []).append((req.req_id, held))
-        elif t is Template.CASE:
-            taken = False
+        else:   # a case: the first branch whose guard holds
             for guard, effects in step.branches:
                 if guard_true(guard, req):
                     add_effects(req, effects)
-                    taken = True
                     break
-            if not taken and req.total:
-                violations.append(
-                    _violation("CASE", req, "no branch matched a total case"))
-        elif changed_signal(req.signal) and guard_true(guard, req):
-            add_effects(req, step.effects)   # constructive trigger-on-change
 
     # build the end snapshot, detecting conflicts and range breaches
     end_signals = dict(env.signals)
@@ -364,11 +332,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             if guard_true(guard, req) and not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "required condition "
                                                              "breached under guard"))
-        elif t is Template.TRIGGER_ON_CHANGE:
-            if changed_signal(req.signal) and not required_holds(step.required, req):
-                violations.append(_violation(
-                    "MONITOR", req, f"condition breached on change of {req.signal!r}"))
-        else:
+        else:   # an exclusive mode-set
             active_end = end_modes.get(req.component, frozenset())
             if len(active_end) != 1:
                 violations.append(_violation(
@@ -386,7 +350,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             satisfied = False
         if satisfied:
             continue
-        if ob.due_round is not None and ob.due_round <= current_round:
+        if ob.due_round <= current_round:
             violations.append(Violation(
                 "OBLIGATION",
                 message=f"obligation of requirement {ob.req_id} registered in round "
@@ -484,31 +448,22 @@ def run_requirements_trace(model: RequirementsModel, command: str,
     per-field attribution (rebuilt from the round's fired requirements, kept
     only on fields whose value changed).  The run stops with ``cmd_finish``
     once the command's finish flag is up, checked before each round and once
-    more when the row budget runs out, and with ``budget`` otherwise;
-    at-some-point obligations still open at the end are reported as
-    violations.
+    more when the row budget runs out, and with ``budget`` otherwise.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     env = initial_env(model, overrides={"current_command": command})
-    prev: Env | None = None
     values = _env_values(env, 0)
     rows = [TraceRow(**values)]
     violations: list[Violation] = []
     while len(rows) < max_rounds and not _finished(env):
-        result = fire_round(model, env, prev)
-        prev, env = env, result.end_env
+        result = fire_round(model, env, None)
+        env = result.end_env
         new_values = _env_values(env, len(rows))
         rows.append(TraceRow(**new_values, attribution=_round_attribution(
             result, new_values, values)))
         values = new_values
         violations.extend(result.violations)
     reason = "cmd_finish" if _finished(env) else "budget"
-    for ob in env.pending:
-        if ob.due_round is None:
-            violations.append(Violation(
-                "OBLIGATION",
-                message=f"at-some-point obligation of requirement {ob.req_id} "
-                        "never satisfied before the run ended"))
     return Trace(rows=tuple(rows), command=command, engine="reqs",
                  reason=reason, violations=tuple(violations))

@@ -159,6 +159,11 @@ class DataDictionary:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate dictionary record names: {dupes}")
+        for t in self.types:
+            # .req writes an int type's bounds as a pair or not at all
+            if isinstance(t, IntType) and (t.lo is None) != (t.hi is None):
+                raise ModelError(
+                    f"int type {t.name!r}: give both bounds or neither")
         basic = {"int", "bool"}
         for s in self.signals:
             if s.type_name not in basic and self.type_named(s.type_name) is None:
@@ -209,8 +214,6 @@ class Template(enum.Enum):
     EVERY = "every"
     WHEN = "when"
     TRIGGER_ON_EVENT = "trigger"
-    LATCH = "latch"
-    TRIGGER_ON_CHANGE = "onchange"
     MODE_SET = "modeset"
     CASE = "case"
 
@@ -226,25 +229,19 @@ class Requirement:
     req_id: str
     title: str
     template: Template
-    guard: object | None = None              # trigger / when-guard / latch-while
+    guard: object | None = None              # trigger / when-guard
     required: object | None = None           # monitored or obliged condition
     effects: tuple[Assignment, ...] = ()
     within: int | None = None
-    at_some_point: bool = False
     component: str | None = None             # mode-set target
-    exclusive: bool = True
-    signal: str | None = None                # latch / trigger-on-change subject
-    value: object | None = None              # latch hold value
     branches: tuple[CaseBranch, ...] = ()
-    total: bool = False
-    constructive: bool = False               # trigger-on-change opt-in
 
 
 @dataclass(frozen=True)
 class Obligation:
     req_id: str
     expr: object
-    due_round: int | None                    # None: unbounded (at some point)
+    due_round: int
     registered_round: int
 
 
@@ -294,8 +291,7 @@ class RequirementsModel:
         known definitions, no empty ``and``/``or`` chain, no expression
         deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
         required conditions in every expression slot, effects on known
-        signals and modes, latch and trigger-on-change subjects being raw
-        signals.
+        signals and modes, mode-sets on known mode components.
 
         Each distinct node is scanned once, by identity: what it can read
         and how deep it is are remembered for every later use, in any slot.
@@ -383,12 +379,6 @@ class RequirementsModel:
             for branch in r.branches:
                 start_only(branch.guard, where, "case guard")
                 check_effects(branch.effects, where)
-            start_only(r.value, where, "latch value")
             scan(r.required, where)
-            if r.template in (Template.LATCH, Template.TRIGGER_ON_CHANGE):
-                if r.signal not in signals:
-                    raise ModelError(
-                        f"{where}: {r.template.value} needs a raw signal, not a "
-                        "definition")
             if r.template is Template.MODE_SET and r.component not in components:
                 raise ModelError(f"{where}: mode-set needs a mode component")

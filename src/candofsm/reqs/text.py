@@ -398,70 +398,26 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
         effects = _parse_assignments(cur, scope)
         required = None
         within = None
-        at_some_point = False
         if cur.accept("require"):
             required = _parse_expr(cur, scope)
         if cur.accept("within"):
             within = _parse_int(cur)
-        if cur.accept("atsomepoint"):
-            at_some_point = True
         req = Requirement(req_id, title, template, guard=guard, effects=effects,
-                          required=required, within=within,
-                          at_some_point=at_some_point)
-    elif template is Template.LATCH:
-        signal = cur.next()
-        cur.expect("while")
-        # the held value, if any, follows the condition after ':='
-        split = None
-        for i in range(cur.pos, len(cur.tokens)):
-            if cur.tokens[i] == ":=":
-                split = i
-                break
-        if split is None:
-            guard = _parse_expr(cur, scope)
-            value = None
-        else:
-            guard_cur = _Cursor(cur.tokens[cur.pos:split], lineno, line)
-            guard = _parse_expr(guard_cur, scope)
-            if not guard_cur.done():
-                raise guard_cur.error("trailing tokens in latch condition")
-            value_cur = _Cursor(cur.tokens[split + 1:], lineno, line)
-            value = _parse_expr(value_cur, scope)
-            cur.pos = len(cur.tokens)
-        req = Requirement(req_id, title, template, guard=guard,
-                          signal=signal, value=value)
-    elif template is Template.TRIGGER_ON_CHANGE:
-        signal = cur.next()
-        if cur.accept("=>"):
-            req = Requirement(req_id, title, template, signal=signal,
-                              required=_parse_expr(cur, scope))
-        else:
-            guard = None
-            if cur.accept("when"):
-                guard = _parse_expr(cur, scope)
-            cur.expect("do")
-            req = Requirement(req_id, title, template, signal=signal,
-                              guard=guard, constructive=True,
-                              effects=_parse_assignments(cur, scope))
+                          required=required, within=within)
     elif template is Template.MODE_SET:
         component = cur.next()
-        exclusive = cur.accept("exclusive")
-        req = Requirement(req_id, title, template, component=component,
-                          exclusive=exclusive)
+        if not cur.accept("exclusive"):
+            raise cur.error(f"mode-set on {component!r} must be 'exclusive'")
+        req = Requirement(req_id, title, template, component=component)
     else:  # CASE
         branches = []
-        total = False
         while True:
             guard = _parse_expr(cur, scope)
             cur.expect("=>")
-            effects = _parse_assignments(cur, scope)
-            branches.append(CaseBranch(guard, effects))
-            if cur.accept("|"):
-                continue
-            total = cur.accept("total")
-            break
-        req = Requirement(req_id, title, template, branches=tuple(branches),
-                          total=total)
+            branches.append(CaseBranch(guard, _parse_assignments(cur, scope)))
+            if not cur.accept("|"):
+                break
+        req = Requirement(req_id, title, template, branches=tuple(branches))
 
     if not cur.done():
         raise cur.error(f"trailing tokens: {cur.peek()!r}")
@@ -571,29 +527,14 @@ def _render_requirement(req: Requirement) -> str:
             parts.append(f"require {render_expr(req.required)}")
         if req.within is not None:
             parts.append(f"within {req.within}")
-        if req.at_some_point:
-            parts.append("atsomepoint")
         return " ".join(parts)
-    if req.template is Template.LATCH:
-        out = f"{head} {req.signal} while {render_expr(req.guard)}"
-        if req.value is not None:
-            out += f" := {render_expr(req.value)}"
-        return out
-    if req.template is Template.TRIGGER_ON_CHANGE:
-        if req.constructive:
-            guard = f" when {render_expr(req.guard)}" if req.guard is not None else ""
-            effects = ", ".join(_render_assignment(a) for a in req.effects)
-            return f"{head} {req.signal}{guard} do {effects}"
-        return f"{head} {req.signal} => {render_expr(req.required)}"
     if req.template is Template.MODE_SET:
-        exclusive = " exclusive" if req.exclusive else ""
-        return f"{head} {req.component}{exclusive}"
+        return f"{head} {req.component} exclusive"
     branches = " | ".join(
         f"{render_expr(b.guard)} => "
         + ", ".join(_render_assignment(a) for a in b.effects)
         for b in req.branches)
-    total = " total" if req.total else ""
-    return f"{head} {branches}{total}"
+    return f"{head} {branches}"
 
 
 def serialize_model(model: RequirementsModel) -> str:

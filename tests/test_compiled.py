@@ -20,7 +20,6 @@ import pytest
 from candofsm.reqs import (
     BinOp,
     BoolOp,
-    CaseBranch,
     DefRef,
     Definition,
     EvalError,
@@ -67,7 +66,7 @@ def model_expressions(model) -> list:
     found = [d.expr for d in model.definitions]
     found += [DefRef(d.name) for d in model.definitions]
     for req in model.requirements:
-        found += [e for e in (req.guard, req.required, req.value) if e is not None]
+        found += [e for e in (req.guard, req.required) if e is not None]
         found += [a.expr for a in req.effects if isinstance(a, SignalAssign)]
         for branch in req.branches:
             found.append(branch.guard)
@@ -204,6 +203,10 @@ def test_an_exact_support_the_key_meets_means_true(model, contexts):
 def test_the_language_has_no_node_type_the_translation_does_not_emit(model):
     emitted = {type(node) for expr in model_expressions(model) for node in walk(expr)}
     assert emitted == set(Compiler({})._by_type)
+
+
+def test_the_language_has_no_template_the_translation_does_not_emit(model):
+    assert {req.template for req in model.requirements} == set(Template)
 
 
 # --- hand-built cases --------------------------------------------------------
@@ -386,24 +389,6 @@ def test_the_plan_is_built_once_per_model_instance():
     assert "_plan" not in two_lamp_model().__dict__
 
 
-def test_a_total_case_reports_from_states_its_branches_miss():
-    model = tiny_model(
-        Requirement("pick", "dim lamps count", Template.CASE, total=True,
-                    branches=(CaseBranch(ModeActive("lamp", "dim", "start"),
-                                         (SignalAssign("x", Lit(1)),)),)),
-        Requirement("quiet", "dim lamps count quietly", Template.CASE,
-                    branches=(CaseBranch(ModeActive("lamp", "dim", "start"),
-                                         (SignalAssign("y", Lit(1)),)),)),
-        signals=[SignalDef("x", "small", initial=0), SignalDef("y", "small", initial=0)],
-        modes=[ModeComponent("lamp", ("off", "on", "dim"), initial="off")])
-    result = fire_round(model, initial_env(model), None)
-    assert [v.constraint_id for v in result.violations] == ["CASE"]
-    assert "pick" in result.violations[0].message
-    dim = fire_round(model, start_with(model, ("dim",)), None)
-    assert dim.violations == ()
-    assert [rid for rid, _ in dim.fired] == ["pick", "quiet"]
-
-
 def test_pending_obligations_from_elsewhere_are_compiled_on_demand():
     model = tiny_model(
         Requirement("met", "demand x = 5", Template.TRIGGER_ON_EVENT,
@@ -411,8 +396,9 @@ def test_pending_obligations_from_elsewhere_are_compiled_on_demand():
         signals=[SignalDef("x", "small", initial=2)])
     init = initial_env(model)
     # "met" names a requirement of the model but carries its own condition
-    pending = (Obligation("kept", BinOp("=", SigRead("x"), Lit(3)), None, 0),
-               Obligation("met", BinOp("=", SigRead("x"), Lit(2)), None, 0),
+    # due in round 1, the round fired here, except "kept", due in round 3
+    pending = (Obligation("kept", BinOp("=", SigRead("x"), Lit(3)), 3, 0),
+               Obligation("met", BinOp("=", SigRead("x"), Lit(2)), 1, 0),
                Obligation("broken", "not a node", 1, 0))
     result = fire_round(model, Env(signals=init.signals, modes=init.modes,
                                    pending=pending), None)

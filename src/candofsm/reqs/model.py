@@ -291,7 +291,8 @@ class RequirementsModel:
         known definitions, no empty ``and``/``or`` chain, no expression
         deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
         required conditions in every expression slot, effects on known
-        signals and modes, mode-sets on known mode components.
+        signals and modes, mode-sets on known mode components, no
+        negative ``within``.
 
         Each distinct node is scanned once, by identity: what it can read
         and how deep it is are remembered for every later use, in any slot.
@@ -380,5 +381,8 @@ class RequirementsModel:
                 start_only(branch.guard, where, "case guard")
                 check_effects(branch.effects, where)
             scan(r.required, where)
+            if r.within is not None and r.within < 0:
+                # the obligation would fall due before the round that registers it
+                raise ModelError(f"{where}: within {r.within} is negative")
             if r.template is Template.MODE_SET and r.component not in components:
                 raise ModelError(f"{where}: mode-set needs a mode component")

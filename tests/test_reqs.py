@@ -213,6 +213,17 @@ class TestFireRound:
         assert violation.constraint_id == "EVAL"
         assert violation.message.endswith("guard is not boolean: 2")
 
+    def test_an_effect_that_fails_to_evaluate_keeps_the_signal(self):
+        model = tiny_model(
+            Requirement("add", "x plus an unset count", Template.TRIGGER_ON_EVENT,
+                        guard=Lit(True), effects=(SignalAssign(
+                            "x", BinOp("+", SigRead("x"), SigRead("c"))),)),
+            signals=[SignalDef("x", "small", initial=2),
+                     SignalDef("c", "small", initial=None)])
+        result = fire_round(model, initial_env(model), None)
+        assert result.end_env.signals["x"] == 2
+        assert [v.constraint_id for v in result.violations] == ["EVAL"]
+
     def test_a_non_member_write_to_an_enum_signal_is_rejected(self):
         model = tiny_model(
             Requirement("r", "paint it blue", Template.TRIGGER_ON_EVENT,
@@ -313,6 +324,21 @@ class TestRunRounds:
         assert all(row.values() == {**first.values(), "round": row.round}
                    for row in trace.rows)
 
+    def test_an_obligation_still_open_when_the_run_ends_is_not_reported(self):
+        # only an expired obligation is a violation; the run ends before this
+        # one falls due
+        model = tiny_model(
+            Requirement("arm", "x reaches 5 within nine rounds",
+                        Template.TRIGGER_ON_EVENT,
+                        guard=BinOp("=", SigRead("x"), Lit(2)),
+                        effects=(SignalAssign("x", Lit(3)),),
+                        required=BinOp("=", SigRead("x"), Lit(5)), within=9),
+            signals=[SignalDef("x", "small", initial=2), *command_signals()])
+        trace = run_requirements_trace(model, "green", 4)
+        assert trace.reason == "budget"
+        assert trace.violations == ()
+
+
 class TestValidation:
     def test_definition_cycles_are_rejected(self):
         with pytest.raises(ModelError, match="cycle"):
@@ -364,6 +390,24 @@ class TestValidation:
                 Requirement("r", "no such mode", Template.CASE, branches=(
                     CaseBranch(Lit(True), (ModeAssign("lamp", "zzz"),)),)),
                 modes=[lamp_component()])
+
+    def test_end_read_in_a_trigger_effect_is_rejected(self):
+        with pytest.raises(ModelError, match="r: effect flag: end-of-round"):
+            tiny_model(
+                Requirement("r", "copy the end", Template.TRIGGER_ON_EVENT,
+                            guard=Lit(True), effects=(SignalAssign(
+                                "flag", ModeActive("lamp", "on", "end")),)),
+                signals=[SignalDef("flag", "Flag", initial=False)],
+                modes=[lamp_component()])
+
+    def test_a_negative_within_is_rejected(self):
+        # it would register an obligation already expired
+        with pytest.raises(ModelError, match="^requirement r: within -1 is negative$"):
+            tiny_model(
+                Requirement("r", "due yesterday", Template.TRIGGER_ON_EVENT,
+                            guard=Lit(True), effects=(SignalAssign("x", Lit(1)),),
+                            required=BinOp("=", SigRead("x"), Lit(2)), within=-1),
+                signals=[SignalDef("x", "small", initial=0)])
 
     def test_end_read_in_a_case_branch_effect_is_rejected(self):
         with pytest.raises(ModelError, match="r: effect flag: end-of-round"):
@@ -589,10 +633,11 @@ class TestReqText:
         "const LIMIT : int = 3 min=0 max=9 tol=1",
         'req r "product" every x * 2 = -1',
         'req r "later" trigger b => x := 1 require x = 2 within 3',
+        'req r "lamp modes" modeset lamp exclusive',
     ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
             "not-under-comparison", "nested-chains", "1200-operand-or",
             "1200-operand-and", "bounded-int-type", "constant-with-options",
-            "product-and-negative-literal", "within-n"])
+            "product-and-negative-literal", "within-n", "exclusive-modeset"])
     def test_serialize_inverts_parse(self, lines):
         model = parse_model(TEXT_HEAD + f"{lines}\n")
         assert parse_model(serialize_model(model)) == model

@@ -49,10 +49,21 @@ class StateKind(enum.Enum):
     CONTROL = "control"
 
 
+# Each member once more as a plain global, which hot code tests by identity.
+# On CPython 3.11 ``EnumType`` defines ``__getattr__``, so a load such as
+# ``StateKind.SEND`` takes the slow attribute path, about four times a
+# global load, and hashing a member (``kind in CREATOR_KINDS``) runs the
+# Python-level ``Enum.__hash__``.
+KIND_SEND = StateKind.SEND
+KIND_RECEIVE = StateKind.RECEIVE
+KIND_CREATOR = StateKind.CREATOR
+KIND_CREATOR_STAGE1 = StateKind.CREATOR_STAGE1
+KIND_CREATOR_STAGE2 = StateKind.CREATOR_STAGE2
+KIND_ERROR = StateKind.ERROR
+KIND_CONTROL = StateKind.CONTROL
+
 # "Packet creator states" in the constraint rules means all three creator kinds.
-CREATOR_KINDS = frozenset(
-    {StateKind.CREATOR, StateKind.CREATOR_STAGE1, StateKind.CREATOR_STAGE2}
-)
+CREATOR_KINDS = frozenset({KIND_CREATOR, KIND_CREATOR_STAGE1, KIND_CREATOR_STAGE2})
 
 # Fixed catalogue of checker codes, in reporting order.
 CONSTRAINT_CATALOGUE = (
@@ -100,6 +111,8 @@ class MissingPacketTemplate(FsmError):
 
 @dataclass(frozen=True)
 class StateDef:
+    """A roster state: its name, its kind, and whether it is synthetic."""
+
     name: str
     kind: StateKind
     synthetic: bool = False
@@ -115,6 +128,8 @@ class MemberDef:
 
 @dataclass(frozen=True)
 class Roster:
+    """The machine's states (with kinds), events and commands, in order."""
+
     states: tuple[StateDef, ...]
     events: tuple[MemberDef, ...]
     commands: tuple[MemberDef, ...]
@@ -129,15 +144,17 @@ class Roster:
                 dupes = sorted({n for n in names if names.count(n) > 1})
                 raise ValueError(f"duplicate {label} names: {dupes}")
 
-    @property
+    # Derived once per roster, kept in the instance dict like ``_kinds``:
+    # not fields, so equality, hashing and ``dataclasses.replace`` ignore them.
+    @cached_property
     def state_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)
 
-    @property
+    @cached_property
     def event_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.events)
 
-    @property
+    @cached_property
     def command_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.commands)
 
@@ -207,19 +224,19 @@ def check_roster(roster: Roster) -> list[Violation]:
                           message=f"distinguished state {required!r} missing from roster")
             )
     for name in CONTROL_STATES:
-        if name in names and roster.kind_of(name) is not StateKind.CONTROL:
+        if name in names and roster.kind_of(name) is not KIND_CONTROL:
             out.append(
                 Violation("ROSTER", from_state=name,
                           message=f"state {name!r} must carry kind control")
             )
     for name in ERROR_STATES:
-        if name in names and roster.kind_of(name) is not StateKind.ERROR:
+        if name in names and roster.kind_of(name) is not KIND_ERROR:
             out.append(
                 Violation("ROSTER", from_state=name,
                           message=f"state {name!r} must carry kind error")
             )
     for s in roster.states:
-        if s.kind is StateKind.CONTROL and s.name not in CONTROL_STATES:
+        if s.kind is KIND_CONTROL and s.name not in CONTROL_STATES:
             out.append(
                 Violation("ROSTER", from_state=s.name,
                           message=f"kind control is reserved for {CONTROL_STATES}, "
@@ -234,46 +251,46 @@ def check_roster(roster: Roster) -> list[Violation]:
     return _sorted(out)
 
 
-def _check_entry(roster: Roster, frm: str, to: str) -> list[Violation]:
-    """Apply the eight per-entry map rules C1.1..C1.8 to one entry."""
+def _check_entry(frm: str, kind_from: StateKind, to: str, kind_to: StateKind,
+                 event: str | None) -> list[Violation]:
+    """Apply the eight per-entry map rules C1.1..C1.8 to one entry of the
+    map of ``event``; the states' kinds are given."""
     out: list[Violation] = []
-    kind_from = roster.kind_of(frm)
-    kind_to = roster.kind_of(to)
-
     if to == START:
-        out.append(Violation("C1.1", from_state=frm, to_state=to,
-                             message=f"no state may map to {START!r}"))
+        out.append(Violation("C1.1", event, frm, to,
+                             f"no state may map to {START!r}"))
     if frm == START and to not in (GET_CMD, ERROR_ST):
-        out.append(Violation("C1.2", from_state=frm, to_state=to,
-                             message=f"{START!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
+        out.append(Violation("C1.2", event, frm, to,
+                             f"{START!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
     if frm == CHIP_RST and to not in (GET_CMD, ERROR_ST):
-        out.append(Violation("C1.3", from_state=frm, to_state=to,
-                             message=f"{CHIP_RST!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
+        out.append(Violation("C1.3", event, frm, to,
+                             f"{CHIP_RST!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
     if frm == ERROR_ST and to not in (GET_CMD, ERROR_ST, CHIP_RST):
-        out.append(Violation("C1.4", from_state=frm, to_state=to,
-                             message=f"{ERROR_ST!r} maps only to {GET_CMD!r}, {ERROR_ST!r} "
-                                     f"or {CHIP_RST!r}"))
+        out.append(Violation("C1.4", event, frm, to,
+                             f"{ERROR_ST!r} maps only to {GET_CMD!r}, {ERROR_ST!r} "
+                             f"or {CHIP_RST!r}"))
     if frm == CMD_FINISH and to != ERROR_ST:
-        out.append(Violation("C1.5", from_state=frm, to_state=to,
-                             message=f"{CMD_FINISH!r} maps only to {ERROR_ST!r}"))
-    if kind_from in CREATOR_KINDS and not (kind_to is StateKind.SEND or to == ERROR_ST):
-        out.append(Violation("C1.6", from_state=frm, to_state=to,
-                             message="packet creator states map only to send states "
-                                     f"or {ERROR_ST!r}"))
+        out.append(Violation("C1.5", event, frm, to,
+                             f"{CMD_FINISH!r} maps only to {ERROR_ST!r}"))
+    if (kind_from is KIND_CREATOR_STAGE1 or kind_from is KIND_CREATOR_STAGE2
+            or kind_from is KIND_CREATOR) and not (kind_to is KIND_SEND or to == ERROR_ST):
+        out.append(Violation("C1.6", event, frm, to,
+                             "packet creator states map only to send states "
+                             f"or {ERROR_ST!r}"))
     # Receive self-loops are admitted here: the identity entries demanded by the
     # SPI_RX_FINISH rule (C4) would otherwise make every total table invalid.
     if (
-        kind_from is StateKind.RECEIVE
+        kind_from is KIND_RECEIVE
         and to != frm
-        and not (kind_to is StateKind.CREATOR_STAGE2 or to in (CMD_FINISH, ERROR_ST))
+        and not (kind_to is KIND_CREATOR_STAGE2 or to in (CMD_FINISH, ERROR_ST))
     ):
-        out.append(Violation("C1.7", from_state=frm, to_state=to,
-                             message="receive states map only to stage-two creator "
-                                     f"states, {CMD_FINISH!r}, {ERROR_ST!r} or themselves"))
-    if frm == GET_CMD and not (kind_to is StateKind.CREATOR_STAGE1 or to == ERROR_ST):
-        out.append(Violation("C1.8", from_state=frm, to_state=to,
-                             message=f"{GET_CMD!r} maps only to stage-one creator "
-                                     f"states or {ERROR_ST!r}"))
+        out.append(Violation("C1.7", event, frm, to,
+                             "receive states map only to stage-two creator "
+                             f"states, {CMD_FINISH!r}, {ERROR_ST!r} or themselves"))
+    if frm == GET_CMD and not (kind_to is KIND_CREATOR_STAGE1 or to == ERROR_ST):
+        out.append(Violation("C1.8", event, frm, to,
+                             f"{GET_CMD!r} maps only to stage-one creator "
+                             f"states or {ERROR_ST!r}"))
     return out
 
 
@@ -283,18 +300,16 @@ def check_statemap(roster: Roster, sm: StateMap, event: str | None = None) -> li
     The rules are per entry, so a map passes iff each of its entries passes;
     restricting a passing map to any key subset keeps it passing.
     """
-    known = set(roster.state_names)
+    kinds = roster._kinds
     out: list[Violation] = []
     for frm, to in sm.items():
-        if frm not in known:
+        kind_from = kinds.get(frm)
+        if kind_from is None:
             raise UnknownState(frm)
-        if to not in known:
+        kind_to = kinds.get(to)
+        if kind_to is None:
             raise UnknownState(to)
-        for v in _check_entry(roster, frm, to):
-            out.append(
-                Violation(v.constraint_id, event=event, from_state=v.from_state,
-                          to_state=v.to_state, message=v.message)
-            )
+        out += _check_entry(frm, kind_from, to, kind_to, event)
     return _sorted(out)
 
 
@@ -307,7 +322,7 @@ def check_dispatch(roster: Roster, dispatch: Mapping[str, str]) -> list[Violatio
                   message=f"dispatch of {cmd!r}: {GET_CMD!r} maps only to "
                           f"stage-one creator states or {ERROR_ST!r}")
         for cmd, to in dispatch.items()
-        if not (roster.kind_of(to) is StateKind.CREATOR_STAGE1 or to == ERROR_ST))
+        if not (roster.kind_of(to) is KIND_CREATOR_STAGE1 or to == ERROR_ST))
 
 
 def check_totality(roster: Roster, fsm: FsmTable) -> list[Violation]:
@@ -347,58 +362,61 @@ def check_cando(roster: Roster, fsm: FsmTable) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    def entry(ev: str, st: str) -> str | None:
-        return fsm.get(ev, {}).get(st)
+    kind = roster.kind_of   # raises UnknownState on a target not in the roster
+    cont = fsm.get(CONT, {})
+    tx_finish = fsm.get(SPI_TX_FINISH, {})
+    rx_finish = fsm.get(SPI_RX_FINISH, {})
+    get_cmd_e = fsm.get(GET_CMD_E, {})
 
-    kind = roster.kind_of
-
-    for st in roster.state_names:
-        to = entry(CONT, st)
+    for s in roster.states:
+        st, k = s.name, s.kind
+        to = cont.get(st)
         if to is None:
             continue
         if st == START:
             if to != GET_CMD:
-                out.append(Violation("C7", event=CONT, from_state=st, to_state=to,
-                                     message=f"under CONT, {START!r} maps to {GET_CMD!r}"))
+                out.append(Violation("C7", CONT, st, to,
+                                     f"under CONT, {START!r} maps to {GET_CMD!r}"))
         elif st == ERROR_ST:
             if to != CHIP_RST:
-                out.append(Violation("C8", event=CONT, from_state=st, to_state=to,
-                                     message=f"under CONT, {ERROR_ST!r} maps to {CHIP_RST!r}"))
-        elif kind(st) is StateKind.ERROR:
+                out.append(Violation("C8", CONT, st, to,
+                                     f"under CONT, {ERROR_ST!r} maps to {CHIP_RST!r}"))
+        elif k is KIND_ERROR:
             if to != ERROR_ST:
-                out.append(Violation("C6", event=CONT, from_state=st, to_state=to,
-                                     message=f"under CONT, error states map to {ERROR_ST!r}"))
-        elif kind(st) is StateKind.SEND:
-            if roster.kind_of(to) is not StateKind.RECEIVE:
-                out.append(Violation("C2", event=CONT, from_state=st, to_state=to,
-                                     message="under CONT, send states map to receive states"))
-        elif kind(st) in CREATOR_KINDS:
-            if roster.kind_of(to) is not StateKind.SEND:
-                out.append(Violation("C5", event=CONT, from_state=st, to_state=to,
-                                     message="under CONT, packet creator states map to "
-                                             "send states"))
-        elif kind(st) is StateKind.RECEIVE:
-            if not (roster.kind_of(to) is StateKind.CREATOR_STAGE2 or to == CMD_FINISH):
-                out.append(Violation("C11", event=CONT, from_state=st, to_state=to,
-                                     message="under CONT, receive states map to stage-two "
-                                             f"creator states or {CMD_FINISH!r}"))
+                out.append(Violation("C6", CONT, st, to,
+                                     f"under CONT, error states map to {ERROR_ST!r}"))
+        elif k is KIND_SEND:
+            if kind(to) is not KIND_RECEIVE:
+                out.append(Violation("C2", CONT, st, to,
+                                     "under CONT, send states map to receive states"))
+        elif k is KIND_CREATOR_STAGE1 or k is KIND_CREATOR_STAGE2 or k is KIND_CREATOR:
+            if kind(to) is not KIND_SEND:
+                out.append(Violation("C5", CONT, st, to,
+                                     "under CONT, packet creator states map to "
+                                     "send states"))
+        elif k is KIND_RECEIVE:
+            if not (kind(to) is KIND_CREATOR_STAGE2 or to == CMD_FINISH):
+                out.append(Violation("C11", CONT, st, to,
+                                     "under CONT, receive states map to stage-two "
+                                     f"creator states or {CMD_FINISH!r}"))
 
-    for st in roster.state_names:
-        to = entry(SPI_TX_FINISH, st)
-        if to is not None and kind(st) is StateKind.SEND and to != st:
-            out.append(Violation("C3", event=SPI_TX_FINISH, from_state=st, to_state=to,
-                                 message="under SPI_TX_FINISH, send states map to themselves"))
-        to = entry(SPI_RX_FINISH, st)
-        if to is not None and kind(st) is StateKind.RECEIVE and to != st:
-            out.append(Violation("C4", event=SPI_RX_FINISH, from_state=st, to_state=to,
-                                 message="under SPI_RX_FINISH, receive states map to "
-                                         "themselves"))
+    for s in roster.states:
+        st, k = s.name, s.kind
+        to = tx_finish.get(st)
+        if to is not None and k is KIND_SEND and to != st:
+            out.append(Violation("C3", SPI_TX_FINISH, st, to,
+                                 "under SPI_TX_FINISH, send states map to themselves"))
+        to = rx_finish.get(st)
+        if to is not None and k is KIND_RECEIVE and to != st:
+            out.append(Violation("C4", SPI_RX_FINISH, st, to,
+                                 "under SPI_RX_FINISH, receive states map to "
+                                 "themselves"))
 
-    to = entry(GET_CMD_E, ERROR_ST)
+    to = get_cmd_e.get(ERROR_ST)
     if to is not None and to != GET_CMD:
         out.append(Violation("C9", event=GET_CMD_E, from_state=ERROR_ST, to_state=to,
                              message=f"under GET_CMD_E, {ERROR_ST!r} maps to {GET_CMD!r}"))
-    to = entry(GET_CMD_E, CHIP_RST)
+    to = get_cmd_e.get(CHIP_RST)
     if to is not None and to != GET_CMD:
         out.append(Violation("C10", event=GET_CMD_E, from_state=CHIP_RST, to_state=to,
                              message=f"under GET_CMD_E, {CHIP_RST!r} maps to {GET_CMD!r}"))
@@ -407,12 +425,12 @@ def check_cando(roster: Roster, fsm: FsmTable) -> list[Violation]:
     # sanctioned exception is the reset hand-off error_ -> chip_rst under CONT
     # (rule C8); GET_CMD_E routes error states out via C9/C10 and everything
     # else it touches must fall back to error_.
-    for ev in (CONT, GET_CMD_E):
+    for ev, per_state in ((CONT, cont), (GET_CMD_E, get_cmd_e)):
         for st in roster.state_names:
-            to = entry(ev, st)
+            to = per_state.get(st)
             if to is None or to == ERROR_ST:
                 continue
-            if kind(to) is StateKind.ERROR and (ev, st) != (CONT, ERROR_ST):
+            if kind(to) is KIND_ERROR and (ev, st) != (CONT, ERROR_ST):
                 out.append(
                     Violation("C12", event=ev, from_state=st, to_state=to,
                               message=f"under {ev}, the error class is entered through "
@@ -452,7 +470,7 @@ def is_idmap(sm: StateMap) -> bool:
 
 
 def is_errormap(roster: Roster, sm: StateMap) -> bool:
-    return all(roster.kind_of(frm) is StateKind.ERROR for frm in sm)
+    return all(roster.kind_of(frm) is KIND_ERROR for frm in sm)
 
 
 def is_packetmap(roster: Roster, sm: StateMap) -> bool:
@@ -460,4 +478,4 @@ def is_packetmap(roster: Roster, sm: StateMap) -> bool:
 
 
 def is_receivemap(roster: Roster, sm: StateMap) -> bool:
-    return all(roster.kind_of(frm) is StateKind.RECEIVE for frm in sm)
+    return all(roster.kind_of(frm) is KIND_RECEIVE for frm in sm)

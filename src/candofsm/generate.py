@@ -31,6 +31,12 @@ from .fsm import (
     ERROR_ST,
     GET_CMD,
     GET_CMD_E,
+    KIND_CREATOR,
+    KIND_CREATOR_STAGE1,
+    KIND_CREATOR_STAGE2,
+    KIND_ERROR,
+    KIND_RECEIVE,
+    KIND_SEND,
     MAX_COUNT,
     MissingPacketTemplate,
     PACKET_LENGTH,
@@ -43,6 +49,11 @@ from .fsm import (
 from .specio import SpecDocument
 from .reqs.expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
 from .reqs.model import (
+    CASE,
+    EVERY,
+    MODE_SET,
+    TRIGGER_ON_EVENT,
+    WHEN,
     BoolType,
     CaseBranch,
     ConstantDef,
@@ -55,7 +66,6 @@ from .reqs.model import (
     RequirementsModel,
     SignalAssign,
     SignalDef,
-    Template,
 )
 from .reqs.engine import STATE_COMPONENT
 
@@ -151,6 +161,8 @@ class _Nodes:
 
 @dataclass(frozen=True)
 class GenReport:
+    """Counts of the generated records, definitions and requirements; the id index."""
+
     data_records: int
     definitions: int
     requirements: int
@@ -202,8 +214,7 @@ def gen_dictionary(spec: SpecDocument) -> DataDictionary:
         SignalDef("packet_data", "PacketData", initial=None),
     )
     modes = (
-        ModeComponent(STATE_COMPONENT, roster.state_names, exclusive=True,
-                      initial=START),
+        ModeComponent(STATE_COMPONENT, roster.state_names, initial=START),
     )
     return DataDictionary(types=types, constants=constants, signals=signals,
                           modes=modes)
@@ -246,16 +257,16 @@ def _arrival_terms(spec: SpecDocument, state: str,
     two readings agree on a table that satisfies C3 and C4.
     """
     kind_of = spec.roster.kind_of
-    identity = {SPI_TX_FINISH: StateKind.SEND, SPI_RX_FINISH: StateKind.RECEIVE}
+    identity = {SPI_TX_FINISH: KIND_SEND, SPI_RX_FINISH: KIND_RECEIVE}
     kind = kind_of(state)
     terms = [
         nodes.entered(frm, ev)
         for ev, frm in preimage[state]
         if ev not in identity or kind_of(frm) is not identity[ev]
     ]
-    if kind is StateKind.SEND:
+    if kind is KIND_SEND:
         terms.append(nodes.entered(state, SPI_TX_FINISH))
-    elif kind is StateKind.RECEIVE:
+    elif kind is KIND_RECEIVE:
         terms.append(nodes.entered(state, SPI_RX_FINISH))
     group = groups.get(state)
     if group:
@@ -298,7 +309,7 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
                 f"The fsm is in a {label} state at the {at} of the round",
                 nodes.or_all([nodes.ref(f"{side}_{s}") for s in members])))
 
-    for kind in (StateKind.SEND, StateKind.RECEIVE):
+    for kind in (KIND_SEND, KIND_RECEIVE):
         members = roster.states_of_kind(kind)
         defs.append(Definition(
             f"idmap_{kind.value}",
@@ -311,7 +322,7 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
         "receive_self_loop",
         "Some receive state is active at both the start and the end of the round",
         nodes.or_all([nodes.and_(nodes.ref(f"from_{s}"), nodes.ref(f"to_{s}"))
-                      for s in roster.states_of_kind(StateKind.RECEIVE)])))
+                      for s in roster.states_of_kind(KIND_RECEIVE)])))
 
     for st in roster.state_names:
         terms = _arrival_terms(spec, st, preimage, groups, nodes)
@@ -339,13 +350,13 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
     def toe(suffix: str, title: str, guard, effects, required=None, within=None):
         ops.append(Requirement(
             req_id=f"op.{state}.{suffix}", title=title,
-            template=Template.TRIGGER_ON_EVENT, guard=guard,
+            template=TRIGGER_ON_EVENT, guard=guard,
             effects=tuple(effects), required=required, within=within))
 
     def when(suffix: str, title: str, guard, required):
         posts.append(Requirement(
             req_id=f"post.{state}.{suffix}", title=title,
-            template=Template.WHEN, guard=guard, required=required))
+            template=WHEN, guard=guard, required=required))
 
     def set_(name: str, value) -> SignalAssign:
         return SignalAssign(name, lit(value))
@@ -387,7 +398,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
                      set_("current_event", CONT)])
         when("flag", f"after {state} the finish flag is up",
              arrive, and_(nodes.event_is(CONT), sig("command_finish_flag")))
-    elif kind is StateKind.SEND:
+    elif kind is KIND_SEND:
         counting = and_(arrive, binop("<", sig("bytes_sent"), lit(PACKET_LENGTH)))
         done = and_(arrive, eq("bytes_sent", PACKET_LENGTH))
         can_count_tx = and_(done, binop("<", sig("tx_cnt"), lit(MAX_COUNT)))
@@ -403,7 +414,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the transmission",
-            template=Template.CASE,
+            template=CASE,
             branches=(CaseBranch(done, (
                 set_("bytes_sent", 0),
                 set_("optrode_TX_finish", True),
@@ -424,7 +435,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
              and_(done, binop(">=", sig("tx_cnt"), lit(MAX_COUNT))),
              and_(nodes.event_is(CONT), eq("bytes_sent", 0),
                   sig("optrode_TX_finish"), eq("tx_cnt", MAX_COUNT)))
-    elif kind is StateKind.RECEIVE:
+    elif kind is KIND_RECEIVE:
         counting = and_(arrive, binop("<", sig("bytes_received"), lit(PACKET_LENGTH)))
         done = and_(arrive, eq("bytes_received", PACKET_LENGTH))
         byte_up, byte_committed = counts("bytes_received")
@@ -438,7 +449,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the reception",
-            template=Template.CASE,
+            template=CASE,
             branches=(CaseBranch(done, (
                 set_("bytes_received", 0),
                 set_("optrode_RX_finish", True),
@@ -454,14 +465,15 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         # the other operations set fixed fields and end in CONT
         if state == GET_CMD:
             suffix, title, effects = "event", "get_cmd awaits the command", []
-        elif state == ERROR_ST or kind is StateKind.ERROR:
+        elif state == ERROR_ST or kind is KIND_ERROR:
             # every error state but chip_rst idles like error_
             suffix, title, effects = "event", f"{state} idles", []
-        elif kind in CREATOR_KINDS:
+        elif kind is KIND_CREATOR_STAGE1 or kind is KIND_CREATOR_STAGE2 \
+                or kind is KIND_CREATOR:
             template = spec.packets.get(state)
             if template is None:
                 raise MissingPacketTemplate(state)
-            if kind is StateKind.CREATOR_STAGE2:
+            if kind is KIND_CREATOR_STAGE2:
                 suffix, title = "data", f"{state} fills in the packet data"
                 effects = [set_("packet_data", template.data)]
             else:
@@ -484,7 +496,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
     ref = nodes.ref
     reqs: list[Requirement] = [Requirement(
         req_id="mon.C1.1", title="no transition targets start",
-        template=Template.EVERY,
+        template=EVERY,
         required=nodes.not_(nodes.mode(START, "end")))]
     if not any(spec.fsm.get(ev) for ev in roster.event_names):
         return reqs  # with no transitions the run-time rules have nothing to watch
@@ -493,7 +505,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
     def when(code: str, title: str, guard, required, needs=()):
         if all(s in have for s in needs):
             reqs.append(Requirement(req_id=f"mon.{code}", title=title,
-                                    template=Template.WHEN, guard=guard,
+                                    template=WHEN, guard=guard,
                                     required=required))
 
     to_err = ref(f"to_{ERROR_ST}")
@@ -528,7 +540,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
     when("C5", "under CONT packet creators move to send states",
          nodes.and_(ref("from_kind_creators"), nodes.event_is(CONT)),
          ref("to_kind_send"))
-    other_error = [s for s in roster.states_of_kind(StateKind.ERROR)
+    other_error = [s for s in roster.states_of_kind(KIND_ERROR)
                    if s != ERROR_ST]
     if other_error and ERROR_ST in have:
         when("C6", "under CONT error states move to error_",
@@ -576,14 +588,14 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
                            else f"{base_id}.{state_index[target]:02d}")
                     reqs.append(Requirement(
                         req_id=rid, title=f"{frm} to {target}",
-                        template=Template.TRIGGER_ON_EVENT,
+                        template=TRIGGER_ON_EVENT,
                         guard=_dispatched(groups[target], nodes),
                         effects=(ModeAssign(STATE_COMPONENT, target),)))
                     id_index[(ev, frm, target)] = rid
             else:
                 reqs.append(Requirement(
                     req_id=base_id, title=f"{frm} to {to}",
-                    template=Template.TRIGGER_ON_EVENT,
+                    template=TRIGGER_ON_EVENT,
                     guard=nodes.entered(frm, ev),
                     effects=(ModeAssign(STATE_COMPONENT, to),)))
                 id_index[(ev, frm, to)] = base_id
@@ -599,7 +611,7 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
     reqs.append(Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
-        template=Template.MODE_SET, component=STATE_COMPONENT))
+        template=MODE_SET, component=STATE_COMPONENT))
     return tuple(reqs), id_index
 
 
@@ -673,7 +685,7 @@ def _conjuncts(expr) -> list:
 def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
                        project: str) -> list[str]:
     lines = [f"### {project}/{req.req_id}: {req.title}", ""]
-    if req.template is Template.TRIGGER_ON_EVENT:
+    if req.template is TRIGGER_ON_EVENT:
         lines.append("If")
         first, *rest = _conjuncts(req.guard)
         lines.append(f"  {_prose(first, defs)}")
@@ -685,17 +697,17 @@ def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
             within = f" within {req.within} rounds" if req.within is not None else ""
             lines.append(f"  and {_prose(req.required, defs)}{within}")
         lines.append("holds.")
-    elif req.template is Template.WHEN:
+    elif req.template is WHEN:
         lines.append("Whenever")
         lines.append(f"  {_prose(req.guard, defs)}")
         lines.append("holds, then")
         lines.append(f"  {_prose(req.required, defs)}")
         lines.append("holds.")
-    elif req.template is Template.EVERY:
+    elif req.template is EVERY:
         lines.append("At all times,")
         lines.append(f"  {_prose(req.required, defs)}")
         lines.append("holds.")
-    elif req.template is Template.MODE_SET:
+    elif req.template is MODE_SET:
         lines.append(f"The {req.component} component has exactly one of its "
                      "modes active at a time.")
     else:   # a case

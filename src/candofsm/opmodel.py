@@ -26,6 +26,11 @@ from .fsm import (
     ERROR_ST,
     GET_CMD,
     GET_CMD_E,
+    KIND_CONTROL,
+    KIND_CREATOR_STAGE2,
+    KIND_ERROR,
+    KIND_RECEIVE,
+    KIND_SEND,
     MAX_COUNT,
     MissingPacketTemplate,
     PACKET_LENGTH,
@@ -52,6 +57,8 @@ class RunError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Packet:
+    """The packet under construction; any field may be nil (None)."""
+
     addr: str | None = None
     cmd: str | None = None
     data: str | None = None
@@ -62,6 +69,8 @@ _NO_PACKET = Packet()
 
 @dataclass(frozen=True, slots=True)
 class ModelState:
+    """The machine between rounds: state, event, command, flags, packet, counters."""
+
     current_state: str
     current_event: str
     current_command: str
@@ -84,6 +93,8 @@ class ModelState:
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
+    """The next machine, the operation that fired and its post-condition breaches."""
+
     next: ModelState
     fired_op: str
     post_violations: tuple[Violation, ...] = ()
@@ -117,10 +128,10 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
             "tx_cnt": 0,
             "current_event": GET_CMD_E,
         }, "chip_reset"
-    if st == ERROR_ST or kind is StateKind.ERROR:
+    if st == ERROR_ST or kind is KIND_ERROR:
         # every error state but chip_rst idles like error_
         return {"current_event": CONT}, "error_idle"
-    if kind is StateKind.SEND:
+    if kind is KIND_SEND:
         if m.bytes_sent < PACKET_LENGTH:
             return ({"bytes_sent": m.bytes_sent + 1, "current_event": SPI_TX_FINISH},
                     "send_packet")
@@ -130,19 +141,19 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
             "tx_cnt": min(m.tx_cnt + 1, MAX_COUNT),
             "current_event": CONT,
         }, "send_packet"
-    if kind is StateKind.RECEIVE:
+    if kind is KIND_RECEIVE:
         if m.bytes_received < PACKET_LENGTH:
             return ({"bytes_received": m.bytes_received + 1,
                      "current_event": SPI_RX_FINISH}, "receive_packet")
         return ({"bytes_received": 0, "optrode_rx_finish": True, "current_event": CONT},
                 "receive_packet")
-    if kind is StateKind.CONTROL:
+    if kind is KIND_CONTROL:
         raise AssertionError(f"unhandled state kind {kind} for {st!r}")
     # what is left is one of the three creator kinds
     template = spec.packets.get(st)
     if template is None:
         raise MissingPacketTemplate(st)
-    if kind is StateKind.CREATOR_STAGE2:
+    if kind is KIND_CREATOR_STAGE2:
         base = m.packet or _NO_PACKET
         return ({"packet": Packet(base.addr, base.cmd, template.data),
                  "current_event": CONT}, "set_packet_data")
@@ -187,12 +198,12 @@ def _op_contract(st: str, kind: StateKind, before: ModelState,
     if st == CHIP_RST:
         expected_event = GET_CMD_E
         expected_tx = 0
-    elif kind is StateKind.SEND:
+    elif kind is KIND_SEND:
         if before.bytes_sent < PACKET_LENGTH:
             expected_event = SPI_TX_FINISH
         else:
             expected_tx = min(before.tx_cnt + 1, MAX_COUNT)
-    elif kind is StateKind.RECEIVE and before.bytes_received < PACKET_LENGTH:
+    elif kind is KIND_RECEIVE and before.bytes_received < PACKET_LENGTH:
         expected_event = SPI_RX_FINISH
 
     event = changes["current_event"]

@@ -40,18 +40,23 @@ from .compiled import ABSENT, Compiler, Frame, active_modes
 # against; it stays importable from here
 from .expr import EvalError, eval_expr  # noqa: F401
 from .model import (
+    CASE,
+    EVERY,
+    TRIGGER_ON_EVENT,
+    WHEN,
     Env,
     Obligation,
     Requirement,
     RequirementsModel,
     SignalAssign,
-    Template,
     initial_env,
 )
 
 
 @dataclass(frozen=True)
 class RoundResult:
+    """A round's end env, fired requirements with what they wrote, violations."""
+
     end_env: Env
     fired: tuple[tuple[str, tuple[str, ...]], ...]
     violations: tuple[Violation, ...]
@@ -76,19 +81,18 @@ class _Step:
         self.req = req
         self.template = t
         self.compiled = False
-        self.phase = "effect" if t in (Template.TRIGGER_ON_EVENT, Template.CASE) \
-            else "check"
+        self.phase = "effect" if t is TRIGGER_ON_EVENT or t is CASE else "check"
 
         # a False guard means no effect, obligation or violation; every-monitors
         # and mode-sets act in every round
         guard = self.guard_node = None if req.guard is None else compiler.compile(req.guard)
         self.support = None
-        if t is Template.CASE:
+        if t is CASE:
             supports = [None if b.guard is None else compiler.compile(b.guard).support
                         for b in req.branches]
             if None not in supports:
                 self.support = frozenset().union(*supports)
-        elif t in (Template.TRIGGER_ON_EVENT, Template.WHEN):
+        elif t is TRIGGER_ON_EVENT or t is WHEN:
             self.support = None if guard is None else guard.support
 
     def compile(self, compiler: Compiler) -> None:
@@ -255,7 +259,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
 
     for step, guard in effect_steps:
         req = step.req
-        if step.template is Template.TRIGGER_ON_EVENT:
+        if step.template is TRIGGER_ON_EVENT:
             if guard_true(guard, req):
                 add_effects(req, step.effects)
                 if req.required is not None:
@@ -325,10 +329,10 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
 
     for step, guard in check_steps:
         req, t = step.req, step.template
-        if t is Template.EVERY:
+        if t is EVERY:
             if not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "condition breached"))
-        elif t is Template.WHEN:
+        elif t is WHEN:
             if guard_true(guard, req) and not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "required condition "
                                                              "breached under guard"))

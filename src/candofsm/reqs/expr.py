@@ -31,16 +31,22 @@ class IllegalEndOfRoundRead(EvalError):
 
 @dataclass(frozen=True)
 class Lit:
-    value: object  # int, bool, symbol string, or None for nil
+    """A literal: an int, a bool, a symbol, or None for nil."""
+
+    value: object
 
 
 @dataclass(frozen=True)
 class SigRead:
+    """The start-of-round value of a signal or constant."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class ModeActive:
+    """Whether a component's mode is active at the start or end of the round."""
+
     component: str
     mode: str
     at: str  # "start" or "end"
@@ -48,17 +54,23 @@ class ModeActive:
 
 @dataclass(frozen=True)
 class DefRef:
+    """A reference to a named definition."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class BoolOp:
+    """An n-ary ``and`` or ``or`` over its operands, left to right."""
+
     op: str  # and or
     operands: tuple
 
 
 @dataclass(frozen=True)
 class BinOp:
+    """A comparison or an arithmetic operation on two operands."""
+
     op: str  # = != < <= > >= + - *
     left: object
     right: object
@@ -66,6 +78,8 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Not:
+    """Logical negation of its operand."""
+
     operand: object
 
 

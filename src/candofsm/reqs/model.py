@@ -86,11 +86,15 @@ def _scan(expr, facts: dict, bodies: Mapping, where: str) -> dict[str, None]:
 
 @dataclass(frozen=True)
 class BoolType:
+    """A named boolean type."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class IntType:
+    """A named integer type, bounded by ``lo`` and ``hi`` or not at all."""
+
     name: str
     lo: int | None = None
     hi: int | None = None
@@ -98,12 +102,16 @@ class IntType:
 
 @dataclass(frozen=True)
 class EnumType:
+    """A named enumeration and its members."""
+
     name: str
     members: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ConstantDef:
+    """A named constant: type, value, optional limits and tolerance."""
+
     name: str
     type_name: str
     value: object
@@ -114,6 +122,8 @@ class ConstantDef:
 
 @dataclass(frozen=True)
 class SignalDef:
+    """A signal: its type, optional bounds and initial value."""
+
     name: str
     type_name: str
     minimum: int | None = None
@@ -123,14 +133,17 @@ class SignalDef:
 
 @dataclass(frozen=True)
 class ModeComponent:
+    """An exclusive mode component: its modes and its initial mode."""
+
     name: str
     modes: tuple[str, ...]
-    exclusive: bool = True
     initial: str | None = None
 
 
 @dataclass(frozen=True)
 class DataDictionary:
+    """The types, constants, signals and mode components of a model."""
+
     types: tuple = ()
     constants: tuple[ConstantDef, ...] = ()
     signals: tuple[SignalDef, ...] = ()
@@ -190,6 +203,8 @@ class DataDictionary:
 
 @dataclass(frozen=True)
 class Definition:
+    """A named expression with its prose text."""
+
     name: str
     text: str
     expr: object
@@ -197,12 +212,16 @@ class Definition:
 
 @dataclass(frozen=True)
 class SignalAssign:
+    """An effect setting a signal to an expression's start-of-round value."""
+
     name: str
     expr: object
 
 
 @dataclass(frozen=True)
 class ModeAssign:
+    """An effect making one mode of a component the active one."""
+
     component: str
     mode: str
 
@@ -211,6 +230,8 @@ Assignment = SignalAssign | ModeAssign
 
 
 class Template(enum.Enum):
+    """A requirement's template, keyed by its ``.req`` keyword."""
+
     EVERY = "every"
     WHEN = "when"
     TRIGGER_ON_EVENT = "trigger"
@@ -218,14 +239,28 @@ class Template(enum.Enum):
     CASE = "case"
 
 
+# Each member once more as a plain global, which per-round and per-requirement
+# code tests by identity: on CPython 3.11 ``EnumType`` defines ``__getattr__``,
+# so a load such as ``Template.WHEN`` takes the slow attribute path.
+EVERY = Template.EVERY
+WHEN = Template.WHEN
+TRIGGER_ON_EVENT = Template.TRIGGER_ON_EVENT
+MODE_SET = Template.MODE_SET
+CASE = Template.CASE
+
+
 @dataclass(frozen=True)
 class CaseBranch:
+    """One branch of a case requirement: a guard and its effects."""
+
     guard: object
     effects: tuple[Assignment, ...]
 
 
 @dataclass(frozen=True)
 class Requirement:
+    """One requirement: id, title, template and the slots it uses."""
+
     req_id: str
     title: str
     template: Template
@@ -239,6 +274,8 @@ class Requirement:
 
 @dataclass(frozen=True)
 class Obligation:
+    """A required condition a trigger registered, due by ``due_round``."""
+
     req_id: str
     expr: object
     due_round: int
@@ -279,6 +316,8 @@ def initial_env(model: RequirementsModel,
 
 @dataclass(frozen=True)
 class RequirementsModel:
+    """A data dictionary, its definitions and its requirements."""
+
     dictionary: DataDictionary
     definitions: tuple[Definition, ...] = ()
     requirements: tuple[Requirement, ...] = ()
@@ -384,5 +423,5 @@ class RequirementsModel:
             if r.within is not None and r.within < 0:
                 # the obligation would fall due before the round that registers it
                 raise ModelError(f"{where}: within {r.within} is negative")
-            if r.template is Template.MODE_SET and r.component not in components:
+            if r.template is MODE_SET and r.component not in components:
                 raise ModelError(f"{where}: mode-set needs a mode component")

@@ -33,6 +33,10 @@ from .expr import (
     SigRead,
 )
 from .model import (
+    EVERY,
+    MODE_SET,
+    TRIGGER_ON_EVENT,
+    WHEN,
     BoolType,
     CaseBranch,
     ConstantDef,
@@ -349,12 +353,13 @@ def _parse_mode_line(cur: _Cursor, scope: _Scope) -> None:
     modes = []
     while not cur.accept("}"):
         modes.append(cur.next())
-    exclusive = cur.accept("exclusive")
+    if not cur.accept("exclusive"):
+        raise cur.error(f"mode component {name!r} must be 'exclusive'")
     initial = None
     if cur.accept("init"):
         cur.expect("=")
         initial = cur.next()
-    scope.modes.append(ModeComponent(name, tuple(modes), exclusive, initial))
+    scope.modes.append(ModeComponent(name, tuple(modes), initial))
     scope.component_names.add(name)
 
 
@@ -384,15 +389,15 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
     title = _unquote(title_tok)
     cur = _Cursor(_tokens(rest), lineno, line)
 
-    if template is Template.EVERY:
+    if template is EVERY:
         req = Requirement(req_id, title, template,
                           required=_parse_expr(cur, scope))
-    elif template is Template.WHEN:
+    elif template is WHEN:
         guard = _parse_expr(cur, scope)
         cur.expect("=>")
         req = Requirement(req_id, title, template, guard=guard,
                           required=_parse_expr(cur, scope))
-    elif template is Template.TRIGGER_ON_EVENT:
+    elif template is TRIGGER_ON_EVENT:
         guard = _parse_expr(cur, scope)
         cur.expect("=>")
         effects = _parse_assignments(cur, scope)
@@ -404,7 +409,7 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
             within = _parse_int(cur)
         req = Requirement(req_id, title, template, guard=guard, effects=effects,
                           required=required, within=within)
-    elif template is Template.MODE_SET:
+    elif template is MODE_SET:
         component = cur.next()
         if not cur.accept("exclusive"):
             raise cur.error(f"mode-set on {component!r} must be 'exclusive'")
@@ -515,12 +520,12 @@ def _render_assignment(a) -> str:
 
 def _render_requirement(req: Requirement) -> str:
     head = f"req {req.req_id} {_quote(req.title)} {req.template.value}"
-    if req.template is Template.EVERY:
+    if req.template is EVERY:
         return f"{head} {render_expr(req.required)}"
-    if req.template is Template.WHEN:
+    if req.template is WHEN:
         return (f"{head} {render_expr(req.guard)} => "
                 f"{render_expr(req.required)}")
-    if req.template is Template.TRIGGER_ON_EVENT:
+    if req.template is TRIGGER_ON_EVENT:
         parts = [f"{head} {render_expr(req.guard)} =>",
                  ", ".join(_render_assignment(a) for a in req.effects)]
         if req.required is not None:
@@ -528,7 +533,7 @@ def _render_requirement(req: Requirement) -> str:
         if req.within is not None:
             parts.append(f"within {req.within}")
         return " ".join(parts)
-    if req.template is Template.MODE_SET:
+    if req.template is MODE_SET:
         return f"{head} {req.component} exclusive"
     branches = " | ".join(
         f"{render_expr(b.guard)} => "
@@ -568,9 +573,8 @@ def serialize_model(model: RequirementsModel) -> str:
             opts += f" init={_lit_text(s.initial)}"
         lines.append(f"signal {s.name} : {s.type_name}{opts}")
     for m in model.dictionary.modes:
-        exclusive = " exclusive" if m.exclusive else ""
         init = f" init={m.initial}" if m.initial is not None else ""
-        lines.append(f"mode {m.name} {{ {' '.join(m.modes)} }}{exclusive}{init}")
+        lines.append(f"mode {m.name} {{ {' '.join(m.modes)} }} exclusive{init}")
     for d in model.definitions:
         lines.append(f"def {d.name} {_quote(d.text)} := {render_expr(d.expr)}")
     for req in model.requirements:

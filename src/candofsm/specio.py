@@ -58,6 +58,8 @@ class PacketTemplate:
 
 @dataclass(frozen=True)
 class SpecDocument:
+    """A spec: roster, transition table, dispatch map, packet templates."""
+
     roster: Roster
     fsm: Mapping[str, Mapping[str, str]]
     dispatch: Mapping[str, str] = field(default_factory=dict)
@@ -75,26 +77,6 @@ class SpecDocument:
         )
 
 
-class _Lines:
-    """Cursor over logical lines with comments stripped, positions kept."""
-
-    def __init__(self, text: str):
-        self.rows: list[tuple[int, str, str]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                self.rows.append((i, stripped, raw))
-        self.pos = 0
-
-    def peek(self) -> tuple[int, str, str] | None:
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
-
-    def take(self) -> tuple[int, str, str]:
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-
 def _err(lineno: int, message: str, raw: str = "", column: int = 1) -> ParseError:
     return ParseError(lineno, column, message, raw)
 
@@ -105,18 +87,16 @@ def _check_name(name: str, lineno: int, raw: str) -> str:
     return name
 
 
-def _parse_member_lines(lines: _Lines, section: str, with_kind: bool):
-    """Consume entries until the closing brace of a roster section."""
+def _parse_member_lines(rows: list[tuple[int, str, str]], start: int, section: str,
+                        with_kind: bool) -> tuple[list, int]:
+    """Read a roster section's entries from ``rows[start]`` up to its closing
+    brace; returns the entries and the index of the row after the brace."""
     entries = []
     seen: set[str] = set()
-    while True:
-        row = lines.peek()
-        if row is None:
-            raise _err(len(lines.rows) and lines.rows[-1][0] or 1,
-                       f"unterminated {section} section")
-        lineno, text, raw = lines.take()
+    for pos in range(start, len(rows)):
+        lineno, text, raw = rows[pos]
         if text == "}":
-            return entries
+            return entries, pos + 1
         tokens = text.replace(":", " : ").split()
         name = _check_name(tokens[0], lineno, raw)
         if name in seen:
@@ -142,24 +122,33 @@ def _parse_member_lines(lines: _Lines, section: str, with_kind: bool):
             elif rest:
                 raise _err(lineno, f"unexpected tokens {' '.join(rest)!r}", raw)
             entries.append(MemberDef(name, synthetic))
+    # the last line that is not blank or a comment
+    raise _err(rows[-1][0], f"unterminated {section} section")
 
 
 def parse_spec(text: str) -> SpecDocument:
-    """Parse spec text into a :class:`SpecDocument`; raise :class:`ParseError`."""
-    lines = _Lines(text)
-    if lines.peek() is None:
+    """Parse spec text into a :class:`SpecDocument`; raise :class:`ParseError`.
+
+    Each line that is not blank or a comment is one row (line number,
+    stripped text, raw line); the three roster sections come first, then
+    one directive per row."""
+    rows = [(i, stripped, raw) for i, raw in enumerate(text.splitlines(), start=1)
+            if (stripped := raw.partition("#")[0].strip())]
+    if not rows:
         raise ParseError(1, 1, "missing states section")
 
+    pos = 0
     sections: dict[str, list] = {}
     for section, with_kind in (("states", True), ("events", False), ("commands", False)):
-        row = lines.peek()
-        if row is None or not row[1].replace(" ", "").startswith(section + "{"):
-            lineno = row[0] if row else 1
-            raise _err(lineno, f"missing {section} section", row[2] if row else "")
-        lineno, text_line, raw = lines.take()
-        if text_line.replace(" ", "") != section + "{":
+        if pos == len(rows):
+            raise _err(1, f"missing {section} section")
+        lineno, text_line, raw = rows[pos]
+        header = text_line.replace(" ", "")
+        if not header.startswith(section + "{"):
+            raise _err(lineno, f"missing {section} section", raw)
+        if header != section + "{":
             raise _err(lineno, f"expected '{section} {{'", raw)
-        sections[section] = _parse_member_lines(lines, section, with_kind)
+        sections[section], pos = _parse_member_lines(rows, pos + 1, section, with_kind)
 
     roster = Roster(
         states=tuple(sections["states"]),
@@ -174,8 +163,7 @@ def parse_spec(text: str) -> SpecDocument:
     dispatch: dict[str, str] = {}
     packets: dict[str, PacketTemplate] = {}
 
-    while lines.peek() is not None:
-        lineno, text_line, raw = lines.take()
+    for lineno, text_line, raw in rows[pos:]:
         tokens = text_line.split()
         head = tokens[0]
         if head == "transition":
@@ -188,8 +176,10 @@ def parse_spec(text: str) -> SpecDocument:
                 raise _err(lineno, f"unknown state {frm!r}", raw)
             if to not in state_names:
                 raise _err(lineno, f"unknown state {to!r}", raw)
-            per = fsm.setdefault(ev, {})
-            if frm in per:
+            per = fsm.get(ev)
+            if per is None:
+                per = fsm[ev] = {}
+            elif frm in per:
                 raise _err(lineno, f"duplicate transition for ({ev}, {frm})", raw)
             per[frm] = to
         elif head == "dispatch":

@@ -22,6 +22,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """The observable columns after one round, with per-field attribution."""
+
     round: int
     state: str
     event: str
@@ -48,6 +50,8 @@ ROW_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "attribution")
 
 @dataclass(frozen=True)
 class Trace:
+    """One engine's run of one command: rows, stop reason and violations."""
+
     rows: tuple[TraceRow, ...]
     command: str
     engine: str                      # "ops" or "reqs"
@@ -57,6 +61,8 @@ class Trace:
 
 @dataclass(frozen=True)
 class DiffEntry:
+    """One field that differs between two traces in one round."""
+
     round: int
     field: str
     left: object
@@ -110,6 +116,8 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """Per command, the trace differences and both engines' outcomes."""
+
     per_command: Mapping[str, tuple[DiffEntry, ...]]
     max_rounds: int
     # (ops, reqs) outcome per command

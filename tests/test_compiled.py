@@ -335,7 +335,7 @@ def test_literals_that_compare_equal_keep_their_types():
 def two_lamp_model():
     """Two triggers guarded by lamp modes, one by a disjunction of both, and
     the mode-set check."""
-    modes = [ModeComponent("lamp", ("off", "on", "dim"), exclusive=True, initial="off")]
+    modes = [ModeComponent("lamp", ("off", "on", "dim"), initial="off")]
     return tiny_model(
         Requirement("from_off", "off goes on", Template.TRIGGER_ON_EVENT,
                     guard=ModeActive("lamp", "off", "start"),

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candofsm.fsm import (
     CONT,
+    GET_CMD_E,
     MissingTransition,
+    SPI_RX_FINISH,
+    SPI_TX_FINISH,
     StateKind,
     UnknownState,
     Violation,
@@ -240,3 +246,56 @@ class TestRolePredicates:
             spec.roster,
             states=tuple(s for s in spec.roster.states if s.name != "chip_rst"))
         assert "ROSTER" in codes(check_roster(trimmed))
+
+
+class TestEveryCheckerOutcome:
+    """Every outcome of the per-entry, event and dispatch checkers on the
+    shipped roster, pinned by hash: a rewrite of a checker must keep each
+    rule's verdict, event, states, message and order."""
+
+    @staticmethod
+    def digest(outcomes) -> str:
+        rendered = [[(v.constraint_id, v.event, v.from_state, v.to_state, v.message)
+                     for v in violations] for violations in outcomes]
+        return hashlib.sha256(repr(rendered).encode("utf-8")).hexdigest()
+
+    def test_check_statemap_on_every_state_pair(self, spec):
+        states = spec.roster.state_names
+        outcomes = [check_statemap(spec.roster, {frm: to}, event=CONT)
+                    for frm in states for to in states]
+        assert sum(map(len, outcomes)) == 720
+        assert self.digest(outcomes) == \
+            "48f4afdfb343ec14f93ba6b022d29adb4da1398b0cf7e06e936d41ebfe645565"
+
+    def test_check_cando_on_every_one_entry_change(self, spec):
+        states, fsm = spec.roster.state_names, spec.fsm
+        outcomes = [check_cando(spec.roster, {**fsm, ev: {**fsm[ev], frm: to}})
+                    for ev in (CONT, SPI_TX_FINISH, SPI_RX_FINISH, GET_CMD_E)
+                    for frm in states for to in states]
+        assert sum(map(len, outcomes)) == 1530
+        assert self.digest(outcomes) == \
+            "69627ec484b119635313e5a0a810a891ee1afe5ef21ba14f24c88b12854b2b18"
+
+    def test_check_dispatch_on_every_single_command_retarget(self, spec):
+        outcomes = [check_dispatch(spec.roster, {**spec.dispatch, cmd: to})
+                    for cmd in spec.roster.command_names
+                    for to in spec.roster.state_names]
+        assert sum(map(len, outcomes)) == 425
+        assert self.digest(outcomes) == \
+            "5b3e9479875e24e3be7741cbe24e5e6cd6b069a839dbba9b23aa53e0bda8e385"
+
+    def test_a_plain_creator_on_every_state_pair_and_cont_change(self, spec):
+        # the shipped roster has no plain ``creator``: make set_vLED one
+        roster = dataclasses.replace(spec.roster, states=tuple(
+            dataclasses.replace(s, kind=StateKind.CREATOR) if s.name == "set_vLED" else s
+            for s in spec.roster.states))
+        states, fsm = roster.state_names, spec.fsm
+        outcomes = [check_statemap(roster, {frm: to}, event=CONT)
+                    for frm in states for to in states]
+        outcomes += [check_cando(roster, {**fsm, CONT: {**fsm[CONT], frm: to}})
+                     for frm in states for to in states]
+        outcomes += [check_dispatch(roster, {**spec.dispatch, "LED_ON_C": to})
+                     for to in states]
+        assert sum(map(len, outcomes)) == 1683
+        assert self.digest(outcomes) == \
+            "dbe1f230efb616eef5da06b19f82cd074c2b074da5cd2fc5420cef7e9b63fb7b"

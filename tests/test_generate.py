@@ -25,7 +25,7 @@ from candofsm.opmodel import ModelState, _snapshot, ops_round
 from candofsm.reqs import Template, fire_round, initial_env
 from candofsm.reqs.engine import _env_values, _plan_of, run_requirements_trace
 from candofsm.reqs.expr import EvalContext, Lit, eval_expr
-from candofsm.reqs.model import Env
+from candofsm.reqs.model import Env, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import with_no_stage_two_creator, with_second_error_state
 from test_reqs import slots, walk
@@ -42,9 +42,10 @@ class TestDictionary:
         dictionary = gen_dictionary(spec)
         [component] = dictionary.modes
         assert component.name == "fsm"
-        assert component.exclusive
         assert len(component.modes) == 34
         assert component.initial == "start"
+        text = serialize_model(RequirementsModel(dictionary))
+        assert f"mode fsm {{ {' '.join(component.modes)} }} exclusive init=start\n" in text
 
     def test_counter_bounds(self, spec):
         dictionary = gen_dictionary(spec)

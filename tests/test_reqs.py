@@ -57,7 +57,7 @@ def tiny_model(*requirements, signals=(), modes=(), definitions=()):
 
 
 def lamp_component(initial="off"):
-    return ModeComponent("lamp", ("off", "on"), exclusive=True, initial=initial)
+    return ModeComponent("lamp", ("off", "on"), initial=initial)
 
 
 class TestEvalExpr:
@@ -128,8 +128,7 @@ class TestFireRound:
         model = tiny_model(
             Requirement("ms", "lamp exclusivity", Template.MODE_SET,
                         component="lamp"),
-            modes=[ModeComponent("lamp", ("off", "on"), exclusive=True,
-                                 initial=None)])
+            modes=[ModeComponent("lamp", ("off", "on"), initial=None)])
         result = fire_round(model, initial_env(model), None)
         assert [v.constraint_id for v in result.violations] == ["MODESET"]
 
@@ -314,8 +313,7 @@ class TestRunRounds:
     def test_no_requirements_means_a_constant_env(self):
         model = tiny_model(
             signals=[SignalDef("tx_cnt", "small", initial=2), *command_signals()],
-            modes=[ModeComponent("fsm", ("off", "on"), exclusive=True,
-                                 initial="on")])
+            modes=[ModeComponent("fsm", ("off", "on"), initial="on")])
         trace = run_requirements_trace(model, "green", 5)
         assert trace.reason == "budget"
         assert len(trace.rows) == 5
@@ -655,10 +653,11 @@ class TestReqText:
         'req r "eventually" trigger b => x := 1 require x = 2 within 3 atsomepoint',
         'req r "pick" case b => x := 1 total',
         'req r "lamp modes" modeset lamp',
+        "mode dial { low high } init=low",
     ], ids=["parameterised-definition", "array-type", "becomes", "mode-ever-active",
             "mode-ever-inactive", "latch-holding-its-start-value", "latch-with-a-value",
             "onchange-monitor", "onchange-constructive", "within-n-atsomepoint",
-            "total-case", "modeset-without-exclusive"])
+            "total-case", "modeset-without-exclusive", "mode-without-exclusive"])
     def test_removed_constructs_are_parse_errors(self, line):
         with pytest.raises(ParseError):
             parse_model(TEXT_HEAD + f"{line}\n")

@@ -58,18 +58,74 @@ def test_duplicate_transition_names_the_line():
 
 
 def test_parse_error_positions_match_hand_count():
+    # (text, line, column, message, snippet), one per error site of parse_spec
+    head = MINIMAL.split("commands")[0]
     fixtures = [
-        (MINIMAL + "transition CONT set_vLED ->\n", 13, "transition"),
-        (MINIMAL + "dispatch LED_ON_C => set_vLED\n", 13, "dispatch"),
-        (MINIMAL + "packet set_vLED addr=Optrode_addr\n", 13, "packet"),
-        (MINIMAL.replace("CONT", "CONT\n  CONT"), 9, "duplicate"),
-        (MINIMAL + "frobnicate\n", 13, "unknown directive"),
+        (MINIMAL + "transition CONT set_vLED ->\n", 13, 1,
+         "expected 'transition EVENT from -> to'", "transition CONT set_vLED ->"),
+        (MINIMAL + "dispatch LED_ON_C => set_vLED\n", 13, 1,
+         "expected 'dispatch COMMAND -> state'", "dispatch LED_ON_C => set_vLED"),
+        (MINIMAL + "packet set_vLED addr=Optrode_addr\n", 13, 1,
+         "expected 'packet STATE addr=A cmd=C data=D'",
+         "packet set_vLED addr=Optrode_addr"),
+        (MINIMAL.replace("CONT", "CONT\n  CONT"), 9, 1,
+         "duplicate events entry 'CONT'", "  CONT"),
+        (MINIMAL + "frobnicate\n", 13, 1, "unknown directive 'frobnicate'", "frobnicate"),
+        # an unterminated section names the last line that is not blank or
+        # a comment
+        (head + "commands {\n  LED_ON_C\n# closing brace lost\n\n", 11, 1,
+         "unterminated commands section", ""),
+        (MINIMAL.replace("events {", "events {}"), 7, 1, "expected 'events {'",
+         "events {}"),
+        (MINIMAL.replace("events {", "events { CONT"), 7, 1, "expected 'events {'",
+         "events { CONT"),
+        ("states {\n}\nevents {\n}\n# no commands\n", 1, 1,
+         "missing commands section", ""),
+        (MINIMAL.replace("send_packet_6: send", "send_packet_6: sender"), 5, 1,
+         "unknown state kind 'sender'", "  send_packet_6: sender"),
+        (MINIMAL.replace("send_packet_6: send", "send_packet_6 send"), 5, 1,
+         "expected 'send_packet_6: <kind>'", "  send_packet_6 send"),
+        (MINIMAL.replace("send_packet_6: send", "send_packet_6: send now"), 5, 1,
+         "unexpected tokens 'now'", "  send_packet_6: send now"),
+        (MINIMAL.replace("  CONT\n", "  CONT synthetic later\n"), 8, 1,
+         "unexpected tokens 'synthetic later'", "  CONT synthetic later"),
+        (MINIMAL.replace("  LED_ON_C", "  9LED_ON_C"), 11, 3,
+         "invalid identifier '9LED_ON_C'", "  9LED_ON_C"),
+        (MINIMAL + "packet set_vLED addr=Optrode-addr cmd=nil data=nil\n", 13, 22,
+         "invalid identifier 'Optrode-addr'",
+         "packet set_vLED addr=Optrode-addr cmd=nil data=nil"),
+        (MINIMAL + "transition CONT set_vLED -> send_packet_6\n" * 2, 14, 1,
+         "duplicate transition for (CONT, set_vLED)",
+         "transition CONT set_vLED -> send_packet_6"),
+        (MINIMAL + "dispatch LED_ON_C -> set_vLED\n" * 2, 14, 1,
+         "duplicate dispatch for 'LED_ON_C'", "dispatch LED_ON_C -> set_vLED"),
+        (MINIMAL + "packet set_vLED addr=A cmd=nil data=nil\n" * 2, 14, 1,
+         "duplicate packet template for 'set_vLED'",
+         "packet set_vLED addr=A cmd=nil data=nil"),
+        (MINIMAL + "packet set_vLED addr=A command=nil data=nil\n", 13, 1,
+         "expected 'cmd=...'", "packet set_vLED addr=A command=nil data=nil"),
+        (MINIMAL + "transition EVT set_vLED -> send_packet_6\n", 13, 1,
+         "unknown event 'EVT'", "transition EVT set_vLED -> send_packet_6"),
+        (MINIMAL + "transition CONT set_vLED -> nowhere\n", 13, 1,
+         "unknown state 'nowhere'", "transition CONT set_vLED -> nowhere"),
+        (MINIMAL + "dispatch NOPE_C -> set_vLED\n", 13, 1,
+         "unknown command 'NOPE_C'", "dispatch NOPE_C -> set_vLED"),
+        (MINIMAL + "dispatch LED_ON_C -> nowhere\n", 13, 1,
+         "unknown state 'nowhere'", "dispatch LED_ON_C -> nowhere"),
+        (MINIMAL + "packet nowhere addr=A cmd=nil data=nil\n", 13, 1,
+         "unknown state 'nowhere'", "packet nowhere addr=A cmd=nil data=nil"),
+        # comment-only and blank lines count; a CRLF ending is not part of
+        # the snippet
+        (MINIMAL.replace("\n", "\r\n") + "# a comment line\r\n\r\n  frobnicate\r\n",
+         15, 1, "unknown directive 'frobnicate'", "  frobnicate"),
     ]
-    for text, lineno, needle in fixtures:
+    for text, lineno, column, message, snippet in fixtures:
         with pytest.raises(ParseError) as err:
             parse_spec(text)
-        assert err.value.line == lineno, text
-        assert needle in err.value.message
+        found = err.value
+        assert (found.line, found.column, found.message, found.snippet) \
+            == (lineno, column, message, snippet), text
+        assert str(found) == f"line {lineno}, column {column}: {message}"
 
 
 def test_unknown_names_are_rejected():

@@ -51,9 +51,8 @@ class StateKind(enum.Enum):
 
 # Each member once more as a plain global, which hot code tests by identity.
 # On CPython 3.11 ``EnumType`` defines ``__getattr__``, so a load such as
-# ``StateKind.SEND`` takes the slow attribute path, about four times a
-# global load, and hashing a member (``kind in CREATOR_KINDS``) runs the
-# Python-level ``Enum.__hash__``.
+# ``StateKind.SEND`` takes the slow attribute path, and hashing a member
+# (``kind in CREATOR_KINDS``) runs the Python-level ``Enum.__hash__``.
 KIND_SEND = StateKind.SEND
 KIND_RECEIVE = StateKind.RECEIVE
 KIND_CREATOR = StateKind.CREATOR
@@ -257,26 +256,26 @@ def _check_entry(frm: str, kind_from: StateKind, to: str, kind_to: StateKind,
     map of ``event``; the states' kinds are given."""
     out: list[Violation] = []
     if to == START:
-        out.append(Violation("C1.1", event, frm, to,
-                             f"no state may map to {START!r}"))
+        out.append(Violation("C1.1", event=event, from_state=frm, to_state=to,
+                             message=f"no state may map to {START!r}"))
     if frm == START and to not in (GET_CMD, ERROR_ST):
-        out.append(Violation("C1.2", event, frm, to,
-                             f"{START!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
+        out.append(Violation("C1.2", event=event, from_state=frm, to_state=to,
+                             message=f"{START!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
     if frm == CHIP_RST and to not in (GET_CMD, ERROR_ST):
-        out.append(Violation("C1.3", event, frm, to,
-                             f"{CHIP_RST!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
+        out.append(Violation("C1.3", event=event, from_state=frm, to_state=to,
+                             message=f"{CHIP_RST!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
     if frm == ERROR_ST and to not in (GET_CMD, ERROR_ST, CHIP_RST):
-        out.append(Violation("C1.4", event, frm, to,
-                             f"{ERROR_ST!r} maps only to {GET_CMD!r}, {ERROR_ST!r} "
-                             f"or {CHIP_RST!r}"))
+        out.append(Violation("C1.4", event=event, from_state=frm, to_state=to,
+                             message=f"{ERROR_ST!r} maps only to {GET_CMD!r}, {ERROR_ST!r} "
+                                     f"or {CHIP_RST!r}"))
     if frm == CMD_FINISH and to != ERROR_ST:
-        out.append(Violation("C1.5", event, frm, to,
-                             f"{CMD_FINISH!r} maps only to {ERROR_ST!r}"))
+        out.append(Violation("C1.5", event=event, from_state=frm, to_state=to,
+                             message=f"{CMD_FINISH!r} maps only to {ERROR_ST!r}"))
     if (kind_from is KIND_CREATOR_STAGE1 or kind_from is KIND_CREATOR_STAGE2
             or kind_from is KIND_CREATOR) and not (kind_to is KIND_SEND or to == ERROR_ST):
-        out.append(Violation("C1.6", event, frm, to,
-                             "packet creator states map only to send states "
-                             f"or {ERROR_ST!r}"))
+        out.append(Violation("C1.6", event=event, from_state=frm, to_state=to,
+                             message="packet creator states map only to send states "
+                                     f"or {ERROR_ST!r}"))
     # Receive self-loops are admitted here: the identity entries demanded by the
     # SPI_RX_FINISH rule (C4) would otherwise make every total table invalid.
     if (
@@ -284,13 +283,13 @@ def _check_entry(frm: str, kind_from: StateKind, to: str, kind_to: StateKind,
         and to != frm
         and not (kind_to is KIND_CREATOR_STAGE2 or to in (CMD_FINISH, ERROR_ST))
     ):
-        out.append(Violation("C1.7", event, frm, to,
-                             "receive states map only to stage-two creator "
-                             f"states, {CMD_FINISH!r}, {ERROR_ST!r} or themselves"))
+        out.append(Violation("C1.7", event=event, from_state=frm, to_state=to,
+                             message="receive states map only to stage-two creator "
+                                     f"states, {CMD_FINISH!r}, {ERROR_ST!r} or themselves"))
     if frm == GET_CMD and not (kind_to is KIND_CREATOR_STAGE1 or to == ERROR_ST):
-        out.append(Violation("C1.8", event, frm, to,
-                             f"{GET_CMD!r} maps only to stage-one creator "
-                             f"states or {ERROR_ST!r}"))
+        out.append(Violation("C1.8", event=event, from_state=frm, to_state=to,
+                             message=f"{GET_CMD!r} maps only to stage-one creator "
+                                     f"states or {ERROR_ST!r}"))
     return out
 
 
@@ -375,42 +374,42 @@ def check_cando(roster: Roster, fsm: FsmTable) -> list[Violation]:
             continue
         if st == START:
             if to != GET_CMD:
-                out.append(Violation("C7", CONT, st, to,
-                                     f"under CONT, {START!r} maps to {GET_CMD!r}"))
+                out.append(Violation("C7", event=CONT, from_state=st, to_state=to,
+                                     message=f"under CONT, {START!r} maps to {GET_CMD!r}"))
         elif st == ERROR_ST:
             if to != CHIP_RST:
-                out.append(Violation("C8", CONT, st, to,
-                                     f"under CONT, {ERROR_ST!r} maps to {CHIP_RST!r}"))
+                out.append(Violation("C8", event=CONT, from_state=st, to_state=to,
+                                     message=f"under CONT, {ERROR_ST!r} maps to {CHIP_RST!r}"))
         elif k is KIND_ERROR:
             if to != ERROR_ST:
-                out.append(Violation("C6", CONT, st, to,
-                                     f"under CONT, error states map to {ERROR_ST!r}"))
+                out.append(Violation("C6", event=CONT, from_state=st, to_state=to,
+                                     message=f"under CONT, error states map to {ERROR_ST!r}"))
         elif k is KIND_SEND:
             if kind(to) is not KIND_RECEIVE:
-                out.append(Violation("C2", CONT, st, to,
-                                     "under CONT, send states map to receive states"))
+                out.append(Violation("C2", event=CONT, from_state=st, to_state=to,
+                                     message="under CONT, send states map to receive states"))
         elif k is KIND_CREATOR_STAGE1 or k is KIND_CREATOR_STAGE2 or k is KIND_CREATOR:
             if kind(to) is not KIND_SEND:
-                out.append(Violation("C5", CONT, st, to,
-                                     "under CONT, packet creator states map to "
-                                     "send states"))
+                out.append(Violation("C5", event=CONT, from_state=st, to_state=to,
+                                     message="under CONT, packet creator states map to "
+                                             "send states"))
         elif k is KIND_RECEIVE:
             if not (kind(to) is KIND_CREATOR_STAGE2 or to == CMD_FINISH):
-                out.append(Violation("C11", CONT, st, to,
-                                     "under CONT, receive states map to stage-two "
-                                     f"creator states or {CMD_FINISH!r}"))
+                out.append(Violation("C11", event=CONT, from_state=st, to_state=to,
+                                     message="under CONT, receive states map to stage-two "
+                                             f"creator states or {CMD_FINISH!r}"))
 
     for s in roster.states:
         st, k = s.name, s.kind
         to = tx_finish.get(st)
         if to is not None and k is KIND_SEND and to != st:
-            out.append(Violation("C3", SPI_TX_FINISH, st, to,
-                                 "under SPI_TX_FINISH, send states map to themselves"))
+            out.append(Violation("C3", event=SPI_TX_FINISH, from_state=st, to_state=to,
+                                 message="under SPI_TX_FINISH, send states map to themselves"))
         to = rx_finish.get(st)
         if to is not None and k is KIND_RECEIVE and to != st:
-            out.append(Violation("C4", SPI_RX_FINISH, st, to,
-                                 "under SPI_RX_FINISH, receive states map to "
-                                 "themselves"))
+            out.append(Violation("C4", event=SPI_RX_FINISH, from_state=st, to_state=to,
+                                 message="under SPI_RX_FINISH, receive states map to "
+                                         "themselves"))
 
     to = get_cmd_e.get(ERROR_ST)
     if to is not None and to != GET_CMD:

@@ -176,10 +176,8 @@ def parse_spec(text: str) -> SpecDocument:
                 raise _err(lineno, f"unknown state {frm!r}", raw)
             if to not in state_names:
                 raise _err(lineno, f"unknown state {to!r}", raw)
-            per = fsm.get(ev)
-            if per is None:
-                per = fsm[ev] = {}
-            elif frm in per:
+            per = fsm.setdefault(ev, {})
+            if frm in per:
                 raise _err(lineno, f"duplicate transition for ({ev}, {frm})", raw)
             per[frm] = to
         elif head == "dispatch":

@@ -83,12 +83,6 @@ class UnknownState(FsmError):
         self.name = name
 
 
-class UnknownEvent(FsmError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown event: {name!r}")
-        self.name = name
-
-
 class UnknownCommand(FsmError):
     def __init__(self, name: str):
         super().__init__(f"unknown command: {name!r}")

@@ -339,19 +339,20 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
     """The operation of one state, split per conditional branch, and one
     strengthened post-condition monitor per branch (the exact end event and
     counter value relative to its start), each branch guard built once for
-    both.  Counter updates go through next_* shadows under within-0
-    obligations.  Returns the ``op.*`` and the ``post.*`` requirements."""
+    both.  Counter updates go through next_* shadows, each commit checked
+    at the end of its round by the trigger's required condition.  Returns
+    the ``op.*`` and the ``post.*`` requirements."""
     kind = spec.roster.kind_of(state)
     arrive = nodes.ref(f"arrive_{state}")
     ops: list[Requirement] = []
     posts: list[Requirement] = []
     lit, sig, binop, and_, eq = nodes.lit, nodes.sig, nodes.binop, nodes.and_, nodes.eq
 
-    def toe(suffix: str, title: str, guard, effects, required=None, within=None):
+    def toe(suffix: str, title: str, guard, effects, required=None):
         ops.append(Requirement(
             req_id=f"op.{state}.{suffix}", title=title,
             template=TRIGGER_ON_EVENT, guard=guard,
-            effects=tuple(effects), required=required, within=within))
+            effects=tuple(effects), required=required))
 
     def when(suffix: str, title: str, guard, required):
         posts.append(Requirement(
@@ -410,7 +411,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
             counting,
             [SignalAssign("bytes_sent", byte_up),
              set_("current_event", SPI_TX_FINISH)],
-            required=byte_committed, within=0)
+            required=byte_committed)
         ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the transmission",
@@ -424,7 +425,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
             can_count_tx, [SignalAssign("next_tx_cnt", tx_up)])
         toe("tx", f"{state} counts the completed transmission",
             can_count_tx, [SignalAssign("tx_cnt", tx_up)],
-            required=tx_committed, within=0)
+            required=tx_committed)
         when("progress", f"{state} in progress ends in SPI_TX_FINISH",
              counting, and_(nodes.event_is(SPI_TX_FINISH), byte_committed))
         when("complete", f"{state} completion counts the transmission",
@@ -445,7 +446,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
             counting,
             [SignalAssign("bytes_received", byte_up),
              set_("current_event", SPI_RX_FINISH)],
-            required=byte_committed, within=0)
+            required=byte_committed)
         ops.append(Requirement(
             req_id=f"op.{state}.done",
             title=f"{state} completes the reception",
@@ -694,8 +695,7 @@ def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
         for effect in req.effects:
             lines.append(f"  {_effect_prose(effect, defs)}")
         if req.required is not None:
-            within = f" within {req.within} rounds" if req.within is not None else ""
-            lines.append(f"  and {_prose(req.required, defs)}{within}")
+            lines.append(f"  and {_prose(req.required, defs)}")
         lines.append("holds.")
     elif req.template is WHEN:
         lines.append("Whenever")

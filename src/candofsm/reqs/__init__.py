@@ -30,7 +30,6 @@ from .model import (
     ModeAssign,
     ModeComponent,
     ModelError,
-    Obligation,
     Requirement,
     RequirementsModel,
     SignalAssign,
@@ -45,7 +44,7 @@ __all__ = [
     "DataDictionary", "DefRef", "Definition", "EnumType", "Env", "EvalError",
     "IllegalEndOfRoundRead", "IntType", "Lit", "ModeActive", "ModeAssign",
     "ModeComponent", "ModelError", "Not",
-    "Obligation", "Requirement", "RequirementsModel", "RoundResult",
+    "Requirement", "RequirementsModel", "RoundResult",
     "SigRead", "SignalAssign", "SignalDef", "Template", "TypeMismatch",
     "fire_round", "initial_env", "run_requirements_trace",
 ]

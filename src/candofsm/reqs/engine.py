@@ -9,8 +9,8 @@ One round takes the model from a start snapshot to an end snapshot:
    conflicting writes leave the start value and report both writers;
 4. monitor templates are checked against the end snapshot;
 5. mode-set exclusivity is checked on the end snapshot;
-6. obligations fall due (within 0 means this very round) or expire;
-7. the pending obligation set is updated.
+6. each trigger whose guard held checks its required condition, if it has
+   one, against the end snapshot.
 
 The function is total: breaches are returned as violations, never raised.
 
@@ -45,7 +45,6 @@ from .model import (
     TRIGGER_ON_EVENT,
     WHEN,
     Env,
-    Obligation,
     Requirement,
     RequirementsModel,
     SignalAssign,
@@ -62,9 +61,8 @@ class RoundResult:
     violations: tuple[Violation, ...]
 
 
-def _violation(code: str, req: Requirement | None, message: str) -> Violation:
-    prefix = f"requirement {req.req_id} ({req.title}): " if req else ""
-    return Violation(code, message=prefix + message)
+def _violation(code: str, req: Requirement, message: str) -> Violation:
+    return Violation(code, message=f"requirement {req.req_id} ({req.title}): {message}")
 
 
 class _Step:
@@ -83,7 +81,7 @@ class _Step:
         self.compiled = False
         self.phase = "effect" if t is TRIGGER_ON_EVENT or t is CASE else "check"
 
-        # a False guard means no effect, obligation or violation; every-monitors
+        # a False guard means no effect, check or violation; every-monitors
         # and mode-sets act in every round
         guard = self.guard_node = None if req.guard is None else compiler.compile(req.guard)
         self.support = None
@@ -132,7 +130,6 @@ class _Plan:
         self.definitions = model.definition_map()
         self.compiler = Compiler(self.definitions)
         self.steps = tuple(_Step(req, self.compiler) for req in model.requirements)
-        self.by_id = {s.req.req_id: s for s in self.steps}
         read = Counter(signal for s in self.steps if s.support
                        for signal in {lit[0] for _, lit in s.support if lit})
         key = self.key = read.most_common(1)[0][0] if read else None
@@ -197,14 +194,6 @@ class _Plan:
             (effect if step.phase == "effect" else check).append((step, guard))
         return tuple(effect), tuple(check)
 
-    def obligation(self, ob: Obligation):
-        """The compiled condition of an obligation."""
-        step = self.by_id.get(ob.req_id)
-        if step is not None and step.req.required is ob.expr:
-            step.compile(self.compiler)
-            return step.required
-        return self.compiler.compile(ob.expr).fn
-
 
 def _plan_of(model: RequirementsModel) -> _Plan:
     """The model's plan, built on first use.  It lives on the instance, so it
@@ -230,7 +219,8 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     violations: list[Violation] = []
     # record key -> ordered writes; signals keyed ("sig", name), modes ("mode", comp)
     writes: dict[tuple[str, str], list[tuple[str, object]]] = {}
-    new_obligations: list[Obligation] = []
+    # triggers whose guard held and that require a condition at the end
+    triggered: list[_Step] = []
 
     def guard_true(guard, req: Requirement) -> bool:
         if guard is None:
@@ -263,9 +253,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             if guard_true(guard, req):
                 add_effects(req, step.effects)
                 if req.required is not None:
-                    due = current_round + (req.within or 0)
-                    new_obligations.append(
-                        Obligation(req.req_id, req.required, due, current_round))
+                    triggered.append(step)
         else:   # a case: the first branch whose guard holds
             for guard, effects in step.branches:
                 if guard_true(guard, req):
@@ -344,31 +332,12 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                     f"component {req.component!r} has {len(active_end)} active modes "
                     "at end of round"))
 
-    still_pending: list[Obligation] = []
-    for ob in tuple(env.pending) + tuple(new_obligations):
-        try:
-            satisfied = bool(plan.obligation(ob)(end))
-        except EvalError as exc:
-            violations.append(Violation(
-                "EVAL", message=f"obligation of requirement {ob.req_id}: {exc}"))
-            satisfied = False
-        if satisfied:
-            continue
-        if ob.due_round <= current_round:
-            violations.append(Violation(
-                "OBLIGATION",
-                message=f"obligation of requirement {ob.req_id} registered in round "
-                        f"{ob.registered_round} expired unsatisfied in round "
-                        f"{current_round}"))
-            continue
-        still_pending.append(ob)
+    for step in triggered:
+        if not required_holds(step.required, step.req):
+            violations.append(_violation("OBLIGATION", step.req, "required condition "
+                                                                 "breached after trigger"))
 
-    end_env = Env(
-        signals=end_signals,
-        modes=end_modes,
-        pending=tuple(still_pending),
-        round_no=current_round,
-    )
+    end_env = Env(signals=end_signals, modes=end_modes, round_no=current_round)
     return RoundResult(end_env=end_env, fired=tuple(fired),
                        violations=tuple(violations))
 

@@ -265,32 +265,20 @@ class Requirement:
     title: str
     template: Template
     guard: object | None = None              # trigger / when-guard
-    required: object | None = None           # monitored or obliged condition
+    required: object | None = None           # end-of-round condition checked
     effects: tuple[Assignment, ...] = ()
-    within: int | None = None
     component: str | None = None             # mode-set target
     branches: tuple[CaseBranch, ...] = ()
 
 
 @dataclass(frozen=True)
-class Obligation:
-    """A required condition a trigger registered, due by ``due_round``."""
-
-    req_id: str
-    expr: object
-    due_round: int
-    registered_round: int
-
-
-@dataclass(frozen=True)
 class Env:
-    """Record values at a round boundary, plus open obligations."""
+    """Signal values and active modes at a round boundary."""
 
     signals: Mapping[str, object]
     modes: Mapping[str, frozenset[str]]
     # inert: nothing reads or writes it; kept while perfbench/workloads.py passes it
     history: frozenset = frozenset()
-    pending: tuple[Obligation, ...] = ()
     round_no: int = 0
 
 
@@ -330,8 +318,7 @@ class RequirementsModel:
         known definitions, no empty ``and``/``or`` chain, no expression
         deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
         required conditions in every expression slot, effects on known
-        signals and modes, mode-sets on known mode components, no
-        negative ``within``.
+        signals and modes, mode-sets on known mode components.
 
         Each distinct node is scanned once, by identity: what it can read
         and how deep it is are remembered for every later use, in any slot.
@@ -420,8 +407,5 @@ class RequirementsModel:
                 start_only(branch.guard, where, "case guard")
                 check_effects(branch.effects, where)
             scan(r.required, where)
-            if r.within is not None and r.within < 0:
-                # the obligation would fall due before the round that registers it
-                raise ModelError(f"{where}: within {r.within} is negative")
             if r.template is MODE_SET and r.component not in components:
                 raise ModelError(f"{where}: mode-set needs a mode component")

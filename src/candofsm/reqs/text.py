@@ -401,14 +401,9 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
         guard = _parse_expr(cur, scope)
         cur.expect("=>")
         effects = _parse_assignments(cur, scope)
-        required = None
-        within = None
-        if cur.accept("require"):
-            required = _parse_expr(cur, scope)
-        if cur.accept("within"):
-            within = _parse_int(cur)
+        required = _parse_expr(cur, scope) if cur.accept("require") else None
         req = Requirement(req_id, title, template, guard=guard, effects=effects,
-                          required=required, within=within)
+                          required=required)
     elif template is MODE_SET:
         component = cur.next()
         if not cur.accept("exclusive"):
@@ -530,8 +525,6 @@ def _render_requirement(req: Requirement) -> str:
                  ", ".join(_render_assignment(a) for a in req.effects)]
         if req.required is not None:
             parts.append(f"require {render_expr(req.required)}")
-        if req.within is not None:
-            parts.append(f"within {req.within}")
         return " ".join(parts)
     if req.template is MODE_SET:
         return f"{head} {req.component} exclusive"

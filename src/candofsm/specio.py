@@ -122,8 +122,9 @@ def _parse_member_lines(rows: list[tuple[int, str, str]], start: int, section: s
             elif rest:
                 raise _err(lineno, f"unexpected tokens {' '.join(rest)!r}", raw)
             entries.append(MemberDef(name, synthetic))
-    # the last line that is not blank or a comment
-    raise _err(rows[-1][0], f"unterminated {section} section")
+    # the section's header line
+    lineno, _, raw = rows[start - 1]
+    raise _err(lineno, f"unterminated {section} section", raw)
 
 
 def parse_spec(text: str) -> SpecDocument:
@@ -134,14 +135,13 @@ def parse_spec(text: str) -> SpecDocument:
     one directive per row."""
     rows = [(i, stripped, raw) for i, raw in enumerate(text.splitlines(), start=1)
             if (stripped := raw.partition("#")[0].strip())]
-    if not rows:
-        raise ParseError(1, 1, "missing states section")
 
     pos = 0
     sections: dict[str, list] = {}
     for section, with_kind in (("states", True), ("events", False), ("commands", False)):
         if pos == len(rows):
-            raise _err(1, f"missing {section} section")
+            # the line after the last row, or line 1 of an empty text
+            raise _err(rows[-1][0] + 1 if rows else 1, f"missing {section} section")
         lineno, text_line, raw = rows[pos]
         header = text_line.replace(" ", "")
         if not header.startswith(section + "{"):

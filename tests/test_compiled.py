@@ -29,7 +29,6 @@ from candofsm.reqs import (
     ModeAssign,
     ModeComponent,
     Not,
-    Obligation,
     Requirement,
     SigRead,
     SignalAssign,
@@ -387,24 +386,6 @@ def test_the_plan_is_built_once_per_model_instance():
     fire_round(model, env, None)
     assert model.__dict__["_plan"] is plan
     assert "_plan" not in two_lamp_model().__dict__
-
-
-def test_pending_obligations_from_elsewhere_are_compiled_on_demand():
-    model = tiny_model(
-        Requirement("met", "demand x = 5", Template.TRIGGER_ON_EVENT,
-                    guard=Lit(False), required=BinOp("=", SigRead("x"), Lit(5))),
-        signals=[SignalDef("x", "small", initial=2)])
-    init = initial_env(model)
-    # "met" names a requirement of the model but carries its own condition
-    # due in round 1, the round fired here, except "kept", due in round 3
-    pending = (Obligation("kept", BinOp("=", SigRead("x"), Lit(3)), 3, 0),
-               Obligation("met", BinOp("=", SigRead("x"), Lit(2)), 1, 0),
-               Obligation("broken", "not a node", 1, 0))
-    result = fire_round(model, Env(signals=init.signals, modes=init.modes,
-                                   pending=pending), None)
-    assert [ob.req_id for ob in result.end_env.pending] == ["kept"]
-    assert [v.constraint_id for v in result.violations] == ["EVAL", "OBLIGATION"]
-    assert "not an expression node" in result.violations[0].message
 
 
 def test_a_missing_condition_or_effect_value_is_an_eval_violation():

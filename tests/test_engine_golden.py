@@ -114,8 +114,6 @@ def round_snapshot(model, env: Env) -> dict:
                     if k not in env.signals or _differs(v, env.signals[k])},
         "dropped_signals": sorted(set(env.signals) - set(end.signals)),
         "modes": {k: sorted(v) for k, v in end.modes.items()},
-        "pending": [[ob.req_id, ob.due_round, ob.registered_round]
-                    for ob in end.pending],
         "round_no": end.round_no,
     }
 
@@ -172,7 +170,7 @@ def test_fault_rounds_exercise_the_failure_paths(golden):
 def _reporters(violation: list) -> set[str]:
     """The requirement ids a recorded violation names."""
     message = violation[4]
-    named = re.match(r"(?:obligation of )?requirement (\S+?)[ :]", message)
+    named = re.match(r"requirement (\S+?)[ :]", message)
     if named:
         return {named.group(1)}
     writers = re.search(r"from requirements (.*?);", message)

@@ -352,6 +352,6 @@ def test_the_generated_model_and_its_report_are_pinned(model):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     assert sha256(serialize_model(model)) \
-        == "a0795f35b9a690a48e1e4e07ed01b8f93173fd7ca2dab468ae0b184acd5f529b"
+        == "68925dfb06dc2305dcd77cad43739efda5d75380561cba80a76e0efd933028fe"
     assert sha256(render_requirements_markdown(model)) \
-        == "4ae5db697310c84f56e093447b26fefd41299a22737469d4e31c97d7ee654da6"
+        == "a499536f3e8caa2564fde2d37bdc6b0d8e99fb4c71464a7d30dd9991afb3ca28"

@@ -143,63 +143,33 @@ class TestFireRound:
         assert result.end_env.modes["lamp"] == frozenset({"on"})
         assert result.violations == ()
 
-    def test_within_zero_obligation_is_checked_this_round(self):
-        sig = SignalDef("x", "small", initial=0)
-        ok = tiny_model(
-            Requirement("r", "writes and demands", Template.TRIGGER_ON_EVENT,
-                        guard=Lit(True), effects=(SignalAssign("x", Lit(5)),),
-                        required=BinOp("=", SigRead("x"), Lit(5)), within=0),
-            signals=[sig])
-        result = fire_round(ok, initial_env(ok), None)
-        assert result.violations == ()
-        assert result.end_env.pending == ()
+    def test_a_trigger_checks_its_required_condition_at_the_end_of_its_round(self):
+        def trigger(title, guard, required, *effects):
+            return tiny_model(
+                Requirement("r", title, Template.TRIGGER_ON_EVENT, guard=guard,
+                            effects=effects, required=required),
+                signals=[SignalDef("x", "small", initial=0),
+                         SignalDef("c", "small", initial=None)])
 
-        broken = tiny_model(
-            Requirement("r", "demands the impossible", Template.TRIGGER_ON_EVENT,
-                        guard=Lit(True),
-                        required=BinOp("=", SigRead("x"), Lit(5)), within=0),
-            signals=[sig])
-        result = fire_round(broken, initial_env(broken), None)
-        assert [v.constraint_id for v in result.violations] == ["OBLIGATION"]
+        def violations(model):
+            return [(v.constraint_id, v.message)
+                    for v in fire_round(model, initial_env(model), None).violations]
 
-    def test_within_n_obligation_may_be_met_later(self):
-        sig = SignalDef("x", "small", initial=0)
-        model = tiny_model(
-            Requirement("arm", "demand x=3 within three rounds",
-                        Template.TRIGGER_ON_EVENT,
-                        guard=BinOp("=", SigRead("x"), Lit(0)),
-                        required=BinOp("=", SigRead("x"), Lit(3)), within=3),
-            Requirement("bump", "x counts up", Template.TRIGGER_ON_EVENT,
-                        guard=BinOp("<", SigRead("x"), Lit(3)),
-                        effects=(SignalAssign("x",
-                                              BinOp("+", SigRead("x"), Lit(1))),)),
-            signals=[sig])
-        env = initial_env(model)
-        prev = None
-        violations = []
-        for _ in range(4):
-            result = fire_round(model, env, prev)
-            violations.extend(result.violations)
-            prev, env = env, result.end_env
-        # x reaches 3 at the end of round 3, inside the round-4 deadline
-        assert violations == []
-        assert env.pending == ()
-
-    def test_expired_obligation_is_reported_once(self):
-        sig = SignalDef("x", "small", initial=0)
-        model = tiny_model(
-            Requirement("arm", "demand x=5 within one round",
-                        Template.TRIGGER_ON_EVENT,
-                        guard=BinOp("=", SigRead("x"), Lit(0)),
-                        effects=(SignalAssign("x", Lit(1)),),
-                        required=BinOp("=", SigRead("x"), Lit(5)), within=1),
-            signals=[sig])
-        env = initial_env(model)
-        first = fire_round(model, env, None)   # arms once, x leaves 0
-        assert first.violations == ()
-        second = fire_round(model, first.end_env, env)
-        assert [v.constraint_id for v in second.violations] == ["OBLIGATION"]
-        assert second.end_env.pending == ()
+        x_is_5 = BinOp("=", SigRead("x"), Lit(5))
+        unset = BinOp("<", SigRead("c"), Lit(3))   # c has no value: raises
+        # x is 0 at the start: only the end snapshot meets the condition
+        assert violations(trigger("writes and demands", Lit(True), x_is_5,
+                                  SignalAssign("x", Lit(5)))) == []
+        # a guard that is false at the start never reads the condition
+        assert violations(trigger("never armed", BinOp(">", SigRead("x"), Lit(0)),
+                                  unset)) == []
+        # a condition that fails to evaluate is one EVAL, not also a breach
+        [(code, message)] = violations(trigger("reads c", Lit(True), unset))
+        assert code == "EVAL"
+        assert message.startswith("requirement r (reads c): ")
+        assert violations(trigger("demands the impossible", Lit(True), x_is_5)) == [
+            ("OBLIGATION", "requirement r (demands the impossible): required "
+                           "condition breached after trigger")]
 
     def test_a_guard_that_is_not_boolean_is_reported(self):
         model = tiny_model(
@@ -322,20 +292,6 @@ class TestRunRounds:
         assert all(row.values() == {**first.values(), "round": row.round}
                    for row in trace.rows)
 
-    def test_an_obligation_still_open_when_the_run_ends_is_not_reported(self):
-        # only an expired obligation is a violation; the run ends before this
-        # one falls due
-        model = tiny_model(
-            Requirement("arm", "x reaches 5 within nine rounds",
-                        Template.TRIGGER_ON_EVENT,
-                        guard=BinOp("=", SigRead("x"), Lit(2)),
-                        effects=(SignalAssign("x", Lit(3)),),
-                        required=BinOp("=", SigRead("x"), Lit(5)), within=9),
-            signals=[SignalDef("x", "small", initial=2), *command_signals()])
-        trace = run_requirements_trace(model, "green", 4)
-        assert trace.reason == "budget"
-        assert trace.violations == ()
-
 
 class TestValidation:
     def test_definition_cycles_are_rejected(self):
@@ -397,15 +353,6 @@ class TestValidation:
                                 "flag", ModeActive("lamp", "on", "end")),)),
                 signals=[SignalDef("flag", "Flag", initial=False)],
                 modes=[lamp_component()])
-
-    def test_a_negative_within_is_rejected(self):
-        # it would register an obligation already expired
-        with pytest.raises(ModelError, match="^requirement r: within -1 is negative$"):
-            tiny_model(
-                Requirement("r", "due yesterday", Template.TRIGGER_ON_EVENT,
-                            guard=Lit(True), effects=(SignalAssign("x", Lit(1)),),
-                            required=BinOp("=", SigRead("x"), Lit(2)), within=-1),
-                signals=[SignalDef("x", "small", initial=0)])
 
     def test_end_read_in_a_case_branch_effect_is_rejected(self):
         with pytest.raises(ModelError, match="r: effect flag: end-of-round"):
@@ -582,7 +529,7 @@ class TestReqText:
             "mode lamp { off on } exclusive init=off",
             'def lamp_on "The lamp is on" := mode(lamp.on) at start',
             'req bump "count up" trigger lamp_on and x < LIMIT => '
-            'x := x + 1 require x = 1 within 0',
+            'x := x + 1 require x = 1',
             'req ms "one lamp mode" modeset lamp exclusive',
             'req watch "hue stays red" when lamp_on => hue = red',
             'req pick "first match" case x = 0 => hue := red | x = 1 => '
@@ -590,7 +537,7 @@ class TestReqText:
         ]) + "\n"
         model = parse_model(text)
         assert len(model.requirements) == 4
-        assert model.requirements[0].within == 0
+        assert model.requirements[0].required == BinOp("=", SigRead("x"), Lit(1))
         assert serialize_model(parse_model(serialize_model(model))) \
             == serialize_model(model)
 
@@ -630,12 +577,11 @@ class TestReqText:
         "type t int [0, 3]\nsignal z : t init=0",
         "const LIMIT : int = 3 min=0 max=9 tol=1",
         'req r "product" every x * 2 = -1',
-        'req r "later" trigger b => x := 1 require x = 2 within 3',
         'req r "lamp modes" modeset lamp exclusive',
     ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
             "not-under-comparison", "nested-chains", "1200-operand-or",
             "1200-operand-and", "bounded-int-type", "constant-with-options",
-            "product-and-negative-literal", "within-n", "exclusive-modeset"])
+            "product-and-negative-literal", "exclusive-modeset"])
     def test_serialize_inverts_parse(self, lines):
         model = parse_model(TEXT_HEAD + f"{lines}\n")
         assert parse_model(serialize_model(model)) == model
@@ -650,14 +596,17 @@ class TestReqText:
         'req r "pin" latch x while b := x + 1',
         'req r "watch" onchange x => b',
         'req r "mirror" onchange x when b do y := x',
+        'req r "later" trigger b => x := 1 require x = 2 within 3',
+        'req r "now" trigger b => x := 1 require x = 2 within 0',
         'req r "eventually" trigger b => x := 1 require x = 2 within 3 atsomepoint',
         'req r "pick" case b => x := 1 total',
         'req r "lamp modes" modeset lamp',
         "mode dial { low high } init=low",
     ], ids=["parameterised-definition", "array-type", "becomes", "mode-ever-active",
             "mode-ever-inactive", "latch-holding-its-start-value", "latch-with-a-value",
-            "onchange-monitor", "onchange-constructive", "within-n-atsomepoint",
-            "total-case", "modeset-without-exclusive", "mode-without-exclusive"])
+            "onchange-monitor", "onchange-constructive", "within-n", "within-0",
+            "within-n-atsomepoint", "total-case", "modeset-without-exclusive",
+            "mode-without-exclusive"])
     def test_removed_constructs_are_parse_errors(self, line):
         with pytest.raises(ParseError):
             parse_model(TEXT_HEAD + f"{line}\n")

@@ -6,11 +6,13 @@ module globals (``fsm.KIND_*``, ``reqs.model``'s ``EVERY`` ...), never as
 defines ``__getattr__``, so such a load takes the slow attribute path.
 Module-level code, which runs once, may load them.  Every dataclass has a
 docstring: without one, Python 3.11's ``dataclass`` computes
-``inspect.signature`` of the class at import to make one."""
+``inspect.signature`` of the class at import to make one.  Every exception
+class is raised somewhere in the package, or is the base of one that is."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 import candofsm
@@ -23,6 +25,12 @@ MEMBERS = {"StateKind": set(StateKind.__members__),
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
+def _name(node) -> str | None:
+    """The last name of ``X`` or ``a.b.X``."""
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
 def enum_member_loads(source: str) -> list[tuple[int, str]]:
     """(line, ``Enum.MEMBER``) for each member load inside a function body."""
     found = []
@@ -33,9 +41,7 @@ def enum_member_loads(source: str) -> list[tuple[int, str]]:
         for node in (n for part in body for n in ast.walk(part)):
             if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
                 continue
-            owner = node.value
-            name = owner.id if isinstance(owner, ast.Name) else \
-                owner.attr if isinstance(owner, ast.Attribute) else None
+            name = _name(node.value)
             if node.attr in MEMBERS.get(name, ()):
                 found.append((node.lineno, f"{name}.{node.attr}"))
     return sorted(set(found))
@@ -69,3 +75,47 @@ def test_every_dataclass_has_a_docstring():
         if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is None
         and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
     assert undocumented == []
+
+
+def unraised_exceptions(sources: list[str]) -> list[str]:
+    """The exception classes defined in ``sources`` that none of them
+    raises, either directly or by raising a subclass."""
+    bases: dict[str, set] = {}
+    raised: set = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_name(b) for b in node.bases}
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                raised.add(_name(exc.func if isinstance(exc, ast.Call) else exc))
+
+    def is_exception(name) -> bool:
+        if name in bases:
+            return any(is_exception(b) for b in bases[name])
+        found = getattr(builtins, name or "", None)
+        return isinstance(found, type) and issubclass(found, BaseException)
+
+    live, todo = set(), list(raised)
+    while todo:
+        name = todo.pop()
+        if name in bases and name not in live:
+            live.add(name)
+            todo.extend(bases[name])
+    return sorted(name for name in bases if is_exception(name) and name not in live)
+
+
+def test_the_check_finds_an_exception_nothing_raises():
+    source = ("class Base(Exception): pass\n"
+              "class Raised(Base): pass\n"
+              "class Unused(Base): pass\n"
+              "class Plain: pass\n"
+              "class Other(ValueError): pass\n"
+              "def f():\n"
+              "    raise errors.Raised('x') from None\n")
+    assert unraised_exceptions([source]) == ["Other", "Unused"]
+
+
+def test_every_exception_class_is_raised():
+    assert unraised_exceptions(
+        [path.read_text(encoding="utf-8") for path in modules()]) == []

@@ -71,15 +71,15 @@ def test_parse_error_positions_match_hand_count():
         (MINIMAL.replace("CONT", "CONT\n  CONT"), 9, 1,
          "duplicate events entry 'CONT'", "  CONT"),
         (MINIMAL + "frobnicate\n", 13, 1, "unknown directive 'frobnicate'", "frobnicate"),
-        # an unterminated section names the last line that is not blank or
-        # a comment
-        (head + "commands {\n  LED_ON_C\n# closing brace lost\n\n", 11, 1,
-         "unterminated commands section", ""),
+        # an unterminated section names its header
+        (head + "commands {\n  LED_ON_C\n# closing brace lost\n\n", 10, 1,
+         "unterminated commands section", "commands {"),
         (MINIMAL.replace("events {", "events {}"), 7, 1, "expected 'events {'",
          "events {}"),
         (MINIMAL.replace("events {", "events { CONT"), 7, 1, "expected 'events {'",
          "events { CONT"),
-        ("states {\n}\nevents {\n}\n# no commands\n", 1, 1,
+        # a section missing at the end names the line after the last row
+        ("states {\n}\nevents {\n}\n# no commands\n", 5, 1,
          "missing commands section", ""),
         (MINIMAL.replace("send_packet_6: send", "send_packet_6: sender"), 5, 1,
          "unknown state kind 'sender'", "  send_packet_6: sender"),

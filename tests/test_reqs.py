@@ -171,6 +171,26 @@ class TestFireRound:
             ("OBLIGATION", "requirement r (demands the impossible): required "
                            "condition breached after trigger")]
 
+    def test_a_trigger_check_sees_other_writes_and_follows_the_monitors(self):
+        def model(*writers):
+            return tiny_model(
+                Requirement("arm", "x must be 5", Template.TRIGGER_ON_EVENT,
+                            guard=Lit(True), required=BinOp("=", SigRead("x"), Lit(5))),
+                Requirement("nine", "x is always 9", Template.EVERY,
+                            required=BinOp("=", SigRead("x"), Lit(9))),
+                *writers, signals=[SignalDef("x", "small", initial=0)])
+
+        def codes(m):
+            return [v.constraint_id for v in fire_round(m, initial_env(m), None).violations]
+
+        # another requirement's write in the same round meets the condition
+        assert codes(model(Requirement("set", "x becomes 5", Template.TRIGGER_ON_EVENT,
+                                       guard=Lit(True),
+                                       effects=(SignalAssign("x", Lit(5)),)))) \
+            == ["MONITOR"]
+        # a breach is reported after the monitors, as the last check of the round
+        assert codes(model()) == ["MONITOR", "OBLIGATION"]
+
     def test_a_guard_that_is_not_boolean_is_reported(self):
         model = tiny_model(
             Requirement("r", "integer guard", Template.TRIGGER_ON_EVENT,
@@ -291,6 +311,23 @@ class TestRunRounds:
         assert (first.state, first.command, first.tx_cnt) == ("on", "green", 2)
         assert all(row.values() == {**first.values(), "round": row.round}
                    for row in trace.rows)
+
+
+    def test_a_breached_require_is_reported_in_each_round_its_guard_holds(self):
+        # the count goes 0 -> 3 and must be 3 after each step: rounds 1 and 2
+        # end on 1 and 2; from round 4 the guard is false and nothing is checked
+        model = tiny_model(
+            Requirement("step", "count to three in one step",
+                        Template.TRIGGER_ON_EVENT,
+                        guard=BinOp("<", SigRead("bytes_sent"), Lit(3)),
+                        effects=(SignalAssign("bytes_sent", BinOp(
+                            "+", SigRead("bytes_sent"), Lit(1))),),
+                        required=BinOp("=", SigRead("bytes_sent"), Lit(3))),
+            signals=[SignalDef("bytes_sent", "small", initial=0), *command_signals()])
+        trace = run_requirements_trace(model, "green", 6)
+        assert trace.reason == "budget"
+        assert [row.bytes_sent for row in trace.rows] == [0, 1, 2, 3, 3, 3]
+        assert [v.constraint_id for v in trace.violations] == ["OBLIGATION"] * 2
 
 
 class TestValidation:

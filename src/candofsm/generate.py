@@ -22,7 +22,7 @@ models share no node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .fsm import (
     CHIP_RST,
@@ -159,8 +159,7 @@ class _Nodes:
                           lambda: self.and_(self.ref(f"from_{frm}"), self.event_is(event)))
 
 
-@dataclass(frozen=True)
-class GenReport:
+class GenReport(NamedTuple):
     """Counts of the generated records, definitions and requirements; the id index."""
 
     data_records: int

@@ -13,11 +13,18 @@ state before the round.
 Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`step` re-evaluates it after executing
 and reports breaches as violations, which stay empty on a conforming spec.
+
+``Packet``, ``ModelState`` and ``StepOutcome`` are frozen slotted
+dataclasses with a hand-written ``__init__``: it stores each field through
+its slot descriptor's ``__set__``, bound once below the class, where the
+generated one would call ``object.__setattr__`` per field.  The parameters
+follow the fields in order and default, so ``dataclasses.replace`` still
+works.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .fsm import (
     CHIP_RST,
@@ -55,6 +62,12 @@ class RunError(Exception):
         self.cause = cause
 
 
+def _slot_setters(cls) -> tuple:
+    """Each field's slot ``__set__`` of a frozen slotted dataclass, in field
+    order; calling one skips the frozen ``__setattr__``."""
+    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+
+
 @dataclass(frozen=True, slots=True)
 class Packet:
     """The packet under construction; any field may be nil (None)."""
@@ -63,7 +76,14 @@ class Packet:
     cmd: str | None = None
     data: str | None = None
 
+    def __init__(self, addr: str | None = None, cmd: str | None = None,
+                 data: str | None = None):
+        _set_addr(self, addr)
+        _set_cmd(self, cmd)
+        _set_data(self, data)
 
+
+_set_addr, _set_cmd, _set_data = _slot_setters(Packet)
 _NO_PACKET = Packet()
 
 
@@ -82,6 +102,22 @@ class ModelState:
     bytes_sent: int = 0
     tx_cnt: int = 0
 
+    def __init__(self, current_state: str, current_event: str, current_command: str,
+                 command_finish_flag: bool = False, optrode_tx_finish: bool = False,
+                 optrode_rx_finish: bool = False, packet: Packet | None = None,
+                 bytes_received: int = 0, bytes_sent: int = 0, tx_cnt: int = 0):
+        _set_state(self, current_state)
+        _set_event(self, current_event)
+        _set_command(self, current_command)
+        _set_finish(self, command_finish_flag)
+        _set_tx_finish(self, optrode_tx_finish)
+        _set_rx_finish(self, optrode_rx_finish)
+        _set_packet(self, packet)
+        _set_received(self, bytes_received)
+        _set_sent(self, bytes_sent)
+        _set_tx_cnt(self, tx_cnt)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if not 0 <= self.bytes_sent <= PACKET_LENGTH:
             raise ValueError(f"bytes_sent out of range: {self.bytes_sent}")
@@ -91,6 +127,10 @@ class ModelState:
             raise ValueError(f"tx_cnt out of range: {self.tx_cnt}")
 
 
+(_set_state, _set_event, _set_command, _set_finish, _set_tx_finish, _set_rx_finish,
+ _set_packet, _set_received, _set_sent, _set_tx_cnt) = _slot_setters(ModelState)
+
+
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
     """The next machine, the operation that fired and its post-condition breaches."""
@@ -98,6 +138,15 @@ class StepOutcome:
     next: ModelState
     fired_op: str
     post_violations: tuple[Violation, ...] = ()
+
+    def __init__(self, next: ModelState, fired_op: str,
+                 post_violations: tuple[Violation, ...] = ()):
+        _set_next(self, next)
+        _set_fired_op(self, fired_op)
+        _set_post_violations(self, post_violations)
+
+
+_set_next, _set_fired_op, _set_post_violations = _slot_setters(StepOutcome)
 
 
 def init_model(spec: SpecDocument, command: str) -> ModelState:
@@ -252,23 +301,12 @@ def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
 
 
 def _snapshot(m: ModelState, round_no: int) -> TraceRow:
+    """The machine as a trace row, its cells in ``TraceRow`` field order."""
     packet = m.packet or _NO_PACKET
-    return TraceRow(
-        round=round_no,
-        state=m.current_state,
-        event=m.current_event,
-        command=m.current_command,
-        packet_addr=packet.addr,
-        packet_cmd=packet.cmd,
-        packet_data=packet.data,
-        bytes_sent=m.bytes_sent,
-        bytes_received=m.bytes_received,
-        tx_cnt=m.tx_cnt,
-        tx_finish=m.optrode_tx_finish,
-        rx_finish=m.optrode_rx_finish,
-        cmd_finish=m.command_finish_flag,
-        attribution={},
-    )
+    return TraceRow(round_no, m.current_state, m.current_event, m.current_command,
+                    packet.addr, packet.cmd, packet.data,
+                    m.bytes_sent, m.bytes_received, m.tx_cnt,
+                    m.optrode_tx_finish, m.optrode_rx_finish, m.command_finish_flag)
 
 
 def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:

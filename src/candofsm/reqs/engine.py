@@ -31,10 +31,10 @@ a round visits 10.6 candidates and makes 6.4 guard calls on average.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..fsm import Violation
-from ..trace import Trace, TraceRow
+from ..trace import ROW_COLUMNS, Trace, TraceRow
 from .compiled import ABSENT, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
 # against; it stays importable from here
@@ -52,8 +52,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class RoundResult:
+class RoundResult(NamedTuple):
     """A round's end env, fired requirements with what they wrote, violations."""
 
     end_env: Env
@@ -338,8 +337,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                                                                  "breached after trigger"))
 
     end_env = Env(signals=end_signals, modes=end_modes, round_no=current_round)
-    return RoundResult(end_env=end_env, fired=tuple(fired),
-                       violations=tuple(violations))
+    return RoundResult(end_env, tuple(fired), tuple(violations))
 
 
 # --- trace building over the generated record naming convention -------------
@@ -365,34 +363,40 @@ _SHADOW_COLUMNS = {
 }
 # the mode component that carries the machine state in a generated model
 STATE_COMPONENT = "fsm"
+# trace column -> its cell's index in a row
+_CELL = {column: i for i, column in enumerate(ROW_COLUMNS)}
+
+
+def _env_cells(env: Env, round_no: int) -> tuple:
+    """The trace columns of an env, in :class:`TraceRow` field order."""
+    sig = env.signals
+    return (
+        round_no,
+        "|".join(sorted(env.modes.get(STATE_COMPONENT, frozenset()))),
+        str(sig.get("current_event")),
+        str(sig.get("current_command")),
+        sig.get("packet_addr"),
+        sig.get("packet_cmd"),
+        sig.get("packet_data"),
+        int(sig.get("bytes_sent", 0)),
+        int(sig.get("bytes_received", 0)),
+        int(sig.get("tx_cnt", 0)),
+        bool(sig.get("optrode_TX_finish", False)),
+        bool(sig.get("optrode_RX_finish", False)),
+        bool(sig.get("command_finish_flag", False)),
+    )
 
 
 def _env_values(env: Env, round_no: int) -> dict[str, object]:
     """The trace columns of an env, keyed as :class:`TraceRow`'s fields."""
-    active = sorted(env.modes.get(STATE_COMPONENT, frozenset()))
-    sig = env.signals
-    return dict(
-        round=round_no,
-        state="|".join(active),
-        event=str(sig.get("current_event")),
-        command=str(sig.get("current_command")),
-        packet_addr=sig.get("packet_addr"),
-        packet_cmd=sig.get("packet_cmd"),
-        packet_data=sig.get("packet_data"),
-        bytes_sent=int(sig.get("bytes_sent", 0)),
-        bytes_received=int(sig.get("bytes_received", 0)),
-        tx_cnt=int(sig.get("tx_cnt", 0)),
-        tx_finish=bool(sig.get("optrode_TX_finish", False)),
-        rx_finish=bool(sig.get("optrode_RX_finish", False)),
-        cmd_finish=bool(sig.get("command_finish_flag", False)),
-    )
+    return dict(zip(ROW_COLUMNS, _env_cells(env, round_no)))
 
 
-def _round_attribution(result: RoundResult, new_values: dict[str, object],
-                       old_values: dict[str, object]) -> dict[str, tuple[str, ...]]:
-    """Requirement ids per changed trace column.  Shadow writers come first,
-    so counters show the next-value updater and then the committing
-    requirement, in that order."""
+def _round_attribution(result: RoundResult, new_cells: tuple,
+                       old_cells: tuple) -> dict[str, tuple[str, ...]]:
+    """Requirement ids per changed trace column, from two rounds' cells.
+    Shadow writers come first, so counters show the next-value updater and
+    then the committing requirement, in that order."""
     by_column: dict[str, list[str]] = {}
     for rid, records in result.fired:
         for record in records:
@@ -405,7 +409,7 @@ def _round_attribution(result: RoundResult, new_values: dict[str, object],
     return {
         column: tuple(ids)
         for column, ids in by_column.items()
-        if new_values.get(column) != old_values.get(column)
+        if new_cells[_CELL[column]] != old_cells[_CELL[column]]
     }
 
 
@@ -426,16 +430,15 @@ def run_requirements_trace(model: RequirementsModel, command: str,
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     env = initial_env(model, overrides={"current_command": command})
-    values = _env_values(env, 0)
-    rows = [TraceRow(**values)]
+    cells = _env_cells(env, 0)
+    rows = [TraceRow(*cells)]
     violations: list[Violation] = []
     while len(rows) < max_rounds and not _finished(env):
         result = fire_round(model, env, None)
         env = result.end_env
-        new_values = _env_values(env, len(rows))
-        rows.append(TraceRow(**new_values, attribution=_round_attribution(
-            result, new_values, values)))
-        values = new_values
+        new_cells = _env_cells(env, len(rows))
+        rows.append(TraceRow(*new_cells, _round_attribution(result, new_cells, cells)))
+        cells = new_cells
         violations.extend(result.violations)
     reason = "cmd_finish" if _finished(env) else "budget"
     return Trace(rows=tuple(rows), command=command, engine="reqs",

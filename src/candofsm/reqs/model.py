@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
 
@@ -271,8 +271,7 @@ class Requirement:
     branches: tuple[CaseBranch, ...] = ()
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(NamedTuple):
     """Signal values and active modes at a round boundary."""
 
     signals: Mapping[str, object]

@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, get_type_hints
 
 from .fsm import MemberDef, Roster, StateDef, StateKind
 from .trace import TraceRow
@@ -285,15 +285,18 @@ def _read_ids(cell: str) -> dict[str, tuple[str, ...]]:
     return {"*": tuple(cell.split(";"))} if cell else {}
 
 
-# (write, read) cell conversions, keyed on the declared TraceRow field type.
+# (write, read) cell conversions, keyed on the declared TraceRow field type;
+# get_type_hints resolves the annotations, which the named tuple keeps as
+# forward references.
 _CELL_CODECS = {
-    "int": (str, _parse_int),
-    "str": (str, str),
-    "str | None": (lambda v: "" if v is None else v, lambda cell: cell or None),
-    "bool": (lambda v: "true" if v else "false", _parse_bool),
-    "Mapping[str, tuple[str, ...]]": (_write_ids, _read_ids),
+    int: (str, _parse_int),
+    str: (str, str),
+    str | None: (lambda v: "" if v is None else v, lambda cell: cell or None),
+    bool: (lambda v: "true" if v else "false", _parse_bool),
+    Mapping[str, tuple[str, ...]]: (_write_ids, _read_ids),
 }
-_ROW_CODECS = tuple((f.name, *_CELL_CODECS[f.type]) for f in fields(TraceRow))
+_ROW_CODECS = tuple((name, *_CELL_CODECS[hint])
+                    for name, hint in get_type_hints(TraceRow).items())
 
 # Fixed trace CSV header, one column per TraceRow field; the interchange
 # format for diffing.
@@ -333,8 +336,7 @@ def read_trace_csv(fh: IO[str]) -> list[TraceRow]:
         if len(rec) != len(TRACE_COLUMNS):
             raise ParseError(lineno, 1, f"expected {len(TRACE_COLUMNS)} cells, got {len(rec)}")
         try:
-            rows.append(TraceRow(**{name: read(cell)
-                                    for (name, _, read), cell in zip(_ROW_CODECS, rec)}))
+            rows.append(TraceRow(*[read(cell) for (_, _, read), cell in zip(_ROW_CODECS, rec)]))
         except ValueError as exc:
             raise ParseError(lineno, 1, str(exc)) from None
     return rows

@@ -3,15 +3,19 @@
 A trace is one row per round with every observable field.  Rows from the
 operational engine and the requirements engine share this schema, so the
 equivalence check reduces to a per-round field comparison (minus any
-ignored fields).  ``TraceRow``'s fields are the one column list: the row
-values, the CSV header and the CSV cells follow them.
+ignored fields).  ``TraceRow._fields`` is the one column list: both engines
+build a row positionally in that order, and the row values, the CSV header
+and the CSV cells follow it.  A row is a named tuple, so building one is a
+tuple construction, and two rows whose compared cells agree are passed over
+by :func:`diff` with one tuple comparison.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .fsm import Violation
 
@@ -20,8 +24,11 @@ if TYPE_CHECKING:
     from .specio import SpecDocument
 
 
-@dataclass(frozen=True)
-class TraceRow:
+# the attribution of a row nothing attributes: one shared, read-only mapping
+_NO_ATTRIBUTION: Mapping[str, tuple[str, ...]] = MappingProxyType({})
+
+
+class TraceRow(NamedTuple):
     """The observable columns after one round, with per-field attribution."""
 
     round: int
@@ -38,14 +45,15 @@ class TraceRow:
     rx_finish: bool
     cmd_finish: bool
     # requirement ids per changed field; empty on the operational side
-    attribution: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    attribution: Mapping[str, tuple[str, ...]] = _NO_ATTRIBUTION
 
     def values(self) -> dict[str, object]:
         """The observable columns; attribution is not one of them."""
-        return {name: getattr(self, name) for name in ROW_COLUMNS}
+        return dict(zip(ROW_COLUMNS, self))
 
 
-ROW_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "attribution")
+# the observable columns: every field but the last, attribution
+ROW_COLUMNS = TraceRow._fields[:-1]
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,7 @@ class Trace:
     violations: tuple[Violation, ...] = ()
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     """One field that differs between two traces in one round."""
 
     round: int
@@ -69,27 +76,31 @@ class DiffEntry:
     right: object
 
 
-def _rows_as_dicts(trace) -> list[Mapping[str, object]]:
-    rows = trace.rows if isinstance(trace, Trace) else trace
-    return [row.values() if isinstance(row, TraceRow) else row for row in rows]
-
-
 def diff(a, b, *, ignore: Iterable[str] = ()) -> list[DiffEntry]:
     """Field-by-field comparison of two traces.
 
     ``a`` and ``b`` may be :class:`Trace` objects, row lists or dict lists.
     Attribution is never compared.  A length mismatch yields one synthetic
-    entry on field ``length``; the common prefix is still compared.
+    entry on field ``length``; the common prefix is still compared.  A pair
+    of :class:`TraceRow` rows whose observable cells are all equal is passed
+    over with one tuple comparison; any other pair is compared field by
+    field, in sorted field order.
     """
     skip = set(ignore) | {"attribution"}
-    rows_a = _rows_as_dicts(a)
-    rows_b = _rows_as_dicts(b)
+    rows_a = a.rows if isinstance(a, Trace) else a
+    rows_b = b.rows if isinstance(b, Trace) else b
 
     entries: list[DiffEntry] = []
     if len(rows_a) != len(rows_b):
         entries.append(DiffEntry(round=min(len(rows_a), len(rows_b)), field="length",
                                  left=len(rows_a), right=len(rows_b)))
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if isinstance(ra, TraceRow):
+            if isinstance(rb, TraceRow) and ra[:-1] == rb[:-1]:
+                continue
+            ra = ra.values()
+        if isinstance(rb, TraceRow):
+            rb = rb.values()
         for name in sorted((set(ra) | set(rb)) - skip):
             left = ra.get(name)
             right = rb.get(name)
@@ -98,8 +109,7 @@ def diff(a, b, *, ignore: Iterable[str] = ()) -> list[DiffEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """How one engine's run of one command ended."""
 
     reason: str                      # the trace's stop reason

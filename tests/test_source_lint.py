@@ -4,10 +4,13 @@ Function bodies test state kinds and requirement templates against plain
 module globals (``fsm.KIND_*``, ``reqs.model``'s ``EVERY`` ...), never as
 ``StateKind.SEND`` or ``Template.WHEN``: on CPython 3.11 ``EnumType``
 defines ``__getattr__``, so such a load takes the slow attribute path.
-Module-level code, which runs once, may load them.  Every dataclass has a
-docstring: without one, Python 3.11's ``dataclass`` computes
-``inspect.signature`` of the class at import to make one.  Every exception
-class is raised somewhere in the package, or is the base of one that is."""
+Module-level code, which runs once, may load them.  Every dataclass and
+every ``NamedTuple`` class has a docstring: without one, Python 3.11's
+``dataclass`` computes ``inspect.signature`` of the class at import to make
+one, and a named tuple gets only its field list.  No ``NamedTuple`` field
+defaults to a mutable literal: unlike a dataclass, a named tuple accepts one
+silently and shares it between all its instances.  Every exception class is
+raised somewhere in the package, or is the base of one that is."""
 
 from __future__ import annotations
 
@@ -67,14 +70,67 @@ def test_no_function_body_loads_a_state_kind_or_template_member():
     assert offences == []
 
 
-def test_every_dataclass_has_a_docstring():
+def is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(_name(base) == "NamedTuple" for base in node.bases)
+
+
+def test_every_dataclass_and_named_tuple_has_a_docstring():
     undocumented = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.name}"
         for path in modules()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is None
-        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+        and (is_named_tuple(node)
+             or any("dataclass" in ast.unparse(d) for d in node.decorator_list))]
     assert undocumented == []
+
+
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_FACTORIES = {"dict", "list", "set"}
+
+
+def mutable_named_tuple_defaults(source: str) -> list[tuple[int, str]]:
+    """(line, ``Class.field``) for each ``NamedTuple`` field whose default
+    is a mutable literal or a ``dict()``, ``list()`` or ``set()`` call."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and is_named_tuple(cls)):
+            continue
+        for stmt in cls.body:
+            value = stmt.value if isinstance(stmt, ast.AnnAssign) else None
+            if isinstance(value, MUTABLE_LITERALS) or (
+                    isinstance(value, ast.Call)
+                    and _name(value.func) in MUTABLE_FACTORIES):
+                found.append((stmt.lineno, f"{cls.name}.{stmt.target.id}"))
+    return found
+
+
+def test_the_check_finds_a_mutable_named_tuple_default():
+    source = ("class TraceRow(NamedTuple):\n"
+              "    round: int\n"
+              "    attribution: Mapping = {}\n"
+              "class Other(typing.NamedTuple):\n"
+              "    empty: tuple = ()\n"
+              "    seen: frozenset = frozenset()\n"
+              "    read_only: Mapping = MappingProxyType({})\n"
+              "    ids: list = []\n"
+              "    bag: set = set()\n"
+              "    table: dict = dict(a=1)\n"
+              "@dataclass(frozen=True)\n"
+              "class Record:\n"
+              "    items: list = field(default_factory=list)\n"
+              "    table: dict = {}\n")
+    assert mutable_named_tuple_defaults(source) == [
+        (3, "TraceRow.attribution"), (8, "Other.ids"), (9, "Other.bag"),
+        (10, "Other.table")]
+
+
+def test_no_named_tuple_field_defaults_to_a_mutable_literal():
+    offences = [f"{path.relative_to(PACKAGE)}:{line}: {field}"
+                for path in modules()
+                for line, field in mutable_named_tuple_defaults(
+                    path.read_text(encoding="utf-8"))]
+    assert offences == []
 
 
 def unraised_exceptions(sources: list[str]) -> list[str]:

@@ -72,6 +72,56 @@ class TestDiff:
         assert diff(rows_a, rows_a) == []
 
 
+class TestDiffSkipsEqualRows:
+    """A pair of rows whose observable cells are equal is passed over with
+    one tuple comparison; the entries must be those of the field-by-field
+    scan, which dict rows always take."""
+
+    @pytest.fixture
+    def rows(self, spec):
+        return list(run(spec, "LED_ON_C", 500).rows)
+
+    @staticmethod
+    def scanned(rows):
+        return [row.values() for row in rows]
+
+    def test_equal_traces(self, rows):
+        attributed = [row._replace(attribution={"state": ("r1",)}) for row in rows]
+        assert diff(rows, attributed) == diff(self.scanned(rows), self.scanned(rows)) == []
+
+    def test_a_two_column_divergence_in_sorted_field_order(self, rows):
+        other = list(rows)
+        other[3] = other[3]._replace(tx_cnt=2, bytes_sent=4)
+        entries = diff(rows, other)
+        assert entries == diff(self.scanned(rows), self.scanned(other))
+        assert [(e.round, e.field) for e in entries] == [(3, "bytes_sent"), (3, "tx_cnt")]
+
+    def test_a_length_mismatch(self, rows):
+        other = list(rows[:-2])
+        other[1] = other[1]._replace(state="x")
+        entries = diff(rows, other)
+        assert entries == diff(self.scanned(rows), self.scanned(other))
+        assert entries[0] == DiffEntry(len(other), "length", len(rows), len(other))
+        assert [e.field for e in entries[1:]] == ["state"]
+
+    def test_ignored_fields(self, rows):
+        other = list(rows)
+        other[2] = other[2]._replace(tx_cnt=2, cmd_finish=True)
+        entries = diff(rows, other, ignore={"tx_cnt"})
+        assert entries == diff(self.scanned(rows), self.scanned(other), ignore={"tx_cnt"})
+        assert [e.field for e in entries] == ["cmd_finish"]
+
+    def test_dict_rows_mixed_with_trace_rows(self, rows):
+        other = self.scanned(rows)
+        other[4] = {**other[4], "state": "x"}
+        del other[5]["packet_addr"]
+        mixed = rows[:4] + other[4:]
+        expected = diff(self.scanned(rows), other)
+        assert [(e.round, e.field) for e in expected] == [(4, "state"), (5, "packet_addr")]
+        assert diff(rows, other) == diff(rows, mixed) == expected
+        assert diff(mixed, rows) == diff(other, self.scanned(rows))
+
+
 class TestTraceAll:
     def test_one_trace_per_command(self, spec, model):
         # each run tags its trace with its command and engine
@@ -110,19 +160,25 @@ class TestTraceAll:
             assert ids[0].endswith(".count_next")
             assert ids[1].endswith(".count")
 
-    def test_a_reqs_run_builds_each_row_once(self, model, monkeypatch):
+    def test_a_reqs_run_builds_each_row_once(self, spec, model, monkeypatch):
+        # the ops run is held to the same count
+        import candofsm.opmodel as opmodel
         import candofsm.reqs.engine as engine
 
-        row_type, built = engine.TraceRow, []
+        for module, run_one in ((engine, lambda: engine.run_requirements_trace(
+                                    model, "LED_ON_C", 500)),
+                                (opmodel, lambda: opmodel.run(spec, "LED_ON_C", 500))):
+            row_type, built = module.TraceRow, []
 
-        def counting_row(*args, **kwargs):
-            built.append(row_type(*args, **kwargs))
-            return built[-1]
+            def counting_row(*args, **kwargs):
+                built.append(row_type(*args, **kwargs))
+                return built[-1]
 
-        monkeypatch.setattr(engine, "TraceRow", counting_row)
-        trace = engine.run_requirements_trace(model, "LED_ON_C", 500)
-        assert trace.reason == "cmd_finish"
-        assert list(trace.rows) == built
+            monkeypatch.setattr(module, "TraceRow", counting_row)
+            trace = run_one()
+            assert trace.reason == "cmd_finish"
+            assert list(trace.rows) == built and len(built) == 21, module.__name__
+            assert all(a is b for a, b in zip(trace.rows, built)), module.__name__
 
     def test_both_engines_stop_alike_at_every_budget(self, spec, model):
         for cmd in spec.roster.command_names:

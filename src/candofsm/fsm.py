@@ -450,25 +450,3 @@ def reachable(fsm: FsmTable, origin: str, events: Iterable[str]) -> frozenset[st
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
-
-
-# Role predicates matching the named map flavours of the source model.
-
-def is_total_statemap(roster: Roster, sm: StateMap) -> bool:
-    return set(sm) == set(roster.state_names)
-
-
-def is_idmap(sm: StateMap) -> bool:
-    return all(frm == to for frm, to in sm.items())
-
-
-def is_errormap(roster: Roster, sm: StateMap) -> bool:
-    return all(roster.kind_of(frm) is KIND_ERROR for frm in sm)
-
-
-def is_packetmap(roster: Roster, sm: StateMap) -> bool:
-    return all(roster.kind_of(frm) in CREATOR_KINDS for frm in sm)
-
-
-def is_receivemap(roster: Roster, sm: StateMap) -> bool:
-    return all(roster.kind_of(frm) is KIND_RECEIVE for frm in sm)

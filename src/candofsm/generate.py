@@ -11,17 +11,17 @@ branch, with a strengthened end-of-round monitor per branch (exact end event
 and counter delta) on the same guard.
 
 Every expression node is built through one node table per
-:func:`generate_model` call, so each structurally distinct subexpression is
-one object and the model is a DAG: a table entry's guard is the same object
-as its term in ``arrive_<to>``, and ``current_event = CONT`` is built once.
-``RequirementsModel.validate`` and the plan's ``Compiler`` then do their
-work once per distinct node.  The table goes when the call returns, so two
-models share no node.
+:func:`generate_model` call: a :class:`~.reqs.expr.Nodes` with the
+translation's shorthands.  Each structurally distinct subexpression is one
+object, so the model is a DAG: a table entry's guard is the same object as
+its term in ``arrive_<to>``, and ``current_event = CONT`` is built once.
+``RequirementsModel.validate`` and the plan's ``Compiler`` memoise by
+identity, so they do their work once per distinct node.  The table goes
+when the call returns, so two models share no node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .fsm import (
@@ -47,7 +47,7 @@ from .fsm import (
     CREATOR_KINDS,
 )
 from .specio import SpecDocument
-from .reqs.expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
+from .reqs.expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Nodes, Not, SigRead
 from .reqs.model import (
     CASE,
     EVERY,
@@ -90,60 +90,31 @@ _MONITORED_KINDS = frozenset({StateKind.SEND, StateKind.RECEIVE,
                               StateKind.CREATOR_STAGE1, StateKind.CREATOR_STAGE2})
 
 
-class _Nodes:
-    """The expression nodes of one generation, one object per distinct
-    structure.  A literal is keyed on its type and value, so ``0`` and
-    ``false`` stay apart; a node with children is keyed on its children's
-    identities, which the table keeps alive.  :meth:`eq` and :meth:`entered`
-    are also keyed on their arguments, so asking again costs one lookup.  A
-    table lasts one :func:`generate_model` call."""
+class _Nodes(Nodes):
+    """The node table of one :func:`generate_model` call, with the
+    translation's shorthands.  :meth:`and_` and :meth:`or_all` flatten an
+    operand with the same operator into its own operands, so generated
+    chains are flat.  :meth:`eq` and :meth:`entered` are also keyed on their
+    arguments, so asking again costs one lookup."""
 
-    def __init__(self) -> None:
-        self._table: dict[tuple, object] = {}
+    def state(self, mode: str, at: str) -> ModeActive:
+        return self.mode(STATE_COMPONENT, mode, at)
 
-    def _node(self, key: tuple, make, *args):
-        node = self._table.get(key)
-        if node is None:
-            node = self._table[key] = make(*args)
-        return node
-
-    def lit(self, value) -> Lit:
-        return self._node(("lit", type(value), value), Lit, value)
-
-    def sig(self, name: str) -> SigRead:
-        return self._node(("sig", name), SigRead, name)
-
-    def ref(self, name: str) -> DefRef:
-        return self._node(("ref", name), DefRef, name)
-
-    def mode(self, mode: str, at: str) -> ModeActive:
-        return self._node(("mode", mode, at), ModeActive, STATE_COMPONENT, mode, at)
-
-    def not_(self, operand) -> Not:
-        return self._node(("not", id(operand)), Not, operand)
-
-    def binop(self, op: str, left, right) -> BinOp:
-        return self._node((op, id(left), id(right)), BinOp, op, left, right)
-
-    def _bool_op(self, op: str, exprs):
-        """One n-ary node; an operand with the same operator gives it its own
-        operands, so generated chains are flat."""
+    def _flat(self, op: str, exprs):
         flat: list = []
         for e in exprs:
             if isinstance(e, BoolOp) and e.op == op:
                 flat += e.operands
             else:
                 flat.append(e)
-        if len(flat) == 1:
-            return flat[0]
-        return self._node((op, *map(id, flat)), BoolOp, op, tuple(flat))
+        return flat[0] if len(flat) == 1 else self.bool_op(op, flat)
 
     def and_(self, *exprs):
-        return self._bool_op("and", exprs)
+        return self._flat("and", exprs)
 
     def or_all(self, exprs):
         exprs = tuple(exprs)
-        return self._bool_op("or", exprs) if exprs else self.lit(False)
+        return self._flat("or", exprs) if exprs else self.lit(False)
 
     def eq(self, name: str, value) -> BinOp:
         return self._node(("eq", name, type(value), value),
@@ -281,13 +252,12 @@ def _dispatched(group: tuple[str, ...], nodes: _Nodes):
 
 def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
                     groups: dict[str, tuple[str, ...]],
-                    nodes: _Nodes | None = None) -> tuple[Definition, ...]:
+                    nodes: _Nodes) -> tuple[Definition, ...]:
     """Per-state from/to definitions, per-kind groups combined with logical
     OR, the identity-map definitions for send and receive states, and the
     arrival conditions used by the operation requirements.  ``preimage`` and
     ``groups`` are the spec's :func:`_preimage` and :func:`_dispatch_groups`;
-    ``nodes`` is the node table to build with (a fresh one if not given)."""
-    nodes = _Nodes() if nodes is None else nodes
+    ``nodes`` is the node table to build with."""
     roster = spec.roster
     defs: list[Definition] = []
     sides = (("from", "start"), ("to", "end"))
@@ -295,7 +265,7 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
         for side, at in sides:
             defs.append(Definition(
                 f"{side}_{st}", f"The fsm is in state {st} at the {at} of the round",
-                nodes.mode(st, at)))
+                nodes.state(st, at)))
 
     kind_groups = [(kind.value, _KIND_LABELS[kind], members) for kind in StateKind
                    if (members := roster.states_of_kind(kind))
@@ -497,7 +467,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
     reqs: list[Requirement] = [Requirement(
         req_id="mon.C1.1", title="no transition targets start",
         template=EVERY,
-        required=nodes.not_(nodes.mode(START, "end")))]
+        required=nodes.not_(nodes.state(START, "end")))]
     if not any(spec.fsm.get(ev) for ev in roster.event_names):
         return reqs  # with no transitions the run-time rules have nothing to watch
     have = set(roster.state_names)
@@ -556,7 +526,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
 
 def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
                      groups: dict[str, tuple[str, ...]],
-                     nodes: _Nodes | None = None) -> tuple[
+                     nodes: _Nodes) -> tuple[
         tuple[Requirement, ...], dict[tuple[str, str, str], str]]:
     """All requirements plus the id index: (event, from, to) -> requirement id.
 
@@ -565,7 +535,6 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
     extend that with the target index.  ``preimage``, ``groups`` and ``nodes``
     are as for :func:`gen_definitions`.
     """
-    nodes = _Nodes() if nodes is None else nodes
     roster = spec.roster
     event_index = {e: i for i, e in enumerate(roster.event_names)}
     state_index = {s: i for i, s in enumerate(roster.state_names)}

@@ -10,15 +10,13 @@ its own closure.  A node is dispatched on the first node type it is an
 instance of, in ``eval_expr``'s order, so a subclass of a node type
 compiles as that type.
 
-Closures are hash-consed: structurally equal subexpressions share one
-closure.  The structural key carries each literal's type, because ``==``
-on the frozen nodes would merge ``Lit(0)`` with ``Lit(False)``.  On top of
-that, :meth:`Compiler.compile` remembers each expression object it has
-compiled, by identity, for the life of the ``Compiler``: in a generated
-model, where equal subexpressions are one object, a node met again costs one
-lookup.  A hand-written model shares no node and goes by the structural key
-alone, to the same compiled nodes.  :meth:`Compiler.compile` only builds the
-node and its support; the closure is built when ``fn`` is first read.
+Sharing is decided where nodes are built (see :class:`~.expr.Nodes`), so
+:meth:`Compiler.compile` memoises by identity only: each expression object
+is compiled once for the life of the ``Compiler``, and a node met again
+costs one lookup.  A definition reference compiles its definition's body
+through :meth:`Compiler.compile`, so every reference to one body shares its
+compiled node.  :meth:`Compiler.compile` only builds the node and its
+support; the closure is built when ``fn`` is first read.
 
 An expression's *start-state support* is a set of terms ``(mode,
 literal)``: ``mode`` is a (component, mode) pair and ``literal`` is None or
@@ -104,14 +102,14 @@ class Frame:
 
 
 class Compiled:
-    """One hash-consed compiled subexpression: its start-state support, and
-    its closure, built from ``build(*args)`` when ``fn`` is first read."""
+    """One compiled subexpression: its start-state support, and its closure,
+    built from ``build(*args)`` when ``fn`` is first read."""
 
     __slots__ = ("support", "exact", "literal", "op", "parts", "_build", "_fn")
 
-    def __init__(self, build, support=None, exact=False, literal=None, op=None,
-                 parts=()):
-        self._build = build
+    def __init__(self, build, args, support=None, exact=False, literal=None,
+                 op=None, parts=()):
+        self._build = build, args
         self._fn = None
         self.support = support
         self.exact = exact        # the support is exact
@@ -161,16 +159,13 @@ def _or_support(parts: tuple[Compiled, ...]) -> tuple[frozenset | None, bool]:
 class Compiler:
     """Compiles the expressions of one model against its definitions.
 
-    Nodes are interned under a key of their kind and their operands'
-    interned nodes, so structurally equal subexpressions share one node.
-    An expression object already compiled costs one lookup by identity."""
+    Each expression object is compiled once; one met again costs one
+    lookup by identity."""
 
     def __init__(self, definitions: Mapping[str, object]):
         self.definitions = definitions
-        self._shared: dict[tuple, Compiled] = {}
         # id(expr) -> (expr, its node); holding expr keeps its id from reuse
         self._seen: dict[int, tuple[object, Compiled]] = {}
-        self._inlined: dict[str, Compiled] = {}
         # in eval_expr's order, which decides a node of two node types
         self._by_type = {
             Lit: self._lit, SigRead: self._sig_read, ModeActive: self._mode_active,
@@ -191,45 +186,26 @@ class Compiler:
         self._seen[id(expr)] = expr, node
         return node
 
-    def _intern(self, key: tuple, build, *args) -> Compiled:
-        node = self._shared.get(key)
-        if node is None:
-            node = self._shared[key] = Compiled((build, args))
-        return node
-
     def _lit(self, expr: Lit) -> Compiled:
-        value = expr.value
-        return self._intern(("lit", type(value), value), _const, value)
+        return Compiled(_const, (expr.value,))
 
     def _sig_read(self, expr: SigRead) -> Compiled:
-        return self._intern(("sig", expr.name), _sig_read, expr.name)
+        return Compiled(_sig_read, (expr.name,))
 
     def _mode_active(self, expr: ModeActive) -> Compiled:
         comp, mode = expr.component, expr.mode
         if expr.at != "start":
-            return self._intern(("end", comp, mode), _end_mode, comp, mode)
-        key = ("start", comp, mode)
-        node = self._shared.get(key)
-        if node is None:
-            node = self._shared[key] = Compiled(
-                (_start_mode, (comp, mode)), frozenset({((comp, mode), None)}), True)
-        return node
+            return Compiled(_end_mode, (comp, mode))
+        return Compiled(_start_mode, (comp, mode), frozenset({((comp, mode), None)}), True)
 
     def _def_ref(self, expr: DefRef) -> Compiled:
-        name = expr.name
-        node = self._inlined.get(name)
-        if node is None:
-            definition = self.definitions.get(name)
-            if definition is None:
-                node = self._raising(f"unknown definition {name!r}")
-            else:
-                node = self.compile(definition.expr)
-            self._inlined[name] = node
-        return node
+        definition = self.definitions.get(expr.name)
+        if definition is None:
+            return Compiled(_raising, (f"unknown definition {expr.name!r}",))
+        return self.compile(definition.expr)
 
     def _not(self, expr: Not) -> Compiled:
-        operand = self.compile(expr.operand)
-        return self._intern(("not", operand), _not, operand)
+        return Compiled(_not, (self.compile(expr.operand),))
 
     def _bool_op(self, expr: BoolOp) -> Compiled:
         op = expr.op
@@ -241,32 +217,19 @@ class Compiler:
             else:
                 parts.append(child)
         parts = tuple(parts)
-        key = (op, parts)
-        node = self._shared.get(key)
-        if node is None:
-            support, exact = (_and_support if op == "and" else _or_support)(parts)
-            node = self._shared[key] = Compiled(
-                (_chain, (op, parts)), support, exact, None, op, parts)
-        return node
+        support, exact = (_and_support if op == "and" else _or_support)(parts)
+        return Compiled(_chain, (op, parts), support, exact, None, op, parts)
 
     def _bin_op(self, expr: BinOp) -> Compiled:
         op = expr.op
-        left, right = self.compile(expr.left), self.compile(expr.right)
-        key = (op, left, right)
-        node = self._shared.get(key)
-        if node is None:
-            literal = None
-            if op == "=" and isinstance(expr.left, SigRead) and isinstance(expr.right, Lit):
-                literal = (expr.left.name, expr.right.value)
-            node = self._shared[key] = Compiled(
-                (_binary, (op, left, right)), literal=literal)
-        return node
+        literal = None
+        if op == "=" and isinstance(expr.left, SigRead) and isinstance(expr.right, Lit):
+            literal = (expr.left.name, expr.right.value)
+        return Compiled(_binary, (op, self.compile(expr.left), self.compile(expr.right)),
+                        literal=literal)
 
     def _not_a_node(self, expr) -> Compiled:
-        return self._raising(f"not an expression node: {expr!r}")
-
-    def _raising(self, message: str) -> Compiled:
-        return self._intern(("raise", message), _raising, message)
+        return Compiled(_raising, (f"not an expression node: {expr!r}",))
 
 
 # --- closure builders --------------------------------------------------------

@@ -9,6 +9,11 @@ The nodes are literals, signal reads, mode reads (``at`` start or end of
 round), references to parameterless definitions, ``not``, one n-ary
 :class:`BoolOp` per ``and``/``or`` chain, and :class:`BinOp` for
 comparisons and arithmetic.
+
+Nodes are built through a :class:`Nodes` table, which builds each
+structurally distinct node once: a model built through one table is a DAG
+(a graph in which equal subexpressions are one object), so everything that
+walks or compiles it memoises by identity alone.
 """
 
 from __future__ import annotations
@@ -81,6 +86,45 @@ class Not:
     """Logical negation of its operand."""
 
     operand: object
+
+
+class Nodes:
+    """A node table: one object per structurally distinct node.  A literal is
+    keyed on its type and value, so ``0`` and ``false`` stay apart; a node
+    with children is keyed on its children's identities, which the table
+    keeps alive.  :meth:`bool_op` keeps its operands as given.  Two tables
+    share no node."""
+
+    def __init__(self) -> None:
+        self._table: dict[tuple, object] = {}
+
+    def _node(self, key: tuple, make, *args):
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = make(*args)
+        return node
+
+    def lit(self, value) -> Lit:
+        return self._node(("lit", type(value), value), Lit, value)
+
+    def sig(self, name: str) -> SigRead:
+        return self._node(("sig", name), SigRead, name)
+
+    def ref(self, name: str) -> DefRef:
+        return self._node(("ref", name), DefRef, name)
+
+    def mode(self, component: str, mode: str, at: str) -> ModeActive:
+        return self._node(("mode", component, mode, at), ModeActive, component, mode, at)
+
+    def not_(self, operand) -> Not:
+        return self._node(("not", id(operand)), Not, operand)
+
+    def binop(self, op: str, left, right) -> BinOp:
+        return self._node((op, id(left), id(right)), BinOp, op, left, right)
+
+    def bool_op(self, op: str, operands) -> BoolOp:
+        operands = tuple(operands)
+        return self._node((op, *map(id, operands)), BoolOp, op, operands)
 
 
 COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}

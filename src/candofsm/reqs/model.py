@@ -155,12 +155,6 @@ class DataDictionary:
                 return t
         return None
 
-    def signal_named(self, name: str) -> SignalDef | None:
-        for s in self.signals:
-            if s.name == name:
-                return s
-        return None
-
     @property
     def record_count(self) -> int:
         return (len(self.types) + len(self.constants)
@@ -181,6 +175,19 @@ class DataDictionary:
         for s in self.signals:
             if s.type_name not in basic and self.type_named(s.type_name) is None:
                 raise ModelError(f"signal {s.name!r}: unknown type {s.type_name!r}")
+            # the checks the engine makes on a write, so row 0 holds a value
+            # a write could have put there
+            value = s.initial
+            lo, hi = self.int_bounds(s)
+            if isinstance(value, int) and not isinstance(value, bool) and (
+                    (lo is not None and value < lo) or (hi is not None and value > hi)):
+                raise ModelError(
+                    f"signal {s.name!r}: initial {value!r} is outside [{lo}, {hi}]")
+            members = self.enum_members(s)
+            if members is not None and value is not None and value not in members:
+                raise ModelError(
+                    f"signal {s.name!r}: initial {value!r} is not a member of "
+                    f"{s.type_name}")
         for m in self.modes:
             if m.initial is not None and m.initial not in m.modes:
                 raise ModelError(

@@ -16,6 +16,10 @@ definition.  A run of ``and`` (or of
 ``or``) parses to one n-ary ``BoolOp``; a parenthesised run stays a nested
 node, and the serializer parenthesises it again.  Records must be declared
 before use, which is the order the serializer emits.
+
+One :func:`parse_model` call builds every expression through one
+:class:`~.expr.Nodes` table, so a parsed model is a DAG like a generated
+one: ``x = 0`` written twice is one object.  Two parses share no node.
 """
 
 from __future__ import annotations
@@ -23,15 +27,7 @@ from __future__ import annotations
 import re
 
 from ..specio import ParseError
-from .expr import (
-    BinOp,
-    BoolOp,
-    DefRef,
-    Lit,
-    ModeActive,
-    Not,
-    SigRead,
-)
+from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Nodes, Not, SigRead
 from .model import (
     EVERY,
     MODE_SET,
@@ -65,9 +61,11 @@ _TOKEN_RE = re.compile(
 
 
 class _Scope:
-    """Name resolution tables built up while reading the file top to bottom."""
+    """Name resolution tables built up while reading the file top to bottom,
+    and the node table every expression of the file is built through."""
 
     def __init__(self) -> None:
+        self.nodes = Nodes()
         self.types: list = []
         self.constants: list[ConstantDef] = []
         self.signals: list[SignalDef] = []
@@ -165,7 +163,7 @@ def _parse_chain(op: str, parse_operand, cur: _Cursor, scope: _Scope):
     operands = [parse_operand(cur, scope)]
     while cur.accept(op):
         operands.append(parse_operand(cur, scope))
-    return operands[0] if len(operands) == 1 else BoolOp(op, tuple(operands))
+    return operands[0] if len(operands) == 1 else scope.nodes.bool_op(op, operands)
 
 
 def _parse_expr(cur: _Cursor, scope: _Scope):
@@ -178,7 +176,7 @@ def _parse_and(cur, scope):
 
 def _parse_not(cur, scope):
     if cur.accept("not"):
-        return Not(_parse_not(cur, scope))
+        return scope.nodes.not_(_parse_not(cur, scope))
     return _parse_comparison(cur, scope)
 
 
@@ -187,7 +185,7 @@ def _parse_comparison(cur, scope):
     tok = cur.peek()
     if tok in ("=", "!=", "<", "<=", ">", ">="):
         cur.next()
-        return BinOp(tok, left, _parse_additive(cur, scope))
+        return scope.nodes.binop(tok, left, _parse_additive(cur, scope))
     return left
 
 
@@ -195,7 +193,7 @@ def _parse_additive(cur, scope):
     left = _parse_term(cur, scope)
     while cur.peek() in ("+", "-"):
         op = cur.next()
-        left = BinOp(op, left, _parse_term(cur, scope))
+        left = scope.nodes.binop(op, left, _parse_term(cur, scope))
     return left
 
 
@@ -203,7 +201,7 @@ def _parse_term(cur, scope):
     left = _parse_factor(cur, scope)
     while cur.peek() == "*":
         cur.next()
-        left = BinOp("*", left, _parse_factor(cur, scope))
+        left = scope.nodes.binop("*", left, _parse_factor(cur, scope))
     return left
 
 
@@ -221,11 +219,12 @@ def _parse_mode_op(cur: _Cursor, scope: _Scope):
     at = cur.next()
     if at not in ("start", "end"):
         raise cur.error(f"expected 'start' or 'end', got {at!r}")
-    return ModeActive(component, mode, at)
+    return scope.nodes.mode(component, mode, at)
 
 
 def _parse_factor(cur: _Cursor, scope: _Scope):
     tok = cur.peek()
+    nodes = scope.nodes
     if tok is None:
         raise cur.error("unexpected end of expression")
     if tok == "(":
@@ -238,30 +237,30 @@ def _parse_factor(cur: _Cursor, scope: _Scope):
         return _parse_mode_op(cur, scope)
     if tok == "true":
         cur.next()
-        return Lit(True)
+        return nodes.lit(True)
     if tok == "false":
         cur.next()
-        return Lit(False)
+        return nodes.lit(False)
     if tok == "nil":
         cur.next()
-        return Lit(None)
+        return nodes.lit(None)
     if tok.isdigit():
         cur.next()
-        return Lit(int(tok))
+        return nodes.lit(int(tok))
     if tok == "-":
         cur.next()
         num = cur.next()
         if not num.isdigit():
             raise cur.error(f"expected a number after '-', got {num!r}")
-        return Lit(-int(num))
+        return nodes.lit(-int(num))
     if _is_name(tok):
         cur.next()
         if tok in scope.value_names:
-            return SigRead(tok)
+            return nodes.sig(tok)
         if tok in scope.enum_members:
-            return Lit(tok)
+            return nodes.lit(tok)
         if tok in scope.definition_names:
-            return DefRef(tok)
+            return nodes.ref(tok)
         raise cur.error(f"unknown name {tok!r}")
     raise cur.error(f"unexpected token {tok!r}")
 

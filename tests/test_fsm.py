@@ -21,11 +21,6 @@ from candofsm.fsm import (
     check_roster,
     check_statemap,
     check_totality,
-    is_errormap,
-    is_idmap,
-    is_packetmap,
-    is_receivemap,
-    is_total_statemap,
     lookup_next,
     reachable,
 )
@@ -107,7 +102,7 @@ class TestCheckStatemap:
     def test_idmap_on_send_states_never_targets_start(self, spec):
         sends = spec.roster.states_of_kind(StateKind.SEND)
         identity = {s: s for s in sends}
-        assert is_idmap(identity)
+        assert all(frm == to for frm, to in identity.items())
         assert "C1.1" not in codes(check_statemap(spec.roster, identity))
 
     @settings(max_examples=50, deadline=None)
@@ -222,20 +217,6 @@ class TestViolationOrdering:
 
 
 class TestRolePredicates:
-    def test_total_statemap(self, spec):
-        assert is_total_statemap(spec.roster, spec.fsm[CONT])
-        assert not is_total_statemap(spec.roster, {"start": "get_cmd"})
-
-    def test_idmap(self):
-        assert is_idmap({"a": "a"})
-        assert not is_idmap({"a": "b"})
-
-    def test_kind_restricted_maps(self, spec):
-        assert is_errormap(spec.roster, {"error_": "chip_rst", "chip_rst": "error_"})
-        assert not is_errormap(spec.roster, {"start": "get_cmd"})
-        assert is_packetmap(spec.roster, {"set_vLED": "send_packet_6"})
-        assert is_receivemap(spec.roster, {"receive_packet_21": "cmd_finish"})
-
     def test_roster_check_passes_on_bundled(self, spec):
         assert check_roster(spec.roster) == []
 

@@ -32,9 +32,10 @@ from test_reqs import slots, walk
 
 
 def tables(spec):
-    """The preimage and dispatch groups that generation computes once."""
+    """The preimage and dispatch groups that generation computes once, and a
+    fresh node table."""
     return (candofsm.generate._preimage(spec),
-            candofsm.generate._dispatch_groups(spec))
+            candofsm.generate._dispatch_groups(spec), candofsm.generate._Nodes())
 
 
 class TestDictionary:
@@ -49,9 +50,10 @@ class TestDictionary:
 
     def test_counter_bounds(self, spec):
         dictionary = gen_dictionary(spec)
-        bs = dictionary.signal_named("bytes_sent")
+        signals = {s.name: s for s in dictionary.signals}
+        bs = signals["bytes_sent"]
         assert (bs.minimum, bs.maximum) == (0, PACKET_LENGTH)
-        tx = dictionary.signal_named("tx_cnt")
+        tx = signals["tx_cnt"]
         assert (tx.minimum, tx.maximum) == (0, MAX_COUNT)
 
     def test_event_and_command_enumerations(self, spec):
@@ -60,16 +62,16 @@ class TestDictionary:
         assert len(dictionary.type_named("Command").members) == 17
 
     def test_flag_signals_use_the_flag_type(self, spec):
-        dictionary = gen_dictionary(spec)
+        types = {s.name: s.type_name for s in gen_dictionary(spec).signals}
         for name in ("command_finish_flag", "optrode_TX_finish",
                      "optrode_RX_finish"):
-            assert dictionary.signal_named(name).type_name == "Flag"
+            assert types[name] == "Flag"
 
     def test_shadow_and_packet_signals_exist(self, spec):
-        dictionary = gen_dictionary(spec)
+        names = {s.name for s in gen_dictionary(spec).signals}
         for name in ("next_bytes_sent", "next_bytes_received", "next_tx_cnt",
                      "packet_addr", "packet_cmd", "packet_data"):
-            assert dictionary.signal_named(name) is not None
+            assert name in names
 
     def test_constants_pin_the_protocol_bounds(self, spec):
         dictionary = gen_dictionary(spec)
@@ -252,9 +254,20 @@ class TestOracle:
         self.assert_one_round_agreement(spec, model)
 
 
+def rebuilt(value):
+    """A copy of a model, or of any part of one, in which every dataclass
+    is a new object: no expression node is shared."""
+    if isinstance(value, tuple):
+        return tuple(map(rebuilt, value))
+    if not dataclasses.is_dataclass(value):
+        return value
+    return dataclasses.replace(value, **{
+        f.name: rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)})
+
+
 class TestSharedGraph:
-    """generate_model builds each distinct subexpression once, so the model
-    is a DAG; the sharing is an optimisation only."""
+    """generate_model and parse_model build each distinct subexpression
+    once, so the model is a DAG; the sharing is an optimisation only."""
 
     def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
         positions = [node for expr in slots(model) for node in walk(expr)]
@@ -270,8 +283,21 @@ class TestSharedGraph:
         first = {id(n) for expr in slots(model) for n in walk(expr)}
         assert not first & {id(n) for expr in slots(again) for n in walk(expr)}
 
+    def test_the_parsed_copy_is_as_shared_as_the_generated_model(self, model):
+        parsed = parse_model(serialize_model(model))
+        assert parsed == model
+        positions = [node for expr in slots(parsed) for node in walk(expr)]
+        assert len(positions) == 9083
+        assert len({id(node) for node in positions}) == 1174
+
+    def test_two_parses_share_no_expression_object(self, model):
+        text = serialize_model(model)
+        first, second = parse_model(text), parse_model(text)
+        assert not {id(n) for expr in slots(first) for n in walk(expr)} \
+            & {id(n) for expr in slots(second) for n in walk(expr)}
+
     def test_an_unshared_copy_plans_and_runs_the_same(self, spec, model):
-        unshared = parse_model(serialize_model(model))
+        unshared = rebuilt(model)
         assert unshared == model
         assert len({id(n) for expr in slots(unshared) for n in walk(expr)}) \
             == len([n for expr in slots(unshared) for n in walk(expr)])

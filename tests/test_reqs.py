@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -362,6 +363,25 @@ class TestValidation:
         with pytest.raises(ModelError, match="^int type 'half': give both bounds"):
             RequirementsModel(DataDictionary(types=(IntType("half", lo, hi),))).validate()
 
+    @pytest.mark.parametrize("line, message", [
+        ("signal x : int min=0 max=3 init=9", "initial 9 is outside [0, 3]"),
+        ("signal x : small init=11", "initial 11 is outside [0, 10]"),
+        ("signal c : Colour init=blue", "initial 'blue' is not a member of Colour"),
+    ])
+    def test_an_initial_value_no_write_could_make_is_rejected(self, line, message):
+        # the engine checks bounds and membership only on writes, so row 0
+        # would otherwise hold the value unchecked
+        head = "type small int [0, 10]\ntype Colour enum { red green }\n"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            parse_model(f"{head}{line}\n")
+
+    def test_a_nil_or_in_range_initial_value_is_accepted(self):
+        model = parse_model(
+            "type small int [0, 10]\ntype Colour enum { red green }\n"
+            "signal x : int min=0 max=3 init=3\nsignal y : small init=nil\n"
+            "signal c : Colour init=nil\nsignal d : Colour init=green\n")
+        assert initial_env(model).signals == {"x": 3, "y": None, "c": None, "d": "green"}
+
     def test_duplicate_requirement_ids_rejected(self):
         with pytest.raises(ModelError, match="duplicate requirement ids"):
             tiny_model(
@@ -587,6 +607,14 @@ class TestReqText:
         assert len(guard.operands) == 1200
         result = fire_round(model, initial_env(model), None)
         assert result.violations == ()
+
+    def test_zero_and_false_parse_to_distinct_literals(self):
+        model = parse_model(TEXT_HEAD + 'req r "zero" every x = 0\n'
+                            'req s "false" every b = false\n')
+        zero, false = (r.required.right for r in model.requirements)
+        assert zero is not false
+        assert [(type(n.value), n.value) for n in (zero, false)] \
+            == [(int, 0), (bool, False)]
 
     def test_a_parenthesised_chain_stays_nested(self):
         model = parse_model('signal x : int init=0\n'

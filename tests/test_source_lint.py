@@ -10,7 +10,10 @@ every ``NamedTuple`` class has a docstring: without one, Python 3.11's
 one, and a named tuple gets only its field list.  No ``NamedTuple`` field
 defaults to a mutable literal: unlike a dataclass, a named tuple accepts one
 silently and shares it between all its instances.  Every exception class is
-raised somewhere in the package, or is the base of one that is."""
+raised somewhere in the package, or is the base of one that is.  Only
+``reqs/expr.py`` calls an expression node's constructor: every other module
+builds nodes through a ``Nodes`` table, which decides when two are one
+object."""
 
 from __future__ import annotations
 
@@ -175,3 +178,28 @@ def test_the_check_finds_an_exception_nothing_raises():
 def test_every_exception_class_is_raised():
     assert unraised_exceptions(
         [path.read_text(encoding="utf-8") for path in modules()]) == []
+
+
+NODE_TYPES = {"Lit", "SigRead", "ModeActive", "DefRef", "Not", "BoolOp", "BinOp"}
+NODE_HOME = PACKAGE / "reqs" / "expr.py"
+
+
+def node_constructor_calls(source: str) -> list[tuple[int, str]]:
+    """(line, node type) for each call of an expression node's constructor."""
+    return sorted((node.lineno, _name(node.func)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _name(node.func) in NODE_TYPES)
+
+
+def test_the_check_finds_a_direct_node_constructor_call():
+    source = ("def f(left, right, nodes):\n"
+              "    if isinstance(left, BinOp):\n"
+              "        return nodes.binop('+', left, right)\n"
+              "    return expr.Not(BinOp('=', left, right))\n")
+    assert node_constructor_calls(source) == [(4, "BinOp"), (4, "Not")]
+
+
+def test_only_the_expression_module_calls_a_node_constructor():
+    offences = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+                for path in modules() if path != NODE_HOME
+                for line, name in node_constructor_calls(path.read_text(encoding="utf-8"))]
+    assert offences == []

@@ -81,14 +81,13 @@ def _generate(spec: SpecDocument):
         raise _Failure(f"cannot generate the requirements model: {exc}")
 
 
-def _checked_generate(spec: SpecDocument):
-    """:func:`_generate` on a spec that passes the structural checks; the
-    violations of one that does not go to stderr, and the command fails."""
+def _require_checked(spec: SpecDocument) -> None:
+    """Fail the command unless the spec passes the structural checks; the
+    violations go to stderr."""
     violations = _all_checks(spec)
     if violations:
         _print_violations(violations, sys.stderr)
         raise _Failure(f"{len(violations)} structural violations", ExitStatus.FINDINGS)
-    return _generate(spec)
 
 
 def _all_checks(spec: SpecDocument) -> list[Violation]:
@@ -143,6 +142,7 @@ def _cmd_simulate(args) -> int:
         return ExitStatus.USAGE
     if _bad_budget(args.max_rounds):
         return ExitStatus.USAGE
+    _require_checked(spec)
     if args.engine == "ops":
         from .opmodel import RunError, run
 
@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
     else:
         from .reqs.engine import run_requirements_trace
 
-        model, _ = _checked_generate(spec)
+        model, _ = _generate(spec)
         trace = run_requirements_trace(model, args.command, args.max_rounds)
     if args.out:
         try:
@@ -211,7 +211,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    model, _ = _checked_generate(_load(args.spec))
+    spec = _load(args.spec)
+    _require_checked(spec)
+    model, _ = _generate(spec)
     if args.format == "md":
         sys.stdout.write(render_requirements_markdown(model))
     else:

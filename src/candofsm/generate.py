@@ -49,13 +49,11 @@ from .fsm import (
 from .specio import SpecDocument
 from .reqs.expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Nodes, Not, SigRead
 from .reqs.model import (
-    CASE,
     EVERY,
     MODE_SET,
     TRIGGER_ON_EVENT,
     WHEN,
     BoolType,
-    CaseBranch,
     ConstantDef,
     DataDictionary,
     Definition,
@@ -381,15 +379,10 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
             [SignalAssign("bytes_sent", byte_up),
              set_("current_event", SPI_TX_FINISH)],
             required=byte_committed)
-        ops.append(Requirement(
-            req_id=f"op.{state}.done",
-            title=f"{state} completes the transmission",
-            template=CASE,
-            branches=(CaseBranch(done, (
-                set_("bytes_sent", 0),
-                set_("optrode_TX_finish", True),
-                set_("current_event", CONT),
-            )),)))
+        toe("done", f"{state} completes the transmission",
+            done, [set_("bytes_sent", 0),
+                   set_("optrode_TX_finish", True),
+                   set_("current_event", CONT)])
         toe("tx_next", f"{state} stages the transmission count",
             can_count_tx, [SignalAssign("next_tx_cnt", tx_up)])
         toe("tx", f"{state} counts the completed transmission",
@@ -416,15 +409,10 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
             [SignalAssign("bytes_received", byte_up),
              set_("current_event", SPI_RX_FINISH)],
             required=byte_committed)
-        ops.append(Requirement(
-            req_id=f"op.{state}.done",
-            title=f"{state} completes the reception",
-            template=CASE,
-            branches=(CaseBranch(done, (
-                set_("bytes_received", 0),
-                set_("optrode_RX_finish", True),
-                set_("current_event", CONT),
-            )),)))
+        toe("done", f"{state} completes the reception",
+            done, [set_("bytes_received", 0),
+                   set_("optrode_RX_finish", True),
+                   set_("current_event", CONT)])
         when("progress", f"{state} in progress ends in SPI_RX_FINISH",
              counting, and_(nodes.event_is(SPI_RX_FINISH), byte_committed))
         when("complete", f"{state} completion raises the receive flag",
@@ -675,14 +663,9 @@ def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
         lines.append("At all times,")
         lines.append(f"  {_prose(req.required, defs)}")
         lines.append("holds.")
-    elif req.template is MODE_SET:
+    else:   # an exclusive mode-set
         lines.append(f"The {req.component} component has exactly one of its "
                      "modes active at a time.")
-    else:   # a case
-        for i, branch in enumerate(req.branches, start=1):
-            lines.append(f"Case {i}: if {_prose(branch.guard, defs)} then")
-            for effect in branch.effects:
-                lines.append(f"  {_effect_prose(effect, defs)}")
     lines.append("")
     return lines
 

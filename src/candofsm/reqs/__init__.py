@@ -20,13 +20,11 @@ from .expr import (
 )
 from .model import (
     BoolType,
-    CaseBranch,
     ConstantDef,
     DataDictionary,
     Definition,
     EnumType,
     Env,
-    IntType,
     ModeAssign,
     ModeComponent,
     ModelError,
@@ -40,9 +38,9 @@ from .model import (
 from .engine import RoundResult, fire_round, run_requirements_trace
 
 __all__ = [
-    "BinOp", "BoolOp", "BoolType", "CaseBranch", "ConstantDef",
+    "BinOp", "BoolOp", "BoolType", "ConstantDef",
     "DataDictionary", "DefRef", "Definition", "EnumType", "Env", "EvalError",
-    "IllegalEndOfRoundRead", "IntType", "Lit", "ModeActive", "ModeAssign",
+    "IllegalEndOfRoundRead", "Lit", "ModeActive", "ModeAssign",
     "ModeComponent", "ModelError", "Not",
     "Requirement", "RequirementsModel", "RoundResult",
     "SigRead", "SignalAssign", "SignalDef", "Template", "TypeMismatch",

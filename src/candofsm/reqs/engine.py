@@ -3,10 +3,11 @@
 One round takes the model from a start snapshot to an end snapshot:
 
 1. guards and triggers are evaluated against the start snapshot;
-2. triggers and cases contribute end-of-round effects, every effect
-   expression itself evaluated against the start snapshot only;
+2. triggers contribute end-of-round effects, every effect expression
+   itself evaluated against the start snapshot only;
 3. records nobody wrote carry their start value over (frame property);
-   conflicting writes leave the start value and report both writers;
+   conflicting writes leave the start value and report both writers, and
+   a value its signal does not admit leaves the start value too;
 4. monitor templates are checked against the end snapshot;
 5. mode-set exclusivity is checked on the end snapshot;
 6. each trigger whose guard held checks its required condition, if it has
@@ -40,7 +41,6 @@ from .compiled import ABSENT, Compiler, Frame, active_modes
 # against; it stays importable from here
 from .expr import EvalError, eval_expr  # noqa: F401
 from .model import (
-    CASE,
     EVERY,
     TRIGGER_ON_EVENT,
     WHEN,
@@ -65,32 +65,26 @@ def _violation(code: str, req: Requirement, message: str) -> Violation:
 
 
 class _Step:
-    """One requirement, the round phase it acts in, and its start-state
-    support: the terms (see :mod:`.compiled`) one of which a start must meet
-    for it to do anything this round (None: it may act from any start).
-    :meth:`compile` builds its closures, when it first becomes a candidate."""
+    """One requirement and its start-state support: the terms (see
+    :mod:`.compiled`) one of which a start must meet for it to do anything
+    this round (None: it may act from any start).  :meth:`compile` builds
+    its closures, when it first becomes a candidate."""
 
-    __slots__ = ("req", "template", "phase", "guard_node", "support", "compiled",
-                 "guard", "effects", "required", "branches")
+    __slots__ = ("req", "template", "guard_node", "support", "compiled",
+                 "guard", "effects", "required")
 
     def __init__(self, req: Requirement, compiler: Compiler):
         t = req.template
         self.req = req
         self.template = t
         self.compiled = False
-        self.phase = "effect" if t is TRIGGER_ON_EVENT or t is CASE else "check"
 
         # a False guard means no effect, check or violation; every-monitors
         # and mode-sets act in every round
         guard = self.guard_node = None if req.guard is None else compiler.compile(req.guard)
         self.support = None
-        if t is CASE:
-            supports = [None if b.guard is None else compiler.compile(b.guard).support
-                        for b in req.branches]
-            if None not in supports:
-                self.support = frozenset().union(*supports)
-        elif t is TRIGGER_ON_EVENT or t is WHEN:
-            self.support = None if guard is None else guard.support
+        if (t is TRIGGER_ON_EVENT or t is WHEN) and guard is not None:
+            self.support = guard.support
 
     def compile(self, compiler: Compiler) -> None:
         if self.compiled:
@@ -100,18 +94,13 @@ class _Step:
         def fn(expr):
             return compiler.compile(expr).fn
 
-        def effects(assignments):
-            return tuple(
-                ("sig", a.name, fn(a.expr)) if isinstance(a, SignalAssign)
-                else ("mode", a.component, a.mode)
-                for a in assignments)
-
         req = self.req
         self.guard = None if self.guard_node is None else self.guard_node.fn
-        self.effects = effects(req.effects)
+        self.effects = tuple(
+            ("sig", a.name, fn(a.expr)) if isinstance(a, SignalAssign)
+            else ("mode", a.component, a.mode)
+            for a in req.effects)
         self.required = fn(req.required)
-        self.branches = tuple((None if b.guard is None else fn(b.guard), effects(b.effects))
-                              for b in req.branches)
         self.compiled = True
 
 
@@ -156,20 +145,18 @@ class _Plan:
             if guard is not None and guard.support is s.support and guard.exact \
                     and all(lit is None or lit[0] == key for _, lit in s.support):
                 self._decided.add(i)
-        # signal name -> (bounds, enumeration members, type name)
-        self.ranges = {}
+        # signal name -> the values it admits
+        self.domains = {}
         for sig in model.dictionary.signals:
-            self.ranges.setdefault(sig.name, (
-                model.dictionary.int_bounds(sig), model.dictionary.enum_members(sig),
-                sig.type_name))
+            self.domains.setdefault(sig.name, model.dictionary.domain(sig))
         self._candidates: dict[tuple, tuple[tuple, tuple]] = {}
 
     def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:
         """The requirements that can act from a start with these active modes
         in which the key signal holds ``value`` (ABSENT: unknown), as
-        (step, guard) pairs: those that contribute effects, and those that
-        check the end snapshot.  ``guard`` is None where the start decides
-        that the step's guard holds."""
+        (step, guard) pairs: the triggers, which contribute effects, and the
+        rest, which check the end snapshot.  ``guard`` is None where the
+        start decides that the step's guard holds."""
         try:
             found = self._candidates.get((active, value))
         except TypeError:   # a value that cannot key a lookup
@@ -190,7 +177,7 @@ class _Plan:
             step = self.steps[i]
             step.compile(self.compiler)
             guard = None if known and i in self._decided else step.guard
-            (effect if step.phase == "effect" else check).append((step, guard))
+            (effect if step.template is TRIGGER_ON_EVENT else check).append((step, guard))
         return tuple(effect), tuple(check)
 
 
@@ -234,8 +221,11 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             return False
         return value
 
-    def add_effects(req: Requirement, effects) -> None:
-        for kind, name, effect in effects:
+    for step, guard in effect_steps:
+        req = step.req
+        if not guard_true(guard, req):
+            continue
+        for kind, name, effect in step.effects:
             if kind == "sig":
                 try:
                     value = effect(start)
@@ -245,21 +235,11 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                 writes.setdefault((kind, name), []).append((req.req_id, value))
             else:
                 writes.setdefault((kind, name), []).append((req.req_id, effect))
+        if req.required is not None:
+            triggered.append(step)
 
-    for step, guard in effect_steps:
-        req = step.req
-        if step.template is TRIGGER_ON_EVENT:
-            if guard_true(guard, req):
-                add_effects(req, step.effects)
-                if req.required is not None:
-                    triggered.append(step)
-        else:   # a case: the first branch whose guard holds
-            for guard, effects in step.branches:
-                if guard_true(guard, req):
-                    add_effects(req, effects)
-                    break
-
-    # build the end snapshot, detecting conflicts and range breaches
+    # build the end snapshot, detecting conflicts and values a signal does
+    # not admit
     end_signals = dict(env.signals)
     end_modes = dict(env.modes)
     fired: list[tuple[str, tuple[str, ...]]] = []
@@ -275,24 +255,14 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                         "record keeps its start value"))
             continue
         if kind == "sig":
-            limits = plan.ranges.get(name)
-            if limits is not None:
-                (lo, hi), members, type_name = limits
-                if (lo is not None or hi is not None) and not isinstance(value, bool) \
-                        and isinstance(value, int):
-                    if (lo is not None and value < lo) or (hi is not None and value > hi):
-                        violations.append(Violation(
-                            "RANGE",
-                            message=f"assignment of {value!r} to {name!r} is outside "
-                                    f"[{lo}, {hi}]; record keeps its start value"))
-                        continue
-                if members is not None and value is not None and value not in members:
-                    violations.append(Violation(
-                        "RANGE",
-                        message=f"assignment of {value!r} to {name!r} is not a "
-                                f"member of {type_name}; record keeps its "
-                                "start value"))
-                    continue
+            domain = plan.domains.get(name)
+            fault = None if domain is None else domain.fault(value)
+            if fault is not None:
+                violations.append(Violation(
+                    "RANGE",
+                    message=f"assignment of {value!r} to {name!r} {fault}; record "
+                            "keeps its start value"))
+                continue
             end_signals[name] = value
         else:
             end_modes[name] = frozenset({value})
@@ -385,11 +355,6 @@ def _env_cells(env: Env, round_no: int) -> tuple:
         bool(sig.get("optrode_RX_finish", False)),
         bool(sig.get("command_finish_flag", False)),
     )
-
-
-def _env_values(env: Env, round_no: int) -> dict[str, object]:
-    """The trace columns of an env, keyed as :class:`TraceRow`'s fields."""
-    return dict(zip(ROW_COLUMNS, _env_cells(env, round_no)))
 
 
 def _round_attribution(result: RoundResult, new_cells: tuple,

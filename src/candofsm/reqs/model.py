@@ -92,15 +92,6 @@ class BoolType:
 
 
 @dataclass(frozen=True)
-class IntType:
-    """A named integer type, bounded by ``lo`` and ``hi`` or not at all."""
-
-    name: str
-    lo: int | None = None
-    hi: int | None = None
-
-
-@dataclass(frozen=True)
 class EnumType:
     """A named enumeration and its members."""
 
@@ -110,14 +101,11 @@ class EnumType:
 
 @dataclass(frozen=True)
 class ConstantDef:
-    """A named constant: type, value, optional limits and tolerance."""
+    """A named constant: its type and value."""
 
     name: str
     type_name: str
     value: object
-    minimum: object | None = None
-    maximum: object | None = None
-    tolerance: object | None = None
 
 
 @dataclass(frozen=True)
@@ -166,44 +154,56 @@ class DataDictionary:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate dictionary record names: {dupes}")
-        for t in self.types:
-            # .req writes an int type's bounds as a pair or not at all
-            if isinstance(t, IntType) and (t.lo is None) != (t.hi is None):
-                raise ModelError(
-                    f"int type {t.name!r}: give both bounds or neither")
-        basic = {"int", "bool"}
         for s in self.signals:
-            if s.type_name not in basic and self.type_named(s.type_name) is None:
+            domain = self.domain(s)
+            if domain is None:
                 raise ModelError(f"signal {s.name!r}: unknown type {s.type_name!r}")
-            # the checks the engine makes on a write, so row 0 holds a value
-            # a write could have put there
-            value = s.initial
-            lo, hi = self.int_bounds(s)
-            if isinstance(value, int) and not isinstance(value, bool) and (
-                    (lo is not None and value < lo) or (hi is not None and value > hi)):
-                raise ModelError(
-                    f"signal {s.name!r}: initial {value!r} is outside [{lo}, {hi}]")
-            members = self.enum_members(s)
-            if members is not None and value is not None and value not in members:
-                raise ModelError(
-                    f"signal {s.name!r}: initial {value!r} is not a member of "
-                    f"{s.type_name}")
+            # row 0 must hold a value a write could have put there
+            fault = domain.fault(s.initial)
+            if fault is not None:
+                raise ModelError(f"signal {s.name!r}: initial {s.initial!r} {fault}")
         for m in self.modes:
             if m.initial is not None and m.initial not in m.modes:
                 raise ModelError(
                     f"mode component {m.name!r}: initial {m.initial!r} not a mode")
 
-    def int_bounds(self, signal: SignalDef) -> tuple[int | None, int | None]:
-        lo, hi = signal.minimum, signal.maximum
-        t = self.type_named(signal.type_name)
-        if isinstance(t, IntType):
-            lo = t.lo if lo is None else lo
-            hi = t.hi if hi is None else hi
-        return lo, hi
+    def domain(self, signal: SignalDef) -> Domain | None:
+        """The values ``signal`` admits; None if its type is unknown."""
+        name = signal.type_name
+        t = self.type_named(name)
+        if isinstance(t, EnumType):
+            return Domain(str, None, None, t.members, name)
+        if name == "bool" or isinstance(t, BoolType):
+            return Domain(bool, None, None, None, name)
+        if name == "int":
+            return Domain(int, signal.minimum, signal.maximum, None, name)
+        return None
 
-    def enum_members(self, signal: SignalDef) -> tuple[str, ...] | None:
-        t = self.type_named(signal.type_name)
-        return t.members if isinstance(t, EnumType) else None
+
+class Domain(NamedTuple):
+    """The values a signal admits.  Nil is always one.  Otherwise an int
+    signal takes an int that is not a bool, within its bounds; a bool
+    signal takes a bool; an enum signal takes one of its members."""
+
+    kind: type                       # int, bool or str
+    lo: int | None
+    hi: int | None
+    members: tuple[str, ...] | None  # an enum's, else None
+    type_name: str
+
+    def fault(self, value) -> str | None:
+        """Why ``value`` is not admitted, as the end of a sentence about it;
+        None if it is."""
+        if value is None:
+            return None
+        if self.members is not None:
+            return None if value in self.members else f"is not a member of {self.type_name}"
+        if type(value) is not self.kind:
+            return "is not an int" if self.kind is int else "is not a bool"
+        lo, hi = self.lo, self.hi
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            return f"is outside [{lo}, {hi}]"
+        return None
 
 
 # --- definitions and requirements ------------------------------------------
@@ -243,7 +243,6 @@ class Template(enum.Enum):
     WHEN = "when"
     TRIGGER_ON_EVENT = "trigger"
     MODE_SET = "modeset"
-    CASE = "case"
 
 
 # Each member once more as a plain global, which per-round and per-requirement
@@ -253,15 +252,6 @@ EVERY = Template.EVERY
 WHEN = Template.WHEN
 TRIGGER_ON_EVENT = Template.TRIGGER_ON_EVENT
 MODE_SET = Template.MODE_SET
-CASE = Template.CASE
-
-
-@dataclass(frozen=True)
-class CaseBranch:
-    """One branch of a case requirement: a guard and its effects."""
-
-    guard: object
-    effects: tuple[Assignment, ...]
 
 
 @dataclass(frozen=True)
@@ -275,7 +265,6 @@ class Requirement:
     required: object | None = None           # end-of-round condition checked
     effects: tuple[Assignment, ...] = ()
     component: str | None = None             # mode-set target
-    branches: tuple[CaseBranch, ...] = ()
 
 
 class Env(NamedTuple):
@@ -390,8 +379,13 @@ class RequirementsModel:
                     f"{where}: {slot}: end-of-round reads are only legal in "
                     "required conditions")
 
-        def check_effects(effects, where: str) -> None:
-            for a in effects:
+        for name in names:
+            visit(name)
+
+        for r in self.requirements:
+            where = f"requirement {r.req_id}"
+            start_only(r.guard, where, "guard")
+            for a in r.effects:
                 if isinstance(a, SignalAssign):
                     start_only(a.expr, where, f"effect {a.name}")
                     if a.name not in signals:
@@ -401,17 +395,6 @@ class RequirementsModel:
                 elif a.mode not in components.get(a.component, ()):
                     raise ModelError(
                         f"{where}: bad mode assignment {a.component}.{a.mode}")
-
-        for name in names:
-            visit(name)
-
-        for r in self.requirements:
-            where = f"requirement {r.req_id}"
-            start_only(r.guard, where, "guard")
-            check_effects(r.effects, where)
-            for branch in r.branches:
-                start_only(branch.guard, where, "case guard")
-                check_effects(branch.effects, where)
             scan(r.required, where)
             if r.template is MODE_SET and r.component not in components:
                 raise ModelError(f"{where}: mode-set needs a mode component")

@@ -3,12 +3,17 @@
 One record per line, ``#`` comments::
 
     type Event enum { CONT ERROR }
+    type Flag bool
     const PACKET_LENGTH : int = 3
     signal bytes_sent : int min=0 max=3 init=0
     mode fsm { start get_cmd } exclusive init=start
     def from_start "The fsm is in state start ..." := mode(fsm.start) at start
     req 0.00 "start to get_cmd" trigger from_start and current_event = CONT
         => fsm := get_cmd
+
+A type is an ``enum`` or a ``bool``; an ``int`` signal is bounded on its own
+line.  A requirement is one of four forms: ``every C``, ``when G => C``,
+``trigger G => EFFECTS [require C]`` and ``modeset COMPONENT exclusive``.
 
 Expressions are infix with ``and``/``or``/``not``, comparisons, arithmetic,
 and ``mode(C.M) at start|end``; a name declared by ``def`` refers to that
@@ -30,16 +35,13 @@ from ..specio import ParseError
 from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Nodes, Not, SigRead
 from .model import (
     EVERY,
-    MODE_SET,
     TRIGGER_ON_EVENT,
     WHEN,
     BoolType,
-    CaseBranch,
     ConstantDef,
     DataDictionary,
     Definition,
     EnumType,
-    IntType,
     ModeAssign,
     ModeComponent,
     Requirement,
@@ -48,8 +50,6 @@ from .model import (
     SignalDef,
     Template,
 )
-
-REQ_EXTENSION = ".req"
 
 _TOKEN_RE = re.compile(
     r'"(?:[^"\\]|\\.)*"'
@@ -293,14 +293,6 @@ def _parse_type_line(cur: _Cursor, scope: _Scope) -> None:
             members.append(cur.next())
         t = EnumType(name, tuple(members))
         scope.enum_members.update(members)
-    elif kind == "int":
-        lo = hi = None
-        if cur.accept("["):
-            lo = _parse_int(cur)
-            cur.expect(",")
-            hi = _parse_int(cur)
-            cur.expect("]")
-        t = IntType(name, lo, hi)
     elif kind == "bool":
         t = BoolType(name)
     else:
@@ -325,12 +317,7 @@ def _parse_const_line(cur: _Cursor, scope: _Scope) -> None:
     cur.expect(":")
     type_name = cur.next()
     cur.expect("=")
-    value = _parse_literal_token(cur, scope)
-    opts = _parse_trailing_options(cur, scope, ("min", "max", "tol"))
-    scope.constants.append(ConstantDef(
-        name, type_name, value,
-        minimum=opts.get("min"), maximum=opts.get("max"),
-        tolerance=opts.get("tol")))
+    scope.constants.append(ConstantDef(name, type_name, _parse_literal_token(cur, scope)))
     scope.value_names.add(name)
 
 
@@ -403,20 +390,11 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
         required = _parse_expr(cur, scope) if cur.accept("require") else None
         req = Requirement(req_id, title, template, guard=guard, effects=effects,
                           required=required)
-    elif template is MODE_SET:
+    else:  # MODE_SET
         component = cur.next()
         if not cur.accept("exclusive"):
             raise cur.error(f"mode-set on {component!r} must be 'exclusive'")
         req = Requirement(req_id, title, template, component=component)
-    else:  # CASE
-        branches = []
-        while True:
-            guard = _parse_expr(cur, scope)
-            cur.expect("=>")
-            branches.append(CaseBranch(guard, _parse_assignments(cur, scope)))
-            if not cur.accept("|"):
-                break
-        req = Requirement(req_id, title, template, branches=tuple(branches))
 
     if not cur.done():
         raise cur.error(f"trailing tokens: {cur.peek()!r}")
@@ -525,13 +503,7 @@ def _render_requirement(req: Requirement) -> str:
         if req.required is not None:
             parts.append(f"require {render_expr(req.required)}")
         return " ".join(parts)
-    if req.template is MODE_SET:
-        return f"{head} {req.component} exclusive"
-    branches = " | ".join(
-        f"{render_expr(b.guard)} => "
-        + ", ".join(_render_assignment(a) for a in b.effects)
-        for b in req.branches)
-    return f"{head} {branches}"
+    return f"{head} {req.component} exclusive"
 
 
 def serialize_model(model: RequirementsModel) -> str:
@@ -541,20 +513,10 @@ def serialize_model(model: RequirementsModel) -> str:
     for t in model.dictionary.types:
         if isinstance(t, EnumType):
             lines.append(f"type {t.name} enum {{ {' '.join(t.members)} }}")
-        elif isinstance(t, IntType):
-            bounds = f" [{t.lo}, {t.hi}]" if t.lo is not None or t.hi is not None else ""
-            lines.append(f"type {t.name} int{bounds}")
         else:
             lines.append(f"type {t.name} bool")
     for c in model.dictionary.constants:
-        opts = ""
-        if c.minimum is not None:
-            opts += f" min={_lit_text(c.minimum)}"
-        if c.maximum is not None:
-            opts += f" max={_lit_text(c.maximum)}"
-        if c.tolerance is not None:
-            opts += f" tol={_lit_text(c.tolerance)}"
-        lines.append(f"const {c.name} : {c.type_name} = {_lit_text(c.value)}{opts}")
+        lines.append(f"const {c.name} : {c.type_name} = {_lit_text(c.value)}")
     for s in model.dictionary.signals:
         opts = ""
         if s.minimum is not None:

@@ -30,8 +30,6 @@ from typing import IO, Iterable, Mapping, get_type_hints
 from .fsm import MemberDef, Roster, StateDef, StateKind
 from .trace import TraceRow
 
-SPEC_EXTENSION = ".fsm"
-
 _KIND_TOKENS = {k.value: k for k in StateKind}
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

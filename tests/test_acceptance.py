@@ -20,11 +20,11 @@ from candofsm.fsm import (
     lookup_next,
 )
 from candofsm.opmodel import ModelState, _snapshot, ops_round, run
-from candofsm.reqs.engine import _env_values, fire_round, run_requirements_trace
+from candofsm.reqs.engine import fire_round, run_requirements_trace
 from candofsm.reqs.model import Env, initial_env
 from candofsm.specio import parse_spec, serialize_spec
 from candofsm.trace import equivalence_report
-from conftest import mutate_table
+from conftest import env_values, mutate_table
 
 VALID_SEQUENCE = [
     "start", "get_cmd", "set_vLED", "send_packet_6", "receive_packet_28",
@@ -145,7 +145,7 @@ def test_criterion_5_exhaustive_single_round_oracle(spec, model):
         reqs = fire_round(model, oracle_env(model, ev, st, bytes_sent=sent,
                                             bytes_received=received, tx_cnt=tx), None)
         violations += len(ops.post_violations) + len(reqs.violations)
-        ops_row, reqs_row = _snapshot(ops.next, 1).values(), _env_values(reqs.end_env, 1)
+        ops_row, reqs_row = _snapshot(ops.next, 1).values(), env_values(reqs.end_env, 1)
         for column in ops_row:
             if ops_row[column] != reqs_row[column]:
                 diverging[ev, st, column] += 1

@@ -163,6 +163,22 @@ class TestSimulate:
         count = checked.splitlines()[-1].split()[0]
         assert captured.err.endswith(f"\n{count} structural violations\n")
 
+    def test_both_engines_reject_a_spec_check_rejects_alike(
+            self, extra_control_file, tmp_path, capsys):
+        # the operational engine could run this spec, but a simulation runs
+        # only on a spec that passes the structural checks, whichever engine
+        outcomes = {}
+        for engine in ("ops", "reqs"):
+            out = tmp_path / f"{engine}.csv"
+            code = main(["simulate", extra_control_file, "--command", "LED_ON_C",
+                         "--engine", engine, "--out", str(out)])
+            captured = capsys.readouterr()
+            outcomes[engine] = code, captured.out, captured.err, out.exists()
+        assert outcomes["ops"] == outcomes["reqs"]
+        code, out, err, written = outcomes["ops"]
+        assert (code, out, written) == (1, "", False)
+        assert err.endswith(" structural violations\n")
+
     @pytest.mark.parametrize("engine, message", [
         ("ops", "cannot run LED_ON_C on the operational model: round 2: "),
         ("reqs", "cannot generate the requirements model: "),

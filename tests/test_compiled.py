@@ -42,7 +42,9 @@ from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes, meets
 from candofsm.reqs.engine import STATE_COMPONENT, _Plan, _plan_of
 from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env
-from test_reqs import tiny_model, walk
+from candofsm.reqs.text import parse_model
+from candofsm.specio import ParseError
+from test_reqs import small, tiny_model, walk
 
 CONTEXTS = 90
 
@@ -67,9 +69,6 @@ def model_expressions(model) -> list:
     for req in model.requirements:
         found += [e for e in (req.guard, req.required) if e is not None]
         found += [a.expr for a in req.effects if isinstance(a, SignalAssign)]
-        for branch in req.branches:
-            found.append(branch.guard)
-            found += [a.expr for a in branch.effects if isinstance(a, SignalAssign)]
     return found
 
 
@@ -206,6 +205,19 @@ def test_the_language_has_no_node_type_the_translation_does_not_emit(model):
 
 def test_the_language_has_no_template_the_translation_does_not_emit(model):
     assert {req.template for req in model.requirements} == set(Template)
+
+
+def test_the_language_has_no_type_kind_the_translation_does_not_emit(model):
+    # every type line .req has had; those that still parse declare exactly
+    # the kinds of type the generated dictionary uses
+    declarable = set()
+    for line in ("type t enum { a b }", "type t bool", "type t int",
+                 "type t int [0, 3]", "type t array bool [4]"):
+        try:
+            declarable.add(type(parse_model(f"{line}\n").dictionary.types[0]))
+        except ParseError:
+            pass
+    assert declarable == {type(t) for t in model.dictionary.types}
 
 
 # --- hand-built cases --------------------------------------------------------
@@ -349,7 +361,7 @@ def two_lamp_model():
                               ModeActive("lamp", "dim", "start")),
                     effects=(SignalAssign("seen", Lit(True)),)),
         Requirement("ms", "one lamp mode", Template.MODE_SET, component="lamp"),
-        signals=[SignalDef("x", "small", initial=0),
+        signals=[small("x", 0),
                  SignalDef("seen", "Flag", initial=False)],
         modes=modes)
 
@@ -393,7 +405,7 @@ def test_a_missing_condition_or_effect_value_is_an_eval_violation():
         Requirement("set", "x from nothing", Template.TRIGGER_ON_EVENT,
                     guard=Lit(True), effects=(SignalAssign("x", None),)),
         Requirement("watch", "nothing to watch", Template.EVERY),
-        signals=[SignalDef("x", "small", initial=2)])
+        signals=[small("x", 2)])
     result = fire_round(model, initial_env(model), None)
     assert [v.constraint_id for v in result.violations] == ["EVAL", "EVAL"]
     assert all("not an expression node: None" in v.message for v in result.violations)
@@ -409,7 +421,7 @@ def event_lamp_model(*requirements):
         *requirements,
         Requirement("ms", "one lamp mode", Template.MODE_SET, component="lamp"),
         signals=[SignalDef("ev", "Colour", initial="red"),
-                 SignalDef("x", "small", initial=0)],
+                 small("x", 0)],
         modes=[ModeComponent("lamp", ("off", "on", "dim"), initial="off")])
 
 
@@ -541,9 +553,7 @@ def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
         monkeypatch.setattr(Compiler, name, counting)
     _Plan(model)
     defs = model.definition_map()
-    reached, pending = set(), [
-        g for r in model.requirements
-        for g in (r.guard, *(b.guard for b in r.branches)) if g is not None]
+    reached, pending = set(), [r.guard for r in model.requirements if r.guard is not None]
     while pending:
         expr = pending.pop()
         for node in walk(expr):

@@ -10,14 +10,12 @@ from candofsm.reqs import (
     BinOp,
     BoolOp,
     BoolType,
-    CaseBranch,
     DataDictionary,
     DefRef,
     Definition,
     EnumType,
     Env,
     IllegalEndOfRoundRead,
-    IntType,
     Lit,
     ModeActive,
     ModeAssign,
@@ -41,10 +39,14 @@ from candofsm.reqs.text import parse_model, serialize_model
 from candofsm.specio import ParseError
 
 
+def small(name: str, initial=None) -> SignalDef:
+    """An int signal bounded to [0, 10]."""
+    return SignalDef(name, "int", minimum=0, maximum=10, initial=initial)
+
+
 def tiny_model(*requirements, signals=(), modes=(), definitions=()):
     dictionary = DataDictionary(
-        types=(IntType("small", 0, 10), BoolType("Flag"),
-               EnumType("Colour", ("red", "green"))),
+        types=(BoolType("Flag"), EnumType("Colour", ("red", "green"))),
         signals=tuple(signals),
         modes=tuple(modes),
     )
@@ -91,7 +93,7 @@ class TestEvalExpr:
 
 class TestFireRound:
     def test_conflicting_effects_keep_the_start_value_and_name_both(self):
-        sig = SignalDef("x", "small", initial=0)
+        sig = small("x", 0)
         model = tiny_model(
             Requirement("r1", "writes one", Template.TRIGGER_ON_EVENT,
                         guard=Lit(True), effects=(SignalAssign("x", Lit(1)),)),
@@ -105,7 +107,7 @@ class TestFireRound:
         assert "r1" in violation.message and "r2" in violation.message
 
     def test_agreeing_effects_apply_and_credit_both_writers(self):
-        sig = SignalDef("x", "small", initial=0)
+        sig = small("x", 0)
         model = tiny_model(
             Requirement("r1", "writes one", Template.TRIGGER_ON_EVENT,
                         guard=Lit(True), effects=(SignalAssign("x", Lit(1)),)),
@@ -118,7 +120,7 @@ class TestFireRound:
 
     def test_frame_property_carries_unwritten_records(self):
         model = tiny_model(
-            signals=[SignalDef("x", "small", initial=3)],
+            signals=[small("x", 3)],
             modes=[lamp_component()])
         result = fire_round(model, initial_env(model), None)
         assert result.end_env.signals["x"] == 3
@@ -149,8 +151,8 @@ class TestFireRound:
             return tiny_model(
                 Requirement("r", title, Template.TRIGGER_ON_EVENT, guard=guard,
                             effects=effects, required=required),
-                signals=[SignalDef("x", "small", initial=0),
-                         SignalDef("c", "small", initial=None)])
+                signals=[small("x", 0),
+                         small("c", None)])
 
         def violations(model):
             return [(v.constraint_id, v.message)
@@ -179,7 +181,7 @@ class TestFireRound:
                             guard=Lit(True), required=BinOp("=", SigRead("x"), Lit(5))),
                 Requirement("nine", "x is always 9", Template.EVERY,
                             required=BinOp("=", SigRead("x"), Lit(9))),
-                *writers, signals=[SignalDef("x", "small", initial=0)])
+                *writers, signals=[small("x", 0)])
 
         def codes(m):
             return [v.constraint_id for v in fire_round(m, initial_env(m), None).violations]
@@ -196,7 +198,7 @@ class TestFireRound:
         model = tiny_model(
             Requirement("r", "integer guard", Template.TRIGGER_ON_EVENT,
                         guard=SigRead("x"), effects=(SignalAssign("x", Lit(5)),)),
-            signals=[SignalDef("x", "small", initial=2)])
+            signals=[small("x", 2)])
         result = fire_round(model, initial_env(model), None)
         assert result.end_env.signals["x"] == 2
         [violation] = result.violations
@@ -208,8 +210,8 @@ class TestFireRound:
             Requirement("add", "x plus an unset count", Template.TRIGGER_ON_EVENT,
                         guard=Lit(True), effects=(SignalAssign(
                             "x", BinOp("+", SigRead("x"), SigRead("c"))),)),
-            signals=[SignalDef("x", "small", initial=2),
-                     SignalDef("c", "small", initial=None)])
+            signals=[small("x", 2),
+                     small("c", None)])
         result = fire_round(model, initial_env(model), None)
         assert result.end_env.signals["x"] == 2
         assert [v.constraint_id for v in result.violations] == ["EVAL"]
@@ -226,27 +228,6 @@ class TestFireRound:
         assert violation.message.endswith(
             "is not a member of Colour; record keeps its start value")
 
-    def test_case_first_match_wins_and_no_match_writes_nothing(self):
-        sig = SignalDef("x", "small", initial=0)
-        model = tiny_model(
-            Requirement("pick", "cases on x", Template.CASE, branches=(
-                CaseBranch(BinOp("=", SigRead("x"), Lit(0)),
-                           (SignalAssign("x", Lit(1)),)),
-                CaseBranch(Lit(True), (SignalAssign("x", Lit(9)),)),
-            )),
-            signals=[sig])
-        result = fire_round(model, initial_env(model), None)
-        assert result.end_env.signals["x"] == 1
-
-        partial = tiny_model(
-            Requirement("pick", "never matches", Template.CASE,
-                        branches=(CaseBranch(Lit(False),
-                                             (SignalAssign("x", Lit(1)),)),)),
-            signals=[sig])
-        result = fire_round(partial, initial_env(partial), None)
-        assert (result.end_env.signals["x"], result.fired, result.violations) \
-            == (0, (), ())
-
     def test_every_monitor_checks_the_end_snapshot(self):
         model = tiny_model(
             Requirement("off", "switch off", Template.TRIGGER_ON_EVENT,
@@ -258,7 +239,7 @@ class TestFireRound:
         assert [v.constraint_id for v in result.violations] == ["MONITOR"]
 
     def test_out_of_range_write_is_rejected_and_reported(self):
-        sig = SignalDef("x", "small", minimum=0, maximum=3, initial=0)
+        sig = SignalDef("x", "int", minimum=0, maximum=3, initial=0)
         model = tiny_model(
             Requirement("r", "overflow", Template.TRIGGER_ON_EVENT,
                         guard=Lit(True), effects=(SignalAssign("x", Lit(99)),)),
@@ -266,6 +247,23 @@ class TestFireRound:
         result = fire_round(model, initial_env(model), None)
         assert [v.constraint_id for v in result.violations] == ["RANGE"]
         assert result.end_env.signals["x"] == 0
+
+    @pytest.mark.parametrize("signal, value, fault", [
+        (small("x", 0), True, "is not an int"),
+        (SignalDef("x", "int", initial=0), "red", "is not an int"),
+        (SignalDef("x", "bool", initial=False), 1, "is not a bool"),
+        (SignalDef("x", "Flag", initial=False), "red", "is not a bool"),
+    ], ids=["bool-to-int", "member-to-unbounded-int", "int-to-bool", "member-to-flag"])
+    def test_a_write_of_the_wrong_type_is_rejected(self, signal, value, fault):
+        model = tiny_model(
+            Requirement("r", "mistyped", Template.TRIGGER_ON_EVENT,
+                        guard=Lit(True), effects=(SignalAssign("x", Lit(value)),)),
+            signals=[signal])
+        result = fire_round(model, initial_env(model), None)
+        assert result.end_env.signals["x"] == signal.initial
+        assert [(v.constraint_id, v.message) for v in result.violations] == [
+            ("RANGE", f"assignment of {value!r} to 'x' {fault}; record keeps its "
+                      "start value")]
 
     def test_round_result_is_a_pure_function_of_its_inputs(self, model):
         env = initial_env(model, overrides={"current_command": "LED_ON_C"})
@@ -285,7 +283,7 @@ def command_signals():
 
 class TestRunRounds:
     def test_stop_predicate_halts_exactly_at_the_flag(self):
-        count = SignalDef("bytes_sent", "small", initial=0)
+        count = small("bytes_sent", 0)
         model = tiny_model(
             Requirement("bump", "the count goes up", Template.TRIGGER_ON_EVENT,
                         guard=BinOp("<", SigRead("bytes_sent"), Lit(9)),
@@ -303,7 +301,7 @@ class TestRunRounds:
 
     def test_no_requirements_means_a_constant_env(self):
         model = tiny_model(
-            signals=[SignalDef("tx_cnt", "small", initial=2), *command_signals()],
+            signals=[small("tx_cnt", 2), *command_signals()],
             modes=[ModeComponent("fsm", ("off", "on"), initial="on")])
         trace = run_requirements_trace(model, "green", 5)
         assert trace.reason == "budget"
@@ -324,7 +322,7 @@ class TestRunRounds:
                         effects=(SignalAssign("bytes_sent", BinOp(
                             "+", SigRead("bytes_sent"), Lit(1))),),
                         required=BinOp("=", SigRead("bytes_sent"), Lit(3))),
-            signals=[SignalDef("bytes_sent", "small", initial=0), *command_signals()])
+            signals=[small("bytes_sent", 0), *command_signals()])
         trace = run_requirements_trace(model, "green", 6)
         assert trace.reason == "budget"
         assert [row.bytes_sent for row in trace.rows] == [0, 1, 2, 3, 3, 3]
@@ -357,30 +355,30 @@ class TestValidation:
                                         ModeActive("lamp", "on", "end"))],
                 modes=[lamp_component()])
 
-    @pytest.mark.parametrize("lo, hi", [(0, None), (None, 5)])
-    def test_a_half_bounded_int_type_is_rejected(self, lo, hi):
-        # .req writes int bounds as a pair, so one bound would not round-trip
-        with pytest.raises(ModelError, match="^int type 'half': give both bounds"):
-            RequirementsModel(DataDictionary(types=(IntType("half", lo, hi),))).validate()
-
     @pytest.mark.parametrize("line, message", [
         ("signal x : int min=0 max=3 init=9", "initial 9 is outside [0, 3]"),
-        ("signal x : small init=11", "initial 11 is outside [0, 10]"),
+        ("signal x : int max=10 init=11", "initial 11 is outside [None, 10]"),
         ("signal c : Colour init=blue", "initial 'blue' is not a member of Colour"),
+        ("signal x : int min=0 max=3 init=red", "initial 'red' is not an int"),
+        ("signal x : int init=true", "initial True is not an int"),
+        ("signal b : bool init=7", "initial 7 is not a bool"),
+        ("signal f : Flag init=red", "initial 'red' is not a bool"),
     ])
     def test_an_initial_value_no_write_could_make_is_rejected(self, line, message):
-        # the engine checks bounds and membership only on writes, so row 0
-        # would otherwise hold the value unchecked
-        head = "type small int [0, 10]\ntype Colour enum { red green }\n"
-        with pytest.raises(ModelError, match=re.escape(message)):
+        # the engine checks each write, so row 0 would otherwise hold the
+        # value unchecked
+        head = "type Colour enum { red green }\ntype Flag bool\n"
+        with pytest.raises(ModelError, match=f"^signal '[a-z]': {re.escape(message)}$"):
             parse_model(f"{head}{line}\n")
 
     def test_a_nil_or_in_range_initial_value_is_accepted(self):
         model = parse_model(
-            "type small int [0, 10]\ntype Colour enum { red green }\n"
-            "signal x : int min=0 max=3 init=3\nsignal y : small init=nil\n"
-            "signal c : Colour init=nil\nsignal d : Colour init=green\n")
-        assert initial_env(model).signals == {"x": 3, "y": None, "c": None, "d": "green"}
+            "type Colour enum { red green }\ntype Flag bool\n"
+            "signal x : int min=0 max=3 init=3\nsignal y : int min=0 max=10 init=nil\n"
+            "signal c : Colour init=nil\nsignal d : Colour init=green\n"
+            "signal f : Flag init=false\nsignal b : bool init=nil\n")
+        assert initial_env(model).signals == {"x": 3, "y": None, "c": None, "d": "green",
+                                              "f": False, "b": None}
 
     def test_duplicate_requirement_ids_rejected(self):
         with pytest.raises(ModelError, match="duplicate requirement ids"):
@@ -388,18 +386,18 @@ class TestValidation:
                 Requirement("r", "one", Template.EVERY, required=Lit(True)),
                 Requirement("r", "two", Template.EVERY, required=Lit(True)))
 
-    def test_case_branch_effect_on_an_unknown_signal_is_rejected(self):
+    def test_a_trigger_effect_on_an_unknown_signal_is_rejected(self):
         with pytest.raises(ModelError, match="unknown or non-signal record 'ghost'"):
             tiny_model(
-                Requirement("r", "ghost writer", Template.CASE, branches=(
-                    CaseBranch(Lit(True), (SignalAssign("ghost", Lit(1)),)),)),
-                signals=[SignalDef("x", "small", initial=0)])
+                Requirement("r", "ghost writer", Template.TRIGGER_ON_EVENT,
+                            guard=Lit(True), effects=(SignalAssign("ghost", Lit(1)),)),
+                signals=[small("x", 0)])
 
-    def test_case_branch_assignment_of_a_missing_mode_is_rejected(self):
+    def test_a_trigger_assignment_of_a_missing_mode_is_rejected(self):
         with pytest.raises(ModelError, match="bad mode assignment lamp.zzz"):
             tiny_model(
-                Requirement("r", "no such mode", Template.CASE, branches=(
-                    CaseBranch(Lit(True), (ModeAssign("lamp", "zzz"),)),)),
+                Requirement("r", "no such mode", Template.TRIGGER_ON_EVENT,
+                            guard=Lit(True), effects=(ModeAssign("lamp", "zzz"),)),
                 modes=[lamp_component()])
 
     def test_end_read_in_a_trigger_effect_is_rejected(self):
@@ -411,11 +409,12 @@ class TestValidation:
                 signals=[SignalDef("flag", "Flag", initial=False)],
                 modes=[lamp_component()])
 
-    def test_end_read_in_a_case_branch_effect_is_rejected(self):
+    def test_end_read_behind_a_definition_in_a_trigger_effect_is_rejected(self):
         with pytest.raises(ModelError, match="r: effect flag: end-of-round"):
             tiny_model(
-                Requirement("r", "copy the end", Template.CASE, branches=(
-                    CaseBranch(Lit(True), (SignalAssign("flag", DefRef("lamp_on_end")),)),)),
+                Requirement("r", "copy the end", Template.TRIGGER_ON_EVENT,
+                            guard=Lit(True),
+                            effects=(SignalAssign("flag", DefRef("lamp_on_end")),)),
                 definitions=[Definition("lamp_on_end", "lamp on at end",
                                         ModeActive("lamp", "on", "end"))],
                 signals=[SignalDef("flag", "Flag", initial=False)],
@@ -426,20 +425,19 @@ class TestValidation:
             "r", "effect", Template.TRIGGER_ON_EVENT, guard=Lit(True),
             effects=(SignalAssign("x", DefRef("nowhere")),)), ()),
         ("requirement r", Requirement(
-            "r", "case guard", Template.CASE,
-            branches=(CaseBranch(DefRef("nowhere"), ()),)), ()),
+            "r", "guard", Template.TRIGGER_ON_EVENT, guard=DefRef("nowhere")), ()),
         ("definition 'outer'", Requirement(
             "r", "body", Template.EVERY, required=DefRef("outer")),
          (Definition("outer", "outer", Not(DefRef("nowhere"))),)),
         ("requirement r", Requirement(
             "r", "chain", Template.EVERY,
             required=BoolOp("or", (Lit(True), DefRef("nowhere")))), ()),
-    ], ids=["effect", "case guard", "definition body", "chain operand"])
+    ], ids=["effect", "guard", "definition body", "chain operand"])
     def test_unknown_definition_in_any_slot_is_rejected(self, where, requirement,
                                                         definitions):
         with pytest.raises(ModelError, match=f"^{where}: unknown definition 'nowhere'$"):
             tiny_model(requirement, definitions=definitions,
-                       signals=[SignalDef("x", "small", initial=0)])
+                       signals=[small("x", 0)])
 
     @pytest.mark.parametrize("where, requirement, definitions", [
         ("requirement r", Requirement(
@@ -456,7 +454,7 @@ class TestValidation:
         # serialize_model would render it as nothing, which parse_model rejects
         with pytest.raises(ModelError, match=f"^{where}: empty '(and|or)' chain$"):
             tiny_model(requirement, definitions=definitions,
-                       signals=[SignalDef("x", "small", initial=0)])
+                       signals=[small("x", 0)])
 
     def test_each_definition_body_is_walked_once(self, model, monkeypatch):
         # _scan walks the nodes under its root that it has no facts for yet;
@@ -553,9 +551,6 @@ def slots(model) -> list:
     for req in model.requirements:
         found += [e for e in (req.guard, req.required) if e is not None]
         found += [a.expr for a in req.effects if isinstance(a, SignalAssign)]
-        for branch in req.branches:
-            found += [branch.guard] if branch.guard is not None else []
-            found += [a.expr for a in branch.effects if isinstance(a, SignalAssign)]
     return found
 
 
@@ -589,8 +584,7 @@ class TestReqText:
             'x := x + 1 require x = 1',
             'req ms "one lamp mode" modeset lamp exclusive',
             'req watch "hue stays red" when lamp_on => hue = red',
-            'req pick "first match" case x = 0 => hue := red | x = 1 => '
-            'hue := green',
+            'req low "x stays below the limit" every x < LIMIT + 1',
         ]) + "\n"
         model = parse_model(text)
         assert len(model.requirements) == 4
@@ -639,13 +633,13 @@ class TestReqText:
         'req r "round trip" every (x = 1 or x = 2) or x = 3 and (b and x > 0)',
         'req r "round trip" every ' + " or ".join(f"x = {i}" for i in range(1200)),
         'req r "round trip" every ' + " and ".join(f"x != {i}" for i in range(1, 1201)),
-        "type t int [0, 3]\nsignal z : t init=0",
-        "const LIMIT : int = 3 min=0 max=9 tol=1",
+        "type t enum { a b }\nsignal z : t init=a",
+        'const LIMIT : int = 3\nreq r "limit" every x < LIMIT',
         'req r "product" every x * 2 = -1',
         'req r "lamp modes" modeset lamp exclusive',
     ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
             "not-under-comparison", "nested-chains", "1200-operand-or",
-            "1200-operand-and", "bounded-int-type", "constant-with-options",
+            "1200-operand-and", "enum-type", "constant",
             "product-and-negative-literal", "exclusive-modeset"])
     def test_serialize_inverts_parse(self, lines):
         model = parse_model(TEXT_HEAD + f"{lines}\n")
@@ -665,12 +659,19 @@ class TestReqText:
         'req r "now" trigger b => x := 1 require x = 2 within 0',
         'req r "eventually" trigger b => x := 1 require x = 2 within 3 atsomepoint',
         'req r "pick" case b => x := 1 total',
+        'req r "pick" case b => x := 1',
+        'req r "pick" case b => x := 1 | not b => x := 2',
+        "type t int [0, 3]",
+        "type t int",
+        "const LIMIT : int = 3 min=0 max=9 tol=1",
         'req r "lamp modes" modeset lamp',
         "mode dial { low high } init=low",
     ], ids=["parameterised-definition", "array-type", "becomes", "mode-ever-active",
             "mode-ever-inactive", "latch-holding-its-start-value", "latch-with-a-value",
             "onchange-monitor", "onchange-constructive", "within-n", "within-0",
-            "within-n-atsomepoint", "total-case", "modeset-without-exclusive",
+            "within-n-atsomepoint", "total-case", "case", "two-branch-case",
+            "int-type", "unbounded-int-type", "constant-with-options",
+            "modeset-without-exclusive",
             "mode-without-exclusive"])
     def test_removed_constructs_are_parse_errors(self, line):
         with pytest.raises(ParseError):

@@ -71,18 +71,6 @@ def active_modes(modes: Mapping[str, frozenset[str]]) -> frozenset:
     return frozenset((comp, mode) for comp, active in modes.items() for mode in active)
 
 
-def meets(support: frozenset, active: frozenset, signal: str | None = None,
-          value=ABSENT) -> bool:
-    """Whether some term of a support is not missed by a start with these
-    active modes in which ``signal`` holds ``value``.  Literals on any other
-    signal count as met."""
-    for mode, literal in support:
-        if mode in active and (literal is None or literal[0] != signal
-                               or value is ABSENT or value == literal[1]):
-            return True
-    return False
-
-
 class Frame:
     """What a compiled expression reads: the ambient signal snapshot and the
     start and end mode snapshots."""

@@ -148,7 +148,8 @@ class _Plan:
         # signal name -> the values it admits
         self.domains = {}
         for sig in model.dictionary.signals:
-            self.domains.setdefault(sig.name, model.dictionary.domain(sig))
+            self.domains.setdefault(
+                sig.name, model.dictionary.domain(sig.type_name, sig.minimum, sig.maximum))
         self._candidates: dict[tuple, tuple[tuple, tuple]] = {}
 
     def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:

@@ -154,10 +154,25 @@ class DataDictionary:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate dictionary record names: {dupes}")
+        for c in self.constants:
+            domain = self.domain(c.type_name)
+            if domain is None:
+                raise ModelError(f"constant {c.name!r}: unknown type {c.type_name!r}")
+            fault = domain.fault(c.value)
+            if fault is not None:
+                raise ModelError(f"constant {c.name!r}: value {c.value!r} {fault}")
         for s in self.signals:
-            domain = self.domain(s)
+            lo, hi = s.minimum, s.maximum
+            domain = self.domain(s.type_name, lo, hi)
             if domain is None:
                 raise ModelError(f"signal {s.name!r}: unknown type {s.type_name!r}")
+            bounds = [b for b in (lo, hi) if b is not None]
+            if bounds and (domain.kind is not int
+                           or any(type(b) is not int for b in bounds)):
+                raise ModelError(f"signal {s.name!r}: bounds {lo!r}, {hi!r} need an "
+                                 "int signal and int values")
+            if len(bounds) == 2 and lo > hi:
+                raise ModelError(f"signal {s.name!r}: min {lo} is above max {hi}")
             # row 0 must hold a value a write could have put there
             fault = domain.fault(s.initial)
             if fault is not None:
@@ -167,23 +182,25 @@ class DataDictionary:
                 raise ModelError(
                     f"mode component {m.name!r}: initial {m.initial!r} not a mode")
 
-    def domain(self, signal: SignalDef) -> Domain | None:
-        """The values ``signal`` admits; None if its type is unknown."""
-        name = signal.type_name
+    def domain(self, name: str, lo: int | None = None,
+               hi: int | None = None) -> Domain | None:
+        """The values type ``name`` admits, an int within ``[lo, hi]``; None
+        if the type is unknown."""
         t = self.type_named(name)
         if isinstance(t, EnumType):
             return Domain(str, None, None, t.members, name)
         if name == "bool" or isinstance(t, BoolType):
             return Domain(bool, None, None, None, name)
         if name == "int":
-            return Domain(int, signal.minimum, signal.maximum, None, name)
+            return Domain(int, lo, hi, None, name)
         return None
 
 
 class Domain(NamedTuple):
-    """The values a signal admits.  Nil is always one.  Otherwise an int
-    signal takes an int that is not a bool, within its bounds; a bool
-    signal takes a bool; an enum signal takes one of its members."""
+    """The values a signal or constant admits.  Nil is always one.
+    Otherwise an int record takes an int that is not a bool, within its
+    bounds (a constant has none); a bool record takes a bool; an enum
+    record takes one of its members."""
 
     kind: type                       # int, bool or str
     lo: int | None

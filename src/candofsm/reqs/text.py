@@ -17,10 +17,16 @@ line.  A requirement is one of four forms: ``every C``, ``when G => C``,
 
 Expressions are infix with ``and``/``or``/``not``, comparisons, arithmetic,
 and ``mode(C.M) at start|end``; a name declared by ``def`` refers to that
-definition.  A run of ``and`` (or of
-``or``) parses to one n-ary ``BoolOp``; a parenthesised run stays a nested
-node, and the serializer parenthesises it again.  Records must be declared
-before use, which is the order the serializer emits.
+definition.  How tightly each operator binds is stated once, in
+``_PRECEDENCE``: :func:`render_expr` brackets by it and the parser climbs
+it.  A run of ``and`` (or of ``or``) parses to one n-ary ``BoolOp``; a
+parenthesised run stays a nested node, and the serializer parenthesises it
+again.  Comparisons do not chain; arithmetic nests to the left.  Records
+must be declared before use, which is the order the serializer emits.
+
+Outside titles and comments, a character no token of the grammar matches
+is a :class:`~candofsm.specio.ParseError` that names it, and so is bracket
+or ``not`` nesting deeper than :data:`~.model.MAX_DEPTH`.
 
 One :func:`parse_model` call builds every expression through one
 :class:`~.expr.Nodes` table, so a parsed model is a DAG like a generated
@@ -35,6 +41,7 @@ from ..specio import ParseError
 from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Nodes, Not, SigRead
 from .model import (
     EVERY,
+    MAX_DEPTH,
     TRIGGER_ON_EVENT,
     WHEN,
     BoolType,
@@ -51,13 +58,20 @@ from .model import (
     Template,
 )
 
-_TOKEN_RE = re.compile(
-    r'"(?:[^"\\]|\\.)*"'
-    r"|:=|=>|!=|<=|>=|[(){}\[\],.|]"
-    r"|[=<>+*:]|-"
-    r"|[A-Za-z_][A-Za-z0-9_]*"
-    r"|\d+"
-)
+# How tightly each binary operator binds; the parser and render_expr both
+# read this table.  ``and`` and ``or`` chain into one n-ary node,
+# comparisons do not chain, and arithmetic nests to the left.
+_PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
+               ">=": 4, "+": 5, "-": 5, "*": 6}
+_NOT_PRECEDENCE = 3
+_COMPARISON_PRECEDENCE = 4
+_WORDS = {"true": True, "false": False, "nil": None}
+
+_TOKEN = r":=|=>|!=|<=|>=|[(){},.=<>+*:-]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
+_TOKEN_RE = re.compile(_TOKEN)
+# the longest run of tokens and spaces from the start of a text: where it
+# stops short of the end is the first character outside the grammar
+_TOKEN_RUN_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 
 class _Scope:
@@ -79,23 +93,39 @@ class _Scope:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[str], lineno: int, raw: str):
-        self.tokens = tokens
-        self.pos = 0
+    """The tokens of ``text``, the rest of line ``raw`` after its directive,
+    name or title, read left to right; ``depth`` counts the brackets and
+    ``not``s open at the cursor."""
+
+    def __init__(self, text: str, lineno: int, raw: str):
         self.lineno = lineno
         self.raw = raw
+        end = _TOKEN_RUN_RE.match(text).end()
+        if end < len(text):
+            column = len(raw.split("#", 1)[0].rstrip()) - len(text) + end + 1
+            raise ParseError(lineno, column, f"unexpected character {text[end]!r}", raw)
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(None)   # the end of the line
+        self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.lineno, 1, message, self.raw)
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise self.error("unexpected end of line")
         self.pos += 1
+        return tok
+
+    def name(self) -> str:
+        tok = self.next()
+        if not tok.isidentifier():
+            raise self.error(f"expected a name, got {tok!r}")
         return tok
 
     def expect(self, token: str) -> None:
@@ -104,21 +134,17 @@ class _Cursor:
             raise self.error(f"expected {token!r}, got {tok!r}")
 
     def accept(self, token: str) -> bool:
-        if self.peek() == token:
+        if self.tokens[self.pos] == token:
             self.pos += 1
             return True
         return False
 
     def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is None
 
-
-def _tokens(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
-
-
-def _is_name(token: str | None) -> bool:
-    return bool(token) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token) is not None
+    def finish(self) -> None:
+        if not self.done():
+            raise self.error(f"trailing tokens: {self.peek()!r}")
 
 
 def _unquote(token: str) -> str:
@@ -129,80 +155,81 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _parse_int(cur: _Cursor) -> int:
-    neg = cur.accept("-")
+def _parse_literal(cur: _Cursor):
+    """``true``, ``false``, ``nil``, an integer with an optional ``-``, or a
+    name, which is returned as it is written."""
     tok = cur.next()
-    if not tok.isdigit():
-        raise cur.error(f"expected an integer, got {tok!r}")
-    return -int(tok) if neg else int(tok)
-
-
-def _parse_literal_token(cur: _Cursor, scope: _Scope):
-    tok = cur.peek()
-    if tok == "true":
-        cur.next()
-        return True
-    if tok == "false":
-        cur.next()
-        return False
-    if tok == "nil":
-        cur.next()
-        return None
-    if tok is not None and (tok.isdigit() or tok == "-"):
-        return _parse_int(cur)
-    name = cur.next()
-    if not _is_name(name):
-        raise cur.error(f"expected a literal, got {name!r}")
-    return name
+    if tok in _WORDS:
+        return _WORDS[tok]
+    sign = 1
+    if tok == "-":
+        sign, tok = -1, cur.next()
+        if not tok.isdigit():
+            raise cur.error(f"expected a number after '-', got {tok!r}")
+    if tok.isdigit():
+        try:
+            return sign * int(tok)
+        except ValueError:   # more digits than int() converts
+            raise cur.error(f"integer of {len(tok)} digits is too long") from None
+    if tok.isidentifier():
+        return tok
+    raise cur.error(f"expected a literal, got {tok!r}")
 
 
 # --- expressions -------------------------------------------------------------
 
-def _parse_chain(op: str, parse_operand, cur: _Cursor, scope: _Scope):
-    """A run of ``op`` as one n-ary node; a single operand is itself."""
-    operands = [parse_operand(cur, scope)]
-    while cur.accept(op):
-        operands.append(parse_operand(cur, scope))
-    return operands[0] if len(operands) == 1 else scope.nodes.bool_op(op, operands)
+def _parse_expr(cur: _Cursor, scope: _Scope, floor: int = 1):
+    """The expression at the cursor whose binary operators bind at least as
+    tightly as ``floor`` in ``_PRECEDENCE``, climbing that table."""
+    left = _parse_operand(cur, scope, floor)
+    while True:
+        op = cur.peek()
+        prec = _PRECEDENCE.get(op, 0)
+        if prec < floor:
+            return left
+        cur.next()
+        if op == "and" or op == "or":
+            operands = [left, _parse_expr(cur, scope, prec + 1)]
+            while cur.accept(op):
+                operands.append(_parse_expr(cur, scope, prec + 1))
+            left = scope.nodes.bool_op(op, operands)
+            continue
+        left = scope.nodes.binop(op, left, _parse_expr(cur, scope, prec + 1))
+        if prec == _COMPARISON_PRECEDENCE \
+                and _PRECEDENCE.get(cur.peek()) == _COMPARISON_PRECEDENCE:
+            raise cur.error(f"comparisons do not chain: {cur.peek()!r} after {op!r}")
 
 
-def _parse_expr(cur: _Cursor, scope: _Scope):
-    return _parse_chain("or", _parse_and, cur, scope)
-
-
-def _parse_and(cur, scope):
-    return _parse_chain("and", _parse_not, cur, scope)
-
-
-def _parse_not(cur, scope):
-    if cur.accept("not"):
-        return scope.nodes.not_(_parse_not(cur, scope))
-    return _parse_comparison(cur, scope)
-
-
-def _parse_comparison(cur, scope):
-    left = _parse_additive(cur, scope)
+def _parse_operand(cur: _Cursor, scope: _Scope, floor: int):
+    """A bracketed expression, a ``not`` where ``floor`` admits one, a mode
+    read, a literal or a declared name."""
+    nodes = scope.nodes
     tok = cur.peek()
-    if tok in ("=", "!=", "<", "<=", ">", ">="):
+    if tok == "(" or (tok == "not" and floor <= _NOT_PRECEDENCE):
         cur.next()
-        return scope.nodes.binop(tok, left, _parse_additive(cur, scope))
-    return left
-
-
-def _parse_additive(cur, scope):
-    left = _parse_term(cur, scope)
-    while cur.peek() in ("+", "-"):
-        op = cur.next()
-        left = scope.nodes.binop(op, left, _parse_term(cur, scope))
-    return left
-
-
-def _parse_term(cur, scope):
-    left = _parse_factor(cur, scope)
-    while cur.peek() == "*":
+        cur.depth += 1
+        if cur.depth > MAX_DEPTH:
+            raise cur.error(f"brackets and 'not' nested deeper than {MAX_DEPTH}")
+        if tok == "(":
+            node = _parse_expr(cur, scope)
+            cur.expect(")")
+        else:
+            node = nodes.not_(_parse_expr(cur, scope, _NOT_PRECEDENCE))
+        cur.depth -= 1
+        return node
+    if tok == "mode":
         cur.next()
-        left = scope.nodes.binop("*", left, _parse_factor(cur, scope))
-    return left
+        return _parse_mode_op(cur, scope)
+    value = _parse_literal(cur)
+    if type(value) is not str:
+        return nodes.lit(value)
+    if value in scope.value_names:
+        return nodes.sig(value)
+    if value in scope.enum_members:
+        return nodes.lit(value)
+    if value in scope.definition_names:
+        return nodes.ref(value)
+    raise cur.error(f"unknown name {value!r}")
 
 
 def _parse_mode_op(cur: _Cursor, scope: _Scope):
@@ -211,7 +238,7 @@ def _parse_mode_op(cur: _Cursor, scope: _Scope):
     if component not in scope.component_names:
         raise cur.error(f"unknown mode component {component!r}")
     cur.expect(".")
-    mode = cur.next()
+    mode = cur.name()
     cur.expect(")")
     tok = cur.next()
     if tok != "at":
@@ -222,58 +249,15 @@ def _parse_mode_op(cur: _Cursor, scope: _Scope):
     return scope.nodes.mode(component, mode, at)
 
 
-def _parse_factor(cur: _Cursor, scope: _Scope):
-    tok = cur.peek()
-    nodes = scope.nodes
-    if tok is None:
-        raise cur.error("unexpected end of expression")
-    if tok == "(":
-        cur.next()
-        inner = _parse_expr(cur, scope)
-        cur.expect(")")
-        return inner
-    if tok == "mode":
-        cur.next()
-        return _parse_mode_op(cur, scope)
-    if tok == "true":
-        cur.next()
-        return nodes.lit(True)
-    if tok == "false":
-        cur.next()
-        return nodes.lit(False)
-    if tok == "nil":
-        cur.next()
-        return nodes.lit(None)
-    if tok.isdigit():
-        cur.next()
-        return nodes.lit(int(tok))
-    if tok == "-":
-        cur.next()
-        num = cur.next()
-        if not num.isdigit():
-            raise cur.error(f"expected a number after '-', got {num!r}")
-        return nodes.lit(-int(num))
-    if _is_name(tok):
-        cur.next()
-        if tok in scope.value_names:
-            return nodes.sig(tok)
-        if tok in scope.enum_members:
-            return nodes.lit(tok)
-        if tok in scope.definition_names:
-            return nodes.ref(tok)
-        raise cur.error(f"unknown name {tok!r}")
-    raise cur.error(f"unexpected token {tok!r}")
-
-
 def _parse_assignments(cur: _Cursor, scope: _Scope) -> tuple:
     """``target := expr`` pairs separated by commas; a mode component on the
     left makes it a mode assignment."""
     out = []
     while True:
-        target = cur.next()
+        target = cur.name()
         cur.expect(":=")
         if target in scope.component_names:
-            mode = cur.next()
+            mode = cur.name()
             out.append(ModeAssign(target, mode))
         else:
             out.append(SignalAssign(target, _parse_expr(cur, scope)))
@@ -284,13 +268,13 @@ def _parse_assignments(cur: _Cursor, scope: _Scope) -> tuple:
 # --- line parsers -------------------------------------------------------------
 
 def _parse_type_line(cur: _Cursor, scope: _Scope) -> None:
-    name = cur.next()
+    name = cur.name()
     kind = cur.next()
     if kind == "enum":
         cur.expect("{")
         members = []
         while not cur.accept("}"):
-            members.append(cur.next())
+            members.append(cur.name())
         t = EnumType(name, tuple(members))
         scope.enum_members.update(members)
     elif kind == "bool":
@@ -300,32 +284,26 @@ def _parse_type_line(cur: _Cursor, scope: _Scope) -> None:
     scope.types.append(t)
 
 
-def _parse_trailing_options(cur: _Cursor, scope: _Scope,
-                            allowed: tuple[str, ...]) -> dict:
-    out: dict[str, object] = {}
-    while not cur.done():
-        key = cur.next()
-        if key not in allowed:
-            raise cur.error(f"unexpected option {key!r}")
-        cur.expect("=")
-        out[key] = _parse_literal_token(cur, scope)
-    return out
-
-
 def _parse_const_line(cur: _Cursor, scope: _Scope) -> None:
-    name = cur.next()
+    name = cur.name()
     cur.expect(":")
-    type_name = cur.next()
+    type_name = cur.name()
     cur.expect("=")
-    scope.constants.append(ConstantDef(name, type_name, _parse_literal_token(cur, scope)))
+    scope.constants.append(ConstantDef(name, type_name, _parse_literal(cur)))
     scope.value_names.add(name)
 
 
 def _parse_signal_line(cur: _Cursor, scope: _Scope) -> None:
-    name = cur.next()
+    name = cur.name()
     cur.expect(":")
-    type_name = cur.next()
-    opts = _parse_trailing_options(cur, scope, ("min", "max", "init"))
+    type_name = cur.name()
+    opts: dict[str, object] = {}
+    while not cur.done():
+        key = cur.next()
+        if key not in ("min", "max", "init"):
+            raise cur.error(f"unexpected option {key!r}")
+        cur.expect("=")
+        opts[key] = _parse_literal(cur)
     scope.signals.append(SignalDef(
         name, type_name,
         minimum=opts.get("min"), maximum=opts.get("max"),
@@ -334,46 +312,50 @@ def _parse_signal_line(cur: _Cursor, scope: _Scope) -> None:
 
 
 def _parse_mode_line(cur: _Cursor, scope: _Scope) -> None:
-    name = cur.next()
+    name = cur.name()
     cur.expect("{")
     modes = []
     while not cur.accept("}"):
-        modes.append(cur.next())
+        modes.append(cur.name())
     if not cur.accept("exclusive"):
         raise cur.error(f"mode component {name!r} must be 'exclusive'")
     initial = None
     if cur.accept("init"):
         cur.expect("=")
-        initial = cur.next()
+        initial = cur.name()
     scope.modes.append(ModeComponent(name, tuple(modes), initial))
     scope.component_names.add(name)
 
 
-def _parse_def_line(line: str, lineno: int, scope: _Scope) -> None:
-    m = re.match(r'def\s+([A-Za-z_]\w*)\s*("(?:[^"\\]|\\.)*")\s*:=\s*(.+)$', line)
+_DICTIONARY_LINES = {"type": _parse_type_line, "const": _parse_const_line,
+                     "signal": _parse_signal_line, "mode": _parse_mode_line}
+
+
+def _parse_def_line(line: str, lineno: int, raw: str, scope: _Scope) -> None:
+    m = re.match(r'def\s+([A-Za-z_][A-Za-z0-9_]*)\s*("(?:[^"\\]|\\.)*")\s*:=(.*)$',
+                 line)
     if m is None:
-        raise ParseError(lineno, 1, "expected 'def name \"text\" := expr'", line)
+        raise ParseError(lineno, 1, "expected 'def name \"text\" := expr'", raw)
     name, text, expr_text = m.groups()
-    cur = _Cursor(_tokens(expr_text), lineno, line)
+    cur = _Cursor(expr_text, lineno, raw)
     expr = _parse_expr(cur, scope)
-    if not cur.done():
-        raise cur.error(f"trailing tokens after expression: {cur.peek()!r}")
+    cur.finish()
     scope.definitions.append(Definition(name, _unquote(text), expr))
     scope.definition_names.add(name)
 
 
-def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
-    m = re.match(r'req\s+(\S+)\s+("(?:[^"\\]|\\.)*")\s+(\w+)\s*(.*)$', line)
+def _parse_req_line(line: str, lineno: int, raw: str, scope: _Scope) -> None:
+    m = re.match(r'req\s+(\S+)\s+("(?:[^"\\]|\\.)*")\s+(\w+)(.*)$', line)
     if m is None:
-        raise ParseError(lineno, 1, "expected 'req id \"title\" TEMPLATE ...'", line)
+        raise ParseError(lineno, 1, "expected 'req id \"title\" TEMPLATE ...'", raw)
     req_id, title_tok, template_word, rest = m.groups()
     try:
         template = Template(template_word)
     except ValueError:
         raise ParseError(lineno, 1, f"unknown requirement template {template_word!r}",
-                         line) from None
+                         raw) from None
     title = _unquote(title_tok)
-    cur = _Cursor(_tokens(rest), lineno, line)
+    cur = _Cursor(rest, lineno, raw)
 
     if template is EVERY:
         req = Requirement(req_id, title, template,
@@ -391,13 +373,11 @@ def _parse_req_line(line: str, lineno: int, scope: _Scope) -> None:
         req = Requirement(req_id, title, template, guard=guard, effects=effects,
                           required=required)
     else:  # MODE_SET
-        component = cur.next()
+        component = cur.name()
         if not cur.accept("exclusive"):
             raise cur.error(f"mode-set on {component!r} must be 'exclusive'")
         req = Requirement(req_id, title, template, component=component)
-
-    if not cur.done():
-        raise cur.error(f"trailing tokens: {cur.peek()!r}")
+    cur.finish()
     scope.requirements.append(req)
 
 
@@ -409,24 +389,16 @@ def parse_model(text: str) -> RequirementsModel:
         if not line:
             continue
         head = line.split(None, 1)[0]
-        rest = line[len(head):].strip()
-        cur = _Cursor(_tokens(rest), lineno, raw)
-        if head == "type":
-            _parse_type_line(cur, scope)
-        elif head == "const":
-            _parse_const_line(cur, scope)
-        elif head == "signal":
-            _parse_signal_line(cur, scope)
-        elif head == "mode":
-            _parse_mode_line(cur, scope)
+        if head in _DICTIONARY_LINES:
+            cur = _Cursor(line[len(head):], lineno, raw)
+            _DICTIONARY_LINES[head](cur, scope)
+            cur.finish()
         elif head == "def":
-            _parse_def_line(line, lineno, scope)
+            _parse_def_line(line, lineno, raw, scope)
         elif head == "req":
-            _parse_req_line(line, lineno, scope)
+            _parse_req_line(line, lineno, raw, scope)
         else:
             raise ParseError(lineno, 1, f"unknown directive {head!r}", raw)
-        if head in ("type", "const", "signal", "mode") and not cur.done():
-            raise cur.error(f"trailing tokens: {cur.peek()!r}")
     model = RequirementsModel(
         dictionary=DataDictionary(
             types=tuple(scope.types), constants=tuple(scope.constants),
@@ -439,12 +411,6 @@ def parse_model(text: str) -> RequirementsModel:
 
 
 # --- serialization ------------------------------------------------------------
-
-_PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
-               ">=": 4, "+": 5, "-": 5, "*": 6}
-_NOT_PRECEDENCE = 3
-_COMPARISON_PRECEDENCE = 4
-
 
 def _lit_text(value) -> str:
     if value is None:

@@ -38,7 +38,7 @@ from candofsm.reqs import (
     fire_round,
     initial_env,
 )
-from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes, meets
+from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes
 from candofsm.reqs.engine import STATE_COMPONENT, _Plan, _plan_of
 from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env
@@ -47,6 +47,18 @@ from candofsm.specio import ParseError
 from test_reqs import small, tiny_model, walk
 
 CONTEXTS = 90
+
+
+def meets(support: frozenset, active: frozenset, signal: str | None = None,
+          value=ABSENT) -> bool:
+    """Whether some term of a support is not missed by a start with these
+    active modes in which ``signal`` holds ``value``.  Literals on any other
+    signal count as met."""
+    for mode, literal in support:
+        if mode in active and (literal is None or literal[0] != signal
+                               or value is ABSENT or value == literal[1]):
+            return True
+    return False
 
 
 def outcome(fn, *args):

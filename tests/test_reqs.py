@@ -35,7 +35,14 @@ from candofsm.reqs import (
 from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.engine import run_requirements_trace
 from candofsm.reqs.model import MAX_DEPTH
-from candofsm.reqs.text import parse_model, serialize_model
+from candofsm.reqs.expr import Nodes
+from candofsm.reqs.text import (
+    _COMPARISON_PRECEDENCE,
+    _NOT_PRECEDENCE,
+    _PRECEDENCE,
+    parse_model,
+    serialize_model,
+)
 from candofsm.specio import ParseError
 
 
@@ -371,6 +378,34 @@ class TestValidation:
         with pytest.raises(ModelError, match=f"^signal '[a-z]': {re.escape(message)}$"):
             parse_model(f"{head}{line}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("const L : int = red", "constant 'L': value 'red' is not an int"),
+        ("const M : Colour = 3", "constant 'M': value 3 is not a member of Colour"),
+        ("const F : Flag = 1", "constant 'F': value 1 is not a bool"),
+        ("const N : Shade = 3", "constant 'N': unknown type 'Shade'"),
+        ("signal x : int min=5 max=1 init=nil", "signal 'x': min 5 is above max 1"),
+        ("signal x : int min=red init=0",
+         "signal 'x': bounds 'red', None need an int signal and int values"),
+        ("signal x : int max=true",
+         "signal 'x': bounds None, True need an int signal and int values"),
+        ("signal f : Flag min=0 max=1",
+         "signal 'f': bounds 0, 1 need an int signal and int values"),
+    ], ids=["int-constant-symbol", "enum-constant-int", "bool-constant-int",
+            "constant-of-unknown-type", "min-above-max", "symbol-bound", "bool-bound",
+            "bounds-on-a-bool"])
+    def test_a_constant_or_bound_its_type_cannot_hold_is_rejected(self, line, message):
+        head = "type Colour enum { red green }\ntype Flag bool\n"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            parse_model(f"{head}{line}\n")
+
+    def test_constants_of_every_type_and_equal_bounds_are_accepted(self):
+        model = parse_model(
+            "type Colour enum { red green }\ntype Flag bool\nconst L : int = -3\n"
+            "const C : Colour = green\nconst F : Flag = true\nconst B : bool = nil\n"
+            "signal x : int min=2 max=2 init=2\n")
+        assert initial_env(model).signals == {"L": -3, "C": "green", "F": True,
+                                              "B": None, "x": 2}
+
     def test_a_nil_or_in_range_initial_value_is_accepted(self):
         model = parse_model(
             "type Colour enum { red green }\ntype Flag bool\n"
@@ -645,37 +680,121 @@ class TestReqText:
         model = parse_model(TEXT_HEAD + f"{lines}\n")
         assert parse_model(serialize_model(model)) == model
 
-    @pytest.mark.parametrize("line", [
-        'def double(n) "twice n" := n + n',
-        "type lamps array Flag [4]",
-        'req r "rising" every mode(lamp.on) becomes active',
-        'req r "lit" every mode(lamp.on) ever active',
-        'req r "dark" every mode(lamp.on) ever inactive',
-        'req r "hold" latch x while b',
-        'req r "pin" latch x while b := x + 1',
-        'req r "watch" onchange x => b',
-        'req r "mirror" onchange x when b do y := x',
-        'req r "later" trigger b => x := 1 require x = 2 within 3',
-        'req r "now" trigger b => x := 1 require x = 2 within 0',
-        'req r "eventually" trigger b => x := 1 require x = 2 within 3 atsomepoint',
-        'req r "pick" case b => x := 1 total',
-        'req r "pick" case b => x := 1',
-        'req r "pick" case b => x := 1 | not b => x := 2',
-        "type t int [0, 3]",
-        "type t int",
-        "const LIMIT : int = 3 min=0 max=9 tol=1",
-        'req r "lamp modes" modeset lamp',
-        "mode dial { low high } init=low",
+    @pytest.mark.parametrize("line, message", [
+        ('def double(n) "twice n" := n + n', "expected 'def name \"text\" := expr'"),
+        ("type lamps array Flag [4]", "unexpected character '['"),
+        ('req r "rising" every mode(lamp.on) becomes active',
+         "expected 'at' after mode(), got 'becomes'"),
+        ('req r "lit" every mode(lamp.on) ever active',
+         "expected 'at' after mode(), got 'ever'"),
+        ('req r "dark" every mode(lamp.on) ever inactive',
+         "expected 'at' after mode(), got 'ever'"),
+        ('req r "hold" latch x while b', "unknown requirement template 'latch'"),
+        ('req r "pin" latch x while b := x + 1', "unknown requirement template 'latch'"),
+        ('req r "watch" onchange x => b', "unknown requirement template 'onchange'"),
+        ('req r "mirror" onchange x when b do y := x',
+         "unknown requirement template 'onchange'"),
+        ('req r "later" trigger b => x := 1 require x = 2 within 3',
+         "trailing tokens: 'within'"),
+        ('req r "now" trigger b => x := 1 require x = 2 within 0',
+         "trailing tokens: 'within'"),
+        ('req r "eventually" trigger b => x := 1 require x = 2 within 3 atsomepoint',
+         "trailing tokens: 'within'"),
+        ('req r "pick" case b => x := 1 total', "unknown requirement template 'case'"),
+        ('req r "pick" case b => x := 1', "unknown requirement template 'case'"),
+        ('req r "pick" case b => x := 1 | not b => x := 2',
+         "unknown requirement template 'case'"),
+        ("type t int [0, 3]", "unexpected character '['"),
+        ("type t int", "unknown type kind 'int'"),
+        ("const LIMIT : int = 3 min=0 max=9 tol=1", "trailing tokens: 'min'"),
+        ('req r "lamp modes" modeset lamp', "mode-set on 'lamp' must be 'exclusive'"),
+        ("mode dial { low high } init=low", "mode component 'dial' must be 'exclusive'"),
+        ('req r "at" every x = 1 @ $', "unexpected character '@'"),
+        ('req r "dollar" every x = $1', "unexpected character '$'"),
+        ('req r "semicolon" trigger b => x := 1; y := 2', "unexpected character ';'"),
+        ('req r "ampersand" every b && x = 1', "unexpected character '&'"),
+        ('req r "bar" every b | x = 1', "unexpected character '|'"),
+        ('req r "index" every x[0] = 1', "unexpected character '['"),
+        ("signal café : int init=0", "unexpected character 'é'"),
+        ('req r "quoted" every x = "one"', "unexpected character '\"'"),
+        ("type t enum { a , b }", "expected a name, got ','"),
+        ("mode dial { low 2 } exclusive", "expected a name, got '2'"),
     ], ids=["parameterised-definition", "array-type", "becomes", "mode-ever-active",
             "mode-ever-inactive", "latch-holding-its-start-value", "latch-with-a-value",
             "onchange-monitor", "onchange-constructive", "within-n", "within-0",
             "within-n-atsomepoint", "total-case", "case", "two-branch-case",
             "int-type", "unbounded-int-type", "constant-with-options",
             "modeset-without-exclusive",
-            "mode-without-exclusive"])
-    def test_removed_constructs_are_parse_errors(self, line):
-        with pytest.raises(ParseError):
+            "mode-without-exclusive", "stray-at", "stray-dollar", "stray-semicolon",
+            "stray-ampersand", "stray-bar", "stray-bracket", "non-ascii-letter",
+            "stray-quote", "punctuation-as-a-member", "number-as-a-mode"])
+    def test_removed_constructs_are_parse_errors(self, line, message):
+        # every character outside the grammar is reported, none dropped
+        with pytest.raises(ParseError) as err:
             parse_model(TEXT_HEAD + f"{line}\n")
+        assert (err.value.line, err.value.message) == (6, message)
+
+    def test_a_stray_character_is_reported_at_its_column(self):
+        # not the '@' of the title or the comment
+        with pytest.raises(ParseError, match="^line 2, column 26: unexpected "):
+            parse_model('signal x : int init=0\n  req r "t@" every x = 1 @ 2 # @\n')
+
+    @staticmethod
+    def node(op, left, right):
+        """``left op right`` as one node: a two-operand chain or a BinOp."""
+        return BoolOp(op, (left, right)) if op in ("and", "or") else BinOp(op, left, right)
+
+    @pytest.mark.parametrize("first, second",
+                             [(a, b) for a in _PRECEDENCE for b in _PRECEDENCE])
+    def test_two_operators_parse_to_the_shape_the_table_dictates(self, first, second):
+        text = (f"signal x : int init=0\nsignal y : int init=0\nsignal z : int init=0\n"
+                f'req r "pair" every x {first} y {second} z\n')
+        if _PRECEDENCE[first] == _PRECEDENCE[second] == _COMPARISON_PRECEDENCE:
+            with pytest.raises(ParseError, match="comparisons do not chain"):
+                parse_model(text)
+            return
+        x, y, z = SigRead("x"), SigRead("y"), SigRead("z")
+        if first == second and first in ("and", "or"):
+            expected = BoolOp(first, (x, y, z))
+        elif _PRECEDENCE[first] >= _PRECEDENCE[second]:
+            expected = self.node(second, self.node(first, x, y), z)
+        else:
+            expected = self.node(first, x, self.node(second, y, z))
+        model = parse_model(text)
+        assert model.requirements[0].required == expected
+        assert parse_model(serialize_model(model)) == model
+
+    @pytest.mark.parametrize("op", list(_PRECEDENCE))
+    def test_not_binds_by_the_table(self, op):
+        model = parse_model('signal x : int init=0\nsignal y : int init=0\n'
+                            f'req r "not" every not x {op} y\n')
+        x, y = SigRead("x"), SigRead("y")
+        expected = (Not(self.node(op, x, y)) if _PRECEDENCE[op] > _NOT_PRECEDENCE
+                    else self.node(op, Not(x), y))
+        assert model.requirements[0].required == expected
+        assert parse_model(serialize_model(model)) == model
+
+    def test_a_model_nested_to_the_depth_limit_round_trips(self):
+        # 198 nested or chains over one comparison each: 200 nodes deep,
+        # written with 197 nested brackets
+        nodes = Nodes()
+        x = nodes.sig("x")
+        expr = nodes.binop("=", x, nodes.lit(198))
+        for i in reversed(range(198)):
+            expr = nodes.bool_op("or", (nodes.binop("=", x, nodes.lit(i)), expr))
+        model = tiny_model(Requirement("r", "deep", Template.EVERY, required=expr),
+                           signals=[SignalDef("x", "int", initial=0)])
+        text = serialize_model(model)
+        assert text.count("(") == 197
+        assert parse_model(text) == model
+
+    @pytest.mark.parametrize("body", ["(" * 1000 + "x" + ")" * 1000 + " = 0",
+                                      "not " * 1000 + "b"],
+                             ids=["brackets", "nots"])
+    def test_nesting_past_the_depth_limit_is_a_parse_error(self, body):
+        with pytest.raises(ParseError, match=f"^line 6, column 1: brackets and 'not' "
+                                             f"nested deeper than {MAX_DEPTH}$"):
+            parse_model(TEXT_HEAD + f'req r "deep" every {body}\n')
 
     def test_unknown_name_is_a_parse_error(self):
         with pytest.raises(ParseError, match="unknown name"):

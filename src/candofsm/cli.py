@@ -23,7 +23,6 @@ from .fsm import (
 )
 from .generate import (
     generate_model,
-    render_requirements_html,
     render_requirements_markdown,
 )
 from .specio import (
@@ -214,10 +213,7 @@ def _cmd_report(args) -> int:
     spec = _load(args.spec)
     _require_checked(spec)
     model, _ = _generate(spec)
-    if args.format == "md":
-        sys.stdout.write(render_requirements_markdown(model))
-    else:
-        sys.stdout.write(render_requirements_html(model))
+    sys.stdout.write(render_requirements_markdown(model))
     return ExitStatus.OK
 
 
@@ -255,7 +251,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="render the generated requirements")
     p.add_argument("spec")
-    p.add_argument("--format", choices=("md", "html"), default="md")
+    p.add_argument("--format", choices=("md",), default="md")
     p.set_defaults(func=_cmd_report)
     return parser
 

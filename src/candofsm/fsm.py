@@ -4,6 +4,10 @@ The machine is described by a roster (states with kinds, events, commands)
 and a transition table mapping each event to a state-to-state map.  All
 checkers are pure and report problems as :class:`Violation` values instead
 of raising, so a single pass can collect every defect in a table.
+
+:data:`RULES` is the catalogue of the CANDO map rules, which the checkers and
+the generated monitors both read; only the target-side rules C1.1 and C12
+are written out.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # Packet protocol bounds.
 PACKET_LENGTH = 3
@@ -62,7 +66,7 @@ KIND_ERROR = StateKind.ERROR
 KIND_CONTROL = StateKind.CONTROL
 
 # "Packet creator states" in the constraint rules means all three creator kinds.
-CREATOR_KINDS = frozenset({KIND_CREATOR, KIND_CREATOR_STAGE1, KIND_CREATOR_STAGE2})
+CREATOR_KINDS = (KIND_CREATOR, KIND_CREATOR_STAGE1, KIND_CREATOR_STAGE2)
 
 # Fixed catalogue of checker codes, in reporting order.
 CONSTRAINT_CATALOGUE = (
@@ -71,6 +75,83 @@ CONSTRAINT_CATALOGUE = (
     "TOTALITY", "ROSTER",
 )
 _CATALOGUE_RANK = {code: i for i, code in enumerate(CONSTRAINT_CATALOGUE)}
+
+# In a rule's target: the state the entry leaves.  No state name equals it.
+SELF = object()
+
+
+class Rule(NamedTuple):
+    """Under ``event`` (None: every event) a state that ``source`` selects
+    maps only to one that ``target`` selects.  A selector holds state names,
+    kinds, kind groups (tuples of kinds) and :data:`SELF`.  ``title`` is the
+    generated monitor's; None if the translation does not monitor the rule."""
+
+    code: str
+    event: str | None
+    source: tuple
+    target: tuple
+    message: str
+    title: str | None
+
+
+# Under one event, the first rule that selects a state owns that state's
+# entry: the named-state rules C7 and C8 come before the class rule C6, so
+# C6 leaves error_ to C8.  Monitors are generated in this order.
+RULES = (
+    Rule("C1.2", None, (START,), (GET_CMD, ERROR_ST),
+         "'start' maps only to 'get_cmd' or 'error_'", "start moves to get_cmd or error_"),
+    Rule("C1.3", None, (CHIP_RST,), (GET_CMD, ERROR_ST),
+         "'chip_rst' maps only to 'get_cmd' or 'error_'", "chip_rst moves to get_cmd or error_"),
+    Rule("C1.4", None, (ERROR_ST,), (GET_CMD, ERROR_ST, CHIP_RST),
+         "'error_' maps only to 'get_cmd', 'error_' or 'chip_rst'",
+         "error_ moves to get_cmd, error_ or chip_rst"),
+    Rule("C1.5", None, (CMD_FINISH,), (ERROR_ST,),
+         "'cmd_finish' maps only to 'error_'", "cmd_finish moves to error_"),
+    Rule("C1.6", None, (CREATOR_KINDS,), (KIND_SEND, ERROR_ST),
+         "packet creator states map only to send states or 'error_'",
+         "packet creators move to send states or error_"),
+    # Receive self-loops are admitted here: the identity entries demanded by
+    # the SPI_RX_FINISH rule (C4) would otherwise make every total table invalid.
+    Rule("C1.7", None, (KIND_RECEIVE,), (KIND_CREATOR_STAGE2, CMD_FINISH, ERROR_ST, SELF),
+         "receive states map only to stage-two creator states, 'cmd_finish', 'error_' "
+         "or themselves",
+         "receives move to stage-two creators, cmd_finish, error_ or themselves"),
+    Rule("C1.8", None, (GET_CMD,), (KIND_CREATOR_STAGE1, ERROR_ST),
+         "'get_cmd' maps only to stage-one creator states or 'error_'",
+         "get_cmd moves to stage-one creators or error_"),
+    Rule("C7", CONT, (START,), (GET_CMD,), "under CONT, 'start' maps to 'get_cmd'", None),
+    Rule("C8", CONT, (ERROR_ST,), (CHIP_RST,), "under CONT, 'error_' maps to 'chip_rst'", None),
+    Rule("C9", GET_CMD_E, (ERROR_ST,), (GET_CMD,),
+         "under GET_CMD_E, 'error_' maps to 'get_cmd'", None),
+    Rule("C10", GET_CMD_E, (CHIP_RST,), (GET_CMD,),
+         "under GET_CMD_E, 'chip_rst' maps to 'get_cmd'", None),
+    Rule("C2", CONT, (KIND_SEND,), (KIND_RECEIVE,),
+         "under CONT, send states map to receive states",
+         "under CONT send states move to receive states"),
+    Rule("C3", SPI_TX_FINISH, (KIND_SEND,), (SELF,),
+         "under SPI_TX_FINISH, send states map to themselves", None),
+    Rule("C4", SPI_RX_FINISH, (KIND_RECEIVE,), (SELF,),
+         "under SPI_RX_FINISH, receive states map to themselves", None),
+    Rule("C5", CONT, (CREATOR_KINDS,), (KIND_SEND,),
+         "under CONT, packet creator states map to send states",
+         "under CONT packet creators move to send states"),
+    Rule("C6", CONT, (KIND_ERROR,), (ERROR_ST,),
+         "under CONT, error states map to 'error_'", "under CONT error states move to error_"),
+    Rule("C11", CONT, (KIND_RECEIVE,), (KIND_CREATOR_STAGE2, CMD_FINISH),
+         "under CONT, receive states map to stage-two creator states or 'cmd_finish'",
+         "under CONT receives move to stage-two creators or cmd_finish"),
+)
+
+
+# The kind groups (tuples of kinds) that rule selectors name.
+_KIND_GROUPS = {item for r in RULES for item in r.source + r.target if item.__class__ is tuple}
+
+
+# A rule read against one roster: the rule, the states its source selects,
+# those of them whose entries it owns (an earlier rule under the same event
+# owns the rest), and what its target selects: states, and SELF if it admits
+# the state the entry leaves.
+BoundRule = tuple[Rule, tuple[str, ...], tuple[str, ...], frozenset]
 
 
 class FsmError(Exception):
@@ -162,8 +243,37 @@ class Roster:
             raise UnknownState(state) from None
 
     def states_of_kind(self, *kinds: StateKind) -> tuple[str, ...]:
-        wanted = set(kinds)
-        return tuple(s.name for s in self.states if s.kind in wanted)
+        return tuple(s.name for s in self.states if s.kind in kinds)
+
+    @cached_property
+    def rules(self) -> tuple[BoundRule, ...]:
+        """:data:`RULES`, in order, read against this roster."""
+        selects: dict[object, Sequence] = {SELF: (SELF,)}   # what each item selects
+        for s in self.states:
+            selects[s.name] = (s.name,)
+            selects.setdefault(s.kind, []).append(s.name)
+        for group in _KIND_GROUPS:
+            selects[group] = self.states_of_kind(*group)
+        taken: dict[str | None, set[str]] = {}
+        bound = []
+        for rule in RULES:
+            seen = taken.setdefault(rule.event, set())
+            selected = tuple([n for item in rule.source for n in selects.get(item, ())])
+            owned = (selected if seen.isdisjoint(selected)
+                     else tuple([s for s in selected if s not in seen]))
+            seen.update(owned)
+            allowed = frozenset([n for item in rule.target for n in selects.get(item, ())])
+            bound.append((rule, selected, owned, allowed))
+        return tuple(bound)
+
+    @cached_property
+    def _owners(self) -> dict[str | None, dict[str, tuple[Rule, frozenset]]]:
+        """Per event (None: every event), each owned state's rule and what
+        the rule's target selects."""
+        owners: dict[str | None, dict[str, tuple[Rule, frozenset]]] = {}
+        for rule, _, owned, allowed in self.rules:
+            owners.setdefault(rule.event, {}).update(dict.fromkeys(owned, (rule, allowed)))
+        return owners
 
 
 # An FSM table maps each event name to a state -> successor-state map.
@@ -244,46 +354,20 @@ def check_roster(roster: Roster) -> list[Violation]:
     return _sorted(out)
 
 
-def _check_entry(frm: str, kind_from: StateKind, to: str, kind_to: StateKind,
-                 event: str | None) -> list[Violation]:
-    """Apply the eight per-entry map rules C1.1..C1.8 to one entry of the
-    map of ``event``; the states' kinds are given."""
+def _admits(allowed: frozenset, frm: str, to: str) -> bool:
+    """Whether a rule whose target selects ``allowed`` maps ``frm`` to ``to``."""
+    return to in allowed or (to == frm and SELF in allowed)
+
+
+def _breaches(owners: Mapping[str, tuple[Rule, frozenset]], sm: StateMap,
+              event: str | None) -> list[Violation]:
+    """The entries of ``sm`` that the rule owning their state forbids."""
     out: list[Violation] = []
-    if to == START:
-        out.append(Violation("C1.1", event=event, from_state=frm, to_state=to,
-                             message=f"no state may map to {START!r}"))
-    if frm == START and to not in (GET_CMD, ERROR_ST):
-        out.append(Violation("C1.2", event=event, from_state=frm, to_state=to,
-                             message=f"{START!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
-    if frm == CHIP_RST and to not in (GET_CMD, ERROR_ST):
-        out.append(Violation("C1.3", event=event, from_state=frm, to_state=to,
-                             message=f"{CHIP_RST!r} maps only to {GET_CMD!r} or {ERROR_ST!r}"))
-    if frm == ERROR_ST and to not in (GET_CMD, ERROR_ST, CHIP_RST):
-        out.append(Violation("C1.4", event=event, from_state=frm, to_state=to,
-                             message=f"{ERROR_ST!r} maps only to {GET_CMD!r}, {ERROR_ST!r} "
-                                     f"or {CHIP_RST!r}"))
-    if frm == CMD_FINISH and to != ERROR_ST:
-        out.append(Violation("C1.5", event=event, from_state=frm, to_state=to,
-                             message=f"{CMD_FINISH!r} maps only to {ERROR_ST!r}"))
-    if (kind_from is KIND_CREATOR_STAGE1 or kind_from is KIND_CREATOR_STAGE2
-            or kind_from is KIND_CREATOR) and not (kind_to is KIND_SEND or to == ERROR_ST):
-        out.append(Violation("C1.6", event=event, from_state=frm, to_state=to,
-                             message="packet creator states map only to send states "
-                                     f"or {ERROR_ST!r}"))
-    # Receive self-loops are admitted here: the identity entries demanded by the
-    # SPI_RX_FINISH rule (C4) would otherwise make every total table invalid.
-    if (
-        kind_from is KIND_RECEIVE
-        and to != frm
-        and not (kind_to is KIND_CREATOR_STAGE2 or to in (CMD_FINISH, ERROR_ST))
-    ):
-        out.append(Violation("C1.7", event=event, from_state=frm, to_state=to,
-                             message="receive states map only to stage-two creator "
-                                     f"states, {CMD_FINISH!r}, {ERROR_ST!r} or themselves"))
-    if frm == GET_CMD and not (kind_to is KIND_CREATOR_STAGE1 or to == ERROR_ST):
-        out.append(Violation("C1.8", event=event, from_state=frm, to_state=to,
-                             message=f"{GET_CMD!r} maps only to stage-one creator "
-                                     f"states or {ERROR_ST!r}"))
+    for frm, to in sm.items():
+        owner = owners.get(frm)
+        # the membership test alone settles all but self-loops and breaches
+        if owner is not None and to not in owner[1] and not _admits(owner[1], frm, to):
+            out.append(Violation(owner[0].code, event, frm, to, owner[0].message))
     return out
 
 
@@ -293,29 +377,30 @@ def check_statemap(roster: Roster, sm: StateMap, event: str | None = None) -> li
     The rules are per entry, so a map passes iff each of its entries passes;
     restricting a passing map to any key subset keeps it passing.
     """
-    kinds = roster._kinds
-    out: list[Violation] = []
-    for frm, to in sm.items():
-        kind_from = kinds.get(frm)
-        if kind_from is None:
-            raise UnknownState(frm)
-        kind_to = kinds.get(to)
-        if kind_to is None:
-            raise UnknownState(to)
-        out += _check_entry(frm, kind_from, to, kind_to, event)
+    names = roster._kinds.keys()
+    if not (names >= sm.keys() and names >= set(sm.values())):
+        for frm, to in sm.items():   # raise on the first state not in the roster
+            roster.kind_of(frm), roster.kind_of(to)
+    out = _breaches(roster._owners.get(None, {}), sm, event)
+    if START in sm.values():
+        out += [Violation("C1.1", event, frm, to, f"no state may map to {START!r}")
+                for frm, to in sm.items() if to == START]
     return _sorted(out)
 
 
 def check_dispatch(roster: Roster, dispatch: Mapping[str, str]) -> list[Violation]:
-    """Apply C1.8 to the dispatch targets: ``get_cmd`` leaves under CONT
-    through the dispatch map, so each target must be a stage-one creator
-    state or ``error_``, as a table entry from ``get_cmd`` must be."""
-    return _sorted(
-        Violation("C1.8", event=CONT, from_state=GET_CMD, to_state=to,
-                  message=f"dispatch of {cmd!r}: {GET_CMD!r} maps only to "
-                          f"stage-one creator states or {ERROR_ST!r}")
-        for cmd, to in dispatch.items()
-        if not (roster.kind_of(to) is KIND_CREATOR_STAGE1 or to == ERROR_ST))
+    """Check the dispatch targets as ``get_cmd``'s entry under CONT, which
+    the dispatch map makes: the rules that own ``get_cmd`` under every
+    event and under CONT apply to each target."""
+    owners = [roster._owners.get(event, {}).get(GET_CMD) for event in (None, CONT)]
+    out: list[Violation] = []
+    for cmd, to in dispatch.items():
+        roster.kind_of(to)   # raises UnknownState on a target not in the roster
+        for rule, allowed in filter(None, owners):
+            if not _admits(allowed, GET_CMD, to):
+                out.append(Violation(rule.code, CONT, GET_CMD, to,
+                                     f"dispatch of {cmd!r}: {rule.message}"))
+    return _sorted(out)
 
 
 def check_totality(roster: Roster, fsm: FsmTable) -> list[Violation]:
@@ -347,78 +432,20 @@ def check_totality(roster: Roster, fsm: FsmTable) -> list[Violation]:
 def check_cando(roster: Roster, fsm: FsmTable) -> list[Violation]:
     """Check the event-specific rules C2..C12 on a (nominally total) table.
 
-    Each (event, state) pair is owned by at most one rule.  The named-state
-    rules C7..C10 take their exact pairs; the class rules C2..C6 and C11 cover
-    the rest of their event/kind scope; C12 guards entry into the error kind
-    under CONT and GET_CMD_E (the error class is entered through error_ only,
-    except for the reset hand-off sanctioned by C8).
+    Each (event, state) pair is owned by at most one rule of :data:`RULES`.
+    C12: the error class is entered only through error_ itself.  The one
+    sanctioned exception is the reset hand-off error_ -> chip_rst under CONT
+    (rule C8); GET_CMD_E routes error states out via C9/C10 and everything
+    else it touches must fall back to error_.
     """
     out: list[Violation] = []
+    for event, owners in roster._owners.items():
+        if event is not None:
+            out += _breaches(owners, fsm.get(event, {}), event)
 
     kind = roster.kind_of   # raises UnknownState on a target not in the roster
-    cont = fsm.get(CONT, {})
-    tx_finish = fsm.get(SPI_TX_FINISH, {})
-    rx_finish = fsm.get(SPI_RX_FINISH, {})
-    get_cmd_e = fsm.get(GET_CMD_E, {})
-
-    for s in roster.states:
-        st, k = s.name, s.kind
-        to = cont.get(st)
-        if to is None:
-            continue
-        if st == START:
-            if to != GET_CMD:
-                out.append(Violation("C7", event=CONT, from_state=st, to_state=to,
-                                     message=f"under CONT, {START!r} maps to {GET_CMD!r}"))
-        elif st == ERROR_ST:
-            if to != CHIP_RST:
-                out.append(Violation("C8", event=CONT, from_state=st, to_state=to,
-                                     message=f"under CONT, {ERROR_ST!r} maps to {CHIP_RST!r}"))
-        elif k is KIND_ERROR:
-            if to != ERROR_ST:
-                out.append(Violation("C6", event=CONT, from_state=st, to_state=to,
-                                     message=f"under CONT, error states map to {ERROR_ST!r}"))
-        elif k is KIND_SEND:
-            if kind(to) is not KIND_RECEIVE:
-                out.append(Violation("C2", event=CONT, from_state=st, to_state=to,
-                                     message="under CONT, send states map to receive states"))
-        elif k is KIND_CREATOR_STAGE1 or k is KIND_CREATOR_STAGE2 or k is KIND_CREATOR:
-            if kind(to) is not KIND_SEND:
-                out.append(Violation("C5", event=CONT, from_state=st, to_state=to,
-                                     message="under CONT, packet creator states map to "
-                                             "send states"))
-        elif k is KIND_RECEIVE:
-            if not (kind(to) is KIND_CREATOR_STAGE2 or to == CMD_FINISH):
-                out.append(Violation("C11", event=CONT, from_state=st, to_state=to,
-                                     message="under CONT, receive states map to stage-two "
-                                             f"creator states or {CMD_FINISH!r}"))
-
-    for s in roster.states:
-        st, k = s.name, s.kind
-        to = tx_finish.get(st)
-        if to is not None and k is KIND_SEND and to != st:
-            out.append(Violation("C3", event=SPI_TX_FINISH, from_state=st, to_state=to,
-                                 message="under SPI_TX_FINISH, send states map to themselves"))
-        to = rx_finish.get(st)
-        if to is not None and k is KIND_RECEIVE and to != st:
-            out.append(Violation("C4", event=SPI_RX_FINISH, from_state=st, to_state=to,
-                                 message="under SPI_RX_FINISH, receive states map to "
-                                         "themselves"))
-
-    to = get_cmd_e.get(ERROR_ST)
-    if to is not None and to != GET_CMD:
-        out.append(Violation("C9", event=GET_CMD_E, from_state=ERROR_ST, to_state=to,
-                             message=f"under GET_CMD_E, {ERROR_ST!r} maps to {GET_CMD!r}"))
-    to = get_cmd_e.get(CHIP_RST)
-    if to is not None and to != GET_CMD:
-        out.append(Violation("C10", event=GET_CMD_E, from_state=CHIP_RST, to_state=to,
-                             message=f"under GET_CMD_E, {CHIP_RST!r} maps to {GET_CMD!r}"))
-
-    # C12: the error class is entered only through error_ itself.  The one
-    # sanctioned exception is the reset hand-off error_ -> chip_rst under CONT
-    # (rule C8); GET_CMD_E routes error states out via C9/C10 and everything
-    # else it touches must fall back to error_.
-    for ev, per_state in ((CONT, cont), (GET_CMD_E, get_cmd_e)):
+    for ev in (CONT, GET_CMD_E):
+        per_state = fsm.get(ev, {})
         for st in roster.state_names:
             to = per_state.get(st)
             if to is None or to == ERROR_ST:

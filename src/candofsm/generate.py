@@ -28,11 +28,10 @@ from .fsm import (
     CHIP_RST,
     CMD_FINISH,
     CONT,
+    CREATOR_KINDS,
     ERROR_ST,
     GET_CMD,
     GET_CMD_E,
-    KIND_CREATOR,
-    KIND_CREATOR_STAGE1,
     KIND_CREATOR_STAGE2,
     KIND_ERROR,
     KIND_RECEIVE,
@@ -40,11 +39,11 @@ from .fsm import (
     MAX_COUNT,
     MissingPacketTemplate,
     PACKET_LENGTH,
+    SELF,
     SPI_RX_FINISH,
     SPI_TX_FINISH,
     START,
     StateKind,
-    CREATOR_KINDS,
 )
 from .specio import SpecDocument
 from .reqs.expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Nodes, Not, SigRead
@@ -72,28 +71,23 @@ HAND_MODEL_RECORDS = 26
 HAND_MODEL_DEFINITIONS = 105
 HAND_MODEL_REQUIREMENTS = 113
 
-_KIND_LABELS = {
-    StateKind.SEND: "send",
-    StateKind.RECEIVE: "receive",
-    StateKind.CREATOR: "packet creator",
-    StateKind.CREATOR_STAGE1: "stage-one packet creation",
-    StateKind.CREATOR_STAGE2: "stage-two packet creation",
-    StateKind.ERROR: "error",
-    StateKind.CONTROL: "control",
+# Each kind and kind group that ``fsm.RULES`` names: its name part and label.
+_GROUPS = {
+    StateKind.SEND: ("send", "send"),
+    StateKind.RECEIVE: ("receive", "receive"),
+    StateKind.CREATOR_STAGE1: ("creator_stage1", "stage-one packet creation"),
+    StateKind.CREATOR_STAGE2: ("creator_stage2", "stage-two packet creation"),
+    StateKind.ERROR: ("error", "error"),
+    CREATOR_KINDS: ("creators", "packet creator"),
 }
-
-
-# The kind groups a class monitor names; they are emitted even when empty.
-_MONITORED_KINDS = frozenset({StateKind.SEND, StateKind.RECEIVE,
-                              StateKind.CREATOR_STAGE1, StateKind.CREATOR_STAGE2})
 
 
 class _Nodes(Nodes):
     """The node table of one :func:`generate_model` call, with the
     translation's shorthands.  :meth:`and_` and :meth:`or_all` flatten an
     operand with the same operator into its own operands, so generated
-    chains are flat.  :meth:`eq` and :meth:`entered` are also keyed on their
-    arguments, so asking again costs one lookup."""
+    chains are flat.  :meth:`eq`, :meth:`entered` and :meth:`class_monitors`
+    are also keyed on their arguments, so asking again costs one lookup."""
 
     def state(self, mode: str, at: str) -> ModeActive:
         return self.mode(STATE_COMPONENT, mode, at)
@@ -126,6 +120,10 @@ class _Nodes(Nodes):
         and its term in ``arrive_<to>``."""
         return self._node(("entered", frm, event),
                           lambda: self.and_(self.ref(f"from_{frm}"), self.event_is(event)))
+
+    def class_monitors(self, spec: SpecDocument):
+        """:func:`_class_monitors` of ``spec``."""
+        return self._node(("class monitors", id(spec)), _class_monitors, spec, self)
 
 
 class GenReport(NamedTuple):
@@ -190,7 +188,11 @@ def gen_dictionary(spec: SpecDocument) -> DataDictionary:
 
 def _preimage(spec: SpecDocument) -> dict[str, list[tuple[str, str]]]:
     """(event, from) pairs leading into each state, excluding the dispatch
-    hand-off pair (CONT, get_cmd) which is command dependent."""
+    hand-off pair (CONT, get_cmd) which is command dependent.  An entry whose
+    rule admits only its own state (C3, C4) leads back to that state, whatever
+    the table says; the readings agree on a table that satisfies the rule."""
+    identity = {(rule.event, s) for rule, _, owned, _ in spec.roster.rules
+                if rule.target == (SELF,) for s in owned}
     out: dict[str, list[tuple[str, str]]] = {s: [] for s in spec.roster.state_names}
     for ev in spec.roster.event_names:
         per = spec.fsm.get(ev, {})
@@ -198,7 +200,7 @@ def _preimage(spec: SpecDocument) -> dict[str, list[tuple[str, str]]]:
             to = per.get(frm)
             if to is None or (ev == CONT and frm == GET_CMD and spec.dispatch):
                 continue
-            out[to].append((ev, frm))
+            out[frm if (ev, frm) in identity else to].append((ev, frm))
     return out
 
 
@@ -212,36 +214,6 @@ def _dispatch_groups(spec: SpecDocument) -> dict[str, tuple[str, ...]]:
     return {t: tuple(cmds) for t, cmds in groups.items()}
 
 
-def _arrival_terms(spec: SpecDocument, state: str,
-                   preimage: dict[str, list[tuple[str, str]]],
-                   groups: dict[str, tuple[str, ...]], nodes: _Nodes):
-    """Start-snapshot conditions under which this round transitions into
-    ``state``: the table preimage terms plus any dispatch-group term.
-
-    For a send state under ``SPI_TX_FINISH`` and a receive state under
-    ``SPI_RX_FINISH`` the identity-map reading is encoded instead of the
-    table: the state is re-entered from itself, whatever its entry says.
-    Every other entry, under these two events too, follows the table.  The
-    two readings agree on a table that satisfies C3 and C4.
-    """
-    kind_of = spec.roster.kind_of
-    identity = {SPI_TX_FINISH: KIND_SEND, SPI_RX_FINISH: KIND_RECEIVE}
-    kind = kind_of(state)
-    terms = [
-        nodes.entered(frm, ev)
-        for ev, frm in preimage[state]
-        if ev not in identity or kind_of(frm) is not identity[ev]
-    ]
-    if kind is KIND_SEND:
-        terms.append(nodes.entered(state, SPI_TX_FINISH))
-    elif kind is KIND_RECEIVE:
-        terms.append(nodes.entered(state, SPI_RX_FINISH))
-    group = groups.get(state)
-    if group:
-        terms.append(_dispatched(group, nodes))
-    return terms
-
-
 def _dispatched(group: tuple[str, ...], nodes: _Nodes):
     """The get_cmd hand-off under ``CONT`` to a command group."""
     return nodes.and_(nodes.entered(GET_CMD, CONT),
@@ -251,48 +223,26 @@ def _dispatched(group: tuple[str, ...], nodes: _Nodes):
 def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
                     groups: dict[str, tuple[str, ...]],
                     nodes: _Nodes) -> tuple[Definition, ...]:
-    """Per-state from/to definitions, per-kind groups combined with logical
-    OR, the identity-map definitions for send and receive states, and the
-    arrival conditions used by the operation requirements.  ``preimage`` and
-    ``groups`` are the spec's :func:`_preimage` and :func:`_dispatch_groups`;
-    ``nodes`` is the node table to build with."""
+    """Per-state from/to definitions, the kind-group and self-loop
+    definitions that the class monitors read, and the arrival conditions
+    used by the operation requirements.  ``preimage`` and ``groups`` are the
+    spec's :func:`_preimage` and :func:`_dispatch_groups`; ``nodes`` is the
+    node table to build with."""
     roster = spec.roster
     defs: list[Definition] = []
-    sides = (("from", "start"), ("to", "end"))
     for st in roster.state_names:
-        for side, at in sides:
+        for side, at in (("from", "start"), ("to", "end")):
             defs.append(Definition(
                 f"{side}_{st}", f"The fsm is in state {st} at the {at} of the round",
                 nodes.state(st, at)))
 
-    kind_groups = [(kind.value, _KIND_LABELS[kind], members) for kind in StateKind
-                   if (members := roster.states_of_kind(kind))
-                   or kind in _MONITORED_KINDS]
-    kind_groups.append(("creators", "packet creator", roster.states_of_kind(*CREATOR_KINDS)))
-    for name, label, members in kind_groups:
-        for side, at in sides:
-            defs.append(Definition(
-                f"{side}_kind_{name}",
-                f"The fsm is in a {label} state at the {at} of the round",
-                nodes.or_all([nodes.ref(f"{side}_{s}") for s in members])))
-
-    for kind in (KIND_SEND, KIND_RECEIVE):
-        members = roster.states_of_kind(kind)
-        defs.append(Definition(
-            f"idmap_{kind.value}",
-            f"Every {kind.value} state active at the start of the round is active "
-            "at the end",
-            nodes.lit(True) if not members else nodes.and_(*[
-                nodes.or_all([nodes.not_(nodes.ref(f"from_{s}")), nodes.ref(f"to_{s}")])
-                for s in members])))
-    defs.append(Definition(
-        "receive_self_loop",
-        "Some receive state is active at both the start and the end of the round",
-        nodes.or_all([nodes.and_(nodes.ref(f"from_{s}"), nodes.ref(f"to_{s}"))
-                      for s in roster.states_of_kind(KIND_RECEIVE)])))
+    defs += nodes.class_monitors(spec)[1]
 
     for st in roster.state_names:
-        terms = _arrival_terms(spec, st, preimage, groups, nodes)
+        # the start-snapshot conditions under which a round enters ``st``
+        terms = [nodes.entered(frm, ev) for ev, frm in preimage[st]]
+        if st in groups:
+            terms.append(_dispatched(groups[st], nodes))
         if terms:
             defs.append(Definition(
                 f"arrive_{st}",
@@ -426,8 +376,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         elif state == ERROR_ST or kind is KIND_ERROR:
             # every error state but chip_rst idles like error_
             suffix, title, effects = "event", f"{state} idles", []
-        elif kind is KIND_CREATOR_STAGE1 or kind is KIND_CREATOR_STAGE2 \
-                or kind is KIND_CREATOR:
+        elif kind in CREATOR_KINDS:
             template = spec.packets.get(state)
             if template is None:
                 raise MissingPacketTemplate(state)
@@ -449,67 +398,59 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
     return ops, posts
 
 
-def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> list[Requirement]:
+def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> tuple[
+        tuple[Requirement, ...], tuple[Definition, ...]]:
+    """``mon.C1.1``, then one monitor per rule of :data:`~.fsm.RULES` that has
+    a title, owns a state and names only roster states (none with no
+    transitions): whenever a state it owns is left (under its event), a
+    state it admits is entered.  The guard reads the rule's source, or the
+    states it owns where an earlier rule owns some that the source selects.
+    Also the kind-group and self-loop definitions the monitors read, in the
+    order first read.  Ask ``nodes.class_monitors``, which builds them once."""
     roster = spec.roster
     ref = nodes.ref
+    defs: dict[str, Definition] = {}
+
+    def read(side: str, item, source: tuple):
+        """The definition a selector item stands for at the ``from`` or
+        ``to`` side; SELF is a loop in the group of the rule's ``source``."""
+        if item.__class__ is str:
+            return ref(f"{side}_{item}")
+        group = source[0] if item is SELF else item
+        part, label = _GROUPS[group]
+        name = f"{part}_self_loop" if item is SELF else f"{side}_kind_{part}"
+        if name not in defs:
+            members = roster.states_of_kind(*(group if group.__class__ is tuple else (group,)))
+            if item is SELF:
+                text = f"Some {label} state is active at both the start and the end of the round"
+                expr = nodes.or_all([nodes.and_(ref(f"from_{s}"), ref(f"to_{s}"))
+                                     for s in members])
+            else:
+                at = "start" if side == "from" else "end"
+                text = f"The fsm is in a {label} state at the {at} of the round"
+                expr = nodes.or_all([ref(f"{side}_{s}") for s in members])
+            defs[name] = Definition(name, text, expr)
+        return ref(name)
+
     reqs: list[Requirement] = [Requirement(
         req_id="mon.C1.1", title="no transition targets start",
         template=EVERY,
-        required=nodes.not_(nodes.state(START, "end")))]
+        required=nodes.not_(ref(f"to_{START}")))]
     if not any(spec.fsm.get(ev) for ev in roster.event_names):
-        return reqs  # with no transitions the run-time rules have nothing to watch
-    have = set(roster.state_names)
-
-    def when(code: str, title: str, guard, required, needs=()):
-        if all(s in have for s in needs):
-            reqs.append(Requirement(req_id=f"mon.{code}", title=title,
-                                    template=WHEN, guard=guard,
-                                    required=required))
-
-    to_err = ref(f"to_{ERROR_ST}")
-    when("C1.2", "start moves to get_cmd or error_",
-         ref(f"from_{START}"), nodes.or_all([ref(f"to_{GET_CMD}"), to_err]),
-         needs=(START, GET_CMD, ERROR_ST))
-    when("C1.3", "chip_rst moves to get_cmd or error_",
-         ref(f"from_{CHIP_RST}"), nodes.or_all([ref(f"to_{GET_CMD}"), to_err]),
-         needs=(CHIP_RST, GET_CMD, ERROR_ST))
-    when("C1.4", "error_ moves to get_cmd, error_ or chip_rst",
-         ref(f"from_{ERROR_ST}"),
-         nodes.or_all([ref(f"to_{GET_CMD}"), to_err, ref(f"to_{CHIP_RST}")]),
-         needs=(ERROR_ST, GET_CMD, CHIP_RST))
-    when("C1.5", "cmd_finish moves to error_",
-         ref(f"from_{CMD_FINISH}"), to_err, needs=(CMD_FINISH, ERROR_ST))
-    when("C1.6", "packet creators move to send states or error_",
-         ref("from_kind_creators"),
-         nodes.or_all([ref("to_kind_send"), to_err]), needs=(ERROR_ST,))
-    when("C1.7", "receives move to stage-two creators, cmd_finish, error_ or "
-                 "themselves",
-         ref("from_kind_receive"),
-         nodes.or_all([ref("to_kind_creator_stage2"), ref(f"to_{CMD_FINISH}"),
-                    to_err, ref("receive_self_loop")]),
-         needs=(CMD_FINISH, ERROR_ST))
-    when("C1.8", "get_cmd moves to stage-one creators or error_",
-         ref(f"from_{GET_CMD}"),
-         nodes.or_all([ref("to_kind_creator_stage1"), to_err]),
-         needs=(GET_CMD, ERROR_ST))
-    when("C2", "under CONT send states move to receive states",
-         nodes.and_(ref("from_kind_send"), nodes.event_is(CONT)),
-         ref("to_kind_receive"))
-    when("C5", "under CONT packet creators move to send states",
-         nodes.and_(ref("from_kind_creators"), nodes.event_is(CONT)),
-         ref("to_kind_send"))
-    other_error = [s for s in roster.states_of_kind(KIND_ERROR)
-                   if s != ERROR_ST]
-    if other_error and ERROR_ST in have:
-        when("C6", "under CONT error states move to error_",
-             nodes.and_(nodes.or_all([ref(f"from_{s}") for s in other_error]),
-                     nodes.event_is(CONT)),
-             to_err)
-    when("C11", "under CONT receives move to stage-two creators or cmd_finish",
-         nodes.and_(ref("from_kind_receive"), nodes.event_is(CONT)),
-         nodes.or_all([ref("to_kind_creator_stage2"), ref(f"to_{CMD_FINISH}")]),
-         needs=(CMD_FINISH,))
-    return reqs
+        return tuple(reqs), ()
+    for rule, selected, owned, _ in roster.rules:
+        if rule.title is None or not owned or not all(
+                item in roster.state_names for item in rule.source + rule.target
+                if item.__class__ is str):
+            continue
+        source = rule.source if len(owned) == len(selected) else owned
+        guard = nodes.or_all([read("from", item, rule.source) for item in source])
+        if rule.event is not None:
+            guard = nodes.and_(guard, nodes.event_is(rule.event))
+        reqs.append(Requirement(
+            req_id=f"mon.{rule.code}", title=rule.title, template=WHEN, guard=guard,
+            required=nodes.or_all([read("to", item, rule.source) for item in rule.target])))
+    return tuple(reqs), tuple(defs.values())
 
 
 def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
@@ -564,7 +505,7 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
             reqs.extend(state_ops)
             posts.extend(state_posts)
     reqs.extend(posts)
-    reqs.extend(_class_monitors(spec, nodes))
+    reqs.extend(nodes.class_monitors(spec)[0])
     reqs.append(Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
@@ -677,21 +618,3 @@ def render_requirements_markdown(model: RequirementsModel,
     for req in model.requirements:
         lines.extend(_requirement_block(req, defs, project))
     return "\n".join(lines) + "\n"
-
-
-def render_requirements_html(model: RequirementsModel,
-                             project: str = "cando") -> str:
-    import html as _html
-
-    defs = model.definition_map()
-    out = ["<!DOCTYPE html>", "<html><head><meta charset=\"utf-8\">",
-           f"<title>Requirements model: {_html.escape(project)}</title>",
-           "</head><body>",
-           f"<h1>Requirements model: {_html.escape(project)}</h1>"]
-    for req in model.requirements:
-        block = _requirement_block(req, defs, project)
-        out.append(f"<h3>{_html.escape(block[0][4:])}</h3>")
-        body = "\n".join(block[2:]).strip()
-        out.append(f"<pre>{_html.escape(body)}</pre>")
-    out.append("</body></html>")
-    return "\n".join(out) + "\n"

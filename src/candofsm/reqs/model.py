@@ -25,10 +25,12 @@ _DONE = object()
 _LEAF = (False, 1)
 
 
-def _scan(expr, facts: dict, bodies: Mapping, where: str) -> dict[str, None]:
+def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
+          where: str) -> dict[str, None]:
     """Scan the nodes under ``expr`` that ``facts`` does not hold, each once.
 
-    Raises on the first empty ``and``/``or`` chain in pre-order.  Records in
+    Raises on the first empty ``and``/``or`` chain, or read of a (component,
+    mode) pair not in ``modes``, in pre-order.  Records in
     ``facts``, by node id, whether evaluating the node can read an
     end-of-round mode and how deep it is with definitions inlined, for
     every node whose children and definitions (``bodies``) are known.
@@ -76,7 +78,11 @@ def _scan(expr, facts: dict, bodies: Mapping, where: str) -> dict[str, None]:
                 facts[key] = body[0], body[1] + 1
             continue
         else:
-            facts[key] = isinstance(node, ModeActive) and node.at == "end", 1
+            mode_read = isinstance(node, ModeActive)
+            if mode_read and (node.component, node.mode) not in modes:
+                raise ModelError(f"{where}: read of unknown mode "
+                                 f"{node.component}.{node.mode}")
+            facts[key] = mode_read and node.at == "end", 1
             continue
         pending += (children, node, _DONE, *reversed(children))
     return named
@@ -329,8 +335,10 @@ class RequirementsModel:
         """Structural checks: unique names and ids, acyclic definitions,
         known definitions, no empty ``and``/``or`` chain, no expression
         deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
-        required conditions in every expression slot, effects on known
-        signals and modes, mode-sets on known mode components.
+        required conditions in every expression slot, mode reads and
+        effects on known signals and modes, mode-sets on known mode
+        components, and no ``#`` in a title or definition text (the ``.req``
+        text starts a comment there).
 
         Each distinct node is scanned once, by identity: what it can read
         and how deep it is are remembered for every later use, in any slot.
@@ -349,6 +357,7 @@ class RequirementsModel:
         defs = self.definition_map()
         signals = {s.name for s in self.dictionary.signals}
         components = {m.name: m.modes for m in self.dictionary.modes}
+        modes = {(c, m) for c, ms in components.items() for m in ms}
         # id(node) -> (can evaluating it read an end mode, its depth with
         # definitions inlined); the model keeps every node, so ids hold
         facts: dict[int, tuple[bool, int]] = {}
@@ -374,7 +383,7 @@ class RequirementsModel:
             found = facts.get(id(expr))
             if found is not None:
                 return found
-            named = _scan(expr, facts, bodies, where)
+            named = _scan(expr, facts, bodies, modes, where)
             for name in named:
                 if name not in defs:
                     raise ModelError(f"{where}: unknown definition {name!r}")
@@ -382,7 +391,7 @@ class RequirementsModel:
                 visit(name)
             if id(expr) not in facts:
                 # it names a definition scanned only just now
-                _scan(expr, facts, bodies, where)
+                _scan(expr, facts, bodies, modes, where)
             found = facts[id(expr)]
             if found[1] > MAX_DEPTH:
                 raise ModelError(
@@ -396,11 +405,15 @@ class RequirementsModel:
                     f"{where}: {slot}: end-of-round reads are only legal in "
                     "required conditions")
 
-        for name in names:
-            visit(name)
+        for d in self.definitions:
+            if "#" in d.text:
+                raise ModelError(f"definition {d.name!r}: '#' in its text")
+            visit(d.name)
 
         for r in self.requirements:
             where = f"requirement {r.req_id}"
+            if "#" in r.title:
+                raise ModelError(f"{where}: '#' in its title")
             start_only(r.guard, where, "guard")
             for a in r.effects:
                 if isinstance(a, SignalAssign):

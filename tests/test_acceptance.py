@@ -14,11 +14,13 @@ from candofsm.fsm import (
     CONT,
     MAX_COUNT,
     PACKET_LENGTH,
+    RULES,
     check_cando,
     check_statemap,
     check_totality,
     lookup_next,
 )
+from candofsm.generate import generate_model
 from candofsm.opmodel import ModelState, _snapshot, ops_round, run
 from candofsm.reqs.engine import fire_round, run_requirements_trace
 from candofsm.reqs.model import Env, initial_env
@@ -102,6 +104,26 @@ def test_criterion_2_constraint_catalogue(spec):
             f"mutation for {constraint} produced {observed}")
     print(f"PASS criterion 2: {len(MUTATIONS)} targeted mutations each trigger "
           "exactly their own constraint, clean table triggers none")
+
+
+# The rules the generated model monitors; the others are not monitored
+# (C3 and C4 are read as identity entries by the translation instead).
+MONITORED = ("C1.1", "C1.2", "C1.3", "C1.4", "C1.5", "C1.6", "C1.7", "C1.8",
+             "C2", "C5", "C6", "C11")
+
+
+def test_checkers_and_monitors_agree_on_every_rule(spec):
+    assert MONITORED == ("C1.1", *(r.code for r in RULES if r.title is not None))
+    for constraint, event, state, target in MUTATIONS:
+        if constraint == "TOTALITY":
+            continue
+        model, _ = generate_model(mutate_table(spec, event, state, target))
+        result = fire_round(model, oracle_env(model, event, state), None)
+        reported = [(v.constraint_id, v.message.split()[1]) for v in result.violations]
+        want = [("MONITOR", f"mon.{constraint}")] if constraint in MONITORED else []
+        assert reported == want, constraint
+    print(f"PASS: the generated monitors report exactly the {len(MONITORED)} "
+          "monitored rules' mutants, and nothing on the others")
 
 
 def test_criterion_3_totality(spec):

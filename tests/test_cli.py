@@ -346,13 +346,9 @@ class TestReport:
     def test_output_is_byte_identical_across_runs(self, spec_file, capsys):
         main(["report", spec_file])
         first = capsys.readouterr().out
-        main(["report", spec_file])
+        assert main(["report", spec_file, "--format", "md"]) == 0
         second = capsys.readouterr().out
         assert first == second
-
-    def test_html_format(self, spec_file, capsys):
-        assert main(["report", spec_file, "--format", "html"]) == 0
-        assert capsys.readouterr().out.startswith("<!DOCTYPE html>")
 
     def test_a_spec_check_rejects_reports_the_violations(self, extra_control_file,
                                                         capsys):

@@ -18,13 +18,12 @@ from candofsm.generate import (
     gen_dictionary,
     gen_requirements,
     generate_model,
-    render_requirements_html,
     render_requirements_markdown,
 )
 from candofsm.opmodel import ModelState, _snapshot, ops_round
 from candofsm.reqs import Template, fire_round, initial_env
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
-from candofsm.reqs.expr import EvalContext, Lit, eval_expr
+from candofsm.reqs.expr import DefRef, EvalContext, Lit, eval_expr
 from candofsm.reqs.model import Env, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import env_values, with_no_stage_two_creator, with_second_error_state
@@ -114,13 +113,14 @@ class TestDefinitions:
             definitions=defs)
         assert eval_expr(defs["from_kind_send"].expr, ctx) is False
 
-    def test_idmap_definitions_exist_for_send_and_receive(self, model):
-        defs = model.definition_map()
-        assert "idmap_send" in defs and "idmap_receive" in defs
-
     def test_definition_count_scale(self, spec):
-        # 2 per state, plus kind groups, idmaps and arrival conditions
+        # 2 per state, plus kind groups and arrival conditions
         assert len(gen_definitions(spec, *tables(spec))) > 2 * 34
+
+    def test_every_definition_is_referenced(self, model):
+        read = {node.name for expr in slots(model) for node in walk(expr)
+                if isinstance(node, DefRef)}
+        assert [d.name for d in model.definitions if d.name not in read] == []
 
 
 class TestRequirements:
@@ -248,9 +248,7 @@ class TestOracle:
         spec = with_no_stage_two_creator(spec)
         assert not spec.roster.states_of_kind(StateKind.CREATOR_STAGE2)
         model, _ = generate_model(spec)
-        defs = model.definition_map()
-        for side in ("from", "to"):
-            assert defs[f"{side}_kind_creator_stage2"].expr == Lit(False)
+        assert model.definition_map()["to_kind_creator_stage2"].expr == Lit(False)
         self.assert_one_round_agreement(spec, model)
 
 
@@ -271,8 +269,8 @@ class TestSharedGraph:
 
     def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
         positions = [node for expr in slots(model) for node in walk(expr)]
-        assert len(positions) == 9083
-        assert len({id(node) for node in positions}) == 1174
+        assert len(positions) == 8974
+        assert len({id(node) for node in positions}) == 1133
         # literals that compare equal keep their types: 0 is not false
         zeros = {(type(n.value), id(n)) for n in positions
                  if isinstance(n, Lit) and n.value == 0}
@@ -287,8 +285,8 @@ class TestSharedGraph:
         parsed = parse_model(serialize_model(model))
         assert parsed == model
         positions = [node for expr in slots(parsed) for node in walk(expr)]
-        assert len(positions) == 9083
-        assert len({id(node) for node in positions}) == 1174
+        assert len(positions) == 8974
+        assert len({id(node) for node in positions}) == 1133
 
     def test_two_parses_share_no_expression_object(self, model):
         text = serialize_model(model)
@@ -336,11 +334,6 @@ class TestRendering:
         assert render_requirements_markdown(model) \
             == render_requirements_markdown(model)
 
-    def test_html_escapes_and_wraps(self, model):
-        text = render_requirements_html(model)
-        assert text.startswith("<!DOCTYPE html>")
-        assert "set_vLED to send_packet_6" in text
-
     def test_requirements_regenerate_identically(self, spec, generated):
         model, _ = generated
         again, _ = generate_model(spec)
@@ -377,10 +370,12 @@ def test_the_generated_model_and_its_report_are_pinned(model):
     def sha256(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    # last re-recorded when the 16 one-branch ``op.*.done`` cases became
-    # triggers with the same guard and effects: 16 ``.req`` lines and their
-    # 16 report blocks changed, and every run stayed the same
+    # ``.req`` last re-recorded when the class monitors came to be built from
+    # ``fsm.RULES``: the nine definitions nothing read were dropped, the kind
+    # groups the monitors read are emitted in the order the rules read them,
+    # and ``mon.C1.1`` reads ``to_start``; the report and every run stayed
+    # the same
     assert sha256(serialize_model(model)) \
-        == "6942c71d5a0d74a878f36576def2db9b6020bed91cd4c063cc3e4618e3896656"
+        == "5b2f6636663e138cb1a0769328c78f85c1de7fbb334e74b422ce73c4a9d86b87"
     assert sha256(render_requirements_markdown(model)) \
         == "9d97f296e74ab907edcb22876482297da9049af51be077e9aea58893634b4c6a"

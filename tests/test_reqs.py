@@ -435,6 +435,40 @@ class TestValidation:
                             guard=Lit(True), effects=(ModeAssign("lamp", "zzz"),)),
                 modes=[lamp_component()])
 
+    @pytest.mark.parametrize("where, read, requirement, definitions", [
+        ("requirement r", "lamp.zzz", Requirement(
+            "r", "guard", Template.WHEN, guard=ModeActive("lamp", "zzz", "start"),
+            required=Lit(True)), ()),
+        ("definition 'd'", "lamp.zzz", Requirement(
+            "r", "body", Template.EVERY, required=DefRef("d")),
+         (Definition("d", "d", Not(ModeActive("lamp", "zzz", "end"))),)),
+        ("requirement r", "dial.on", Requirement(
+            "r", "component", Template.EVERY, required=ModeActive("dial", "on", "end")),
+         ()),
+    ], ids=["guard", "definition body", "unknown component"])
+    def test_a_read_of_a_mode_its_component_lacks_is_rejected(self, where, read,
+                                                              requirement, definitions):
+        # such a read is always false, so a typo would silently weaken a guard
+        with pytest.raises(ModelError, match=f"^{where}: read of unknown mode {read}$"):
+            tiny_model(requirement, definitions=definitions, modes=[lamp_component()])
+
+    def test_a_parsed_read_of_a_mode_its_component_lacks_is_rejected(self):
+        with pytest.raises(ModelError, match="^requirement r: read of unknown mode lamp.zzz$"):
+            parse_model(TEXT_HEAD + 'req r "t" every mode(lamp.zzz) at start or x = 0\n')
+
+    @pytest.mark.parametrize("message, requirement, definitions", [
+        ("requirement r: '#' in its title",
+         Requirement("r", "a # b", Template.EVERY, required=Lit(True)), ()),
+        ("definition 'd': '#' in its text",
+         Requirement("r", "t", Template.EVERY, required=DefRef("d")),
+         (Definition("d", "a # b", Lit(True)),)),
+    ], ids=["title", "definition text"])
+    def test_a_hash_in_a_title_or_definition_text_is_rejected(self, message, requirement,
+                                                             definitions):
+        # the .req text starts a comment at '#': the model would not read back
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            tiny_model(requirement, definitions=definitions)
+
     def test_end_read_in_a_trigger_effect_is_rejected(self):
         with pytest.raises(ModelError, match="r: effect flag: end-of-round"):
             tiny_model(
@@ -498,7 +532,7 @@ class TestValidation:
         walked = Counter()
         original = candofsm.reqs.model._scan
 
-        def counting_scan(expr, facts, bodies, where):
+        def counting_scan(expr, facts, bodies, *rest):
             fresh, pending = set(), [expr]
             while pending:
                 node = pending.pop()
@@ -506,7 +540,7 @@ class TestValidation:
                     fresh.add(id(node))
                     pending += children(node)
             walked.update(fresh)
-            return original(expr, facts, bodies, where)
+            return original(expr, facts, bodies, *rest)
 
         monkeypatch.setattr(candofsm.reqs.model, "_scan", counting_scan)
         model.validate()

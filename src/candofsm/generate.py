@@ -3,21 +3,23 @@
 States become an exclusive mode component; events and commands become
 enumerations read through current-event / current-command signals; the
 byte and retransmission counters become bounded integers with next_*
-shadow signals.  Every transition table entry becomes one trigger-on-event
-requirement ("<from> to <to>"), the data-dependent get_cmd hand-off becomes
-one requirement per dispatch target guarded by its command group, and each
-state's operation is built once: one guarded requirement per conditional
-branch, with a strengthened end-of-round monitor per branch (exact end event
-and counter delta) on the same guard.
+shadow signals.  The transition table is read once, into the arrows of the
+state diagram: each distinct (from, to) pair becomes one trigger-on-event
+requirement ("<from> to <to>") guarded by the OR of the entries that lead
+along it, the data-dependent get_cmd hand-off guarded by the target's
+command group among them.  ``arrive_<state>`` is the OR of the guards of the
+arrows into the state, and each state's operation is built once: one
+guarded requirement per conditional branch, with a strengthened end-of-round
+monitor per branch (exact end event and counter delta) on the same guard.
 
 Every expression node is built through one node table per
 :func:`generate_model` call: a :class:`~.reqs.expr.Nodes` with the
 translation's shorthands.  Each structurally distinct subexpression is one
-object, so the model is a DAG: a table entry's guard is the same object as
-its term in ``arrive_<to>``, and ``current_event = CONT`` is built once.
-``RequirementsModel.validate`` and the plan's ``Compiler`` memoise by
-identity, so they do their work once per distinct node.  The table goes
-when the call returns, so two models share no node.
+object, so the model is a DAG: a table entry's term in its arrow's guard
+is the same object in ``arrive_<to>``, and ``current_event = CONT`` is
+built once.  ``RequirementsModel.validate`` and the plan's ``Compiler``
+memoise by identity, so they do their work once per distinct node.  The
+table goes when the call returns, so two models share no node.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class _Nodes(Nodes):
     """The node table of one :func:`generate_model` call, with the
     translation's shorthands.  :meth:`and_` and :meth:`or_all` flatten an
     operand with the same operator into its own operands, so generated
-    chains are flat.  :meth:`eq`, :meth:`entered` and :meth:`class_monitors`
-    are also keyed on their arguments, so asking again costs one lookup."""
+    chains are flat.  :meth:`eq`, :meth:`entered`, :meth:`arrows` and
+    :meth:`class_monitors` are also keyed on their arguments, so asking
+    again costs one lookup."""
 
     def state(self, mode: str, at: str) -> ModeActive:
         return self.mode(STATE_COMPONENT, mode, at)
@@ -116,10 +119,14 @@ class _Nodes(Nodes):
         return self.eq("current_event", event)
 
     def entered(self, frm: str, event: str):
-        """``from_<frm> and current_event = <event>``: a table entry's guard
-        and its term in ``arrive_<to>``."""
+        """``from_<frm> and current_event = <event>``: a table entry's term
+        in its arrow's guard."""
         return self._node(("entered", frm, event),
                           lambda: self.and_(self.ref(f"from_{frm}"), self.event_is(event)))
+
+    def arrows(self, spec: SpecDocument):
+        """:func:`_arrows` of ``spec``."""
+        return self._node(("arrows", id(spec)), _arrows, spec, self)
 
     def class_monitors(self, spec: SpecDocument):
         """:func:`_class_monitors` of ``spec``."""
@@ -127,12 +134,11 @@ class _Nodes(Nodes):
 
 
 class GenReport(NamedTuple):
-    """Counts of the generated records, definitions and requirements; the id index."""
+    """Counts of the generated records, definitions and requirements."""
 
     data_records: int
     definitions: int
     requirements: int
-    id_index: Mapping[tuple[str, str, str], str]
 
     def summary(self) -> str:
         return (
@@ -186,48 +192,45 @@ def gen_dictionary(spec: SpecDocument) -> DataDictionary:
                           modes=modes)
 
 
-def _preimage(spec: SpecDocument) -> dict[str, list[tuple[str, str]]]:
-    """(event, from) pairs leading into each state, excluding the dispatch
-    hand-off pair (CONT, get_cmd) which is command dependent.  An entry whose
-    rule admits only its own state (C3, C4) leads back to that state, whatever
-    the table says; the readings agree on a table that satisfies the rule."""
-    identity = {(rule.event, s) for rule, _, owned, _ in spec.roster.rules
+def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
+    """The table's one reading: each arrow (from, to) of the state diagram,
+    in roster order, with its guard.  The guard is the OR of the entries
+    (event, from) that lead along it, plus, for a dispatch target, the
+    get_cmd hand-off under ``CONT`` guarded by the target's command group,
+    which replaces that entry.  An entry whose rule admits only its own
+    state (C3, C4) leads back to that state, whatever the table says; the
+    readings agree on a table that satisfies the rule.  Ask
+    ``nodes.arrows``, which reads the table once."""
+    roster = spec.roster
+    identity = {(rule.event, s) for rule, _, owned, _ in roster.rules
                 if rule.target == (SELF,) for s in owned}
-    out: dict[str, list[tuple[str, str]]] = {s: [] for s in spec.roster.state_names}
-    for ev in spec.roster.event_names:
-        per = spec.fsm.get(ev, {})
-        for frm in spec.roster.state_names:
-            to = per.get(frm)
-            if to is None or (ev == CONT and frm == GET_CMD and spec.dispatch):
-                continue
-            out[frm if (ev, frm) in identity else to].append((ev, frm))
-    return out
-
-
-def _dispatch_groups(spec: SpecDocument) -> dict[str, tuple[str, ...]]:
-    """Dispatch targets to their command groups, in roster order."""
-    groups: dict[str, list[str]] = {}
-    for cmd in spec.roster.command_names:
+    groups: dict[str, list] = {}
+    for cmd in roster.command_names:
         target = spec.dispatch.get(cmd)
         if target is not None:
-            groups.setdefault(target, []).append(cmd)
-    return {t: tuple(cmds) for t, cmds in groups.items()}
+            groups.setdefault(target, []).append(nodes.eq("current_command", cmd))
+    terms: dict[tuple[str, str], list] = {}
+    for ev in roster.event_names:
+        per = spec.fsm.get(ev, {})
+        for frm in roster.state_names:
+            to = per.get(frm)
+            if to is None or (ev == CONT and frm == GET_CMD and groups):
+                continue
+            arrow = (frm, frm if (ev, frm) in identity else to)
+            terms.setdefault(arrow, []).append(nodes.entered(frm, ev))
+    for target, cmds in groups.items():
+        terms.setdefault((GET_CMD, target), []).append(
+            nodes.and_(nodes.entered(GET_CMD, CONT), nodes.or_all(cmds)))
+    index = {s: i for i, s in enumerate(roster.state_names)}
+    return {arrow: nodes.or_all(terms[arrow])
+            for arrow in sorted(terms, key=lambda a: (index[a[0]], index[a[1]]))}
 
 
-def _dispatched(group: tuple[str, ...], nodes: _Nodes):
-    """The get_cmd hand-off under ``CONT`` to a command group."""
-    return nodes.and_(nodes.entered(GET_CMD, CONT),
-                      nodes.or_all([nodes.eq("current_command", c) for c in group]))
-
-
-def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
-                    groups: dict[str, tuple[str, ...]],
-                    nodes: _Nodes) -> tuple[Definition, ...]:
+def gen_definitions(spec: SpecDocument, nodes: _Nodes) -> tuple[Definition, ...]:
     """Per-state from/to definitions, the kind-group and self-loop
-    definitions that the class monitors read, and the arrival conditions
-    used by the operation requirements.  ``preimage`` and ``groups`` are the
-    spec's :func:`_preimage` and :func:`_dispatch_groups`; ``nodes`` is the
-    node table to build with."""
+    definitions that the class monitors read, and ``arrive_<state>``, the
+    OR of the guards of the arrows into each state, which guards its
+    operation requirements.  ``nodes`` is the node table to build with."""
     roster = spec.roster
     defs: list[Definition] = []
     for st in roster.state_names:
@@ -238,16 +241,15 @@ def gen_definitions(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]
 
     defs += nodes.class_monitors(spec)[1]
 
+    into: dict[str, list] = {}
+    for (_, to), guard in nodes.arrows(spec).items():
+        into.setdefault(to, []).append(guard)
     for st in roster.state_names:
-        # the start-snapshot conditions under which a round enters ``st``
-        terms = [nodes.entered(frm, ev) for ev, frm in preimage[st]]
-        if st in groups:
-            terms.append(_dispatched(groups[st], nodes))
-        if terms:
+        if st in into:
             defs.append(Definition(
                 f"arrive_{st}",
                 f"A transition into {st} fires this round",
-                nodes.or_all(terms)))
+                nodes.or_all(into[st])))
     return tuple(defs)
 
 
@@ -453,54 +455,24 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> tuple[
     return tuple(reqs), tuple(defs.values())
 
 
-def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str]]],
-                     groups: dict[str, tuple[str, ...]],
-                     nodes: _Nodes) -> tuple[
-        tuple[Requirement, ...], dict[tuple[str, str, str], str]]:
-    """All requirements plus the id index: (event, from, to) -> requirement id.
+def gen_requirements(spec: SpecDocument, nodes: _Nodes) -> tuple[Requirement, ...]:
+    """All requirements: one trigger per arrow of the state diagram, titled
+    ``"<from> to <to>"`` with id ``"<fromIndex>.<toIndex>"`` (both indices
+    two digits), then each entered state's operation requirements, their
+    post-condition monitors, the class monitors and the mode-set.
+    ``nodes`` is as for :func:`gen_definitions`."""
+    index = {s: i for i, s in enumerate(spec.roster.state_names)}
+    arrows = nodes.arrows(spec)
+    reqs = [Requirement(
+        req_id=f"{index[frm]:02d}.{index[to]:02d}", title=f"{frm} to {to}",
+        template=TRIGGER_ON_EVENT, guard=guard,
+        effects=(ModeAssign(STATE_COMPONENT, to),))
+        for (frm, to), guard in arrows.items()]
 
-    Ids are stable: the requirement for table entry (event e, state s) is
-    ``"<eventIndex>.<stateIndex>"``; the extra dispatch-target requirements
-    extend that with the target index.  ``preimage``, ``groups`` and ``nodes``
-    are as for :func:`gen_definitions`.
-    """
-    roster = spec.roster
-    event_index = {e: i for i, e in enumerate(roster.event_names)}
-    state_index = {s: i for i, s in enumerate(roster.state_names)}
-
-    reqs: list[Requirement] = []
-    id_index: dict[tuple[str, str, str], str] = {}
-
-    for ev in roster.event_names:
-        per = spec.fsm.get(ev, {})
-        for frm in roster.state_names:
-            to = per.get(frm)
-            if to is None:
-                continue
-            base_id = f"{event_index[ev]}.{state_index[frm]:02d}"
-            if ev == CONT and frm == GET_CMD and groups:
-                # one requirement per dispatch target; the one matching the
-                # table entry owns the table id
-                for target in sorted(groups, key=state_index.get):
-                    rid = (base_id if target == to
-                           else f"{base_id}.{state_index[target]:02d}")
-                    reqs.append(Requirement(
-                        req_id=rid, title=f"{frm} to {target}",
-                        template=TRIGGER_ON_EVENT,
-                        guard=_dispatched(groups[target], nodes),
-                        effects=(ModeAssign(STATE_COMPONENT, target),)))
-                    id_index[(ev, frm, target)] = rid
-            else:
-                reqs.append(Requirement(
-                    req_id=base_id, title=f"{frm} to {to}",
-                    template=TRIGGER_ON_EVENT,
-                    guard=nodes.entered(frm, ev),
-                    effects=(ModeAssign(STATE_COMPONENT, to),)))
-                id_index[(ev, frm, to)] = base_id
-
+    targets = {to for _, to in arrows}
     posts: list[Requirement] = []
-    for st in roster.state_names:
-        if preimage[st] or st in groups:
+    for st in spec.roster.state_names:
+        if st in targets:
             state_ops, state_posts = _state_operation(spec, st, nodes)
             reqs.extend(state_ops)
             posts.extend(state_posts)
@@ -510,7 +482,7 @@ def gen_requirements(spec: SpecDocument, preimage: dict[str, list[tuple[str, str
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
         template=MODE_SET, component=STATE_COMPONENT))
-    return tuple(reqs), id_index
+    return tuple(reqs)
 
 
 def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
@@ -518,12 +490,11 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
     the generation report counted from that model.  Definitions and
     requirements are built from one node table, so equal subexpressions are
     one object; the table goes when the call returns."""
-    preimage, groups = _preimage(spec), _dispatch_groups(spec)
     nodes = _Nodes()
-    requirements, id_index = gen_requirements(spec, preimage, groups, nodes)
+    requirements = gen_requirements(spec, nodes)
     model = RequirementsModel(
         dictionary=gen_dictionary(spec),
-        definitions=gen_definitions(spec, preimage, groups, nodes),
+        definitions=gen_definitions(spec, nodes),
         requirements=requirements,
     )
     model.validate()
@@ -531,7 +502,6 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
         data_records=model.dictionary.record_count,
         definitions=len(model.definitions),
         requirements=len(model.requirements),
-        id_index=id_index,
     )
     return model, report
 

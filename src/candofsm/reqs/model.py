@@ -25,6 +25,14 @@ _DONE = object()
 _LEAF = (False, 1)
 
 
+def _check_text(text: str, where: str, slot: str) -> None:
+    """Reject a title or definition text that the ``.req`` text cannot hold."""
+    if "#" in text:
+        raise ModelError(f"{where}: '#' in its {slot}")
+    if "".join(text.splitlines()) != text:
+        raise ModelError(f"{where}: line break in its {slot}")
+
+
 def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
           where: str) -> dict[str, None]:
     """Scan the nodes under ``expr`` that ``facts`` does not hold, each once.
@@ -337,8 +345,10 @@ class RequirementsModel:
         deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
         required conditions in every expression slot, mode reads and
         effects on known signals and modes, mode-sets on known mode
-        components, and no ``#`` in a title or definition text (the ``.req``
-        text starts a comment there).
+        components, and no ``#`` or line break (any separator
+        ``str.splitlines`` splits on) in a title or definition text: the
+        ``.req`` text starts a comment at ``#`` and reads one record per
+        line, so the model would not read back.
 
         Each distinct node is scanned once, by identity: what it can read
         and how deep it is are remembered for every later use, in any slot.
@@ -406,14 +416,12 @@ class RequirementsModel:
                     "required conditions")
 
         for d in self.definitions:
-            if "#" in d.text:
-                raise ModelError(f"definition {d.name!r}: '#' in its text")
+            _check_text(d.text, f"definition {d.name!r}", "text")
             visit(d.name)
 
         for r in self.requirements:
             where = f"requirement {r.req_id}"
-            if "#" in r.title:
-                raise ModelError(f"{where}: '#' in its title")
+            _check_text(r.title, where, "title")
             start_only(r.guard, where, "guard")
             for a in r.effects:
                 if isinstance(a, SignalAssign):

@@ -218,17 +218,17 @@ def test_each_state_and_event_has_fewer_than_30_candidates(spec, model):
     sizes = {(st, ev): sum(map(len, plan.candidates(
                  frozenset({(STATE_COMPONENT, st)}), ev)))
              for st in spec.roster.state_names for ev in spec.roster.event_names}
-    assert len(model.requirements) == 872
+    assert len(model.requirements) == 242
     assert max(sizes.values()) < 30
     assert min(sizes.values()) > 0
 
 
-def test_a_verify_compiles_fewer_than_300_of_the_872_steps(spec):
+def test_a_verify_compiles_197_of_the_242_steps(spec):
     model = generate_model(spec)[0]
     assert equivalence_report(spec, model).passed
     steps = _plan_of(model).steps
-    assert len(steps) == 872
-    assert sum(step.compiled for step in steps) < 300
+    assert len(steps) == 242
+    assert sum(step.compiled for step in steps) == 197
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections import Counter
 
 import pytest
 
@@ -23,18 +22,32 @@ from candofsm.generate import (
 from candofsm.opmodel import ModelState, _snapshot, ops_round
 from candofsm.reqs import Template, fire_round, initial_env
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
-from candofsm.reqs.expr import DefRef, EvalContext, Lit, eval_expr
-from candofsm.reqs.model import Env, RequirementsModel
+from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
+from candofsm.reqs.model import Env, ModeAssign, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import env_values, with_no_stage_two_creator, with_second_error_state
 from test_reqs import slots, walk
 
 
-def tables(spec):
-    """The preimage and dispatch groups that generation computes once, and a
-    fresh node table."""
-    return (candofsm.generate._preimage(spec),
-            candofsm.generate._dispatch_groups(spec), candofsm.generate._Nodes())
+def nodes():
+    """A fresh node table of the translation."""
+    return candofsm.generate._Nodes()
+
+
+def arrow_triggers(model) -> list:
+    """The triggers that move the fsm: one per arrow of the state diagram."""
+    return [r for r in model.requirements
+            if any(isinstance(a, ModeAssign) for a in r.effects)]
+
+
+def disjuncts(expr) -> tuple:
+    return expr.operands if isinstance(expr, BoolOp) and expr.op == "or" else (expr,)
+
+
+def entered(frm: str, event: str) -> BoolOp:
+    """The guard term of the table entry (event, frm)."""
+    return BoolOp("and", (DefRef(f"from_{frm}"),
+                          BinOp("=", SigRead("current_event"), Lit(event))))
 
 
 class TestDictionary:
@@ -80,7 +93,7 @@ class TestDictionary:
 
 class TestDefinitions:
     def test_from_and_to_definitions_per_state(self, spec):
-        defs = {d.name: d for d in gen_definitions(spec, *tables(spec))}
+        defs = {d.name: d for d in gen_definitions(spec, nodes())}
         for st in spec.roster.state_names:
             assert defs[f"from_{st}"].text == (
                 f"The fsm is in state {st} at the start of the round")
@@ -96,7 +109,7 @@ class TestDefinitions:
             events=(fsm_mod.MemberDef("CONT"),),
             commands=(fsm_mod.MemberDef("DUMMY_C"),))
         doc = SpecDocument(roster=roster, fsm={})
-        defs = {d.name: d for d in gen_definitions(doc, *tables(doc))}
+        defs = {d.name: d for d in gen_definitions(doc, nodes())}
         expr = defs["from_start"].expr
         assert expr.component == "fsm" and expr.mode == "start"
 
@@ -115,7 +128,7 @@ class TestDefinitions:
 
     def test_definition_count_scale(self, spec):
         # 2 per state, plus kind groups and arrival conditions
-        assert len(gen_definitions(spec, *tables(spec))) > 2 * 34
+        assert len(gen_definitions(spec, nodes())) > 2 * 34
 
     def test_every_definition_is_referenced(self, model):
         read = {node.name for expr in slots(model) for node in walk(expr)
@@ -125,34 +138,51 @@ class TestDefinitions:
 
 class TestRequirements:
     def test_transition_requirement_titles_follow_the_export_style(self, generated):
-        model, report = generated
-        rid = report.id_index[(CONT, "set_vLED", "send_packet_6")]
-        [req] = [r for r in model.requirements if r.req_id == rid]
-        assert req.title == "set_vLED to send_packet_6"
+        model, _ = generated
+        [req] = [r for r in arrow_triggers(model) if r.title == "set_vLED to send_packet_6"]
         assert req.template is Template.TRIGGER_ON_EVENT
+        assert req.effects == (ModeAssign("fsm", "send_packet_6"),)
 
-    def test_id_scheme_is_event_index_dot_state_index(self, spec, generated):
-        _, report = generated
-        ei = spec.roster.event_names.index(CONT)
-        si = spec.roster.state_names.index("set_vLED")
-        assert report.id_index[(CONT, "set_vLED", "send_packet_6")] \
-            == f"{ei}.{si:02d}"
+    def test_arrow_ids_are_from_and_to_indices_in_roster_order(self, spec, model):
+        index = {s: i for i, s in enumerate(spec.roster.state_names)}
+        arrows = [(index[frm], index[r.effects[0].mode])
+                  for r in arrow_triggers(model) for frm in [r.title.split(" to ")[0]]]
+        assert arrows == sorted(arrows)
+        assert [r.req_id for r in arrow_triggers(model)] \
+            == [f"{frm:02d}.{to:02d}" for frm, to in arrows]
 
-    def test_id_index_is_total_and_injective_over_the_table(self, spec, generated):
-        _, report = generated
+    def test_the_shipped_spec_has_91_arrows_with_unique_titles(self, model):
+        titles = [r.title for r in arrow_triggers(model)]
+        assert len(titles) == len(set(titles)) == 91
+        assert len(model.requirements) == 242
+
+    def test_every_table_entry_is_a_term_of_exactly_one_arrow(self, spec, model):
+        arrows = arrow_triggers(model)
+        terms = [term for r in arrows for term in disjuncts(r.guard)]
         for ev in spec.roster.event_names:
-            for st in spec.roster.state_names:
-                to = spec.fsm[ev][st]
-                assert (ev, st, to) in report.id_index, (ev, st)
-        ids = list(report.id_index.values())
-        assert len(ids) == len(set(ids))
-
-    def test_dispatch_requirements_cover_every_target(self, spec, generated):
-        _, report = generated
+            for frm in spec.roster.state_names:
+                if (ev, frm) == (CONT, "get_cmd"):
+                    continue
+                [holder] = [r for r in arrows if entered(frm, ev) in disjuncts(r.guard)]
+                assert holder.effects == (ModeAssign("fsm", spec.fsm[ev][frm]),), (ev, frm)
+        # every other term is a dispatch hand-off, one per target
         targets = set(spec.dispatch.values())
-        covered = {to for (ev, frm, to) in report.id_index
-                   if ev == CONT and frm == "get_cmd"}
-        assert covered == targets
+        assert len(terms) == 714 - 1 + len(targets)
+
+    def test_each_dispatch_target_has_one_hand_off_trigger(self, spec, model):
+        targets = set(spec.dispatch.values())
+        assert targets
+        for target in targets:
+            [trigger] = [r for r in arrow_triggers(model)
+                         if r.title == f"get_cmd to {target}"]
+            cmds = [BinOp("=", SigRead("current_command"), Lit(c))
+                    for c in spec.roster.command_names if spec.dispatch.get(c) == target]
+            hand_off = BoolOp("and", (*entered("get_cmd", CONT).operands,
+                                      cmds[0] if len(cmds) == 1 else BoolOp("or", tuple(cmds))))
+            assert hand_off in disjuncts(trigger.guard), target
+        # the table entry (CONT, get_cmd) is read through the dispatch only
+        assert not any(entered("get_cmd", CONT) in disjuncts(r.guard)
+                       for r in arrow_triggers(model))
 
     def test_report_counts_match_the_model(self, generated):
         model, report = generated
@@ -171,23 +201,23 @@ class TestRequirements:
 
     def test_empty_transition_spec_generates_only_modeset_and_every(self, spec):
         bare = dataclasses.replace(spec, fsm={}, dispatch={}, packets={})
-        requirements, id_index = gen_requirements(bare, *tables(bare))
+        requirements = gen_requirements(bare, nodes())
         templates = sorted(r.template.value for r in requirements)
         assert templates == ["every", "modeset"]
-        assert id_index == {}
 
     def test_generated_model_validates(self, model):
         model.validate()
 
-    def test_generation_computes_the_preimage_and_groups_once(self, spec, monkeypatch):
-        calls = Counter()
-        for name in ("_preimage", "_dispatch_groups"):
-            def counted(spec, name=name, original=getattr(candofsm.generate, name)):
-                calls[name] += 1
-                return original(spec)
-            monkeypatch.setattr(candofsm.generate, name, counted)
+    def test_generation_reads_the_table_once(self, spec, monkeypatch):
+        calls = []
+        original = candofsm.generate._arrows
+
+        def counted(spec, nodes):
+            calls.append(spec)
+            return original(spec, nodes)
+        monkeypatch.setattr(candofsm.generate, "_arrows", counted)
         generate_model(spec)
-        assert calls == {"_preimage": 1, "_dispatch_groups": 1}
+        assert calls == [spec]
 
 
 class TestOracle:
@@ -269,8 +299,8 @@ class TestSharedGraph:
 
     def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
         positions = [node for expr in slots(model) for node in walk(expr)]
-        assert len(positions) == 8974
-        assert len({id(node) for node in positions}) == 1133
+        assert len(positions) == 9016
+        assert len({id(node) for node in positions}) == 1167
         # literals that compare equal keep their types: 0 is not false
         zeros = {(type(n.value), id(n)) for n in positions
                  if isinstance(n, Lit) and n.value == 0}
@@ -285,8 +315,8 @@ class TestSharedGraph:
         parsed = parse_model(serialize_model(model))
         assert parsed == model
         positions = [node for expr in slots(parsed) for node in walk(expr)]
-        assert len(positions) == 8974
-        assert len({id(node) for node in positions}) == 1133
+        assert len(positions) == 9016
+        assert len({id(node) for node in positions}) == 1167
 
     def test_two_parses_share_no_expression_object(self, model):
         text = serialize_model(model)
@@ -370,12 +400,11 @@ def test_the_generated_model_and_its_report_are_pinned(model):
     def sha256(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    # ``.req`` last re-recorded when the class monitors came to be built from
-    # ``fsm.RULES``: the nine definitions nothing read were dropped, the kind
-    # groups the monitors read are emitted in the order the rules read them,
-    # and ``mon.C1.1`` reads ``to_start``; the report and every run stayed
-    # the same
+    # both last re-recorded when the table came to be read once, into one
+    # trigger per arrow of the state diagram: the 721 per-entry triggers
+    # became 91, with ids "<from>.<to>", and ``arrive_<state>`` lists its
+    # terms arrow by arrow; every run stayed the same up to those ids
     assert sha256(serialize_model(model)) \
-        == "5b2f6636663e138cb1a0769328c78f85c1de7fbb334e74b422ce73c4a9d86b87"
+        == "030ee6a4875c2aa297c89ec86bea954d4fecd6fee2159e712c1e8c22bb4466fa"
     assert sha256(render_requirements_markdown(model)) \
-        == "9d97f296e74ab907edcb22876482297da9049af51be077e9aea58893634b4c6a"
+        == "de0d70d584a94e2669364a9f79c11de5c31789802abda92ebec29527642d5feb"

@@ -36,7 +36,7 @@ NAMED_TUPLES = (
     ROW,
     DiffEntry(1, "state", "x", "y"),
     RunOutcome("cmd_finish", ()),
-    GenReport(1, 2, 3, {}),
+    GenReport(1, 2, 3),
     Env(signals={}, modes={}),
     RoundResult(Env(signals={}, modes={}), (), ()),
 )

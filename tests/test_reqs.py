@@ -456,17 +456,23 @@ class TestValidation:
         with pytest.raises(ModelError, match="^requirement r: read of unknown mode lamp.zzz$"):
             parse_model(TEXT_HEAD + 'req r "t" every mode(lamp.zzz) at start or x = 0\n')
 
-    @pytest.mark.parametrize("message, requirement, definitions", [
-        ("requirement r: '#' in its title",
-         Requirement("r", "a # b", Template.EVERY, required=Lit(True)), ()),
-        ("definition 'd': '#' in its text",
-         Requirement("r", "t", Template.EVERY, required=DefRef("d")),
-         (Definition("d", "a # b", Lit(True)),)),
+    @pytest.mark.parametrize("text, fault", [
+        ("a # b", "'#'"), ("a\nb", "line break"), ("a\rb", "line break"),
+        ("a\x0bb", "line break"), ("a\x85b", "line break"), ("a\u2028b", "line break"),
+    ], ids=["hash", "LF", "CR", "VT", "NEL", "LS"])
+    @pytest.mark.parametrize("message, make", [
+        ("requirement r: {} in its title",
+         lambda text: (Requirement("r", text, Template.EVERY, required=Lit(True)), ())),
+        ("definition 'd': {} in its text",
+         lambda text: (Requirement("r", "t", Template.EVERY, required=DefRef("d")),
+                       (Definition("d", text, Lit(True)),))),
     ], ids=["title", "definition text"])
-    def test_a_hash_in_a_title_or_definition_text_is_rejected(self, message, requirement,
-                                                             definitions):
-        # the .req text starts a comment at '#': the model would not read back
-        with pytest.raises(ModelError, match=f"^{message}$"):
+    def test_a_hash_or_line_break_in_a_title_or_definition_text_is_rejected(
+            self, message, make, text, fault):
+        # the .req text starts a comment at '#' and reads one record per
+        # line: the model would not read back
+        requirement, definitions = make(text)
+        with pytest.raises(ModelError, match=f"^{message.format(fault)}$"):
             tiny_model(requirement, definitions=definitions)
 
     def test_end_read_in_a_trigger_effect_is_rejected(self):

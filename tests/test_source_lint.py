@@ -203,3 +203,96 @@ def test_only_the_expression_module_calls_a_node_constructor():
                 for path in modules() if path != NODE_HOME
                 for line, name in node_constructor_calls(path.read_text(encoding="utf-8"))]
     assert offences == []
+
+
+def _defined(stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _loads(node) -> set[str]:
+    """Every name ``node`` loads, as a name or an attribute, or imports."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
+    return found
+
+
+def unreached_names(sources: dict[str, str], entry_points=()) -> list[str]:
+    """``module.name`` for each top-level name defined in ``sources``
+    (module -> source) that no root reaches.  The roots are
+    ``entry_points``, the names an ``__all__`` lists and every name that
+    other module-level code, imports included, loads; a definition reaches
+    every name its own code loads.  Names are matched by identifier alone,
+    whichever module defines them."""
+    loads_of: dict[str, list[set[str]]] = {}
+    defined: list[tuple[str, str]] = []
+    roots = set(entry_points)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = _defined(stmt)
+            if names == ["__all__"]:
+                roots.update(n.value for n in ast.walk(stmt.value)
+                             if isinstance(n, ast.Constant))
+            elif names:
+                for name in names:
+                    loads_of.setdefault(name, []).append(_loads(stmt))
+                    defined.append((module, name))
+            else:
+                roots |= _loads(stmt)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for loads in loads_of.get(name, ()) for n in loads)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in reached and not name.startswith("__"))
+
+
+def test_the_check_finds_a_name_nothing_reaches():
+    sources = {
+        "a": ("from .b import used\n"
+              "__all__ = ['public']\n"
+              "def public():\n"
+              "    return _helper()\n"
+              "def _helper():\n"
+              "    return TABLE[0]\n"
+              "TABLE = (1,)\n"
+              "def dead():\n"
+              "    return _only_dead()\n"
+              "def _only_dead(): pass\n"
+              "__version__ = '1'\n"),
+        "b": ("import sys\n"
+              "def used(): pass\n"
+              "class Unused:\n"
+              "    def method(self): return self.used\n"
+              "sys.exit(main())\n"
+              "def main(): pass\n"),
+    }
+    assert unreached_names(sources) == ["a._only_dead", "a.dead", "b.Unused"]
+    assert unreached_names(sources, ["dead"]) == ["b.Unused"]
+
+
+# ``reqs.text``'s reader and writer of the .req format: only tests call them
+# until a CLI command reads or writes a model file
+TEXT_ENTRY_POINTS = ["parse_model", "serialize_model"]
+
+
+def test_every_top_level_name_is_reached():
+    sources = {".".join(path.relative_to(PACKAGE).with_suffix("").parts):
+               path.read_text(encoding="utf-8") for path in modules()}
+    assert unreached_names(sources, TEXT_ENTRY_POINTS) == []
+    # the exception holds only while nothing else reaches them
+    assert {f"reqs.text.{name}" for name in TEXT_ENTRY_POINTS} \
+        <= set(unreached_names(sources))

@@ -37,7 +37,7 @@ from .specio import (
 from .opmodel import (
     ModelState, Packet, StepOutcome, init_model, ops_round, run, state_operation, step,
 )
-from .generate import GenReport, gen_dictionary, gen_definitions, gen_requirements, generate_model
+from .generate import GenReport, generate_model
 from .trace import (
     DiffEntry,
     EquivalenceReport,
@@ -57,8 +57,7 @@ __all__ = [
     "StepOutcome", "Trace", "TraceRow", "Violation", "bundled_spec_path",
     "check_cando", "check_dispatch", "check_roster", "check_statemap",
     "check_totality", "diff", "equivalence_report",
-    "gen_definitions", "gen_dictionary", "gen_requirements", "generate_model",
-    "init_model", "load_bundled_cando", "load_spec", "lookup_next",
+    "generate_model", "init_model", "load_bundled_cando", "load_spec", "lookup_next",
     "ops_round", "parse_spec", "reachable", "run", "serialize_spec",
     "state_operation", "step",
 ]

@@ -73,6 +73,9 @@ HAND_MODEL_RECORDS = 26
 HAND_MODEL_DEFINITIONS = 105
 HAND_MODEL_REQUIREMENTS = 113
 
+# The project name that heads the markdown report and prefixes its ids.
+PROJECT = "cando"
+
 # Each kind and kind group that ``fsm.RULES`` names: its name part and label.
 _GROUPS = {
     StateKind.SEND: ("send", "send"),
@@ -88,9 +91,8 @@ class _Nodes(Nodes):
     """The node table of one :func:`generate_model` call, with the
     translation's shorthands.  :meth:`and_` and :meth:`or_all` flatten an
     operand with the same operator into its own operands, so generated
-    chains are flat.  :meth:`eq`, :meth:`entered`, :meth:`arrows` and
-    :meth:`class_monitors` are also keyed on their arguments, so asking
-    again costs one lookup."""
+    chains are flat.  :meth:`eq` and :meth:`entered` are also keyed on their
+    arguments, so asking again costs one lookup."""
 
     def state(self, mode: str, at: str) -> ModeActive:
         return self.mode(STATE_COMPONENT, mode, at)
@@ -124,14 +126,6 @@ class _Nodes(Nodes):
         return self._node(("entered", frm, event),
                           lambda: self.and_(self.ref(f"from_{frm}"), self.event_is(event)))
 
-    def arrows(self, spec: SpecDocument):
-        """:func:`_arrows` of ``spec``."""
-        return self._node(("arrows", id(spec)), _arrows, spec, self)
-
-    def class_monitors(self, spec: SpecDocument):
-        """:func:`_class_monitors` of ``spec``."""
-        return self._node(("class monitors", id(spec)), _class_monitors, spec, self)
-
 
 class GenReport(NamedTuple):
     """Counts of the generated records, definitions and requirements."""
@@ -150,7 +144,7 @@ class GenReport(NamedTuple):
         )
 
 
-def gen_dictionary(spec: SpecDocument) -> DataDictionary:
+def _dictionary(spec: SpecDocument) -> DataDictionary:
     """Data dictionary: state modes, event/command enumerations, flag signals,
     bounded counters with next_* shadows, and the three packet field signals."""
     roster = spec.roster
@@ -199,8 +193,7 @@ def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
     get_cmd hand-off under ``CONT`` guarded by the target's command group,
     which replaces that entry.  An entry whose rule admits only its own
     state (C3, C4) leads back to that state, whatever the table says; the
-    readings agree on a table that satisfies the rule.  Ask
-    ``nodes.arrows``, which reads the table once."""
+    readings agree on a table that satisfies the rule."""
     roster = spec.roster
     identity = {(rule.event, s) for rule, _, owned, _ in roster.rules
                 if rule.target == (SELF,) for s in owned}
@@ -224,33 +217,6 @@ def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
     index = {s: i for i, s in enumerate(roster.state_names)}
     return {arrow: nodes.or_all(terms[arrow])
             for arrow in sorted(terms, key=lambda a: (index[a[0]], index[a[1]]))}
-
-
-def gen_definitions(spec: SpecDocument, nodes: _Nodes) -> tuple[Definition, ...]:
-    """Per-state from/to definitions, the kind-group and self-loop
-    definitions that the class monitors read, and ``arrive_<state>``, the
-    OR of the guards of the arrows into each state, which guards its
-    operation requirements.  ``nodes`` is the node table to build with."""
-    roster = spec.roster
-    defs: list[Definition] = []
-    for st in roster.state_names:
-        for side, at in (("from", "start"), ("to", "end")):
-            defs.append(Definition(
-                f"{side}_{st}", f"The fsm is in state {st} at the {at} of the round",
-                nodes.state(st, at)))
-
-    defs += nodes.class_monitors(spec)[1]
-
-    into: dict[str, list] = {}
-    for (_, to), guard in nodes.arrows(spec).items():
-        into.setdefault(to, []).append(guard)
-    for st in roster.state_names:
-        if st in into:
-            defs.append(Definition(
-                f"arrive_{st}",
-                f"A transition into {st} fires this round",
-                nodes.or_all(into[st])))
-    return tuple(defs)
 
 
 def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
@@ -408,7 +374,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> tuple[
     state it admits is entered.  The guard reads the rule's source, or the
     states it owns where an earlier rule owns some that the source selects.
     Also the kind-group and self-loop definitions the monitors read, in the
-    order first read.  Ask ``nodes.class_monitors``, which builds them once."""
+    order first read."""
     roster = spec.roster
     ref = nodes.ref
     defs: dict[str, Definition] = {}
@@ -455,47 +421,52 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> tuple[
     return tuple(reqs), tuple(defs.values())
 
 
-def gen_requirements(spec: SpecDocument, nodes: _Nodes) -> tuple[Requirement, ...]:
-    """All requirements: one trigger per arrow of the state diagram, titled
-    ``"<from> to <to>"`` with id ``"<fromIndex>.<toIndex>"`` (both indices
-    two digits), then each entered state's operation requirements, their
-    post-condition monitors, the class monitors and the mode-set.
-    ``nodes`` is as for :func:`gen_definitions`."""
+def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
+    """The translation as one validated model, with the generation report
+    counted from it.  The table is read once into its arrows and the rule
+    catalogue once into the class monitors; one pass over the roster builds
+    each state's from/to definitions, its ``arrive_<state>`` (the OR of the
+    guards of the arrows into it) and its operation requirements.  Each
+    arrow is one trigger, titled ``"<from> to <to>"`` with id
+    ``"<fromIndex>.<toIndex>"``.  Every node comes from one table, so equal
+    subexpressions are one object; the table goes when the call returns."""
+    nodes = _Nodes()
+    arrows = _arrows(spec, nodes)
+    monitors, monitor_defs = _class_monitors(spec, nodes)
     index = {s: i for i, s in enumerate(spec.roster.state_names)}
-    arrows = nodes.arrows(spec)
     reqs = [Requirement(
         req_id=f"{index[frm]:02d}.{index[to]:02d}", title=f"{frm} to {to}",
         template=TRIGGER_ON_EVENT, guard=guard,
         effects=(ModeAssign(STATE_COMPONENT, to),))
         for (frm, to), guard in arrows.items()]
+    into: dict[str, list] = {}
+    for (_, to), guard in arrows.items():
+        into.setdefault(to, []).append(guard)
 
-    targets = {to for _, to in arrows}
+    defs: list[Definition] = []
+    arrivals: list[Definition] = []
     posts: list[Requirement] = []
     for st in spec.roster.state_names:
-        if st in targets:
+        for side, at in (("from", "start"), ("to", "end")):
+            defs.append(Definition(
+                f"{side}_{st}", f"The fsm is in state {st} at the {at} of the round",
+                nodes.state(st, at)))
+        if st in into:
+            arrivals.append(Definition(
+                f"arrive_{st}", f"A transition into {st} fires this round",
+                nodes.or_all(into[st])))
             state_ops, state_posts = _state_operation(spec, st, nodes)
-            reqs.extend(state_ops)
-            posts.extend(state_posts)
-    reqs.extend(posts)
-    reqs.extend(nodes.class_monitors(spec)[0])
-    reqs.append(Requirement(
+            reqs += state_ops
+            posts += state_posts
+    modeset = Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",
-        template=MODE_SET, component=STATE_COMPONENT))
-    return tuple(reqs)
+        template=MODE_SET, component=STATE_COMPONENT)
 
-
-def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
-    """Dictionary, definitions and requirements as one validated model, with
-    the generation report counted from that model.  Definitions and
-    requirements are built from one node table, so equal subexpressions are
-    one object; the table goes when the call returns."""
-    nodes = _Nodes()
-    requirements = gen_requirements(spec, nodes)
     model = RequirementsModel(
-        dictionary=gen_dictionary(spec),
-        definitions=gen_definitions(spec, nodes),
-        requirements=requirements,
+        dictionary=_dictionary(spec),
+        definitions=(*defs, *monitor_defs, *arrivals),
+        requirements=(*reqs, *posts, *monitors, modeset),
     )
     model.validate()
     report = GenReport(
@@ -525,7 +496,9 @@ def _prose(expr, defs: Mapping[str, Definition]) -> str:
     if isinstance(expr, Not):
         return f"it is not the case that {_prose(expr.operand, defs)}"
     if isinstance(expr, BoolOp):
-        return f" {expr.op} ".join(_prose(o, defs) for o in expr.operands)
+        return f" {expr.op} ".join(
+            f"({_prose(o, defs)})" if isinstance(o, BoolOp) and o.op != expr.op
+            else _prose(o, defs) for o in expr.operands)
     if isinstance(expr, BinOp):
         if expr.op == "=" and isinstance(expr.left, SigRead):
             return (f"The {expr.left.name.replace('_', ' ')} is "
@@ -544,20 +517,21 @@ def _effect_prose(effect, defs: Mapping[str, Definition]) -> str:
             f"{_prose(effect.expr, defs)}")
 
 
-def _conjuncts(expr) -> list:
-    if isinstance(expr, BoolOp) and expr.op == "and":
-        return [c for o in expr.operands for c in _conjuncts(o)]
-    return [expr]
+def _lines(expr, ops: tuple[str, ...], defs: Mapping[str, Definition]) -> list[str]:
+    """``expr`` one operand a line if it is a chain of one of ``ops``, each
+    operand after the first led by the operator; else on one line."""
+    if isinstance(expr, BoolOp) and expr.op in ops:
+        first, *rest = expr.operands
+        return [f"  {_prose(first, defs)}",
+                *(f"  {expr.op} {_prose(o, defs)}" for o in rest)]
+    return [f"  {_prose(expr, defs)}"]
 
 
-def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
-                       project: str) -> list[str]:
-    lines = [f"### {project}/{req.req_id}: {req.title}", ""]
+def _requirement_block(req: Requirement, defs: Mapping[str, Definition]) -> list[str]:
+    lines = [f"### {PROJECT}/{req.req_id}: {req.title}", ""]
     if req.template is TRIGGER_ON_EVENT:
         lines.append("If")
-        first, *rest = _conjuncts(req.guard)
-        lines.append(f"  {_prose(first, defs)}")
-        lines.extend(f"  and {_prose(part, defs)}" for part in rest)
+        lines += _lines(req.guard, ("and", "or"), defs)
         lines.append("occurs, then")
         for effect in req.effects:
             lines.append(f"  {_effect_prose(effect, defs)}")
@@ -566,7 +540,7 @@ def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
         lines.append("holds.")
     elif req.template is WHEN:
         lines.append("Whenever")
-        lines.append(f"  {_prose(req.guard, defs)}")
+        lines += _lines(req.guard, ("or",), defs)
         lines.append("holds, then")
         lines.append(f"  {_prose(req.required, defs)}")
         lines.append("holds.")
@@ -581,10 +555,9 @@ def _requirement_block(req: Requirement, defs: Mapping[str, Definition],
     return lines
 
 
-def render_requirements_markdown(model: RequirementsModel,
-                                 project: str = "cando") -> str:
+def render_requirements_markdown(model: RequirementsModel) -> str:
     defs = model.definition_map()
-    lines = [f"# Requirements model: {project}", ""]
+    lines = [f"# Requirements model: {PROJECT}", ""]
     for req in model.requirements:
-        lines.extend(_requirement_block(req, defs, project))
+        lines.extend(_requirement_block(req, defs))
     return "\n".join(lines) + "\n"

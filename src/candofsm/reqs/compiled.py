@@ -43,7 +43,6 @@ from .expr import (
     BinOp,
     BoolOp,
     DefRef,
-    EvalContext,
     EvalError,
     IllegalEndOfRoundRead,
     Lit,
@@ -81,12 +80,6 @@ class Frame:
         self.signals = signals
         self.start_modes = start_modes
         self.end_modes = end_modes
-
-    @classmethod
-    def of(cls, ctx: EvalContext) -> Frame:
-        """The frame of an :class:`EvalContext`."""
-        signals = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
-        return cls({} if signals is None else signals, ctx.start_modes, ctx.end_modes)
 
 
 class Compiled:
@@ -162,7 +155,9 @@ class Compiler:
         }
 
     def compile(self, expr) -> Compiled:
-        """``compile(expr).fn(Frame.of(ctx))`` computes ``eval_expr(expr, ctx)``."""
+        """The compiled node of ``expr``: its ``fn`` of a :class:`Frame`
+        computes what ``eval_expr`` computes for ``expr`` in a context with
+        the frame's ambient signals and mode snapshots."""
         seen = self._seen.get(id(expr))
         if seen is not None:
             return seen[1]

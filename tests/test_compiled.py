@@ -61,6 +61,13 @@ def meets(support: frozenset, active: frozenset, signal: str | None = None,
     return False
 
 
+def frame_of(ctx: EvalContext) -> Frame:
+    """The frame a compiled expression reads for ``ctx``: its ambient
+    signals and its start and end mode snapshots."""
+    signals = ctx.end_signals if ctx.ambient == "end" else ctx.start_signals
+    return Frame({} if signals is None else signals, ctx.start_modes, ctx.end_modes)
+
+
 def outcome(fn, *args):
     try:
         value = fn(*args)
@@ -71,7 +78,7 @@ def outcome(fn, *args):
 
 def agree(expr, ctx, compiler):
     compiled = compiler.compile(expr).fn
-    return outcome(eval_expr, expr, ctx) == outcome(compiled, Frame.of(ctx))
+    return outcome(eval_expr, expr, ctx) == outcome(compiled, frame_of(ctx))
 
 
 def model_expressions(model) -> list:
@@ -155,7 +162,7 @@ def test_every_generated_expression_agrees_with_the_interpreter(model, contexts)
 
 def test_the_samples_reach_values_and_every_kind_of_error(model, contexts):
     compiler = Compiler(model.definition_map())
-    seen = {outcome(compiler.compile(expr).fn, Frame.of(ctx))[1]
+    seen = {outcome(compiler.compile(expr).fn, frame_of(ctx))[1]
             for expr in model_expressions(model) for ctx in contexts}
     assert {bool, int, str, TypeMismatch, IllegalEndOfRoundRead, EvalError} <= seen
 
@@ -166,7 +173,7 @@ KEY = "current_event"
 
 def key_of(ctx) -> object:
     """The key signal's value in the snapshot an expression reads."""
-    return Frame.of(ctx).signals.get(KEY, ABSENT)
+    return frame_of(ctx).signals.get(KEY, ABSENT)
 
 
 def test_the_generated_supports_read_only_the_key_signal(model):
@@ -332,7 +339,7 @@ def test_hand_built_expression_agrees_with_the_interpreter(expr):
     compiler = Compiler(HAND_CONTEXTS[0].definitions)
     for ctx in HAND_CONTEXTS:
         assert outcome(eval_expr, expr, ctx) \
-            == outcome(compiler.compile(expr).fn, Frame.of(ctx)), ctx
+            == outcome(compiler.compile(expr).fn, frame_of(ctx)), ctx
 
 
 def test_the_hand_cases_raise_each_error_kind():
@@ -344,7 +351,7 @@ def test_the_hand_cases_raise_each_error_kind():
 def test_literals_that_compare_equal_keep_their_types():
     # one compiler for all four, so a shared closure would show
     compiler = Compiler({})
-    frame = Frame.of(hand_ctx())
+    frame = frame_of(hand_ctx())
     values = [compiler.compile(Lit(v)).fn(frame) for v in (0, False, 1, True)]
     assert [(type(v), v) for v in values] == [(int, 0), (bool, False),
                                              (int, 1), (bool, True)]
@@ -543,7 +550,7 @@ def test_an_exact_support_the_key_meets_decides_the_guard():
     env = start_on(model, ("on",), ev="green")
     ctx = EvalContext(start_signals=env.signals, start_modes=env.modes, definitions={})
     assert eval_expr(guard, ctx) is True
-    assert node.fn(Frame.of(ctx)) is True
+    assert node.fn(frame_of(ctx)) is True
     plan = _plan_of(model)
     effect, _ = plan.candidates(active_modes(env.modes), "green")
     # the exact guard is not called; the other one is

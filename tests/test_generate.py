@@ -13,9 +13,6 @@ from candofsm.generate import (
     HAND_MODEL_DEFINITIONS,
     HAND_MODEL_RECORDS,
     HAND_MODEL_REQUIREMENTS,
-    gen_definitions,
-    gen_dictionary,
-    gen_requirements,
     generate_model,
     render_requirements_markdown,
 )
@@ -23,15 +20,10 @@ from candofsm.opmodel import ModelState, _snapshot, ops_round
 from candofsm.reqs import Template, fire_round, initial_env
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
 from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
-from candofsm.reqs.model import Env, ModeAssign, RequirementsModel
+from candofsm.reqs.model import Env, ModeAssign, Requirement, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import env_values, with_no_stage_two_creator, with_second_error_state
 from test_reqs import slots, walk
-
-
-def nodes():
-    """A fresh node table of the translation."""
-    return candofsm.generate._Nodes()
 
 
 def arrow_triggers(model) -> list:
@@ -51,8 +43,8 @@ def entered(frm: str, event: str) -> BoolOp:
 
 
 class TestDictionary:
-    def test_state_component_carries_all_34_modes(self, spec):
-        dictionary = gen_dictionary(spec)
+    def test_state_component_carries_all_34_modes(self, model):
+        dictionary = model.dictionary
         [component] = dictionary.modes
         assert component.name == "fsm"
         assert len(component.modes) == 34
@@ -60,40 +52,40 @@ class TestDictionary:
         text = serialize_model(RequirementsModel(dictionary))
         assert f"mode fsm {{ {' '.join(component.modes)} }} exclusive init=start\n" in text
 
-    def test_counter_bounds(self, spec):
-        dictionary = gen_dictionary(spec)
+    def test_counter_bounds(self, model):
+        dictionary = model.dictionary
         signals = {s.name: s for s in dictionary.signals}
         bs = signals["bytes_sent"]
         assert (bs.minimum, bs.maximum) == (0, PACKET_LENGTH)
         tx = signals["tx_cnt"]
         assert (tx.minimum, tx.maximum) == (0, MAX_COUNT)
 
-    def test_event_and_command_enumerations(self, spec):
-        dictionary = gen_dictionary(spec)
+    def test_event_and_command_enumerations(self, model):
+        dictionary = model.dictionary
         assert len(dictionary.type_named("Event").members) == 21
         assert len(dictionary.type_named("Command").members) == 17
 
-    def test_flag_signals_use_the_flag_type(self, spec):
-        types = {s.name: s.type_name for s in gen_dictionary(spec).signals}
+    def test_flag_signals_use_the_flag_type(self, model):
+        types = {s.name: s.type_name for s in model.dictionary.signals}
         for name in ("command_finish_flag", "optrode_TX_finish",
                      "optrode_RX_finish"):
             assert types[name] == "Flag"
 
-    def test_shadow_and_packet_signals_exist(self, spec):
-        names = {s.name for s in gen_dictionary(spec).signals}
+    def test_shadow_and_packet_signals_exist(self, model):
+        names = {s.name for s in model.dictionary.signals}
         for name in ("next_bytes_sent", "next_bytes_received", "next_tx_cnt",
                      "packet_addr", "packet_cmd", "packet_data"):
             assert name in names
 
-    def test_constants_pin_the_protocol_bounds(self, spec):
-        dictionary = gen_dictionary(spec)
+    def test_constants_pin_the_protocol_bounds(self, model):
+        dictionary = model.dictionary
         values = {c.name: c.value for c in dictionary.constants}
         assert values == {"PACKET_LENGTH": 3, "MAX_COUNT": 2}
 
 
 class TestDefinitions:
-    def test_from_and_to_definitions_per_state(self, spec):
-        defs = {d.name: d for d in gen_definitions(spec, nodes())}
+    def test_from_and_to_definitions_per_state(self, spec, model):
+        defs = model.definition_map()
         for st in spec.roster.state_names:
             assert defs[f"from_{st}"].text == (
                 f"The fsm is in state {st} at the start of the round")
@@ -109,7 +101,7 @@ class TestDefinitions:
             events=(fsm_mod.MemberDef("CONT"),),
             commands=(fsm_mod.MemberDef("DUMMY_C"),))
         doc = SpecDocument(roster=roster, fsm={})
-        defs = {d.name: d for d in gen_definitions(doc, nodes())}
+        defs = generate_model(doc)[0].definition_map()
         expr = defs["from_start"].expr
         assert expr.component == "fsm" and expr.mode == "start"
 
@@ -126,9 +118,9 @@ class TestDefinitions:
             definitions=defs)
         assert eval_expr(defs["from_kind_send"].expr, ctx) is False
 
-    def test_definition_count_scale(self, spec):
+    def test_definition_count_scale(self, model):
         # 2 per state, plus kind groups and arrival conditions
-        assert len(gen_definitions(spec, nodes())) > 2 * 34
+        assert len(model.definitions) > 2 * 34
 
     def test_every_definition_is_referenced(self, model):
         read = {node.name for expr in slots(model) for node in walk(expr)
@@ -201,7 +193,7 @@ class TestRequirements:
 
     def test_empty_transition_spec_generates_only_modeset_and_every(self, spec):
         bare = dataclasses.replace(spec, fsm={}, dispatch={}, packets={})
-        requirements = gen_requirements(bare, nodes())
+        requirements = generate_model(bare)[0].requirements
         templates = sorted(r.template.value for r in requirements)
         assert templates == ["every", "modeset"]
 
@@ -216,6 +208,17 @@ class TestRequirements:
             calls.append(spec)
             return original(spec, nodes)
         monkeypatch.setattr(candofsm.generate, "_arrows", counted)
+        generate_model(spec)
+        assert calls == [spec]
+
+    def test_generation_reads_the_rule_catalogue_once(self, spec, monkeypatch):
+        calls = []
+        original = candofsm.generate._class_monitors
+
+        def counted(spec, nodes):
+            calls.append(spec)
+            return original(spec, nodes)
+        monkeypatch.setattr(candofsm.generate, "_class_monitors", counted)
         generate_model(spec)
         assert calls == [spec]
 
@@ -360,6 +363,36 @@ class TestRendering:
         assert ("  The fsm is in state get_cmd at the end of the round or The fsm "
                 "is in state error_ at the end of the round\n") in block
 
+    def test_an_arrow_of_many_entries_reads_one_entry_a_line(self, model):
+        events = ["ERROR", "SPI_TX_FINISH", "SPI_RX_FINISH", "GET_CMD_E",
+                  *(f"EVT_{i}" for i in range(6, 22))]
+        entry = "The fsm is in state start at the start of the round and The current event is "
+        block = "\n".join([
+            "### cando/00.03: start to error_", "", "If",
+            f"  {entry}{events[0]}", *(f"  or {entry}{e}" for e in events[1:]),
+            "occurs, then", "  The fsm is in state error_ at the end of the round",
+            "holds.", "", ""])
+        assert block in render_requirements_markdown(model)
+
+    def test_a_chain_in_a_chain_of_the_other_operator_is_bracketed(self, model):
+        text = render_requirements_markdown(model)
+        block = text[text.index("cando/01.05:"):text.index("cando/01.06:")]
+        assert ("  or The fsm is in state get_cmd at the start of the round and The current "
+                "event is CONT and (The current command is LED_ON_C or The current command "
+                "is SET_DAC_C)\n") in block
+
+    def test_a_when_guard_that_is_an_or_reads_one_disjunct_a_line(self, model):
+        guard = BoolOp("or", (DefRef("from_start"), entered("get_cmd", CONT)))
+        monitor = Requirement(req_id="mon.X", title="x", template=Template.WHEN,
+                              guard=guard, required=DefRef("to_error_"))
+        text = render_requirements_markdown(
+            dataclasses.replace(model, requirements=(monitor,)))
+        assert ("Whenever\n"
+                "  The fsm is in state start at the start of the round\n"
+                "  or The fsm is in state get_cmd at the start of the round and "
+                "The current event is CONT\n"
+                "holds, then\n") in text
+
     def test_markdown_is_deterministic(self, model):
         assert render_requirements_markdown(model) \
             == render_requirements_markdown(model)
@@ -400,11 +433,15 @@ def test_the_generated_model_and_its_report_are_pinned(model):
     def sha256(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    # both last re-recorded when the table came to be read once, into one
-    # trigger per arrow of the state diagram: the 721 per-entry triggers
+    # the model last re-recorded when the table came to be read once, into
+    # one trigger per arrow of the state diagram: the 721 per-entry triggers
     # became 91, with ids "<from>.<to>", and ``arrive_<state>`` lists its
     # terms arrow by arrow; every run stayed the same up to those ids
     assert sha256(serialize_model(model)) \
         == "030ee6a4875c2aa297c89ec86bea954d4fecd6fee2159e712c1e8c22bb4466fa"
+    # the report last re-recorded when a guard that is an OR came to be
+    # printed one disjunct a line, with a chain inside a chain of the other
+    # operator bracketed: only the 42 arrow triggers of more than one entry
+    # read differently
     assert sha256(render_requirements_markdown(model)) \
-        == "de0d70d584a94e2669364a9f79c11de5c31789802abda92ebec29527642d5feb"
+        == "9d0f67e392c2a7c7fc6d7f19b87847554813c8c98af5edc071675f24a3997a02"

@@ -13,7 +13,9 @@ silently and shares it between all its instances.  Every exception class is
 raised somewhere in the package, or is the base of one that is.  Only
 ``reqs/expr.py`` calls an expression node's constructor: every other module
 builds nodes through a ``Nodes`` table, which decides when two are one
-object."""
+object.  No function an ``__all__`` exports annotates a parameter with a
+private (``_``-prefixed) name: a caller could not build that argument
+without reaching into the module."""
 
 from __future__ import annotations
 
@@ -296,3 +298,47 @@ def test_every_top_level_name_is_reached():
     # the exception holds only while nothing else reaches them
     assert {f"reqs.text.{name}" for name in TEXT_ENTRY_POINTS} \
         <= set(unreached_names(sources))
+
+
+def private_parameter_types(sources: list[str]) -> list[str]:
+    """``function(parameter: name)`` for each parameter of a top-level
+    function that an ``__all__`` in ``sources`` names, annotated with a
+    private name.  Functions are matched to ``__all__`` by name alone."""
+    exported = {n.value for source in sources for stmt in ast.parse(source).body
+                if _defined(stmt) == ["__all__"]
+                for n in ast.walk(stmt.value) if isinstance(n, ast.Constant)}
+    found = []
+    for source in sources:
+        for fn in ast.parse(source).body:
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name in exported):
+                continue
+            a = fn.args
+            for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg):
+                annotation = arg and arg.annotation
+                if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                    annotation = ast.parse(annotation.value, mode="eval")
+                names = {_name(n) for n in ast.walk(annotation)} if annotation else set()
+                found += [f"{fn.name}({arg.arg}: {name})" for name in sorted(
+                    n for n in names if n and n.startswith("_") and not n.startswith("__"))]
+    return found
+
+
+def test_the_check_finds_a_private_parameter_type_on_an_exported_function():
+    sources = [
+        ("__all__ = ['build', 'run', 'Table']\n"
+         "from .gen import build\n"),
+        ("class _Table: pass\n"
+         "def build(spec: Spec, nodes: _Table, *rest: tuple[mod._Row], **kw) -> _Table:\n"
+         "    def inner(x: _Table): pass\n"
+         "def run(spec: 'Spec', table: 'dict[str, _Table]', __x: __Dunder): pass\n"
+         "def helper(nodes: _Table): pass\n"
+         "def _private(nodes: _Table): pass\n"),
+    ]
+    assert private_parameter_types(sources) == [
+        "build(nodes: _Table)", "build(rest: _Row)", "run(table: _Table)"]
+
+
+def test_no_exported_function_takes_a_private_parameter_type():
+    assert private_parameter_types(
+        [path.read_text(encoding="utf-8") for path in modules()]) == []

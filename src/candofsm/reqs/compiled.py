@@ -15,8 +15,13 @@ Sharing is decided where nodes are built (see :class:`~.expr.Nodes`), so
 is compiled once for the life of the ``Compiler``, and a node met again
 costs one lookup.  A definition reference compiles its definition's body
 through :meth:`Compiler.compile`, so every reference to one body shares its
-compiled node.  :meth:`Compiler.compile` only builds the node and its
-support; the closure is built when ``fn`` is first read.
+compiled node.  :meth:`Compiler.compile` only builds the node, its support
+and its reads; the closure is built when ``fn`` is first read.
+
+A node's *reads* are the signals it can look up, through definitions: the
+names of the ``SigRead`` nodes under it.  Its value, or the error it
+raises, depends on no other signal.  The sets are interned per
+``Compiler``: one object per distinct set, and ``EMPTY`` for none.
 
 An expression's *start-state support* is a set of terms ``(mode,
 literal)``: ``mode`` is a (component, mode) pair and ``literal`` is None or
@@ -86,13 +91,16 @@ class Compiled:
     """One compiled subexpression: its start-state support, and its closure,
     built from ``build(*args)`` when ``fn`` is first read."""
 
-    __slots__ = ("support", "exact", "literal", "op", "parts", "_build", "_fn")
+    __slots__ = ("support", "reads", "exact", "literal", "op", "parts", "_build", "_args",
+                 "_fn")
 
     def __init__(self, build, args, support=None, exact=False, literal=None,
-                 op=None, parts=()):
-        self._build = build, args
+                 op=None, parts=(), reads=EMPTY):
+        self._build = build
+        self._args = args
         self._fn = None
         self.support = support
+        self.reads = reads        # the signals it can read
         self.exact = exact        # the support is exact
         self.literal = literal    # (signal, value) of a `signal = literal` node
         self.op = op              # "and" / "or" for a BoolOp
@@ -102,16 +110,16 @@ class Compiled:
     def fn(self):
         fn = self._fn
         if fn is None:
-            build, args = self._build
-            fn = self._fn = build(*args)
-            self._build = None
+            fn = self._fn = self._build(*self._args)
+            self._build = self._args = None
         return fn
 
 
 def _safe(node: Compiled) -> bool:
     """Whether the node evaluates to a boolean without raising from any start:
-    an exact support that reads no signal."""
-    return node.exact and all(literal is None for _, literal in node.support)
+    an exact support that reads no signal.  (An exact support has a literal
+    exactly when its node reads a signal.)"""
+    return node.exact and not node.reads
 
 
 def _and_support(parts: tuple[Compiled, ...]) -> tuple[frozenset | None, bool]:
@@ -145,8 +153,11 @@ class Compiler:
 
     def __init__(self, definitions: Mapping[str, object]):
         self.definitions = definitions
-        # id(expr) -> (expr, its node); holding expr keeps its id from reuse
-        self._seen: dict[int, tuple[object, Compiled]] = {}
+        # id(expr) -> its node; holding every expr keeps its id from reuse
+        self._seen: dict[int, Compiled] = {}
+        self._held: list = []
+        # each distinct interned value, as its one shared object
+        self._interned: dict = {EMPTY: EMPTY}
         # in eval_expr's order, which decides a node of two node types
         self._by_type = {
             Lit: self._lit, SigRead: self._sig_read, ModeActive: self._mode_active,
@@ -160,20 +171,35 @@ class Compiler:
         the frame's ambient signals and mode snapshots."""
         seen = self._seen.get(id(expr))
         if seen is not None:
-            return seen[1]
+            return seen
         compile_node = self._by_type.get(type(expr))
         if compile_node is None:
             compile_node = next((f for t, f in self._by_type.items() if isinstance(expr, t)),
                                 self._not_a_node)
         node = compile_node(expr)
-        self._seen[id(expr)] = expr, node
+        self._seen[id(expr)] = node
+        self._held.append(expr)
         return node
+
+    def interned(self, item):
+        """The one object this compiler keeps equal to ``item``, a frozenset
+        or tuple built of names only.  Nothing that holds a signal value is
+        interned, since equality would merge ``1`` with ``True``."""
+        return self._interned.setdefault(item, item)
+
+    def reads_of(self, nodes) -> frozenset:
+        """The union of the nodes' reads, interned."""
+        reads = EMPTY
+        for node in nodes:
+            if not node.reads <= reads:
+                reads = node.reads if reads is EMPTY else reads | node.reads
+        return self.interned(reads)
 
     def _lit(self, expr: Lit) -> Compiled:
         return Compiled(_const, (expr.value,))
 
     def _sig_read(self, expr: SigRead) -> Compiled:
-        return Compiled(_sig_read, (expr.name,))
+        return Compiled(_sig_read, (expr.name,), reads=self.interned(frozenset({expr.name})))
 
     def _mode_active(self, expr: ModeActive) -> Compiled:
         comp, mode = expr.component, expr.mode
@@ -188,7 +214,8 @@ class Compiler:
         return self.compile(definition.expr)
 
     def _not(self, expr: Not) -> Compiled:
-        return Compiled(_not, (self.compile(expr.operand),))
+        operand = self.compile(expr.operand)
+        return Compiled(_not, (operand,), reads=operand.reads)
 
     def _bool_op(self, expr: BoolOp) -> Compiled:
         op = expr.op
@@ -201,15 +228,17 @@ class Compiler:
                 parts.append(child)
         parts = tuple(parts)
         support, exact = (_and_support if op == "and" else _or_support)(parts)
-        return Compiled(_chain, (op, parts), support, exact, None, op, parts)
+        return Compiled(_chain, (op, parts), support, exact, None, op, parts,
+                        self.reads_of(parts))
 
     def _bin_op(self, expr: BinOp) -> Compiled:
         op = expr.op
         literal = None
         if op == "=" and isinstance(expr.left, SigRead) and isinstance(expr.right, Lit):
             literal = (expr.left.name, expr.right.value)
-        return Compiled(_binary, (op, self.compile(expr.left), self.compile(expr.right)),
-                        literal=literal)
+        left, right = self.compile(expr.left), self.compile(expr.right)
+        return Compiled(_binary, (op, left, right), literal=literal,
+                        reads=self.reads_of((left, right)))
 
     def _not_a_node(self, expr) -> Compiled:
         return Compiled(_raising, (f"not an expression node: {expr!r}",))

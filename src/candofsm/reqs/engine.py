@@ -11,7 +11,10 @@ One round takes the model from a start snapshot to an end snapshot:
 4. monitor templates are checked against the end snapshot;
 5. mode-set exclusivity is checked on the end snapshot;
 6. each trigger whose guard held checks its required condition, if it has
-   one, against the end snapshot.
+   one, against the end snapshot;
+7. what the round adds to its start is stored in the plan's memo under the
+   round's input; a later round with the same input skips steps 1-6 and
+   applies the stored writes to its own start.
 
 The function is total: breaches are returned as violations, never raised.
 
@@ -24,9 +27,25 @@ requirements whose guard can hold from there, plus the ones that act every
 round, in model order, so writes, conflicts, fired ids and violations keep
 the order a walk over every requirement gives.  A candidate whose guard is
 nothing but terms its key meets is not called: the guard holds.  A
-requirement is compiled to closures when it first becomes a candidate.  On
-the shipped machine a ``verify`` compiles 197 of the 242 requirements, and
-a round visits 10.6 candidates and makes 6.4 guard calls on average.
+requirement is compiled to closures when it first becomes a candidate.
+
+The memo (step 7) rests on read sets.  A round's outcome depends only on
+its plan key and on the values of the signals its candidates read, through
+definitions, in their guards, effects and required conditions.  So its
+memo key is the active start modes, the key signal's value and those
+signals' values, each value with its type, which keeps ``1`` apart from
+``True``.  A start whose values are not all ``None``, booleans, integers,
+strings or ABSENT is computed and not stored.  An entry holds the
+committed signal and mode writes, the fired ids and the violations, and no
+env.  The memo and the candidate index hold at most ``CACHE_LIMIT`` entries
+each; past that a round is computed and not stored.
+
+On the shipped machine a ``verify`` runs 322 rounds, of which 124 are
+distinct inputs: the memo ends with 124 entries, and the other 198 rounds
+are found there.  It compiles 197 of the 242 requirements under 47 plan
+keys.  A plan key's candidates read 3 signals besides the key at the median
+and 5 at most.  A computed round visits 12.4 candidates and makes 8.5 guard
+calls on average.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from typing import NamedTuple
 
 from ..fsm import Violation
 from ..trace import ROW_COLUMNS, Trace, TraceRow
-from .compiled import ABSENT, Compiler, Frame, active_modes
+from .compiled import ABSENT, EMPTY, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
 # against; it stays importable from here
 from .expr import EvalError, eval_expr  # noqa: F401
@@ -68,10 +87,11 @@ class _Step:
     """One requirement and its start-state support: the terms (see
     :mod:`.compiled`) one of which a start must meet for it to do anything
     this round (None: it may act from any start).  :meth:`compile` builds
-    its closures, when it first becomes a candidate."""
+    its reads and its effect and condition closures when it first becomes a
+    candidate; its guard's closure is built when a round first calls it."""
 
     __slots__ = ("req", "template", "guard_node", "support", "compiled",
-                 "guard", "effects", "required")
+                 "effects", "required", "reads")
 
     def __init__(self, req: Requirement, compiler: Compiler):
         t = req.template
@@ -89,19 +109,32 @@ class _Step:
     def compile(self, compiler: Compiler) -> None:
         if self.compiled:
             return
-        # a missing guard always holds; anything else missing raises as the
-        # interpreter does
-        def fn(expr):
-            return compiler.compile(expr).fn
-
+        # a missing condition or effect value raises as the interpreter does
         req = self.req
-        self.guard = None if self.guard_node is None else self.guard_node.fn
-        self.effects = tuple(
-            ("sig", a.name, fn(a.expr)) if isinstance(a, SignalAssign)
-            else ("mode", a.component, a.mode)
-            for a in req.effects)
-        self.required = fn(req.required)
+        guard = self.guard_node
+        required = compiler.compile(req.required)
+        nodes = [required] if guard is None else [guard, required]
+        effects = []
+        for a in req.effects:
+            if isinstance(a, SignalAssign):
+                node = compiler.compile(a.expr)
+                nodes.append(node)
+                effects.append(("sig", a.name, node.fn))
+            else:
+                effects.append(("mode", a.component, compiler.interned(frozenset({a.mode}))))
+        self.effects = tuple(effects)
+        self.required = required.fn
+        self.reads = compiler.reads_of(nodes)
         self.compiled = True
+
+
+# The most entries a plan keeps in each of its two caches, the candidates per
+# plan key and the memo; a round past it is computed and not stored.
+CACHE_LIMIT = 1 << 14
+
+# The value types a memo key may hold.  Equal values of one of these types
+# behave alike in every operator, ``repr`` and message; ABSENT is an object.
+_ATOMS = frozenset({type(None), bool, int, str, object})
 
 
 class _Plan:
@@ -109,9 +142,10 @@ class _Plan:
 
     It is built on a model's first round and kept on the model instance.
     Candidates are kept per (active start-mode set, value of the key
-    signal), in model order; the key signal is the one read by the literals
-    of the most step supports.  A step is compiled when it first becomes a
-    candidate.
+    signal), in model order, with the signals they read besides the key;
+    the key signal is the one read by the literals of the most step
+    supports.  A step is compiled when it first becomes a candidate.
+    ``memo`` maps a round's input to what :func:`_compute` returns for it.
     """
 
     def __init__(self, model: RequirementsModel):
@@ -150,7 +184,8 @@ class _Plan:
         for sig in model.dictionary.signals:
             self.domains.setdefault(
                 sig.name, model.dictionary.domain(sig.type_name, sig.minimum, sig.maximum))
-        self._candidates: dict[tuple, tuple[tuple, tuple]] = {}
+        self._candidates: dict[tuple, tuple] = {}
+        self.memo: dict[tuple, tuple] = {}
 
     def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:
         """The requirements that can act from a start with these active modes
@@ -158,28 +193,41 @@ class _Plan:
         (step, guard) pairs: the triggers, which contribute effects, and the
         rest, which check the end snapshot.  ``guard`` is None where the
         start decides that the step's guard holds."""
+        return self.lookup(active, value)[:2]
+
+    def lookup(self, active: frozenset, value=ABSENT) -> tuple:
+        """:meth:`candidates`, the sorted names of the signals besides the key
+        that they read, and the active set the entry was first stored under
+        (a memo key holds that one object)."""
         try:
             found = self._candidates.get((active, value))
         except TypeError:   # a value that cannot key a lookup
-            return self.candidates(active)
+            return self.lookup(active)
         if found is None:
-            found = self._candidates[(active, value)] = self._select(active, value)
+            found = self._select(active, value)
+            if len(self._candidates) < CACHE_LIMIT:
+                self._candidates[(active, value)] = found
         return found
 
-    def _select(self, active: frozenset, value) -> tuple[tuple, tuple]:
+    def _select(self, active: frozenset, value) -> tuple:
         hits = set(self._anywhere)
         for mode in active:
             for i, allowed in self._by_mode.get(mode, ()):
                 if allowed is None or value is ABSENT or value in allowed:
                     hits.add(i)
         known = value is not ABSENT
-        effect, check = [], []
+        effect, check, reads = [], [], set()
         for i in sorted(hits):
             step = self.steps[i]
             step.compile(self.compiler)
-            guard = None if known and i in self._decided else step.guard
+            reads |= step.reads
+            # a missing guard always holds; a guard's closure is built when
+            # a start first needs it called
+            guard = None if known and i in self._decided or step.guard_node is None \
+                else step.guard_node.fn
             (effect if step.template is TRIGGER_ON_EVENT else check).append((step, guard))
-        return tuple(effect), tuple(check)
+        reads.discard(self.key)
+        return tuple(effect), tuple(check), tuple(sorted(reads)), active
 
 
 def _plan_of(model: RequirementsModel) -> _Plan:
@@ -198,9 +246,32 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     # prev_env is unread: no template compares a round with the one before;
     # the parameter stays while perfbench/workloads.py passes it
     plan = _plan_of(model)
-    current_round = env.round_no + 1
-    effect_steps, check_steps = plan.candidates(active_modes(env.modes),
-                                                env.signals.get(plan.key, ABSENT))
+    signals, modes = env.signals, env.modes
+    value = signals.get(plan.key, ABSENT)
+    effect_steps, check_steps, reads, active = plan.lookup(active_modes(modes), value)
+    values = (value, *[signals.get(name, ABSENT) for name in reads])
+    kinds = tuple(map(type, values))
+    # (active modes, key value, read values, their types); the types keep
+    # 1 apart from True
+    key = (active, *values, *kinds) if _ATOMS.issuperset(kinds) else None
+    outcome = plan.memo.get(key)
+    if outcome is None:
+        outcome = _compute(plan, env, effect_steps, check_steps)
+        if key is not None and len(plan.memo) < CACHE_LIMIT:
+            plan.memo[key] = outcome
+    signal_writes, mode_writes, fired, violations = outcome
+    end_signals = dict(signals)
+    end_signals.update(signal_writes)
+    end_modes = dict(modes)
+    end_modes.update(mode_writes)
+    end_env = Env(end_signals, end_modes, EMPTY, env.round_no + 1)
+    return RoundResult(end_env, fired, violations)
+
+
+def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> tuple:
+    """What one round from ``env``, whose candidates these are, adds to its
+    start: its committed signal writes and mode writes, as (name, value)
+    pairs in commit order, its fired ids and its violations."""
     start = Frame(env.signals, env.modes, None)
 
     violations: list[Violation] = []
@@ -239,11 +310,10 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
         if req.required is not None:
             triggered.append(step)
 
-    # build the end snapshot, detecting conflicts and values a signal does
-    # not admit
-    end_signals = dict(env.signals)
-    end_modes = dict(env.modes)
-    fired: list[tuple[str, tuple[str, ...]]] = []
+    # commit the writes, detecting conflicts and values a signal does not
+    # admit
+    signal_writes: dict[str, object] = {}
+    mode_writes: dict[str, frozenset] = {}
     applied: dict[str, list[str]] = {}
 
     for (kind, name), entries in writes.items():
@@ -264,18 +334,18 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
                     message=f"assignment of {value!r} to {name!r} {fault}; record "
                             "keeps its start value"))
                 continue
-            end_signals[name] = value
+            signal_writes[name] = value
         else:
-            end_modes[name] = frozenset({value})
+            mode_writes[name] = value
         for rid, _ in entries:
             applied.setdefault(rid, []).append(name)
 
     # only effect candidates write, so they are the only ones that can fire
-    for step, _ in effect_steps:
-        if step.req.req_id in applied:
-            fired.append((step.req.req_id, tuple(applied[step.req.req_id])))
+    fired = tuple((step.req.req_id, tuple(applied[step.req.req_id]))
+                  for step, _ in effect_steps if step.req.req_id in applied)
 
-    end = Frame(end_signals, env.modes, end_modes)
+    end_modes = {**env.modes, **mode_writes}
+    end = Frame({**env.signals, **signal_writes}, env.modes, end_modes)
 
     def required_holds(required, req: Requirement) -> bool:
         try:
@@ -307,8 +377,11 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
             violations.append(_violation("OBLIGATION", step.req, "required condition "
                                                                  "breached after trigger"))
 
-    end_env = Env(signals=end_signals, modes=end_modes, round_no=current_round)
-    return RoundResult(end_env, tuple(fired), tuple(violations))
+    # rounds share their mode writes and fired lists; a signal write holds a
+    # value, so it is not shared
+    interned = plan.compiler.interned
+    return (tuple(signal_writes.items()), interned(tuple(mode_writes.items())),
+            interned(fired), tuple(violations))
 
 
 # --- trace building over the generated record naming convention -------------

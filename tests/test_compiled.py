@@ -7,11 +7,13 @@ value of the wrong type.  Value and type, or exception
 type and message, must agree.  The same contexts check the start-state
 supports: a missed one means False, an exact one the key meets means True.
 Hand-built cases cover the error paths the generated model does not reach,
-and the plan's index on (active modes, key signal).
+the plan's index on (active modes, key signal), and the round memo: its
+read sets, its bound, and keys that keep ``1`` apart from ``True``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -39,6 +41,7 @@ from candofsm.reqs import (
     initial_env,
 )
 from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes
+from candofsm.reqs import engine
 from candofsm.reqs.engine import STATE_COMPONENT, _Plan, _plan_of
 from candofsm.reqs.expr import EvalContext, eval_expr
 from candofsm.reqs.model import Env
@@ -158,6 +161,32 @@ def test_every_generated_expression_agrees_with_the_interpreter(model, contexts)
     mismatched = [(expr, i) for expr in expressions
                   for i, ctx in enumerate(contexts) if not agree(expr, ctx, compiler)]
     assert mismatched == []
+
+
+class Recording(dict):
+    """Signals that note every name a compiled expression looks up."""
+
+    def __init__(self, signals):
+        super().__init__(signals)
+        self.looked_up = set()
+
+    def __getitem__(self, name):
+        self.looked_up.add(name)
+        return super().__getitem__(name)
+
+
+def test_a_node_reads_no_signal_outside_its_reads(model, contexts):
+    compiler = Compiler(model.definition_map())
+    looked_up = 0
+    for expr in model_expressions(model):
+        node = compiler.compile(expr)
+        for ctx in contexts:
+            frame = frame_of(ctx)
+            signals = Recording(frame.signals)
+            outcome(node.fn, Frame(signals, frame.start_modes, frame.end_modes))
+            assert signals.looked_up <= node.reads, expr
+            looked_up += len(signals.looked_up)
+    assert looked_up > 10_000
 
 
 def test_the_samples_reach_values_and_every_kind_of_error(model, contexts):
@@ -582,3 +611,102 @@ def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
                     pending.append(defs[node.name].expr)
     assert set(dispatched.values()) == {1}
     assert set(dispatched) == reached
+
+
+# --- the round memo -----------------------------------------------------------
+
+def test_reads_follow_definitions_and_are_interned():
+    defs = {"small_x": Definition("small_x", "x is small", BinOp("<", SigRead("x"), Lit(5)))}
+    compiler = Compiler(defs)
+    ref = compiler.compile(and_(lamp_is("on"), DefRef("small_x"), Not(SigRead("flag"))))
+    assert ref.reads == {"x", "flag"}
+    # an equal set built elsewhere is the same object; no read is EMPTY
+    again = compiler.compile(or_(Not(SigRead("flag")), BinOp("=", SigRead("x"), Lit(2))))
+    assert again.reads is ref.reads
+    assert compiler.compile(lamp_is("on")).reads is compiler.compile(Lit(3)).reads
+    assert compiler.compile(Lit(3)).reads is compiler.interned(frozenset())
+
+
+def counter_model():
+    """Triggers keyed on the int signal ``n``: the plan keys on it, and
+    every start with another ``n`` is another plan key."""
+    def n_is(value):
+        return BinOp("=", SigRead("n"), Lit(value))
+    return tiny_model(
+        Requirement("one", "off and n is 1", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("off"), n_is(1)),
+                    effects=(SignalAssign("x", BinOp("+", SigRead("n"), Lit(1))),)),
+        Requirement("two", "off and n is 2", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("off"), n_is(2)),
+                    effects=(ModeAssign("lamp", "on"),)),
+        Requirement("count", "off counts x", Template.TRIGGER_ON_EVENT,
+                    guard=and_(lamp_is("off"), BinOp("<", SigRead("x"), Lit(9))),
+                    effects=(SignalAssign("x", BinOp("+", SigRead("x"), SigRead("n"))),)),
+        Requirement("ms", "one lamp mode", Template.MODE_SET, component="lamp"),
+        signals=[SignalDef("n", "int", minimum=0, maximum=40, initial=0), small("x", 0)],
+        modes=[ModeComponent("lamp", ("off", "on", "dim"), initial="off")])
+
+
+def exact(result) -> tuple:
+    """A round's result with every signal value's type, so ``1`` and
+    ``True`` differ."""
+    end = result.end_env
+    return ({k: (type(v), v) for k, v in end.signals.items()}, dict(end.modes),
+            end.round_no, result.fired, result.violations)
+
+
+def fresh_round(model, env):
+    """The round from ``env`` on a copy of the model with no plan yet."""
+    return fire_round(dataclasses.replace(model), env, None)
+
+
+def test_both_caches_stop_at_their_limit(monkeypatch):
+    monkeypatch.setattr(engine, "CACHE_LIMIT", 8)
+    model = counter_model()
+    plan = _plan_of(model)
+    assert plan.key == "n"
+    starts = [start_on(model, ("off",), n=n, x=n % 10) for n in range(20)]
+    for _ in range(2):
+        for env in starts:
+            assert exact(fire_round(model, env, None)) == exact(fresh_round(model, env))
+    assert len(plan._candidates) == 8
+    assert len(plan.memo) == 8
+
+
+def test_a_memo_key_keeps_values_of_different_types_apart():
+    model = counter_model()
+    plan = _plan_of(model)
+    # x is read by a guard, n is the key signal; ABSENT leaves it out
+    starts = [start_on(model, ("off",), **signals) for signals in (
+        {"x": 1}, {"x": True}, {"x": 0}, {"x": False}, {"x": None}, {"x": ABSENT},
+        {"n": 1}, {"n": True}, {"n": None}, {"n": ABSENT})]
+    results = [fire_round(model, env, None) for env in starts]
+    for env, result in zip(starts, results):
+        assert exact(result) == exact(fresh_round(model, env))
+    evals = [[v.message for v in r.violations if v.constraint_id == "EVAL"] for r in results]
+    assert evals[0] == [] and evals[1] == [
+        "requirement count (off counts x): < expects an integer, got True"]
+    assert evals[6] == [] and evals[7] == [
+        f"requirement {rid}: + expects an integer, got True"
+        for rid in ("one (off and n is 1)", "count (off counts x)")]
+    assert "got None" in evals[4][0] and "unknown record 'x'" in evals[5][0]
+    assert len(plan.memo) == len(starts)
+
+
+def test_a_memo_hit_returns_a_new_end_env():
+    model = counter_model()
+    env = start_on(model, ("off",), n=2, x=3)
+    first, second = fire_round(model, env, None), fire_round(model, env, None)
+    assert len(_plan_of(model).memo) == 1
+    assert exact(first) == exact(second)
+    assert first.end_env.signals is not second.end_env.signals
+    assert first.end_env.modes is not second.end_env.modes
+    assert first.end_env.modes["lamp"] == {"on"}
+
+
+def test_a_value_that_cannot_key_the_memo_is_computed_every_time():
+    model = counter_model()
+    for _ in range(2):
+        env = start_on(model, ("off",), n=1, x=[1])
+        assert exact(fire_round(model, env, None)) == exact(fresh_round(model, env))
+    assert _plan_of(model).memo == {}

@@ -7,7 +7,8 @@ requirement ids, the violations and the end env.  A further set of rounds
 starts with no state or with two states active, which breaks the machine's
 invariants and so exercises conflicts, monitors and the mode-set check.
 The data was recorded from the tree-walking engine, before the engine was
-compiled and indexed; the engine must reproduce it exactly.
+compiled, indexed and memoised; the engine must reproduce it exactly, from
+a round it computes and from one it finds in its memo.
 
 Record it again (only on purpose, after a deliberate change of behaviour)
 with ``PYTHONPATH=src python tests/test_engine_golden.py``.
@@ -24,15 +25,17 @@ import pytest
 
 from candofsm.fsm import MAX_COUNT, PACKET_LENGTH
 from candofsm.generate import generate_model
+from candofsm.reqs.compiled import Frame
 from candofsm.reqs.engine import (
     STATE_COMPONENT,
     _plan_of,
     fire_round,
     run_requirements_trace,
 )
-from candofsm.reqs.expr import EvalContext, eval_expr
+from candofsm.reqs.expr import EvalContext, EvalError, eval_expr
 from candofsm.reqs.model import Env, initial_env
 from candofsm.trace import ROW_COLUMNS, equivalence_report
+from test_compiled import Recording
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
 MAX_ROUNDS = 500
@@ -159,6 +162,48 @@ def test_one_round_results_match_the_golden_data(model, golden, part):
         != canonical(entry["output"])
     ]
     assert mismatched == []
+
+
+def test_a_second_pass_from_the_memo_matches_the_golden_data(spec, golden):
+    model = generate_model(spec)[0]
+    entries = golden["rounds"] + golden["fault_rounds"]
+    for _ in range(2):
+        mismatched = [
+            (entry["input"]["event"], entry["input"]["state"]) for entry in entries
+            if canonical(round_snapshot(model, start_env(model, entry["input"])))
+            != canonical(entry["output"])]
+        assert mismatched == []
+        # every start is a distinct input: the first pass stores each round,
+        # the second reads each one back
+        assert len(_plan_of(model).memo) == len(entries)
+
+
+def test_a_verify_pass_stores_124_distinct_rounds(spec):
+    model = generate_model(spec)[0]
+    report = equivalence_report(spec, model)
+    assert report.passed
+    assert len(_plan_of(model).memo) == 124
+
+
+def test_a_candidate_reads_no_signal_outside_its_reads(model, golden):
+    plan = _plan_of(model)
+    looked_up = 0
+    for entry in golden["rounds"] + golden["fault_rounds"]:
+        env = start_env(model, entry["input"])
+        effect, check, reads, _ = plan.lookup(*_start_key(entry))
+        for step, _ in effect + check:
+            signals = Recording(env.signals)
+            frame = Frame(signals, env.modes, env.modes)
+            fns = [step.required, *(fn for kind, _, fn in step.effects if kind == "sig")]
+            for fn in fns if step.guard_node is None else [step.guard_node.fn, *fns]:
+                try:
+                    fn(frame)
+                except EvalError:
+                    pass
+            assert signals.looked_up <= step.reads, step.req.req_id
+            assert step.reads - {plan.key} <= set(reads), step.req.req_id
+            looked_up += len(signals.looked_up)
+    assert looked_up > 1_000
 
 
 def test_fault_rounds_exercise_the_failure_paths(golden):

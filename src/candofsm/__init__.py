@@ -35,7 +35,7 @@ from .specio import (
     serialize_spec,
 )
 from .opmodel import (
-    ModelState, Packet, StepOutcome, init_model, ops_round, run, state_operation, step,
+    ModelState, Packet, StepOutcome, init_model, ops_round, run, step,
 )
 from .generate import GenReport, generate_model
 from .trace import (
@@ -58,6 +58,5 @@ __all__ = [
     "check_cando", "check_dispatch", "check_roster", "check_statemap",
     "check_totality", "diff", "equivalence_report",
     "generate_model", "init_model", "load_bundled_cando", "load_spec", "lookup_next",
-    "ops_round", "parse_spec", "reachable", "run", "serialize_spec",
-    "state_operation", "step",
+    "ops_round", "parse_spec", "reachable", "run", "serialize_spec", "step",
 ]

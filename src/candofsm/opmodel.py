@@ -230,14 +230,6 @@ def _next_state(m: ModelState, st: str, changes: dict) -> ModelState:
     )
 
 
-def state_operation(spec: SpecDocument, m: ModelState) -> tuple[ModelState, str]:
-    """Run the operation of the current state; returns the updated state
-    (same current_state) and the name of the operation that fired."""
-    st = m.current_state
-    changes, fired = _operation(spec, m, st, spec.roster.kind_of(st))
-    return _next_state(m, st, changes), fired
-
-
 def _op_contract(st: str, kind: StateKind, before: ModelState,
                  changes: dict) -> tuple[Violation, ...]:
     """Declarative post-condition of the operation of ``st`` run on

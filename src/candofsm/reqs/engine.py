@@ -21,7 +21,7 @@ The function is total: breaches are returned as violations, never raised.
 A model's first round builds a plan kept on the model instance: the
 start-state support of every requirement (see :mod:`.compiled`), indexed
 by mode.  Candidates are keyed on the active start modes and the value of
-one key signal, the one the supports' literals read most (``current_event``
+one key signal, the one the supports' literals read most (the current event
 in a generated model).  A round visits only the candidates of its key: the
 requirements whose guard can hold from there, plus the ones that act every
 round, in model order, so writes, conflicts, fired ids and violations keep
@@ -46,6 +46,10 @@ are found there.  It compiles 197 of the 242 requirements under 47 plan
 keys.  A plan key's candidates read 3 signals besides the key at the median
 and 5 at most.  A computed round visits 12.4 candidates and makes 8.5 guard
 calls on average.
+
+A trace row's cells come from one table, ``TRACE_RECORDS``: each is its
+record's value, nil where the env lacks the record.  A column's attribution
+is the requirements that wrote its record or the record's ``next_`` shadow.
 """
 
 from __future__ import annotations
@@ -128,8 +132,9 @@ class _Step:
         self.compiled = True
 
 
-# The most entries a plan keeps in each of its two caches, the candidates per
-# plan key and the memo; a round past it is computed and not stored.
+# The most entries a plan keeps in each of its caches: the candidates per
+# plan key, the memo and the writers per fired tuple; past it a result is
+# computed and not stored.
 CACHE_LIMIT = 1 << 14
 
 # The value types a memo key may hold.  Equal values of one of these types
@@ -186,19 +191,14 @@ class _Plan:
                 sig.name, model.dictionary.domain(sig.type_name, sig.minimum, sig.maximum))
         self._candidates: dict[tuple, tuple] = {}
         self.memo: dict[tuple, tuple] = {}
-
-    def candidates(self, active: frozenset, value=ABSENT) -> tuple[tuple, tuple]:
-        """The requirements that can act from a start with these active modes
-        in which the key signal holds ``value`` (ABSENT: unknown), as
-        (step, guard) pairs: the triggers, which contribute effects, and the
-        rest, which check the end snapshot.  ``guard`` is None where the
-        start decides that the step's guard holds."""
-        return self.lookup(active, value)[:2]
+        # a round's fired tuple -> what _writers makes of it
+        self.writers: dict[tuple, tuple] = {}
 
     def lookup(self, active: frozenset, value=ABSENT) -> tuple:
-        """:meth:`candidates`, the sorted names of the signals besides the key
-        that they read, and the active set the entry was first stored under
-        (a memo key holds that one object)."""
+        """The candidates of a start with these active modes whose key signal
+        holds ``value`` (ABSENT: unknown): the triggers and the rest as (step,
+        guard) pairs, ``guard`` None where the start decides it holds; the sorted
+        signals besides the key they read; and the active set memo keys share."""
         try:
             found = self._candidates.get((active, value))
         except TypeError:   # a value that cannot key a lookup
@@ -384,76 +384,45 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
             interned(fired), tuple(violations))
 
 
-# --- trace building over the generated record naming convention -------------
+# --- trace building over the generated record names -------------------------
 
-# dictionary record -> trace column (next_* shadows merge into their targets)
-_SIGNAL_COLUMNS = {
-    "current_event": "event",
-    "current_command": "command",
-    "command_finish_flag": "cmd_finish",
-    "optrode_TX_finish": "tx_finish",
-    "optrode_RX_finish": "rx_finish",
-    "bytes_sent": "bytes_sent",
-    "bytes_received": "bytes_received",
-    "tx_cnt": "tx_cnt",
-    "packet_addr": "packet_addr",
-    "packet_cmd": "packet_cmd",
-    "packet_data": "packet_data",
-}
-_SHADOW_COLUMNS = {
-    "next_bytes_sent": "bytes_sent",
-    "next_bytes_received": "bytes_received",
-    "next_tx_cnt": "tx_cnt",
-}
 # the mode component that carries the machine state in a generated model
 STATE_COMPONENT = "fsm"
-# trace column -> its cell's index in a row
-_CELL = {column: i for i, column in enumerate(ROW_COLUMNS)}
+# trace column -> the record whose value is its cell, for every column after
+# round and state, in TraceRow order; a next_<record> shadow writes the column
+TRACE_RECORDS = dict(zip(ROW_COLUMNS[2:], (
+    "current_event", "current_command",
+    "packet_addr", "packet_cmd", "packet_data",
+    "bytes_sent", "bytes_received", "tx_cnt",
+    "optrode_TX_finish", "optrode_RX_finish", "command_finish_flag",
+), strict=True))
+# writer -> (trace column, its cell's index, whether it is a next_ shadow)
+_WRITES = {STATE_COMPONENT: ("state", 1, False),
+           **{name: (column, i, shadow)
+              for i, (column, record) in enumerate(TRACE_RECORDS.items(), 2)
+              for name, shadow in ((record, False), (f"next_{record}", True))}}
 
 
 def _env_cells(env: Env, round_no: int) -> tuple:
-    """The trace columns of an env, in :class:`TraceRow` field order."""
-    sig = env.signals
-    return (
-        round_no,
-        "|".join(sorted(env.modes.get(STATE_COMPONENT, frozenset()))),
-        str(sig.get("current_event")),
-        str(sig.get("current_command")),
-        sig.get("packet_addr"),
-        sig.get("packet_cmd"),
-        sig.get("packet_data"),
-        int(sig.get("bytes_sent", 0)),
-        int(sig.get("bytes_received", 0)),
-        int(sig.get("tx_cnt", 0)),
-        bool(sig.get("optrode_TX_finish", False)),
-        bool(sig.get("optrode_RX_finish", False)),
-        bool(sig.get("command_finish_flag", False)),
-    )
+    """The trace columns of an env, in :class:`TraceRow` field order: a
+    column's cell is its record's value, None where the env lacks it."""
+    return (round_no, "|".join(sorted(env.modes.get(STATE_COMPONENT, ()))),
+            *map(env.signals.get, TRACE_RECORDS.values()))
 
 
-def _round_attribution(result: RoundResult, new_cells: tuple,
-                       old_cells: tuple) -> dict[str, tuple[str, ...]]:
-    """Requirement ids per changed trace column, from two rounds' cells.
-    Shadow writers come first, so counters show the next-value updater and
-    then the committing requirement, in that order."""
-    by_column: dict[str, list[str]] = {}
-    for rid, records in result.fired:
+def _writers(fired: tuple) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
+    """(trace column, cell index, requirement ids) for each column that a
+    round's fired requirements wrote: a counter's next-value updater, which
+    writes its shadow, comes before the requirement that commits it."""
+    by_column: dict[str, tuple[int, list[str], list[str]]] = {}
+    for rid, records in fired:
         for record in records:
-            if record == STATE_COMPONENT:
-                by_column.setdefault("state", []).append(rid)
-            elif record in _SHADOW_COLUMNS:
-                by_column.setdefault(_SHADOW_COLUMNS[record], []).insert(0, rid)
-            elif record in _SIGNAL_COLUMNS:
-                by_column.setdefault(_SIGNAL_COLUMNS[record], []).append(rid)
-    return {
-        column: tuple(ids)
-        for column, ids in by_column.items()
-        if new_cells[_CELL[column]] != old_cells[_CELL[column]]
-    }
-
-
-def _finished(env: Env) -> bool:
-    return env.signals.get("command_finish_flag") is True
+            if record in _WRITES:
+                column, i, shadow = _WRITES[record]
+                _, first, last = by_column.setdefault(column, (i, [], []))
+                (first if shadow else last).append(rid)
+    return tuple((column, i, (*first, *last))
+                 for column, (i, first, last) in by_column.items())
 
 
 def run_requirements_trace(model: RequirementsModel, command: str,
@@ -468,17 +437,25 @@ def run_requirements_trace(model: RequirementsModel, command: str,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    env = initial_env(model, overrides={"current_command": command})
+    env = initial_env(model, overrides={TRACE_RECORDS["command"]: command})
     cells = _env_cells(env, 0)
     rows = [TraceRow(*cells)]
     violations: list[Violation] = []
-    while len(rows) < max_rounds and not _finished(env):
+    writers_of = _plan_of(model).writers
+    flag = TRACE_RECORDS["cmd_finish"]
+    while len(rows) < max_rounds and env.signals.get(flag) is not True:
         result = fire_round(model, env, None)
         env = result.end_env
         new_cells = _env_cells(env, len(rows))
-        rows.append(TraceRow(*new_cells, _round_attribution(result, new_cells, cells)))
+        writers = writers_of.get(result.fired)
+        if writers is None:
+            writers = _writers(result.fired)
+            if len(writers_of) < CACHE_LIMIT:
+                writers_of[result.fired] = writers
+        rows.append(TraceRow(*new_cells, {column: ids for column, i, ids in writers
+                                          if new_cells[i] != cells[i]}))
         cells = new_cells
         violations.extend(result.violations)
-    reason = "cmd_finish" if _finished(env) else "budget"
+    reason = "cmd_finish" if env.signals.get(flag) is True else "budget"
     return Trace(rows=tuple(rows), command=command, engine="reqs",
                  reason=reason, violations=tuple(violations))

@@ -491,8 +491,8 @@ def start_on(model, active, **signals) -> Env:
 
 def candidate_ids(model, env) -> list[str]:
     plan = _plan_of(model)
-    effect, check = plan.candidates(active_modes(env.modes),
-                                    env.signals.get(plan.key, ABSENT))
+    effect, check = plan.lookup(active_modes(env.modes),
+                                env.signals.get(plan.key, ABSENT))[:2]
     return [step.req.req_id for step, _ in effect + check]
 
 
@@ -581,7 +581,7 @@ def test_an_exact_support_the_key_meets_decides_the_guard():
     assert eval_expr(guard, ctx) is True
     assert node.fn(frame_of(ctx)) is True
     plan = _plan_of(model)
-    effect, _ = plan.candidates(active_modes(env.modes), "green")
+    effect, _ = plan.lookup(active_modes(env.modes), "green")[:2]
     # the exact guard is not called; the other one is
     assert [(step.req.req_id, guard is None) for step, guard in effect] \
         == [("go", True), ("slow", False)]

@@ -234,7 +234,7 @@ def test_candidates_hold_every_requirement_that_fired_or_reported(model, golden)
     plan = _plan_of(model)
     assert plan.key == "current_event"
     for entry in golden["rounds"] + golden["fault_rounds"]:
-        effect, check = plan.candidates(*_start_key(entry))
+        effect, check = plan.lookup(*_start_key(entry))[:2]
         candidates = {step.req.req_id for step, _ in effect + check}
         acted = {rid for rid, _ in entry["output"]["fired"]}
         for violation in entry["output"]["violations"]:
@@ -249,7 +249,7 @@ def test_a_guard_the_key_decides_holds_under_the_interpreter(model, golden):
         env = start_env(model, entry["input"])
         ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
                           definitions=plan.definitions)
-        effect, check = plan.candidates(*_start_key(entry))
+        effect, check = plan.lookup(*_start_key(entry))[:2]
         for step, guard in effect + check:
             if guard is None and step.req.guard is not None:
                 assert eval_expr(step.req.guard, ctx) is True, step.req.req_id
@@ -260,8 +260,8 @@ def test_a_guard_the_key_decides_holds_under_the_interpreter(model, golden):
 
 def test_each_state_and_event_has_fewer_than_30_candidates(spec, model):
     plan = _plan_of(model)
-    sizes = {(st, ev): sum(map(len, plan.candidates(
-                 frozenset({(STATE_COMPONENT, st)}), ev)))
+    sizes = {(st, ev): sum(map(len, plan.lookup(
+                 frozenset({(STATE_COMPONENT, st)}), ev)[:2]))
              for st in spec.roster.state_names for ev in spec.roster.event_names}
     assert len(model.requirements) == 242
     assert max(sizes.values()) < 30

@@ -26,7 +26,6 @@ from candofsm.opmodel import (
     init_model,
     ops_round,
     run,
-    state_operation,
     step,
 )
 from conftest import mutate_table
@@ -70,52 +69,52 @@ class TestInit:
 
 
 class TestStateOperation:
+    """A state's operation, run through ``step``: every field of ``next``
+    but ``current_state`` is the operation's."""
+
     def at(self, spec, state, **fields):
         m = init_model(spec, "LED_ON_C")
         return dataclasses.replace(m, current_state=state, **fields)
 
     def test_send_in_progress_counts_and_requests_tx(self, spec):
-        m, op = state_operation(spec, self.at(spec, "send_packet_6", bytes_sent=2))
-        assert (m.bytes_sent, m.current_event) == (3, "SPI_TX_FINISH")
-        assert op == "send_packet"
+        out = step(spec, self.at(spec, "send_packet_6", bytes_sent=2))
+        assert (out.next.bytes_sent, out.next.current_event) == (3, "SPI_TX_FINISH")
+        assert out.fired_op == "send_packet"
 
     def test_send_completion_raises_flag_and_counts_transmission(self, spec):
-        m, _ = state_operation(
-            spec, self.at(spec, "send_packet_6", bytes_sent=PACKET_LENGTH))
+        m = step(spec, self.at(spec, "send_packet_6", bytes_sent=PACKET_LENGTH)).next
         assert m.bytes_sent == 0
         assert m.optrode_tx_finish
         assert m.tx_cnt == 1
         assert m.current_event == "CONT"
 
     def test_transmission_count_saturates(self, spec):
-        m, _ = state_operation(
-            spec, self.at(spec, "send_packet_6", bytes_sent=PACKET_LENGTH,
-                          tx_cnt=MAX_COUNT))
+        m = step(spec, self.at(spec, "send_packet_6", bytes_sent=PACKET_LENGTH,
+                               tx_cnt=MAX_COUNT)).next
         assert m.tx_cnt == MAX_COUNT
 
     def test_receive_mirrors_send_without_a_counter(self, spec):
-        m, _ = state_operation(
-            spec, self.at(spec, "receive_packet_28", bytes_received=1))
+        m = step(spec, self.at(spec, "receive_packet_28", bytes_received=1)).next
         assert (m.bytes_received, m.current_event) == (2, "SPI_RX_FINISH")
-        m, _ = state_operation(
-            spec, self.at(spec, "receive_packet_28", bytes_received=PACKET_LENGTH))
+        m = step(spec, self.at(spec, "receive_packet_28",
+                               bytes_received=PACKET_LENGTH)).next
         assert m.bytes_received == 0
         assert m.optrode_rx_finish
         assert m.tx_cnt == 0
 
     def test_stage_one_instantiates_the_template_with_the_command(self, spec):
-        m, _ = state_operation(spec, self.at(spec, "set_vLED"))
+        m = step(spec, self.at(spec, "set_vLED")).next
         assert m.packet == Packet(addr="Optrode_addr", cmd="LED_ON_C",
                                   data="LED_addr")
 
     def test_stage_two_only_touches_the_data_field(self, spec):
         before = self.at(spec, "set_sDac",
                          packet=Packet("Optrode_addr", "LED_ON_C", "LED_addr"))
-        m, _ = state_operation(spec, before)
+        m = step(spec, before).next
         assert m.packet == Packet("Optrode_addr", "LED_ON_C", "DAC_value")
 
     def test_cmd_finish_raises_the_flag(self, spec):
-        m, _ = state_operation(spec, self.at(spec, "cmd_finish"))
+        m = step(spec, self.at(spec, "cmd_finish")).next
         assert m.command_finish_flag
         assert m.current_event == "CONT"
 
@@ -123,7 +122,7 @@ class TestStateOperation:
         dirty = self.at(spec, "chip_rst", bytes_sent=2, tx_cnt=1,
                         optrode_tx_finish=True,
                         packet=Packet("Optrode_addr", None, None))
-        m, _ = state_operation(spec, dirty)
+        m = step(spec, dirty).next
         assert (m.bytes_sent, m.bytes_received, m.tx_cnt) == (0, 0, 0)
         assert m.packet is None
         assert not m.optrode_tx_finish

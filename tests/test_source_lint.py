@@ -15,7 +15,8 @@ raised somewhere in the package, or is the base of one that is.  Only
 builds nodes through a ``Nodes`` table, which decides when two are one
 object.  No function an ``__all__`` exports annotates a parameter with a
 private (``_``-prefixed) name: a caller could not build that argument
-without reaching into the module."""
+without reaching into the module.  Every method a class defines, dunders
+aside, is read as an attribute somewhere in the package."""
 
 from __future__ import annotations
 
@@ -342,3 +343,51 @@ def test_the_check_finds_a_private_parameter_type_on_an_exported_function():
 def test_no_exported_function_takes_a_private_parameter_type():
     assert private_parameter_types(
         [path.read_text(encoding="utf-8") for path in modules()]) == []
+
+
+def unread_methods(sources: list[str]) -> list[str]:
+    """``Class.method`` for each method a class in ``sources`` defines that
+    no attribute load in ``sources`` reads.  Dunder methods, which Python
+    calls itself, are left out.  Methods are matched to loads by name alone,
+    whichever object the load reads from."""
+    defined, read = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined += [(node.name, fn.name) for fn in node.body
+                            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{cls}.{name}" for cls, name in defined
+                  if name not in read and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_the_check_finds_a_method_nothing_reads():
+    sources = [
+        ("class Plan:\n"
+         "    def __init__(self): self.cache = {}\n"
+         "    def lookup(self, key): return self._select(key)\n"
+         "    def _select(self, key): pass\n"
+         "    def candidates(self, key): return self.lookup(key)[:2]\n"
+         "    @property\n"
+         "    def size(self): return 0\n"
+         "    def cache(self): pass\n"
+         "    class Inner:\n"
+         "        def unused(self): pass\n"),
+        ("def run(plan):\n"
+         "    plan.lookup(1)\n"
+         "    return plan.size\n"),
+    ]
+    # a store, like ``self.cache = {}``, is not a read
+    assert unread_methods(sources) == ["Inner.unused", "Plan.cache", "Plan.candidates"]
+
+
+# ``EquivalenceReport.render_json``, the machine-readable form of a verdict:
+# only tests call it until ``verify`` gains a JSON output
+UNREAD_METHODS = ["EquivalenceReport.render_json"]
+
+
+def test_every_method_is_read():
+    unread = unread_methods([path.read_text(encoding="utf-8") for path in modules()])
+    # the exception holds only while nothing reads it
+    assert unread == UNREAD_METHODS

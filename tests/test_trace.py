@@ -6,8 +6,16 @@ from hypothesis import strategies as st
 
 from candofsm.generate import generate_model
 from candofsm.opmodel import run
-from candofsm.reqs.engine import run_requirements_trace
+from candofsm.reqs import engine
+from candofsm.reqs.engine import (
+    STATE_COMPONENT,
+    TRACE_RECORDS,
+    _plan_of,
+    run_requirements_trace,
+)
+from candofsm.reqs.text import parse_model
 from candofsm.trace import (
+    ROW_COLUMNS,
     DiffEntry,
     EquivalenceReport,
     RunOutcome,
@@ -200,6 +208,58 @@ class TestTraceAll:
             run(spec, "LED_ON_C", 0)
         with pytest.raises(ValueError):
             run_requirements_trace(model, "LED_ON_C", 0)
+
+
+class TestTraceRecords:
+    """A trace cell is its record's value, nil where the record is missing
+    or nil."""
+
+    # a hand model with two of the trace records; the trigger clears the
+    # counter to nil, a value every signal admits
+    NIL_COUNTER = ('type Command enum { GO_C }\n'
+                   'signal current_command : Command init=nil\n'
+                   'signal bytes_sent : int min=0 max=3 init=0\n'
+                   'req r "clear" trigger bytes_sent = 0 => bytes_sent := nil\n')
+
+    def test_a_counter_cleared_to_nil_is_a_nil_cell(self):
+        model = parse_model(self.NIL_COUNTER)
+        trace = run_requirements_trace(model, "GO_C", 3)
+        assert [row.bytes_sent for row in trace.rows] == [0, None, None]
+        assert [dict(row.attribution) for row in trace.rows] \
+            == [{}, {"bytes_sent": ("r",)}, {}]
+        assert (trace.reason, trace.violations) == ("budget", ())
+
+    def test_a_missing_record_is_a_nil_column(self):
+        [row] = run_requirements_trace(parse_model(self.NIL_COUNTER), "GO_C", 1).rows
+        values = row.values()
+        assert [values.pop(c) for c in ("round", "state", "command", "bytes_sent")] \
+            == [0, "", "GO_C", 0]
+        assert set(values.values()) == {None}
+
+    def test_the_records_and_their_shadows_are_the_generated_signals(self, model):
+        assert tuple(TRACE_RECORDS) == ROW_COLUMNS[2:]
+        records = set(TRACE_RECORDS.values())
+        signals = {sig.name for sig in model.dictionary.signals}
+        assert len(signals) == 14 and records <= signals
+        assert signals - records == {"next_bytes_sent", "next_bytes_received",
+                                     "next_tx_cnt"} <= {f"next_{r}" for r in records}
+        assert [c.name for c in model.dictionary.modes] == [STATE_COMPONENT]
+
+    def test_writers_are_grouped_once_per_fired_tuple_up_to_the_limit(
+            self, spec, monkeypatch):
+        def traced(model):
+            return [(t.rows, [r.attribution for r in t.rows])
+                    for t in reqs_traces(spec, model)]
+
+        model = generate_model(spec)[0]
+        cold = traced(model)
+        # the 322 rounds of the 17 runs fire 72 distinct tuples
+        assert len(_plan_of(model).writers) == 72
+        assert traced(model) == cold
+        monkeypatch.setattr(engine, "CACHE_LIMIT", 8)
+        model = generate_model(spec)[0]
+        assert traced(model) == cold
+        assert len(_plan_of(model).writers) == 8
 
 
 class TestEquivalenceReport:

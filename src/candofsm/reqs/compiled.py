@@ -30,11 +30,16 @@ not active, or its signal is present with a value that is not ``==`` the
 literal's.  When every term is missed, the expression evaluates to
 ``False`` without raising, so it may be skipped.  ``None`` means no such
 set is known.  The support follows the first operand of ``and`` and every
-operand of ``or``.  An ``and`` adds the first ``signal = literal``
-operand after its first one to each term, but only if no operand before
-that one can raise.  A support is *exact* when the expression is nothing
-but its terms: with every signal its literals read present, it evaluates
-without raising to ``True`` exactly when some term is not missed.
+operand of ``or``.  A node's *literals* are the (signal, value) pairs of a
+``signal = literal`` node, or of an ``or`` whose operands are all such
+nodes on one signal.  An ``and`` takes the first operand after its first
+one that has literals, and pairs each of its terms with each of those
+literals, but only if no operand before that one can raise.  So
+``from_X and (ev = E1 or ev = E2)`` has the two terms ``(X, (ev, E1))``
+and ``(X, (ev, E2))``.  A support is *exact* when the expression is
+nothing but its terms: with every signal its literals read present, it
+evaluates without raising to ``True`` exactly when some term is not
+missed.
 """
 
 from __future__ import annotations
@@ -91,10 +96,10 @@ class Compiled:
     """One compiled subexpression: its start-state support, and its closure,
     built from ``build(*args)`` when ``fn`` is first read."""
 
-    __slots__ = ("support", "reads", "exact", "literal", "op", "parts", "_build", "_args",
+    __slots__ = ("support", "reads", "exact", "literals", "op", "parts", "_build", "_args",
                  "_fn")
 
-    def __init__(self, build, args, support=None, exact=False, literal=None,
+    def __init__(self, build, args, support=None, exact=False, literals=(),
                  op=None, parts=(), reads=EMPTY):
         self._build = build
         self._args = args
@@ -102,7 +107,7 @@ class Compiled:
         self.support = support
         self.reads = reads        # the signals it can read
         self.exact = exact        # the support is exact
-        self.literal = literal    # (signal, value) of a `signal = literal` node
+        self.literals = literals  # its (signal, value) literals, see above
         self.op = op              # "and" / "or" for a BoolOp
         self.parts = parts        # its compiled operands
 
@@ -129,8 +134,9 @@ def _and_support(parts: tuple[Compiled, ...]) -> tuple[frozenset | None, bool]:
         return None, False
     if _safe(parts[0]):
         for part in parts[1:]:
-            if part.literal is not None:
-                support = frozenset((mode, part.literal) for mode, _ in first)
+            if part.literals:
+                support = frozenset((mode, literal) for mode, _ in first
+                                    for literal in part.literals)
                 return support, len(parts) == 2
             if not _safe(part):
                 break
@@ -228,16 +234,20 @@ class Compiler:
                 parts.append(child)
         parts = tuple(parts)
         support, exact = (_and_support if op == "and" else _or_support)(parts)
-        return Compiled(_chain, (op, parts), support, exact, None, op, parts,
+        literals = ()
+        if op == "or" and all(p.literals for p in parts) \
+                and len({signal for p in parts for signal, _ in p.literals}) == 1:
+            literals = tuple(literal for p in parts for literal in p.literals)
+        return Compiled(_chain, (op, parts), support, exact, literals, op, parts,
                         self.reads_of(parts))
 
     def _bin_op(self, expr: BinOp) -> Compiled:
         op = expr.op
-        literal = None
+        literals = ()
         if op == "=" and isinstance(expr.left, SigRead) and isinstance(expr.right, Lit):
-            literal = (expr.left.name, expr.right.value)
+            literals = ((expr.left.name, expr.right.value),)
         left, right = self.compile(expr.left), self.compile(expr.right)
-        return Compiled(_binary, (op, left, right), literal=literal,
+        return Compiled(_binary, (op, left, right), literals=literals,
                         reads=self.reads_of((left, right)))
 
     def _not_a_node(self, expr) -> Compiled:

@@ -589,6 +589,51 @@ def test_an_exact_support_the_key_meets_decides_the_guard():
     assert result.fired == (("go", ("lamp",)), ("slow", ("x",)))
 
 
+def test_an_or_of_literals_on_one_signal_gives_one_exact_term_per_literal():
+    either = or_(ev_is("green"), ev_is("red"))
+    guard = and_(lamp_is("on"), either)
+    compiler = Compiler({})
+    assert compiler.compile(either).literals == (("ev", "green"), ("ev", "red"))
+    node = compiler.compile(guard)
+    assert node.exact
+    assert node.support == {(("lamp", "on"), ("ev", "green")), (("lamp", "on"), ("ev", "red"))}
+    model = event_lamp_model(
+        Requirement("go", "on and green or red", Template.TRIGGER_ON_EVENT,
+                    guard=guard, effects=(ModeAssign("lamp", "dim"),)))
+    plan = _plan_of(model)
+    assert plan._decided == {0}
+    # nil and a value outside Colour miss both terms; the interpreter agrees
+    for active in (("on",), ("off",), ("on", "off")):
+        for value in ("green", "red", None, "blue", ABSENT):
+            env = start_on(model, active, ev=value)
+            ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
+                              definitions={})
+            met = meets(node.support, active_modes(env.modes), "ev", value)
+            if value is ABSENT:
+                assert met == ("on" in active)
+                continue
+            assert eval_expr(guard, ctx) is met, (active, value)
+            assert candidate_ids(model, env)[:-1] == (["go"] if met else [])
+            result = fire_round(model, env, None)
+            assert result.fired == ((("go", ("lamp",)),) if met else ())
+            assert [v.constraint_id for v in result.violations] \
+                == (["MODESET"] if len(active) == 2 and not met else [])
+
+
+@pytest.mark.parametrize("either", [
+    or_(ev_is("green"), BinOp("=", SigRead("x"), Lit(1))),
+    or_(ev_is("green"), BinOp("<", SigRead("x"), Lit(5))),
+    or_(ev_is("green"), BinOp("!=", SigRead("ev"), Lit("red"))),
+    or_(ev_is("green"), and_(lamp_is("off"), ev_is("red"))),
+], ids=["two-signals", "a-comparison", "an-inequality", "an-and"])
+def test_an_or_that_is_not_literals_on_one_signal_keeps_the_mode_only_support(either):
+    compiler = Compiler({})
+    assert compiler.compile(either).literals == ()
+    node = compiler.compile(and_(lamp_is("on"), either))
+    assert node.support == {(("lamp", "on"), None)}
+    assert not node.exact
+
+
 def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
     # the plan compiles every guard; a node met again costs one lookup, and
     # a definition body is compiled where its first reference is

@@ -5,21 +5,23 @@ enumerations read through current-event / current-command signals; the
 byte and retransmission counters become bounded integers with next_*
 shadow signals.  The transition table is read once, into the arrows of the
 state diagram: each distinct (from, to) pair becomes one trigger-on-event
-requirement ("<from> to <to>") guarded by the OR of the entries that lead
-along it, the data-dependent get_cmd hand-off guarded by the target's
-command group among them.  ``arrive_<state>`` is the OR of the guards of the
-arrows into the state, and each state's operation is built once: one
-guarded requirement per conditional branch, with a strengthened end-of-round
-monitor per branch (exact end event and counter delta) on the same guard.
+requirement ("<from> to <to>") guarded as a hand modeller would guard it,
+``from_<from> and (current_event = E1 or …)`` over the events of the
+entries that lead along it, with the data-dependent get_cmd hand-off
+guarded by the target's command group as a disjunct of its own.
+``arrive_<state>`` is the OR of the guards of the arrows into the state, and
+each state's operation is built once: one guarded requirement per
+conditional branch, with a strengthened end-of-round monitor per branch
+(exact end event and counter delta) on the same guard.
 
 Every expression node is built through one node table per
 :func:`generate_model` call: a :class:`~.reqs.expr.Nodes` with the
 translation's shorthands.  Each structurally distinct subexpression is one
-object, so the model is a DAG: a table entry's term in its arrow's guard
-is the same object in ``arrive_<to>``, and ``current_event = CONT`` is
-built once.  ``RequirementsModel.validate`` and the plan's ``Compiler``
-memoise by identity, so they do their work once per distinct node.  The
-table goes when the call returns, so two models share no node.
+object, so the model is a DAG: an arrow's guard is the same object in
+``arrive_<to>``, and ``current_event = CONT`` is built once.
+``RequirementsModel.validate`` and the plan's ``Compiler`` memoise by
+identity, so they do their work once per distinct node.  The table goes
+when the call returns, so two models share no node.
 """
 
 from __future__ import annotations
@@ -120,11 +122,12 @@ class _Nodes(Nodes):
     def event_is(self, event: str) -> BinOp:
         return self.eq("current_event", event)
 
-    def entered(self, frm: str, event: str):
-        """``from_<frm> and current_event = <event>``: a table entry's term
-        in its arrow's guard."""
-        return self._node(("entered", frm, event),
-                          lambda: self.and_(self.ref(f"from_{frm}"), self.event_is(event)))
+    def entered(self, frm: str, *events: str):
+        """``from_<frm> and current_event = <event>``, or with more than one
+        event ``from_<frm> and (current_event = <E1> or …)``: the guard of
+        the table entries (event, frm) of one arrow."""
+        return self._node(("entered", frm, *events), lambda: self.and_(
+            self.ref(f"from_{frm}"), self.or_all(map(self.event_is, events))))
 
 
 class GenReport(NamedTuple):
@@ -188,12 +191,14 @@ def _dictionary(spec: SpecDocument) -> DataDictionary:
 
 def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
     """The table's one reading: each arrow (from, to) of the state diagram,
-    in roster order, with its guard.  The guard is the OR of the entries
-    (event, from) that lead along it, plus, for a dispatch target, the
-    get_cmd hand-off under ``CONT`` guarded by the target's command group,
-    which replaces that entry.  An entry whose rule admits only its own
-    state (C3, C4) leads back to that state, whatever the table says; the
-    readings agree on a table that satisfies the rule."""
+    in roster order, with its guard.  The guard says ``from`` once, as a
+    hand modeller would: ``from_<from> and current_event = <E>`` for an
+    arrow of one entry (E, from), ``from_<from> and (current_event = <E1>
+    or …)`` for an arrow of more.  For a dispatch target, the get_cmd
+    hand-off under ``CONT`` guarded by the target's command group is its
+    own disjunct, and replaces that entry.  An entry whose rule admits only
+    its own state (C3, C4) leads back to that state, whatever the table
+    says; the readings agree on a table that satisfies the rule."""
     roster = spec.roster
     identity = {(rule.event, s) for rule, _, owned, _ in roster.rules
                 if rule.target == (SELF,) for s in owned}
@@ -202,15 +207,15 @@ def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
         target = spec.dispatch.get(cmd)
         if target is not None:
             groups.setdefault(target, []).append(nodes.eq("current_command", cmd))
-    terms: dict[tuple[str, str], list] = {}
+    events: dict[tuple[str, str], list[str]] = {}
     for ev in roster.event_names:
         per = spec.fsm.get(ev, {})
         for frm in roster.state_names:
             to = per.get(frm)
             if to is None or (ev == CONT and frm == GET_CMD and groups):
                 continue
-            arrow = (frm, frm if (ev, frm) in identity else to)
-            terms.setdefault(arrow, []).append(nodes.entered(frm, ev))
+            events.setdefault((frm, frm if (ev, frm) in identity else to), []).append(ev)
+    terms = {arrow: [nodes.entered(arrow[0], *evs)] for arrow, evs in events.items()}
     for target, cmds in groups.items():
         terms.setdefault((GET_CMD, target), []).append(
             nodes.and_(nodes.entered(GET_CMD, CONT), nodes.or_all(cmds)))
@@ -496,15 +501,28 @@ def _prose(expr, defs: Mapping[str, Definition]) -> str:
     if isinstance(expr, Not):
         return f"it is not the case that {_prose(expr.operand, defs)}"
     if isinstance(expr, BoolOp):
+        signal = _one_signal(expr)
+        if signal is not None:
+            return (f"The {signal.replace('_', ' ')} is one of "
+                    + ", ".join(_prose(o.right, defs) for o in expr.operands))
+        # a chain in a chain of the other operator is bracketed
         return f" {expr.op} ".join(
             f"({_prose(o, defs)})" if isinstance(o, BoolOp) and o.op != expr.op
-            else _prose(o, defs) for o in expr.operands)
+            and _one_signal(o) is None else _prose(o, defs) for o in expr.operands)
     if isinstance(expr, BinOp):
         if expr.op == "=" and isinstance(expr.left, SigRead):
             return (f"The {expr.left.name.replace('_', ' ')} is "
                     f"{_prose(expr.right, defs)}")
         return f"{_prose(expr.left, defs)} {expr.op} {_prose(expr.right, defs)}"
     return str(expr)
+
+
+def _one_signal(expr: BoolOp) -> str | None:
+    """The signal of an ``or`` whose operands are all ``signal = literal`` on
+    that one signal, which reads as one phrase; else None."""
+    names = {o.left.name if isinstance(o, BinOp) and o.op == "=" and isinstance(
+        o.left, SigRead) and isinstance(o.right, Lit) else None for o in expr.operands}
+    return names.pop() if expr.op == "or" and len(names) == 1 else None
 
 
 def _effect_prose(effect, defs: Mapping[str, Definition]) -> str:

@@ -45,7 +45,10 @@ distinct inputs: the memo ends with 124 entries, and the other 198 rounds
 are found there.  It compiles 197 of the 242 requirements under 47 plan
 keys.  A plan key's candidates read 3 signals besides the key at the median
 and 5 at most.  A computed round visits 12.4 candidates and makes 8.5 guard
-calls on average.
+calls on average.  An arrow's guard, ``from_X and (current_event = E1 or
+…)``, has one exact term per event: it is a candidate only under its own
+events, and there, unless it has a dispatch hand-off, it holds without a
+call.
 
 A trace row's cells come from one table, ``TRACE_RECORDS``: each is its
 record's value, nil where the env lacks the record.  A column's attribution

@@ -148,18 +148,43 @@ class TestRequirements:
         assert len(titles) == len(set(titles)) == 91
         assert len(model.requirements) == 242
 
-    def test_every_table_entry_is_a_term_of_exactly_one_arrow(self, spec, model):
+    @pytest.mark.parametrize("variant", [None, with_no_stage_two_creator],
+                             ids=["shipped", "no-stage-two-creator"])
+    def test_every_start_holds_exactly_one_arrow_guard_which_leads_to_its_target(
+            self, spec, variant):
+        # every (state, event) start, get_cmd under CONT once per command
+        spec = spec if variant is None else variant(spec)
+        model, _ = generate_model(spec)
         arrows = arrow_triggers(model)
-        terms = [term for r in arrows for term in disjuncts(r.guard)]
-        for ev in spec.roster.event_names:
-            for frm in spec.roster.state_names:
-                if (ev, frm) == (CONT, "get_cmd"):
-                    continue
-                [holder] = [r for r in arrows if entered(frm, ev) in disjuncts(r.guard)]
-                assert holder.effects == (ModeAssign("fsm", spec.fsm[ev][frm]),), (ev, frm)
-        # every other term is a dispatch hand-off, one per target
-        targets = set(spec.dispatch.values())
-        assert len(terms) == 714 - 1 + len(targets)
+        defs = model.definition_map()
+        commands = spec.roster.command_names
+        starts = 0
+        for frm in spec.roster.state_names:
+            for ev in spec.roster.event_names:
+                dispatched = (frm, ev) == ("get_cmd", CONT)
+                for cmd in commands if dispatched else commands[:1]:
+                    ctx = EvalContext(
+                        start_signals={"current_event": ev, "current_command": cmd},
+                        start_modes={"fsm": frozenset({frm})}, definitions=defs)
+                    held = [eval_expr(r.guard, ctx) for r in arrows]
+                    assert set(map(type, held)) == {bool}
+                    [holder] = [r for r, h in zip(arrows, held) if h]
+                    to = spec.dispatch[cmd] if dispatched else spec.fsm[ev][frm]
+                    assert holder.effects == (ModeAssign("fsm", to),), (frm, ev, cmd)
+                starts += 1
+        assert starts == 714
+
+    def test_no_arrow_guard_names_its_source_state_twice(self, model):
+        # one disjunct for the table entries and, into a dispatch target,
+        # one for the get_cmd hand-off, which reads the command
+        for r in arrow_triggers(model):
+            frm = r.title.split(" to ")[0]
+            parts = disjuncts(r.guard)
+            hand_offs = [d for d in parts if SigRead("current_command") in list(walk(d))]
+            assert len(hand_offs) <= 1 and len(parts) - len(hand_offs) <= 1, r.title
+            for part in parts:
+                assert [n.name for n in walk(part) if isinstance(n, DefRef)] \
+                    == [f"from_{frm}"], r.title
 
     def test_each_dispatch_target_has_one_hand_off_trigger(self, spec, model):
         targets = set(spec.dispatch.values())
@@ -302,8 +327,8 @@ class TestSharedGraph:
 
     def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
         positions = [node for expr in slots(model) for node in walk(expr)]
-        assert len(positions) == 9016
-        assert len({id(node) for node in positions}) == 1167
+        assert len(positions) == 6562
+        assert len({id(node) for node in positions}) == 519
         # literals that compare equal keep their types: 0 is not false
         zeros = {(type(n.value), id(n)) for n in positions
                  if isinstance(n, Lit) and n.value == 0}
@@ -318,8 +343,8 @@ class TestSharedGraph:
         parsed = parse_model(serialize_model(model))
         assert parsed == model
         positions = [node for expr in slots(parsed) for node in walk(expr)]
-        assert len(positions) == 9016
-        assert len({id(node) for node in positions}) == 1167
+        assert len(positions) == 6562
+        assert len({id(node) for node in positions}) == 519
 
     def test_two_parses_share_no_expression_object(self, model):
         text = serialize_model(model)
@@ -363,23 +388,37 @@ class TestRendering:
         assert ("  The fsm is in state get_cmd at the end of the round or The fsm "
                 "is in state error_ at the end of the round\n") in block
 
-    def test_an_arrow_of_many_entries_reads_one_entry_a_line(self, model):
+    def test_an_arrow_of_many_entries_names_its_state_once_and_its_events_as_one_of(
+            self, model):
         events = ["ERROR", "SPI_TX_FINISH", "SPI_RX_FINISH", "GET_CMD_E",
                   *(f"EVT_{i}" for i in range(6, 22))]
-        entry = "The fsm is in state start at the start of the round and The current event is "
         block = "\n".join([
             "### cando/00.03: start to error_", "", "If",
-            f"  {entry}{events[0]}", *(f"  or {entry}{e}" for e in events[1:]),
+            "  The fsm is in state start at the start of the round",
+            f"  and The current event is one of {', '.join(events)}",
             "occurs, then", "  The fsm is in state error_ at the end of the round",
             "holds.", "", ""])
-        assert block in render_requirements_markdown(model)
-
-    def test_a_chain_in_a_chain_of_the_other_operator_is_bracketed(self, model):
         text = render_requirements_markdown(model)
+        assert block in text
+        # a command group in a hand-off reads as one phrase, unbracketed
         block = text[text.index("cando/01.05:"):text.index("cando/01.06:")]
         assert ("  or The fsm is in state get_cmd at the start of the round and The current "
-                "event is CONT and (The current command is LED_ON_C or The current command "
-                "is SET_DAC_C)\n") in block
+                "event is CONT and The current command is one of LED_ON_C, SET_DAC_C\n") \
+            in block
+
+    def test_a_chain_in_a_chain_of_the_other_operator_is_bracketed(self, model):
+        # no shipped guard mixes the operators below its top level; an or
+        # over two signals is a chain, not a one-of phrase
+        either = BoolOp("or", (BinOp("=", SigRead("current_event"), Lit(CONT)),
+                               BinOp("=", SigRead("current_command"), Lit("LED_ON_C"))))
+        guard = BoolOp("or", (DefRef("from_start"),
+                              BoolOp("and", (DefRef("from_get_cmd"), either))))
+        monitor = Requirement(req_id="mon.X", title="x", template=Template.WHEN,
+                              guard=guard, required=DefRef("to_error_"))
+        text = render_requirements_markdown(
+            dataclasses.replace(model, requirements=(monitor,)))
+        assert ("  or The fsm is in state get_cmd at the start of the round and (The current "
+                "event is CONT or The current command is LED_ON_C)\n") in text
 
     def test_a_when_guard_that_is_an_or_reads_one_disjunct_a_line(self, model):
         guard = BoolOp("or", (DefRef("from_start"), entered("get_cmd", CONT)))
@@ -433,15 +472,13 @@ def test_the_generated_model_and_its_report_are_pinned(model):
     def sha256(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    # the model last re-recorded when the table came to be read once, into
-    # one trigger per arrow of the state diagram: the 721 per-entry triggers
-    # became 91, with ids "<from>.<to>", and ``arrive_<state>`` lists its
-    # terms arrow by arrow; every run stayed the same up to those ids
+    # the model last re-recorded when an arrow of more than one entry came to
+    # be guarded by ``from_<from> and (current_event = E1 or …)``, naming its
+    # source state once instead of once per entry; every run stayed the same
     assert sha256(serialize_model(model)) \
-        == "030ee6a4875c2aa297c89ec86bea954d4fecd6fee2159e712c1e8c22bb4466fa"
-    # the report last re-recorded when a guard that is an OR came to be
-    # printed one disjunct a line, with a chain inside a chain of the other
-    # operator bracketed: only the 42 arrow triggers of more than one entry
-    # read differently
+        == "638b66f6dfa448c0bc4788b3c8036881ef57113d7e5f4c55e2cf36669f67164a"
+    # the report last re-recorded with those guards, when an or of
+    # ``s = literal`` operands on one signal came to read "The <s> is one of
+    # E1, E2, …", unbracketed in a chain
     assert sha256(render_requirements_markdown(model)) \
-        == "9d0f67e392c2a7c7fc6d7f19b87847554813c8c98af5edc071675f24a3997a02"
+        == "10d9cad3c286df200b2de9fe84047b7271dc3304d079f3d868f85dc24210516e"

@@ -430,7 +430,8 @@ def _writers(fired: tuple) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
 
 def run_requirements_trace(model: RequirementsModel, command: str,
                            max_rounds: int) -> Trace:
-    """Run the model for one initial command and emit its trace.
+    """Run the model for one initial command and emit its trace.  The command
+    is the initial value of the command record, where the model declares it.
 
     Row 0 is the initial env; each later row is the round's end snapshot with
     per-field attribution (rebuilt from the round's fired requirements, kept
@@ -440,7 +441,9 @@ def run_requirements_trace(model: RequirementsModel, command: str,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    env = initial_env(model, overrides={TRACE_RECORDS["command"]: command})
+    record = TRACE_RECORDS["command"]
+    declared = any(sig.name == record for sig in model.dictionary.signals)
+    env = initial_env(model, overrides={record: command} if declared else None)
     cells = _env_cells(env, 0)
     rows = [TraceRow(*cells)]
     violations: list[Violation] = []

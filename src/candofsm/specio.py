@@ -283,16 +283,22 @@ def _read_ids(cell: str) -> dict[str, tuple[str, ...]]:
     return {"*": tuple(cell.split(";"))} if cell else {}
 
 
+def _nil_safe(write, read) -> tuple:
+    """The codec of a column that may be nil: nil is the empty cell."""
+    return (lambda v: "" if v is None else write(v),
+            lambda cell: read(cell) if cell else None)
+
+
 # (write, read) cell conversions, keyed on the declared TraceRow field type;
 # get_type_hints resolves the annotations, which the named tuple keeps as
 # forward references.
 _CELL_CODECS = {
     int: (str, _parse_int),
     str: (str, str),
-    str | None: (lambda v: "" if v is None else v, lambda cell: cell or None),
     bool: (lambda v: "true" if v else "false", _parse_bool),
     Mapping[str, tuple[str, ...]]: (_write_ids, _read_ids),
 }
+_CELL_CODECS.update({hint | None: _nil_safe(*_CELL_CODECS[hint]) for hint in (int, str, bool)})
 _ROW_CODECS = tuple((name, *_CELL_CODECS[hint])
                     for name, hint in get_type_hints(TraceRow).items())
 

@@ -33,17 +33,18 @@ class TraceRow(NamedTuple):
 
     round: int
     state: str
-    event: str
-    command: str
+    # a requirements row's cell is nil where its record is missing or nil
+    event: str | None
+    command: str | None
     packet_addr: str | None
     packet_cmd: str | None
     packet_data: str | None
-    bytes_sent: int
-    bytes_received: int
-    tx_cnt: int
-    tx_finish: bool
-    rx_finish: bool
-    cmd_finish: bool
+    bytes_sent: int | None
+    bytes_received: int | None
+    tx_cnt: int | None
+    tx_finish: bool | None
+    rx_finish: bool | None
+    cmd_finish: bool | None
     # requirement ids per changed field; empty on the operational side
     attribution: Mapping[str, tuple[str, ...]] = _NO_ATTRIBUTION
 

@@ -257,6 +257,18 @@ def test_trace_csv_round_trip(spec):
         assert a.values() == b.values()
 
 
+def test_nil_cells_round_trip_as_empty_cells():
+    from candofsm.trace import TraceRow
+
+    # every nullable column nil; an empty state is a string, not nil
+    rows = [TraceRow(0, "start", *[None] * 11), TraceRow(1, "", *[None] * 11)]
+    buf = io.StringIO()
+    write_trace_csv(rows, buf)
+    assert buf.getvalue().splitlines()[1:] == ["0,start" + "," * 12, "1," + "," * 12]
+    buf.seek(0)
+    assert read_trace_csv(buf) == rows
+
+
 def test_trace_csv_bad_header_rejected():
     with pytest.raises(ParseError):
         read_trace_csv(io.StringIO("round,state\n0,start\n"))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from candofsm.reqs.engine import (
     run_requirements_trace,
 )
 from candofsm.reqs.text import parse_model
+from candofsm.specio import read_trace_csv, write_trace_csv
 from candofsm.trace import (
     ROW_COLUMNS,
     DiffEntry,
@@ -235,6 +238,26 @@ class TestTraceRecords:
         assert [values.pop(c) for c in ("round", "state", "command", "bytes_sent")] \
             == [0, "", "GO_C", 0]
         assert set(values.values()) == {None}
+
+    def test_nil_cells_read_back_from_csv(self):
+        rows = run_requirements_trace(parse_model(self.NIL_COUNTER), "GO_C", 3).rows
+        buffer = io.StringIO()
+        write_trace_csv(rows, buffer)
+        assert buffer.getvalue().splitlines()[1:3] == [
+            "0,,,GO_C,,,,0,,,,,,", "1,,,GO_C,,,,,,,,,,r"]
+        buffer.seek(0)
+        assert [row.values() for row in read_trace_csv(buffer)] \
+            == [row.values() for row in rows]
+
+    def test_a_model_without_the_command_record_has_a_nil_command_column(self):
+        model = parse_model('signal bytes_sent : int min=0 max=3 init=0\n'
+                            'req r "count" trigger bytes_sent < 3 '
+                            '=> bytes_sent := bytes_sent + 1\n')
+        trace = run_requirements_trace(model, "GO_C", 3)
+        assert trace.command == "GO_C"
+        assert [(row.command, row.bytes_sent) for row in trace.rows] \
+            == [(None, 0), (None, 1), (None, 2)]
+        assert (trace.reason, trace.violations) == ("budget", ())
 
     def test_the_records_and_their_shadows_are_the_generated_signals(self, model):
         assert tuple(TRACE_RECORDS) == ROW_COLUMNS[2:]

@@ -93,8 +93,8 @@ class _Nodes(Nodes):
     """The node table of one :func:`generate_model` call, with the
     translation's shorthands.  :meth:`and_` and :meth:`or_all` flatten an
     operand with the same operator into its own operands, so generated
-    chains are flat.  :meth:`eq` and :meth:`entered` are also keyed on their
-    arguments, so asking again costs one lookup."""
+    chains are flat.  :meth:`eq` is also keyed on its arguments, so asking
+    again costs one lookup."""
 
     def state(self, mode: str, at: str) -> ModeActive:
         return self.mode(STATE_COMPONENT, mode, at)
@@ -126,8 +126,7 @@ class _Nodes(Nodes):
         """``from_<frm> and current_event = <event>``, or with more than one
         event ``from_<frm> and (current_event = <E1> or …)``: the guard of
         the table entries (event, frm) of one arrow."""
-        return self._node(("entered", frm, *events), lambda: self.and_(
-            self.ref(f"from_{frm}"), self.or_all(map(self.event_is, events))))
+        return self.and_(self.ref(f"from_{frm}"), self.or_all(map(self.event_is, events)))
 
 
 class GenReport(NamedTuple):

@@ -45,6 +45,7 @@ from .trace import (
     Trace,
     TraceRow,
     diff,
+    env_of,
     equivalence_report,
 )
 
@@ -56,7 +57,7 @@ __all__ = [
     "Roster", "RunOutcome", "SpecDocument", "StateDef", "StateKind",
     "StepOutcome", "Trace", "TraceRow", "Violation", "bundled_spec_path",
     "check_cando", "check_dispatch", "check_roster", "check_statemap",
-    "check_totality", "diff", "equivalence_report",
+    "check_totality", "diff", "env_of", "equivalence_report",
     "generate_model", "init_model", "load_bundled_cando", "load_spec", "lookup_next",
     "ops_round", "parse_spec", "reachable", "run", "serialize_spec", "step",
 ]

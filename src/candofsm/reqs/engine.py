@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 from ..fsm import Violation
 from ..trace import ROW_COLUMNS, Trace, TraceRow
-from .compiled import ABSENT, EMPTY, Compiler, Frame, active_modes
+from .compiled import ABSENT, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
 # against; it stays importable from here
 from .expr import EvalError, eval_expr  # noqa: F401
@@ -187,11 +187,7 @@ class _Plan:
             if guard is not None and guard.support is s.support and guard.exact \
                     and all(lit is None or lit[0] == key for _, lit in s.support):
                 self._decided.add(i)
-        # signal name -> the values it admits
-        self.domains = {}
-        for sig in model.dictionary.signals:
-            self.domains.setdefault(
-                sig.name, model.dictionary.domain(sig.type_name, sig.minimum, sig.maximum))
+        self.domains = model.dictionary.domains
         self._candidates: dict[tuple, tuple] = {}
         self.memo: dict[tuple, tuple] = {}
         # a round's fired tuple -> what _writers makes of it
@@ -267,7 +263,7 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     end_signals.update(signal_writes)
     end_modes = dict(modes)
     end_modes.update(mode_writes)
-    end_env = Env(end_signals, end_modes, EMPTY, env.round_no + 1)
+    end_env = Env(end_signals, end_modes)
     return RoundResult(end_env, fired, violations)
 
 
@@ -442,8 +438,7 @@ def run_requirements_trace(model: RequirementsModel, command: str,
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     record = TRACE_RECORDS["command"]
-    declared = any(sig.name == record for sig in model.dictionary.signals)
-    env = initial_env(model, overrides={record: command} if declared else None)
+    env = initial_env(model, {record: command} if record in model.dictionary.domains else None)
     cells = _env_cells(env, 0)
     rows = [TraceRow(*cells)]
     violations: list[Violation] = []

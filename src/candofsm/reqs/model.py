@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
@@ -196,6 +197,11 @@ class DataDictionary:
                 raise ModelError(
                     f"mode component {m.name!r}: initial {m.initial!r} not a mode")
 
+    @cached_property
+    def domains(self) -> dict[str, Domain | None]:
+        """Signal name -> the values it admits (None: its type is unknown)."""
+        return {s.name: self.domain(s.type_name, s.minimum, s.maximum) for s in self.signals}
+
     def domain(self, name: str, lo: int | None = None,
                hi: int | None = None) -> Domain | None:
         """The values type ``name`` admits, an int within ``[lo, hi]``; None
@@ -299,32 +305,30 @@ class Requirement:
 
 
 class Env(NamedTuple):
-    """Signal values and active modes at a round boundary."""
+    """Signal values and active modes at a round boundary (see ``trace.env_of``)."""
 
     signals: Mapping[str, object]
     modes: Mapping[str, frozenset[str]]
     # inert: nothing reads or writes it; kept while perfbench/workloads.py passes it
     history: frozenset = frozenset()
-    round_no: int = 0
 
 
 def initial_env(model: RequirementsModel,
                 overrides: Mapping[str, object] | None = None) -> Env:
-    """Round-0 env from declared initial values; overrides patch signals."""
-    signals: dict[str, object] = {}
-    for c in model.dictionary.constants:
-        signals[c.name] = c.value
-    for s in model.dictionary.signals:
-        signals[s.name] = s.initial
+    """Round-0 env from declared initial values; each override must fit its signal."""
+    signals: dict[str, object] = {c.name: c.value for c in model.dictionary.constants}
+    signals.update({s.name: s.initial for s in model.dictionary.signals})
     if overrides:
+        domains = model.dictionary.domains
         for name, value in overrides.items():
-            if name not in signals:
-                raise ModelError(f"override of unknown signal {name!r}")
+            if name not in domains:
+                raise ModelError(f"override of {name!r}: not a signal")
+            fault = None if domains[name] is None else domains[name].fault(value)
+            if fault is not None:
+                raise ModelError(f"override of signal {name!r}: {value!r} {fault}")
             signals[name] = value
-    modes = {
-        m.name: (frozenset({m.initial}) if m.initial is not None else frozenset())
-        for m in model.dictionary.modes
-    }
+    modes = {m.name: frozenset() if m.initial is None else frozenset({m.initial})
+             for m in model.dictionary.modes}
     return Env(signals=signals, modes=modes)
 
 

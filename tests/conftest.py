@@ -7,8 +7,6 @@ import pytest
 from candofsm import load_bundled_cando
 from candofsm.fsm import StateDef, StateKind
 from candofsm.generate import generate_model
-from candofsm.reqs.engine import _env_cells
-from candofsm.trace import ROW_COLUMNS
 
 
 @pytest.fixture(scope="session")
@@ -25,11 +23,6 @@ def generated(spec):
 @pytest.fixture(scope="session")
 def model(generated):
     return generated[0]
-
-
-def env_values(env, round_no: int) -> dict[str, object]:
-    """The trace columns of a requirements env, keyed as ``TraceRow``'s fields."""
-    return dict(zip(ROW_COLUMNS, _env_cells(env, round_no)))
 
 
 def mutate_table(spec, event: str, state: str, target: str | None):

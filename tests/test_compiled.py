@@ -697,7 +697,7 @@ def exact(result) -> tuple:
     ``True`` differ."""
     end = result.end_env
     return ({k: (type(v), v) for k, v in end.signals.items()}, dict(end.modes),
-            end.round_no, result.fired, result.violations)
+            result.fired, result.violations)
 
 
 def fresh_round(model, env):

@@ -117,7 +117,6 @@ def round_snapshot(model, env: Env) -> dict:
                     if k not in env.signals or _differs(v, env.signals[k])},
         "dropped_signals": sorted(set(env.signals) - set(end.signals)),
         "modes": {k: sorted(v) for k, v in end.modes.items()},
-        "round_no": end.round_no,
     }
 
 

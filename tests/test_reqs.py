@@ -415,6 +415,20 @@ class TestValidation:
         assert initial_env(model).signals == {"x": 3, "y": None, "c": None, "d": "green",
                                               "f": False, "b": None}
 
+    @pytest.mark.parametrize("name, value, fault", [
+        ("d", "BOGUS", "signal 'd': 'BOGUS' is not a member of Colour"),
+        ("x", 99, "signal 'x': 99 is outside [0, 3]"),
+        ("x", True, "signal 'x': True is not an int"),
+        ("L", 4, "'L': not a signal"),
+        ("ghost", 1, "'ghost': not a signal"),
+    ], ids=["bogus-member", "out-of-range", "bool-in-an-int", "constant", "unknown"])
+    def test_an_override_its_signal_does_not_admit_is_rejected(self, name, value, fault):
+        model = parse_model("type Colour enum { red green }\nconst L : int = 3\n"
+                            "signal x : int min=0 max=3 init=0\nsignal d : Colour init=red\n")
+        with pytest.raises(ModelError, match=f"^override of {re.escape(fault)}$"):
+            initial_env(model, {name: value})
+        assert initial_env(model, {"x": None, "d": None}).signals == {"L": 3, "x": None, "d": None}
+
     def test_duplicate_requirement_ids_rejected(self):
         with pytest.raises(ModelError, match="duplicate requirement ids"):
             tiny_model(

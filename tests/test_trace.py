@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candofsm.generate import generate_model
-from candofsm.opmodel import run
+from candofsm.opmodel import ModelState, _snapshot, init_model, ops_round, run
 from candofsm.reqs import engine
 from candofsm.reqs.engine import (
     STATE_COMPONENT,
     TRACE_RECORDS,
+    _env_cells,
     _plan_of,
     run_requirements_trace,
 )
+from candofsm.reqs.model import ModelError, initial_env
 from candofsm.reqs.text import parse_model
 from candofsm.specio import read_trace_csv, write_trace_csv
 from candofsm.trace import (
@@ -23,6 +25,7 @@ from candofsm.trace import (
     EquivalenceReport,
     RunOutcome,
     diff,
+    env_of,
     equivalence_report,
 )
 from conftest import mutate_table
@@ -286,12 +289,6 @@ class TestTraceRecords:
 
 
 class TestEquivalenceReport:
-    def test_bundled_spec_passes_for_all_commands(self, spec, model):
-        report = equivalence_report(spec, model, max_rounds=500)
-        assert report.passed
-        assert set(report.per_command) == set(spec.roster.command_names)
-        assert all(not entries for entries in report.per_command.values())
-
     def test_broken_self_loop_fails_with_a_state_entry(self, spec):
         mutated = mutate_table(spec, "SPI_TX_FINISH", "send_packet_1",
                                "receive_packet_21")
@@ -367,3 +364,33 @@ class TestEquivalenceReport:
             per_command={"A_C": ()}, max_rounds=10,
             outcomes={"A_C": (RunOutcome("error", ()), RunOutcome("error", ()))})
         assert agreeing.passed
+
+
+
+class TestEnvOf:
+    def test_the_env_of_each_nominal_state_has_its_row_as_cells(self, spec, model):
+        rows = 0
+        for cmd in spec.roster.command_names:
+            states = [init_model(spec, cmd)]
+            while not states[-1].command_finish_flag:
+                states.append(ops_round(spec, states[-1]).next)
+            assert env_of(model, states[0]) == initial_env(model, {"current_command": cmd})
+            for n, m in enumerate(states):
+                assert _env_cells(env_of(model, m), n) == _snapshot(m, n)[:-1], (cmd, n)
+            rows += len(states)
+        assert rows == sum(len(trace.rows) for trace in ops_traces(spec)) == 339
+
+    def test_a_shadow_holds_its_columns_cell(self, model):
+        signals = env_of(model, ModelState("send_packet_1", "CONT", "LED_ON_C", bytes_sent=2,
+                                           bytes_received=1, tx_cnt=2)).signals
+        assert [signals[f"next_{name}"] for name in ("bytes_sent", "bytes_received", "tx_cnt")] \
+            == [2, 1, 2]
+
+    def test_a_hand_model_gets_only_the_records_it_declares(self):
+        model = parse_model("const LIMIT : int = 3\nsignal bytes_sent : int min=0 max=3 init=0\n")
+        env = env_of(model, ModelState("get_cmd", "CONT", "LED_ON_C", bytes_sent=2))
+        assert (env.signals, env.modes) == ({"LIMIT": 3, "bytes_sent": 2}, {})
+
+    def test_a_cell_its_signal_does_not_admit_raises(self, model):
+        with pytest.raises(ModelError, match="'current_event': 'BOGUS' is not a member"):
+            env_of(model, ModelState("get_cmd", "BOGUS", "LED_ON_C"))

@@ -111,8 +111,7 @@ def test_checkers_and_monitors_agree_on_every_rule(spec):
         if constraint == "TOTALITY":
             continue
         model, _ = generate_model(mutate_table(spec, event, state, target))
-        result = fire_round(model, env_of(model, ModelState(state, event, "LED_ON_C")),
-                            None)
+        result = fire_round(model, env_of(model, ModelState(state, event, "LED_ON_C")), None)
         reported = [(v.constraint_id, v.message.split()[1]) for v in result.violations]
         want = [("MONITOR", f"mon.{constraint}")] if constraint in MONITORED else []
         assert reported == want, constraint

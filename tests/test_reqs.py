@@ -427,7 +427,8 @@ class TestValidation:
                             "signal x : int min=0 max=3 init=0\nsignal d : Colour init=red\n")
         with pytest.raises(ModelError, match=f"^override of {re.escape(fault)}$"):
             initial_env(model, {name: value})
-        assert initial_env(model, {"x": None, "d": None}).signals == {"L": 3, "x": None, "d": None}
+        assert initial_env(model, {"x": None, "d": None}).signals \
+            == {"L": 3, "x": None, "d": None}
 
     def test_duplicate_requirement_ids_rejected(self):
         with pytest.raises(ModelError, match="duplicate requirement ids"):

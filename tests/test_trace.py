@@ -366,7 +366,6 @@ class TestEquivalenceReport:
         assert agreeing.passed
 
 
-
 class TestEnvOf:
     def test_the_env_of_each_nominal_state_has_its_row_as_cells(self, spec, model):
         rows = 0
@@ -381,13 +380,15 @@ class TestEnvOf:
         assert rows == sum(len(trace.rows) for trace in ops_traces(spec)) == 339
 
     def test_a_shadow_holds_its_columns_cell(self, model):
-        signals = env_of(model, ModelState("send_packet_1", "CONT", "LED_ON_C", bytes_sent=2,
-                                           bytes_received=1, tx_cnt=2)).signals
-        assert [signals[f"next_{name}"] for name in ("bytes_sent", "bytes_received", "tx_cnt")] \
-            == [2, 1, 2]
+        m = ModelState("send_packet_1", "CONT", "LED_ON_C", bytes_sent=2, bytes_received=1,
+                       tx_cnt=2)
+        signals = env_of(model, m).signals
+        assert (signals["next_bytes_sent"], signals["next_bytes_received"],
+                signals["next_tx_cnt"]) == (2, 1, 2)
 
     def test_a_hand_model_gets_only_the_records_it_declares(self):
-        model = parse_model("const LIMIT : int = 3\nsignal bytes_sent : int min=0 max=3 init=0\n")
+        model = parse_model("const LIMIT : int = 3\n"
+                            "signal bytes_sent : int min=0 max=3 init=0\n")
         env = env_of(model, ModelState("get_cmd", "CONT", "LED_ON_C", bytes_sent=2))
         assert (env.signals, env.modes) == ({"LIMIT": 3, "bytes_sent": 2}, {})
 

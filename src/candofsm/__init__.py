@@ -45,9 +45,9 @@ from .trace import (
     Trace,
     TraceRow,
     diff,
-    env_of,
     equivalence_report,
 )
+from .reqs import env_of
 
 __version__ = "0.1.0"
 

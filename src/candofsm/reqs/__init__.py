@@ -35,7 +35,7 @@ from .model import (
     Template,
     initial_env,
 )
-from .engine import RoundResult, fire_round, run_requirements_trace
+from .engine import RoundResult, env_of, fire_round, run_requirements_trace
 
 __all__ = [
     "BinOp", "BoolOp", "BoolType", "ConstantDef",
@@ -44,5 +44,5 @@ __all__ = [
     "ModeComponent", "ModelError", "Not",
     "Requirement", "RequirementsModel", "RoundResult",
     "SigRead", "SignalAssign", "SignalDef", "Template", "TypeMismatch",
-    "fire_round", "initial_env", "run_requirements_trace",
+    "env_of", "fire_round", "initial_env", "run_requirements_trace",
 ]

@@ -61,6 +61,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from ..fsm import Violation
+from ..opmodel import ModelState, _snapshot
 from ..trace import ROW_COLUMNS, Trace, TraceRow
 from .compiled import ABSENT, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
@@ -407,6 +408,22 @@ def _env_cells(env: Env, round_no: int) -> tuple:
     column's cell is its record's value, None where the env lacks it."""
     return (round_no, "|".join(sorted(env.modes.get(STATE_COMPONENT, ()))),
             *map(env.signals.get, TRACE_RECORDS.values()))
+
+
+def env_of(model: RequirementsModel, m: ModelState) -> Env:
+    """The env that matches the operational machine ``m``, the inverse of
+    :func:`_env_cells`: each trace record ``model`` declares holds its
+    column's cell, so does each declared ``next_`` shadow, the state
+    component holds ``m``'s state, and every other record its initial value.
+    After a counter resets, the engine's own env can differ from this one in
+    the shadow, which still holds the last staged count."""
+    cells = _snapshot(m, 0)
+    declared = model.dictionary.domains
+    env = initial_env(model, {name: cells[i] for name, (_, i, _) in _WRITES.items()
+                              if i > 1 and name in declared})
+    if STATE_COMPONENT in env.modes:
+        env.modes[STATE_COMPONENT] = frozenset({m.current_state})
+    return env
 
 
 def _writers(fired: tuple) -> tuple[tuple[str, int, tuple[str, ...]], ...]:

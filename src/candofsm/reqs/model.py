@@ -305,7 +305,7 @@ class Requirement:
 
 
 class Env(NamedTuple):
-    """Signal values and active modes at a round boundary (see ``trace.env_of``)."""
+    """Signal values and active modes at a round boundary (see ``engine.env_of``)."""
 
     signals: Mapping[str, object]
     modes: Mapping[str, frozenset[str]]

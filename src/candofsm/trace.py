@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 from .fsm import Violation
 
 if TYPE_CHECKING:
-    from .opmodel import ModelState
-    from .reqs.model import Env, RequirementsModel
+    from .reqs.model import RequirementsModel
     from .specio import SpecDocument
 
 
@@ -189,24 +188,6 @@ class EquivalenceReport:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def env_of(model: RequirementsModel, m: ModelState) -> Env:
-    """The env the requirements engine holds at the round boundary where the
-    operational machine is ``m``: each trace record and ``next_`` shadow that
-    ``model`` declares holds its column's cell, the state component ``m``'s
-    state, and every other record its initial value."""
-    # the engines import this module; importing modules here, not names, is cheaper
-    from . import opmodel
-    from .reqs import engine, initial_env
-
-    declared = model.dictionary.domains
-    cells = zip(engine.TRACE_RECORDS.values(), opmodel._snapshot(m, 0)[2:-1])
-    env = initial_env(model, {name: cell for record, cell in cells
-                              for name in (record, f"next_{record}") if name in declared})
-    if engine.STATE_COMPONENT in env.modes:
-        env.modes[engine.STATE_COMPONENT] = frozenset({m.current_state})
-    return env
 
 
 def equivalence_report(spec: SpecDocument, model: RequirementsModel,

@@ -22,9 +22,9 @@ from candofsm.fsm import (
 )
 from candofsm.generate import generate_model
 from candofsm.opmodel import ModelState, ops_round, run
-from candofsm.reqs.engine import fire_round, run_requirements_trace
+from candofsm.reqs.engine import env_of, fire_round, run_requirements_trace
 from candofsm.specio import parse_spec, serialize_spec
-from candofsm.trace import env_of, equivalence_report
+from candofsm.trace import equivalence_report
 from conftest import mutate_table
 
 VALID_SEQUENCE = [

@@ -17,12 +17,11 @@ from candofsm.generate import (
     render_requirements_markdown,
 )
 from candofsm.opmodel import ModelState, ops_round
-from candofsm.reqs import Template, fire_round
+from candofsm.reqs import Template, env_of, fire_round
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
 from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
 from candofsm.reqs.model import ModeAssign, Requirement, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
-from candofsm.trace import env_of
 from conftest import with_no_stage_two_creator, with_second_error_state
 from test_reqs import slots, walk
 
@@ -250,6 +249,13 @@ class TestRequirements:
 
 
 class TestOracle:
+    def test_runs_are_free_of_conflict_and_modeset_violations(self, spec, model):
+        from candofsm.reqs.engine import run_requirements_trace
+
+        for cmd in spec.roster.command_names:
+            trace = run_requirements_trace(model, cmd, 500)
+            assert trace.violations == (), cmd
+
     @staticmethod
     def assert_one_round_agreement(spec, model):
         """One ops round and one fire_round from every (state, event) pair

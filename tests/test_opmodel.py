@@ -31,6 +31,14 @@ from candofsm.opmodel import (
 from conftest import mutate_table
 
 
+def distinct_states(trace):
+    out = []
+    for row in trace.rows:
+        if not out or out[-1] != row.state:
+            out.append(row.state)
+    return out
+
+
 class TestInit:
     def test_starts_in_start_with_cont_pending(self, spec):
         m = init_model(spec, "LED_ON_C")
@@ -213,6 +221,22 @@ class TestStep:
 
 
 class TestRun:
+    def test_vled_dispatch_reproduces_the_valid_sequence(self, spec):
+        trace = run(spec, "LED_ON_C", 500)
+        assert distinct_states(trace) == [
+            "start", "get_cmd", "set_vLED", "send_packet_6",
+            "receive_packet_28", "set_sDac", "send_packet_3",
+            "receive_packet_27", "cmd_finish",
+        ]
+        assert trace.reason == "cmd_finish"
+
+    def test_counter_invariants_hold_on_every_row(self, spec):
+        for cmd in spec.roster.command_names:
+            for row in run(spec, cmd, 500).rows:
+                assert 0 <= row.bytes_sent <= PACKET_LENGTH
+                assert 0 <= row.bytes_received <= PACKET_LENGTH
+                assert 0 <= row.tx_cnt <= MAX_COUNT
+
     def test_budget_of_one_yields_one_row(self, spec):
         trace = run(spec, "LED_ON_C", 1)
         assert len(trace.rows) == 1
@@ -231,6 +255,10 @@ class TestRun:
 
     def test_runs_are_deterministic(self, spec):
         assert run(spec, "DIAG_DELAY_C", 500) == run(spec, "DIAG_DELAY_C", 500)
+
+    def test_post_condition_contract_is_clean_on_the_bundled_spec(self, spec):
+        for cmd in spec.roster.command_names:
+            assert run(spec, cmd, 500).violations == ()
 
     def test_spi_rounds_hold_the_state(self, spec):
         # whenever a row carries an SPI completion event, the transition that

@@ -14,6 +14,7 @@ from candofsm.reqs.engine import (
     TRACE_RECORDS,
     _env_cells,
     _plan_of,
+    env_of,
     run_requirements_trace,
 )
 from candofsm.reqs.model import ModelError, initial_env
@@ -25,7 +26,6 @@ from candofsm.trace import (
     EquivalenceReport,
     RunOutcome,
     diff,
-    env_of,
     equivalence_report,
 )
 from conftest import mutate_table
@@ -289,6 +289,12 @@ class TestTraceRecords:
 
 
 class TestEquivalenceReport:
+    def test_bundled_spec_passes_for_all_commands(self, spec, model):
+        report = equivalence_report(spec, model, max_rounds=500)
+        assert report.passed
+        assert set(report.per_command) == set(spec.roster.command_names)
+        assert all(not entries for entries in report.per_command.values())
+
     def test_broken_self_loop_fails_with_a_state_entry(self, spec):
         mutated = mutate_table(spec, "SPI_TX_FINISH", "send_packet_1",
                                "receive_packet_21")

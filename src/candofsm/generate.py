@@ -229,7 +229,8 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
     strengthened post-condition monitor per branch (the exact end event and
     counter value relative to its start), each branch guard built once for
     both.  Counter updates go through next_* shadows, each commit checked
-    at the end of its round by the trigger's required condition.  Returns
+    by its trigger's required condition and each reset zeroing both, so a
+    shadow equals its counter at every round boundary.  Returns
     the ``op.*`` and the ``post.*`` requirements."""
     kind = spec.roster.kind_of(state)
     arrive = nodes.ref(f"arrive_{state}")
@@ -302,7 +303,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
              set_("current_event", SPI_TX_FINISH)],
             required=byte_committed)
         toe("done", f"{state} completes the transmission",
-            done, [set_("bytes_sent", 0),
+            done, [set_("bytes_sent", 0), set_("next_bytes_sent", 0),
                    set_("optrode_TX_finish", True),
                    set_("current_event", CONT)])
         toe("tx_next", f"{state} stages the transmission count",
@@ -332,7 +333,7 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
              set_("current_event", SPI_RX_FINISH)],
             required=byte_committed)
         toe("done", f"{state} completes the reception",
-            done, [set_("bytes_received", 0),
+            done, [set_("bytes_received", 0), set_("next_bytes_received", 0),
                    set_("optrode_RX_finish", True),
                    set_("current_event", CONT)])
         when("progress", f"{state} in progress ends in SPI_RX_FINISH",

@@ -306,37 +306,22 @@ def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
 
     Row 0 is the initial snapshot; every later row records the machine after
     that round's state operation (the transition into the next state uses the
-    event shown on the row).  The run stops when the command-finish flag goes
-    up, when error_ is entered with no non-self progress available, or when
-    the row budget runs out.
+    event shown on the row).  The run stops, as the requirements engine's
+    does, once the command-finish flag is up or the row budget runs out.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     m = init_model(spec, command)
     rows = [_snapshot(m, 0)]
-    reason = "budget"
     violations: list[Violation] = []
-    error_is_final = spec.fsm.get(CONT, {}).get(ERROR_ST) == ERROR_ST
-    round_no = 0
-    while len(rows) < max_rounds:
-        round_no += 1
+    while len(rows) < max_rounds and not m.command_finish_flag:
         try:
             outcome = ops_round(spec, m)
         except Exception as exc:  # noqa: BLE001 - tag and re-raise any step fault
-            raise RunError(round_no, exc) from exc
+            raise RunError(len(rows), exc) from exc
         m = outcome.next
         violations.extend(outcome.post_violations)
-        rows.append(_snapshot(m, round_no))
-        if m.command_finish_flag:
-            reason = "cmd_finish"
-            break
-        if error_is_final and m.current_state == ERROR_ST:
-            reason = "error"
-            break
-    return Trace(
-        rows=tuple(rows),
-        command=command,
-        engine="ops",
-        reason=reason,
-        violations=tuple(violations),
-    )
+        rows.append(_snapshot(m, len(rows)))
+    return Trace(rows=tuple(rows), command=command, engine="ops",
+                 reason="cmd_finish" if m.command_finish_flag else "budget",
+                 violations=tuple(violations))

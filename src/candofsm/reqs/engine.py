@@ -52,7 +52,8 @@ call.
 
 A trace row's cells come from one table, ``TRACE_RECORDS``: each is its
 record's value, nil where the env lacks the record.  A column's attribution
-is the requirements that wrote its record or the record's ``next_`` shadow.
+is the requirements that wrote its record or the record's ``next_`` shadow,
+each once, in fired order.
 """
 
 from __future__ import annotations
@@ -396,11 +397,11 @@ TRACE_RECORDS = dict(zip(ROW_COLUMNS[2:], (
     "bytes_sent", "bytes_received", "tx_cnt",
     "optrode_TX_finish", "optrode_RX_finish", "command_finish_flag",
 ), strict=True))
-# writer -> (trace column, its cell's index, whether it is a next_ shadow)
-_WRITES = {STATE_COMPONENT: ("state", 1, False),
-           **{name: (column, i, shadow)
+# writer -> (trace column, its cell's index)
+_WRITES = {STATE_COMPONENT: ("state", 1),
+           **{name: (column, i)
               for i, (column, record) in enumerate(TRACE_RECORDS.items(), 2)
-              for name, shadow in ((record, False), (f"next_{record}", True))}}
+              for name in (record, f"next_{record}")}}
 
 
 def _env_cells(env: Env, round_no: int) -> tuple:
@@ -415,11 +416,11 @@ def env_of(model: RequirementsModel, m: ModelState) -> Env:
     :func:`_env_cells`: each trace record ``model`` declares holds its
     column's cell, so does each declared ``next_`` shadow, the state
     component holds ``m``'s state, and every other record its initial value.
-    After a counter resets, the engine's own env can differ from this one in
-    the shadow, which still holds the last staged count."""
+    A generated model's shadow equals its counter at every round boundary,
+    so this is the env its engine holds wherever the machine is ``m``."""
     cells = _snapshot(m, 0)
     declared = model.dictionary.domains
-    env = initial_env(model, {name: cells[i] for name, (_, i, _) in _WRITES.items()
+    env = initial_env(model, {name: cells[i] for name, (_, i) in _WRITES.items()
                               if i > 1 and name in declared})
     if STATE_COMPONENT in env.modes:
         env.modes[STATE_COMPONENT] = frozenset({m.current_state})
@@ -428,17 +429,15 @@ def env_of(model: RequirementsModel, m: ModelState) -> Env:
 
 def _writers(fired: tuple) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
     """(trace column, cell index, requirement ids) for each column that a
-    round's fired requirements wrote: a counter's next-value updater, which
-    writes its shadow, comes before the requirement that commits it."""
-    by_column: dict[str, tuple[int, list[str], list[str]]] = {}
+    round's fired requirements wrote, to its record or its shadow: each
+    requirement once, in fired order."""
+    by_column: dict[str, tuple[int, dict[str, None]]] = {}
     for rid, records in fired:
         for record in records:
             if record in _WRITES:
-                column, i, shadow = _WRITES[record]
-                _, first, last = by_column.setdefault(column, (i, [], []))
-                (first if shadow else last).append(rid)
-    return tuple((column, i, (*first, *last))
-                 for column, (i, first, last) in by_column.items())
+                column, i = _WRITES[record]
+                by_column.setdefault(column, (i, {}))[1][rid] = None
+    return tuple((column, i, tuple(ids)) for column, (i, ids) in by_column.items())
 
 
 def run_requirements_trace(model: RequirementsModel, command: str,

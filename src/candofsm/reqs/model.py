@@ -376,16 +376,21 @@ class RequirementsModel:
         # definitions inlined); the model keeps every node, so ids hold
         facts: dict[int, tuple[bool, int]] = {}
         bodies: dict[str, tuple[bool, int]] = {}   # definition -> its body's facts
-        visiting: set[str] = set()
+        visiting: dict[str, None] = {}   # the definitions being scanned, outermost first
 
         def visit(name: str) -> tuple[bool, int]:
             """Scan a definition's body on first use; a name met again while
-            its own body is being scanned closes a cycle."""
+            its own body is being scanned closes a cycle.  Each nested visit
+            adds a level, so the outermost of MAX_DEPTH + 1 is too deep."""
             if name not in bodies:
                 if name in visiting:
                     raise ModelError(f"definition cycle through {name!r}")
-                visiting.add(name)
+                if len(visiting) == MAX_DEPTH:
+                    raise ModelError(f"definition {next(iter(visiting))!r}: "
+                                     f"expression nested more than {MAX_DEPTH} deep")
+                visiting[name] = None
                 bodies[name] = scan(defs[name].expr, f"definition {name!r}")
+                visiting.popitem()
             return bodies[name]
 
         def scan(expr, where: str) -> tuple[bool, int]:

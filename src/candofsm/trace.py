@@ -64,7 +64,7 @@ class Trace:
     rows: tuple[TraceRow, ...]
     command: str
     engine: str                      # "ops" or "reqs"
-    reason: str                      # "cmd_finish", "error" or "budget"
+    reason: str                      # "cmd_finish" or "budget"
     violations: tuple[Violation, ...] = ()
 
 
@@ -135,11 +135,11 @@ class EquivalenceReport:
     outcomes: Mapping[str, tuple[RunOutcome, RunOutcome]]
 
     def command_passed(self, cmd: str) -> bool:
-        """The traces agree, neither engine reports a violation, neither ran
-        out of budget, and both stopped for the same reason."""
+        """The traces agree, neither engine reports a violation, and both
+        stopped because the command finished."""
         ops, reqs = self.outcomes[cmd]
         return (not self.per_command[cmd] and not ops.violations
-                and not reqs.violations and ops.reason == reqs.reason != "budget")
+                and not reqs.violations and ops.reason == reqs.reason == "cmd_finish")
 
     @property
     def passed(self) -> bool:

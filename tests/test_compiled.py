@@ -157,7 +157,7 @@ def contexts(spec, model):
 def test_every_generated_expression_agrees_with_the_interpreter(model, contexts):
     compiler = Compiler(model.definition_map())
     expressions = model_expressions(model)
-    assert len(expressions) == 722
+    assert len(expressions) == 738
     mismatched = [(expr, i) for expr in expressions
                   for i, ctx in enumerate(contexts) if not agree(expr, ctx, compiler)]
     assert mismatched == []

@@ -11,7 +11,8 @@ compiled, indexed and memoised; the engine must reproduce it exactly, from
 a round it computes and from one it finds in its memo.
 
 Record it again (only on purpose, after a deliberate change of behaviour)
-with ``PYTHONPATH=src python tests/test_engine_golden.py``.
+with ``PYTHONPATH=src python tests/test_engine_golden.py``; it prints the
+JSON path of each entry that differs from the file it overwrites.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def _violations(violations) -> list:
 
 def _differs(a, b) -> bool:
     return type(a) is not type(b) or a != b
+
+
+def changed_paths(old, new, path: str = "$") -> list[str]:
+    """The JSON paths where ``new`` differs from ``old``: objects and lists of
+    one length are followed down, anything else is compared whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [p for k in sorted(old.keys() | new.keys())
+                for p in (changed_paths(old[k], new[k], f"{path}.{k}")
+                          if k in old and k in new else [f"{path}.{k}"])]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in changed_paths(a, b, f"{path}[{i}]")]
+    return [] if canonical(old) == canonical(new) else [path]
 
 
 def command_snapshot(model, command: str) -> dict:
@@ -137,6 +151,13 @@ def record(spec, model) -> dict:
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_changed_paths_name_each_differing_entry():
+    old = {"a": [1, [2, 3]], "b": {"c": 0}, "gone": 1}
+    new = {"a": [1, [2, 3, 4]], "b": {"c": False}, "added": 1}
+    assert changed_paths(old, old) == []
+    assert changed_paths(old, new) == ["$.a[1]", "$.added", "$.b.c", "$.gone"]
 
 
 def test_golden_covers_every_command_and_table_entry(spec, golden):
@@ -279,8 +300,11 @@ if __name__ == "__main__":
     from candofsm import load_bundled_cando
 
     shipped = load_bundled_cando()
+    recorded = record(shipped, generate_model(shipped)[0])
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record(shipped, generate_model(shipped)[0]),
-                                 sort_keys=True, separators=(",", ":")) + "\n",
+    GOLDEN.write_text(json.dumps(recorded, sort_keys=True, separators=(",", ":")) + "\n",
                       encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    changed = changed_paths(old, recorded)
+    print(*changed, sep="\n")
+    print(f"wrote {GOLDEN.relative_to(GOLDEN.parents[2])}: {len(changed)} changed entries")

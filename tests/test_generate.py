@@ -309,7 +309,7 @@ class TestSharedGraph:
 
     def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
         positions = [node for expr in slots(model) for node in walk(expr)]
-        assert len(positions) == 6562
+        assert len(positions) == 6578
         assert len({id(node) for node in positions}) == 519
         # literals that compare equal keep their types: 0 is not false
         zeros = {(type(n.value), id(n)) for n in positions
@@ -325,7 +325,7 @@ class TestSharedGraph:
         parsed = parse_model(serialize_model(model))
         assert parsed == model
         positions = [node for expr in slots(parsed) for node in walk(expr)]
-        assert len(positions) == 6562
+        assert len(positions) == 6578
         assert len({id(node) for node in positions}) == 519
 
     def test_two_parses_share_no_expression_object(self, model):
@@ -454,13 +454,10 @@ def test_the_generated_model_and_its_report_are_pinned(model):
     def sha256(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    # the model last re-recorded when an arrow of more than one entry came to
-    # be guarded by ``from_<from> and (current_event = E1 or …)``, naming its
-    # source state once instead of once per entry; every run stayed the same
+    # the model and its report last re-recorded when each send and receive
+    # ``done`` came to reset its counter's ``next_`` shadow with the counter,
+    # 16 effects and 16 report lines more; every trace stayed the same
     assert sha256(serialize_model(model)) \
-        == "638b66f6dfa448c0bc4788b3c8036881ef57113d7e5f4c55e2cf36669f67164a"
-    # the report last re-recorded with those guards, when an or of
-    # ``s = literal`` operands on one signal came to read "The <s> is one of
-    # E1, E2, …", unbracketed in a chain
+        == "58746f88c1b11247bd93906fbd7bce0d7b097facf0bbe2dd08199e010e29ded6"
     assert sha256(render_requirements_markdown(model)) \
-        == "10d9cad3c286df200b2de9fe84047b7271dc3304d079f3d868f85dc24210516e"
+        == "2bb89a3e5b07f6edd17c817336f331260632dae067fc23710f6fcecca1f04426"

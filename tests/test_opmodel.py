@@ -275,14 +275,6 @@ class TestRun:
             run(broken, "LED_ON_C", 500)
         assert err.value.round_no == 3
 
-    def test_error_self_loop_table_stops_with_reason_error(self, spec):
-        # a table where error_ cannot progress halts the run on entry
-        stuck = mutate_table(spec, "CONT", "error_", "error_")
-        stuck = mutate_table(stuck, "CONT", "set_vLED", "error_")
-        trace = run(stuck, "LED_ON_C", 500)
-        assert trace.reason == "error"
-        assert trace.rows[-1].state == "error_"
-
 
 def test_model_state_is_immutable(spec):
     m = init_model(spec, "LED_ON_C")

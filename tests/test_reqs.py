@@ -599,6 +599,21 @@ class TestValidation:
             parse_model(self.sum_model(60, f'def total "t" := {body}\n')
                         .replace("every x", "every total"))
 
+    @staticmethod
+    def chain(length: int) -> list[Definition]:
+        """``d{i} := d{i-1}`` down to ``d0 := true``, dependants first."""
+        return [Definition(f"d{i}", "t", DefRef(f"d{i - 1}"))
+                for i in range(length - 1, 0, -1)] + [Definition("d0", "t", Lit(True))]
+
+    def test_a_deep_definition_chain_listed_dependants_first_is_rejected(self):
+        with pytest.raises(ModelError, match=(
+                f"^definition 'd599': expression nested more than {MAX_DEPTH} deep$")):
+            tiny_model(definitions=self.chain(600))
+
+    @pytest.mark.parametrize("length", [150, MAX_DEPTH])
+    def test_a_definition_chain_within_the_limit_validates(self, length):
+        assert len(tiny_model(definitions=self.chain(length)).definitions) == length
+
     @pytest.mark.parametrize("terms", [100, MAX_DEPTH - 1])
     def test_a_sum_within_the_limit_validates_evaluates_and_serializes(self, terms):
         model = parse_model(self.sum_model(terms))

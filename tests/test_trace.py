@@ -14,7 +14,9 @@ from candofsm.reqs.engine import (
     TRACE_RECORDS,
     _env_cells,
     _plan_of,
+    _writers,
     env_of,
+    fire_round,
     run_requirements_trace,
 )
 from candofsm.reqs.model import ModelError, initial_env
@@ -144,9 +146,9 @@ class TestTraceAll:
                 == [(cmd, engine) for cmd in spec.roster.command_names]
             assert len(traces) == 17
 
-    def test_ops_traces_end_in_cmd_finish_or_error(self, spec):
+    def test_ops_traces_end_in_cmd_finish(self, spec):
         for trace in ops_traces(spec):
-            assert trace.reason in ("cmd_finish", "error")
+            assert trace.reason == "cmd_finish"
 
     def test_reqs_attributions_reference_generated_ids_only(self, spec, model):
         known = {r.req_id for r in model.requirements}
@@ -287,6 +289,14 @@ class TestTraceRecords:
         assert traced(model) == cold
         assert len(_plan_of(model).writers) == 8
 
+    def test_a_writer_of_a_record_and_its_shadow_is_listed_once(self, model):
+        m = ModelState("error_", "CONT", "LED_ON_C", bytes_sent=2, bytes_received=1,
+                       tx_cnt=1)
+        writers = {column: ids for column, _, ids
+                   in _writers(fire_round(model, env_of(model, m), None).fired)}
+        assert [writers[c] for c in ("bytes_sent", "bytes_received", "tx_cnt")] \
+            == [("op.chip_rst.reset",)] * 3
+
 
 class TestEquivalenceReport:
     def test_bundled_spec_passes_for_all_commands(self, spec, model):
@@ -358,7 +368,7 @@ class TestEquivalenceReport:
     @pytest.mark.parametrize("ops, reqs", [
         (RunOutcome("cmd_finish", ()), RunOutcome("cmd_finish", ("MONITOR",))),
         (RunOutcome("cmd_finish", ("POST",)), RunOutcome("cmd_finish", ())),
-        (RunOutcome("error", ()), RunOutcome("cmd_finish", ())),
+        (RunOutcome("budget", ()), RunOutcome("cmd_finish", ())),
         (RunOutcome("budget", ()), RunOutcome("budget", ())),
     ])
     def test_violations_and_stop_reasons_decide_the_verdict(self, ops, reqs):
@@ -368,7 +378,7 @@ class TestEquivalenceReport:
         assert "- `A_C`: FAIL; ops: " in report.render_markdown()
         agreeing = EquivalenceReport(
             per_command={"A_C": ()}, max_rounds=10,
-            outcomes={"A_C": (RunOutcome("error", ()), RunOutcome("error", ()))})
+            outcomes={"A_C": (RunOutcome("cmd_finish", ()), RunOutcome("cmd_finish", ()))})
         assert agreeing.passed
 
 

@@ -183,8 +183,7 @@ class MissingPacketTemplate(FsmError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class StateDef:
+class StateDef(NamedTuple):
     """A roster state: its name, its kind, and whether it is synthetic."""
 
     name: str
@@ -192,8 +191,7 @@ class StateDef:
     synthetic: bool = False
 
 
-@dataclass(frozen=True)
-class MemberDef:
+class MemberDef(NamedTuple):
     """A roster member without a kind (event or command)."""
 
     name: str
@@ -281,8 +279,7 @@ StateMap = Mapping[str, str]
 FsmTable = Mapping[str, StateMap]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One constraint breach; checkers return these instead of raising."""
 
     constraint_id: str

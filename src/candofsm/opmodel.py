@@ -15,11 +15,11 @@ and counter delta per branch); :func:`step` re-evaluates it after executing
 and reports breaches as violations, which stay empty on a conforming spec.
 
 ``Packet``, ``ModelState`` and ``StepOutcome`` are frozen slotted
-dataclasses with a hand-written ``__init__``: it stores each field through
-its slot descriptor's ``__set__``, bound once below the class, where the
-generated one would call ``object.__setattr__`` per field.  The parameters
-follow the fields in order and default, so ``dataclasses.replace`` still
-works.
+dataclasses with ``init=False`` and a hand-written ``__init__``: it stores
+each field through its slot descriptor's ``__set__``, bound once below the
+class, where a generated one would call ``object.__setattr__`` per field.
+The parameters follow the fields in order and default, so
+``dataclasses.replace`` still works.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _slot_setters(cls) -> tuple:
     return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Packet:
     """The packet under construction; any field may be nil (None)."""
 
@@ -87,7 +87,7 @@ _set_addr, _set_cmd, _set_data = _slot_setters(Packet)
 _NO_PACKET = Packet()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ModelState:
     """The machine between rounds: state, event, command, flags, packet, counters."""
 
@@ -131,7 +131,7 @@ class ModelState:
  _set_packet, _set_received, _set_sent, _set_tx_cnt) = _slot_setters(ModelState)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StepOutcome:
     """The next machine, the operation that fired and its post-condition breaches."""
 

@@ -99,23 +99,20 @@ def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
 
 # --- data dictionary -------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoolType:
+class BoolType(NamedTuple):
     """A named boolean type."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class EnumType:
+class EnumType(NamedTuple):
     """A named enumeration and its members."""
 
     name: str
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConstantDef:
+class ConstantDef(NamedTuple):
     """A named constant: its type and value."""
 
     name: str
@@ -123,8 +120,7 @@ class ConstantDef:
     value: object
 
 
-@dataclass(frozen=True)
-class SignalDef:
+class SignalDef(NamedTuple):
     """A signal: its type, optional bounds and initial value."""
 
     name: str
@@ -134,8 +130,7 @@ class SignalDef:
     initial: object = None
 
 
-@dataclass(frozen=True)
-class ModeComponent:
+class ModeComponent(NamedTuple):
     """An exclusive mode component: its modes and its initial mode."""
 
     name: str
@@ -245,8 +240,7 @@ class Domain(NamedTuple):
 
 # --- definitions and requirements ------------------------------------------
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     """A named expression with its prose text."""
 
     name: str
@@ -254,16 +248,14 @@ class Definition:
     expr: object
 
 
-@dataclass(frozen=True)
-class SignalAssign:
+class SignalAssign(NamedTuple):
     """An effect setting a signal to an expression's start-of-round value."""
 
     name: str
     expr: object
 
 
-@dataclass(frozen=True)
-class ModeAssign:
+class ModeAssign(NamedTuple):
     """An effect making one mode of a component the active one."""
 
     component: str
@@ -291,8 +283,7 @@ TRIGGER_ON_EVENT = Template.TRIGGER_ON_EVENT
 MODE_SET = Template.MODE_SET
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     """One requirement: id, title, template and the slots it uses."""
 
     req_id: str

@@ -25,7 +25,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import IO, Iterable, Mapping, get_type_hints
+from typing import IO, Iterable, Mapping, NamedTuple, get_type_hints
 
 from .fsm import MemberDef, Roster, StateDef, StateKind
 from .trace import TraceRow
@@ -45,8 +45,7 @@ class ParseError(Exception):
         self.snippet = snippet
 
 
-@dataclass(frozen=True)
-class PacketTemplate:
+class PacketTemplate(NamedTuple):
     """Per-creator-state packet fields; any field may be nil (None)."""
 
     addr: str | None = None
@@ -141,7 +140,7 @@ def parse_spec(text: str) -> SpecDocument:
             # the line after the last row, or line 1 of an empty text
             raise _err(rows[-1][0] + 1 if rows else 1, f"missing {section} section")
         lineno, text_line, raw = rows[pos]
-        header = text_line.replace(" ", "")
+        header = "".join(text_line.split())
         if not header.startswith(section + "{"):
             raise _err(lineno, f"missing {section} section", raw)
         if header != section + "{":

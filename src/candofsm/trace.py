@@ -12,8 +12,6 @@ by :func:`diff` with one tuple comparison.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
@@ -57,8 +55,7 @@ class TraceRow(NamedTuple):
 ROW_COLUMNS = TraceRow._fields[:-1]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """One engine's run of one command: rows, stop reason and violations."""
 
     rows: tuple[TraceRow, ...]
@@ -125,8 +122,7 @@ class RunOutcome(NamedTuple):
         return f"{self.reason}, {codes}"
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Per command, the trace differences and both engines' outcomes."""
 
     per_command: Mapping[str, tuple[DiffEntry, ...]]
@@ -166,6 +162,8 @@ class EquivalenceReport:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
+        import json   # here, not at the top: a cold import should not load it
+
         payload = {
             "max_rounds": self.max_rounds,
             "passed": self.passed,

@@ -50,7 +50,7 @@ def with_no_stage_two_creator(spec):
     receive state's CONT entry sent to cmd_finish, so no state has the
     kind ``creator_stage2`` that monitors C1.7 and C11 name."""
     roster = dataclasses.replace(spec.roster, states=tuple(
-        dataclasses.replace(s, kind=StateKind.CREATOR_STAGE1)
+        s._replace(kind=StateKind.CREATOR_STAGE1)
         if s.kind is StateKind.CREATOR_STAGE2 else s
         for s in spec.roster.states))
     cont = {frm: "cmd_finish" if roster.kind_of(frm) is StateKind.RECEIVE else to

@@ -268,7 +268,7 @@ class TestEveryCheckerOutcome:
     def test_a_plain_creator_on_every_state_pair_and_cont_change(self, spec):
         # the shipped roster has no plain ``creator``: make set_vLED one
         roster = dataclasses.replace(spec.roster, states=tuple(
-            dataclasses.replace(s, kind=StateKind.CREATOR) if s.name == "set_vLED" else s
+            s._replace(kind=StateKind.CREATOR) if s.name == "set_vLED" else s
             for s in spec.roster.states))
         states, fsm = roster.state_names, spec.fsm
         outcomes = [check_statemap(roster, {frm: to}, event=CONT)

@@ -294,9 +294,11 @@ class TestOracle:
 
 def rebuilt(value):
     """A copy of a model, or of any part of one, in which every dataclass
-    is a new object: no expression node is shared."""
+    and named tuple is a new object of its own type: no expression node is
+    shared."""
     if isinstance(value, tuple):
-        return tuple(map(rebuilt, value))
+        parts = map(rebuilt, value)
+        return type(value)._make(parts) if hasattr(value, "_fields") else tuple(parts)
     if not dataclasses.is_dataclass(value):
         return value
     return dataclasses.replace(value, **{
@@ -337,6 +339,8 @@ class TestSharedGraph:
     def test_an_unshared_copy_plans_and_runs_the_same(self, spec, model):
         unshared = rebuilt(model)
         assert unshared == model
+        # equal as tuples is not enough: each record keeps its own type
+        assert {type(r) for r in unshared.requirements} == {Requirement}
         assert len({id(n) for expr in slots(unshared) for n in walk(expr)}) \
             == len([n for expr in slots(unshared) for n in walk(expr)])
         shared_plan, plain_plan = _plan_of(model), _plan_of(unshared)

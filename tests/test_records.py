@@ -1,10 +1,12 @@
-"""Contracts of the per-round and report records.
+"""Contracts of the package's records.
 
 ``Packet``, ``ModelState`` and ``StepOutcome`` are frozen slotted
-dataclasses with a hand-written ``__init__``; its parameters must follow the
-fields, or ``dataclasses.replace`` and keyword construction drift from the
-declared record.  The other records are named tuples: immutable, with no
-per-instance ``__dict__``.
+dataclasses with ``init=False`` and a hand-written ``__init__``; its
+parameters must follow the fields, or ``dataclasses.replace`` and keyword
+construction drift from the declared record.  The plain records are named
+tuples: immutable, with no per-instance ``__dict__``.  A cold
+``import candofsm`` creates only the dataclasses that ``test_source_lint``
+lists, and does not load ``json``.
 """
 
 from __future__ import annotations
@@ -12,16 +14,40 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import candofsm
 from candofsm import specio
-from candofsm.fsm import CONT, Violation
+from candofsm.fsm import CONT, MemberDef, StateDef, StateKind, Violation
 from candofsm.generate import GenReport
 from candofsm.opmodel import ModelState, Packet, StepOutcome
 from candofsm.reqs.engine import RoundResult
-from candofsm.reqs.model import Env
-from candofsm.trace import ROW_COLUMNS, DiffEntry, RunOutcome, TraceRow
+from candofsm.reqs.model import (
+    BoolType,
+    ConstantDef,
+    Definition,
+    EnumType,
+    Env,
+    ModeAssign,
+    ModeComponent,
+    Requirement,
+    SignalAssign,
+    SignalDef,
+    Template,
+)
+from candofsm.trace import (
+    ROW_COLUMNS,
+    DiffEntry,
+    EquivalenceReport,
+    RunOutcome,
+    Trace,
+    TraceRow,
+)
+from test_source_lint import DATACLASSES
 
 ROW = TraceRow(3, "send_packet_1", "SPI_TX_FINISH", "LED_ON_C", "a", None, "d",
                2, 0, 1, True, False, False)
@@ -39,12 +65,29 @@ NAMED_TUPLES = (
     GenReport(1, 2, 3),
     Env(signals={}, modes={}),
     RoundResult(Env(signals={}, modes={}), (), ()),
+    StateDef("start", StateKind.CONTROL),
+    MemberDef("CONT"),
+    Violation("C1", CONT, "start", "error_", "message"),
+    specio.PacketTemplate("addr", "cmd", "data"),
+    Trace((ROW,), "LED_ON_C", "ops", "cmd_finish"),
+    EquivalenceReport({}, 500, {}),
+    BoolType("flag_t"),
+    EnumType("state_t", ("start",)),
+    ConstantDef("limit", "int", 3),
+    SignalDef("bytes_sent", "int", 0, 3, 0),
+    ModeComponent("fsm", ("start",), "start"),
+    Definition("ready", "ready", None),
+    SignalAssign("bytes_sent", None),
+    ModeAssign("fsm", "start"),
+    Requirement("r1", "title", Template.EVERY),
 )
 
 
 @pytest.mark.parametrize("cls", list(SLOTTED), ids=lambda cls: cls.__name__)
 def test_a_slotted_record_init_takes_its_fields_in_order(cls):
-    assert cls.__dataclass_params__.frozen and "__slots__" in vars(cls)
+    flags = cls.__dataclass_params__
+    # init=False: dataclass compiles no __init__ only to drop it for this one
+    assert flags.frozen and not flags.init and "__slots__" in vars(cls)
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
     assert [(p.name, p.kind, p.default) for p in params] == [
         (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
@@ -85,3 +128,27 @@ def test_every_trace_column_has_a_csv_codec():
     buffer.seek(0)
     assert specio.read_trace_csv(buffer) == [
         ROW, attributed._replace(attribution={"*": ("r1",)})]
+
+
+# Run with no site, so nothing but the package's own imports loads a module.
+COLD_IMPORT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import candofsm
+print("json" in sys.modules)
+import dataclasses
+print(*sorted(cls.__name__ for name, module in list(sys.modules.items())
+              if name.partition(".")[0] == "candofsm"
+              for cls in vars(module).values()
+              if getattr(cls, "__module__", None) == name
+              and isinstance(cls, type) and dataclasses.is_dataclass(cls)))
+"""
+
+
+def test_a_cold_import_creates_only_the_listed_dataclasses_and_no_json():
+    src = Path(candofsm.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", COLD_IMPORT, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loads_json, names = done.stdout.splitlines()
+    assert loads_json == "False"
+    assert names.split() == sorted(DATACLASSES) and len(DATACLASSES) == 15

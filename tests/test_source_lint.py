@@ -7,16 +7,20 @@ defines ``__getattr__``, so such a load takes the slow attribute path.
 Module-level code, which runs once, may load them.  Every dataclass and
 every ``NamedTuple`` class has a docstring: without one, Python 3.11's
 ``dataclass`` computes ``inspect.signature`` of the class at import to make
-one, and a named tuple gets only its field list.  No ``NamedTuple`` field
-defaults to a mutable literal: unlike a dataclass, a named tuple accepts one
-silently and shares it between all its instances.  Every exception class is
-raised somewhere in the package, or is the base of one that is.  Only
-``reqs/expr.py`` calls an expression node's constructor: every other module
-builds nodes through a ``Nodes`` table, which decides when two are one
-object.  No function an ``__all__`` exports annotates a parameter with a
-private (``_``-prefixed) name: a caller could not build that argument
-without reaching into the module.  Every method a class defines, dunders
-aside, is read as an attribute somewhere in the package."""
+one, and a named tuple gets only its field list.  Every dataclass is listed
+in ``DATACLASSES`` with the one feature it needs that a named tuple lacks;
+any other record is a ``NamedTuple``, which a cold import creates several
+times faster.  No ``NamedTuple`` field defaults to a mutable literal:
+unlike a dataclass, a named tuple accepts one silently and shares it
+between all its instances.  Nor does a named tuple define ``__post_init__``
+or default a field to ``field(...)``: it drops both without a word.  Every
+exception class is raised somewhere in the package, or is the base of one
+that is.  Only ``reqs/expr.py`` calls an expression node's constructor:
+every other module builds nodes through a ``Nodes`` table, which decides
+when two are one object.  No function an ``__all__`` exports annotates a
+parameter with a private (``_``-prefixed) name: a caller could not build
+that argument without reaching into the module.  Every method a class
+defines, dunders aside, is read as an attribute somewhere in the package."""
 
 from __future__ import annotations
 
@@ -80,33 +84,88 @@ def is_named_tuple(node: ast.ClassDef) -> bool:
     return any(_name(base) == "NamedTuple" for base in node.bases)
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
 def test_every_dataclass_and_named_tuple_has_a_docstring():
     undocumented = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.name}"
         for path in modules()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is None
-        and (is_named_tuple(node)
-             or any("dataclass" in ast.unparse(d) for d in node.decorator_list))]
+        and (is_named_tuple(node) or is_dataclass(node))]
     assert undocumented == []
+
+
+# Each dataclass in the package and the one feature a named tuple lacks that
+# it needs.  A record that needs none of them is a ``NamedTuple``: creating a
+# frozen dataclass costs a cold import several times as much.
+_DICT = "values cached in the instance __dict__"
+_SLOTS = "slots and a hand-written __init__, which a named tuple never calls"
+_OWN_TYPE = "equal only to a node of its own type, never to a tuple"
+DATACLASSES = {
+    "Roster": _DICT,
+    "DataDictionary": _DICT,
+    "RequirementsModel": _DICT + " (the engine's _plan)",
+    "SpecDocument": "dict defaults made fresh per instance, and dataclasses.replace "
+                    "in perfbench/workloads.py",
+    "Packet": _SLOTS,
+    "ModelState": _SLOTS,
+    "StepOutcome": _SLOTS,
+    **dict.fromkeys(("Lit", "SigRead", "ModeActive", "DefRef", "BoolOp", "BinOp", "Not"),
+                    _OWN_TYPE),
+    "EvalContext": "none: the test-only reference evaluator, bound for tests/",
+}
+
+
+def dataclass_names(source: str) -> list[str]:
+    """The name of each class that a ``dataclass`` decorator, with or
+    without arguments, makes a dataclass."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and is_dataclass(node)]
+
+
+def test_the_check_finds_each_form_of_dataclass():
+    source = ("@dataclass\n"
+              "class Bare: pass\n"
+              "@dataclass(frozen=True, slots=True)\n"
+              "class Called: pass\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class Qualified: pass\n"
+              "class Row(NamedTuple): pass\n"
+              "@functools.total_ordering\n"
+              "class Ordered: pass\n")
+    assert dataclass_names(source) == ["Bare", "Called", "Qualified"]
+
+
+def test_every_dataclass_is_listed_with_the_feature_it_needs():
+    found = [name for path in modules()
+             for name in dataclass_names(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(DATACLASSES)
 
 
 MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 MUTABLE_FACTORIES = {"dict", "list", "set"}
 
 
-def mutable_named_tuple_defaults(source: str) -> list[tuple[int, str]]:
+def named_tuple_pitfalls(source: str) -> list[tuple[int, str]]:
     """(line, ``Class.field``) for each ``NamedTuple`` field whose default
-    is a mutable literal or a ``dict()``, ``list()`` or ``set()`` call."""
+    is a mutable literal, a ``dict()``, ``list()`` or ``set()`` call, or a
+    dataclass ``field(...)``, and (line, ``Class.__post_init__``) for each
+    ``__post_init__`` a named tuple defines: it never calls one."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not (isinstance(cls, ast.ClassDef) and is_named_tuple(cls)):
             continue
         for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__":
+                found.append((stmt.lineno, f"{cls.name}.__post_init__"))
             value = stmt.value if isinstance(stmt, ast.AnnAssign) else None
             if isinstance(value, MUTABLE_LITERALS) or (
                     isinstance(value, ast.Call)
-                    and _name(value.func) in MUTABLE_FACTORIES):
+                    and _name(value.func) in MUTABLE_FACTORIES | {"field"}):
                 found.append((stmt.lineno, f"{cls.name}.{stmt.target.id}"))
     return found
 
@@ -126,15 +185,30 @@ def test_the_check_finds_a_mutable_named_tuple_default():
               "class Record:\n"
               "    items: list = field(default_factory=list)\n"
               "    table: dict = {}\n")
-    assert mutable_named_tuple_defaults(source) == [
+    assert named_tuple_pitfalls(source) == [
         (3, "TraceRow.attribution"), (8, "Other.ids"), (9, "Other.bag"),
         (10, "Other.table")]
+
+
+def test_the_check_finds_a_dataclass_feature_that_a_named_tuple_drops():
+    source = ("class Record(NamedTuple):\n"
+              "    name: str\n"
+              "    items: tuple = field(default_factory=tuple)\n"
+              "    count: int = dataclasses.field(default=0)\n"
+              "    def __post_init__(self):\n"
+              "        raise ValueError\n"
+              "@dataclass(frozen=True)\n"
+              "class Checked:\n"
+              "    items: tuple = field(default_factory=tuple)\n"
+              "    def __post_init__(self): pass\n")
+    assert named_tuple_pitfalls(source) == [
+        (3, "Record.items"), (4, "Record.count"), (5, "Record.__post_init__")]
 
 
 def test_no_named_tuple_field_defaults_to_a_mutable_literal():
     offences = [f"{path.relative_to(PACKAGE)}:{line}: {field}"
                 for path in modules()
-                for line, field in mutable_named_tuple_defaults(
+                for line, field in named_tuple_pitfalls(
                     path.read_text(encoding="utf-8"))]
     assert offences == []
 

@@ -47,6 +47,11 @@ def test_empty_input_reports_missing_states_section():
     assert "missing states section" in err.value.message
 
 
+def test_a_tab_may_separate_a_section_name_from_its_brace():
+    tabbed = MINIMAL.replace("states {", "states\t{").replace("events {", "events \t{")
+    assert parse_spec(tabbed) == parse_spec(MINIMAL)
+
+
 def test_duplicate_transition_names_the_line():
     text = (MINIMAL
             + "transition CONT set_vLED -> send_packet_6\n"
@@ -78,6 +83,11 @@ def test_parse_error_positions_match_hand_count():
          "events {}"),
         (MINIMAL.replace("events {", "events { CONT"), 7, 1, "expected 'events {'",
          "events { CONT"),
+        # a tab in a header is read as a space is
+        (MINIMAL.replace("events {", "events\t{\tCONT"), 7, 1, "expected 'events {'",
+         "events\t{\tCONT"),
+        (MINIMAL.replace("states {", "state\t{"), 1, 1, "missing states section",
+         "state\t{"),
         # a section missing at the end names the line after the last row
         ("states {\n}\nevents {\n}\n# no commands\n", 5, 1,
          "missing commands section", ""),

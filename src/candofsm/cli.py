@@ -33,7 +33,7 @@ from .specio import (
     read_trace_csv,
     write_trace_csv,
 )
-from .trace import diff, equivalence_report
+from .trace import RunError, diff, equivalence_report
 
 
 class ExitStatus(enum.IntEnum):
@@ -143,7 +143,7 @@ def _cmd_simulate(args) -> int:
         return ExitStatus.USAGE
     _require_checked(spec)
     if args.engine == "ops":
-        from .opmodel import RunError, run
+        from .opmodel import run
 
         try:
             trace = run(spec, args.command, args.max_rounds)

@@ -11,8 +11,8 @@ then builds its one new :class:`ModelState` with a single constructor call
 state before the round.
 
 Every operation also carries a declarative post-condition (exact next event
-and counter delta per branch); :func:`step` re-evaluates it after executing
-and reports breaches as violations, which stay empty on a conforming spec.
+and counter delta per branch); :func:`ops_round` and :func:`step` re-check it
+after executing and report breaches as violations, none on a conforming spec.
 
 ``Packet``, ``ModelState`` and ``StepOutcome`` are frozen slotted
 dataclasses with ``init=False`` and a hand-written ``__init__``: it stores
@@ -50,16 +50,7 @@ from .fsm import (
     lookup_next,
 )
 from .specio import SpecDocument
-from .trace import Trace, TraceRow
-
-
-class RunError(Exception):
-    """A step failure tagged with the round it happened in."""
-
-    def __init__(self, round_no: int, cause: Exception):
-        super().__init__(f"round {round_no}: {cause}")
-        self.round_no = round_no
-        self.cause = cause
+from .trace import Trace, TraceRow, run_rounds
 
 
 def _slot_setters(cls) -> tuple:
@@ -302,26 +293,15 @@ def _snapshot(m: ModelState, round_no: int) -> TraceRow:
 
 
 def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
-    """Drive the machine from init until the command finishes.
+    """Drive the machine from init until :func:`~candofsm.trace.run_rounds`
+    stops it, on the command-finish flag or the row budget.  Row 0 is the
+    initial snapshot; every later row records the machine after that round's
+    :func:`ops_round` (its transition uses the event shown on the row before)."""
+    def start() -> tuple[ModelState, TraceRow]:
+        m = init_model(spec, command)
+        return m, _snapshot(m, 0)
 
-    Row 0 is the initial snapshot; every later row records the machine after
-    that round's state operation (the transition into the next state uses the
-    event shown on the row).  The run stops, as the requirements engine's
-    does, once the command-finish flag is up or the row budget runs out.
-    """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    m = init_model(spec, command)
-    rows = [_snapshot(m, 0)]
-    violations: list[Violation] = []
-    while len(rows) < max_rounds and not m.command_finish_flag:
-        try:
-            outcome = ops_round(spec, m)
-        except Exception as exc:  # noqa: BLE001 - tag and re-raise any step fault
-            raise RunError(len(rows), exc) from exc
-        m = outcome.next
-        violations.extend(outcome.post_violations)
-        rows.append(_snapshot(m, len(rows)))
-    return Trace(rows=tuple(rows), command=command, engine="ops",
-                 reason="cmd_finish" if m.command_finish_flag else "budget",
-                 violations=tuple(violations))
+    def round_of(m: ModelState, row: TraceRow, round_no: int) -> tuple:
+        outcome = ops_round(spec, m)
+        return outcome.next, _snapshot(outcome.next, round_no), outcome.post_violations
+    return run_rounds("ops", command, max_rounds, start, round_of)

@@ -1,4 +1,4 @@
-"""Two-phase round evaluation and the round-based run loop.
+"""Two-phase round evaluation and the requirements engine's round.
 
 One round takes the model from a start snapshot to an end snapshot:
 
@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 from ..fsm import Violation
 from ..opmodel import ModelState, _snapshot
-from ..trace import ROW_COLUMNS, Trace, TraceRow
+from ..trace import ROW_COLUMNS, Trace, TraceRow, run_rounds
 from .compiled import ABSENT, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
 # against; it stays importable from here
@@ -447,32 +447,22 @@ def run_requirements_trace(model: RequirementsModel, command: str,
 
     Row 0 is the initial env; each later row is the round's end snapshot with
     per-field attribution (rebuilt from the round's fired requirements, kept
-    only on fields whose value changed).  The run stops with ``cmd_finish``
-    once the command's finish flag is up, checked before each round and once
-    more when the row budget runs out, and with ``budget`` otherwise.
-    """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    record = TRACE_RECORDS["command"]
-    env = initial_env(model, {record: command} if record in model.dictionary.domains else None)
-    cells = _env_cells(env, 0)
-    rows = [TraceRow(*cells)]
-    violations: list[Violation] = []
-    writers_of = _plan_of(model).writers
-    flag = TRACE_RECORDS["cmd_finish"]
-    while len(rows) < max_rounds and env.signals.get(flag) is not True:
+    only on fields whose value changed).  :func:`~candofsm.trace.run_rounds`
+    stops the run on the command's finish flag or the row budget."""
+    def start() -> tuple[Env, TraceRow]:
+        record = TRACE_RECORDS["command"]
+        env = initial_env(model, {record: command} if record in model.dictionary.domains else None)
+        return env, TraceRow(*_env_cells(env, 0))
+
+    def round_of(env: Env, row: TraceRow, round_no: int) -> tuple:
         result = fire_round(model, env, None)
-        env = result.end_env
-        new_cells = _env_cells(env, len(rows))
+        cells = _env_cells(result.end_env, round_no)
+        writers_of = _plan_of(model).writers
         writers = writers_of.get(result.fired)
         if writers is None:
             writers = _writers(result.fired)
             if len(writers_of) < CACHE_LIMIT:
                 writers_of[result.fired] = writers
-        rows.append(TraceRow(*new_cells, {column: ids for column, i, ids in writers
-                                          if new_cells[i] != cells[i]}))
-        cells = new_cells
-        violations.extend(result.violations)
-    reason = "cmd_finish" if env.signals.get(flag) is True else "budget"
-    return Trace(rows=tuple(rows), command=command, engine="reqs",
-                 reason=reason, violations=tuple(violations))
+        attribution = {column: ids for column, i, ids in writers if cells[i] != row[i]}
+        return result.end_env, TraceRow(*cells, attribution), result.violations
+    return run_rounds("reqs", command, max_rounds, start, round_of)

@@ -1,19 +1,19 @@
-"""Trace data model, the row-by-row diff, and the cross-engine report.
+"""Trace data model, the run loop, the row-by-row diff, and the cross-engine report.
 
-A trace is one row per round with every observable field.  Rows from the
-operational engine and the requirements engine share this schema, so the
-equivalence check reduces to a per-round field comparison (minus any
-ignored fields).  ``TraceRow._fields`` is the one column list: both engines
-build a row positionally in that order, and the row values, the CSV header
-and the CSV cells follow it.  A row is a named tuple, so building one is a
-tuple construction, and two rows whose compared cells agree are passed over
-by :func:`diff` with one tuple comparison.
+A trace is one row per round with every observable field.  Both engines run
+through :func:`run_rounds`, the one run loop, and their rows share this
+schema, so the equivalence check reduces to a per-round field comparison
+(minus any ignored fields).  ``TraceRow._fields`` is the one column list:
+both engines build a row positionally in that order, and the row values, the
+CSV header and the CSV cells follow it.  A row is a named tuple, so building
+one is a tuple construction, and two rows whose compared cells agree are
+passed over by :func:`diff` with one tuple comparison.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .fsm import Violation
 
@@ -63,6 +63,36 @@ class Trace(NamedTuple):
     engine: str                      # "ops" or "reqs"
     reason: str                      # "cmd_finish" or "budget"
     violations: tuple[Violation, ...] = ()
+
+
+class RunError(Exception):
+    """A round's failure tagged with the round it happened in."""
+
+    def __init__(self, round_no: int, cause: Exception):
+        super().__init__(f"round {round_no}: {cause}")
+        self.round_no = round_no
+        self.cause = cause
+
+
+def run_rounds(engine: str, command: str, max_rounds: int,
+               start: Callable[[], tuple], round_of: Callable[..., tuple]) -> Trace:
+    """Run an engine: ``start()`` gives its start state and row 0, and
+    ``round_of(state, row, n)`` round ``n``'s state, row and violations.  The
+    run stops with ``cmd_finish`` once a row's ``cmd_finish`` cell is True, or
+    with ``budget`` at ``max_rounds`` rows; a round's fault raises RunError."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    state, row = start()
+    rows, violations = [row], []
+    while len(rows) < max_rounds and row.cmd_finish is not True:
+        try:
+            state, row, found = round_of(state, row, len(rows))
+        except Exception as exc:  # noqa: BLE001 - tag and re-raise any round fault
+            raise RunError(len(rows), exc) from exc
+        rows.append(row)
+        violations.extend(found)
+    return Trace(tuple(rows), command, engine,
+                 "cmd_finish" if row.cmd_finish is True else "budget", tuple(violations))
 
 
 class DiffEntry(NamedTuple):

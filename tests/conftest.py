@@ -7,6 +7,8 @@ import pytest
 from candofsm import load_bundled_cando
 from candofsm.fsm import StateDef, StateKind
 from candofsm.generate import generate_model
+from candofsm.opmodel import ops_round
+from candofsm.reqs.engine import env_of, fire_round
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +25,16 @@ def generated(spec):
 @pytest.fixture(scope="session")
 def model(generated):
     return generated[0]
+
+
+def simulation_square(spec, model, m):
+    """One round of each engine from the ops machine ``m``: ``ops_round``
+    from ``m`` and ``fire_round`` from ``env_of(model, m)``.  Returns the
+    reqs round's end env, the env of the ops machine after its round, and
+    both rounds' violations; the square commutes when the two envs are equal."""
+    ops = ops_round(spec, m)
+    reqs = fire_round(model, env_of(model, m), None)
+    return reqs.end_env, env_of(model, ops.next), ops.post_violations + reqs.violations
 
 
 def mutate_table(spec, event: str, state: str, target: str | None):

@@ -20,11 +20,11 @@ from candofsm.fsm import (
     lookup_next,
 )
 from candofsm.generate import generate_model
-from candofsm.opmodel import ModelState, ops_round, run
+from candofsm.opmodel import ModelState, run
 from candofsm.reqs.engine import env_of, fire_round, run_requirements_trace
 from candofsm.specio import parse_spec, serialize_spec
 from candofsm.trace import equivalence_report
-from conftest import mutate_table
+from conftest import mutate_table, simulation_square
 
 VALID_SEQUENCE = [
     "start", "get_cmd", "set_vLED", "send_packet_6", "receive_packet_28",
@@ -144,9 +144,8 @@ def test_criterion_5_exhaustive_single_round_oracle(spec, model):
             want = lookup_next(spec.fsm, ev, st)
             assert result.end_env.modes["fsm"] == frozenset({want}), (ev, st)
 
-    # the simulation square: one ops round in run's order and one fire_round
-    # from the same machine state end in the env of the ops machine after
-    # its round, and neither reports a violation
+    # the simulation square commutes from every machine state, and neither
+    # engine's round reports a violation
     started = time.perf_counter()
     counter = range(PACKET_LENGTH + 1)
     cases = violations = 0
@@ -155,10 +154,9 @@ def test_criterion_5_exhaustive_single_round_oracle(spec, model):
             range(MAX_COUNT + 1)):
         m = ModelState(st, ev, "LED_ON_C", bytes_sent=sent, bytes_received=received,
                        tx_cnt=tx)
-        ops = ops_round(spec, m)
-        reqs = fire_round(model, env_of(model, m), None)
-        violations += len(ops.post_violations) + len(reqs.violations)
-        assert reqs.end_env == env_of(model, ops.next), (st, ev, sent, received, tx)
+        reqs_end, ops_end, found = simulation_square(spec, model, m)
+        violations += len(found)
+        assert reqs_end == ops_end, (st, ev, sent, received, tx)
         cases += 1
     elapsed = time.perf_counter() - started
     assert cases == 34 * 21 * 4 * 4 * 3 == 34_272

@@ -17,12 +17,12 @@ from candofsm.generate import (
     render_requirements_markdown,
 )
 from candofsm.opmodel import ModelState, ops_round
-from candofsm.reqs import Template, env_of, fire_round
+from candofsm.reqs import Template
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
 from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
 from candofsm.reqs.model import ModeAssign, Requirement, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
-from conftest import with_no_stage_two_creator, with_second_error_state
+from conftest import simulation_square, with_no_stage_two_creator, with_second_error_state
 from test_reqs import slots, walk
 
 
@@ -258,15 +258,14 @@ class TestOracle:
 
     @staticmethod
     def assert_one_round_agreement(spec, model):
-        """One ops round and one fire_round from every (state, event) pair
-        end in the same env, and neither engine reports a violation."""
+        """The simulation square commutes from every (state, event) pair, and
+        neither engine's round reports a violation."""
         for st in spec.roster.state_names:
             for ev in spec.roster.event_names:
-                m = ModelState(st, ev, "LED_ON_C")
-                ops = ops_round(spec, m)
-                reqs = fire_round(model, env_of(model, m), None)
-                assert ops.post_violations == reqs.violations == (), (st, ev)
-                assert reqs.end_env == env_of(model, ops.next), (st, ev)
+                reqs_end, ops_end, found = simulation_square(
+                    spec, model, ModelState(st, ev, "LED_ON_C"))
+                assert found == (), (st, ev)
+                assert reqs_end == ops_end, (st, ev)
 
     def test_a_second_error_state_idles_like_error_(self, spec):
         spec = with_second_error_state(spec)

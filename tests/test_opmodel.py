@@ -19,7 +19,6 @@ from candofsm.fsm import (
 from candofsm.opmodel import (
     ModelState,
     Packet,
-    RunError,
     StepOutcome,
     _op_contract,
     _operation,
@@ -28,6 +27,7 @@ from candofsm.opmodel import (
     run,
     step,
 )
+from candofsm.trace import RunError
 from conftest import mutate_table
 
 

@@ -17,10 +17,12 @@ or default a field to ``field(...)``: it drops both without a word.  Every
 exception class is raised somewhere in the package, or is the base of one
 that is.  Only ``reqs/expr.py`` calls an expression node's constructor:
 every other module builds nodes through a ``Nodes`` table, which decides
-when two are one object.  No function an ``__all__`` exports annotates a
-parameter with a private (``_``-prefixed) name: a caller could not build
-that argument without reaching into the module.  Every method a class
-defines, dunders aside, is read as an attribute somewhere in the package."""
+when two are one object.  Only ``trace.py`` builds a ``Trace``: its
+``run_rounds`` is the one run loop both engines use.  No function an
+``__all__`` exports annotates a parameter with a private (``_``-prefixed)
+name: a caller could not build that argument without reaching into the
+module.  Every method a class defines, dunders aside, is read as an
+attribute somewhere in the package."""
 
 from __future__ import annotations
 
@@ -259,12 +261,20 @@ def test_every_exception_class_is_raised():
 
 NODE_TYPES = {"Lit", "SigRead", "ModeActive", "DefRef", "Not", "BoolOp", "BinOp"}
 NODE_HOME = PACKAGE / "reqs" / "expr.py"
+TRACE_HOME = PACKAGE / "trace.py"
 
 
-def node_constructor_calls(source: str) -> list[tuple[int, str]]:
-    """(line, node type) for each call of an expression node's constructor."""
+def constructor_calls(source: str, types: set[str]) -> list[tuple[int, str]]:
+    """(line, type) for each call of the constructor of one of ``types``."""
     return sorted((node.lineno, _name(node.func)) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and _name(node.func) in NODE_TYPES)
+                  if isinstance(node, ast.Call) and _name(node.func) in types)
+
+
+def calls_outside(home: Path, types: set[str]) -> list[str]:
+    """``module:line: type`` for each such call in a module other than ``home``."""
+    return [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+            for path in modules() if path != home
+            for line, name in constructor_calls(path.read_text(encoding="utf-8"), types)]
 
 
 def test_the_check_finds_a_direct_node_constructor_call():
@@ -272,14 +282,24 @@ def test_the_check_finds_a_direct_node_constructor_call():
               "    if isinstance(left, BinOp):\n"
               "        return nodes.binop('+', left, right)\n"
               "    return expr.Not(BinOp('=', left, right))\n")
-    assert node_constructor_calls(source) == [(4, "BinOp"), (4, "Not")]
+    assert constructor_calls(source, NODE_TYPES) == [(4, "BinOp"), (4, "Not")]
 
 
 def test_only_the_expression_module_calls_a_node_constructor():
-    offences = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
-                for path in modules() if path != NODE_HOME
-                for line, name in node_constructor_calls(path.read_text(encoding="utf-8"))]
-    assert offences == []
+    assert calls_outside(NODE_HOME, NODE_TYPES) == []
+
+
+def test_the_check_finds_a_trace_built_outside_the_run_loop():
+    source = ("def run(rows, violations):\n"
+              "    if isinstance(rows, Trace):\n"
+              "        return rows\n"
+              "    return trace.Trace(tuple(rows), 'c', 'ops', 'budget', violations)\n")
+    assert constructor_calls(source, {"Trace"}) == [(4, "Trace")]
+
+
+def test_only_the_trace_module_builds_a_trace():
+    # a second run loop would build its own Trace; run_rounds is the one
+    assert calls_outside(TRACE_HOME, {"Trace"}) == []
 
 
 def _defined(stmt) -> list[str]:

@@ -26,6 +26,7 @@ from candofsm.trace import (
     ROW_COLUMNS,
     DiffEntry,
     EquivalenceReport,
+    RunError,
     RunOutcome,
     diff,
     equivalence_report,
@@ -212,10 +213,28 @@ class TestTraceAll:
             assert [row.round for row in trace.rows] == list(range(len(trace.rows)))
 
     def test_zero_round_budget_rejected(self, spec, model):
-        with pytest.raises(ValueError):
-            run(spec, "LED_ON_C", 0)
-        with pytest.raises(ValueError):
-            run_requirements_trace(model, "LED_ON_C", 0)
+        # before any start state is built: a bogus command is not looked at
+        for command in ("LED_ON_C", "BOGUS"):
+            with pytest.raises(ValueError):
+                run(spec, command, 0)
+            with pytest.raises(ValueError):
+                run_requirements_trace(model, command, 0)
+
+    def test_a_reqs_round_fault_is_tagged_with_its_round(self, model, monkeypatch):
+        cause = RuntimeError("injected")
+        calls = []
+        real = engine.fire_round
+
+        def failing_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise cause
+            return real(*args)
+
+        monkeypatch.setattr(engine, "fire_round", failing_third)
+        with pytest.raises(RunError) as err:
+            run_requirements_trace(model, "LED_ON_C", 500)
+        assert err.value.round_no == 3 and err.value.cause is cause
 
 
 class TestTraceRecords:

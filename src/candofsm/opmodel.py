@@ -4,11 +4,11 @@ Each round the machine runs the operation of its current state (counting
 packet bytes, constructing packets, raising flags, choosing the next event)
 and then moves through the transition table on the event the operation just
 produced.  The one data-dependent transition is get_cmd under CONT, which
-consults the command dispatch table instead of the table entry.  A round
-computes the operation's changed fields and the target state first, and
-then builds its one new :class:`ModelState` with a single constructor call
-(:func:`_next_state`): each field comes from the changes, or else from the
-state before the round.
+consults the command dispatch table instead of the table entry.  Each
+state's operation is bound once per spec (:func:`_entry`): a function of the
+machine before the round that returns every field after it but the state,
+in field order, so a round builds its one new :class:`ModelState` in one
+positional call.  Creators share the packets they build.
 
 Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`ops_round` and :func:`step` re-check it
@@ -49,7 +49,7 @@ from .fsm import (
     Violation,
     lookup_next,
 )
-from .specio import SpecDocument
+from .specio import PacketTemplate, SpecDocument
 from .trace import Trace, TraceRow, run_rounds
 
 
@@ -147,46 +147,77 @@ def init_model(spec: SpecDocument, command: str) -> ModelState:
     return ModelState(current_state=START, current_event=CONT, current_command=command)
 
 
-def _operation(spec: SpecDocument, m: ModelState, st: str,
-               kind: StateKind) -> tuple[dict, str]:
-    """The fields the operation of state ``st`` (of ``kind``) changes, read
-    from ``m``'s counters, packet and command, and the operation's name."""
-    if st == START:
-        return {"current_event": CONT}, "start_idle"
-    if st == GET_CMD:
-        return {"current_event": CONT}, "get_command"
-    if st == CMD_FINISH:
-        return {"command_finish_flag": True, "current_event": CONT}, "finish_command"
-    if st == CHIP_RST:
-        return {
-            "command_finish_flag": False,
-            "optrode_tx_finish": False,
-            "optrode_rx_finish": False,
-            "packet": None,
-            "bytes_sent": 0,
-            "bytes_received": 0,
-            "tx_cnt": 0,
-            "current_event": GET_CMD_E,
-        }, "chip_reset"
+# Each operation maps the machine before the round to every field after it
+# but the state, in ModelState's field order.
+
+def _idle(m: ModelState) -> tuple:
+    return (CONT, m.current_command, m.command_finish_flag, m.optrode_tx_finish,
+            m.optrode_rx_finish, m.packet, m.bytes_received, m.bytes_sent, m.tx_cnt)
+
+
+def _finish(m: ModelState) -> tuple:
+    return (CONT, m.current_command, True, m.optrode_tx_finish,
+            m.optrode_rx_finish, m.packet, m.bytes_received, m.bytes_sent, m.tx_cnt)
+
+
+def _reset(m: ModelState) -> tuple:
+    return GET_CMD_E, m.current_command, False, False, False, None, 0, 0, 0
+
+
+def _send(m: ModelState) -> tuple:
+    if m.bytes_sent < PACKET_LENGTH:
+        return (SPI_TX_FINISH, m.current_command, m.command_finish_flag,
+                m.optrode_tx_finish, m.optrode_rx_finish, m.packet,
+                m.bytes_received, m.bytes_sent + 1, m.tx_cnt)
+    return (CONT, m.current_command, m.command_finish_flag, True, m.optrode_rx_finish,
+            m.packet, m.bytes_received, 0, min(m.tx_cnt + 1, MAX_COUNT))
+
+
+def _receive(m: ModelState) -> tuple:
+    if m.bytes_received < PACKET_LENGTH:
+        return (SPI_RX_FINISH, m.current_command, m.command_finish_flag,
+                m.optrode_tx_finish, m.optrode_rx_finish, m.packet,
+                m.bytes_received + 1, m.bytes_sent, m.tx_cnt)
+    return (CONT, m.current_command, m.command_finish_flag, m.optrode_tx_finish, True,
+            m.packet, 0, m.bytes_sent, m.tx_cnt)
+
+
+def _creator(template: PacketTemplate, stage_two: bool):
+    """A creator's operation: the template's data under the base packet's
+    addr and cmd (stage two), or else the template's packet with a nil cmd
+    taken from the command.  Each packet is built once, then shared."""
+    addr, cmd, data = template
+    made: dict = {}
+
+    def create(m: ModelState) -> tuple:
+        if stage_two:
+            base = m.packet or _NO_PACKET
+            key = base.addr, base.cmd
+        else:
+            key = addr, m.current_command if cmd is None else cmd
+        packet = made.get(key)
+        if packet is None:
+            packet = made[key] = Packet(*key, data)
+        return (CONT, m.current_command, m.command_finish_flag, m.optrode_tx_finish,
+                m.optrode_rx_finish, packet, m.bytes_received, m.bytes_sent, m.tx_cnt)
+    return create
+
+
+_NAMED = {START: ("start_idle", _idle), GET_CMD: ("get_command", _idle),
+          CMD_FINISH: ("finish_command", _finish), CHIP_RST: ("chip_reset", _reset)}
+
+
+def _bind(spec: SpecDocument, st: str, kind: StateKind) -> tuple:
+    """The name and the function of the operation of state ``st`` (of ``kind``)."""
+    if st in _NAMED:
+        return _NAMED[st]
     if st == ERROR_ST or kind is KIND_ERROR:
         # every error state but chip_rst idles like error_
-        return {"current_event": CONT}, "error_idle"
+        return "error_idle", _idle
     if kind is KIND_SEND:
-        if m.bytes_sent < PACKET_LENGTH:
-            return ({"bytes_sent": m.bytes_sent + 1, "current_event": SPI_TX_FINISH},
-                    "send_packet")
-        return {
-            "bytes_sent": 0,
-            "optrode_tx_finish": True,
-            "tx_cnt": min(m.tx_cnt + 1, MAX_COUNT),
-            "current_event": CONT,
-        }, "send_packet"
+        return "send_packet", _send
     if kind is KIND_RECEIVE:
-        if m.bytes_received < PACKET_LENGTH:
-            return ({"bytes_received": m.bytes_received + 1,
-                     "current_event": SPI_RX_FINISH}, "receive_packet")
-        return ({"bytes_received": 0, "optrode_rx_finish": True, "current_event": CONT},
-                "receive_packet")
+        return "receive_packet", _receive
     if kind is KIND_CONTROL:
         raise AssertionError(f"unhandled state kind {kind} for {st!r}")
     # what is left is one of the three creator kinds
@@ -194,37 +225,30 @@ def _operation(spec: SpecDocument, m: ModelState, st: str,
     if template is None:
         raise MissingPacketTemplate(st)
     if kind is KIND_CREATOR_STAGE2:
-        base = m.packet or _NO_PACKET
-        return ({"packet": Packet(base.addr, base.cmd, template.data),
-                 "current_event": CONT}, "set_packet_data")
+        return "set_packet_data", _creator(template, stage_two=True)
     # A plain creator builds the whole packet the way stage one does.
-    cmd = template.cmd if template.cmd is not None else m.current_command
-    return ({"packet": Packet(template.addr, cmd, template.data),
-             "current_event": CONT}, "create_packet")
+    return "create_packet", _creator(template, stage_two=False)
 
 
-def _next_state(m: ModelState, st: str, changes: dict) -> ModelState:
-    """The machine after a round that ends in state ``st``: each field from
-    the operation's ``changes``, or else from ``m``, in one constructor call."""
-    get = changes.get
-    return ModelState(
-        st,
-        changes["current_event"],
-        m.current_command,
-        get("command_finish_flag", m.command_finish_flag),
-        get("optrode_tx_finish", m.optrode_tx_finish),
-        get("optrode_rx_finish", m.optrode_rx_finish),
-        get("packet", m.packet),
-        get("bytes_received", m.bytes_received),
-        get("bytes_sent", m.bytes_sent),
-        get("tx_cnt", m.tx_cnt),
-    )
+def _entry(spec: SpecDocument, st: str) -> tuple:
+    """State ``st``'s (kind, operation name, operation), bound when ``st``
+    first runs, so a state that cannot be bound raises only then.  The table
+    lives on the instance: a ``dataclasses.replace`` copy starts without one."""
+    table = spec.__dict__.get("_operations")
+    if table is None:
+        # the spec is frozen; the table is derived data, not a field
+        object.__setattr__(spec, "_operations", table := {})
+    entry = table.get(st)
+    if entry is None:
+        kind = spec.roster.kind_of(st)
+        entry = table[st] = (kind, *_bind(spec, st, kind))
+    return entry
 
 
 def _op_contract(st: str, kind: StateKind, before: ModelState,
-                 changes: dict) -> tuple[Violation, ...]:
-    """Declarative post-condition of the operation of ``st`` run on
-    ``before``: exact next event and tx_cnt delta per branch."""
+                 event: str, tx: int) -> tuple[Violation, ...]:
+    """Declarative post-condition of the operation of ``st`` that took ``before``
+    to ``event`` and ``tx``: exact next event and tx_cnt delta per branch."""
     expected_event = CONT
     expected_tx = before.tx_cnt
     if st == CHIP_RST:
@@ -238,8 +262,6 @@ def _op_contract(st: str, kind: StateKind, before: ModelState,
     elif kind is KIND_RECEIVE and before.bytes_received < PACKET_LENGTH:
         expected_event = SPI_RX_FINISH
 
-    event = changes["current_event"]
-    tx = changes.get("tx_cnt", before.tx_cnt)
     out = ()
     if event != expected_event:
         out += (Violation("POST", event=event, from_state=st,
@@ -265,11 +287,10 @@ def _target(spec: SpecDocument, st: str, event: str, command: str) -> str:
 def step(spec: SpecDocument, m: ModelState) -> StepOutcome:
     """One full step: state operation, post-condition check, transition."""
     st = m.current_state
-    kind = spec.roster.kind_of(st)
-    changes, fired = _operation(spec, m, st, kind)
-    target = _target(spec, st, changes["current_event"], m.current_command)
-    return StepOutcome(_next_state(m, target, changes), fired,
-                       _op_contract(st, kind, m, changes))
+    kind, fired, operate = _entry(spec, st)
+    after = operate(m)
+    n = ModelState(_target(spec, st, after[0], m.current_command), *after)
+    return StepOutcome(n, fired, _op_contract(st, kind, m, n.current_event, n.tx_cnt))
 
 
 def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
@@ -277,10 +298,9 @@ def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
     then the operation of the state entered and its post-condition check.
     ``next`` is the machine after the operation."""
     st = _target(spec, m.current_state, m.current_event, m.current_command)
-    kind = spec.roster.kind_of(st)
-    changes, fired = _operation(spec, m, st, kind)
-    return StepOutcome(_next_state(m, st, changes), fired,
-                       _op_contract(st, kind, m, changes))
+    kind, fired, operate = _entry(spec, st)
+    n = ModelState(st, *operate(m))
+    return StepOutcome(n, fired, _op_contract(st, kind, m, n.current_event, n.tx_cnt))
 
 
 def _snapshot(m: ModelState, round_no: int) -> TraceRow:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,10 @@ from candofsm.fsm import (
     PACKET_LENGTH,
     MissingPacketTemplate,
     MissingTransition,
+    StateDef,
     StateKind,
     UnknownCommand,
+    UnknownState,
     lookup_next,
 )
 from candofsm.opmodel import (
@@ -21,12 +24,12 @@ from candofsm.opmodel import (
     Packet,
     StepOutcome,
     _op_contract,
-    _operation,
     init_model,
     ops_round,
     run,
     step,
 )
+from candofsm.specio import PacketTemplate
 from candofsm.trace import RunError
 from conftest import mutate_table
 
@@ -37,6 +40,44 @@ def distinct_states(trace):
         if not out or out[-1] != row.state:
             out.append(row.state)
     return out
+
+
+def reference_update(spec, m, st):
+    """The fields the operation of ``st`` changes on machine ``m``, and the
+    operation's name: each kind's update written out by hand as a test
+    oracle for ``step`` and ``ops_round``."""
+    kind = spec.roster.kind_of(st)
+    if st in ("start", "get_cmd", "error_") or (
+            st != "chip_rst" and kind is StateKind.ERROR):
+        name = {"start": "start_idle", "get_cmd": "get_command"}.get(st, "error_idle")
+        return {"current_event": CONT}, name
+    if st == "cmd_finish":
+        return {"command_finish_flag": True, "current_event": CONT}, "finish_command"
+    if st == "chip_rst":
+        return {"command_finish_flag": False, "optrode_tx_finish": False,
+                "optrode_rx_finish": False, "packet": None, "bytes_sent": 0,
+                "bytes_received": 0, "tx_cnt": 0, "current_event": "GET_CMD_E"}, "chip_reset"
+    if kind is StateKind.SEND:
+        if m.bytes_sent < PACKET_LENGTH:
+            return {"bytes_sent": m.bytes_sent + 1,
+                    "current_event": "SPI_TX_FINISH"}, "send_packet"
+        return {"bytes_sent": 0, "optrode_tx_finish": True,
+                "tx_cnt": min(m.tx_cnt + 1, MAX_COUNT), "current_event": CONT}, "send_packet"
+    if kind is StateKind.RECEIVE:
+        if m.bytes_received < PACKET_LENGTH:
+            return {"bytes_received": m.bytes_received + 1,
+                    "current_event": "SPI_RX_FINISH"}, "receive_packet"
+        return {"bytes_received": 0, "optrode_rx_finish": True,
+                "current_event": CONT}, "receive_packet"
+    template = spec.packets[st]
+    if kind is StateKind.CREATOR_STAGE2:
+        base = m.packet or Packet()
+        return {"packet": Packet(base.addr, base.cmd, template.data),
+                "current_event": CONT}, "set_packet_data"
+    assert kind in (StateKind.CREATOR_STAGE1, StateKind.CREATOR), (st, kind)
+    cmd = m.current_command if template.cmd is None else template.cmd
+    return {"packet": Packet(template.addr, cmd, template.data),
+            "current_event": CONT}, "create_packet"
 
 
 class TestInit:
@@ -131,7 +172,7 @@ class TestStateOperation:
     def test_the_contract_reports_a_send_that_ends_in_the_wrong_event(self, spec):
         before = self.at(spec, "send_packet_6", bytes_sent=1)
         [violation] = _op_contract("send_packet_6", StateKind.SEND, before,
-                                   {"bytes_sent": 2, "current_event": CONT})
+                                   CONT, before.tx_cnt)
         assert violation.constraint_id == "POST"
         assert violation.message == ("operation of 'send_packet_6' must end in event "
                                      "'SPI_TX_FINISH', got 'CONT'")
@@ -164,14 +205,13 @@ class TestStep:
     def test_step_and_ops_round_equal_the_two_updates_over_the_full_state(self, spec):
         # every state x event x bytes_sent x bytes_received x tx_cnt; the
         # command, the three flags and the packet vary with the case index.
-        # The expected states go through dataclasses.replace, not the
-        # builder that step and ops_round share.
+        # The expected states come from reference_update through
+        # dataclasses.replace, sharing no code with the operation table.
         def target(st, event, command):
             if st == GET_CMD and event == CONT:
                 return spec.dispatch[command]
             return lookup_next(spec.fsm, event, st)
 
-        kind_of = spec.roster.kind_of
         commands = spec.roster.command_names
         counter = range(PACKET_LENGTH + 1)
         cases = 0
@@ -186,12 +226,12 @@ class TestStep:
                 optrode_rx_finish=bool(i & 4),
                 packet=Packet("Optrode_addr", command, "LED_addr") if i & 8 else None,
                 bytes_sent=sent, bytes_received=received, tx_cnt=tx)
-            changes, fired = _operation(spec, m, st, kind_of(st))
+            changes, fired = reference_update(spec, m, st)
             moved = target(st, changes["current_event"], command)
             want_step = StepOutcome(
                 dataclasses.replace(m, current_state=moved, **changes), fired)
             entered = target(st, ev, command)
-            changes, fired = _operation(spec, m, entered, kind_of(entered))
+            changes, fired = reference_update(spec, m, entered)
             want_round = StepOutcome(
                 dataclasses.replace(m, current_state=entered, **changes), fired)
             if step(spec, m) != want_step:
@@ -218,6 +258,49 @@ class TestStep:
             cmd: st for cmd, st in spec.dispatch.items() if cmd != "LED_ON_C"})
         with pytest.raises(UnknownCommand):
             step(broken, self.at(broken, GET_CMD))
+
+
+class TestOperationTable:
+    """Each spec instance binds its states' operations on first use."""
+
+    def at(self, spec, state, **fields):
+        return dataclasses.replace(init_model(spec, "LED_ON_C"),
+                                   current_state=state, **fields)
+
+    def test_a_copy_with_a_changed_template_builds_the_changed_packet(self, spec):
+        shipped = step(spec, self.at(spec, "set_vLED")).next.packet
+        assert shipped == Packet("Optrode_addr", "LED_ON_C", "LED_addr")
+        changed = dataclasses.replace(spec, packets={
+            **spec.packets, "set_vLED": PacketTemplate("Other_addr", None, "LED_addr")})
+        assert step(changed, self.at(changed, "set_vLED")).next.packet \
+            == Packet("Other_addr", "LED_ON_C", "LED_addr")
+        assert step(spec, self.at(spec, "set_vLED")).next.packet is shipped
+
+    def test_a_state_that_cannot_be_bound_raises_only_when_it_runs(self, spec):
+        roster = dataclasses.replace(spec.roster, states=(
+            *spec.roster.states, StateDef("idle", StateKind.CONTROL),
+            StateDef("set_extra", StateKind.CREATOR_STAGE1)))
+        extended = dataclasses.replace(spec, roster=roster)
+        for cmd in spec.roster.command_names:
+            assert run(extended, cmd, 500) == run(spec, cmd, 500)
+        unhandled = "unhandled state kind StateKind.CONTROL for 'idle'"
+        for _ in range(2):      # a state that failed to bind fails again
+            with pytest.raises(AssertionError, match=unhandled):
+                step(extended, self.at(extended, "idle"))
+            with pytest.raises(MissingPacketTemplate):
+                step(extended, self.at(extended, "set_extra"))
+        for entered, error in (("idle", AssertionError),
+                               ("set_extra", MissingPacketTemplate)):
+            entering = mutate_table(extended, "EVT_6", "start", entered)
+            with pytest.raises(error):
+                ops_round(entering, self.at(entering, "start", current_event="EVT_6"))
+
+    def test_a_state_outside_the_roster_is_unknown(self, spec):
+        with pytest.raises(UnknownState):
+            step(spec, self.at(spec, "no_such_state"))
+        astray = mutate_table(spec, "EVT_6", "start", "no_such_state")
+        with pytest.raises(UnknownState):
+            ops_round(astray, self.at(astray, "start", current_event="EVT_6"))
 
 
 class TestRun:
@@ -319,3 +402,50 @@ def test_each_round_constructs_exactly_one_model_state(spec, monkeypatch):
             outcome = round_fn(spec, m)
             assert len(checked) == 1 and checked[0] is outcome.next, (
                 round_fn.__name__, m.current_state)
+
+
+def test_each_creator_packet_is_built_once_and_then_shared(spec, monkeypatch):
+    fresh = dataclasses.replace(spec)       # a copy starts with no operation table
+    built = []
+    init = Packet.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Packet, "__init__", counted)
+    commands = fresh.roster.command_names
+    # across the 17 runs, one packet per creator state and distinct result
+    made = {(row.state, row.packet_addr, row.packet_cmd, row.packet_data)
+            for cmd in commands for row in run(fresh, cmd, 500).rows
+            if row.state in fresh.packets}
+    assert built and Counter(built) == Counter(key[1:] for key in made)
+    # the same rounds again build nothing more
+    seen = []
+    for cmd in commands:
+        m = init_model(fresh, cmd)
+        while not m.command_finish_flag:
+            before, m = m, ops_round(fresh, m).next
+            if m.current_state in fresh.packets:
+                seen.append((m.current_state, before.packet, cmd, m.packet))
+    assert len(built) == len(made)
+    monkeypatch.undo()
+    # each shared packet is the one built by hand, and one object per key
+    shared = {}
+    for st, base, cmd, packet in seen:
+        template = fresh.packets[st]
+        if fresh.roster.kind_of(st) is StateKind.CREATOR_STAGE2:
+            want = Packet(base.addr, base.cmd, template.data)
+        else:
+            want = Packet(template.addr, cmd if template.cmd is None else template.cmd,
+                          template.data)
+        assert packet == want, (st, cmd)
+        assert shared.setdefault((st, want), packet) is packet, (st, cmd)
+    # a stage-two round keeps a base it has not seen before
+    base = Packet("Other_addr", "STATUS_C", "LED_addr")
+    m = dataclasses.replace(init_model(fresh, "LED_ON_C"), current_state="set_sDac",
+                            packet=base)
+    assert step(fresh, m).next.packet == Packet("Other_addr", "STATUS_C", "DAC_value")
+    assert ops_round(fresh, dataclasses.replace(
+        m, current_state="receive_packet_28", current_event=CONT)).next.packet \
+        == Packet("Other_addr", "STATUS_C", "DAC_value")

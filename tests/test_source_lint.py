@@ -111,8 +111,8 @@ DATACLASSES = {
     "Roster": _DICT,
     "DataDictionary": _DICT,
     "RequirementsModel": _DICT + " (the engine's _plan)",
-    "SpecDocument": "dict defaults made fresh per instance, and dataclasses.replace "
-                    "in perfbench/workloads.py",
+    "SpecDocument": "dict defaults made fresh per instance, dataclasses.replace "
+                    "in perfbench/workloads.py, and " + _DICT + " (opmodel's table)",
     "Packet": _SLOTS,
     "ModelState": _SLOTS,
     "StepOutcome": _SLOTS,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import sys
 from collections import defaultdict
 
@@ -61,6 +62,10 @@ def _load(path: str) -> SpecDocument:
         snippet = f"\n  {exc.snippet}" if exc.snippet else ""
         raise _Failure(
             f"{path}:{exc.line}:{exc.column}: {exc.message}{snippet}")
+
+
+# what a diagnostic calls each engine's model
+_MODELS = {"ops": "operational", "reqs": "requirements"}
 
 
 class _Failure(Exception):
@@ -145,11 +150,7 @@ def _cmd_simulate(args) -> int:
     if args.engine == "ops":
         from .opmodel import run
 
-        try:
-            trace = run(spec, args.command, args.max_rounds)
-        except RunError as exc:
-            raise _Failure(f"cannot run {args.command} on the operational "
-                           f"model: {exc}")
+        trace = run(spec, args.command, args.max_rounds)
     else:
         from .reqs.engine import run_requirements_trace
 
@@ -217,6 +218,7 @@ def _cmd_report(args) -> int:
     return ExitStatus.OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="candofsm",
                      description="FSM spec checking, twin-engine simulation and "
@@ -224,7 +226,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("check", parents=[], help="run the structural checkers")
+    p = sub.add_parser("check", help="run the structural checkers")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_check)
 
@@ -264,9 +266,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
+    except RunError as exc:
+        failure = _Failure(f"cannot run {exc.command} on the "
+                           f"{_MODELS[exc.engine]} model: {exc}")
     except _Failure as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.status
+        failure = exc
+    print(str(failure), file=sys.stderr)
+    return failure.status
 
 
 if __name__ == "__main__":

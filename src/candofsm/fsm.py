@@ -388,9 +388,13 @@ def check_statemap(roster: Roster, sm: StateMap, event: str | None = None) -> li
 def check_dispatch(roster: Roster, dispatch: Mapping[str, str]) -> list[Violation]:
     """Check the dispatch targets as ``get_cmd``'s entry under CONT, which
     the dispatch map makes: the rules that own ``get_cmd`` under every
-    event and under CONT apply to each target."""
+    event and under CONT apply to each target, and a roster command with
+    no target leaves that entry out (TOTALITY)."""
     owners = [roster._owners.get(event, {}).get(GET_CMD) for event in (None, CONT)]
-    out: list[Violation] = []
+    out = [Violation("TOTALITY", CONT, GET_CMD,
+                     message=f"command {cmd!r} has no dispatch entry, so "
+                             f"{GET_CMD!r} has no {CONT} entry for it")
+           for cmd in roster.command_names if cmd not in dispatch]
     for cmd, to in dispatch.items():
         roster.kind_of(to)   # raises UnknownState on a target not in the roster
         for rule, allowed in filter(None, owners):

@@ -14,17 +14,19 @@ Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`ops_round` and :func:`step` re-check it
 after executing and report breaches as violations, none on a conforming spec.
 
-``Packet``, ``ModelState`` and ``StepOutcome`` are frozen slotted
-dataclasses with ``init=False`` and a hand-written ``__init__``: it stores
-each field through its slot descriptor's ``__set__``, bound once below the
-class, where a generated one would call ``object.__setattr__`` per field.
-The parameters follow the fields in order and default, so
-``dataclasses.replace`` still works.
+``Packet``, ``ModelState`` and ``StepOutcome`` are named tuples.
+``ModelState`` subclasses its field tuple with a ``__new__`` that
+range-checks the three counters before ``tuple.__new__``; its ``_make`` and
+``__reduce__`` go through the class, so ``_replace``, ``copy`` and
+unpickling under every protocol check too.
+Unlike a dataclass, a record compares equal to a plain tuple of the same
+cells (a ``Packet`` to a ``PacketTemplate``), and ``_replace`` with an
+unknown field raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .fsm import (
     CHIP_RST,
@@ -53,34 +55,19 @@ from .specio import PacketTemplate, SpecDocument
 from .trace import Trace, TraceRow, run_rounds
 
 
-def _slot_setters(cls) -> tuple:
-    """Each field's slot ``__set__`` of a frozen slotted dataclass, in field
-    order; calling one skips the frozen ``__setattr__``."""
-    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class Packet:
+class Packet(NamedTuple):
     """The packet under construction; any field may be nil (None)."""
 
     addr: str | None = None
     cmd: str | None = None
     data: str | None = None
 
-    def __init__(self, addr: str | None = None, cmd: str | None = None,
-                 data: str | None = None):
-        _set_addr(self, addr)
-        _set_cmd(self, cmd)
-        _set_data(self, data)
 
-
-_set_addr, _set_cmd, _set_data = _slot_setters(Packet)
 _NO_PACKET = Packet()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ModelState:
-    """The machine between rounds: state, event, command, flags, packet, counters."""
+class _ModelFields(NamedTuple):
+    """:class:`ModelState`'s fields, in order, with their defaults."""
 
     current_state: str
     current_event: str
@@ -93,51 +80,46 @@ class ModelState:
     bytes_sent: int = 0
     tx_cnt: int = 0
 
-    def __init__(self, current_state: str, current_event: str, current_command: str,
-                 command_finish_flag: bool = False, optrode_tx_finish: bool = False,
-                 optrode_rx_finish: bool = False, packet: Packet | None = None,
-                 bytes_received: int = 0, bytes_sent: int = 0, tx_cnt: int = 0):
-        _set_state(self, current_state)
-        _set_event(self, current_event)
-        _set_command(self, current_command)
-        _set_finish(self, command_finish_flag)
-        _set_tx_finish(self, optrode_tx_finish)
-        _set_rx_finish(self, optrode_rx_finish)
-        _set_packet(self, packet)
-        _set_received(self, bytes_received)
-        _set_sent(self, bytes_sent)
-        _set_tx_cnt(self, tx_cnt)
-        self.__post_init__()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bytes_sent <= PACKET_LENGTH:
-            raise ValueError(f"bytes_sent out of range: {self.bytes_sent}")
-        if not 0 <= self.bytes_received <= PACKET_LENGTH:
-            raise ValueError(f"bytes_received out of range: {self.bytes_received}")
-        if not 0 <= self.tx_cnt <= MAX_COUNT:
-            raise ValueError(f"tx_cnt out of range: {self.tx_cnt}")
+_tuple_new = tuple.__new__
 
 
-(_set_state, _set_event, _set_command, _set_finish, _set_tx_finish, _set_rx_finish,
- _set_packet, _set_received, _set_sent, _set_tx_cnt) = _slot_setters(ModelState)
+class ModelState(_ModelFields):
+    """The machine between rounds: state, event, command, flags, packet, counters."""
+
+    __slots__ = ()
+
+    def __new__(cls, current_state: str, current_event: str, current_command: str,
+                command_finish_flag: bool = False, optrode_tx_finish: bool = False,
+                optrode_rx_finish: bool = False, packet: Packet | None = None,
+                bytes_received: int = 0, bytes_sent: int = 0, tx_cnt: int = 0):
+        if not 0 <= bytes_sent <= PACKET_LENGTH:
+            raise ValueError(f"bytes_sent out of range: {bytes_sent}")
+        if not 0 <= bytes_received <= PACKET_LENGTH:
+            raise ValueError(f"bytes_received out of range: {bytes_received}")
+        if not 0 <= tx_cnt <= MAX_COUNT:
+            raise ValueError(f"tx_cnt out of range: {tx_cnt}")
+        return _tuple_new(cls, (current_state, current_event, current_command,
+                                command_finish_flag, optrode_tx_finish,
+                                optrode_rx_finish, packet, bytes_received,
+                                bytes_sent, tx_cnt))
+
+    @classmethod
+    def _make(cls, iterable) -> ModelState:
+        # through __new__, so _replace range-checks too
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # every pickle protocol, 0 and 1 too, rebuilds through __new__
+        return type(self), tuple(self)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """The next machine, the operation that fired and its post-condition breaches."""
 
     next: ModelState
     fired_op: str
     post_violations: tuple[Violation, ...] = ()
-
-    def __init__(self, next: ModelState, fired_op: str,
-                 post_violations: tuple[Violation, ...] = ()):
-        _set_next(self, next)
-        _set_fired_op(self, fired_op)
-        _set_post_violations(self, post_violations)
-
-
-_set_next, _set_fired_op, _set_post_violations = _slot_setters(StepOutcome)
 
 
 def init_model(spec: SpecDocument, command: str) -> ModelState:

@@ -66,10 +66,13 @@ class Trace(NamedTuple):
 
 
 class RunError(Exception):
-    """A round's failure tagged with the round it happened in."""
+    """A round's failure tagged with the engine, the command and the round
+    it happened in."""
 
-    def __init__(self, round_no: int, cause: Exception):
+    def __init__(self, engine: str, command: str, round_no: int, cause: Exception):
         super().__init__(f"round {round_no}: {cause}")
+        self.engine = engine
+        self.command = command
         self.round_no = round_no
         self.cause = cause
 
@@ -88,7 +91,7 @@ def run_rounds(engine: str, command: str, max_rounds: int,
         try:
             state, row, found = round_of(state, row, len(rows))
         except Exception as exc:  # noqa: BLE001 - tag and re-raise any round fault
-            raise RunError(len(rows), exc) from exc
+            raise RunError(engine, command, len(rows), exc) from exc
         rows.append(row)
         violations.extend(found)
     return Trace(tuple(rows), command, engine,

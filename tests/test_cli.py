@@ -9,6 +9,8 @@ import pytest
 
 import candofsm.cli
 import candofsm.generate
+import candofsm.opmodel
+import candofsm.reqs.engine
 from candofsm.cli import main
 from candofsm.fsm import StateDef, StateKind
 from candofsm.specio import (
@@ -17,6 +19,7 @@ from candofsm.specio import (
     load_spec,
     serialize_spec,
 )
+from candofsm.trace import RunError
 from conftest import mutate_table, with_no_stage_two_creator, with_second_error_state
 
 
@@ -42,6 +45,17 @@ def stray_dispatch_file(tmp_path):
     path.write_text(text.replace("dispatch LED_ON_C -> set_vLED\n",
                                  "dispatch LED_ON_C -> cmd_finish\n"),
                     encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def no_dispatch_file(tmp_path):
+    """The shipped spec without LED_ON_C's dispatch entry."""
+    text = bundled_spec_path().read_text(encoding="utf-8")
+    path = tmp_path / "no_dispatch.fsm"
+    path.write_text(text.replace("dispatch LED_ON_C -> set_vLED\n", ""),
+                    encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
     return str(path)
 
 
@@ -92,6 +106,14 @@ class TestCheck:
         assert "C1.8 (1):\n  event=CONT get_cmd -> cmd_finish: dispatch of " \
                "'LED_ON_C'" in out
         assert out.endswith("1 violations\n")
+
+    def test_a_command_without_dispatch_breaks_totality(self, no_dispatch_file,
+                                                        capsys):
+        assert main(["check", no_dispatch_file]) == 1
+        out = capsys.readouterr().out
+        assert out == ("TOTALITY (1):\n  event=CONT get_cmd: command 'LED_ON_C' "
+                       "has no dispatch entry, so 'get_cmd' has no CONT entry "
+                       "for it\n1 violations\n")
 
     def test_a_second_error_state_is_accepted(self, second_error_file, capsys):
         assert main(["check", second_error_file]) == 0
@@ -308,6 +330,19 @@ class TestVerify:
         assert "C1.8 (1):" in out
         assert out.endswith("verify: FAIL (1 structural violations)\n")
 
+    def test_a_command_without_dispatch_fails_verification(self, no_dispatch_file,
+                                                           capsys):
+        assert main(["verify", no_dispatch_file]) == 1
+        captured = capsys.readouterr()
+        assert "TOTALITY (1):" in captured.out
+        assert captured.out.endswith("verify: FAIL (1 structural violations)\n")
+        # no engine runs on it: simulate reports the violation and stops
+        assert main(["simulate", no_dispatch_file, "--command", "LED_ON_C",
+                     "--engine", "reqs"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n1 structural violations\n")
+
     def test_diverging_spec_fails_verification(self, spec, tmp_path, capsys):
         mutated = mutate_table(spec, "SPI_TX_FINISH", "send_packet_1",
                                "receive_packet_21")
@@ -362,7 +397,39 @@ class TestReport:
         assert main(["report", spec_file, "--format", "pdf"]) == 3
 
 
+class TestRunFailure:
+    """A round's fault in either engine ends simulate and verify alike:
+    exit 2, naming the command and the engine's model, and no traceback."""
+
+    @pytest.mark.parametrize("engine, module, name, model", [
+        ("ops", candofsm.opmodel, "run", "operational"),
+        ("reqs", candofsm.reqs.engine, "run_requirements_trace", "requirements"),
+    ], ids=["ops", "reqs"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "verify"])
+    def test_a_run_error_is_a_load_error(self, spec_file, monkeypatch, capsys,
+                                         engine, module, name, model, subcommand):
+        def failing(source, command, max_rounds):
+            raise RunError(engine, command, 2, RuntimeError("injected"))
+
+        monkeypatch.setattr(module, name, failing)
+        if subcommand == "simulate":
+            argv = ["simulate", spec_file, "--command", "LED_ON_C", "--engine", engine]
+            command = "LED_ON_C"
+        else:
+            # verify runs the roster's commands in order, ops before reqs
+            argv = ["verify", spec_file]
+            command = load_spec(spec_file).roster.command_names[0]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"cannot run {command} on the {model} model: "
+                                "round 2: injected\n")
+
+
 class TestTopLevel:
+    def test_the_parser_is_built_once(self):
+        assert candofsm.cli.build_parser() is candofsm.cli.build_parser()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"

@@ -167,6 +167,15 @@ class TestCheckDispatch:
             message="dispatch of 'LED_ON_C': 'get_cmd' maps only to stage-one "
                     "creator states or 'error_'")]
 
+    def test_a_command_without_dispatch_leaves_out_get_cmds_entry(self, spec):
+        dispatch = {cmd: st for cmd, st in spec.dispatch.items()
+                    if cmd not in ("LED_ON_C", "DUMMY_C")}
+        assert check_dispatch(spec.roster, dispatch) == [
+            Violation("TOTALITY", event=CONT, from_state="get_cmd",
+                      message=f"command {cmd!r} has no dispatch entry, so "
+                              "'get_cmd' has no CONT entry for it")
+            for cmd in ("LED_ON_C", "DUMMY_C")]
+
 
 class TestReachable:
     def test_no_events_no_moves(self, spec):

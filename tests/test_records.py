@@ -1,17 +1,16 @@
 """Contracts of the package's records.
 
-``Packet``, ``ModelState`` and ``StepOutcome`` are frozen slotted
-dataclasses with ``init=False`` and a hand-written ``__init__``; its
-parameters must follow the fields, or ``dataclasses.replace`` and keyword
-construction drift from the declared record.  The plain records are named
-tuples: immutable, with no per-instance ``__dict__``.  A cold
-``import candofsm`` creates only the dataclasses that ``test_source_lint``
-lists, and does not load ``json``.
+The plain records are named tuples: immutable, with no per-instance
+``__dict__``.  Among them are the ops round's ``Packet``, ``ModelState``
+and ``StepOutcome``.  ``ModelState``'s hand-written ``__new__``
+range-checks its counters; its parameters must follow the fields in order
+and default, or ``_replace`` and keyword construction drift from the
+declared record.  A cold ``import candofsm`` creates only the dataclasses
+that ``test_source_lint`` lists, and does not load ``json``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import io
 import subprocess
@@ -52,7 +51,7 @@ from test_source_lint import DATACLASSES
 ROW = TraceRow(3, "send_packet_1", "SPI_TX_FINISH", "LED_ON_C", "a", None, "d",
                2, 0, 1, True, False, False)
 # one positional value per field, each different from the field's default
-SLOTTED = {
+ROUND_RECORDS = {
     Packet: ("addr", "cmd", "data"),
     ModelState: ("start", CONT, "LED_ON_C", True, True, True, Packet("a"), 1, 2, 1),
     StepOutcome: (ModelState("start", CONT, "LED_ON_C"), "start_idle",
@@ -60,6 +59,7 @@ SLOTTED = {
 }
 NAMED_TUPLES = (
     ROW,
+    *(cls(*values) for cls, values in ROUND_RECORDS.items()),
     DiffEntry(1, "state", "x", "y"),
     RunOutcome("cmd_finish", ()),
     GenReport(1, 2, 3),
@@ -83,22 +83,21 @@ NAMED_TUPLES = (
 )
 
 
-@pytest.mark.parametrize("cls", list(SLOTTED), ids=lambda cls: cls.__name__)
-def test_a_slotted_record_init_takes_its_fields_in_order(cls):
-    flags = cls.__dataclass_params__
-    # init=False: dataclass compiles no __init__ only to drop it for this one
-    assert flags.frozen and not flags.init and "__slots__" in vars(cls)
-    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+@pytest.mark.parametrize("cls", list(ROUND_RECORDS), ids=lambda cls: cls.__name__)
+def test_a_round_record_new_takes_its_fields_in_order(cls):
+    assert vars(cls)["__slots__"] == ()
+    params = list(inspect.signature(cls.__new__).parameters.values())[1:]
     assert [(p.name, p.kind, p.default) for p in params] == [
-        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(cls)]
-    # every field is stored, in order, and replace goes through the same init
-    values = SLOTTED[cls]
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         cls._field_defaults.get(name, inspect.Parameter.empty))
+        for name in cls._fields]
+    # every field is stored, in order, and _replace goes through the same new
+    values = ROUND_RECORDS[cls]
     record = cls(*values)
-    assert [getattr(record, f.name) for f in dataclasses.fields(cls)] == list(values)
-    assert cls(**{f.name: v for f, v in zip(dataclasses.fields(cls), values)}) == record
-    assert dataclasses.replace(record) == record
+    assert type(record) is cls and tuple(record) == values
+    assert [getattr(record, name) for name in cls._fields] == list(values)
+    assert cls(**dict(zip(cls._fields, values))) == record
+    assert type(record._replace()) is cls and record._replace() == record
 
 
 @pytest.mark.parametrize("record", NAMED_TUPLES, ids=lambda r: type(r).__name__)
@@ -151,4 +150,4 @@ def test_a_cold_import_creates_only_the_listed_dataclasses_and_no_json():
                           capture_output=True, text=True, timeout=60, check=True)
     loads_json, names = done.stdout.splitlines()
     assert loads_json == "False"
-    assert names.split() == sorted(DATACLASSES) and len(DATACLASSES) == 15
+    assert names.split() == sorted(DATACLASSES) and len(DATACLASSES) == 12

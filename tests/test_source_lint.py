@@ -13,7 +13,10 @@ any other record is a ``NamedTuple``, which a cold import creates several
 times faster.  No ``NamedTuple`` field defaults to a mutable literal:
 unlike a dataclass, a named tuple accepts one silently and shares it
 between all its instances.  Nor does a named tuple define ``__post_init__``
-or default a field to ``field(...)``: it drops both without a word.  Every
+or default a field to ``field(...)``: it drops both without a word.  A
+class that derives from a named tuple and defines ``__new__`` also defines
+``_make``: the named tuple's ``_replace`` builds through ``_make``, whose
+default calls ``tuple.__new__`` and skips that ``__new__``.  Every
 exception class is raised somewhere in the package, or is the base of one
 that is.  Only ``reqs/expr.py`` calls an expression node's constructor:
 every other module builds nodes through a ``Nodes`` table, which decides
@@ -105,7 +108,6 @@ def test_every_dataclass_and_named_tuple_has_a_docstring():
 # it needs.  A record that needs none of them is a ``NamedTuple``: creating a
 # frozen dataclass costs a cold import several times as much.
 _DICT = "values cached in the instance __dict__"
-_SLOTS = "slots and a hand-written __init__, which a named tuple never calls"
 _OWN_TYPE = "equal only to a node of its own type, never to a tuple"
 DATACLASSES = {
     "Roster": _DICT,
@@ -113,9 +115,6 @@ DATACLASSES = {
     "RequirementsModel": _DICT + " (the engine's _plan)",
     "SpecDocument": "dict defaults made fresh per instance, dataclasses.replace "
                     "in perfbench/workloads.py, and " + _DICT + " (opmodel's table)",
-    "Packet": _SLOTS,
-    "ModelState": _SLOTS,
-    "StepOutcome": _SLOTS,
     **dict.fromkeys(("Lit", "SigRead", "ModeActive", "DefRef", "BoolOp", "BinOp", "Not"),
                     _OWN_TYPE),
     "EvalContext": "none: the test-only reference evaluator, bound for tests/",
@@ -213,6 +212,51 @@ def test_no_named_tuple_field_defaults_to_a_mutable_literal():
                 for line, field in named_tuple_pitfalls(
                     path.read_text(encoding="utf-8"))]
     assert offences == []
+
+
+def _defines(cls: ast.ClassDef, name: str) -> bool:
+    return any(isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == name
+               for fn in cls.body)
+
+
+def news_without_make(sources: list[str]) -> list[str]:
+    """The name of each class in ``sources`` that derives from a named
+    tuple, directly or through other classes in ``sources``, and defines
+    ``__new__`` but not ``_make``.  Classes are matched to bases by name."""
+    classes = [node for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    bases = {cls.name: {_name(b.func if isinstance(b, ast.Call) else b)
+                        for b in cls.bases} for cls in classes}
+    tuples = {"NamedTuple", "namedtuple"}
+    while more := {name for name, of in bases.items() if of & tuples} - tuples:
+        tuples |= more
+    return sorted(cls.name for cls in classes if bases[cls.name] & tuples
+                  and _defines(cls, "__new__") and not _defines(cls, "_make"))
+
+
+def test_the_check_finds_a_named_tuple_new_without_make():
+    source = ("class Fields(NamedTuple):\n"
+              "    a: int\n"
+              "class Checked(Fields):\n"
+              "    def __new__(cls, a): return tuple.__new__(cls, (a,))\n"
+              "    @classmethod\n"
+              "    def _make(cls, iterable): return cls(*iterable)\n"
+              "class Unchecked(Fields):\n"
+              "    def __new__(cls, a): return tuple.__new__(cls, (a,))\n"
+              "class Deeper(Unchecked):\n"
+              "    def __new__(cls, a): return Unchecked.__new__(cls, a)\n"
+              "class Factory(collections.namedtuple('P', 'a')):\n"
+              "    def __new__(cls, a): return super().__new__(cls, a)\n"
+              "class Plain(typing.NamedTuple):\n"
+              "    a: int\n"
+              "class Other:\n"
+              "    def __new__(cls): return object.__new__(cls)\n")
+    assert news_without_make([source]) == ["Deeper", "Factory", "Unchecked"]
+
+
+def test_every_named_tuple_new_has_a_make():
+    assert news_without_make(
+        [path.read_text(encoding="utf-8") for path in modules()]) == []
 
 
 def unraised_exceptions(sources: list[str]) -> list[str]:
@@ -442,7 +486,8 @@ def test_no_exported_function_takes_a_private_parameter_type():
 def unread_methods(sources: list[str]) -> list[str]:
     """``Class.method`` for each method a class in ``sources`` defines that
     no attribute load in ``sources`` reads.  Dunder methods, which Python
-    calls itself, are left out.  Methods are matched to loads by name alone,
+    calls itself, and ``_make``, which a named tuple's ``_replace`` calls,
+    are left out.  Methods are matched to loads by name alone,
     whichever object the load reads from."""
     defined, read = [], set()
     for source in sources:
@@ -453,7 +498,8 @@ def unread_methods(sources: list[str]) -> list[str]:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     return sorted(f"{cls}.{name}" for cls, name in defined
-                  if name not in read and not (name.startswith("__") and name.endswith("__")))
+                  if name not in read and name != "_make"
+                  and not (name.startswith("__") and name.endswith("__")))
 
 
 def test_the_check_finds_a_method_nothing_reads():
@@ -466,6 +512,8 @@ def test_the_check_finds_a_method_nothing_reads():
          "    @property\n"
          "    def size(self): return 0\n"
          "    def cache(self): pass\n"
+         "    @classmethod\n"
+         "    def _make(cls, iterable): pass\n"
          "    class Inner:\n"
          "        def unused(self): pass\n"),
         ("def run(plan):\n"

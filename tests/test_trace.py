@@ -235,6 +235,7 @@ class TestTraceAll:
         with pytest.raises(RunError) as err:
             run_requirements_trace(model, "LED_ON_C", 500)
         assert err.value.round_no == 3 and err.value.cause is cause
+        assert (err.value.engine, err.value.command) == ("reqs", "LED_ON_C")
 
 
 class TestTraceRecords:

@@ -34,7 +34,7 @@ from .specio import (
     read_trace_csv,
     write_trace_csv,
 )
-from .trace import RunError, diff, equivalence_report
+from .trace import MAX_ROUNDS, RunError, diff, equivalence_report
 
 
 class ExitStatus(enum.IntEnum):
@@ -58,10 +58,18 @@ def _load(path: str) -> SpecDocument:
         raise _Failure(f"cannot read {path!r}: no such file")
     except OSError as exc:
         raise _Failure(f"cannot read {path!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _Failure(_not_utf8(path, exc))
     except ParseError as exc:
         snippet = f"\n  {exc.snippet}" if exc.snippet else ""
         raise _Failure(
             f"{path}:{exc.line}:{exc.column}: {exc.message}{snippet}")
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    # the error's position counts from the start of the chunk that was being
+    # decoded, not of the file, so it is left out
+    return f"cannot read {path!r}: not UTF-8 text ({exc.reason})"
 
 
 # what a diagnostic calls each engine's model
@@ -184,6 +192,9 @@ def _cmd_diff(args) -> int:
         except OSError as exc:
             print(f"cannot read {path!r}: {exc}", file=sys.stderr)
             return ExitStatus.LOAD_ERROR
+        except UnicodeDecodeError as exc:
+            print(_not_utf8(path, exc), file=sys.stderr)
+            return ExitStatus.LOAD_ERROR
         except ParseError as exc:
             print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
             return ExitStatus.LOAD_ERROR
@@ -234,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--command", required=True)
     p.add_argument("--engine", choices=("ops", "reqs"), default="ops")
-    p.add_argument("--max-rounds", type=int, default=500)
+    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -248,7 +259,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check, generate and compare both engines "
                                       "for every command")
     p.add_argument("spec")
-    p.add_argument("--max-rounds", type=int, default=500)
+    p.add_argument("--max-rounds", type=int, default=MAX_ROUNDS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="render the generated requirements")

@@ -15,8 +15,7 @@ Sharing is decided where nodes are built (see :class:`~.expr.Nodes`), so
 is compiled once for the life of the ``Compiler``, and a node met again
 costs one lookup.  A definition reference compiles its definition's body
 through :meth:`Compiler.compile`, so every reference to one body shares its
-compiled node.  :meth:`Compiler.compile` only builds the node, its support
-and its reads; the closure is built when ``fn`` is first read.
+compiled node and closure.  A node's closure is built with the node.
 
 A node's *reads* are the signals it can look up, through definitions: the
 names of the ``SigRead`` nodes under it.  Its value, or the error it
@@ -93,31 +92,19 @@ class Frame:
 
 
 class Compiled:
-    """One compiled subexpression: its start-state support, and its closure,
-    built from ``build(*args)`` when ``fn`` is first read."""
+    """One compiled subexpression: its closure and its start-state support."""
 
-    __slots__ = ("support", "reads", "exact", "literals", "op", "parts", "_build", "_args",
-                 "_fn")
+    __slots__ = ("fn", "support", "reads", "exact", "literals", "op", "parts")
 
-    def __init__(self, build, args, support=None, exact=False, literals=(),
+    def __init__(self, fn, support=None, exact=False, literals=(),
                  op=None, parts=(), reads=EMPTY):
-        self._build = build
-        self._args = args
-        self._fn = None
+        self.fn = fn
         self.support = support
         self.reads = reads        # the signals it can read
         self.exact = exact        # the support is exact
         self.literals = literals  # its (signal, value) literals, see above
         self.op = op              # "and" / "or" for a BoolOp
         self.parts = parts        # its compiled operands
-
-    @property
-    def fn(self):
-        fn = self._fn
-        if fn is None:
-            fn = self._fn = self._build(*self._args)
-            self._build = self._args = None
-        return fn
 
 
 def _safe(node: Compiled) -> bool:
@@ -202,26 +189,26 @@ class Compiler:
         return self.interned(reads)
 
     def _lit(self, expr: Lit) -> Compiled:
-        return Compiled(_const, (expr.value,))
+        return Compiled(_const(expr.value))
 
     def _sig_read(self, expr: SigRead) -> Compiled:
-        return Compiled(_sig_read, (expr.name,), reads=self.interned(frozenset({expr.name})))
+        return Compiled(_sig_read(expr.name), reads=self.interned(frozenset({expr.name})))
 
     def _mode_active(self, expr: ModeActive) -> Compiled:
         comp, mode = expr.component, expr.mode
         if expr.at != "start":
-            return Compiled(_end_mode, (comp, mode))
-        return Compiled(_start_mode, (comp, mode), frozenset({((comp, mode), None)}), True)
+            return Compiled(_end_mode(comp, mode))
+        return Compiled(_start_mode(comp, mode), frozenset({((comp, mode), None)}), True)
 
     def _def_ref(self, expr: DefRef) -> Compiled:
         definition = self.definitions.get(expr.name)
         if definition is None:
-            return Compiled(_raising, (f"unknown definition {expr.name!r}",))
+            return Compiled(_raising(f"unknown definition {expr.name!r}"))
         return self.compile(definition.expr)
 
     def _not(self, expr: Not) -> Compiled:
         operand = self.compile(expr.operand)
-        return Compiled(_not, (operand,), reads=operand.reads)
+        return Compiled(_not(operand), reads=operand.reads)
 
     def _bool_op(self, expr: BoolOp) -> Compiled:
         op = expr.op
@@ -238,7 +225,7 @@ class Compiler:
         if op == "or" and all(p.literals for p in parts) \
                 and len({signal for p in parts for signal, _ in p.literals}) == 1:
             literals = tuple(literal for p in parts for literal in p.literals)
-        return Compiled(_chain, (op, parts), support, exact, literals, op, parts,
+        return Compiled(_chain(op, parts), support, exact, literals, op, parts,
                         self.reads_of(parts))
 
     def _bin_op(self, expr: BinOp) -> Compiled:
@@ -247,11 +234,11 @@ class Compiler:
         if op == "=" and isinstance(expr.left, SigRead) and isinstance(expr.right, Lit):
             literals = ((expr.left.name, expr.right.value),)
         left, right = self.compile(expr.left), self.compile(expr.right)
-        return Compiled(_binary, (op, left, right), literals=literals,
+        return Compiled(_binary(op, left, right), literals=literals,
                         reads=self.reads_of((left, right)))
 
     def _not_a_node(self, expr) -> Compiled:
-        return Compiled(_raising, (f"not an expression node: {expr!r}",))
+        return Compiled(_raising(f"not an expression node: {expr!r}"))
 
 
 # --- closure builders --------------------------------------------------------

@@ -18,16 +18,15 @@ One round takes the model from a start snapshot to an end snapshot:
 
 The function is total: breaches are returned as violations, never raised.
 
-A model's first round builds a plan kept on the model instance: the
-start-state support of every requirement (see :mod:`.compiled`), indexed
-by mode.  Candidates are keyed on the active start modes and the value of
-one key signal, the one the supports' literals read most (the current event
-in a generated model).  A round visits only the candidates of its key: the
-requirements whose guard can hold from there, plus the ones that act every
-round, in model order, so writes, conflicts, fired ids and violations keep
-the order a walk over every requirement gives.  A candidate whose guard is
-nothing but terms its key meets is not called: the guard holds.  A
-requirement is compiled to closures when it first becomes a candidate.
+A model's first round builds a plan kept on the model instance: every
+requirement compiled to closures, and their start-state supports (see
+:mod:`.compiled`) indexed by mode.  Candidates are keyed on the active start
+modes and the value of one key signal, the one the supports' literals read
+most (the current event in a generated model).  A round visits only the
+candidates of its key: the requirements whose guard can hold from there,
+plus the ones that act every round, in model order, so writes, conflicts,
+fired ids and violations keep the order a walk over every requirement
+gives.  A round calls every candidate's guard.
 
 The memo (step 7) rests on read sets.  A round's outcome depends only on
 its plan key and on the values of the signals its candidates read, through
@@ -42,13 +41,12 @@ each; past that a round is computed and not stored.
 
 On the shipped machine a ``verify`` runs 322 rounds, of which 124 are
 distinct inputs: the memo ends with 124 entries, and the other 198 rounds
-are found there.  It compiles 197 of the 242 requirements under 47 plan
-keys.  A plan key's candidates read 3 signals besides the key at the median
-and 5 at most.  A computed round visits 12.4 candidates and makes 8.5 guard
-calls on average.  An arrow's guard, ``from_X and (current_event = E1 or
-…)``, has one exact term per event: it is a candidate only under its own
-events, and there, unless it has a dispatch hand-off, it holds without a
-call.
+are found there.  Its rounds fall under 47 plan keys.  A plan key's
+candidates read 3 signals besides the key at the median and 5 at most.  A
+computed round visits 12.4 candidates and makes 10.4 guard calls on
+average, 1,293 in all.  An arrow's guard, ``from_X and (current_event = E1
+or …)``, has one exact term per event, so it is a candidate only under its
+own events.
 
 A trace row's cells come from one table, ``TRACE_RECORDS``: each is its
 record's value, nil where the env lacks the record.  A column's attribution
@@ -93,36 +91,30 @@ def _violation(code: str, req: Requirement, message: str) -> Violation:
 
 
 class _Step:
-    """One requirement and its start-state support: the terms (see
+    """One requirement, compiled: its guard, effect and condition closures,
+    the signals they read, and its start-state support, the terms (see
     :mod:`.compiled`) one of which a start must meet for it to do anything
-    this round (None: it may act from any start).  :meth:`compile` builds
-    its reads and its effect and condition closures when it first becomes a
-    candidate; its guard's closure is built when a round first calls it."""
+    this round (None: it may act from any start)."""
 
-    __slots__ = ("req", "template", "guard_node", "support", "compiled",
-                 "effects", "required", "reads")
+    __slots__ = ("req", "template", "guard", "support", "effects", "required", "reads")
 
     def __init__(self, req: Requirement, compiler: Compiler):
         t = req.template
         self.req = req
         self.template = t
-        self.compiled = False
-
         # a False guard means no effect, check or violation; every-monitors
-        # and mode-sets act in every round
-        guard = self.guard_node = None if req.guard is None else compiler.compile(req.guard)
-        self.support = None
-        if (t is TRIGGER_ON_EVENT or t is WHEN) and guard is not None:
-            self.support = guard.support
-
-    def compile(self, compiler: Compiler) -> None:
-        if self.compiled:
-            return
+        # and mode-sets act in every round; a missing guard always holds
+        self.guard = self.support = None
+        nodes = []
+        if req.guard is not None:
+            guard = compiler.compile(req.guard)
+            nodes.append(guard)
+            self.guard = guard.fn
+            if t is TRIGGER_ON_EVENT or t is WHEN:
+                self.support = guard.support
         # a missing condition or effect value raises as the interpreter does
-        req = self.req
-        guard = self.guard_node
         required = compiler.compile(req.required)
-        nodes = [required] if guard is None else [guard, required]
+        nodes.append(required)
         effects = []
         for a in req.effects:
             if isinstance(a, SignalAssign):
@@ -134,7 +126,6 @@ class _Step:
         self.effects = tuple(effects)
         self.required = required.fn
         self.reads = compiler.reads_of(nodes)
-        self.compiled = True
 
 
 # The most entries a plan keeps in each of its caches: the candidates per
@@ -151,10 +142,10 @@ class _Plan:
     """The indexed form of one model that :func:`fire_round` runs.
 
     It is built on a model's first round and kept on the model instance.
-    Candidates are kept per (active start-mode set, value of the key
-    signal), in model order, with the signals they read besides the key;
-    the key signal is the one read by the literals of the most step
-    supports.  A step is compiled when it first becomes a candidate.
+    Every step is compiled when the plan is built.  Candidates are kept per
+    (active start-mode set, value of the key signal), in model order, with
+    the signals they read besides the key; the key signal is the one read by
+    the literals of the most step supports.
     ``memo`` maps a round's input to what :func:`_compute` returns for it.
     """
 
@@ -167,11 +158,9 @@ class _Plan:
         key = self.key = read.most_common(1)[0][0] if read else None
         # step indices: those that may act from any start; per mode, those
         # whose support names it, with the key values its terms there allow
-        # (None: any value); and those whose guard holds once a start with a
-        # key value meets its support
+        # (None: any value)
         self._anywhere: list[int] = []
         self._by_mode: dict[tuple[str, str], list[tuple[int, set | None]]] = {}
-        self._decided: set[int] = set()
         for i, s in enumerate(self.steps):
             if s.support is None:
                 self._anywhere.append(i)
@@ -185,10 +174,6 @@ class _Plan:
                         values[mode].add(literal[1])
             for mode, allowed in values.items():
                 self._by_mode.setdefault(mode, []).append((i, allowed))
-            guard = s.guard_node
-            if guard is not None and guard.support is s.support and guard.exact \
-                    and all(lit is None or lit[0] == key for _, lit in s.support):
-                self._decided.add(i)
         self.domains = model.dictionary.domains
         self._candidates: dict[tuple, tuple] = {}
         self.memo: dict[tuple, tuple] = {}
@@ -197,9 +182,9 @@ class _Plan:
 
     def lookup(self, active: frozenset, value=ABSENT) -> tuple:
         """The candidates of a start with these active modes whose key signal
-        holds ``value`` (ABSENT: unknown): the triggers and the rest as (step,
-        guard) pairs, ``guard`` None where the start decides it holds; the sorted
-        signals besides the key they read; and the active set memo keys share."""
+        holds ``value`` (ABSENT: unknown): the triggers and the rest, each a
+        tuple of steps; the sorted signals besides the key they read; and the
+        active set memo keys share."""
         try:
             found = self._candidates.get((active, value))
         except TypeError:   # a value that cannot key a lookup
@@ -216,17 +201,11 @@ class _Plan:
             for i, allowed in self._by_mode.get(mode, ()):
                 if allowed is None or value is ABSENT or value in allowed:
                     hits.add(i)
-        known = value is not ABSENT
         effect, check, reads = [], [], set()
         for i in sorted(hits):
             step = self.steps[i]
-            step.compile(self.compiler)
             reads |= step.reads
-            # a missing guard always holds; a guard's closure is built when
-            # a start first needs it called
-            guard = None if known and i in self._decided or step.guard_node is None \
-                else step.guard_node.fn
-            (effect if step.template is TRIGGER_ON_EVENT else check).append((step, guard))
+            (effect if step.template is TRIGGER_ON_EVENT else check).append(step)
         reads.discard(self.key)
         return tuple(effect), tuple(check), tuple(sorted(reads)), active
 
@@ -281,7 +260,8 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
     # triggers whose guard held and that require a condition at the end
     triggered: list[_Step] = []
 
-    def guard_true(guard, req: Requirement) -> bool:
+    def guard_true(step: _Step) -> bool:
+        guard, req = step.guard, step.req
         if guard is None:
             return True
         try:
@@ -294,9 +274,9 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
             return False
         return value
 
-    for step, guard in effect_steps:
+    for step in effect_steps:
         req = step.req
-        if not guard_true(guard, req):
+        if not guard_true(step):
             continue
         for kind, name, effect in step.effects:
             if kind == "sig":
@@ -343,7 +323,7 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
 
     # only effect candidates write, so they are the only ones that can fire
     fired = tuple((step.req.req_id, tuple(applied[step.req.req_id]))
-                  for step, _ in effect_steps if step.req.req_id in applied)
+                  for step in effect_steps if step.req.req_id in applied)
 
     end_modes = {**env.modes, **mode_writes}
     end = Frame({**env.signals, **signal_writes}, env.modes, end_modes)
@@ -356,13 +336,13 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
             return True
         return bool(value)
 
-    for step, guard in check_steps:
+    for step in check_steps:
         req, t = step.req, step.template
         if t is EVERY:
             if not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "condition breached"))
         elif t is WHEN:
-            if guard_true(guard, req) and not required_holds(step.required, req):
+            if guard_true(step) and not required_holds(step.required, req):
                 violations.append(_violation("MONITOR", req, "required condition "
                                                              "breached under guard"))
         else:   # an exclusive mode-set

@@ -22,6 +22,9 @@ if TYPE_CHECKING:
     from .specio import SpecDocument
 
 
+# the rounds a run may take when no budget is given
+MAX_ROUNDS = 500
+
 # the attribution of a row nothing attributes: one shared, read-only mapping
 _NO_ATTRIBUTION: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 
@@ -222,7 +225,7 @@ class EquivalenceReport(NamedTuple):
 
 
 def equivalence_report(spec: SpecDocument, model: RequirementsModel,
-                       max_rounds: int = 500) -> EquivalenceReport:
+                       max_rounds: int = MAX_ROUNDS) -> EquivalenceReport:
     """Run both engines for every command (``ops`` runs ``spec``, ``reqs``
     runs ``model``, the requirements generated from it), diff each pair of
     traces on every column, and keep each run's stop reason and violations."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from candofsm.specio import (
     load_spec,
     serialize_spec,
 )
-from candofsm.trace import RunError
+from candofsm.trace import MAX_ROUNDS, RunError, equivalence_report
 from conftest import mutate_table, with_no_stage_two_creator, with_second_error_state
 
 
@@ -127,6 +128,18 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/spec.fsm"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", [
+        ["check"], ["verify"], ["report"], ["simulate", "--command", "DUMMY_C"]])
+    def test_a_spec_that_is_not_utf8_exits_two_with_one_line(self, tmp_path, capsys,
+                                                             subcommand):
+        path = tmp_path / "bad.fsm"
+        path.write_bytes(b"states {\n  st\xff: control\n}\n")
+        assert main([subcommand[0], str(path), *subcommand[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {str(path)!r}: not UTF-8 text " \
+                               "(invalid start byte)\n"
 
     def test_malformed_spec_exits_two_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.fsm"
@@ -273,6 +286,19 @@ class TestDiff:
         ok = tmp_path / "ok.csv"
         ok.write_text("also,not,a,trace\n")
         assert main(["diff", str(bad), str(ok)]) == 2
+
+    def test_a_trace_that_is_not_utf8_exits_two_with_one_line(self, spec_file, tmp_path,
+                                                              capsys):
+        ok = tmp_path / "ok.csv"
+        main(["simulate", spec_file, "--command", "DUMMY_C", "--out", str(ok)])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(ok.read_bytes().replace(b"DUMMY_C", b"DUMMY_\xff", 1))
+        capsys.readouterr()
+        assert main(["diff", str(ok), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {str(bad)!r}: not UTF-8 text " \
+                               "(invalid start byte)\n"
 
     def test_unreadable_file_exits_two(self, tmp_path):
         assert main(["diff", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
@@ -429,6 +455,13 @@ class TestRunFailure:
 class TestTopLevel:
     def test_the_parser_is_built_once(self):
         assert candofsm.cli.build_parser() is candofsm.cli.build_parser()
+
+    def test_the_round_budget_defaults_to_one_constant(self):
+        parser = candofsm.cli.build_parser()
+        for argv in (["verify", "x.fsm"], ["simulate", "x.fsm", "--command", "C"]):
+            assert parser.parse_args(argv).max_rounds == MAX_ROUNDS == 500
+        assert inspect.signature(equivalence_report).parameters["max_rounds"].default \
+            == MAX_ROUNDS
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -493,7 +493,7 @@ def candidate_ids(model, env) -> list[str]:
     plan = _plan_of(model)
     effect, check = plan.lookup(active_modes(env.modes),
                                 env.signals.get(plan.key, ABSENT))[:2]
-    return [step.req.req_id for step, _ in effect + check]
+    return [step.req.req_id for step in effect + check]
 
 
 def test_a_missing_key_signal_keeps_its_readers_and_reports_them():
@@ -565,7 +565,7 @@ def test_a_start_with_two_active_modes_keys_on_both():
     assert [v.constraint_id for v in result.violations] == ["MODESET"]
 
 
-def test_an_exact_support_the_key_meets_decides_the_guard():
+def test_an_exact_support_the_key_meets_means_the_guard_holds():
     guard = and_(lamp_is("on"), ev_is("green"))
     node = Compiler({}).compile(guard)
     assert node.exact
@@ -580,11 +580,8 @@ def test_an_exact_support_the_key_meets_decides_the_guard():
     ctx = EvalContext(start_signals=env.signals, start_modes=env.modes, definitions={})
     assert eval_expr(guard, ctx) is True
     assert node.fn(frame_of(ctx)) is True
-    plan = _plan_of(model)
-    effect, _ = plan.lookup(active_modes(env.modes), "green")[:2]
-    # the exact guard is not called; the other one is
-    assert [(step.req.req_id, guard is None) for step, guard in effect] \
-        == [("go", True), ("slow", False)]
+    # both triggers are candidates, and the round fires both
+    assert candidate_ids(model, env) == ["go", "slow", "ms"]
     result = fire_round(model, env, None)
     assert result.fired == (("go", ("lamp",)), ("slow", ("x",)))
 
@@ -600,8 +597,6 @@ def test_an_or_of_literals_on_one_signal_gives_one_exact_term_per_literal():
     model = event_lamp_model(
         Requirement("go", "on and green or red", Template.TRIGGER_ON_EVENT,
                     guard=guard, effects=(ModeAssign("lamp", "dim"),)))
-    plan = _plan_of(model)
-    assert plan._decided == {0}
     # nil and a value outside Colour miss both terms; the interpreter agrees
     for active in (("on",), ("off",), ("on", "off")):
         for value in ("green", "red", None, "blue", ABSENT):
@@ -635,8 +630,9 @@ def test_an_or_that_is_not_literals_on_one_signal_keeps_the_mode_only_support(ei
 
 
 def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
-    # the plan compiles every guard; a node met again costs one lookup, and
-    # a definition body is compiled where its first reference is
+    # the plan compiles every guard, required condition and effect; a node
+    # met again costs one lookup, and a definition body is compiled where its
+    # first reference is
     dispatched = Counter()
     for name in ("_lit", "_sig_read", "_mode_active", "_def_ref", "_not", "_bool_op",
                  "_bin_op"):
@@ -646,7 +642,11 @@ def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
         monkeypatch.setattr(Compiler, name, counting)
     _Plan(model)
     defs = model.definition_map()
-    reached, pending = set(), [r.guard for r in model.requirements if r.guard is not None]
+    reached, pending = set(), [
+        expr for r in model.requirements
+        for expr in (r.guard, r.required,
+                     *(a.expr for a in r.effects if isinstance(a, SignalAssign)))
+        if expr is not None]
     while pending:
         expr = pending.pop()
         for node in walk(expr):

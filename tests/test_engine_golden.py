@@ -26,9 +26,11 @@ import pytest
 
 from candofsm.fsm import MAX_COUNT, PACKET_LENGTH
 from candofsm.generate import generate_model
+from candofsm.reqs import engine
 from candofsm.reqs.compiled import Frame
 from candofsm.reqs.engine import (
     STATE_COMPONENT,
+    _Plan,
     _plan_of,
     fire_round,
     run_requirements_trace,
@@ -205,17 +207,45 @@ def test_a_verify_pass_stores_124_distinct_rounds(spec):
     assert len(_plan_of(model).memo) == 124
 
 
+def test_a_verify_pass_computes_124_rounds_with_1293_guard_calls(spec, monkeypatch):
+    # a work count that timing noise cannot move: every candidate's guard is
+    # called in each computed round, and the memo answers every other round
+    model = generate_model(spec)[0]
+    plan = _plan_of(model)
+    calls = 0
+
+    def counted(guard):
+        def fn(frame):
+            nonlocal calls
+            calls += 1
+            return guard(frame)
+        return fn
+    for step in plan.steps:
+        if step.guard is not None:
+            step.guard = counted(step.guard)
+    computed = 0
+
+    def compute(*args):
+        nonlocal computed
+        computed += 1
+        return real_compute(*args)
+    real_compute = engine._compute
+    monkeypatch.setattr(engine, "_compute", compute)
+    assert equivalence_report(spec, model).passed
+    assert (computed, calls) == (124, 1293)
+
+
 def test_a_candidate_reads_no_signal_outside_its_reads(model, golden):
     plan = _plan_of(model)
     looked_up = 0
     for entry in golden["rounds"] + golden["fault_rounds"]:
         env = start_env(model, entry["input"])
         effect, check, reads, _ = plan.lookup(*_start_key(entry))
-        for step, _ in effect + check:
+        for step in effect + check:
             signals = Recording(env.signals)
             frame = Frame(signals, env.modes, env.modes)
             fns = [step.required, *(fn for kind, _, fn in step.effects if kind == "sig")]
-            for fn in fns if step.guard_node is None else [step.guard_node.fn, *fns]:
+            for fn in fns if step.guard is None else [step.guard, *fns]:
                 try:
                     fn(frame)
                 except EvalError:
@@ -255,23 +285,30 @@ def test_candidates_hold_every_requirement_that_fired_or_reported(model, golden)
     assert plan.key == "current_event"
     for entry in golden["rounds"] + golden["fault_rounds"]:
         effect, check = plan.lookup(*_start_key(entry))[:2]
-        candidates = {step.req.req_id for step, _ in effect + check}
+        candidates = {step.req.req_id for step in effect + check}
         acted = {rid for rid, _ in entry["output"]["fired"]}
         for violation in entry["output"]["violations"]:
             acted |= _reporters(violation)
         assert acted <= candidates, (_start_key(entry), acted - candidates)
 
 
-def test_a_guard_the_key_decides_holds_under_the_interpreter(model, golden):
+def test_an_exact_support_a_start_meets_holds_under_the_interpreter(model, golden):
     plan = _plan_of(model)
     decided = 0
     for entry in golden["rounds"] + golden["fault_rounds"]:
         env = start_env(model, entry["input"])
         ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
                           definitions=plan.definitions)
-        effect, check = plan.lookup(*_start_key(entry))[:2]
-        for step, guard in effect + check:
-            if guard is None and step.req.guard is not None:
+        active, event = _start_key(entry)
+        effect, check = plan.lookup(active, event)[:2]
+        for step in effect + check:
+            guard = step.req.guard and plan.compiler.compile(step.req.guard)
+            # an exact support whose terms read only the key: the start
+            # meets a term, so the guard holds
+            if guard and guard.exact and guard.support is step.support \
+                    and all(lit is None or lit[0] == plan.key for _, lit in step.support) \
+                    and any(mode in active and (lit is None or lit[1] == event)
+                            for mode, lit in step.support):
                 assert eval_expr(step.req.guard, ctx) is True, step.req.req_id
                 decided += 1
     # every table entry's own guard is decided by its start
@@ -288,12 +325,15 @@ def test_each_state_and_event_has_fewer_than_30_candidates(spec, model):
     assert min(sizes.values()) > 0
 
 
-def test_a_verify_compiles_197_of_the_242_steps(spec):
-    model = generate_model(spec)[0]
-    assert equivalence_report(spec, model).passed
-    steps = _plan_of(model).steps
-    assert len(steps) == 242
-    assert sum(step.compiled for step in steps) == 197
+def test_a_plan_build_compiles_all_242_steps_before_any_round(model):
+    plan = _Plan(model)
+    assert len(plan.steps) == 242
+    assert plan.memo == {}
+    for step, req in zip(plan.steps, model.requirements, strict=True):
+        assert callable(step.required), req.req_id
+        assert (step.guard is None) == (req.guard is None), req.req_id
+        assert len(step.effects) == len(req.effects), req.req_id
+        assert all(callable(fn) for kind, _, fn in step.effects if kind == "sig")
 
 
 if __name__ == "__main__":

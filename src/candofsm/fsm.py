@@ -8,13 +8,17 @@ of raising, so a single pass can collect every defect in a table.
 :data:`RULES` is the catalogue of the CANDO map rules, which the checkers and
 the generated monitors both read; only the target-side rules C1.1 and C12
 are written out.
+
+The records are named tuples.  :class:`Roster` subclasses its field tuple
+without ``__slots__``, so the values it derives once are cached in the
+instance ``__dict__``; :func:`refuse_assignment` keeps its attributes, like
+its fields, fixed.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -198,26 +202,53 @@ class MemberDef(NamedTuple):
     synthetic: bool = False
 
 
-@dataclass(frozen=True)
-class Roster:
-    """The machine's states (with kinds), events and commands, in order."""
+def refuse_assignment(record, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a named tuple subclass that
+    keeps an instance ``__dict__`` for values it derives: like its fields,
+    its attributes are fixed.  ``cached_property`` writes that ``__dict__``
+    directly."""
+    raise AttributeError(f"{type(record).__name__} is immutable: cannot set or "
+                         f"delete {name!r}")
+
+
+class _RosterFields(NamedTuple):
+    """:class:`Roster`'s fields, in order."""
 
     states: tuple[StateDef, ...]
     events: tuple[MemberDef, ...]
     commands: tuple[MemberDef, ...]
 
-    def __post_init__(self) -> None:
-        for label, names in (
-            ("state", [s.name for s in self.states]),
-            ("event", [e.name for e in self.events]),
-            ("command", [c.name for c in self.commands]),
-        ):
+
+class Roster(_RosterFields):
+    """The machine's states (with kinds), events and commands, in order.
+
+    Its ``__new__`` rejects a duplicate name; its ``_make`` and
+    ``__reduce__`` go through the class, so ``_replace``, ``copy`` and
+    unpickling under every protocol check too."""
+
+    def __new__(cls, states: tuple[StateDef, ...], events: tuple[MemberDef, ...],
+                commands: tuple[MemberDef, ...]):
+        for label, members in (("state", states), ("event", events),
+                               ("command", commands)):
+            names = [m.name for m in members]
             if len(names) != len(set(names)):
                 dupes = sorted({n for n in names if names.count(n) > 1})
                 raise ValueError(f"duplicate {label} names: {dupes}")
+        return tuple.__new__(cls, (states, events, commands))
+
+    @classmethod
+    def _make(cls, iterable) -> Roster:
+        # through __new__, so _replace checks too
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # every pickle protocol, 0 and 1 too, rebuilds through __new__
+        return type(self), tuple(self)
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     # Derived once per roster, kept in the instance dict like ``_kinds``:
-    # not fields, so equality, hashing and ``dataclasses.replace`` ignore them.
+    # not fields, so equality, hashing, ``_replace`` and copies ignore them.
     @cached_property
     def state_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)

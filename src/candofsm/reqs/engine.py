@@ -211,14 +211,13 @@ class _Plan:
 
 
 def _plan_of(model: RequirementsModel) -> _Plan:
-    """The model's plan, built on first use.  It lives on the instance, so it
-    goes when the model does; a copy made by ``dataclasses.replace`` starts
-    without one."""
+    """The model's plan, built on first use.  It lives in the instance
+    ``__dict__``, so it goes when the model does; a copy made by
+    ``_replace`` starts without one."""
     plan = model.__dict__.get("_plan")
     if plan is None:
-        plan = _Plan(model)
-        # the model is frozen; the plan is derived data, not a field
-        object.__setattr__(model, "_plan", plan)
+        # the model is immutable; the plan is derived data, not a field
+        plan = model.__dict__["_plan"] = _Plan(model)
     return plan
 
 

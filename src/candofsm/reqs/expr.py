@@ -14,12 +14,16 @@ Nodes are built through a :class:`Nodes` table, which builds each
 structurally distinct node once: a model built through one table is a DAG
 (a graph in which equal subexpressions are one object), so everything that
 walks or compiles it memoises by identity alone.
+
+The nodes and :class:`EvalContext` are named tuples.  A node is equal only
+to a node of its own type (``SigRead("x") != DefRef("x")``, and a node is
+never equal to a plain tuple), and hashes as the tuple of its fields; as
+before, ``Lit(0) == Lit(False)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 class EvalError(Exception):
@@ -34,58 +38,75 @@ class IllegalEndOfRoundRead(EvalError):
     """An end-of-round mode read outside a required condition."""
 
 
-@dataclass(frozen=True)
-class Lit:
+# Each node's equality: tuple's own would find a node equal to any tuple of
+# the same cells, another node type's included.
+def _same_node(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_node(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+class Lit(NamedTuple):
     """A literal: an int, a bool, a symbol, or None for nil."""
 
     value: object
 
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-@dataclass(frozen=True)
-class SigRead:
+
+class SigRead(NamedTuple):
     """The start-of-round value of a signal or constant."""
 
     name: str
 
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-@dataclass(frozen=True)
-class ModeActive:
+
+class ModeActive(NamedTuple):
     """Whether a component's mode is active at the start or end of the round."""
 
     component: str
     mode: str
     at: str  # "start" or "end"
 
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-@dataclass(frozen=True)
-class DefRef:
+
+class DefRef(NamedTuple):
     """A reference to a named definition."""
 
     name: str
 
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-@dataclass(frozen=True)
-class BoolOp:
+
+class BoolOp(NamedTuple):
     """An n-ary ``and`` or ``or`` over its operands, left to right."""
 
     op: str  # and or
     operands: tuple
 
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-@dataclass(frozen=True)
-class BinOp:
+
+class BinOp(NamedTuple):
     """A comparison or an arithmetic operation on two operands."""
 
     op: str  # = != < <= > >= + - *
     left: object
     right: object
 
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-@dataclass(frozen=True)
-class Not:
+
+class Not(NamedTuple):
     """Logical negation of its operand."""
 
     operand: object
+
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
 class Nodes:
@@ -131,8 +152,7 @@ COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 ARITHMETIC = {"+", "-", "*"}
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(NamedTuple):
     """Snapshots and lookups needed to evaluate one expression."""
 
     start_signals: Mapping[str, object]

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
+from ..fsm import refuse_assignment
 from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
 
 
@@ -138,14 +138,20 @@ class ModeComponent(NamedTuple):
     initial: str | None = None
 
 
-@dataclass(frozen=True)
-class DataDictionary:
-    """The types, constants, signals and mode components of a model."""
+class _DictionaryFields(NamedTuple):
+    """:class:`DataDictionary`'s fields, in order, with their defaults."""
 
     types: tuple = ()
     constants: tuple[ConstantDef, ...] = ()
     signals: tuple[SignalDef, ...] = ()
     modes: tuple[ModeComponent, ...] = ()
+
+
+class DataDictionary(_DictionaryFields):
+    """The types, constants, signals and mode components of a model.
+    ``domains`` is cached in the instance ``__dict__``."""
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     def type_named(self, name: str):
         for t in self.types:
@@ -323,13 +329,19 @@ def initial_env(model: RequirementsModel,
     return Env(signals=signals, modes=modes)
 
 
-@dataclass(frozen=True)
-class RequirementsModel:
-    """A data dictionary, its definitions and its requirements."""
+class _ModelFields(NamedTuple):
+    """:class:`RequirementsModel`'s fields, in order, with their defaults."""
 
     dictionary: DataDictionary
     definitions: tuple[Definition, ...] = ()
     requirements: tuple[Requirement, ...] = ()
+
+
+class RequirementsModel(_ModelFields):
+    """A data dictionary, its definitions and its requirements.  The
+    engine keeps its plan in the instance ``__dict__``."""
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     def definition_map(self) -> dict[str, Definition]:
         return {d.name: d for d in self.definitions}

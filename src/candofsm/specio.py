@@ -20,7 +20,6 @@ well-formed documents and emits a deterministic ordering.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 from dataclasses import dataclass, field
@@ -78,9 +77,13 @@ def _err(lineno: int, message: str, raw: str = "", column: int = 1) -> ParseErro
     return ParseError(lineno, column, message, raw)
 
 
-def _check_name(name: str, lineno: int, raw: str) -> str:
+def _check_name(name: str, lineno: int, raw: str, token: int = 0, offset: int = 0) -> str:
+    """``name`` if it is an identifier.  Otherwise the error's column is
+    ``offset`` characters into the ``token``-th whitespace-separated token
+    of ``raw``, where ``name`` starts."""
     if not _NAME_RE.match(name):
-        raise _err(lineno, f"invalid identifier {name!r}", raw, raw.find(name) + 1 if name in raw else 1)
+        column = [m.start() for m in re.finditer(r"\S+", raw)][token] + offset + 1
+        raise _err(lineno, f"invalid identifier {name!r}", raw, column)
     return name
 
 
@@ -197,11 +200,13 @@ def parse_spec(text: str) -> SpecDocument:
             if st in packets:
                 raise _err(lineno, f"duplicate packet template for {st!r}", raw)
             fields: dict[str, str | None] = {}
-            for tok, key in zip(tokens[2:], ("addr", "cmd", "data")):
+            for token, key in enumerate(("addr", "cmd", "data"), start=2):
+                tok = tokens[token]
                 if not tok.startswith(key + "="):
                     raise _err(lineno, f"expected '{key}=...'", raw)
                 value = tok[len(key) + 1:]
-                fields[key] = None if value == "nil" else _check_name(value, lineno, raw)
+                fields[key] = None if value == "nil" else \
+                    _check_name(value, lineno, raw, token, len(key) + 1)
             packets[st] = PacketTemplate(**fields)
         else:
             raise _err(lineno, f"unknown directive {head!r}", raw)
@@ -312,6 +317,8 @@ def write_trace_csv(rows: Iterable[TraceRow], fh: IO[str]) -> None:
     The attribution cell flattens the per-field map to the sorted,
     ``;``-separated union of requirement ids.
     """
+    import csv   # here, not at the top: a cold import should not load it
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
     for row in rows:
@@ -322,8 +329,11 @@ def read_trace_csv(fh: IO[str]) -> list[TraceRow]:
     """Read a trace CSV back into rows.
 
     Per-field attribution cannot be recovered from the flattened cell, so the
-    ids come back under the single wildcard key ``"*"``.
+    ids come back under the single wildcard key ``"*"``.  The round column
+    must count 0, 1, 2, … down the rows.
     """
+    import csv   # here, not at the top: a cold import should not load it
+
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -339,7 +349,11 @@ def read_trace_csv(fh: IO[str]) -> list[TraceRow]:
         if len(rec) != len(TRACE_COLUMNS):
             raise ParseError(lineno, 1, f"expected {len(TRACE_COLUMNS)} cells, got {len(rec)}")
         try:
-            rows.append(TraceRow(*[read(cell) for (_, _, read), cell in zip(_ROW_CODECS, rec)]))
+            row = TraceRow(*[read(cell) for (_, _, read), cell in zip(_ROW_CODECS, rec)])
         except ValueError as exc:
             raise ParseError(lineno, 1, str(exc)) from None
+        if row.round != len(rows):
+            raise ParseError(lineno, 1, f"round {row.round} where round {len(rows)} "
+                                        "was expected")
+        rows.append(row)
     return rows

@@ -50,8 +50,8 @@ def mutate_table(spec, event: str, state: str, target: str | None):
 def with_second_error_state(spec):
     """Copy of the spec with a second error state ``error_2``: every event
     takes it to error_, and ERROR takes send_packet_1 to it."""
-    roster = dataclasses.replace(
-        spec.roster, states=(*spec.roster.states, StateDef("error_2", StateKind.ERROR)))
+    roster = spec.roster._replace(
+        states=(*spec.roster.states, StateDef("error_2", StateKind.ERROR)))
     fsm = {e: {**m, "error_2": "error_"} for e, m in spec.fsm.items()}
     fsm["ERROR"]["send_packet_1"] = "error_2"
     return dataclasses.replace(spec, roster=roster, fsm=fsm)
@@ -61,7 +61,7 @@ def with_no_stage_two_creator(spec):
     """Copy of the spec with every stage-two creator made stage-one and every
     receive state's CONT entry sent to cmd_finish, so no state has the
     kind ``creator_stage2`` that monitors C1.7 and C11 name."""
-    roster = dataclasses.replace(spec.roster, states=tuple(
+    roster = spec.roster._replace(states=tuple(
         s._replace(kind=StateKind.CREATOR_STAGE1)
         if s.kind is StateKind.CREATOR_STAGE2 else s
         for s in spec.roster.states))

@@ -72,8 +72,8 @@ def extra_control_file(spec, tmp_path):
     """The shipped spec with a control state ``idle`` that ``check`` rejects
     and the generator has no rule for: every event takes it to error_, and
     EVT_6 takes start to it."""
-    roster = dataclasses.replace(
-        spec.roster, states=(*spec.roster.states, StateDef("idle", StateKind.CONTROL)))
+    roster = spec.roster._replace(
+        states=(*spec.roster.states, StateDef("idle", StateKind.CONTROL)))
     fsm = {e: {**m, "idle": "error_"} for e, m in spec.fsm.items()}
     fsm["EVT_6"]["start"] = "idle"
     path = tmp_path / "extra_control.fsm"
@@ -299,6 +299,24 @@ class TestDiff:
         assert captured.out == ""
         assert captured.err == f"cannot read {str(bad)!r}: not UTF-8 text " \
                                "(invalid start byte)\n"
+
+    def test_a_round_column_that_does_not_count_from_zero_exits_two(
+            self, spec_file, tmp_path, capsys):
+        ok = tmp_path / "ok.csv"
+        main(["simulate", spec_file, "--command", "DUMMY_C", "--out", str(ok)])
+        header, *rows = ok.read_text().splitlines()
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join([header, *rows, *rows]) + "\n")
+        late = tmp_path / "late.csv"
+        late.write_text("\n".join([header, *rows[3:]]) + "\n")
+        capsys.readouterr()
+        assert main(["diff", str(ok), str(twice)]) == 2
+        assert main(["diff", str(late), str(ok)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{twice}:{len(rows) + 2}: round 0 where round {len(rows)} was expected\n"
+            f"{late}:2: round 3 where round 0 was expected\n")
 
     def test_unreadable_file_exits_two(self, tmp_path):
         assert main(["diff", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2

@@ -13,7 +13,6 @@ read sets, its bound, and keys that keep ``1`` apart from ``True``.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -702,7 +701,7 @@ def exact(result) -> tuple:
 
 def fresh_round(model, env):
     """The round from ``env`` on a copy of the model with no plan yet."""
-    return fire_round(dataclasses.replace(model), env, None)
+    return fire_round(model._replace(), env, None)
 
 
 def test_both_caches_stop_at_their_limit(monkeypatch):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -230,10 +229,7 @@ class TestRolePredicates:
         assert check_roster(spec.roster) == []
 
     def test_roster_check_flags_missing_distinguished_member(self, spec):
-        import dataclasses
-
-        trimmed = dataclasses.replace(
-            spec.roster,
+        trimmed = spec.roster._replace(
             states=tuple(s for s in spec.roster.states if s.name != "chip_rst"))
         assert "ROSTER" in codes(check_roster(trimmed))
 
@@ -276,7 +272,7 @@ class TestEveryCheckerOutcome:
 
     def test_a_plain_creator_on_every_state_pair_and_cont_change(self, spec):
         # the shipped roster has no plain ``creator``: make set_vLED one
-        roster = dataclasses.replace(spec.roster, states=tuple(
+        roster = spec.roster._replace(states=tuple(
             s._replace(kind=StateKind.CREATOR) if s.name == "set_vLED" else s
             for s in spec.roster.states))
         states, fsm = roster.state_names, spec.fsm

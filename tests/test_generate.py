@@ -292,16 +292,12 @@ class TestOracle:
 
 
 def rebuilt(value):
-    """A copy of a model, or of any part of one, in which every dataclass
-    and named tuple is a new object of its own type: no expression node is
-    shared."""
-    if isinstance(value, tuple):
-        parts = map(rebuilt, value)
-        return type(value)._make(parts) if hasattr(value, "_fields") else tuple(parts)
-    if not dataclasses.is_dataclass(value):
+    """A copy of a model, or of any part of one, in which every tuple, named
+    or not, is a new object of its own type: no expression node is shared."""
+    if not isinstance(value, tuple):
         return value
-    return dataclasses.replace(value, **{
-        f.name: rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)})
+    parts = map(rebuilt, value)
+    return type(value)._make(parts) if hasattr(value, "_fields") else tuple(parts)
 
 
 class TestSharedGraph:
@@ -401,7 +397,7 @@ class TestRendering:
         monitor = Requirement(req_id="mon.X", title="x", template=Template.WHEN,
                               guard=guard, required=DefRef("to_error_"))
         text = render_requirements_markdown(
-            dataclasses.replace(model, requirements=(monitor,)))
+            model._replace(requirements=(monitor,)))
         assert ("  or The fsm is in state get_cmd at the start of the round and (The current "
                 "event is CONT or The current command is LED_ON_C)\n") in text
 
@@ -410,7 +406,7 @@ class TestRendering:
         monitor = Requirement(req_id="mon.X", title="x", template=Template.WHEN,
                               guard=guard, required=DefRef("to_error_"))
         text = render_requirements_markdown(
-            dataclasses.replace(model, requirements=(monitor,)))
+            model._replace(requirements=(monitor,)))
         assert ("Whenever\n"
                 "  The fsm is in state start at the start of the round\n"
                 "  or The fsm is in state get_cmd at the start of the round and "
@@ -441,8 +437,8 @@ def test_generation_requires_packet_templates(spec):
 def test_a_state_kind_without_an_operation_is_an_explicit_error(spec):
     # a control state other than start, get_cmd and cmd_finish has no
     # operation; it must not be read as a packet creator
-    roster = dataclasses.replace(
-        spec.roster, states=(*spec.roster.states, StateDef("idle", StateKind.CONTROL)))
+    roster = spec.roster._replace(
+        states=(*spec.roster.states, StateDef("idle", StateKind.CONTROL)))
     fsm = {e: dict(m) for e, m in spec.fsm.items()}
     fsm["EVT_6"]["start"] = "idle"
     with pytest.raises(AssertionError, match="unhandled kind StateKind.CONTROL for 'idle'"):

@@ -288,7 +288,7 @@ class TestOperationTable:
         assert step(spec, self.at(spec, "set_vLED")).next.packet is shipped
 
     def test_a_state_that_cannot_be_bound_raises_only_when_it_runs(self, spec):
-        roster = dataclasses.replace(spec.roster, states=(
+        roster = spec.roster._replace(states=(
             *spec.roster.states, StateDef("idle", StateKind.CONTROL),
             StateDef("set_extra", StateKind.CREATOR_STAGE1)))
         extended = dataclasses.replace(spec, roster=roster)

@@ -8,7 +8,7 @@ Module-level code, which runs once, may load them.  Every dataclass and
 every ``NamedTuple`` class has a docstring: without one, Python 3.11's
 ``dataclass`` computes ``inspect.signature`` of the class at import to make
 one, and a named tuple gets only its field list.  Every dataclass is listed
-in ``DATACLASSES`` with the one feature it needs that a named tuple lacks;
+in ``DATACLASSES`` with the features it needs that a named tuple lacks;
 any other record is a ``NamedTuple``, which a cold import creates several
 times faster.  No ``NamedTuple`` field defaults to a mutable literal:
 unlike a dataclass, a named tuple accepts one silently and shares it
@@ -104,20 +104,15 @@ def test_every_dataclass_and_named_tuple_has_a_docstring():
     assert undocumented == []
 
 
-# Each dataclass in the package and the one feature a named tuple lacks that
+# Each dataclass in the package and the features a named tuple lacks that
 # it needs.  A record that needs none of them is a ``NamedTuple``: creating a
-# frozen dataclass costs a cold import several times as much.
-_DICT = "values cached in the instance __dict__"
-_OWN_TYPE = "equal only to a node of its own type, never to a tuple"
+# frozen dataclass costs a cold import several times as much.  A named tuple
+# subclass without ``__slots__`` keeps an instance ``__dict__`` for cached
+# values, and explicit ``__eq__`` and ``__ne__`` keep a node equal only to
+# its own type, so neither of those makes a dataclass.
 DATACLASSES = {
-    "Roster": _DICT,
-    "DataDictionary": _DICT,
-    "RequirementsModel": _DICT + " (the engine's _plan)",
-    "SpecDocument": "dict defaults made fresh per instance, dataclasses.replace "
-                    "in perfbench/workloads.py, and " + _DICT + " (opmodel's table)",
-    **dict.fromkeys(("Lit", "SigRead", "ModeActive", "DefRef", "BoolOp", "BinOp", "Not"),
-                    _OWN_TYPE),
-    "EvalContext": "none: the test-only reference evaluator, bound for tests/",
+    "SpecDocument": "dict defaults made fresh per instance, and "
+                    "dataclasses.replace in perfbench/workloads.py",
 }
 
 

@@ -104,6 +104,9 @@ def test_parse_error_positions_match_hand_count():
         (MINIMAL + "packet set_vLED addr=Optrode-addr cmd=nil data=nil\n", 13, 22,
          "invalid identifier 'Optrode-addr'",
          "packet set_vLED addr=Optrode-addr cmd=nil data=nil"),
+        # the column is the value's own, not where its text first occurs
+        (MINIMAL + "packet set_vLED addr=A9 cmd=9 data=nil\n", 13, 29,
+         "invalid identifier '9'", "packet set_vLED addr=A9 cmd=9 data=nil"),
         (MINIMAL + "transition CONT set_vLED -> send_packet_6\n" * 2, 14, 1,
          "duplicate transition for (CONT, set_vLED)",
          "transition CONT set_vLED -> send_packet_6"),

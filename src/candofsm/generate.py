@@ -57,7 +57,6 @@ from .reqs.model import (
     TRIGGER_ON_EVENT,
     WHEN,
     BoolType,
-    ConstantDef,
     DataDictionary,
     Definition,
     EnumType,
@@ -159,10 +158,6 @@ def _dictionary(spec: SpecDocument) -> DataDictionary:
         EnumType("Address", addr_symbols),
         EnumType("PacketData", data_symbols),
     )
-    constants = (
-        ConstantDef("PACKET_LENGTH", "int", PACKET_LENGTH),
-        ConstantDef("MAX_COUNT", "int", MAX_COUNT),
-    )
     # naturals are modelled as integers with an explicit floor of zero
     signals = (
         SignalDef("current_event", "Event", initial=CONT),
@@ -184,8 +179,7 @@ def _dictionary(spec: SpecDocument) -> DataDictionary:
     modes = (
         ModeComponent(STATE_COMPONENT, roster.state_names, initial=START),
     )
-    return DataDictionary(types=types, constants=constants, signals=signals,
-                          modes=modes)
+    return DataDictionary(types=types, signals=signals, modes=modes)
 
 
 def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
@@ -475,7 +469,7 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
     )
     model.validate()
     report = GenReport(
-        data_records=model.dictionary.record_count,
+        data_records=sum(map(len, model.dictionary)),   # types, signals, modes
         definitions=len(model.definitions),
         requirements=len(model.requirements),
     )

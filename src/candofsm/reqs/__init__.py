@@ -1,7 +1,10 @@
 """Round-based declarative requirements engine.
 
-A model is a data dictionary (types, constants, signals, mode components),
-a set of named definitions, and template-typed requirements.  Execution is
+A model is a data dictionary (types, signals, mode components), a set of
+named definitions, and template-typed requirements.  The language keeps only
+what the translation emits: four templates, enum and bool types, bounded
+int signals, and the binary operators ``=``, ``<``, ``>=`` and ``+`` over
+natural-number, boolean, nil and enum literals.  Execution is
 in rounds: every record has a start-of-round and an end-of-round value, and
 requirements either contribute end-of-round effects or monitor the outcome.
 """
@@ -20,7 +23,6 @@ from .expr import (
 )
 from .model import (
     BoolType,
-    ConstantDef,
     DataDictionary,
     Definition,
     EnumType,
@@ -38,8 +40,8 @@ from .model import (
 from .engine import RoundResult, env_of, fire_round, run_requirements_trace
 
 __all__ = [
-    "BinOp", "BoolOp", "BoolType", "ConstantDef",
-    "DataDictionary", "DefRef", "Definition", "EnumType", "Env", "EvalError",
+    "BinOp", "BoolOp", "BoolType", "DataDictionary", "DefRef", "Definition",
+    "EnumType", "Env", "EvalError",
     "IllegalEndOfRoundRead", "Lit", "ModeActive", "ModeAssign",
     "ModeComponent", "ModelError", "Not",
     "Requirement", "RequirementsModel", "RoundResult",

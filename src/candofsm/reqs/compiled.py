@@ -43,12 +43,10 @@ missed.
 
 from __future__ import annotations
 
-import operator
 from typing import Mapping
 
 from .expr import (
-    ARITHMETIC,
-    COMPARISONS,
+    INT_OPERATORS,
     BinOp,
     BoolOp,
     DefRef,
@@ -67,12 +65,6 @@ EMPTY: frozenset = frozenset()
 # The value of a signal a start does not hold, or whose value cannot key a
 # lookup: no literal on that signal is missed.
 ABSENT = object()
-
-_INT_OPERATORS = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-}
-
 
 def active_modes(modes: Mapping[str, frozenset[str]]) -> frozenset:
     """The (component, mode) pairs active in a mode snapshot."""
@@ -327,11 +319,8 @@ def _binary(op: str, left: Compiled, right: Compiled):
     left, right = left.fn, right.fn
     if op == "=":
         return lambda frame: left(frame) == right(frame)
-    if op == "!=":
-        return lambda frame: left(frame) != right(frame)
-    if op in COMPARISONS or op in ARITHMETIC:
-        apply = _INT_OPERATORS[op]
-
+    apply = INT_OPERATORS.get(op)
+    if apply is not None:
         def fn(frame):
             lo, hi = left(frame), right(frame)
             if type(lo) is int and type(hi) is int:

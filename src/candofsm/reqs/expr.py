@@ -7,8 +7,9 @@ explicitly.
 
 The nodes are literals, signal reads, mode reads (``at`` start or end of
 round), references to parameterless definitions, ``not``, one n-ary
-:class:`BoolOp` per ``and``/``or`` chain, and :class:`BinOp` for
-comparisons and arithmetic.
+:class:`BoolOp` per ``and``/``or`` chain, and :class:`BinOp` for the
+comparisons ``=``, ``<`` and ``>=`` and the sum ``+``: the operators the
+translation emits.
 
 Nodes are built through a :class:`Nodes` table, which builds each
 structurally distinct node once: a model built through one table is a DAG
@@ -23,6 +24,7 @@ before, ``Lit(0) == Lit(False)``.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, NamedTuple
 
 
@@ -57,7 +59,7 @@ class Lit(NamedTuple):
 
 
 class SigRead(NamedTuple):
-    """The start-of-round value of a signal or constant."""
+    """The start-of-round value of a signal."""
 
     name: str
 
@@ -92,9 +94,9 @@ class BoolOp(NamedTuple):
 
 
 class BinOp(NamedTuple):
-    """A comparison or an arithmetic operation on two operands."""
+    """A comparison or a sum of two operands."""
 
-    op: str  # = != < <= > >= + - *
+    op: str  # = < >= +
     left: object
     right: object
 
@@ -148,8 +150,8 @@ class Nodes:
         return self._node((op, *map(id, operands)), BoolOp, op, operands)
 
 
-COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
-ARITHMETIC = {"+", "-", "*"}
+# The operators on two integers, each to its function.
+INT_OPERATORS = {"<": operator.lt, ">=": operator.ge, "+": operator.add}
 
 
 class EvalContext(NamedTuple):
@@ -218,14 +220,8 @@ def eval_expr(expr, ctx: EvalContext):
         right = eval_expr(expr.right, ctx)
         if op == "=":
             return left == right
-        if op == "!=":
-            return left != right
-        if op in COMPARISONS:
-            lo, hi = _as_int(left, op), _as_int(right, op)
-            return {"<": lo < hi, "<=": lo <= hi, ">": lo > hi, ">=": lo >= hi}[op]
-        if op in ARITHMETIC:
-            lo, hi = _as_int(left, op), _as_int(right, op)
-            return {"+": lo + hi, "-": lo - hi, "*": lo * hi}[op]
+        if op in INT_OPERATORS:
+            return INT_OPERATORS[op](_as_int(left, op), _as_int(right, op))
         raise EvalError(f"unknown operator {op!r}")
     raise EvalError(f"not an expression node: {expr!r}")
 

@@ -112,14 +112,6 @@ class EnumType(NamedTuple):
     members: tuple[str, ...]
 
 
-class ConstantDef(NamedTuple):
-    """A named constant: its type and value."""
-
-    name: str
-    type_name: str
-    value: object
-
-
 class SignalDef(NamedTuple):
     """A signal: its type, optional bounds and initial value."""
 
@@ -142,13 +134,12 @@ class _DictionaryFields(NamedTuple):
     """:class:`DataDictionary`'s fields, in order, with their defaults."""
 
     types: tuple = ()
-    constants: tuple[ConstantDef, ...] = ()
     signals: tuple[SignalDef, ...] = ()
     modes: tuple[ModeComponent, ...] = ()
 
 
 class DataDictionary(_DictionaryFields):
-    """The types, constants, signals and mode components of a model.
+    """The types, signals and mode components of a model.
     ``domains`` is cached in the instance ``__dict__``."""
 
     __setattr__ = __delattr__ = refuse_assignment
@@ -159,24 +150,12 @@ class DataDictionary(_DictionaryFields):
                 return t
         return None
 
-    @property
-    def record_count(self) -> int:
-        return (len(self.types) + len(self.constants)
-                + len(self.signals) + len(self.modes))
-
     def validate(self) -> None:
-        names = ([t.name for t in self.types] + [c.name for c in self.constants]
-                 + [s.name for s in self.signals] + [m.name for m in self.modes])
+        names = ([t.name for t in self.types] + [s.name for s in self.signals]
+                 + [m.name for m in self.modes])
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate dictionary record names: {dupes}")
-        for c in self.constants:
-            domain = self.domain(c.type_name)
-            if domain is None:
-                raise ModelError(f"constant {c.name!r}: unknown type {c.type_name!r}")
-            fault = domain.fault(c.value)
-            if fault is not None:
-                raise ModelError(f"constant {c.name!r}: value {c.value!r} {fault}")
         for s in self.signals:
             lo, hi = s.minimum, s.maximum
             domain = self.domain(s.type_name, lo, hi)
@@ -203,8 +182,7 @@ class DataDictionary(_DictionaryFields):
         """Signal name -> the values it admits (None: its type is unknown)."""
         return {s.name: self.domain(s.type_name, s.minimum, s.maximum) for s in self.signals}
 
-    def domain(self, name: str, lo: int | None = None,
-               hi: int | None = None) -> Domain | None:
+    def domain(self, name: str, lo: int | None, hi: int | None) -> Domain | None:
         """The values type ``name`` admits, an int within ``[lo, hi]``; None
         if the type is unknown."""
         t = self.type_named(name)
@@ -218,10 +196,9 @@ class DataDictionary(_DictionaryFields):
 
 
 class Domain(NamedTuple):
-    """The values a signal or constant admits.  Nil is always one.
-    Otherwise an int record takes an int that is not a bool, within its
-    bounds (a constant has none); a bool record takes a bool; an enum
-    record takes one of its members."""
+    """The values a signal admits.  Nil is always one.  Otherwise an int
+    signal takes an int that is not a bool, within its bounds; a bool
+    signal takes a bool; an enum signal takes one of its members."""
 
     kind: type                       # int, bool or str
     lo: int | None
@@ -313,8 +290,7 @@ class Env(NamedTuple):
 def initial_env(model: RequirementsModel,
                 overrides: Mapping[str, object] | None = None) -> Env:
     """Round-0 env from declared initial values; each override must fit its signal."""
-    signals: dict[str, object] = {c.name: c.value for c in model.dictionary.constants}
-    signals.update({s.name: s.initial for s in model.dictionary.signals})
+    signals = {s.name: s.initial for s in model.dictionary.signals}
     if overrides:
         domains = model.dictionary.domains
         for name, value in overrides.items():

@@ -4,7 +4,6 @@ One record per line, ``#`` comments::
 
     type Event enum { CONT ERROR }
     type Flag bool
-    const PACKET_LENGTH : int = 3
     signal bytes_sent : int min=0 max=3 init=0
     mode fsm { start get_cmd } exclusive init=start
     def from_start "The fsm is in state start ..." := mode(fsm.start) at start
@@ -15,13 +14,15 @@ A type is an ``enum`` or a ``bool``; an ``int`` signal is bounded on its own
 line.  A requirement is one of four forms: ``every C``, ``when G => C``,
 ``trigger G => EFFECTS [require C]`` and ``modeset COMPONENT exclusive``.
 
-Expressions are infix with ``and``/``or``/``not``, comparisons, arithmetic,
-and ``mode(C.M) at start|end``; a name declared by ``def`` refers to that
-definition.  How tightly each operator binds is stated once, in
-``_PRECEDENCE``: :func:`render_expr` brackets by it and the parser climbs
-it.  A run of ``and`` (or of ``or``) parses to one n-ary ``BoolOp``; a
-parenthesised run stays a nested node, and the serializer parenthesises it
-again.  Comparisons do not chain; arithmetic nests to the left.  Records
+Expressions are infix with ``and``/``or``/``not``, the comparisons ``=``,
+``<`` and ``>=``, the sum ``+``, and ``mode(C.M) at start|end``; a literal
+is a natural number, ``true``, ``false``, ``nil`` or an enum member, and a
+name declared by ``def`` refers to that definition.  How tightly each
+operator binds is stated once, in ``_PRECEDENCE``: :func:`render_expr`
+brackets by it and the parser climbs it.  A run of ``and`` (or of ``or``)
+parses to one n-ary ``BoolOp``; a parenthesised run stays a nested node,
+and the serializer parenthesises it again.  Comparisons do not chain; sums
+nest to the left.  Records
 must be declared before use, which is the order the serializer emits.
 
 Outside titles and comments, a character no token of the grammar matches
@@ -45,7 +46,6 @@ from .model import (
     TRIGGER_ON_EVENT,
     WHEN,
     BoolType,
-    ConstantDef,
     DataDictionary,
     Definition,
     EnumType,
@@ -60,14 +60,13 @@ from .model import (
 
 # How tightly each binary operator binds; the parser and render_expr both
 # read this table.  ``and`` and ``or`` chain into one n-ary node,
-# comparisons do not chain, and arithmetic nests to the left.
-_PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
-               ">=": 4, "+": 5, "-": 5, "*": 6}
+# comparisons do not chain, and sums nest to the left.
+_PRECEDENCE = {"or": 1, "and": 2, "=": 4, "<": 4, ">=": 4, "+": 5}
 _NOT_PRECEDENCE = 3
 _COMPARISON_PRECEDENCE = 4
 _WORDS = {"true": True, "false": False, "nil": None}
 
-_TOKEN = r":=|=>|!=|<=|>=|[(){},.=<>+*:-]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
+_TOKEN = r":=|=>|>=|[(){},.=<+:]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
 _TOKEN_RE = re.compile(_TOKEN)
 # the longest run of tokens and spaces from the start of a text: where it
 # stops short of the end is the first character outside the grammar
@@ -81,12 +80,11 @@ class _Scope:
     def __init__(self) -> None:
         self.nodes = Nodes()
         self.types: list = []
-        self.constants: list[ConstantDef] = []
         self.signals: list[SignalDef] = []
         self.modes: list[ModeComponent] = []
         self.definitions: list[Definition] = []
         self.requirements: list[Requirement] = []
-        self.value_names: set[str] = set()      # signals + constants
+        self.signal_names: set[str] = set()
         self.enum_members: set[str] = set()
         self.component_names: set[str] = set()
         self.definition_names: set[str] = set()
@@ -156,19 +154,14 @@ def _quote(text: str) -> str:
 
 
 def _parse_literal(cur: _Cursor):
-    """``true``, ``false``, ``nil``, an integer with an optional ``-``, or a
-    name, which is returned as it is written."""
+    """``true``, ``false``, ``nil``, a natural number, or a name, which is
+    returned as it is written."""
     tok = cur.next()
     if tok in _WORDS:
         return _WORDS[tok]
-    sign = 1
-    if tok == "-":
-        sign, tok = -1, cur.next()
-        if not tok.isdigit():
-            raise cur.error(f"expected a number after '-', got {tok!r}")
     if tok.isdigit():
         try:
-            return sign * int(tok)
+            return int(tok)
         except ValueError:   # more digits than int() converts
             raise cur.error(f"integer of {len(tok)} digits is too long") from None
     if tok.isidentifier():
@@ -223,7 +216,7 @@ def _parse_operand(cur: _Cursor, scope: _Scope, floor: int):
     value = _parse_literal(cur)
     if type(value) is not str:
         return nodes.lit(value)
-    if value in scope.value_names:
+    if value in scope.signal_names:
         return nodes.sig(value)
     if value in scope.enum_members:
         return nodes.lit(value)
@@ -284,15 +277,6 @@ def _parse_type_line(cur: _Cursor, scope: _Scope) -> None:
     scope.types.append(t)
 
 
-def _parse_const_line(cur: _Cursor, scope: _Scope) -> None:
-    name = cur.name()
-    cur.expect(":")
-    type_name = cur.name()
-    cur.expect("=")
-    scope.constants.append(ConstantDef(name, type_name, _parse_literal(cur)))
-    scope.value_names.add(name)
-
-
 def _parse_signal_line(cur: _Cursor, scope: _Scope) -> None:
     name = cur.name()
     cur.expect(":")
@@ -308,7 +292,7 @@ def _parse_signal_line(cur: _Cursor, scope: _Scope) -> None:
         name, type_name,
         minimum=opts.get("min"), maximum=opts.get("max"),
         initial=opts.get("init")))
-    scope.value_names.add(name)
+    scope.signal_names.add(name)
 
 
 def _parse_mode_line(cur: _Cursor, scope: _Scope) -> None:
@@ -327,8 +311,8 @@ def _parse_mode_line(cur: _Cursor, scope: _Scope) -> None:
     scope.component_names.add(name)
 
 
-_DICTIONARY_LINES = {"type": _parse_type_line, "const": _parse_const_line,
-                     "signal": _parse_signal_line, "mode": _parse_mode_line}
+_DICTIONARY_LINES = {"type": _parse_type_line, "signal": _parse_signal_line,
+                     "mode": _parse_mode_line}
 
 
 def _parse_def_line(line: str, lineno: int, raw: str, scope: _Scope) -> None:
@@ -401,8 +385,8 @@ def parse_model(text: str) -> RequirementsModel:
             raise ParseError(lineno, 1, f"unknown directive {head!r}", raw)
     model = RequirementsModel(
         dictionary=DataDictionary(
-            types=tuple(scope.types), constants=tuple(scope.constants),
-            signals=tuple(scope.signals), modes=tuple(scope.modes)),
+            types=tuple(scope.types), signals=tuple(scope.signals),
+            modes=tuple(scope.modes)),
         definitions=tuple(scope.definitions),
         requirements=tuple(scope.requirements),
     )
@@ -442,7 +426,7 @@ def render_expr(expr, parent_prec: int = 0) -> str:
     if isinstance(expr, BinOp):
         prec = _PRECEDENCE[expr.op]
         # comparisons do not chain: both operands sit one level tighter; the
-        # parser nests arithmetic to the left
+        # parser nests sums to the left
         left_prec = prec + 1 if prec == _COMPARISON_PRECEDENCE else prec
         text = (f"{render_expr(expr.left, left_prec)} {expr.op} "
                 f"{render_expr(expr.right, prec + 1)}")
@@ -481,8 +465,6 @@ def serialize_model(model: RequirementsModel) -> str:
             lines.append(f"type {t.name} enum {{ {' '.join(t.members)} }}")
         else:
             lines.append(f"type {t.name} bool")
-    for c in model.dictionary.constants:
-        lines.append(f"const {c.name} : {c.type_name} = {_lit_text(c.value)}")
     for s in model.dictionary.signals:
         opts = ""
         if s.minimum is not None:

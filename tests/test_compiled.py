@@ -42,9 +42,9 @@ from candofsm.reqs import (
 from candofsm.reqs.compiled import ABSENT, Compiler, Frame, active_modes
 from candofsm.reqs import engine
 from candofsm.reqs.engine import STATE_COMPONENT, _Plan, _plan_of
-from candofsm.reqs.expr import EvalContext, eval_expr
+from candofsm.reqs.expr import INT_OPERATORS, EvalContext, eval_expr
 from candofsm.reqs.model import Env
-from candofsm.reqs.text import parse_model
+from candofsm.reqs.text import _PRECEDENCE, parse_model
 from candofsm.specio import ParseError
 from test_reqs import small, tiny_model, walk
 
@@ -93,17 +93,22 @@ def model_expressions(model) -> list:
     return found
 
 
+# the signals the generated model reads as integers, and as booleans
+COUNTERS = ("bytes_sent", "bytes_received", "tx_cnt", "next_bytes_sent",
+            "next_bytes_received", "next_tx_cnt")
+FLAGS = ("command_finish_flag", "optrode_TX_finish", "optrode_RX_finish")
+
+
 def sampled_signals(rng, base: dict, spec) -> dict:
     signals = dict(base)
     signals["current_event"] = rng.choice(spec.roster.event_names + (None,))
     signals["current_command"] = rng.choice(spec.roster.command_names)
-    for name in ("bytes_sent", "bytes_received", "tx_cnt", "next_bytes_sent",
-                 "next_bytes_received", "next_tx_cnt"):
+    for name in COUNTERS:
         signals[name] = rng.randrange(-1, 6)
-    for name in ("command_finish_flag", "optrode_TX_finish", "optrode_RX_finish"):
+    for name in FLAGS:
         signals[name] = rng.random() < 0.5
-    if rng.random() < 0.15:   # a value of the wrong type
-        name = rng.choice(sorted(signals))
+    if rng.random() < 0.15:   # a value of the wrong type, where an operator reads it
+        name = rng.choice(COUNTERS + FLAGS)
         signals[name] = rng.choice([True, 1, 0, "x", None])
     if rng.random() < 0.05:   # a missing record
         del signals[rng.choice(sorted(signals))]
@@ -250,6 +255,14 @@ def test_the_language_has_no_node_type_the_translation_does_not_emit(model):
     assert emitted == set(Compiler({})._by_type)
 
 
+def test_the_language_has_no_binary_operator_the_translation_does_not_emit(model):
+    # the reader's table, both evaluators' and the generated model's agree
+    emitted = {node.op for expr in model_expressions(model) for node in walk(expr)
+               if type(node) is BinOp}
+    assert emitted == {"=", *INT_OPERATORS} == set(_PRECEDENCE) - {"and", "or"} \
+        == {"=", "<", ">=", "+"}
+
+
 def test_the_language_has_no_template_the_translation_does_not_emit(model):
     assert {req.template for req in model.requirements} == set(Template)
 
@@ -315,7 +328,7 @@ HAND_CASES = [
     BinOp("+", Lit(1), Lit(True)),
     BinOp("+", Lit(None), SigRead("x")),
     BinOp(">=", SigRead("x"), Lit(3)),
-    BinOp("*", SigRead("x"), Lit(4)),
+    BinOp("+", SigRead("flag"), Lit(4)),
     # unknown records, definitions and operators
     SigRead("nowhere"),
     DefRef("nowhere"),
@@ -617,7 +630,7 @@ def test_an_or_of_literals_on_one_signal_gives_one_exact_term_per_literal():
 @pytest.mark.parametrize("either", [
     or_(ev_is("green"), BinOp("=", SigRead("x"), Lit(1))),
     or_(ev_is("green"), BinOp("<", SigRead("x"), Lit(5))),
-    or_(ev_is("green"), BinOp("!=", SigRead("ev"), Lit("red"))),
+    or_(ev_is("green"), Not(BinOp("=", SigRead("ev"), Lit("red")))),
     or_(ev_is("green"), and_(lamp_is("off"), ev_is("red"))),
 ], ids=["two-signals", "a-comparison", "an-inequality", "an-and"])
 def test_an_or_that_is_not_literals_on_one_signal_keeps_the_mode_only_support(either):

@@ -44,7 +44,6 @@ from candofsm.reqs.expr import (
 )
 from candofsm.reqs.model import (
     BoolType,
-    ConstantDef,
     DataDictionary,
     Definition,
     EnumType,
@@ -92,7 +91,6 @@ NAMED_TUPLES = (
     EquivalenceReport({}, 500, {}),
     BoolType("flag_t"),
     EnumType("state_t", ("start",)),
-    ConstantDef("limit", "int", 3),
     SignalDef("bytes_sent", "int", 0, 3, 0),
     ModeComponent("fsm", ("start",), "start"),
     Definition("ready", "ready", None),

@@ -171,7 +171,7 @@ class TestFireRound:
         assert violations(trigger("writes and demands", Lit(True), x_is_5,
                                   SignalAssign("x", Lit(5)))) == []
         # a guard that is false at the start never reads the condition
-        assert violations(trigger("never armed", BinOp(">", SigRead("x"), Lit(0)),
+        assert violations(trigger("never armed", BinOp("<", Lit(0), SigRead("x")),
                                   unset)) == []
         # a condition that fails to evaluate is one EVAL, not also a breach
         [(code, message)] = violations(trigger("reads c", Lit(True), unset))
@@ -379,10 +379,6 @@ class TestValidation:
             parse_model(f"{head}{line}\n")
 
     @pytest.mark.parametrize("line, message", [
-        ("const L : int = red", "constant 'L': value 'red' is not an int"),
-        ("const M : Colour = 3", "constant 'M': value 3 is not a member of Colour"),
-        ("const F : Flag = 1", "constant 'F': value 1 is not a bool"),
-        ("const N : Shade = 3", "constant 'N': unknown type 'Shade'"),
         ("signal x : int min=5 max=1 init=nil", "signal 'x': min 5 is above max 1"),
         ("signal x : int min=red init=0",
          "signal 'x': bounds 'red', None need an int signal and int values"),
@@ -390,21 +386,15 @@ class TestValidation:
          "signal 'x': bounds None, True need an int signal and int values"),
         ("signal f : Flag min=0 max=1",
          "signal 'f': bounds 0, 1 need an int signal and int values"),
-    ], ids=["int-constant-symbol", "enum-constant-int", "bool-constant-int",
-            "constant-of-unknown-type", "min-above-max", "symbol-bound", "bool-bound",
-            "bounds-on-a-bool"])
-    def test_a_constant_or_bound_its_type_cannot_hold_is_rejected(self, line, message):
+    ], ids=["min-above-max", "symbol-bound", "bool-bound", "bounds-on-a-bool"])
+    def test_a_bound_its_type_cannot_hold_is_rejected(self, line, message):
         head = "type Colour enum { red green }\ntype Flag bool\n"
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             parse_model(f"{head}{line}\n")
 
-    def test_constants_of_every_type_and_equal_bounds_are_accepted(self):
-        model = parse_model(
-            "type Colour enum { red green }\ntype Flag bool\nconst L : int = -3\n"
-            "const C : Colour = green\nconst F : Flag = true\nconst B : bool = nil\n"
-            "signal x : int min=2 max=2 init=2\n")
-        assert initial_env(model).signals == {"L": -3, "C": "green", "F": True,
-                                              "B": None, "x": 2}
+    def test_equal_bounds_are_accepted(self):
+        model = parse_model("signal x : int min=2 max=2 init=2\n")
+        assert initial_env(model).signals == {"x": 2}
 
     def test_a_nil_or_in_range_initial_value_is_accepted(self):
         model = parse_model(
@@ -419,16 +409,14 @@ class TestValidation:
         ("d", "BOGUS", "signal 'd': 'BOGUS' is not a member of Colour"),
         ("x", 99, "signal 'x': 99 is outside [0, 3]"),
         ("x", True, "signal 'x': True is not an int"),
-        ("L", 4, "'L': not a signal"),
         ("ghost", 1, "'ghost': not a signal"),
-    ], ids=["bogus-member", "out-of-range", "bool-in-an-int", "constant", "unknown"])
+    ], ids=["bogus-member", "out-of-range", "bool-in-an-int", "unknown"])
     def test_an_override_its_signal_does_not_admit_is_rejected(self, name, value, fault):
-        model = parse_model("type Colour enum { red green }\nconst L : int = 3\n"
+        model = parse_model("type Colour enum { red green }\n"
                             "signal x : int min=0 max=3 init=0\nsignal d : Colour init=red\n")
         with pytest.raises(ModelError, match=f"^override of {re.escape(fault)}$"):
             initial_env(model, {name: value})
-        assert initial_env(model, {"x": None, "d": None}).signals \
-            == {"L": 3, "x": None, "d": None}
+        assert initial_env(model, {"x": None, "d": None}).signals == {"x": None, "d": None}
 
     def test_duplicate_requirement_ids_rejected(self):
         with pytest.raises(ModelError, match="duplicate requirement ids"):
@@ -680,16 +668,15 @@ class TestReqText:
     def test_small_hand_written_model_parses(self):
         text = "\n".join([
             "type Colour enum { red green }",
-            "const LIMIT : int = 3",
             "signal x : int min=0 max=9 init=0",
             "signal hue : Colour init=red",
             "mode lamp { off on } exclusive init=off",
             'def lamp_on "The lamp is on" := mode(lamp.on) at start',
-            'req bump "count up" trigger lamp_on and x < LIMIT => '
+            'req bump "count up" trigger lamp_on and x < 3 => '
             'x := x + 1 require x = 1',
             'req ms "one lamp mode" modeset lamp exclusive',
             'req watch "hue stays red" when lamp_on => hue = red',
-            'req low "x stays below the limit" every x < LIMIT + 1',
+            'req low "x stays below the limit" every x < 3 + 1',
         ]) + "\n"
         model = parse_model(text)
         assert len(model.requirements) == 4
@@ -733,19 +720,17 @@ class TestReqText:
 
     @pytest.mark.parametrize("lines", [
         'req r "round trip" every (x = 1) = true',
-        'req r "round trip" every (x < 1) = (x > 2)',
+        'req r "round trip" every (x < 1) = (x >= 2)',
         'req r "round trip" every (not b) = true',
-        'req r "round trip" every (x = 1 or x = 2) or x = 3 and (b and x > 0)',
+        'req r "round trip" every (x = 1 or x = 2) or x = 3 and (b and 0 < x)',
         'req r "round trip" every ' + " or ".join(f"x = {i}" for i in range(1200)),
-        'req r "round trip" every ' + " and ".join(f"x != {i}" for i in range(1, 1201)),
+        'req r "round trip" every ' + " and ".join(f"not x = {i}" for i in range(1, 1201)),
         "type t enum { a b }\nsignal z : t init=a",
-        'const LIMIT : int = 3\nreq r "limit" every x < LIMIT',
-        'req r "product" every x * 2 = -1',
+        'req r "sum" every x + 2 + y = 1',
         'req r "lamp modes" modeset lamp exclusive',
     ], ids=["comparison-of-comparison", "comparisons-on-both-sides",
             "not-under-comparison", "nested-chains", "1200-operand-or",
-            "1200-operand-and", "enum-type", "constant",
-            "product-and-negative-literal", "exclusive-modeset"])
+            "1200-operand-and", "enum-type", "left-nested-sum", "exclusive-modeset"])
     def test_serialize_inverts_parse(self, lines):
         model = parse_model(TEXT_HEAD + f"{lines}\n")
         assert parse_model(serialize_model(model)) == model
@@ -776,7 +761,14 @@ class TestReqText:
          "unknown requirement template 'case'"),
         ("type t int [0, 3]", "unexpected character '['"),
         ("type t int", "unknown type kind 'int'"),
-        ("const LIMIT : int = 3 min=0 max=9 tol=1", "trailing tokens: 'min'"),
+        ("const LIMIT : int = 3 min=0 max=9 tol=1", "unknown directive 'const'"),
+        ("const LIMIT : int = 3", "unknown directive 'const'"),
+        ('req r "unequal" every x != 1', "unexpected character '!'"),
+        ('req r "at most" every x <= 1', "expected a literal, got '='"),
+        ('req r "above" every x > 1', "unexpected character '>'"),
+        ('req r "difference" every x - 1 = 0', "unexpected character '-'"),
+        ('req r "product" every x * 2 = 0', "unexpected character '*'"),
+        ('req r "negative" every x = -1', "unexpected character '-'"),
         ('req r "lamp modes" modeset lamp', "mode-set on 'lamp' must be 'exclusive'"),
         ("mode dial { low high } init=low", "mode component 'dial' must be 'exclusive'"),
         ('req r "at" every x = 1 @ $', "unexpected character '@'"),
@@ -793,7 +785,9 @@ class TestReqText:
             "mode-ever-inactive", "latch-holding-its-start-value", "latch-with-a-value",
             "onchange-monitor", "onchange-constructive", "within-n", "within-0",
             "within-n-atsomepoint", "total-case", "case", "two-branch-case",
-            "int-type", "unbounded-int-type", "constant-with-options",
+            "int-type", "unbounded-int-type", "constant-with-options", "constant",
+            "not-equal", "at-most",
+            "greater-than", "difference", "product", "negative-literal",
             "modeset-without-exclusive",
             "mode-without-exclusive", "stray-at", "stray-dollar", "stray-semicolon",
             "stray-ampersand", "stray-bar", "stray-bracket", "non-ascii-letter",

@@ -423,10 +423,9 @@ class TestEnvOf:
                 signals["next_tx_cnt"]) == (2, 1, 2)
 
     def test_a_hand_model_gets_only_the_records_it_declares(self):
-        model = parse_model("const LIMIT : int = 3\n"
-                            "signal bytes_sent : int min=0 max=3 init=0\n")
+        model = parse_model("signal bytes_sent : int min=0 max=3 init=0\n")
         env = env_of(model, ModelState("get_cmd", "CONT", "LED_ON_C", bytes_sent=2))
-        assert (env.signals, env.modes) == ({"LIMIT": 3, "bytes_sent": 2}, {})
+        assert (env.signals, env.modes) == ({"bytes_sent": 2}, {})
 
     def test_a_cell_its_signal_does_not_admit_raises(self, model):
         with pytest.raises(ModelError, match="'current_event': 'BOGUS' is not a member"):

@@ -1,7 +1,9 @@
 """Command line front end: check, simulate, diff, verify, report.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 violations or differences found, 2 parse or load error, 3 usage error.
+1 violations or differences found, 2 parse or load error or an output that
+cannot be written (a stdout closed early too), 3 usage error.  Every failure
+is one :class:`_Failure`, which :func:`main` prints.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import os
 import sys
 from collections import defaultdict
 
@@ -140,20 +143,16 @@ def _cmd_check(args) -> int:
     return ExitStatus.OK
 
 
-def _bad_budget(max_rounds: int) -> bool:
+def _check_budget(max_rounds: int) -> None:
     if max_rounds < 1:
-        print("--max-rounds must be at least 1", file=sys.stderr)
-        return True
-    return False
+        raise _Failure("--max-rounds must be at least 1", ExitStatus.USAGE)
 
 
 def _cmd_simulate(args) -> int:
     spec = _load(args.spec)
     if args.command not in spec.roster.command_names:
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return ExitStatus.USAGE
-    if _bad_budget(args.max_rounds):
-        return ExitStatus.USAGE
+        raise _Failure(f"unknown command {args.command!r}", ExitStatus.USAGE)
+    _check_budget(args.max_rounds)
     _require_checked(spec)
     if args.engine == "ops":
         from .opmodel import run
@@ -181,23 +180,19 @@ def _cmd_diff(args) -> int:
     ignore = {f for f in args.ignore.split(",") if f}
     unknown = sorted(ignore - set(TRACE_COLUMNS))
     if unknown:
-        print(f"--ignore: unknown fields {', '.join(unknown)} "
-              f"(columns: {', '.join(TRACE_COLUMNS)})", file=sys.stderr)
-        return ExitStatus.USAGE
+        raise _Failure(f"--ignore: unknown fields {', '.join(unknown)} "
+                       f"(columns: {', '.join(TRACE_COLUMNS)})", ExitStatus.USAGE)
     rows = []
     for path in (args.left, args.right):
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 rows.append(read_trace_csv(fh))
         except OSError as exc:
-            print(f"cannot read {path!r}: {exc}", file=sys.stderr)
-            return ExitStatus.LOAD_ERROR
+            raise _Failure(f"cannot read {path!r}: {exc}")
         except UnicodeDecodeError as exc:
-            print(_not_utf8(path, exc), file=sys.stderr)
-            return ExitStatus.LOAD_ERROR
+            raise _Failure(_not_utf8(path, exc))
         except ParseError as exc:
-            print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
-            return ExitStatus.LOAD_ERROR
+            raise _Failure(f"{path}:{exc.line}: {exc.message}")
     entries = diff(rows[0], rows[1], ignore=ignore)
     for e in entries:
         print(f"round {e.round}, {e.field}: {e.left!r} != {e.right!r}")
@@ -206,8 +201,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if _bad_budget(args.max_rounds):
-        return ExitStatus.USAGE
+    _check_budget(args.max_rounds)
     spec = _load(args.spec)
     violations = _all_checks(spec)
     if violations:
@@ -276,12 +270,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return int(args.func(args))
+        status = int(args.func(args))
+        sys.stdout.flush()   # here, so a closed pipe fails inside the guard
+        return status
     except RunError as exc:
         failure = _Failure(f"cannot run {exc.command} on the "
                            f"{_MODELS[exc.engine]} model: {exc}")
     except _Failure as exc:
         failure = exc
+    except BrokenPipeError as exc:
+        # the reader closed stdout; what is still buffered, and the flush at
+        # exit, go to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        failure = _Failure(f"cannot write to stdout: {exc}")
     print(str(failure), file=sys.stderr)
     return failure.status
 

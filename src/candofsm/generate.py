@@ -252,6 +252,27 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         return (binop("+", sig(counter), lit(1)),
                 binop("=", sig(counter), sig(f"next_{counter}")))
 
+    def count_bytes(counter: str, finish: str, flag: str, verb: str, noun: str):
+        """The branches a send and a receive share: while ``counter`` is
+        short of a packet, stage and commit one more byte and end in the
+        ``finish`` event (with its progress monitor); once it is full, reset
+        it and its shadow, raise ``flag`` and end in CONT.  Returns the full
+        branch's guard."""
+        counting = and_(arrive, binop("<", sig(counter), lit(PACKET_LENGTH)))
+        done = and_(arrive, eq(counter, PACKET_LENGTH))
+        up, committed = counts(counter)
+        toe("count_next", f"{state} stages the next byte count",
+            counting, [SignalAssign(f"next_{counter}", up)])
+        toe("count", f"{state} {verb} one byte",
+            counting, [SignalAssign(counter, up), set_("current_event", finish)],
+            required=committed)
+        toe("done", f"{state} completes the {noun}",
+            done, [set_(counter, 0), set_(f"next_{counter}", 0),
+                   set_(flag, True), set_("current_event", CONT)])
+        when("progress", f"{state} in progress ends in {finish}",
+             counting, and_(nodes.event_is(finish), committed))
+        return done
+
     if state == START:
         return ops, posts
     if state == CHIP_RST:
@@ -284,29 +305,15 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         when("flag", f"after {state} the finish flag is up",
              arrive, and_(nodes.event_is(CONT), sig("command_finish_flag")))
     elif kind is KIND_SEND:
-        counting = and_(arrive, binop("<", sig("bytes_sent"), lit(PACKET_LENGTH)))
-        done = and_(arrive, eq("bytes_sent", PACKET_LENGTH))
+        done = count_bytes("bytes_sent", SPI_TX_FINISH, "optrode_TX_finish", "sends",
+                           "transmission")
         can_count_tx = and_(done, binop("<", sig("tx_cnt"), lit(MAX_COUNT)))
-        byte_up, byte_committed = counts("bytes_sent")
         tx_up, tx_committed = counts("tx_cnt")
-        toe("count_next", f"{state} stages the next byte count",
-            counting, [SignalAssign("next_bytes_sent", byte_up)])
-        toe("count", f"{state} sends one byte",
-            counting,
-            [SignalAssign("bytes_sent", byte_up),
-             set_("current_event", SPI_TX_FINISH)],
-            required=byte_committed)
-        toe("done", f"{state} completes the transmission",
-            done, [set_("bytes_sent", 0), set_("next_bytes_sent", 0),
-                   set_("optrode_TX_finish", True),
-                   set_("current_event", CONT)])
         toe("tx_next", f"{state} stages the transmission count",
             can_count_tx, [SignalAssign("next_tx_cnt", tx_up)])
         toe("tx", f"{state} counts the completed transmission",
             can_count_tx, [SignalAssign("tx_cnt", tx_up)],
             required=tx_committed)
-        when("progress", f"{state} in progress ends in SPI_TX_FINISH",
-             counting, and_(nodes.event_is(SPI_TX_FINISH), byte_committed))
         when("complete", f"{state} completion counts the transmission",
              can_count_tx,
              and_(nodes.event_is(CONT), eq("bytes_sent", 0),
@@ -316,22 +323,8 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
              and_(nodes.event_is(CONT), eq("bytes_sent", 0),
                   sig("optrode_TX_finish"), eq("tx_cnt", MAX_COUNT)))
     elif kind is KIND_RECEIVE:
-        counting = and_(arrive, binop("<", sig("bytes_received"), lit(PACKET_LENGTH)))
-        done = and_(arrive, eq("bytes_received", PACKET_LENGTH))
-        byte_up, byte_committed = counts("bytes_received")
-        toe("count_next", f"{state} stages the next byte count",
-            counting, [SignalAssign("next_bytes_received", byte_up)])
-        toe("count", f"{state} receives one byte",
-            counting,
-            [SignalAssign("bytes_received", byte_up),
-             set_("current_event", SPI_RX_FINISH)],
-            required=byte_committed)
-        toe("done", f"{state} completes the reception",
-            done, [set_("bytes_received", 0), set_("next_bytes_received", 0),
-                   set_("optrode_RX_finish", True),
-                   set_("current_event", CONT)])
-        when("progress", f"{state} in progress ends in SPI_RX_FINISH",
-             counting, and_(nodes.event_is(SPI_RX_FINISH), byte_committed))
+        done = count_bytes("bytes_received", SPI_RX_FINISH, "optrode_RX_finish",
+                           "receives", "reception")
         when("complete", f"{state} completion raises the receive flag",
              done,
              and_(nodes.event_is(CONT), eq("bytes_received", 0),

@@ -315,9 +315,14 @@ class _ModelFields(NamedTuple):
 
 class RequirementsModel(_ModelFields):
     """A data dictionary, its definitions and its requirements.  The
-    engine keeps its plan in the instance ``__dict__``."""
+    engine keeps its plan in the instance ``__dict__``; a copy or an
+    unpickled model starts without one."""
 
     __setattr__ = __delattr__ = refuse_assignment
+
+    def __reduce__(self):
+        # from the fields only: the plan holds closures, which do not pickle
+        return type(self), tuple(self)
 
     def definition_map(self) -> dict[str, Definition]:
         return {d.name: d for d in self.definitions}

@@ -54,12 +54,18 @@ class PacketTemplate(NamedTuple):
 
 @dataclass(frozen=True)
 class SpecDocument:
-    """A spec: roster, transition table, dispatch map, packet templates."""
+    """A spec: roster, transition table, dispatch map, packet templates.
+    ``opmodel`` keeps its operation table in the instance ``__dict__``; a
+    copy or an unpickled spec starts without one."""
 
     roster: Roster
     fsm: Mapping[str, Mapping[str, str]]
     dispatch: Mapping[str, str] = field(default_factory=dict)
     packets: Mapping[str, PacketTemplate] = field(default_factory=dict)
+
+    def __reduce__(self):
+        # from the fields only: the operations are closures, which do not pickle
+        return type(self), (self.roster, self.fsm, self.dispatch, self.packets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecDocument):
@@ -270,7 +276,7 @@ def _parse_int(cell: str) -> int:
     try:
         return int(cell)
     except ValueError:
-        raise ValueError("bad integer cell") from None
+        raise ValueError(f"bad integer cell {cell!r}") from None
 
 
 def _parse_bool(cell: str) -> bool:
@@ -330,7 +336,8 @@ def read_trace_csv(fh: IO[str]) -> list[TraceRow]:
 
     Per-field attribution cannot be recovered from the flattened cell, so the
     ids come back under the single wildcard key ``"*"``.  The round column
-    must count 0, 1, 2, … down the rows.
+    must count 0, 1, 2, … down the rows.  An error names the file line on
+    which its record ends, and a bad cell's column.
     """
     import csv   # here, not at the top: a cold import should not load it
 
@@ -343,15 +350,19 @@ def read_trace_csv(fh: IO[str]) -> list[TraceRow]:
         raise ParseError(1, 1, f"bad trace header: expected {','.join(TRACE_COLUMNS)}")
 
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for rec in reader:
         if not rec:
             continue
+        lineno = reader.line_num   # a quoted cell may span lines
         if len(rec) != len(TRACE_COLUMNS):
             raise ParseError(lineno, 1, f"expected {len(TRACE_COLUMNS)} cells, got {len(rec)}")
-        try:
-            row = TraceRow(*[read(cell) for (_, _, read), cell in zip(_ROW_CODECS, rec)])
-        except ValueError as exc:
-            raise ParseError(lineno, 1, str(exc)) from None
+        cells = []
+        for (name, _, read), cell in zip(_ROW_CODECS, rec):
+            try:
+                cells.append(read(cell))
+            except ValueError as exc:
+                raise ParseError(lineno, 1, f"{name}: {exc}") from None
+        row = TraceRow(*cells)
         if row.round != len(rows):
             raise ParseError(lineno, 1, f"round {row.round} where round {len(rows)} "
                                         "was expected")

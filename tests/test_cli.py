@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 
@@ -22,6 +24,7 @@ from candofsm.specio import (
 )
 from candofsm.trace import MAX_ROUNDS, RunError, equivalence_report
 from conftest import mutate_table, with_no_stage_two_creator, with_second_error_state
+from test_specio import TWO_LINE_STATE_TRACE
 
 
 @pytest.fixture()
@@ -318,6 +321,14 @@ class TestDiff:
             f"{twice}:{len(rows) + 2}: round 0 where round {len(rows)} was expected\n"
             f"{late}:2: round 3 where round 0 was expected\n")
 
+    def test_an_error_after_a_two_line_cell_names_its_file_line(self, tmp_path, capsys):
+        bad = tmp_path / "two_line.csv"
+        bad.write_text(TWO_LINE_STATE_TRACE)
+        assert main(["diff", str(bad), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{bad}:4: tx_finish: bad boolean cell 'maybe'\n"
+
     def test_unreadable_file_exits_two(self, tmp_path):
         assert main(["diff", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
 
@@ -493,7 +504,7 @@ class TestTopLevel:
         module = importlib.import_module(package)
         for name in module.__all__:
             assert hasattr(module, name), name
-        removed = {"run_rounds", "run_reqs", "FieldMap", "PACKET_FIELD_MAP"}
+        removed = {"run_rounds", "run_reqs", "FieldMap", "PACKET_FIELD_MAP", "ConstantDef"}
         assert not removed & set(module.__all__)
         assert not any(hasattr(module, name) for name in removed)
 
@@ -503,3 +514,20 @@ class TestTopLevel:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "0 violations" in result.stdout
+
+    @pytest.mark.parametrize("command", [["verify"], ["simulate", "--command", "LED_ON_C"]],
+                             ids=["verify", "simulate"])
+    def test_a_stdout_with_no_reader_is_an_unwritable_output(self, spec_file, command):
+        # the read end is closed before the process starts, so its first
+        # write fails whatever the timing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "candofsm", command[0], spec_file, *command[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        assert result.stderr == f"cannot write to stdout: {broken}\n"

@@ -9,9 +9,10 @@ and default, or ``_replace`` and keyword construction drift from the
 declared record.  ``Roster``, ``DataDictionary`` and ``RequirementsModel``
 are named tuple subclasses that keep an instance ``__dict__`` for cached
 values but take no assignment; ``Roster``'s ``__new__`` rejects a
-duplicate name on every rebuild.  A cold ``import candofsm`` creates only
-the one dataclass that ``test_source_lint`` lists, and loads neither
-``json`` nor ``csv``.
+duplicate name on every rebuild.  A ``SpecDocument`` or a
+``RequirementsModel`` pickles from its fields only, leaving its cache.  A
+cold ``import candofsm`` creates only the one dataclass that
+``test_source_lint`` lists, and loads neither ``json`` nor ``csv``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import pytest
 import candofsm
 from candofsm import specio
 from candofsm.fsm import CONT, MemberDef, Roster, StateDef, StateKind, Violation
-from candofsm.generate import GenReport
-from candofsm.opmodel import ModelState, Packet, StepOutcome
-from candofsm.reqs.engine import RoundResult
+from candofsm.generate import GenReport, generate_model
+from candofsm.opmodel import ModelState, Packet, StepOutcome, run
+from candofsm.reqs.engine import RoundResult, run_requirements_trace
 from candofsm.reqs.expr import (
     BinOp,
     BoolOp,
@@ -57,6 +58,7 @@ from candofsm.reqs.model import (
     Template,
 )
 from candofsm.trace import (
+    MAX_ROUNDS,
     ROW_COLUMNS,
     DiffEntry,
     EquivalenceReport,
@@ -183,6 +185,22 @@ def test_a_roster_rebuild_rejects_a_duplicate_name():
         assert again == ROSTER and type(again) is Roster
         with pytest.raises(ValueError, match=r"duplicate event names: \['CONT'\]"):
             rebuild(bad)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_spec_and_a_model_that_have_run_pickle_without_their_caches(protocol):
+    # the spec's operation table and the model's plan hold closures
+    spec = specio.load_bundled_cando()
+    model, _ = generate_model(spec)
+    traces = (run(spec, "LED_ON_C", MAX_ROUNDS),
+              run_requirements_trace(model, "LED_ON_C", MAX_ROUNDS))
+    spec_copy = pickle.loads(pickle.dumps(spec, protocol))
+    model_copy = pickle.loads(pickle.dumps(model, protocol))
+    assert "_operations" not in vars(spec_copy) and "_plan" not in vars(model_copy)
+    assert (spec_copy, model_copy) == (spec, model)
+    assert type(spec_copy) is type(spec) and type(model_copy) is type(model)
+    assert (run(spec_copy, "LED_ON_C", MAX_ROUNDS),
+            run_requirements_trace(model_copy, "LED_ON_C", MAX_ROUNDS)) == traces
 
 
 def test_a_default_attribution_is_one_read_only_mapping():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from candofsm.fsm import MemberDef, Roster, StateDef, StateKind
 from candofsm.specio import (
+    TRACE_COLUMNS,
     ParseError,
     PacketTemplate,
     SpecDocument,
@@ -290,12 +291,25 @@ def test_trace_csv_bad_header_rejected():
 
 
 def test_trace_csv_bad_cells_rejected():
-    from candofsm.specio import TRACE_COLUMNS
-
     header = ",".join(TRACE_COLUMNS)
     bad_bool = header + "\n0,s,e,c,,,,0,0,0,maybe,false,false,\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 2, column 1: tx_finish: bad boolean "
+                                         "cell 'maybe'$"):
         read_trace_csv(io.StringIO(bad_bool))
     bad_int = header + "\nx,s,e,c,,,,0,0,0,true,false,false,\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 2, column 1: round: bad integer "
+                                         "cell 'x'$"):
         read_trace_csv(io.StringIO(bad_int))
+
+
+# row 0's state is quoted across file lines 2 and 3; row 1, on line 4, has a
+# bad boolean
+TWO_LINE_STATE_TRACE = ",".join(TRACE_COLUMNS) + (
+    '\n0,"sta\nrt",e,c,,,,0,0,0,false,false,false,\n'
+    "1,s,e,c,,,,0,0,0,maybe,false,false,\n")
+
+
+def test_a_trace_csv_error_names_the_file_line_after_a_two_line_cell():
+    with pytest.raises(ParseError) as err:
+        read_trace_csv(io.StringIO(TWO_LINE_STATE_TRACE))
+    assert (err.value.line, err.value.message) == (4, "tx_finish: bad boolean cell 'maybe'")

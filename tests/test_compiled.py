@@ -334,6 +334,7 @@ HAND_CASES = [
     DefRef("nowhere"),
     and_(Lit(True), DefRef("nowhere")),
     BinOp("%", SigRead("x"), Lit(2)),
+    BinOp("*", SigRead("x"), Lit(4)),   # an operator the language dropped
     BinOp("%", SigRead("nowhere"), Lit(2)),
     "not a node",
     # end-of-round reads, inlined or not

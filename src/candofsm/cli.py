@@ -29,6 +29,7 @@ from .generate import (
     generate_model,
     render_requirements_markdown,
 )
+from .reqs.model import ModelError
 from .specio import (
     TRACE_COLUMNS,
     ParseError,
@@ -92,7 +93,7 @@ def _generate(spec: SpecDocument):
     into a model is a load error."""
     try:
         return generate_model(spec)
-    except FsmError as exc:
+    except (FsmError, ModelError) as exc:
         raise _Failure(f"cannot generate the requirements model: {exc}")
 
 
@@ -149,10 +150,10 @@ def _check_budget(max_rounds: int) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    _check_budget(args.max_rounds)
     spec = _load(args.spec)
     if args.command not in spec.roster.command_names:
         raise _Failure(f"unknown command {args.command!r}", ExitStatus.USAGE)
-    _check_budget(args.max_rounds)
     _require_checked(spec)
     if args.engine == "ops":
         from .opmodel import run

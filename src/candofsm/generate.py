@@ -9,10 +9,12 @@ requirement ("<from> to <to>") guarded as a hand modeller would guard it,
 ``from_<from> and (current_event = E1 or …)`` over the events of the
 entries that lead along it, with the data-dependent get_cmd hand-off
 guarded by the target's command group as a disjunct of its own.
-``arrive_<state>`` is the OR of the guards of the arrows into the state, and
-each state's operation is built once: one guarded requirement per
-conditional branch, with a strengthened end-of-round monitor per branch
-(exact end event and counter delta) on the same guard.
+``arrive_<state>`` is the OR of the guards of the arrows into the state,
+and ``arrive_kind_<part>`` the OR of a kind's ``arrive_<state>``.  As a VDM
+modeller writes them, the send and receive operations and a creator's end
+event are built once per kind, the rest once per state: one guarded
+requirement per conditional branch, with a strengthened end-of-round
+monitor per branch (exact end event and counter delta) on the same guard.
 
 Every expression node is built through one node table per
 :func:`generate_model` call: a :class:`~.reqs.expr.Nodes` with the
@@ -81,6 +83,7 @@ PROJECT = "cando"
 _GROUPS = {
     StateKind.SEND: ("send", "send"),
     StateKind.RECEIVE: ("receive", "receive"),
+    StateKind.CREATOR: ("creator", "packet creation"),
     StateKind.CREATOR_STAGE1: ("creator_stage1", "stage-one packet creation"),
     StateKind.CREATOR_STAGE2: ("creator_stage2", "stage-two packet creation"),
     StateKind.ERROR: ("error", "error"),
@@ -217,34 +220,34 @@ def _arrows(spec: SpecDocument, nodes: _Nodes) -> dict[tuple[str, str], object]:
             for arrow in sorted(terms, key=lambda a: (index[a[0]], index[a[1]]))}
 
 
-def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
-        list[Requirement], list[Requirement]]:
-    """The operation of one state, split per conditional branch, and one
+def _operation(spec: SpecDocument, kind: StateKind, nodes: _Nodes, ops: list,
+               posts: list, state: str | None = None) -> None:
+    """An operation split per conditional branch, into ``ops``, and one
     strengthened post-condition monitor per branch (the exact end event and
-    counter value relative to its start), each branch guard built once for
-    both.  Counter updates go through next_* shadows, each commit checked
-    by its trigger's required condition and each reset zeroing both, so a
-    shadow equals its counter at every round boundary.  Returns
-    the ``op.*`` and the ``post.*`` requirements."""
-    kind = spec.roster.kind_of(state)
-    arrive = nodes.ref(f"arrive_{state}")
-    ops: list[Requirement] = []
-    posts: list[Requirement] = []
+    counter value relative to its start), into ``posts``, each branch guard
+    built once for both.  With a ``state``, its own part under
+    ``arrive_<state>``; else the part all states of ``kind`` share, under
+    ``arrive_kind_<part>``.  Counter updates go through next_* shadows, each
+    commit checked by its trigger's required condition and each reset
+    zeroing both, so a shadow equals its counter at every round boundary."""
+    name = state or f"kind_{_GROUPS[kind][0]}"
+    who = state or f"a {_GROUPS[kind][1]} state"
+    arrive = nodes.ref(f"arrive_{name}")
     lit, sig, binop, and_, eq = nodes.lit, nodes.sig, nodes.binop, nodes.and_, nodes.eq
 
     def toe(suffix: str, title: str, guard, effects, required=None):
         ops.append(Requirement(
-            req_id=f"op.{state}.{suffix}", title=title,
+            req_id=f"op.{name}.{suffix}", title=title,
             template=TRIGGER_ON_EVENT, guard=guard,
             effects=tuple(effects), required=required))
 
     def when(suffix: str, title: str, guard, required):
         posts.append(Requirement(
-            req_id=f"post.{state}.{suffix}", title=title,
+            req_id=f"post.{name}.{suffix}", title=title,
             template=WHEN, guard=guard, required=required))
 
-    def set_(name: str, value) -> SignalAssign:
-        return SignalAssign(name, lit(value))
+    def set_(record: str, value) -> SignalAssign:
+        return SignalAssign(record, lit(value))
 
     def counts(counter: str):
         """``<counter> + 1``, the value a counting branch stages and commits,
@@ -261,20 +264,20 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
         counting = and_(arrive, binop("<", sig(counter), lit(PACKET_LENGTH)))
         done = and_(arrive, eq(counter, PACKET_LENGTH))
         up, committed = counts(counter)
-        toe("count_next", f"{state} stages the next byte count",
+        toe("count_next", f"{who} stages the next byte count",
             counting, [SignalAssign(f"next_{counter}", up)])
-        toe("count", f"{state} {verb} one byte",
+        toe("count", f"{who} {verb} one byte",
             counting, [SignalAssign(counter, up), set_("current_event", finish)],
             required=committed)
-        toe("done", f"{state} completes the {noun}",
+        toe("done", f"{who} completes the {noun}",
             done, [set_(counter, 0), set_(f"next_{counter}", 0),
                    set_(flag, True), set_("current_event", CONT)])
-        when("progress", f"{state} in progress ends in {finish}",
+        when("progress", f"{who} in progress ends in {finish}",
              counting, and_(nodes.event_is(finish), committed))
         return done
 
     if state == START:
-        return ops, posts
+        return
     if state == CHIP_RST:
         toe("reset", "chip_rst clears flags, counters and the packet",
             arrive,
@@ -309,53 +312,53 @@ def _state_operation(spec: SpecDocument, state: str, nodes: _Nodes) -> tuple[
                            "transmission")
         can_count_tx = and_(done, binop("<", sig("tx_cnt"), lit(MAX_COUNT)))
         tx_up, tx_committed = counts("tx_cnt")
-        toe("tx_next", f"{state} stages the transmission count",
+        toe("tx_next", f"{who} stages the transmission count",
             can_count_tx, [SignalAssign("next_tx_cnt", tx_up)])
-        toe("tx", f"{state} counts the completed transmission",
+        toe("tx", f"{who} counts the completed transmission",
             can_count_tx, [SignalAssign("tx_cnt", tx_up)],
             required=tx_committed)
-        when("complete", f"{state} completion counts the transmission",
+        when("complete", "a completed transmission is counted",
              can_count_tx,
              and_(nodes.event_is(CONT), eq("bytes_sent", 0),
                   sig("optrode_TX_finish"), tx_committed))
-        when("saturated", f"{state} completion at the retransmission cap",
+        when("saturated", "a completed transmission at the retransmission cap",
              and_(done, binop(">=", sig("tx_cnt"), lit(MAX_COUNT))),
              and_(nodes.event_is(CONT), eq("bytes_sent", 0),
                   sig("optrode_TX_finish"), eq("tx_cnt", MAX_COUNT)))
     elif kind is KIND_RECEIVE:
         done = count_bytes("bytes_received", SPI_RX_FINISH, "optrode_RX_finish",
                            "receives", "reception")
-        when("complete", f"{state} completion raises the receive flag",
+        when("complete", "a completed reception raises the receive flag",
              done,
              and_(nodes.event_is(CONT), eq("bytes_received", 0),
                   sig("optrode_RX_finish")))
+    elif state is None:
+        # every creator ends in CONT; the packet it builds is its own
+        when("event", f"after {who} the event is CONT", arrive, nodes.event_is(CONT))
+    elif kind in CREATOR_KINDS:
+        template = spec.packets.get(state)
+        if template is None:
+            raise MissingPacketTemplate(state)
+        if kind is KIND_CREATOR_STAGE2:
+            toe("data", f"{state} fills in the packet data", arrive,
+                [set_("packet_data", template.data), set_("current_event", CONT)])
+        else:
+            cmd_expr = (lit(template.cmd) if template.cmd is not None
+                        else sig("current_command"))
+            toe("make", f"{state} creates the packet address and command", arrive,
+                [set_("packet_addr", template.addr), SignalAssign("packet_cmd", cmd_expr),
+                 set_("packet_data", template.data), set_("current_event", CONT)])
     else:
-        # the other operations set fixed fields and end in CONT
+        # get_cmd and every error state but chip_rst set no field and end in
+        # CONT
         if state == GET_CMD:
-            suffix, title, effects = "event", "get_cmd awaits the command", []
+            title = "get_cmd awaits the command"
         elif state == ERROR_ST or kind is KIND_ERROR:
-            # every error state but chip_rst idles like error_
-            suffix, title, effects = "event", f"{state} idles", []
-        elif kind in CREATOR_KINDS:
-            template = spec.packets.get(state)
-            if template is None:
-                raise MissingPacketTemplate(state)
-            if kind is KIND_CREATOR_STAGE2:
-                suffix, title = "data", f"{state} fills in the packet data"
-                effects = [set_("packet_data", template.data)]
-            else:
-                cmd_expr = (lit(template.cmd) if template.cmd is not None
-                            else sig("current_command"))
-                suffix = "make"
-                title = f"{state} creates the packet address and command"
-                effects = [set_("packet_addr", template.addr),
-                           SignalAssign("packet_cmd", cmd_expr),
-                           set_("packet_data", template.data)]
+            title = f"{state} idles"
         else:
             raise AssertionError(f"unhandled kind {kind} for {state!r}")
-        toe(suffix, title, arrive, [*effects, set_("current_event", CONT)])
+        toe("event", title, arrive, [set_("current_event", CONT)])
         when("event", f"after {state} the event is CONT", arrive, nodes.event_is(CONT))
-    return ops, posts
 
 
 def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> tuple[
@@ -418,7 +421,8 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
     counted from it.  The table is read once into its arrows and the rule
     catalogue once into the class monitors; one pass over the roster builds
     each state's from/to definitions, its ``arrive_<state>`` (the OR of the
-    guards of the arrows into it) and its operation requirements.  Each
+    guards of the arrows into it) and its own operation requirements; a
+    pass over the kinds builds the shared ones.  Each
     arrow is one trigger, titled ``"<from> to <to>"`` with id
     ``"<fromIndex>.<toIndex>"``.  Every node comes from one table, so equal
     subexpressions are one object; the table goes when the call returns."""
@@ -447,9 +451,18 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
             arrivals.append(Definition(
                 f"arrive_{st}", f"A transition into {st} fires this round",
                 nodes.or_all(into[st])))
-            state_ops, state_posts = _state_operation(spec, st, nodes)
-            reqs += state_ops
-            posts += state_posts
+            kind = spec.roster.kind_of(st)
+            if kind is not KIND_SEND and kind is not KIND_RECEIVE:
+                _operation(spec, kind, nodes, reqs, posts, st)
+    for kind in (KIND_SEND, KIND_RECEIVE, *CREATOR_KINDS):
+        entered = [nodes.ref(f"arrive_{s}") for s in spec.roster.states_of_kind(kind)
+                   if s in into]
+        if entered:
+            part, label = _GROUPS[kind]
+            arrivals.append(Definition(
+                f"arrive_kind_{part}", f"A transition into a {label} state fires this round",
+                nodes.or_all(entered)))
+            _operation(spec, kind, nodes, reqs, posts)
     modeset = Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",
         title="the fsm is in exactly one state at a time",

@@ -43,8 +43,8 @@ On the shipped machine a ``verify`` runs 322 rounds, of which 124 are
 distinct inputs: the memo ends with 124 entries, and the other 198 rounds
 are found there.  Its rounds fall under 47 plan keys.  A plan key's
 candidates read 3 signals besides the key at the median and 5 at most.  A
-computed round visits 12.4 candidates and makes 10.4 guard calls on
-average, 1,293 in all.  An arrow's guard, ``from_X and (current_event = E1
+computed round visits 11.5 of the 140 requirements and makes 9.5 guard
+calls on average, 1,174 in all.  An arrow's guard, ``from_X and (current_event = E1
 or …)``, has one exact term per event, so it is a candidate only under its
 own events.
 

@@ -10,6 +10,17 @@ from candofsm.generate import generate_model
 from candofsm.opmodel import ops_round
 from candofsm.reqs.engine import env_of, fire_round
 
+# The size of the model generated from the shipped spec, and the work of one
+# verify pass on it, as the tests pin them.  A deliberate change to the
+# generator records them again here, with its reason in CHANGES.md.
+REQUIREMENTS = 140      # requirements in the model
+EXPRESSIONS = 465       # what test_compiled.model_expressions lists
+NODE_POSITIONS = 5461   # expression nodes under the model's slots, repeats counted
+NODE_OBJECTS = 485      # distinct objects among them
+MEMO_ENTRIES = 124      # rounds a verify pass computes, and stores in the memo
+GUARD_CALLS = 1174      # guard calls in those rounds
+LARGEST_CANDIDATES = 20  # candidates of the largest (state, event) plan key
+
 
 @pytest.fixture(scope="session")
 def spec():

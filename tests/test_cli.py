@@ -420,6 +420,17 @@ class TestVerify:
         assert captured.err == simulate_err == "--max-rounds must be at least 1\n"
         assert captured.out == ""
 
+    def test_a_zero_round_budget_is_checked_before_the_spec_is_read(
+            self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.fsm")
+        for argv in (["simulate", missing, "--command", "X"], ["verify", missing]):
+            assert main([*argv, "--max-rounds", "0"]) == 3, argv[0]
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "--max-rounds must be at least 1\n")
+            # with a budget, the missing spec is the failure
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err.startswith(f"cannot read {missing!r}: ")
+
     def test_a_budget_too_small_to_finish_fails(self, spec_file, capsys):
         assert main(["verify", spec_file, "--max-rounds", "5"]) == 1
         out = capsys.readouterr().out
@@ -479,6 +490,33 @@ class TestRunFailure:
         assert captured.out == ""
         assert captured.err == (f"cannot run {command} on the {model} model: "
                                 "round 2: injected\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["report"], ["simulate", "--command", "LED_ON_C", "--engine", "reqs"],
+], ids=["verify", "report", "simulate"])
+def test_a_model_the_generator_cannot_validate_is_a_load_error(spec, tmp_path, capsys,
+                                                               argv):
+    # an error state named kind_send passes check, but its from_, to_ and
+    # arrive_ definitions take the names of the send kind's definitions
+    spec = with_second_error_state(spec)
+    renamed = {"error_2": "kind_send"}
+    roster = spec.roster._replace(states=tuple(
+        s._replace(name=renamed.get(s.name, s.name)) for s in spec.roster.states))
+    fsm = {ev: {renamed.get(frm, frm): renamed.get(to, to) for frm, to in per.items()}
+           for ev, per in spec.fsm.items()}
+    path = tmp_path / "kind_send.fsm"
+    path.write_text(serialize_spec(dataclasses.replace(spec, roster=roster, fsm=fsm)),
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot generate the requirements model: "
+                                   "duplicate definition names: ")
+    assert "'from_kind_send'" in captured.err and "'to_kind_send'" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 class TestTopLevel:

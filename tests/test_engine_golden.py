@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from candofsm.fsm import MAX_COUNT, PACKET_LENGTH
+from candofsm.fsm import CONT, GET_CMD, MAX_COUNT, PACKET_LENGTH, StateKind
 from candofsm.generate import generate_model
 from candofsm.reqs import engine
 from candofsm.reqs.compiled import Frame
@@ -38,6 +38,7 @@ from candofsm.reqs.engine import (
 from candofsm.reqs.expr import EvalContext, EvalError, eval_expr
 from candofsm.reqs.model import Env, initial_env
 from candofsm.trace import ROW_COLUMNS, equivalence_report
+from conftest import GUARD_CALLS, LARGEST_CANDIDATES, MEMO_ENTRIES, REQUIREMENTS
 from test_compiled import Recording
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
@@ -204,10 +205,10 @@ def test_a_verify_pass_stores_124_distinct_rounds(spec):
     model = generate_model(spec)[0]
     report = equivalence_report(spec, model)
     assert report.passed
-    assert len(_plan_of(model).memo) == 124
+    assert len(_plan_of(model).memo) == MEMO_ENTRIES
 
 
-def test_a_verify_pass_computes_124_rounds_with_1293_guard_calls(spec, monkeypatch):
+def test_a_verify_pass_computes_124_rounds_with_pinned_guard_calls(spec, monkeypatch):
     # a work count that timing noise cannot move: every candidate's guard is
     # called in each computed round, and the memo answers every other round
     model = generate_model(spec)[0]
@@ -232,7 +233,7 @@ def test_a_verify_pass_computes_124_rounds_with_1293_guard_calls(spec, monkeypat
     real_compute = engine._compute
     monkeypatch.setattr(engine, "_compute", compute)
     assert equivalence_report(spec, model).passed
-    assert (computed, calls) == (124, 1293)
+    assert (computed, calls) == (MEMO_ENTRIES, GUARD_CALLS)
 
 
 def test_a_candidate_reads_no_signal_outside_its_reads(model, golden):
@@ -320,14 +321,40 @@ def test_each_state_and_event_has_fewer_than_30_candidates(spec, model):
     sizes = {(st, ev): sum(map(len, plan.lookup(
                  frozenset({(STATE_COMPONENT, st)}), ev)[:2]))
              for st in spec.roster.state_names for ev in spec.roster.event_names}
-    assert len(model.requirements) == 242
+    assert len(model.requirements) == REQUIREMENTS
     assert max(sizes.values()) < 30
     assert min(sizes.values()) > 0
 
 
-def test_a_plan_build_compiles_all_242_steps_before_any_round(model):
+def test_a_kind_level_step_is_a_candidate_exactly_where_an_arrow_enters_its_kind(
+        spec, model):
+    # op.kind_<part>.* and post.kind_<part>.* act only in a round that enters
+    # a state of the kind; their guard is an or over many arrows, and the
+    # plan must still key it exactly
+    plan = _plan_of(model)
+    shared = {}
+    for step in plan.steps:
+        prefix, name = step.req.req_id.split(".")[:2]
+        if prefix in ("op", "post") and name.startswith("kind_"):
+            shared[step.req.req_id] = StateKind(name[len("kind_"):])
+    assert len(shared) == 15
+    largest = 0
+    for st in spec.roster.state_names:
+        for ev in spec.roster.event_names:
+            effect, check = plan.lookup(frozenset({(STATE_COMPONENT, st)}), ev)[:2]
+            candidates = {step.req.req_id for step in effect + check}
+            largest = max(largest, len(candidates))
+            targets = (set(spec.dispatch.values()) if (st, ev) == (GET_CMD, CONT)
+                       else {spec.fsm[ev][st]})
+            entered = {spec.roster.kind_of(t) for t in targets}
+            for rid, kind in shared.items():
+                assert (rid in candidates) == (kind in entered), (st, ev, rid)
+    assert largest == LARGEST_CANDIDATES
+
+
+def test_a_plan_build_compiles_every_step_before_any_round(model):
     plan = _Plan(model)
-    assert len(plan.steps) == 242
+    assert len(plan.steps) == REQUIREMENTS
     assert plan.memo == {}
     for step, req in zip(plan.steps, model.requirements, strict=True):
         assert callable(step.required), req.req_id

@@ -22,7 +22,14 @@ from candofsm.reqs.engine import _plan_of, run_requirements_trace
 from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
 from candofsm.reqs.model import ModeAssign, Requirement, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
-from conftest import simulation_square, with_no_stage_two_creator, with_second_error_state
+from conftest import (
+    NODE_OBJECTS,
+    NODE_POSITIONS,
+    REQUIREMENTS,
+    simulation_square,
+    with_no_stage_two_creator,
+    with_second_error_state,
+)
 from test_reqs import slots, walk
 
 
@@ -141,7 +148,31 @@ class TestRequirements:
     def test_the_shipped_spec_has_91_arrows_with_unique_titles(self, model):
         titles = [r.title for r in arrow_triggers(model)]
         assert len(titles) == len(set(titles)) == 91
-        assert len(model.requirements) == 242
+        assert len(model.requirements) == REQUIREMENTS
+
+    def test_send_receive_and_creator_end_event_requirements_are_built_once_per_kind(
+            self, spec, model):
+        # 91 arrows, 21 per-state and 15 per-kind operation requirements, 12
+        # class monitors and the mode-set
+        ids = [r.req_id for r in model.requirements]
+        per_kind = [i for i in ids if i.split(".")[1].startswith("kind_")]
+        assert per_kind == [
+            *(f"op.kind_send.{s}" for s in ("count_next", "count", "done", "tx_next", "tx")),
+            *(f"op.kind_receive.{s}" for s in ("count_next", "count", "done")),
+            "post.kind_send.progress", "post.kind_send.complete", "post.kind_send.saturated",
+            "post.kind_receive.progress", "post.kind_receive.complete",
+            "post.kind_creator_stage1.event", "post.kind_creator_stage2.event"]
+        roster = spec.roster
+        shared = roster.states_of_kind(StateKind.SEND, StateKind.RECEIVE)
+        creators = roster.states_of_kind(StateKind.CREATOR_STAGE1, StateKind.CREATOR_STAGE2)
+        assert not [i for i in ids if i.split(".")[1] in shared
+                    or i.startswith("post.") and i.split(".")[1] in creators]
+        assert len(ids) == 91 + 21 + len(per_kind) + 12 + 1
+        defs = model.definition_map()
+        for kind in (StateKind.SEND, StateKind.RECEIVE, StateKind.CREATOR_STAGE1,
+                     StateKind.CREATOR_STAGE2):
+            assert defs[f"arrive_kind_{kind.value}"].expr == BoolOp("or", tuple(
+                DefRef(f"arrive_{st}") for st in roster.states_of_kind(kind)))
 
     @pytest.mark.parametrize("variant", [None, with_no_stage_two_creator],
                              ids=["shipped", "no-stage-two-creator"])
@@ -303,8 +334,8 @@ class TestSharedGraph:
 
     def test_the_shipped_model_has_one_object_per_distinct_subexpression(self, model):
         positions = [node for expr in slots(model) for node in walk(expr)]
-        assert len(positions) == 6578
-        assert len({id(node) for node in positions}) == 519
+        assert len(positions) == NODE_POSITIONS
+        assert len({id(node) for node in positions}) == NODE_OBJECTS
         # literals that compare equal keep their types: 0 is not false
         zeros = {(type(n.value), id(n)) for n in positions
                  if isinstance(n, Lit) and n.value == 0}
@@ -319,8 +350,8 @@ class TestSharedGraph:
         parsed = parse_model(serialize_model(model))
         assert parsed == model
         positions = [node for expr in slots(parsed) for node in walk(expr)]
-        assert len(positions) == 6578
-        assert len({id(node) for node in positions}) == 519
+        assert len(positions) == NODE_POSITIONS
+        assert len({id(node) for node in positions}) == NODE_OBJECTS
 
     def test_two_parses_share_no_expression_object(self, model):
         text = serialize_model(model)
@@ -450,12 +481,12 @@ def test_the_generated_model_and_its_report_are_pinned(model):
     def sha256(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    # the model last re-recorded when the language dropped its constants: the
-    # text lost only its two ``const`` lines, which no expression read.  The
-    # report last re-recorded when each send and receive ``done`` came to
-    # reset its counter's ``next_`` shadow with the counter, 16 effects and 16
-    # report lines more; every trace stayed the same
+    # both last re-recorded when the send and receive operations and each
+    # creator kind's end event came to be generated once per kind, under
+    # ``arrive_kind_<part>``, instead of once per state: 242 requirements
+    # became 140 and 109 definitions 113; every trace cell but the
+    # attribution stayed the same
     assert sha256(serialize_model(model)) \
-        == "920bc14c74545b854fdce15f973e4cd75ded9b805e5c953a3ad4f3bc0464b504"
+        == "1aeba2d2816866da51440daab64db293f112b0e2e925f99eb32cbfecbd8c279f"
     assert sha256(render_requirements_markdown(model)) \
-        == "2bb89a3e5b07f6edd17c817336f331260632dae067fc23710f6fcecca1f04426"
+        == "9c8c0637b3e29144bb1f3700592f6cd76a6e140a70d294f11a39b04ab8a52960"

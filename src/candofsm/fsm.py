@@ -40,6 +40,11 @@ SPI_TX_FINISH = "SPI_TX_FINISH"
 SPI_RX_FINISH = "SPI_RX_FINISH"
 GET_CMD_E = "GET_CMD_E"
 
+# The generated model names a kind's shared definitions and operations with
+# this before the kind's name (``arrive_kind_send``, ``op.kind_send.*``), so
+# no state name may start with it.
+KIND_NAME_PREFIX = "kind_"
+
 CONTROL_STATES = (START, GET_CMD, CMD_FINISH)
 ERROR_STATES = (ERROR_ST, CHIP_RST)
 REQUIRED_EVENTS = (CONT, ERROR_EV, SPI_TX_FINISH, SPI_RX_FINISH, GET_CMD_E)
@@ -211,6 +216,14 @@ def refuse_assignment(record, name: str, *value) -> None:
                          f"delete {name!r}")
 
 
+def refuse_duplicates(names: list[str], what: str,
+                      error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming, sorted, each of ``names`` met more than once."""
+    if len(names) != len(set(names)):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise error(f"duplicate {what}: {dupes}")
+
+
 class _RosterFields(NamedTuple):
     """:class:`Roster`'s fields, in order."""
 
@@ -230,10 +243,7 @@ class Roster(_RosterFields):
                 commands: tuple[MemberDef, ...]):
         for label, members in (("state", states), ("event", events),
                                ("command", commands)):
-            names = [m.name for m in members]
-            if len(names) != len(set(names)):
-                dupes = sorted({n for n in names if names.count(n) > 1})
-                raise ValueError(f"duplicate {label} names: {dupes}")
+            refuse_duplicates([m.name for m in members], f"{label} names")
         return tuple.__new__(cls, (states, events, commands))
 
     @classmethod
@@ -372,6 +382,12 @@ def check_roster(roster: Roster) -> list[Violation]:
                 Violation("ROSTER", from_state=s.name,
                           message=f"kind control is reserved for {CONTROL_STATES}, "
                                   f"not {s.name!r}")
+            )
+        if s.name.startswith(KIND_NAME_PREFIX):
+            out.append(
+                Violation("ROSTER", from_state=s.name,
+                          message=f"state {s.name!r}: the prefix {KIND_NAME_PREFIX!r} "
+                                  "is reserved for the generated kind-level names")
             )
     for ev in REQUIRED_EVENTS:
         if ev not in roster.event_names:

@@ -40,6 +40,7 @@ from .fsm import (
     GET_CMD_E,
     KIND_CREATOR_STAGE2,
     KIND_ERROR,
+    KIND_NAME_PREFIX,
     KIND_RECEIVE,
     KIND_SEND,
     MAX_COUNT,
@@ -230,7 +231,7 @@ def _operation(spec: SpecDocument, kind: StateKind, nodes: _Nodes, ops: list,
     ``arrive_kind_<part>``.  Counter updates go through next_* shadows, each
     commit checked by its trigger's required condition and each reset
     zeroing both, so a shadow equals its counter at every round boundary."""
-    name = state or f"kind_{_GROUPS[kind][0]}"
+    name = state or f"{KIND_NAME_PREFIX}{_GROUPS[kind][0]}"
     who = state or f"a {_GROUPS[kind][1]} state"
     arrive = nodes.ref(f"arrive_{name}")
     lit, sig, binop, and_, eq = nodes.lit, nodes.sig, nodes.binop, nodes.and_, nodes.eq
@@ -381,7 +382,7 @@ def _class_monitors(spec: SpecDocument, nodes: _Nodes) -> tuple[
             return ref(f"{side}_{item}")
         group = source[0] if item is SELF else item
         part, label = _GROUPS[group]
-        name = f"{part}_self_loop" if item is SELF else f"{side}_kind_{part}"
+        name = f"{part}_self_loop" if item is SELF else f"{side}_{KIND_NAME_PREFIX}{part}"
         if name not in defs:
             members = roster.states_of_kind(*(group if group.__class__ is tuple else (group,)))
             if item is SELF:
@@ -460,8 +461,8 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
         if entered:
             part, label = _GROUPS[kind]
             arrivals.append(Definition(
-                f"arrive_kind_{part}", f"A transition into a {label} state fires this round",
-                nodes.or_all(entered)))
+                f"arrive_{KIND_NAME_PREFIX}{part}",
+                f"A transition into a {label} state fires this round", nodes.or_all(entered)))
             _operation(spec, kind, nodes, reqs, posts)
     modeset = Requirement(
         req_id=f"modeset.{STATE_COMPONENT}",

@@ -222,8 +222,14 @@ def _plan_of(model: RequirementsModel) -> _Plan:
 
 
 def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> RoundResult:
-    # prev_env is unread: no template compares a round with the one before;
-    # the parameter stays while perfbench/workloads.py passes it
+    """One round of ``model`` from ``env``: the end env, the requirements
+    that fired with what each wrote, and the violations.  It is total: an
+    evaluation fault, a conflicting or inadmissible write and a breached
+    condition come back as violations, not as exceptions.  The plan, which
+    the model's first round builds, memoises rounds by their input, so a
+    round seen before is not computed again.  ``prev_env`` is unread: no
+    template compares a round with the one before, and the parameter stays
+    while perfbench/workloads.py passes it."""
     plan = _plan_of(model)
     signals, modes = env.signals, env.modes
     value = signals.get(plan.key, ABSENT)

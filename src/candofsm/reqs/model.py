@@ -6,7 +6,7 @@ import enum
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from ..fsm import refuse_assignment
+from ..fsm import refuse_assignment, refuse_duplicates
 from .expr import BinOp, BoolOp, DefRef, Lit, ModeActive, Not, SigRead
 
 
@@ -34,19 +34,18 @@ def _check_text(text: str, where: str, slot: str) -> None:
         raise ModelError(f"{where}: line break in its {slot}")
 
 
-def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
-          where: str) -> dict[str, None]:
-    """Scan the nodes under ``expr`` that ``facts`` does not hold, each once.
-
-    Raises on the first empty ``and``/``or`` chain, or read of a (component,
-    mode) pair not in ``modes``, in pre-order.  Records in
-    ``facts``, by node id, whether evaluating the node can read an
-    end-of-round mode and how deep it is with definitions inlined, for
-    every node whose children and definitions (``bodies``) are known.
-    Returns the definitions the scanned nodes name, in pre-order.  It keeps
-    an explicit stack, so a deep tree stays clear of the recursion limit."""
-    named: dict[str, None] = {}
-    unknown: set[int] = set()   # scanned here, but a definition's facts are missing
+def _scan(expr, where: str, facts: dict, visit, signals: set[str],
+          modes: set[tuple[str, str]]) -> tuple[bool, int]:
+    """The facts of ``expr``: whether evaluating it can read an end-of-round
+    mode, and how deep it is with definitions inlined.  One post-order walk
+    records them in ``facts``, by node id, for every node under ``expr`` it
+    does not hold yet; a definition reference gets its body's facts from
+    ``visit`` when it is met, so the parent's are known when its children
+    are done.  Raises on the first fault in pre-order: an empty
+    ``and``/``or`` chain, an unknown definition, a read of a signal not in
+    ``signals`` or of a (component, mode) pair not in ``modes``, then an
+    expression deeper than :data:`MAX_DEPTH`.  It keeps an explicit stack,
+    so a deep tree stays clear of the recursion limit."""
     pending: list = [expr]
     while pending:
         node = pending.pop()
@@ -54,20 +53,18 @@ def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
             node, children = pending.pop(), pending.pop()
             end, depth = False, 0
             for child in children:
-                found = facts.get(id(child))
-                if found is None:
-                    unknown.add(id(node))
-                    break
+                found = facts[id(child)]
                 end = end or found[0]
                 depth = found[1] if found[1] > depth else depth
-            else:
-                facts[id(node)] = end, depth + 1
+            facts[id(node)] = end, depth + 1
             continue
         key = id(node)
-        if key in facts or key in unknown:
+        if key in facts:
             continue   # done already, under this root or another
         kind = type(node)
         if kind is Lit or kind is SigRead:
+            if kind is SigRead and node.name not in signals:
+                raise ModelError(f"{where}: read of unknown signal {node.name!r}")
             facts[key] = _LEAF
             continue
         if isinstance(node, BinOp):
@@ -79,12 +76,8 @@ def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
         elif isinstance(node, Not):
             children = (node.operand,)
         elif isinstance(node, DefRef):
-            named[node.name] = None
-            body = bodies.get(node.name)
-            if body is None:
-                unknown.add(key)
-            else:
-                facts[key] = body[0], body[1] + 1
+            end, depth = visit(node.name, where)
+            facts[key] = end, depth + 1
             continue
         else:
             mode_read = isinstance(node, ModeActive)
@@ -94,7 +87,11 @@ def _scan(expr, facts: dict, bodies: Mapping, modes: set[tuple[str, str]],
             facts[key] = mode_read and node.at == "end", 1
             continue
         pending += (children, node, _DONE, *reversed(children))
-    return named
+    found = facts[id(expr)]
+    if found[1] > MAX_DEPTH:
+        raise ModelError(
+            f"{where}: expression nested {found[1]} deep, deeper than {MAX_DEPTH}")
+    return found
 
 
 # --- data dictionary -------------------------------------------------------
@@ -151,11 +148,8 @@ class DataDictionary(_DictionaryFields):
         return None
 
     def validate(self) -> None:
-        names = ([t.name for t in self.types] + [s.name for s in self.signals]
-                 + [m.name for m in self.modes])
-        if len(names) != len(set(names)):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ModelError(f"duplicate dictionary record names: {dupes}")
+        records = (*self.types, *self.signals, *self.modes)
+        refuse_duplicates([r.name for r in records], "dictionary record names", ModelError)
         for s in self.signals:
             lo, hi = s.minimum, s.maximum
             domain = self.domain(s.type_name, lo, hi)
@@ -331,26 +325,24 @@ class RequirementsModel(_ModelFields):
         """Structural checks: unique names and ids, acyclic definitions,
         known definitions, no empty ``and``/``or`` chain, no expression
         deeper than :data:`MAX_DEPTH` and end-of-round reads confined to
-        required conditions in every expression slot, mode reads and
-        effects on known signals and modes, mode-sets on known mode
-        components, and no ``#`` or line break (any separator
+        required conditions in every expression slot, signal reads, mode
+        reads and effects on known signals and modes, mode-sets on known
+        mode components, and no ``#`` or line break (any separator
         ``str.splitlines`` splits on) in a title or definition text: the
         ``.req`` text starts a comment at ``#`` and reads one record per
         line, so the model would not read back.
 
         Each distinct node is scanned once, by identity: what it can read
         and how deep it is are remembered for every later use, in any slot.
-        A definition body is scanned on first use."""
+        A definition body is scanned where it is first referenced, so the
+        first fault in pre-order, with definitions inlined, is the one
+        reported."""
         self.dictionary.validate()
 
-        names = [d.name for d in self.definitions]
-        if len(names) != len(set(names)):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ModelError(f"duplicate definition names: {dupes}")
-        ids = [r.req_id for r in self.requirements]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ModelError(f"duplicate requirement ids: {dupes}")
+        refuse_duplicates([d.name for d in self.definitions], "definition names",
+                          ModelError)
+        refuse_duplicates([r.req_id for r in self.requirements], "requirement ids",
+                          ModelError)
 
         defs = self.definition_map()
         signals = {s.name for s in self.dictionary.signals}
@@ -362,11 +354,14 @@ class RequirementsModel(_ModelFields):
         bodies: dict[str, tuple[bool, int]] = {}   # definition -> its body's facts
         visiting: dict[str, None] = {}   # the definitions being scanned, outermost first
 
-        def visit(name: str) -> tuple[bool, int]:
-            """Scan a definition's body on first use; a name met again while
-            its own body is being scanned closes a cycle.  Each nested visit
-            adds a level, so the outermost of MAX_DEPTH + 1 is too deep."""
+        def visit(name: str, where: str) -> tuple[bool, int]:
+            """The facts of definition ``name``'s body, scanned on first use;
+            ``where`` is the slot that references it.  A name met again
+            while its own body is being scanned closes a cycle.  Each nested
+            visit adds a level, so the outermost of MAX_DEPTH + 1 is too deep."""
             if name not in bodies:
+                if name not in defs:
+                    raise ModelError(f"{where}: unknown definition {name!r}")
                 if name in visiting:
                     raise ModelError(f"definition cycle through {name!r}")
                 if len(visiting) == MAX_DEPTH:
@@ -378,29 +373,12 @@ class RequirementsModel(_ModelFields):
             return bodies[name]
 
         def scan(expr, where: str) -> tuple[bool, int]:
-            """The facts of one expression.  Its nodes not scanned before are
-            checked: every definition they name must exist, every chain must
-            have operands, and the whole may be at most MAX_DEPTH deep."""
+            """The facts of one expression, each node scanned on first use."""
             if expr is None:
                 return False, 0   # a missing expression stays a runtime EVAL case
             found = facts.get(id(expr))
-            if found is not None:
-                return found
-            named = _scan(expr, facts, bodies, modes, where)
-            for name in named:
-                if name not in defs:
-                    raise ModelError(f"{where}: unknown definition {name!r}")
-            for name in sorted(named):
-                visit(name)
-            if id(expr) not in facts:
-                # it names a definition scanned only just now
-                _scan(expr, facts, bodies, modes, where)
-            found = facts[id(expr)]
-            if found[1] > MAX_DEPTH:
-                raise ModelError(
-                    f"{where}: expression nested {found[1]} deep, deeper than "
-                    f"{MAX_DEPTH}")
-            return found
+            return found if found is not None else _scan(
+                expr, where, facts, visit, signals, modes)
 
         def start_only(expr, where: str, slot: str) -> None:
             if scan(expr, where)[0]:
@@ -409,8 +387,9 @@ class RequirementsModel(_ModelFields):
                     "required conditions")
 
         for d in self.definitions:
-            _check_text(d.text, f"definition {d.name!r}", "text")
-            visit(d.name)
+            where = f"definition {d.name!r}"
+            _check_text(d.text, where, "text")
+            visit(d.name, where)
 
         for r in self.requirements:
             where = f"requirement {r.req_id}"

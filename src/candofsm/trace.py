@@ -175,7 +175,9 @@ class EquivalenceReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(self.command_passed(cmd) for cmd in self.per_command)
+        """Every command passed, and at least one was compared."""
+        return bool(self.per_command) and all(
+            self.command_passed(cmd) for cmd in self.per_command)
 
     def render_markdown(self) -> str:
         lines = ["# Trace equivalence report", ""]

@@ -68,6 +68,19 @@ def with_second_error_state(spec):
     return dataclasses.replace(spec, roster=roster, fsm=fsm)
 
 
+def with_kind_named_error_state(spec):
+    """Copy of :func:`with_second_error_state` with ``error_2`` named
+    ``kind_send``: its from_, to_ and arrive_ definitions take the names of
+    the send kind's definitions, so ``check_roster`` rejects the name."""
+    spec = with_second_error_state(spec)
+    renamed = {"error_2": "kind_send"}
+    roster = spec.roster._replace(states=tuple(
+        s._replace(name=renamed.get(s.name, s.name)) for s in spec.roster.states))
+    fsm = {ev: {renamed.get(frm, frm): renamed.get(to, to) for frm, to in per.items()}
+           for ev, per in spec.fsm.items()}
+    return dataclasses.replace(spec, roster=roster, fsm=fsm)
+
+
 def with_no_stage_two_creator(spec):
     """Copy of the spec with every stage-two creator made stage-one and every
     receive state's CONT entry sent to cmd_finish, so no state has the

@@ -16,6 +16,7 @@ import candofsm.opmodel
 import candofsm.reqs.engine
 from candofsm.cli import main
 from candofsm.fsm import StateDef, StateKind
+from candofsm.reqs.model import ModelError
 from candofsm.specio import (
     bundled_spec_path,
     load_bundled_cando,
@@ -23,7 +24,12 @@ from candofsm.specio import (
     serialize_spec,
 )
 from candofsm.trace import MAX_ROUNDS, RunError, equivalence_report
-from conftest import mutate_table, with_no_stage_two_creator, with_second_error_state
+from conftest import (
+    mutate_table,
+    with_kind_named_error_state,
+    with_no_stage_two_creator,
+    with_second_error_state,
+)
 from test_specio import TWO_LINE_STATE_TRACE
 
 
@@ -353,6 +359,19 @@ class TestVerify:
         assert "Overall: PASS" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_a_spec_without_commands_compares_nothing_and_fails(self, spec, tmp_path,
+                                                                capsys):
+        no_commands = dataclasses.replace(
+            spec, roster=spec.roster._replace(commands=()), dispatch={})
+        path = tmp_path / "no_commands.fsm"
+        path.write_text(serialize_spec(no_commands), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "Commands compared: 0" in out
+        assert out.endswith("\nOverall: FAIL\n\n")
+
     def test_shipped_spec_generates_the_model_once(self, monkeypatch, capsys):
         calls = []
         original = candofsm.generate.generate_model
@@ -493,30 +512,36 @@ class TestRunFailure:
 
 
 @pytest.mark.parametrize("argv", [
+    ["check"], ["verify"], ["report"],
+    ["simulate", "--command", "LED_ON_C", "--engine", "reqs"],
+], ids=["check", "verify", "report", "simulate"])
+def test_a_state_named_like_a_kind_is_a_structural_violation(spec, tmp_path, capsys,
+                                                             argv):
+    # the generator would give its from_, to_ and arrive_ definitions the
+    # send kind's names
+    path = tmp_path / "kind_send.fsm"
+    path.write_text(serialize_spec(with_kind_named_error_state(spec)), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "ROSTER (1):\n  kind_send: state 'kind_send': the prefix 'kind_' is reserved" \
+        in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["verify"], ["report"], ["simulate", "--command", "LED_ON_C", "--engine", "reqs"],
 ], ids=["verify", "report", "simulate"])
-def test_a_model_the_generator_cannot_validate_is_a_load_error(spec, tmp_path, capsys,
-                                                               argv):
-    # an error state named kind_send passes check, but its from_, to_ and
-    # arrive_ definitions take the names of the send kind's definitions
-    spec = with_second_error_state(spec)
-    renamed = {"error_2": "kind_send"}
-    roster = spec.roster._replace(states=tuple(
-        s._replace(name=renamed.get(s.name, s.name)) for s in spec.roster.states))
-    fsm = {ev: {renamed.get(frm, frm): renamed.get(to, to) for frm, to in per.items()}
-           for ev, per in spec.fsm.items()}
-    path = tmp_path / "kind_send.fsm"
-    path.write_text(serialize_spec(dataclasses.replace(spec, roster=roster, fsm=fsm)),
-                    encoding="utf-8")
-    assert main(["check", str(path)]) == 0
-    capsys.readouterr()
-    assert main([argv[0], str(path), *argv[1:]]) == 2
+def test_a_model_the_generator_cannot_validate_is_a_load_error(spec_file, capsys,
+                                                               monkeypatch, argv):
+    def failing(spec):
+        raise ModelError("duplicate definition names: ['from_kind_send']")
+
+    monkeypatch.setattr(candofsm.cli, "generate_model", failing)
+    assert main([argv[0], spec_file, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("cannot generate the requirements model: "
-                                   "duplicate definition names: ")
-    assert "'from_kind_send'" in captured.err and "'to_kind_send'" in captured.err
-    assert captured.err.count("\n") == 1
+    assert captured.err == ("cannot generate the requirements model: "
+                            "duplicate definition names: ['from_kind_send']\n")
 
 
 class TestTopLevel:

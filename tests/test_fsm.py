@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from candofsm.fsm import (
     CONT,
     GET_CMD_E,
+    KIND_NAME_PREFIX,
     MissingTransition,
     SPI_RX_FINISH,
     SPI_TX_FINISH,
@@ -232,6 +233,15 @@ class TestRolePredicates:
         trimmed = spec.roster._replace(
             states=tuple(s for s in spec.roster.states if s.name != "chip_rst"))
         assert "ROSTER" in codes(check_roster(trimmed))
+
+    def test_roster_check_reserves_the_kind_name_prefix(self, spec):
+        renamed = spec.roster._replace(states=tuple(
+            s._replace(name=f"{KIND_NAME_PREFIX}{s.name}") if s.name == "set_vLED" else s
+            for s in spec.roster.states))
+        assert check_roster(renamed) == [Violation(
+            "ROSTER", from_state="kind_set_vLED",
+            message="state 'kind_set_vLED': the prefix 'kind_' is reserved for the "
+                    "generated kind-level names")]
 
 
 class TestEveryCheckerOutcome:

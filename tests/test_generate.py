@@ -20,13 +20,14 @@ from candofsm.opmodel import ModelState, ops_round
 from candofsm.reqs import Template
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
 from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
-from candofsm.reqs.model import ModeAssign, Requirement, RequirementsModel
+from candofsm.reqs.model import ModeAssign, ModelError, Requirement, RequirementsModel
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import (
     NODE_OBJECTS,
     NODE_POSITIONS,
     REQUIREMENTS,
     simulation_square,
+    with_kind_named_error_state,
     with_no_stage_two_creator,
     with_second_error_state,
 )
@@ -471,6 +472,24 @@ def test_a_state_kind_without_an_operation_is_an_explicit_error(spec):
     fsm["EVT_6"]["start"] = "idle"
     with pytest.raises(AssertionError, match="unhandled kind StateKind.CONTROL for 'idle'"):
         generate_model(dataclasses.replace(spec, roster=roster, fsm=fsm))
+
+
+def test_a_state_named_like_a_kind_is_a_model_error(spec):
+    # check_roster rejects the name; unchecked, the generator builds two
+    # definitions of each name the state's and the send kind's share
+    with pytest.raises(ModelError, match=(
+            r"^duplicate definition names: \['arrive_kind_send', 'from_kind_send', "
+            r"'to_kind_send'\]$")):
+        generate_model(with_kind_named_error_state(spec))
+
+
+def test_the_kind_level_names_come_from_one_prefix(spec, monkeypatch):
+    monkeypatch.setattr(candofsm.generate, "KIND_NAME_PREFIX", "group_")
+    model, _ = generate_model(spec)
+    names = [d.name for d in model.definitions] + [r.req_id for r in model.requirements]
+    assert not [n for n in names if "kind_" in n]
+    assert {"arrive_group_send", "from_group_send", "to_group_receive"} <= set(names)
+    assert "op.group_send.tx" in names
 
 
 def test_the_generated_model_and_its_report_are_pinned(model):

@@ -455,6 +455,23 @@ class TestValidation:
         with pytest.raises(ModelError, match=f"^{where}: read of unknown mode {read}$"):
             tiny_model(requirement, definitions=definitions, modes=[lamp_component()])
 
+    @pytest.mark.parametrize("where, requirement, definitions", [
+        ("requirement r", Requirement(
+            "r", "guard", Template.WHEN, guard=BinOp("=", SigRead("ghost"), Lit(0)),
+            required=Lit(True)), ()),
+        ("requirement r", Requirement(
+            "r", "effect", Template.TRIGGER_ON_EVENT, guard=Lit(True),
+            effects=(SignalAssign("x", SigRead("ghost")),)), ()),
+        ("definition 'd'", Requirement(
+            "r", "body", Template.EVERY, required=DefRef("d")),
+         (Definition("d", "d", BinOp("<", SigRead("x"), SigRead("ghost"))),)),
+    ], ids=["guard", "effect", "definition body"])
+    def test_a_read_of_an_undeclared_signal_is_rejected(self, where, requirement,
+                                                        definitions):
+        # the model would load and then report EVAL in every round it reads it
+        with pytest.raises(ModelError, match=f"^{where}: read of unknown signal 'ghost'$"):
+            tiny_model(requirement, definitions=definitions, signals=[small("x", 0)])
+
     def test_a_parsed_read_of_a_mode_its_component_lacks_is_rejected(self):
         with pytest.raises(ModelError, match="^requirement r: read of unknown mode lamp.zzz$"):
             parse_model(TEXT_HEAD + 'req r "t" every mode(lamp.zzz) at start or x = 0\n')
@@ -534,29 +551,58 @@ class TestValidation:
             tiny_model(requirement, definitions=definitions,
                        signals=[small("x", 0)])
 
-    def test_each_definition_body_is_walked_once(self, model, monkeypatch):
-        # _scan walks the nodes under its root that it has no facts for yet;
-        # every distinct node of the model, each definition body among them,
-        # is walked by exactly one call
-        walked = Counter()
+    @pytest.mark.parametrize("where, fault, required, definitions", [
+        ("requirement r", "unknown definition 'nowhere'",
+         BoolOp("and", (DefRef("nowhere"), BoolOp("or", ()))), ()),
+        ("requirement r", "empty 'or' chain",
+         BoolOp("and", (BoolOp("or", ()), DefRef("nowhere"))), ()),
+        ("definition 'inner'", "empty 'or' chain", DefRef("outer"),
+         (Definition("outer", "outer", BoolOp("and", (DefRef("inner"), DefRef("nowhere")))),
+          Definition("inner", "inner", BoolOp("or", ())))),
+    ], ids=["reference first", "chain first", "body of the first reference"])
+    def test_the_first_fault_in_pre_order_is_reported(self, where, fault, required,
+                                                      definitions):
+        # a definition body is scanned where it is first referenced, so two
+        # faults in one slot are met in pre-order with definitions inlined
+        with pytest.raises(ModelError, match=f"^{where}: {fault}$"):
+            tiny_model(Requirement("r", "two faults", Template.EVERY, required=required),
+                       definitions=definitions)
+
+    def test_each_node_is_walked_once_and_no_expression_twice(self, model, monkeypatch):
+        # _scan writes the facts of each node it walks, and a definition body
+        # is walked by the call its first reference makes: every distinct
+        # node of the model, each definition body among them, has its facts
+        # written exactly once, and no expression is the root of two calls
+        written, roots = Counter(), Counter()
         original = candofsm.reqs.model._scan
 
-        def counting_scan(expr, facts, bodies, *rest):
-            fresh, pending = set(), [expr]
-            while pending:
-                node = pending.pop()
-                if id(node) not in facts and id(node) not in fresh:
-                    fresh.add(id(node))
-                    pending += children(node)
-            walked.update(fresh)
-            return original(expr, facts, bodies, *rest)
+        class Recorded:
+            """The facts a call reads, and each write it makes, counted."""
+
+            def __init__(self, facts):
+                self.facts = facts
+
+            def __contains__(self, key):
+                return key in self.facts
+
+            def __getitem__(self, key):
+                return self.facts[key]
+
+            def __setitem__(self, key, value):
+                written[key] += 1
+                self.facts[key] = value
+
+        def counting_scan(expr, where, facts, *rest):
+            roots[id(expr)] += 1
+            return original(expr, where, Recorded(facts), *rest)
 
         monkeypatch.setattr(candofsm.reqs.model, "_scan", counting_scan)
         model.validate()
-        assert [walked[id(d.expr)] for d in model.definitions] \
+        assert set(roots.values()) == {1}
+        assert [written[id(d.expr)] for d in model.definitions] \
             == [1] * len(model.definitions)
-        assert set(walked.values()) == {1}
-        assert set(walked) == {id(node) for expr in slots(model) for node in walk(expr)}
+        assert set(written.values()) == {1}
+        assert set(written) == {id(node) for expr in slots(model) for node in walk(expr)}
 
     def test_a_shared_node_with_an_end_read_is_rejected_in_a_later_guard(self):
         # the node is scanned first as a required condition, where the end

@@ -373,6 +373,14 @@ class TestEquivalenceReport:
             "reqs": {"reason": "cmd_finish", "violations": []},
         }
 
+    def test_a_report_that_compared_nothing_fails(self):
+        import json
+
+        report = EquivalenceReport(per_command={}, max_rounds=10, outcomes={})
+        assert not report.passed
+        assert report.render_markdown().endswith("\nOverall: FAIL\n")
+        assert json.loads(report.render_json())["passed"] is False
+
     def test_each_run_keeps_its_stop_reason_and_violations(self, spec, model):
         report = equivalence_report(spec, model, max_rounds=500)
         assert set(report.outcomes) == set(spec.roster.command_names)

@@ -58,22 +58,26 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str) -> SpecDocument:
     try:
         return load_spec(path)
-    except FileNotFoundError:
-        raise _Failure(f"cannot read {path!r}: no such file")
-    except OSError as exc:
-        raise _Failure(f"cannot read {path!r}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise _Failure(_not_utf8(path, exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc)
     except ParseError as exc:
         snippet = f"\n  {exc.snippet}" if exc.snippet else ""
         raise _Failure(
             f"{path}:{exc.line}:{exc.column}: {exc.message}{snippet}")
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
-    # the error's position counts from the start of the chunk that was being
-    # decoded, not of the file, so it is left out
-    return f"cannot read {path!r}: not UTF-8 text ({exc.reason})"
+def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> _Failure:
+    """The failure of an input file that cannot be read as text; it names
+    the path once."""
+    if isinstance(exc, FileNotFoundError):
+        reason = "no such file"
+    elif isinstance(exc, UnicodeDecodeError):
+        # the error's position counts from the start of the chunk that was
+        # being decoded, not of the file, so it is left out
+        reason = f"not UTF-8 text ({exc.reason})"
+    else:
+        reason = exc.strerror or str(exc)
+    return _Failure(f"cannot read {path!r}: {reason}")
 
 
 # what a diagnostic calls each engine's model
@@ -188,10 +192,8 @@ def _cmd_diff(args) -> int:
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 rows.append(read_trace_csv(fh))
-        except OSError as exc:
-            raise _Failure(f"cannot read {path!r}: {exc}")
-        except UnicodeDecodeError as exc:
-            raise _Failure(_not_utf8(path, exc))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _unreadable(path, exc)
         except ParseError as exc:
             raise _Failure(f"{path}:{exc.line}: {exc.message}")
     entries = diff(rows[0], rows[1], ignore=ignore)

@@ -395,6 +395,9 @@ def check_roster(roster: Roster) -> list[Violation]:
                 Violation("ROSTER", event=ev,
                           message=f"distinguished event {ev!r} missing from roster")
             )
+    if not roster.commands:
+        out.append(Violation("ROSTER", message="the roster has no command, so nothing "
+                                               "can be run or compared"))
     return _sorted(out)
 
 

@@ -3,19 +3,27 @@
 A compiled expression is a function of one :class:`Frame`.  It has
 ``eval_expr``'s semantics exactly: the same values, the same
 :class:`EvalError` subclasses and messages, and the same left-to-right
-evaluation, short-circuit and boolean/integer checks.  Definition
-references are inlined, and a ``BoolOp`` takes the operands of a
-same-operator ``BoolOp`` under it (also through an inlined definition) into
-its own closure.  A node is dispatched on the first node type it is an
-instance of, in ``eval_expr``'s order, so a subclass of a node type
-compiles as that type.
+evaluation, short-circuit and boolean/integer checks.  A ``BoolOp`` takes
+the operands of a same-operator ``BoolOp`` under it (also through a
+definition) into its own closure.  A node is dispatched on the first node
+type it is an instance of, in ``eval_expr``'s order, so a subclass of a
+node type compiles as that type.
 
 Sharing is decided where nodes are built (see :class:`~.expr.Nodes`), so
 :meth:`Compiler.compile` memoises by identity only: each expression object
 is compiled once for the life of the ``Compiler``, and a node met again
-costs one lookup.  A definition reference compiles its definition's body
-through :meth:`Compiler.compile`, so every reference to one body shares its
-compiled node and closure.  A node's closure is built with the node.
+costs one lookup.  A node's closure is built with the node.
+
+A definition whose body is an ``and``/``or`` chain is evaluated once per
+frame: every reference to it shares one node, whose closure keeps the
+body's value in the frame's ``values`` under the definition's name.  A body
+that raises stores nothing, so each reader raises the same error.  Several
+requirements read one such chain in a round, e.g. the kind-level
+``arrive_kind_send``, an ``or`` of some 25 arrows.  Any other definition
+reference is the body's own node, inlined: such a body is one test, which
+costs less than the lookup would.  The shared node has its body's support,
+literals, operator and parts, so a parent of the same operator still takes
+the body's operands into its own closure.
 
 A node's *reads* are the signals it can look up, through definitions: the
 names of the ``SigRead`` nodes under it.  Its value, or the error it
@@ -73,14 +81,20 @@ def active_modes(modes: Mapping[str, frozenset[str]]) -> frozenset:
 
 class Frame:
     """What a compiled expression reads: the ambient signal snapshot and the
-    start and end mode snapshots."""
+    start and end mode snapshots, and the values of the chain definitions
+    read so far.
 
-    __slots__ = ("signals", "start_modes", "end_modes")
+    A frame is one snapshot of one model: nothing mutates its signals or
+    modes once it is built, so a definition's value, once stored, holds for
+    the frame's life."""
+
+    __slots__ = ("signals", "start_modes", "end_modes", "values")
 
     def __init__(self, signals, start_modes, end_modes):
         self.signals = signals
         self.start_modes = start_modes
         self.end_modes = end_modes
+        self.values = {}   # definition name -> its body's value here
 
 
 class Compiled:
@@ -143,6 +157,8 @@ class Compiler:
         self._held: list = []
         # each distinct interned value, as its one shared object
         self._interned: dict = {EMPTY: EMPTY}
+        # definition name -> the one node of a chain definition
+        self._definitions: dict[str, Compiled] = {}
         # in eval_expr's order, which decides a node of two node types
         self._by_type = {
             Lit: self._lit, SigRead: self._sig_read, ModeActive: self._mode_active,
@@ -193,10 +209,20 @@ class Compiler:
         return Compiled(_start_mode(comp, mode), frozenset({((comp, mode), None)}), True)
 
     def _def_ref(self, expr: DefRef) -> Compiled:
-        definition = self.definitions.get(expr.name)
+        name = expr.name
+        shared = self._definitions.get(name)
+        if shared is not None:
+            return shared
+        definition = self.definitions.get(name)
         if definition is None:
-            return Compiled(_raising(f"unknown definition {expr.name!r}"))
-        return self.compile(definition.expr)
+            return Compiled(_raising(f"unknown definition {name!r}"))
+        body = self.compile(definition.expr)
+        if body.op is None:
+            return body
+        shared = self._definitions[name] = Compiled(
+            _once_per_frame(name, body.fn), body.support, body.exact, body.literals,
+            body.op, body.parts, body.reads)
+        return shared
 
     def _not(self, expr: Not) -> Compiled:
         operand = self.compile(expr.operand)
@@ -269,6 +295,17 @@ def _end_mode(comp, mode):
         if end is None:
             raise IllegalEndOfRoundRead(message)
         return mode in end.get(comp, EMPTY)
+    return fn
+
+
+def _once_per_frame(name, body):
+    """A chain definition's closure: the body runs on a frame's first read."""
+    def fn(frame):
+        values = frame.values
+        value = values.get(name, ABSENT)
+        if value is ABSENT:
+            value = values[name] = body(frame)
+        return value
     return fn
 
 

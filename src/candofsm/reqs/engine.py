@@ -20,13 +20,21 @@ The function is total: breaches are returned as violations, never raised.
 
 A model's first round builds a plan kept on the model instance: every
 requirement compiled to closures, and their start-state supports (see
-:mod:`.compiled`) indexed by mode.  Candidates are keyed on the active start
-modes and the value of one key signal, the one the supports' literals read
-most (the current event in a generated model).  A round visits only the
-candidates of its key: the requirements whose guard can hold from there,
-plus the ones that act every round, in model order, so writes, conflicts,
-fired ids and violations keep the order a walk over every requirement
-gives.  A round calls every candidate's guard.
+:mod:`.compiled`) indexed by mode.  Steps share support objects, and each
+distinct one is walked once for the index.  Candidates are keyed on the
+active start modes and the value of one key signal, the one the supports'
+literals read most (the current event in a generated model).  A round
+visits only the candidates of its key: the requirements whose guard can
+hold from there, plus the ones that act every round, in model order, so
+writes, conflicts, fired ids and violations keep the order a walk over
+every requirement gives.  A round calls every candidate's guard.
+
+A computed round reads two frames, its start (guards and effects) and its
+end (required conditions), and each frame keeps the value of every chain
+definition read in it: the send steps' shared ``arrive_kind_send`` runs
+once per round however many guards read it.  A verify pass reads the 45
+chain definitions of the shipped model 954 times and runs their bodies 368
+times.
 
 The memo (step 7) rests on read sets.  A round's outcome depends only on
 its plan key and on the values of the signals its candidates read, through
@@ -153,26 +161,24 @@ class _Plan:
         self.definitions = model.definition_map()
         self.compiler = Compiler(self.definitions)
         self.steps = tuple(_Step(req, self.compiler) for req in model.requirements)
-        read = Counter(signal for s in self.steps if s.support
-                       for signal in {lit[0] for _, lit in s.support if lit})
+        # steps share support objects (a shared definition's, or a guard's
+        # first conjunct's): each distinct one is walked once per index
+        supports = {id(s.support): s.support for s in self.steps if s.support is not None}
+        signals = {i: {lit[0] for _, lit in support if lit}
+                   for i, support in supports.items()}
+        read = Counter(signal for s in self.steps if s.support is not None
+                       for signal in signals[id(s.support)])
         key = self.key = read.most_common(1)[0][0] if read else None
+        values = {i: _key_values(support, key) for i, support in supports.items()}
         # step indices: those that may act from any start; per mode, those
         # whose support names it, with the key values its terms there allow
-        # (None: any value)
         self._anywhere: list[int] = []
         self._by_mode: dict[tuple[str, str], list[tuple[int, set | None]]] = {}
         for i, s in enumerate(self.steps):
             if s.support is None:
                 self._anywhere.append(i)
                 continue
-            values = {}
-            for mode, literal in s.support:
-                if values.setdefault(mode, set()) is not None:
-                    if literal is None or literal[0] != key:
-                        values[mode] = None
-                    else:
-                        values[mode].add(literal[1])
-            for mode, allowed in values.items():
+            for mode, allowed in values[id(s.support)].items():
                 self._by_mode.setdefault(mode, []).append((i, allowed))
         self.domains = model.dictionary.domains
         self._candidates: dict[tuple, tuple] = {}
@@ -208,6 +214,19 @@ class _Plan:
             (effect if step.template is TRIGGER_ON_EVENT else check).append(step)
         reads.discard(self.key)
         return tuple(effect), tuple(check), tuple(sorted(reads)), active
+
+
+def _key_values(support: frozenset, key: str | None) -> dict:
+    """Per mode a support names, the key values its terms there allow
+    (None: any value)."""
+    values = {}
+    for mode, literal in support:
+        if values.setdefault(mode, set()) is not None:
+            if literal is None or literal[0] != key:
+                values[mode] = None
+            else:
+                values[mode].add(literal[1])
+    return values
 
 
 def _plan_of(model: RequirementsModel) -> _Plan:

@@ -20,6 +20,9 @@ NODE_OBJECTS = 485      # distinct objects among them
 MEMO_ENTRIES = 124      # rounds a verify pass computes, and stores in the memo
 GUARD_CALLS = 1174      # guard calls in those rounds
 LARGEST_CANDIDATES = 20  # candidates of the largest (state, event) plan key
+CACHED_DEFINITIONS = 45  # chain definitions, each evaluated once per frame
+DEFINITION_READS = 954   # their reads in a verify pass
+DEFINITION_RUNS = 368    # their body runs in it, once per frame that reads one
 
 
 @pytest.fixture(scope="session")

@@ -138,6 +138,19 @@ class TestCheck:
         assert main(["check", "/nonexistent/spec.fsm"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["verify", "{path}"], ["diff", "{path}", "{other}"]],
+                             ids=["verify", "diff"])
+    def test_an_unreadable_file_is_named_once_with_its_reason(self, tmp_path, capsys,
+                                                              argv):
+        other = tmp_path / "other.csv"
+        other.write_text("", encoding="utf-8")
+        for path, reason in ((tmp_path / "nonexist", "no such file"),
+                             (tmp_path, "Is a directory")):
+            assert main([a.format(path=path, other=other) for a in argv]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"cannot read {str(path)!r}: {reason}\n")
+
     @pytest.mark.parametrize("subcommand", [
         ["check"], ["verify"], ["report"], ["simulate", "--command", "DUMMY_C"]])
     def test_a_spec_that_is_not_utf8_exits_two_with_one_line(self, tmp_path, capsys,
@@ -365,12 +378,13 @@ class TestVerify:
             spec, roster=spec.roster._replace(commands=()), dispatch={})
         path = tmp_path / "no_commands.fsm"
         path.write_text(serialize_spec(no_commands), encoding="utf-8")
-        assert main(["check", str(path)]) == 0
-        capsys.readouterr()
+        roster = ("ROSTER (1):\n  the roster has no command, so nothing can be run "
+                  "or compared\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == roster + "1 violations\n"
+        # verify stops at the check, before it generates or runs anything
         assert main(["verify", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "Commands compared: 0" in out
-        assert out.endswith("\nOverall: FAIL\n\n")
+        assert capsys.readouterr().out == roster + "verify: FAIL (1 structural violations)\n"
 
     def test_shipped_spec_generates_the_model_once(self, monkeypatch, capsys):
         calls = []

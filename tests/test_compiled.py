@@ -296,6 +296,10 @@ def hand_ctx(**overrides) -> EvalContext:
             "lamp_on": Definition("lamp_on", "lamp on", ModeActive("lamp", "on", "start")),
             "lamp_on_end": Definition("lamp_on_end", "lamp on at end",
                                       ModeActive("lamp", "on", "end")),
+            # a chain, so evaluated once per frame
+            "lamp_lit": Definition("lamp_lit", "lamp on, or dim at end",
+                                   or_(ModeActive("lamp", "on", "start"),
+                                       ModeActive("lamp", "dim", "end"))),
         },
     )
     fields.update(overrides)
@@ -348,6 +352,11 @@ HAND_CASES = [
     DefRef("lamp_on_end"),
     or_(DefRef("lamp_on"), DefRef("lamp_on_end")),
     or_(Not(DefRef("lamp_on")), DefRef("lamp_on_end")),
+    # a chain definition read once and twice in one frame, and flattened
+    DefRef("lamp_lit"),
+    and_(DefRef("lamp_lit"), Not(DefRef("lamp_lit"))),
+    or_(Not(DefRef("lamp_lit")), DefRef("lamp_lit"), Lit(0)),
+    and_(Lit(True), DefRef("lamp_lit"), SigRead("flag"), DefRef("lamp_lit")),
     # n-ary chains, and a disjunction long enough to pick its operands per
     # active mode set, with a non-boolean operand among them
     and_(Lit(True), DefRef("lamp_on"), Lit(True), SigRead("x")),
@@ -675,6 +684,107 @@ def test_a_plan_build_dispatches_once_per_distinct_node(model, monkeypatch):
                     pending.append(defs[node.name].expr)
     assert set(dispatched.values()) == {1}
     assert set(dispatched) == reached
+
+
+# --- chain definitions, evaluated once per frame ------------------------------
+
+class Counting(dict):
+    """Signals that count every lookup of a compiled expression."""
+
+    def __init__(self, signals):
+        super().__init__(signals)
+        self.lookups = Counter()
+
+    def __getitem__(self, name):
+        self.lookups[name] += 1
+        return super().__getitem__(name)
+
+
+def test_every_reference_to_a_chain_definition_shares_one_node():
+    defs = {"either": Definition("either", "green or red", or_(ev_is("green"), ev_is("red"))),
+            "on": Definition("on", "lamp on", lamp_is("on"))}
+    compiler = Compiler(defs)
+    first, second = DefRef("either"), DefRef("either")
+    node = compiler.compile(first)
+    assert compiler.compile(second) is node
+    # it keeps its body's analysis, so a parent of the same operator still
+    # takes the body's operands into its own closure
+    body = compiler.compile(defs["either"].expr)
+    assert node is not body
+    assert all(getattr(node, slot) is getattr(body, slot) for slot in (
+        "support", "exact", "literals", "op", "parts", "reads"))
+    assert compiler.compile(or_(first, lamp_is("dim"))).parts[:2] == body.parts
+    # a leaf body is inlined: a reference to it is the body's own node
+    assert compiler.compile(DefRef("on")) is compiler.compile(defs["on"].expr)
+    # read twice in one frame, the body runs once; a new frame runs it again
+    both = compiler.compile(and_(first, lamp_is("on"), second)).fn
+    for _ in range(2):
+        signals = Counting({"ev": "red"})
+        frame = Frame(signals, {"lamp": frozenset({"on"})}, None)
+        assert both(frame) is True
+        assert signals.lookups == {"ev": 2}   # green, then red, once
+        assert frame.values == {"either": True}
+
+
+def off_and_small():
+    """A chain definition that raises when ``x`` is not an integer."""
+    return Definition("off_small", "off and x is small",
+                      and_(lamp_is("off"), BinOp("<", SigRead("x"), Lit(5))))
+
+
+def test_a_definition_that_raises_is_an_eval_violation_of_each_reader_in_model_order():
+    ref = DefRef("off_small")
+    readers = [("plain", "the definition", ref),
+               ("either", "the definition or dim", or_(ref, lamp_is("dim"))),
+               ("negated", "not the definition", Not(ref))]
+    model = tiny_model(
+        *[Requirement(rid, title, Template.TRIGGER_ON_EVENT, guard=guard,
+                      effects=(ModeAssign("lamp", "on"),))
+          for rid, title, guard in readers],
+        signals=[SignalDef("x", "Colour", initial="red")],
+        modes=[ModeComponent("lamp", ("off", "on", "dim"), initial="off")],
+        definitions=[off_and_small()])
+    env = initial_env(model)
+    ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
+                      definitions=model.definition_map())
+    expected = outcome(eval_expr, ref, ctx)
+    assert expected == ("raises", TypeMismatch, "< expects an integer, got 'red'")
+    result = fire_round(model, env, None)
+    assert result.fired == ()
+    assert [(v.constraint_id, v.message) for v in result.violations] == [
+        ("EVAL", f"requirement {rid} ({title}): {expected[2]}")
+        for rid, title, _ in readers]
+    # a body that raises stores nothing, so every read raises again
+    node = Compiler(model.definition_map()).compile(ref)
+    frame = Frame(env.signals, env.modes, None)
+    assert [outcome(node.fn, frame) for _ in range(2)] == [expected] * 2
+    assert frame.values == {}
+
+
+def test_a_definition_read_at_start_and_at_end_takes_each_frame_value():
+    odd = Definition("odd", "x is 1 or 3",
+                     or_(BinOp("=", SigRead("x"), Lit(1)), BinOp("=", SigRead("x"), Lit(3))))
+    model = tiny_model(
+        Requirement("bump", "an odd x counts up to an even one",
+                    Template.TRIGGER_ON_EVENT, guard=and_(lamp_is("off"), DefRef("odd")),
+                    effects=(SignalAssign("x", BinOp("+", SigRead("x"), Lit(1))),),
+                    required=Not(DefRef("odd"))),
+        Requirement("even", "x is even at the end", Template.EVERY,
+                    required=Not(DefRef("odd"))),
+        signals=[small("x", 0)],
+        modes=[ModeComponent("lamp", ("off", "on"), initial="off")],
+        definitions=[odd])
+    # the guard reads odd in the start frame, both conditions in the end
+    # frame, where the trigger's write has made x even
+    for x, fired in ((1, (("bump", ("x",)),)), (2, ()), (3, (("bump", ("x",)),))):
+        result = fire_round(model, start_on(model, ("off",), x=x), None)
+        assert (result.fired, result.violations) == (fired, ()), x
+        assert result.end_env.signals["x"] == x + (x % 2)
+    node = Compiler(model.definition_map()).compile(DefRef("odd"))
+    modes = {"lamp": frozenset({"off"})}
+    start, end = Frame({"x": 1}, modes, None), Frame({"x": 2}, modes, modes)
+    assert (node.fn(start), node.fn(end)) == (True, False)
+    assert (start.values, end.values) == ({"odd": True}, {"odd": False})
 
 
 # --- the round memo -----------------------------------------------------------

@@ -26,7 +26,7 @@ import pytest
 
 from candofsm.fsm import CONT, GET_CMD, MAX_COUNT, PACKET_LENGTH, StateKind
 from candofsm.generate import generate_model
-from candofsm.reqs import engine
+from candofsm.reqs import compiled, engine
 from candofsm.reqs.compiled import Frame
 from candofsm.reqs.engine import (
     STATE_COMPONENT,
@@ -36,9 +36,17 @@ from candofsm.reqs.engine import (
     run_requirements_trace,
 )
 from candofsm.reqs.expr import EvalContext, EvalError, eval_expr
-from candofsm.reqs.model import Env, initial_env
+from candofsm.reqs.model import TRIGGER_ON_EVENT, Env, initial_env
 from candofsm.trace import ROW_COLUMNS, equivalence_report
-from conftest import GUARD_CALLS, LARGEST_CANDIDATES, MEMO_ENTRIES, REQUIREMENTS
+from conftest import (
+    CACHED_DEFINITIONS,
+    DEFINITION_READS,
+    DEFINITION_RUNS,
+    GUARD_CALLS,
+    LARGEST_CANDIDATES,
+    MEMO_ENTRIES,
+    REQUIREMENTS,
+)
 from test_compiled import Recording
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
@@ -234,6 +242,55 @@ def test_a_verify_pass_computes_124_rounds_with_pinned_guard_calls(spec, monkeyp
     monkeypatch.setattr(engine, "_compute", compute)
     assert equivalence_report(spec, model).passed
     assert (computed, calls) == (MEMO_ENTRIES, GUARD_CALLS)
+
+
+def test_a_verify_pass_runs_each_chain_definition_once_per_frame(spec, monkeypatch):
+    # a work count like the guard calls: a chain definition's body runs on a
+    # frame's first read of it, and the frame answers every other read
+    built, reads, runs = [], 0, 0
+
+    def counted(name, body):
+        def run(frame):
+            nonlocal runs
+            runs += 1
+            return body(frame)
+        shared = real_once(name, run)
+
+        def read(frame):
+            nonlocal reads
+            reads += 1
+            return shared(frame)
+        built.append(name)
+        return read
+    real_once = compiled._once_per_frame
+    monkeypatch.setattr(compiled, "_once_per_frame", counted)
+    model = generate_model(spec)[0]
+    assert equivalence_report(spec, model).passed
+    assert len(set(built)) == len(built) == CACHED_DEFINITIONS
+    assert (reads, runs) == (DEFINITION_READS, DEFINITION_RUNS)
+
+
+def test_the_index_selects_what_each_step_support_allows(spec, model):
+    # the plan indexes each distinct support once; derived step by step from
+    # the supports, every (state, event) key must get the same candidates
+    plan = _plan_of(model)
+
+    def allows(step, active, event) -> bool:
+        return step.support is None or any(
+            mode in active and (lit is None or lit[0] != plan.key or lit[1] == event)
+            for mode, lit in step.support)
+    keys = 0
+    for st in spec.roster.state_names:
+        active = frozenset({(STATE_COMPONENT, st)})
+        for ev in spec.roster.event_names:
+            steps = [step for step in plan.steps if allows(step, active, ev)]
+            reads = set().union(*(step.reads for step in steps)) - {plan.key}
+            assert plan._select(active, ev) == (
+                tuple(s for s in steps if s.template is TRIGGER_ON_EVENT),
+                tuple(s for s in steps if s.template is not TRIGGER_ON_EVENT),
+                tuple(sorted(reads)), active), (st, ev)
+            keys += 1
+    assert keys == 714
 
 
 def test_a_candidate_reads_no_signal_outside_its_reads(model, golden):

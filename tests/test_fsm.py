@@ -234,6 +234,11 @@ class TestRolePredicates:
             states=tuple(s for s in spec.roster.states if s.name != "chip_rst"))
         assert "ROSTER" in codes(check_roster(trimmed))
 
+    def test_roster_check_flags_a_roster_without_commands(self, spec):
+        assert check_roster(spec.roster._replace(commands=())) == [Violation(
+            "ROSTER", message="the roster has no command, so nothing can be run or "
+                              "compared")]
+
     def test_roster_check_reserves_the_kind_name_prefix(self, spec):
         renamed = spec.roster._replace(states=tuple(
             s._replace(name=f"{KIND_NAME_PREFIX}{s.name}") if s.name == "set_vLED" else s

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
@@ -380,6 +381,14 @@ class TestEquivalenceReport:
         assert not report.passed
         assert report.render_markdown().endswith("\nOverall: FAIL\n")
         assert json.loads(report.render_json())["passed"] is False
+
+    def test_a_spec_without_commands_gives_a_failing_report(self, spec):
+        # check_roster refuses such a spec; the report fails on its own too
+        no_commands = dataclasses.replace(
+            spec, roster=spec.roster._replace(commands=()), dispatch={})
+        report = equivalence_report(no_commands, generate_model(no_commands)[0])
+        assert report.per_command == {}
+        assert not report.passed
 
     def test_each_run_keeps_its_stop_reason_and_violations(self, spec, model):
         report = equivalence_report(spec, model, max_rounds=500)

@@ -7,18 +7,23 @@ produced.  The one data-dependent transition is get_cmd under CONT, which
 consults the command dispatch table instead of the table entry.  Each
 state's operation is bound once per spec (:func:`_entry`): a function of the
 machine before the round that returns every field after it but the state,
-in field order, so a round builds its one new :class:`ModelState` in one
-positional call.  Creators share the packets they build.
+in field order.  Creators share the packets they build.
 
 Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`ops_round` and :func:`step` re-check it
 after executing and report breaches as violations, none on a conforming spec.
 
-``Packet``, ``ModelState`` and ``StepOutcome`` are named tuples.
-``ModelState`` subclasses its field tuple with a ``__new__`` that
-range-checks the three counters before ``tuple.__new__``; its ``_make`` and
+``Packet``, ``ModelState`` and ``StepOutcome`` are named tuples.  One
+function, :func:`_range_checked`, holds the three counter range checks and
+builds every ``ModelState`` with ``tuple.__new__``.  ``ModelState.__new__``
+tests that each counter is an ``int`` and then calls it; its ``_make`` and
 ``__reduce__`` go through the class, so ``_replace``, ``copy`` and
-unpickling under every protocol check too.
+unpickling under every protocol check too.  A round builds each of its
+records in one tuple construction, with no Python-level ``__new__``: its
+next state through :func:`_range_checked`, its ``StepOutcome`` and its
+trace row with ``tuple.__new__``.  A round skips the ``int`` test, since
+each operation maps int counters to int counters (``+ 1``, ``min``, ``0``):
+from a checked state it cannot make a counter of another type.
 Unlike a dataclass, a record compares equal to a plain tuple of the same
 cells (a ``Packet`` to a ``PacketTemplate``), and ``_replace`` with an
 unknown field raises ``ValueError``.
@@ -52,7 +57,7 @@ from .fsm import (
     lookup_next,
 )
 from .specio import PacketTemplate, SpecDocument
-from .trace import Trace, TraceRow, run_rounds
+from .trace import _NO_ATTRIBUTION, Trace, TraceRow, run_rounds
 
 
 class Packet(NamedTuple):
@@ -84,6 +89,20 @@ class _ModelFields(NamedTuple):
 _tuple_new = tuple.__new__
 
 
+def _range_checked(cls, cells: tuple):
+    """The ``cls`` record of ``cells``, in :class:`ModelState` field order,
+    once its three counters are in range: the one place a ``ModelState`` is
+    built."""
+    bytes_received, bytes_sent, tx_cnt = cells[7], cells[8], cells[9]
+    if not 0 <= bytes_sent <= PACKET_LENGTH:
+        raise ValueError(f"bytes_sent out of range: {bytes_sent}")
+    if not 0 <= bytes_received <= PACKET_LENGTH:
+        raise ValueError(f"bytes_received out of range: {bytes_received}")
+    if not 0 <= tx_cnt <= MAX_COUNT:
+        raise ValueError(f"tx_cnt out of range: {tx_cnt}")
+    return _tuple_new(cls, cells)
+
+
 class ModelState(_ModelFields):
     """The machine between rounds: state, event, command, flags, packet, counters."""
 
@@ -93,16 +112,15 @@ class ModelState(_ModelFields):
                 command_finish_flag: bool = False, optrode_tx_finish: bool = False,
                 optrode_rx_finish: bool = False, packet: Packet | None = None,
                 bytes_received: int = 0, bytes_sent: int = 0, tx_cnt: int = 0):
-        if not 0 <= bytes_sent <= PACKET_LENGTH:
-            raise ValueError(f"bytes_sent out of range: {bytes_sent}")
-        if not 0 <= bytes_received <= PACKET_LENGTH:
-            raise ValueError(f"bytes_received out of range: {bytes_received}")
-        if not 0 <= tx_cnt <= MAX_COUNT:
-            raise ValueError(f"tx_cnt out of range: {tx_cnt}")
-        return _tuple_new(cls, (current_state, current_event, current_command,
-                                command_finish_flag, optrode_tx_finish,
-                                optrode_rx_finish, packet, bytes_received,
-                                bytes_sent, tx_cnt))
+        # a bool is an int to isinstance, so test the type itself
+        for name, count in (("bytes_sent", bytes_sent),
+                            ("bytes_received", bytes_received), ("tx_cnt", tx_cnt)):
+            if type(count) is not int:
+                raise TypeError(f"{name} is not an int: {count!r}")
+        return _range_checked(cls, (current_state, current_event, current_command,
+                                    command_finish_flag, optrode_tx_finish,
+                                    optrode_rx_finish, packet, bytes_received,
+                                    bytes_sent, tx_cnt))
 
     @classmethod
     def _make(cls, iterable) -> ModelState:
@@ -271,8 +289,9 @@ def step(spec: SpecDocument, m: ModelState) -> StepOutcome:
     st = m.current_state
     kind, fired, operate = _entry(spec, st)
     after = operate(m)
-    n = ModelState(_target(spec, st, after[0], m.current_command), *after)
-    return StepOutcome(n, fired, _op_contract(st, kind, m, n.current_event, n.tx_cnt))
+    n = _range_checked(ModelState, (_target(spec, st, after[0], m.current_command), *after))
+    # after[0] and after[8] are the event and tx_cnt the operation left
+    return _tuple_new(StepOutcome, (n, fired, _op_contract(st, kind, m, after[0], after[8])))
 
 
 def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
@@ -281,17 +300,19 @@ def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
     ``next`` is the machine after the operation."""
     st = _target(spec, m.current_state, m.current_event, m.current_command)
     kind, fired, operate = _entry(spec, st)
-    n = ModelState(st, *operate(m))
-    return StepOutcome(n, fired, _op_contract(st, kind, m, n.current_event, n.tx_cnt))
+    after = operate(m)
+    n = _range_checked(ModelState, (st, *after))
+    return _tuple_new(StepOutcome, (n, fired, _op_contract(st, kind, m, after[0], after[8])))
 
 
 def _snapshot(m: ModelState, round_no: int) -> TraceRow:
     """The machine as a trace row, its cells in ``TraceRow`` field order."""
     packet = m.packet or _NO_PACKET
-    return TraceRow(round_no, m.current_state, m.current_event, m.current_command,
-                    packet.addr, packet.cmd, packet.data,
-                    m.bytes_sent, m.bytes_received, m.tx_cnt,
-                    m.optrode_tx_finish, m.optrode_rx_finish, m.command_finish_flag)
+    return _tuple_new(TraceRow, (
+        round_no, m.current_state, m.current_event, m.current_command,
+        packet.addr, packet.cmd, packet.data, m.bytes_sent, m.bytes_received,
+        m.tx_cnt, m.optrode_tx_finish, m.optrode_rx_finish, m.command_finish_flag,
+        _NO_ATTRIBUTION))
 
 
 def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
@@ -304,6 +325,6 @@ def run(spec: SpecDocument, command: str, max_rounds: int) -> Trace:
         return m, _snapshot(m, 0)
 
     def round_of(m: ModelState, row: TraceRow, round_no: int) -> tuple:
-        outcome = ops_round(spec, m)
-        return outcome.next, _snapshot(outcome.next, round_no), outcome.post_violations
+        n, _, found = ops_round(spec, m)
+        return n, _snapshot(n, round_no), found
     return run_rounds("ops", command, max_rounds, start, round_of)

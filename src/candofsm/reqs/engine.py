@@ -22,12 +22,14 @@ A model's first round builds a plan kept on the model instance: every
 requirement compiled to closures, and their start-state supports (see
 :mod:`.compiled`) indexed by mode.  Steps share support objects, and each
 distinct one is walked once for the index.  Candidates are keyed on the
-active start modes and the value of one key signal, the one the supports'
-literals read most (the current event in a generated model).  A round
-visits only the candidates of its key: the requirements whose guard can
-hold from there, plus the ones that act every round, in model order, so
-writes, conflicts, fired ids and violations keep the order a walk over
-every requirement gives.  A round calls every candidate's guard.
+start modes and the value of one key signal, the one the supports'
+literals read most (the current event in a generated model).  The index
+is looked up by the modes' (component, mode set) pairs, so a round under
+a known key builds no set of active modes.  A round visits only the
+candidates of its key: the requirements whose guard can hold from there,
+plus the ones that act every round, in model order, so writes, conflicts,
+fired ids and violations keep the order a walk over every requirement
+gives.  A round calls every candidate's guard.
 
 A computed round reads two frames, its start (guards and effects) and its
 end (required conditions), and each frame keeps the value of every chain
@@ -43,9 +45,10 @@ memo key is the active start modes, the key signal's value and those
 signals' values, each value with its type, which keeps ``1`` apart from
 ``True``.  A start whose values are not all ``None``, booleans, integers,
 strings or ABSENT is computed and not stored.  An entry holds the
-committed signal and mode writes, the fired ids and the violations, and no
-env.  The memo and the candidate index hold at most ``CACHE_LIMIT`` entries
-each; past that a round is computed and not stored.
+committed signal and mode writes, the fired ids, the violations and the
+trace columns those ids wrote, and no env.  The memo and the candidate
+index hold at most ``CACHE_LIMIT`` entries each; past that a round is
+computed and not stored.
 
 On the shipped machine a ``verify`` runs 322 rounds, of which 124 are
 distinct inputs: the memo ends with 124 entries, and the other 198 rounds
@@ -56,6 +59,15 @@ calls on average, 1,174 in all.  An arrow's guard, ``from_X and (current_event =
 or …)``, has one exact term per event, so it is a candidate only under its
 own events.
 
+A round builds each of its records in one tuple construction, with no
+Python-level ``__new__``.  A computed round's end env holds the two dicts
+its end frame reads; a round found in the memo builds its two from its
+start and the stored writes.  :func:`fire_round`, the public one-round
+entry, wraps ``_round`` and builds its ``RoundResult``.  The run loop
+calls ``_round`` itself and takes the end env and the columns to
+attribute straight from the outcome, so the writers of a round's fired
+tuple are looked up once per computed round, not in every round.
+
 A trace row's cells come from one table, ``TRACE_RECORDS``: each is its
 record's value, nil where the env lacks the record.  A column's attribution
 is the requirements that wrote its record or the record's ``next_`` shadow,
@@ -65,11 +77,12 @@ each once, in fired order.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from itertools import repeat
+from typing import Mapping, NamedTuple
 
 from ..fsm import Violation
 from ..opmodel import ModelState, _snapshot
-from ..trace import ROW_COLUMNS, Trace, TraceRow, run_rounds
+from ..trace import _NO_ATTRIBUTION, ROW_COLUMNS, Trace, TraceRow, run_rounds
 from .compiled import ABSENT, Compiler, Frame, active_modes
 # eval_expr is the reference interpreter the compiled closures are tested
 # against; it stays importable from here
@@ -154,7 +167,7 @@ class _Plan:
     (active start-mode set, value of the key signal), in model order, with
     the signals they read besides the key; the key signal is the one read by
     the literals of the most step supports.
-    ``memo`` maps a round's input to what :func:`_compute` returns for it.
+    ``memo`` maps a round's input to the outcome :func:`_compute` gives for it.
     """
 
     def __init__(self, model: RequirementsModel):
@@ -186,19 +199,22 @@ class _Plan:
         # a round's fired tuple -> what _writers makes of it
         self.writers: dict[tuple, tuple] = {}
 
-    def lookup(self, active: frozenset, value=ABSENT) -> tuple:
-        """The candidates of a start with these active modes whose key signal
-        holds ``value`` (ABSENT: unknown): the triggers and the rest, each a
-        tuple of steps; the sorted signals besides the key they read; and the
-        active set memo keys share."""
+    def lookup(self, modes: Mapping[str, frozenset[str]], value=ABSENT) -> tuple:
+        """The candidates of a start with these modes whose key signal holds
+        ``value`` (ABSENT: unknown): the triggers and the rest, each a tuple
+        of steps; the sorted signals besides the key they read; and the
+        active (component, mode) pairs, the set memo keys share.  The cache
+        is keyed on the modes' (component, mode set) pairs and the value, so
+        a round it knows builds no set."""
+        key = (*modes.items(), value)
         try:
-            found = self._candidates.get((active, value))
-        except TypeError:   # a value that cannot key a lookup
-            return self.lookup(active)
+            found = self._candidates.get(key)
+        except TypeError:   # a value or a mode set that cannot key a lookup
+            return self._select(active_modes(modes), ABSENT)
         if found is None:
-            found = self._select(active, value)
+            found = self._select(active_modes(modes), value)
             if len(self._candidates) < CACHE_LIMIT:
-                self._candidates[(active, value)] = found
+                self._candidates[key] = found
         return found
 
     def _select(self, active: frozenset, value) -> tuple:
@@ -240,6 +256,11 @@ def _plan_of(model: RequirementsModel) -> _Plan:
     return plan
 
 
+_tuple_new = tuple.__new__
+# the history of every env a round ends in
+_NO_HISTORY = Env._field_defaults["history"]
+
+
 def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> RoundResult:
     """One round of ``model`` from ``env``: the end env, the requirements
     that fired with what each wrote, and the violations.  It is total: an
@@ -249,33 +270,42 @@ def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> Roun
     round seen before is not computed again.  ``prev_env`` is unread: no
     template compares a round with the one before, and the parameter stays
     while perfbench/workloads.py passes it."""
+    end_env, outcome = _round(model, env)
+    return _tuple_new(RoundResult, (end_env, outcome[2], outcome[3]))
+
+
+def _round(model: RequirementsModel, env: Env) -> tuple:
+    """The round of :func:`fire_round`: its end env and its outcome, the
+    tuple :func:`_compute` gives and the memo holds (signal writes, mode
+    writes, fired ids, violations, writers)."""
     plan = _plan_of(model)
     signals, modes = env.signals, env.modes
     value = signals.get(plan.key, ABSENT)
-    effect_steps, check_steps, reads, active = plan.lookup(active_modes(modes), value)
-    values = (value, *[signals.get(name, ABSENT) for name in reads])
+    effect_steps, check_steps, reads, active = plan.lookup(modes, value)
+    values = (value, *map(signals.get, reads, repeat(ABSENT)))
     kinds = tuple(map(type, values))
     # (active modes, key value, read values, their types); the types keep
     # 1 apart from True
     key = (active, *values, *kinds) if _ATOMS.issuperset(kinds) else None
     outcome = plan.memo.get(key)
     if outcome is None:
-        outcome = _compute(plan, env, effect_steps, check_steps)
+        end_env, outcome = _compute(plan, env, effect_steps, check_steps)
         if key is not None and len(plan.memo) < CACHE_LIMIT:
             plan.memo[key] = outcome
-    signal_writes, mode_writes, fired, violations = outcome
+        return end_env, outcome
     end_signals = dict(signals)
-    end_signals.update(signal_writes)
+    end_signals.update(outcome[0])
     end_modes = dict(modes)
-    end_modes.update(mode_writes)
-    end_env = Env(end_signals, end_modes)
-    return RoundResult(end_env, fired, violations)
+    end_modes.update(outcome[1])
+    return _tuple_new(Env, (end_signals, end_modes, _NO_HISTORY)), outcome
 
 
 def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> tuple:
-    """What one round from ``env``, whose candidates these are, adds to its
-    start: its committed signal writes and mode writes, as (name, value)
-    pairs in commit order, its fired ids and its violations."""
+    """One round from ``env``, whose candidates these are: its end env, whose
+    dicts its end frame reads, and its outcome, what it adds to its start.  The
+    outcome holds its committed signal writes and mode writes, as (name,
+    value) pairs in commit order, its fired ids, its violations, and the
+    trace columns those ids wrote (see :func:`_writers`)."""
     start = Frame(env.signals, env.modes, None)
 
     violations: list[Violation] = []
@@ -349,8 +379,9 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
     fired = tuple((step.req.req_id, tuple(applied[step.req.req_id]))
                   for step in effect_steps if step.req.req_id in applied)
 
+    end_signals = {**env.signals, **signal_writes}
     end_modes = {**env.modes, **mode_writes}
-    end = Frame({**env.signals, **signal_writes}, env.modes, end_modes)
+    end = Frame(end_signals, env.modes, end_modes)
 
     def required_holds(required, req: Requirement) -> bool:
         try:
@@ -382,11 +413,18 @@ def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> 
             violations.append(_violation("OBLIGATION", step.req, "required condition "
                                                                  "breached after trigger"))
 
-    # rounds share their mode writes and fired lists; a signal write holds a
-    # value, so it is not shared
+    # rounds share their mode writes, fired lists and writers; a signal
+    # write holds a value, so it is not shared
     interned = plan.compiler.interned
-    return (tuple(signal_writes.items()), interned(tuple(mode_writes.items())),
-            interned(fired), tuple(violations))
+    fired = interned(fired)
+    writers = plan.writers.get(fired)
+    if writers is None:
+        writers = _writers(fired)
+        if len(plan.writers) < CACHE_LIMIT:
+            plan.writers[fired] = writers
+    return _tuple_new(Env, (end_signals, end_modes, _NO_HISTORY)), (
+        tuple(signal_writes.items()), interned(tuple(mode_writes.items())),
+        fired, tuple(violations), writers)
 
 
 # --- trace building over the generated record names -------------------------
@@ -456,17 +494,11 @@ def run_requirements_trace(model: RequirementsModel, command: str,
     def start() -> tuple[Env, TraceRow]:
         record = TRACE_RECORDS["command"]
         env = initial_env(model, {record: command} if record in model.dictionary.domains else None)
-        return env, TraceRow(*_env_cells(env, 0))
+        return env, _tuple_new(TraceRow, (*_env_cells(env, 0), _NO_ATTRIBUTION))
 
     def round_of(env: Env, row: TraceRow, round_no: int) -> tuple:
-        result = fire_round(model, env, None)
-        cells = _env_cells(result.end_env, round_no)
-        writers_of = _plan_of(model).writers
-        writers = writers_of.get(result.fired)
-        if writers is None:
-            writers = _writers(result.fired)
-            if len(writers_of) < CACHE_LIMIT:
-                writers_of[result.fired] = writers
+        end_env, (_, _, _, violations, writers) = _round(model, env)
+        cells = _env_cells(end_env, round_no)
         attribution = {column: ids for column, i, ids in writers if cells[i] != row[i]}
-        return result.end_env, TraceRow(*cells, attribution), result.violations
+        return end_env, _tuple_new(TraceRow, (*cells, attribution)), violations
     return run_rounds("reqs", command, max_rounds, start, round_of)

@@ -23,6 +23,10 @@ LARGEST_CANDIDATES = 20  # candidates of the largest (state, event) plan key
 CACHED_DEFINITIONS = 45  # chain definitions, each evaluated once per frame
 DEFINITION_READS = 954   # their reads in a verify pass
 DEFINITION_RUNS = 368    # their body runs in it, once per frame that reads one
+# SHA-256 of step and ops_round from each machine of
+# test_opmodel.ops_grid, recorded before a round built its records with
+# tuple.__new__; it holds while a round's arithmetic is unchanged
+OPS_GRID_SHA256 = "3125d648a8e1a3e7186bee8bc0e183fca41de4fa7f9d842beb0f7de962715263"
 
 
 @pytest.fixture(scope="session")

@@ -519,8 +519,7 @@ def start_on(model, active, **signals) -> Env:
 
 def candidate_ids(model, env) -> list[str]:
     plan = _plan_of(model)
-    effect, check = plan.lookup(active_modes(env.modes),
-                                env.signals.get(plan.key, ABSENT))[:2]
+    effect, check = plan.lookup(env.modes, env.signals.get(plan.key, ABSENT))[:2]
     return [step.req.req_id for step in effect + check]
 
 
@@ -845,6 +844,35 @@ def test_both_caches_stop_at_their_limit(monkeypatch):
             assert exact(fire_round(model, env, None)) == exact(fresh_round(model, env))
     assert len(plan._candidates) == 8
     assert len(plan.memo) == 8
+
+
+def test_a_computed_round_ends_in_its_end_frame_and_the_memo_holds_no_env(monkeypatch):
+    frames = []
+
+    class Recorded(Frame):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            frames.append(self)
+
+    monkeypatch.setattr(engine, "Frame", Recorded)
+    model = counter_model()
+    env = start_on(model, ("off",), n=2, x=3)
+    computed = fire_round(model, env, None)
+    # a computed round reads two frames; its end env is the end one's dicts
+    start, end = frames
+    assert computed.end_env.signals is end.signals
+    assert computed.end_env.modes is end.end_modes
+    assert computed.end_env.signals == {**env.signals, "x": 5}
+    assert computed.end_env.modes == {"lamp": frozenset({"on"})}
+    [outcome] = _plan_of(model).memo.values()
+    # writes, fired ids, violations and their trace columns: no env, no dict
+    assert all(type(part) is tuple for part in outcome)
+    frames.clear()
+    found = fire_round(model, env, None)
+    assert frames == [] and exact(found) == exact(computed)
+    assert found.end_env.signals is not computed.end_env.signals
 
 
 def test_a_memo_key_keeps_values_of_different_types_apart():

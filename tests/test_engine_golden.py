@@ -330,12 +330,11 @@ def _reporters(violation: list) -> set[str]:
     return set(writers.group(1).split(", ")) if writers else set()
 
 
-def _start_key(entry) -> tuple[frozenset, str]:
-    """The candidate key of a recorded round: its active states and event."""
+def _start_key(entry) -> tuple[dict, str]:
+    """The candidate key of a recorded round: its state modes and event."""
     state = entry["input"]["state"]
-    active = frozenset((STATE_COMPONENT, s)
-                       for s in ([state] if isinstance(state, str) else state))
-    return active, entry["input"]["event"]
+    active = frozenset([state] if isinstance(state, str) else state)
+    return {STATE_COMPONENT: active}, entry["input"]["event"]
 
 
 def test_candidates_hold_every_requirement_that_fired_or_reported(model, golden):
@@ -357,8 +356,9 @@ def test_an_exact_support_a_start_meets_holds_under_the_interpreter(model, golde
         env = start_env(model, entry["input"])
         ctx = EvalContext(start_signals=env.signals, start_modes=env.modes,
                           definitions=plan.definitions)
-        active, event = _start_key(entry)
-        effect, check = plan.lookup(active, event)[:2]
+        modes, event = _start_key(entry)
+        effect, check = plan.lookup(modes, event)[:2]
+        active = compiled.active_modes(modes)
         for step in effect + check:
             guard = step.req.guard and plan.compiler.compile(step.req.guard)
             # an exact support whose terms read only the key: the start
@@ -376,7 +376,7 @@ def test_an_exact_support_a_start_meets_holds_under_the_interpreter(model, golde
 def test_each_state_and_event_has_fewer_than_30_candidates(spec, model):
     plan = _plan_of(model)
     sizes = {(st, ev): sum(map(len, plan.lookup(
-                 frozenset({(STATE_COMPONENT, st)}), ev)[:2]))
+                 {STATE_COMPONENT: frozenset({st})}, ev)[:2]))
              for st in spec.roster.state_names for ev in spec.roster.event_names}
     assert len(model.requirements) == REQUIREMENTS
     assert max(sizes.values()) < 30
@@ -398,7 +398,7 @@ def test_a_kind_level_step_is_a_candidate_exactly_where_an_arrow_enters_its_kind
     largest = 0
     for st in spec.roster.state_names:
         for ev in spec.roster.event_names:
-            effect, check = plan.lookup(frozenset({(STATE_COMPONENT, st)}), ev)[:2]
+            effect, check = plan.lookup({STATE_COMPONENT: frozenset({st})}, ev)[:2]
             candidates = {step.req.req_id for step in effect + check}
             largest = max(largest, len(candidates))
             targets = (set(spec.dispatch.values()) if (st, ev) == (GET_CMD, CONT)

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import pickle
+import random
+import re
 from collections import Counter
 
 import pytest
 
+from candofsm import opmodel
 from candofsm.fsm import (
     CONT,
     GET_CMD,
@@ -31,9 +35,11 @@ from candofsm.opmodel import (
     run,
     step,
 )
+from candofsm.reqs.engine import env_of
+from candofsm.reqs.model import ModelError
 from candofsm.specio import PacketTemplate
 from candofsm.trace import RunError
-from conftest import mutate_table
+from conftest import OPS_GRID_SHA256, mutate_table
 
 
 def distinct_states(trace):
@@ -122,6 +128,26 @@ class TestInit:
             assert again == m and type(again) is ModelState
             with pytest.raises(ValueError, match="bytes_sent out of range"):
                 rebuild(bad)
+
+    def test_a_counter_that_is_not_an_int_is_refused(self, spec, model):
+        # a float or a bool passes a range check; initial_env refuses both,
+        # so a machine refuses them too, however it is built
+        m = init_model(spec, "LED_ON_C")
+        for i, bad in itertools.product((7, 8, 9), (1.5, True)):
+            counter = ModelState._fields[i]
+            message = f"^{counter} is not an int: {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
+                ModelState("send_packet_1", CONT, "LED_ON_C", **{counter: bad})
+            with pytest.raises(TypeError, match=message):
+                m._replace(**{counter: bad})
+            # a tuple built past __new__, as only a test does
+            held = tuple.__new__(ModelState, m[:i] + (bad,) + m[i + 1:])
+            for p in range(pickle.HIGHEST_PROTOCOL + 1):
+                with pytest.raises(TypeError, match=message):
+                    pickle.loads(pickle.dumps(held, p))
+            with pytest.raises(ModelError, match=f"^override of signal '{counter}': "
+                                                 f"{re.escape(repr(bad))} is not an int$"):
+                env_of(model, held)
 
 
 class TestStateOperation:
@@ -407,11 +433,18 @@ def counting_new(monkeypatch, cls) -> list:
 
 
 def test_each_round_constructs_exactly_one_model_state(spec, monkeypatch):
-    # the range checks live in __new__, so counting its calls also shows
-    # that they run on every state a round builds
+    # the range checks live in _range_checked, which builds every
+    # ModelState, so counting its calls also shows that they run on every
+    # state a round builds
     starts = [init_model(spec, "LED_ON_C")._replace(current_state=st)
               for st in spec.roster.state_names]
-    checked = counting_new(monkeypatch, ModelState)
+    checked, real = [], opmodel._range_checked
+
+    def counted(cls, cells):
+        checked.append(real(cls, cells))
+        return checked[-1]
+
+    monkeypatch.setattr(opmodel, "_range_checked", counted)
     for cmd in spec.roster.command_names:
         checked.clear()
         trace = run(spec, cmd, 500)
@@ -463,3 +496,34 @@ def test_each_creator_packet_is_built_once_and_then_shared(spec, monkeypatch):
     assert ops_round(fresh, m._replace(
         current_state="receive_packet_28", current_event=CONT)).next.packet \
         == Packet("Other_addr", "STATUS_C", "DAC_value")
+
+
+def ops_grid(spec) -> list[ModelState]:
+    """Every state x event x bytes_sent x bytes_received x tx_cnt, the
+    oracle's 34,272 machines, each with a command and flags drawn from
+    ``random.Random(40)``."""
+    rng = random.Random(40)
+    roster = spec.roster
+    counter = range(PACKET_LENGTH + 1)
+    return [ModelState(st, ev, rng.choice(roster.command_names), rng.random() < 0.5,
+                       rng.random() < 0.5, rng.random() < 0.5, bytes_sent=sent,
+                       bytes_received=received, tx_cnt=tx)
+            for st, ev, sent, received, tx in itertools.product(
+                roster.state_names, roster.event_names, counter, counter,
+                range(MAX_COUNT + 1))]
+
+
+def test_the_ops_round_over_the_full_grid_is_pinned(spec):
+    # step and ops_round from every machine of the grid: the digest holds
+    # each next machine's cells, fired name and post-condition breaches
+    grid = ops_grid(spec)
+    assert len(grid) == 34272
+    digest = hashlib.sha256()
+    for m in grid:
+        for round_fn in (step, ops_round):
+            outcome = round_fn(spec, m)
+            n, fired, post = outcome
+            assert type(outcome) is StepOutcome and type(n) is ModelState
+            digest.update(repr((*n[:6], n.packet and tuple(n.packet), *n[7:],
+                                fired, [tuple(v) for v in post])).encode())
+    assert digest.hexdigest() == OPS_GRID_SHA256

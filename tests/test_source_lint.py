@@ -21,7 +21,9 @@ exception class is raised somewhere in the package, or is the base of one
 that is.  Only ``reqs/expr.py`` calls an expression node's constructor:
 every other module builds nodes through a ``Nodes`` table, which decides
 when two are one object.  Only ``trace.py`` builds a ``Trace``: its
-``run_rounds`` is the one run loop both engines use.  No function an
+``run_rounds`` is the one run loop both engines use.  No code applies
+``tuple.__new__`` to ``ModelState`` outside ``opmodel._range_checked``,
+the one function that range-checks its counters.  No function an
 ``__all__`` exports annotates a parameter with a private (``_``-prefixed)
 name: a caller could not build that argument without reaching into the
 module.  Every method a class defines, dunders aside, is read as an
@@ -34,6 +36,7 @@ import builtins
 from pathlib import Path
 
 import candofsm
+from candofsm import opmodel
 from candofsm.fsm import StateKind
 from candofsm.reqs.model import Template
 
@@ -339,6 +342,59 @@ def test_the_check_finds_a_trace_built_outside_the_run_loop():
 def test_only_the_trace_module_builds_a_trace():
     # a second run loop would build its own Trace; run_rounds is the one
     assert calls_outside(TRACE_HOME, {"Trace"}) == []
+
+
+# the one function that range-checks a ModelState's counters and builds it
+RANGE_CHECK = "_range_checked"
+
+
+def _is_tuple_new(func) -> bool:
+    return _name(func) == "_tuple_new" or (
+        isinstance(func, ast.Attribute) and func.attr == "__new__"
+        and _name(func.value) == "tuple")
+
+
+def unchecked_model_states(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) for each ``tuple.__new__`` or
+    ``_tuple_new`` applied to ``ModelState`` outside :data:`RANGE_CHECK`;
+    module-level code is ``<module>``."""
+    found = []
+
+    def visit(node, where: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _is_tuple_new(child.func) \
+                    and child.args and _name(child.args[0]) == "ModelState" \
+                    and RANGE_CHECK not in where:
+                found.append((child.lineno, where[-1] if where else "<module>"))
+            inner = (*where, child.name) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_the_check_finds_a_model_state_built_past_the_range_checks():
+    source = ("def _range_checked(cls, cells):\n"
+              "    return _tuple_new(ModelState, cells)\n"
+              "def step(m, cells):\n"
+              "    n = _range_checked(ModelState, cells)\n"
+              "    return _tuple_new(StepOutcome, (n, 'idle', ()))\n"
+              "def fast(m):\n"
+              "    return _tuple_new(ModelState, tuple(m))\n"
+              "class Fast:\n"
+              "    def build(self, cells):\n"
+              "        return tuple.__new__(opmodel.ModelState, cells)\n"
+              "ZERO = tuple.__new__(ModelState, CELLS)\n")
+    assert unchecked_model_states(source) == [(7, "fast"), (10, "build"), (11, "<module>")]
+
+
+def test_every_model_state_is_range_checked():
+    # a round's fast path builds through the range checks, or not at all
+    assert callable(getattr(opmodel, RANGE_CHECK))
+    assert [f"{path.relative_to(PACKAGE)}:{line}: {where}"
+            for path in modules()
+            for line, where in unchecked_model_states(path.read_text(encoding="utf-8"))] \
+        == []
 
 
 def _defined(stmt) -> list[str]:

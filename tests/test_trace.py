@@ -186,13 +186,15 @@ class TestTraceAll:
         for module, run_one in ((engine, lambda: engine.run_requirements_trace(
                                     model, "LED_ON_C", 500)),
                                 (opmodel, lambda: opmodel.run(spec, "LED_ON_C", 500))):
-            row_type, built = module.TraceRow, []
+            row_type, real, built = module.TraceRow, module._tuple_new, []
 
-            def counting_row(*args, **kwargs):
-                built.append(row_type(*args, **kwargs))
-                return built[-1]
+            def counting_new(cls, cells, real=real):
+                record = real(cls, cells)
+                if cls is row_type:
+                    built.append(record)
+                return record
 
-            monkeypatch.setattr(module, "TraceRow", counting_row)
+            monkeypatch.setattr(module, "_tuple_new", counting_new)
             trace = run_one()
             assert trace.reason == "cmd_finish"
             assert list(trace.rows) == built and len(built) == 21, module.__name__
@@ -224,7 +226,7 @@ class TestTraceAll:
     def test_a_reqs_round_fault_is_tagged_with_its_round(self, model, monkeypatch):
         cause = RuntimeError("injected")
         calls = []
-        real = engine.fire_round
+        real = engine._round
 
         def failing_third(*args):
             calls.append(args)
@@ -232,7 +234,7 @@ class TestTraceAll:
                 raise cause
             return real(*args)
 
-        monkeypatch.setattr(engine, "fire_round", failing_third)
+        monkeypatch.setattr(engine, "_round", failing_third)
         with pytest.raises(RunError) as err:
             run_requirements_trace(model, "LED_ON_C", 500)
         assert err.value.round_no == 3 and err.value.cause is cause

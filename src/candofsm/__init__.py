@@ -18,11 +18,11 @@ from .fsm import (
     Violation,
     check_cando,
     check_dispatch,
+    check_finish,
     check_roster,
     check_statemap,
     check_totality,
     lookup_next,
-    reachable,
 )
 from .specio import (
     PacketTemplate,
@@ -56,8 +56,8 @@ __all__ = [
     "ModelState", "PACKET_LENGTH", "Packet", "PacketTemplate", "ParseError",
     "Roster", "RunOutcome", "SpecDocument", "StateDef", "StateKind",
     "StepOutcome", "Trace", "TraceRow", "Violation", "bundled_spec_path",
-    "check_cando", "check_dispatch", "check_roster", "check_statemap",
-    "check_totality", "diff", "env_of", "equivalence_report",
+    "check_cando", "check_dispatch", "check_finish", "check_roster",
+    "check_statemap", "check_totality", "diff", "env_of", "equivalence_report",
     "generate_model", "init_model", "load_bundled_cando", "load_spec", "lookup_next",
-    "ops_round", "parse_spec", "reachable", "run", "serialize_spec", "step",
+    "ops_round", "parse_spec", "run", "serialize_spec", "step",
 ]

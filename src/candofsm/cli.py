@@ -21,6 +21,7 @@ from .fsm import (
     Violation,
     check_cando,
     check_dispatch,
+    check_finish,
     check_roster,
     check_statemap,
     check_totality,
@@ -118,6 +119,7 @@ def _all_checks(spec: SpecDocument) -> list[Violation]:
     violations.extend(check_totality(spec.roster, spec.fsm))
     violations.extend(check_cando(spec.roster, spec.fsm))
     violations.extend(check_dispatch(spec.roster, spec.dispatch))
+    violations.extend(check_finish(spec.fsm, spec.dispatch))
     return violations
 
 

@@ -18,7 +18,6 @@ its fields, fixed.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -81,7 +80,7 @@ CREATOR_KINDS = (KIND_CREATOR, KIND_CREATOR_STAGE1, KIND_CREATOR_STAGE2)
 CONSTRAINT_CATALOGUE = (
     "C1.1", "C1.2", "C1.3", "C1.4", "C1.5", "C1.6", "C1.7", "C1.8",
     "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
-    "TOTALITY", "ROSTER",
+    "TOTALITY", "ROSTER", "FINISH",
 )
 _CATALOGUE_RANK = {code: i for i, code in enumerate(CONSTRAINT_CATALOGUE)}
 
@@ -512,19 +511,21 @@ def check_cando(roster: Roster, fsm: FsmTable) -> list[Violation]:
     return _sorted(out)
 
 
-def reachable(fsm: FsmTable, origin: str, events: Iterable[str]) -> frozenset[str]:
-    """States reachable from ``origin`` by table lookups under ``events``.
-
-    Breadth-first closure; always contains ``origin``.
-    """
-    evs = tuple(events)
-    seen = {origin}
-    queue = deque([origin])
-    while queue:
-        st = queue.popleft()
-        for ev in evs:
-            nxt = fsm.get(ev, {}).get(st)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+def check_finish(fsm: FsmTable, dispatch: Mapping[str, str]) -> list[Violation]:
+    """FINISH: every dispatched command's fault-free walk from its target
+    reaches 'cmd_finish' before it repeats a state.  The walk follows CONT
+    from every state, GET_CMD_E from 'chip_rst' and, at 'get_cmd', the
+    command's own dispatch entry, as a fault-free run moves; the send and
+    receive self-loops end by their counters (C3, C4).  A missing entry
+    ends the walk, left to TOTALITY."""
+    moves = {**fsm.get(CONT, {}), CHIP_RST: fsm.get(GET_CMD_E, {}).get(CHIP_RST)}
+    out: list[Violation] = []
+    for cmd, state in dispatch.items():
+        path = {}
+        while state is not None and state != CMD_FINISH and state not in path:
+            path[state] = None
+            state = dispatch[cmd] if state == GET_CMD else moves.get(state)
+        if state in path:
+            out.append(Violation("FINISH", message=f"command {cmd!r} never reaches "
+                                 f"{CMD_FINISH!r}: {' -> '.join((*path, state))}"))
+    return out

@@ -62,11 +62,9 @@ own events.
 A round builds each of its records in one tuple construction, with no
 Python-level ``__new__``.  A computed round's end env holds the two dicts
 its end frame reads; a round found in the memo builds its two from its
-start and the stored writes.  :func:`fire_round`, the public one-round
-entry, wraps ``_round`` and builds its ``RoundResult``.  The run loop
-calls ``_round`` itself and takes the end env and the columns to
-attribute straight from the outcome, so the writers of a round's fired
-tuple are looked up once per computed round, not in every round.
+start and the stored writes.  :func:`fire_round` is the one round
+function: its result is the end env and the outcome's tail (fired ids,
+violations, writers), and the run loop calls it by this module's name.
 
 A trace row's cells come from one table, ``TRACE_RECORDS``: each is its
 record's value, nil where the env lacks the record.  A column's attribution
@@ -100,11 +98,13 @@ from .model import (
 
 
 class RoundResult(NamedTuple):
-    """A round's end env, fired requirements with what they wrote, violations."""
+    """A round's end env, fired requirements with what they wrote,
+    violations, and the trace columns they wrote (see :func:`_writers`)."""
 
     end_env: Env
     fired: tuple[tuple[str, tuple[str, ...]], ...]
     violations: tuple[Violation, ...]
+    writers: tuple[tuple[str, int, tuple[str, ...]], ...] = ()
 
 
 def _violation(code: str, req: Requirement, message: str) -> Violation:
@@ -262,22 +262,13 @@ _NO_HISTORY = Env._field_defaults["history"]
 
 
 def fire_round(model: RequirementsModel, env: Env, prev_env: Env | None) -> RoundResult:
-    """One round of ``model`` from ``env``: the end env, the requirements
-    that fired with what each wrote, and the violations.  It is total: an
-    evaluation fault, a conflicting or inadmissible write and a breached
-    condition come back as violations, not as exceptions.  The plan, which
-    the model's first round builds, memoises rounds by their input, so a
-    round seen before is not computed again.  ``prev_env`` is unread: no
-    template compares a round with the one before, and the parameter stays
-    while perfbench/workloads.py passes it."""
-    end_env, outcome = _round(model, env)
-    return _tuple_new(RoundResult, (end_env, outcome[2], outcome[3]))
-
-
-def _round(model: RequirementsModel, env: Env) -> tuple:
-    """The round of :func:`fire_round`: its end env and its outcome, the
-    tuple :func:`_compute` gives and the memo holds (signal writes, mode
-    writes, fired ids, violations, writers)."""
+    """The engine's one round function: a round of ``model`` from ``env``,
+    its result carrying the trace columns its fired requirements wrote.  It
+    is total: an evaluation fault, a conflicting or inadmissible write and a
+    breached condition come back as violations, not as exceptions.  The
+    plan memoises rounds by their input, so a round seen before is not
+    computed again.  ``prev_env`` is unread: no template compares a round
+    with the one before; perfbench/workloads.py passes it."""
     plan = _plan_of(model)
     signals, modes = env.signals, env.modes
     value = signals.get(plan.key, ABSENT)
@@ -292,12 +283,12 @@ def _round(model: RequirementsModel, env: Env) -> tuple:
         end_env, outcome = _compute(plan, env, effect_steps, check_steps)
         if key is not None and len(plan.memo) < CACHE_LIMIT:
             plan.memo[key] = outcome
-        return end_env, outcome
-    end_signals = dict(signals)
-    end_signals.update(outcome[0])
-    end_modes = dict(modes)
-    end_modes.update(outcome[1])
-    return _tuple_new(Env, (end_signals, end_modes, _NO_HISTORY)), outcome
+    else:
+        end_signals, end_modes = dict(signals), dict(modes)
+        end_signals.update(outcome[0])
+        end_modes.update(outcome[1])
+        end_env = _tuple_new(Env, (end_signals, end_modes, _NO_HISTORY))
+    return _tuple_new(RoundResult, (end_env, *outcome[2:]))
 
 
 def _compute(plan: _Plan, env: Env, effect_steps: tuple, check_steps: tuple) -> tuple:
@@ -497,7 +488,7 @@ def run_requirements_trace(model: RequirementsModel, command: str,
         return env, _tuple_new(TraceRow, (*_env_cells(env, 0), _NO_ATTRIBUTION))
 
     def round_of(env: Env, row: TraceRow, round_no: int) -> tuple:
-        end_env, (_, _, _, violations, writers) = _round(model, env)
+        end_env, _, violations, writers = fire_round(model, env, None)
         cells = _env_cells(end_env, round_no)
         attribution = {column: ids for column, i, ids in writers if cells[i] != row[i]}
         return end_env, _tuple_new(TraceRow, (*cells, attribution)), violations

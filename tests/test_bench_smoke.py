@@ -3,9 +3,10 @@ answers.
 
 The benchmark under ``perfbench/`` calls into the program by name: it
 builds ``Env`` records, runs ``opmodel.step`` and wraps the functions its
-tracer lists.  A change that breaks one of those uses fails here, in the
-tier-1 suite, and not only when the benchmark runs.  The whole file takes
-about a second.
+tracer lists, and its per-layer counts come from those wrappers.  A change
+that breaks one of those uses, or runs rounds past a wrapper, fails here,
+in the tier-1 suite, and not only when the benchmark runs.  The whole file
+takes about a second.
 """
 
 from __future__ import annotations
@@ -22,6 +23,17 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 from candofsm.specio import bundled_spec_path  # noqa: E402
 
+# What one traced pass of each workload counts at the tracer's wrappers: a
+# round the program runs past a wrapped function is missing here.
+TRACED_COUNTS = {
+    "verify": {"reqs.engine.rounds": 322, "reqs.engine.fired": 890,
+               "opmodel.rounds": 322},
+    "oracle": {"reqs.engine.rounds": 714, "reqs.engine.fired": 1465,
+               "opmodel.rounds": 34272},
+    "front": {"reqs.engine.rounds": 0, "reqs.engine.fired": 0,
+              "opmodel.rounds": 322},
+}
+
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_a_traced_pass_gets_every_verdict_right(name, tmp_path):
@@ -33,3 +45,5 @@ def test_a_traced_pass_gets_every_verdict_right(name, tmp_path):
     assert attempted > 0
     assert failed == 0
     assert len(tracer.passes) == 1
+    summary = tracer.summary()
+    assert {name: summary[name] for name in TRACED_COUNTS[name]} == TRACED_COUNTS[name]

@@ -70,6 +70,19 @@ def no_dispatch_file(tmp_path):
 
 
 @pytest.fixture()
+def looping_file(tmp_path):
+    """The shipped spec with receive_packet_27's CONT arrow looped back to
+    set_sDac, so three commands never finish."""
+    text = bundled_spec_path().read_text(encoding="utf-8")
+    path = tmp_path / "looping.fsm"
+    path.write_text(text.replace("transition CONT receive_packet_27 -> cmd_finish\n",
+                                 "transition CONT receive_packet_27 -> set_sDac\n"),
+                    encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    return str(path)
+
+
+@pytest.fixture()
 def second_error_file(spec, tmp_path):
     path = tmp_path / "second_error.fsm"
     path.write_text(serialize_spec(with_second_error_state(spec)), encoding="utf-8")
@@ -124,6 +137,15 @@ class TestCheck:
         assert out == ("TOTALITY (1):\n  event=CONT get_cmd: command 'LED_ON_C' "
                        "has no dispatch entry, so 'get_cmd' has no CONT entry "
                        "for it\n1 violations\n")
+
+    def test_a_command_that_never_finishes_breaks_finish(self, looping_file, capsys):
+        assert main(["check", looping_file]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FINISH (3):" and lines[4:] == ["3 violations"]
+        assert [line.split("'")[1] for line in lines[1:4]] \
+            == ["LED_ON_C", "SET_DAC_C", "FS_RATIO_C"]
+        assert main(["verify", looping_file]) == 1
+        assert capsys.readouterr().out.endswith("verify: FAIL (3 structural violations)\n")
 
     def test_a_second_error_state_is_accepted(self, second_error_file, capsys):
         assert main(["check", second_error_file]) == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -18,12 +19,14 @@ from candofsm.fsm import (
     Violation,
     check_cando,
     check_dispatch,
+    check_finish,
     check_roster,
     check_statemap,
     check_totality,
     lookup_next,
-    reachable,
 )
+from candofsm.generate import generate_model
+from candofsm.trace import equivalence_report
 from conftest import mutate_table
 
 
@@ -177,33 +180,82 @@ class TestCheckDispatch:
             for cmd in ("LED_ON_C", "DUMMY_C")]
 
 
-class TestReachable:
-    def test_no_events_no_moves(self, spec):
-        assert reachable(spec.fsm, "cmd_finish", ()) == {"cmd_finish"}
+def closure(fsm, origin, events):
+    """The states a breadth-first sweep over ``events`` reaches from ``origin``."""
+    frontier, seen = {origin}, set()
+    while frontier:
+        state = frontier.pop()
+        seen.add(state)
+        frontier |= {fsm[ev][state] for ev in events} - seen
+    return seen
 
+
+class TestReachable:
     def test_vled_chain_under_cont(self, spec):
-        chain = reachable(spec.fsm, "set_vLED", {CONT})
-        assert chain >= {
+        assert closure(spec.fsm, "set_vLED", {CONT}) >= {
             "send_packet_6", "receive_packet_28", "set_sDac",
             "send_packet_3", "receive_packet_27", "cmd_finish",
         }
 
     def test_every_state_reachable_from_start(self, spec):
-        covered = reachable(spec.fsm, "start", spec.roster.event_names)
+        covered = closure(spec.fsm, "start", spec.roster.event_names)
         assert covered == set(spec.roster.state_names)
 
-    def test_agrees_with_bfs_oracle(self, spec):
-        # independent breadth-first sweep over every (event, state) edge
-        frontier = {"start"}
-        seen = set()
-        while frontier:
-            state = frontier.pop()
-            seen.add(state)
-            for ev in spec.roster.event_names:
-                nxt = spec.fsm[ev][state]
-                if nxt not in seen:
-                    frontier.add(nxt)
-        assert reachable(spec.fsm, "start", spec.roster.event_names) == seen
+
+# Shipped-spec edits under which some command's fault-free walk cycles: a
+# receive that loops back to a creator, and a dispatch into the error class.
+NEVER_FINISHING = {
+    "receive_packet_27 -> set_sDac": (
+        lambda spec: mutate_table(spec, CONT, "receive_packet_27", "set_sDac"),
+        {"LED_ON_C":
+             "set_vLED -> send_packet_6 -> receive_packet_28 -> set_sDac -> "
+             "send_packet_3 -> receive_packet_27 -> set_sDac",
+         "SET_DAC_C":
+             "set_vLED -> send_packet_6 -> receive_packet_28 -> set_sDac -> "
+             "send_packet_3 -> receive_packet_27 -> set_sDac",
+         "FS_RATIO_C":
+             "set_fsRatio -> send_packet_8 -> receive_packet_26 -> set_fData -> "
+             "send_packet_3 -> receive_packet_27 -> set_sDac -> send_packet_3"}),
+    "dispatch LED_ON_C -> error_": (
+        lambda spec: dataclasses.replace(
+            spec, dispatch={**spec.dispatch, "LED_ON_C": "error_"}),
+        {"LED_ON_C": "error_ -> chip_rst -> get_cmd -> error_"}),
+}
+
+
+class TestCheckFinish:
+    def test_every_shipped_command_finishes(self, spec):
+        assert check_finish(spec.fsm, spec.dispatch) == []
+
+    @pytest.mark.parametrize("variant", sorted(NEVER_FINISHING))
+    def test_a_walk_that_repeats_a_state_is_reported_with_its_path(self, spec, variant):
+        edit, paths = NEVER_FINISHING[variant]
+        spec = edit(spec)
+        assert check_finish(spec.fsm, spec.dispatch) == [
+            Violation("FINISH", message=f"command {cmd!r} never reaches 'cmd_finish': "
+                                        f"{paths[cmd]}")
+            for cmd in spec.roster.command_names if cmd in paths]
+        # the edit breaks no other rule
+        assert check_cando(spec.roster, spec.fsm) == []
+        assert check_dispatch(spec.roster, spec.dispatch) == []
+
+    @pytest.mark.parametrize("variant", sorted(NEVER_FINISHING))
+    def test_the_flagged_commands_are_those_both_engines_stop_by_budget(
+            self, spec, variant):
+        edit, paths = NEVER_FINISHING[variant]
+        spec = edit(spec)
+        report = equivalence_report(spec, generate_model(spec)[0])
+        assert set(paths) == {cmd for cmd, outcomes in report.outcomes.items()
+                              if {run.reason for run in outcomes} == {"budget"}}
+        assert set(paths) == {cmd for cmd in report.per_command
+                              if not report.command_passed(cmd)}
+
+    def test_a_command_without_dispatch_or_a_missing_entry_is_left_to_totality(
+            self, spec):
+        dispatch = {cmd: st for cmd, st in spec.dispatch.items() if cmd != "LED_ON_C"}
+        assert check_finish(spec.fsm, dispatch) == []
+        spec = mutate_table(spec, CONT, "receive_packet_28", None)
+        assert check_finish(spec.fsm, spec.dispatch) == []
 
 
 class TestViolationOrdering:

@@ -15,7 +15,6 @@ from candofsm.reqs.engine import (
     TRACE_RECORDS,
     _env_cells,
     _plan_of,
-    _writers,
     env_of,
     fire_round,
     run_requirements_trace,
@@ -226,7 +225,7 @@ class TestTraceAll:
     def test_a_reqs_round_fault_is_tagged_with_its_round(self, model, monkeypatch):
         cause = RuntimeError("injected")
         calls = []
-        real = engine._round
+        real = engine.fire_round
 
         def failing_third(*args):
             calls.append(args)
@@ -234,7 +233,7 @@ class TestTraceAll:
                 raise cause
             return real(*args)
 
-        monkeypatch.setattr(engine, "_round", failing_third)
+        monkeypatch.setattr(engine, "fire_round", failing_third)
         with pytest.raises(RunError) as err:
             run_requirements_trace(model, "LED_ON_C", 500)
         assert err.value.round_no == 3 and err.value.cause is cause
@@ -316,7 +315,7 @@ class TestTraceRecords:
         m = ModelState("error_", "CONT", "LED_ON_C", bytes_sent=2, bytes_received=1,
                        tx_cnt=1)
         writers = {column: ids for column, _, ids
-                   in _writers(fire_round(model, env_of(model, m), None).fired)}
+                   in fire_round(model, env_of(model, m), None).writers}
         assert [writers[c] for c in ("bytes_sent", "bytes_received", "tx_cnt")] \
             == [("op.chip_rst.reset",)] * 3
 
@@ -327,6 +326,16 @@ class TestEquivalenceReport:
         assert report.passed
         assert set(report.per_command) == set(spec.roster.command_names)
         assert all(not entries for entries in report.per_command.values())
+
+    def test_every_reqs_round_goes_through_fire_round(self, spec, model, monkeypatch):
+        calls = []
+        real = engine.fire_round
+        monkeypatch.setattr(engine, "fire_round",
+                            lambda *args: calls.append(args) or real(*args))
+        assert equivalence_report(spec, model).passed
+        # the 17 runs' 322 rounds, each one called by the run loop
+        assert len(calls) == 322
+        assert all(args[0] is model and args[2] is None for args in calls)
 
     def test_broken_self_loop_fails_with_a_state_entry(self, spec):
         mutated = mutate_table(spec, "SPI_TX_FINISH", "send_packet_1",

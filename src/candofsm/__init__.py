@@ -25,7 +25,7 @@ from .fsm import (
     lookup_next,
 )
 from .specio import (
-    PacketTemplate,
+    Packet,
     ParseError,
     SpecDocument,
     bundled_spec_path,
@@ -34,9 +34,7 @@ from .specio import (
     parse_spec,
     serialize_spec,
 )
-from .opmodel import (
-    ModelState, Packet, StepOutcome, init_model, ops_round, run, step,
-)
+from .opmodel import ModelState, StepOutcome, init_model, ops_round, run, step
 from .generate import GenReport, generate_model
 from .trace import (
     DiffEntry,
@@ -53,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GenReport", "DiffEntry", "EquivalenceReport", "MAX_COUNT", "MemberDef",
-    "ModelState", "PACKET_LENGTH", "Packet", "PacketTemplate", "ParseError",
+    "ModelState", "PACKET_LENGTH", "Packet", "ParseError",
     "Roster", "RunOutcome", "SpecDocument", "StateDef", "StateKind",
     "StepOutcome", "Trace", "TraceRow", "Violation", "bundled_spec_path",
     "check_cando", "check_dispatch", "check_finish", "check_roster",

@@ -73,6 +73,9 @@ KIND_CREATOR_STAGE2 = StateKind.CREATOR_STAGE2
 KIND_ERROR = StateKind.ERROR
 KIND_CONTROL = StateKind.CONTROL
 
+# Each distinguished state must carry its class's kind.
+_DISTINGUISHED_KINDS = ((CONTROL_STATES, KIND_CONTROL), (ERROR_STATES, KIND_ERROR))
+
 # "Packet creator states" in the constraint rules means all three creator kinds.
 CREATOR_KINDS = (KIND_CREATOR, KIND_CREATOR_STAGE1, KIND_CREATOR_STAGE2)
 
@@ -357,24 +360,14 @@ def check_roster(roster: Roster) -> list[Violation]:
     """Check the distinguished members and their kind assignments."""
     out: list[Violation] = []
     names = set(roster.state_names)
-    for required in CONTROL_STATES + ERROR_STATES:
-        if required not in names:
-            out.append(
-                Violation("ROSTER", from_state=required,
-                          message=f"distinguished state {required!r} missing from roster")
-            )
-    for name in CONTROL_STATES:
-        if name in names and roster.kind_of(name) is not KIND_CONTROL:
-            out.append(
-                Violation("ROSTER", from_state=name,
-                          message=f"state {name!r} must carry kind control")
-            )
-    for name in ERROR_STATES:
-        if name in names and roster.kind_of(name) is not KIND_ERROR:
-            out.append(
-                Violation("ROSTER", from_state=name,
-                          message=f"state {name!r} must carry kind error")
-            )
+    for states, kind in _DISTINGUISHED_KINDS:
+        for name in states:
+            if name not in names:
+                out.append(Violation("ROSTER", from_state=name, message=(
+                    f"distinguished state {name!r} missing from roster")))
+            elif roster.kind_of(name) is not kind:
+                out.append(Violation("ROSTER", from_state=name, message=(
+                    f"state {name!r} must carry kind {kind.value}")))
     for s in roster.states:
         if s.kind is KIND_CONTROL and s.name not in CONTROL_STATES:
             out.append(

@@ -13,7 +13,8 @@ Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`ops_round` and :func:`step` re-check it
 after executing and report breaches as violations, none on a conforming spec.
 
-``Packet``, ``ModelState`` and ``StepOutcome`` are named tuples.  One
+``ModelState`` and ``StepOutcome`` are named tuples, like the spec's
+``Packet``, which is both a creator's template and a built packet.  One
 function, :func:`_range_checked`, holds the three counter range checks and
 builds every ``ModelState`` with ``tuple.__new__``.  ``ModelState.__new__``
 tests that each counter is an ``int`` and then calls it; its ``_make`` and
@@ -25,8 +26,7 @@ trace row with ``tuple.__new__``.  A round skips the ``int`` test, since
 each operation maps int counters to int counters (``+ 1``, ``min``, ``0``):
 from a checked state it cannot make a counter of another type.
 Unlike a dataclass, a record compares equal to a plain tuple of the same
-cells (a ``Packet`` to a ``PacketTemplate``), and ``_replace`` with an
-unknown field raises ``ValueError``.
+cells, and ``_replace`` with an unknown field raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -56,16 +56,8 @@ from .fsm import (
     Violation,
     lookup_next,
 )
-from .specio import PacketTemplate, SpecDocument
+from .specio import Packet, SpecDocument
 from .trace import _NO_ATTRIBUTION, Trace, TraceRow, run_rounds
-
-
-class Packet(NamedTuple):
-    """The packet under construction; any field may be nil (None)."""
-
-    addr: str | None = None
-    cmd: str | None = None
-    data: str | None = None
 
 
 _NO_PACKET = Packet()
@@ -182,7 +174,7 @@ def _receive(m: ModelState) -> tuple:
             m.packet, 0, m.bytes_sent, m.tx_cnt)
 
 
-def _creator(template: PacketTemplate, stage_two: bool):
+def _creator(template: Packet, stage_two: bool):
     """A creator's operation: the template's data under the base packet's
     addr and cmd (stage two), or else the template's packet with a nil cmd
     taken from the command.  Each packet is built once, then shared."""

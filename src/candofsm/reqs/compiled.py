@@ -19,11 +19,11 @@ frame: every reference to it shares one node, whose closure keeps the
 body's value in the frame's ``values`` under the definition's name.  A body
 that raises stores nothing, so each reader raises the same error.  Several
 requirements read one such chain in a round, e.g. the kind-level
-``arrive_kind_send``, an ``or`` of some 25 arrows.  Any other definition
-reference is the body's own node, inlined: such a body is one test, which
-costs less than the lookup would.  The shared node has its body's support,
-literals, operator and parts, so a parent of the same operator still takes
-the body's operands into its own closure.
+``arrive_kind_send``, an ``or`` of the arrows into the send states.  Any
+other definition reference is the body's own node, inlined: such a body is
+one test, which costs less than the lookup would.  The shared node has its
+body's support, literals, operator and parts, so a parent of the same
+operator still takes the body's operands into its own closure.
 
 A node's *reads* are the signals it can look up, through definitions: the
 names of the ``SigRead`` nodes under it.  Its value, or the error it
@@ -322,33 +322,22 @@ def _not(node: Compiled):
     return fn
 
 
-def _chain(op: str, parts: tuple[Compiled, ...]):
-    """An n-ary ``and``/``or`` closure."""
-    return (_and if op == "and" else _or)(tuple(p.fn for p in parts))
-
-
 # _as_bool raises on the non-boolean operand it is given here
-def _and(fns):
+def _chain(op: str, parts: tuple[Compiled, ...]):
+    """An n-ary ``and``/``or`` closure: the first operand that is the
+    absorbing value (false for ``and``, true for ``or``) is the value."""
+    fns = tuple(p.fn for p in parts)
+    absorbing = op == "or"
+    other = not absorbing
+
     def fn(frame):
         for part in fns:
             value = part(frame)
-            if value is False:
-                return False
-            if value is not True:
-                _as_bool(value, "and")
-        return True
-    return fn
-
-
-def _or(fns):
-    def fn(frame):
-        for part in fns:
-            value = part(frame)
-            if value is True:
-                return True
-            if value is not False:
-                _as_bool(value, "or")
-        return False
+            if value is absorbing:
+                return absorbing
+            if value is not other:
+                _as_bool(value, op)
+        return other
     return fn
 
 

@@ -34,9 +34,8 @@ gives.  A round calls every candidate's guard.
 A computed round reads two frames, its start (guards and effects) and its
 end (required conditions), and each frame keeps the value of every chain
 definition read in it: the send steps' shared ``arrive_kind_send`` runs
-once per round however many guards read it.  A verify pass reads the 45
-chain definitions of the shipped model 954 times and runs their bodies 368
-times.
+once per round however many guards read it.  ``tests/conftest.py`` pins
+how often a verify pass reads the chain definitions and runs their bodies.
 
 The memo (step 7) rests on read sets.  A round's outcome depends only on
 its plan key and on the values of the signals its candidates read, through
@@ -50,14 +49,11 @@ trace columns those ids wrote, and no env.  The memo and the candidate
 index hold at most ``CACHE_LIMIT`` entries each; past that a round is
 computed and not stored.
 
-On the shipped machine a ``verify`` runs 322 rounds, of which 124 are
-distinct inputs: the memo ends with 124 entries, and the other 198 rounds
-are found there.  Its rounds fall under 47 plan keys.  A plan key's
-candidates read 3 signals besides the key at the median and 5 at most.  A
-computed round visits 11.5 of the 140 requirements and makes 9.5 guard
-calls on average, 1,174 in all.  An arrow's guard, ``from_X and (current_event = E1
-or …)``, has one exact term per event, so it is a candidate only under its
-own events.
+On the shipped machine most of a ``verify`` pass's rounds are found in
+the memo, and a computed round visits a few of the requirements;
+``tests/conftest.py`` pins the memo's entries and the guard calls.  An
+arrow's guard, ``from_X and (current_event = E1 or …)``, has one exact term
+per event, so it is a candidate only under its own events.
 
 A round builds each of its records in one tuple construction, with no
 Python-level ``__new__``.  A computed round's end env holds the two dicts
@@ -104,7 +100,7 @@ class RoundResult(NamedTuple):
     end_env: Env
     fired: tuple[tuple[str, tuple[str, ...]], ...]
     violations: tuple[Violation, ...]
-    writers: tuple[tuple[str, int, tuple[str, ...]], ...] = ()
+    writers: tuple[tuple[str, int, tuple[str, ...]], ...]
 
 
 def _violation(code: str, req: Requirement, message: str) -> Violation:

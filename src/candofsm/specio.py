@@ -44,8 +44,9 @@ class ParseError(Exception):
         self.snippet = snippet
 
 
-class PacketTemplate(NamedTuple):
-    """Per-creator-state packet fields; any field may be nil (None)."""
+class Packet(NamedTuple):
+    """A packet: a creator state's template, or the packet under
+    construction in the ops round; any field may be nil (None)."""
 
     addr: str | None = None
     cmd: str | None = None
@@ -61,22 +62,11 @@ class SpecDocument:
     roster: Roster
     fsm: Mapping[str, Mapping[str, str]]
     dispatch: Mapping[str, str] = field(default_factory=dict)
-    packets: Mapping[str, PacketTemplate] = field(default_factory=dict)
+    packets: Mapping[str, Packet] = field(default_factory=dict)
 
     def __reduce__(self):
         # from the fields only: the operations are closures, which do not pickle
         return type(self), (self.roster, self.fsm, self.dispatch, self.packets)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpecDocument):
-            return NotImplemented
-        return (
-            self.roster == other.roster
-            and {e: dict(m) for e, m in self.fsm.items()}
-            == {e: dict(m) for e, m in other.fsm.items()}
-            and dict(self.dispatch) == dict(other.dispatch)
-            and dict(self.packets) == dict(other.packets)
-        )
 
 
 def _err(lineno: int, message: str, raw: str = "", column: int = 1) -> ParseError:
@@ -167,7 +157,7 @@ def parse_spec(text: str) -> SpecDocument:
 
     fsm: dict[str, dict[str, str]] = {}
     dispatch: dict[str, str] = {}
-    packets: dict[str, PacketTemplate] = {}
+    packets: dict[str, Packet] = {}
 
     for lineno, text_line, raw in rows[pos:]:
         tokens = text_line.split()
@@ -213,7 +203,7 @@ def parse_spec(text: str) -> SpecDocument:
                 value = tok[len(key) + 1:]
                 fields[key] = None if value == "nil" else \
                     _check_name(value, lineno, raw, token, len(key) + 1)
-            packets[st] = PacketTemplate(**fields)
+            packets[st] = Packet(**fields)
         else:
             raise _err(lineno, f"unknown directive {head!r}", raw)
 

@@ -281,15 +281,31 @@ class TestRolePredicates:
     def test_roster_check_passes_on_bundled(self, spec):
         assert check_roster(spec.roster) == []
 
-    def test_roster_check_flags_missing_distinguished_member(self, spec):
-        trimmed = spec.roster._replace(
-            states=tuple(s for s in spec.roster.states if s.name != "chip_rst"))
-        assert "ROSTER" in codes(check_roster(trimmed))
-
     def test_roster_check_flags_a_roster_without_commands(self, spec):
         assert check_roster(spec.roster._replace(commands=())) == [Violation(
             "ROSTER", message="the roster has no command, so nothing can be run or "
                               "compared")]
+
+    @pytest.mark.parametrize("state, kind, event, violation", [
+        ("get_cmd", StateKind.SEND, None, Violation(
+            "ROSTER", from_state="get_cmd", message="state 'get_cmd' must carry kind control")),
+        ("chip_rst", StateKind.RECEIVE, None, Violation(
+            "ROSTER", from_state="chip_rst", message="state 'chip_rst' must carry kind error")),
+        ("chip_rst", None, None, Violation(
+            "ROSTER", from_state="chip_rst",
+            message="distinguished state 'chip_rst' missing from roster")),
+        (None, None, GET_CMD_E, Violation(
+            "ROSTER", event=GET_CMD_E,
+            message="distinguished event 'GET_CMD_E' missing from roster")),
+    ], ids=["control-as-send", "error-as-receive", "no-chip_rst", "no-GET_CMD_E"])
+    def test_roster_check_flags_each_distinguished_member(self, spec, state, kind, event,
+                                                          violation):
+        # a state given a kind, or dropped when the kind is None; an event dropped
+        roster = spec.roster
+        states = tuple(s._replace(kind=kind) if s.name == state else s
+                       for s in roster.states if s.name != state or kind is not None)
+        events = tuple(e for e in roster.events if e.name != event)
+        assert check_roster(roster._replace(states=states, events=events)) == [violation]
 
     def test_roster_check_reserves_the_kind_name_prefix(self, spec):
         renamed = spec.roster._replace(states=tuple(

@@ -27,7 +27,6 @@ from candofsm.fsm import (
 )
 from candofsm.opmodel import (
     ModelState,
-    Packet,
     StepOutcome,
     _op_contract,
     init_model,
@@ -37,7 +36,7 @@ from candofsm.opmodel import (
 )
 from candofsm.reqs.engine import env_of
 from candofsm.reqs.model import ModelError
-from candofsm.specio import PacketTemplate
+from candofsm.specio import Packet
 from candofsm.trace import RunError
 from conftest import OPS_GRID_SHA256, mutate_table
 
@@ -308,7 +307,7 @@ class TestOperationTable:
         shipped = step(spec, self.at(spec, "set_vLED")).next.packet
         assert shipped == Packet("Optrode_addr", "LED_ON_C", "LED_addr")
         changed = dataclasses.replace(spec, packets={
-            **spec.packets, "set_vLED": PacketTemplate("Other_addr", None, "LED_addr")})
+            **spec.packets, "set_vLED": Packet("Other_addr", None, "LED_addr")})
         assert step(changed, self.at(changed, "set_vLED")).next.packet \
             == Packet("Other_addr", "LED_ON_C", "LED_addr")
         assert step(spec, self.at(spec, "set_vLED")).next.packet is shipped

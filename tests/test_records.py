@@ -1,9 +1,9 @@
 """Contracts of the package's records.
 
 The plain records are named tuples: immutable, with no per-instance
-``__dict__``.  Among them are the ops round's ``Packet``, ``ModelState``
-and ``StepOutcome``, and the expression nodes, each equal only to a node
-of its own type.  ``ModelState``'s hand-written ``__new__``
+``__dict__``.  Among them are the spec's ``Packet``, the ops round's
+``ModelState`` and ``StepOutcome``, and the expression nodes, each equal
+only to a node of its own type.  ``ModelState``'s hand-written ``__new__``
 range-checks its counters; its parameters must follow the fields in order
 and default, or ``_replace`` and keyword construction drift from the
 declared record.  ``Roster``, ``DataDictionary`` and ``RequirementsModel``
@@ -31,7 +31,7 @@ import candofsm
 from candofsm import specio
 from candofsm.fsm import CONT, MemberDef, Roster, StateDef, StateKind, Violation
 from candofsm.generate import GenReport, generate_model
-from candofsm.opmodel import ModelState, Packet, StepOutcome, run
+from candofsm.opmodel import ModelState, StepOutcome, run
 from candofsm.reqs.engine import RoundResult, run_requirements_trace
 from candofsm.reqs.expr import (
     BinOp,
@@ -57,6 +57,7 @@ from candofsm.reqs.model import (
     SignalDef,
     Template,
 )
+from candofsm.specio import Packet
 from candofsm.trace import (
     MAX_ROUNDS,
     ROW_COLUMNS,
@@ -84,11 +85,10 @@ NAMED_TUPLES = (
     RunOutcome("cmd_finish", ()),
     GenReport(1, 2, 3),
     Env(signals={}, modes={}),
-    RoundResult(Env(signals={}, modes={}), (), ()),
+    RoundResult(Env(signals={}, modes={}), (), (), ()),
     StateDef("start", StateKind.CONTROL),
     MemberDef("CONT"),
     Violation("C1", CONT, "start", "error_", "message"),
-    specio.PacketTemplate("addr", "cmd", "data"),
     Trace((ROW,), "LED_ON_C", "ops", "cmd_finish"),
     EquivalenceReport({}, 500, {}),
     BoolType("flag_t"),

@@ -438,6 +438,21 @@ class TestValidation:
                             guard=Lit(True), effects=(ModeAssign("lamp", "zzz"),)),
                 modes=[lamp_component()])
 
+    def test_a_signal_of_an_unknown_type_is_rejected(self):
+        with pytest.raises(ModelError, match=r"^signal 'x': unknown type 'Weird'$"):
+            parse_model("signal x : Weird\n")
+
+    def test_an_initial_mode_its_component_lacks_is_rejected(self):
+        with pytest.raises(ModelError,
+                           match=r"^mode component 'lamp': initial 'dim' not a mode$"):
+            tiny_model(modes=[lamp_component(initial="dim")])
+
+    def test_a_mode_set_on_an_unknown_component_is_rejected(self):
+        with pytest.raises(ModelError,
+                           match=r"^requirement r: mode-set needs a mode component$"):
+            tiny_model(Requirement("r", "one ghost mode", Template.MODE_SET,
+                                   component="ghost"), modes=[lamp_component()])
+
     @pytest.mark.parametrize("where, read, requirement, definitions", [
         ("requirement r", "lamp.zzz", Requirement(
             "r", "guard", Template.WHEN, guard=ModeActive("lamp", "zzz", "start"),
@@ -734,6 +749,13 @@ class TestReqText:
         assert serialize_model(parse_model(serialize_model(model))) \
             == serialize_model(model)
 
+    def test_comment_and_blank_lines_are_skipped(self):
+        bare = ['mode lamp { off on } exclusive init=off',
+                'req ms "one lamp mode" modeset lamp exclusive']
+        commented = ["# a lamp and its one rule", "", bare[0] + "  # two modes", "   ",
+                     bare[1]]
+        assert parse_model("\n".join(commented) + "\n") == parse_model("\n".join(bare))
+
     def test_a_wide_flat_disjunction_parses_validates_and_fires(self):
         operands = " or ".join(f"x = {i}" for i in range(1200))
         model = parse_model(f'signal x : int init=0\nreq r "wide" when {operands} '
@@ -844,6 +866,20 @@ class TestReqText:
             "stray-quote", "punctuation-as-a-member", "number-as-a-mode"])
     def test_removed_constructs_are_parse_errors(self, line, message):
         # every character outside the grammar is reported, none dropped
+        with pytest.raises(ParseError) as err:
+            parse_model(TEXT_HEAD + f"{line}\n")
+        assert (err.value.line, err.value.message) == (6, message)
+
+    @pytest.mark.parametrize("line, message", [
+        ("signal z : int init 0", "expected '=', got '0'"),
+        ("signal z : int init=" + "9" * 5000, "integer of 5000 digits is too long"),
+        ("signal z : int step=1", "unexpected option 'step'"),
+        ('req r "t" every mode(dial.on) at start', "unknown mode component 'dial'"),
+        ('req r "t" every mode(lamp.on) at noon', "expected 'start' or 'end', got 'noon'"),
+        ("req r every x = 1", "expected 'req id \"title\" TEMPLATE ...'"),
+    ], ids=["missing-equals", "long-integer", "unknown-option", "unknown-component",
+            "bad-frame", "untitled-requirement"])
+    def test_a_malformed_line_is_a_parse_error(self, line, message):
         with pytest.raises(ParseError) as err:
             parse_model(TEXT_HEAD + f"{line}\n")
         assert (err.value.line, err.value.message) == (6, message)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from candofsm.fsm import MemberDef, Roster, StateDef, StateKind
 from candofsm.specio import (
     TRACE_COLUMNS,
+    Packet,
     ParseError,
-    PacketTemplate,
     SpecDocument,
     bundled_spec_path,
     load_bundled_cando,
@@ -195,7 +195,7 @@ def test_single_transition_doc_emits_exactly_one_transition_line():
 
 def test_packet_template_fields_accept_nil():
     doc = parse_spec(MINIMAL + "packet set_vLED addr=Optrode_addr cmd=nil data=nil\n")
-    assert doc.packets["set_vLED"] == PacketTemplate(addr="Optrode_addr")
+    assert doc.packets["set_vLED"] == Packet(addr="Optrode_addr")
 
 
 def test_bundled_document_invariants(spec):
@@ -239,7 +239,7 @@ def documents(draw):
     dispatch = {c: draw(st.sampled_from(state_names))
                 for c in draw(st.sets(st.sampled_from(commands)))}
     packets = {
-        s: PacketTemplate(
+        s: Packet(
             addr=draw(st.sampled_from([None, "Optrode_addr"])),
             cmd=draw(st.sampled_from([None] + commands)),
             data=draw(st.sampled_from([None, "DAC_value"])),
@@ -300,6 +300,15 @@ def test_trace_csv_bad_cells_rejected():
     with pytest.raises(ParseError, match="^line 2, column 1: round: bad integer "
                                          "cell 'x'$"):
         read_trace_csv(io.StringIO(bad_int))
+
+
+def test_trace_csv_skips_a_blank_record_and_rejects_a_short_one():
+    header = ",".join(TRACE_COLUMNS)
+    row = "0,s,e,c,,,,0,0,0,true,false,false,"
+    rows = read_trace_csv(io.StringIO(f"{header}\n\n{row}\n\n"))
+    assert len(rows) == 1 and rows == read_trace_csv(io.StringIO(f"{header}\n{row}\n"))
+    with pytest.raises(ParseError, match=r"^line 3, column 1: expected 14 cells, got 13$"):
+        read_trace_csv(io.StringIO(f"{header}\n{row}\n{row[:-1]}\n"))
 
 
 # row 0's state is quoted across file lines 2 and 3; row 1, on line 4, has a

@@ -19,7 +19,7 @@ from candofsm.reqs.engine import (
     fire_round,
     run_requirements_trace,
 )
-from candofsm.reqs.model import ModelError, initial_env
+from candofsm.reqs.model import ModeAssign, ModelError, initial_env
 from candofsm.reqs.text import parse_model
 from candofsm.specio import read_trace_csv, write_trace_csv
 from candofsm.trace import (
@@ -349,6 +349,31 @@ class TestEquivalenceReport:
     def test_zero_round_budget_rejected(self, spec, model):
         with pytest.raises(ValueError):
             equivalence_report(spec, model, max_rounds=0)
+
+    def test_a_retargeted_arrow_renders_each_difference(self, spec, model):
+        import json
+
+        reqs = model.requirements
+        [at] = [i for i, r in enumerate(reqs) if r.title == "set_vLED to send_packet_6"]
+        wrong = reqs[at]._replace(effects=(ModeAssign(STATE_COMPONENT, "send_packet_3"),))
+        report = equivalence_report(spec, model._replace(
+            requirements=(*reqs[:at], wrong, *reqs[at + 1:])))
+        assert not report.passed
+        entries = report.per_command["LED_ON_C"]
+        assert len(entries) == 12
+        lines = report.render_markdown().splitlines()
+        start = lines.index("- `LED_ON_C`: FAIL (12 differences); ops: cmd_finish, "
+                            "no violations; reqs: cmd_finish, no violations")
+        # one line per difference, the length entry first, then the next command
+        differences = lines[start + 1:start + 13]
+        assert differences[:2] == [
+            "    - round 12, length: ops=21 reqs=12",
+            "    - round 3, state: ops='send_packet_6' reqs='send_packet_3'"]
+        assert all(line.startswith("    - round ") for line in differences)
+        assert lines[start + 13].startswith("- `MEM_LEN_C`: PASS")
+        assert json.loads(report.render_json())["commands"]["LED_ON_C"] == [
+            {"round": e.round, "field": e.field, "left": e.left, "right": e.right}
+            for e in entries]
 
     def test_the_run_functions_are_looked_up_at_call_time(self, spec, model,
                                                           monkeypatch):

@@ -5,9 +5,11 @@ packet bytes, constructing packets, raising flags, choosing the next event)
 and then moves through the transition table on the event the operation just
 produced.  The one data-dependent transition is get_cmd under CONT, which
 consults the command dispatch table instead of the table entry.  Each
-state's operation is bound once per spec (:func:`_entry`): a function of the
-machine before the round that returns every field after it but the state,
-in field order.  Creators share the packets they build.
+state's operation is bound once per spec: a function of the machine before
+the round that returns every field after it but the state, in field order.
+A round reads the spec's operation table and its transition table itself,
+and calls :func:`_entry` only when the table has no entry for the state, to
+bind it.  Creators share the packets they build.
 
 Every operation also carries a declarative post-condition (exact next event
 and counter delta per branch); :func:`ops_round` and :func:`step` re-check it
@@ -47,6 +49,7 @@ from .fsm import (
     KIND_SEND,
     MAX_COUNT,
     MissingPacketTemplate,
+    MissingTransition,
     PACKET_LENGTH,
     SPI_RX_FINISH,
     SPI_TX_FINISH,
@@ -54,7 +57,6 @@ from .fsm import (
     StateKind,
     UnknownCommand,
     Violation,
-    lookup_next,
 )
 from .specio import Packet, SpecDocument
 from .trace import _NO_ATTRIBUTION, Trace, TraceRow, run_rounds
@@ -223,9 +225,12 @@ def _bind(spec: SpecDocument, st: str, kind: StateKind) -> tuple:
 
 
 def _entry(spec: SpecDocument, st: str) -> tuple:
-    """State ``st``'s (kind, operation name, operation), bound when ``st``
-    first runs, so a state that cannot be bound raises only then.  The table
-    lives on the instance: a ``dataclasses.replace`` copy starts without one."""
+    """State ``st``'s (kind, operation name, operation), bound into the
+    spec's operation table when a round finds no entry for ``st``; the only
+    code that creates the table or binds a state.  So a state that cannot be
+    bound raises only when it first runs, and again each time it runs.  The
+    table lives on the instance: a ``dataclasses.replace`` copy starts
+    without one."""
     table = spec.__dict__.get("_operations")
     if table is None:
         # the spec is frozen; the table is derived data, not a field
@@ -266,34 +271,50 @@ def _op_contract(st: str, kind: StateKind, before: ModelState,
     return out
 
 
-def _target(spec: SpecDocument, st: str, event: str, command: str) -> str:
-    """The state ``st`` moves to on ``event``; get_cmd under CONT uses dispatch."""
-    if st == GET_CMD and event == CONT:
-        target = spec.dispatch.get(command)
-        if target is None:
-            raise UnknownCommand(command)
-        return target
-    return lookup_next(spec.fsm, event, st)
-
-
 def step(spec: SpecDocument, m: ModelState) -> StepOutcome:
     """One full step: state operation, post-condition check, transition."""
     st = m.current_state
-    kind, fired, operate = _entry(spec, st)
+    try:
+        kind, fired, operate = spec.__dict__["_operations"][st]
+    except KeyError:
+        kind, fired, operate = _entry(spec, st)
     after = operate(m)
-    n = _range_checked(ModelState, (_target(spec, st, after[0], m.current_command), *after))
-    # after[0] and after[8] are the event and tx_cnt the operation left
-    return _tuple_new(StepOutcome, (n, fired, _op_contract(st, kind, m, after[0], after[8])))
+    event = after[0]
+    # the transition rule, as in ops_round: get_cmd under CONT uses dispatch
+    if st == GET_CMD and event == CONT:
+        target = spec.dispatch.get(m.current_command)
+        if target is None:
+            raise UnknownCommand(m.current_command)
+    else:
+        try:
+            target = spec.fsm[event][st]
+        except KeyError:
+            raise MissingTransition(event, st) from None
+    n = _range_checked(ModelState, (target,) + after)
+    # after[8] is the tx_cnt the operation left
+    return _tuple_new(StepOutcome, (n, fired, _op_contract(st, kind, m, event, after[8])))
 
 
 def ops_round(spec: SpecDocument, m: ModelState) -> StepOutcome:
     """One round in :func:`run`'s order: transition on the current event,
     then the operation of the state entered and its post-condition check.
     ``next`` is the machine after the operation."""
-    st = _target(spec, m.current_state, m.current_event, m.current_command)
-    kind, fired, operate = _entry(spec, st)
+    st, event = m.current_state, m.current_event
+    if st == GET_CMD and event == CONT:
+        st = spec.dispatch.get(m.current_command)
+        if st is None:
+            raise UnknownCommand(m.current_command)
+    else:
+        try:
+            st = spec.fsm[event][st]
+        except KeyError:
+            raise MissingTransition(event, st) from None
+    try:
+        kind, fired, operate = spec.__dict__["_operations"][st]
+    except KeyError:
+        kind, fired, operate = _entry(spec, st)
     after = operate(m)
-    n = _range_checked(ModelState, (st, *after))
+    n = _range_checked(ModelState, (st,) + after)
     return _tuple_new(StepOutcome, (n, fired, _op_contract(st, kind, m, after[0], after[8])))
 
 

@@ -19,8 +19,12 @@ from candofsm.generate import (
 from candofsm.opmodel import ModelState, ops_round
 from candofsm.reqs import Template
 from candofsm.reqs.engine import _plan_of, run_requirements_trace
-from candofsm.reqs.expr import BinOp, BoolOp, DefRef, EvalContext, Lit, SigRead, eval_expr
-from candofsm.reqs.model import ModeAssign, ModelError, Requirement, RequirementsModel
+from candofsm.reqs.expr import (
+    BinOp, BoolOp, DefRef, EvalContext, Lit, ModeActive, SigRead, eval_expr,
+)
+from candofsm.reqs.model import (
+    DataDictionary, ModeAssign, ModeComponent, ModelError, Requirement, RequirementsModel,
+)
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import (
     NODE_OBJECTS,
@@ -441,6 +445,29 @@ class TestRendering:
                 "  or The fsm is in state get_cmd at the start of the round and "
                 "The current event is CONT\n"
                 "holds, then\n") in text
+
+    def test_a_small_library_built_model_reads_without_definitions(self):
+        # a guard that names a mode itself, a mode write with no to_
+        # definition, and a definition that the model never defines
+        lamp = ModeComponent("lamp", ("off", "on"), initial="off")
+        model = RequirementsModel(
+            dictionary=DataDictionary(modes=(lamp,)),
+            requirements=(
+                Requirement("on", "switch on", Template.TRIGGER_ON_EVENT,
+                            guard=ModeActive("lamp", "off", "start"),
+                            effects=(ModeAssign("lamp", "on"),)),
+                Requirement("lit", "stays lit", Template.EVERY,
+                            required=DefRef("lamp_lit"))))
+        assert render_requirements_markdown(model) == "\n".join([
+            "# Requirements model: cando", "",
+            "### cando/on: switch on", "", "If",
+            "  The lamp is in state off at the start of the round",
+            "occurs, then",
+            "  The lamp is in state on at the end of the round",
+            "holds.", "",
+            "### cando/lit: stays lit", "", "At all times,",
+            "  DefRef(name='lamp_lit')",
+            "holds.", "", ""])
 
     def test_markdown_is_deterministic(self, model):
         assert render_requirements_markdown(model) \

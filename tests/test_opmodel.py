@@ -216,6 +216,32 @@ class TestStateOperation:
         assert violation.constraint_id == "POST"
         assert violation.message == ("operation of 'send_packet_6' must end in event "
                                      "'SPI_TX_FINISH', got 'CONT'")
+        # a completed send that does not count its transmission
+        before = self.at(spec, "send_packet_6", bytes_sent=PACKET_LENGTH, tx_cnt=0)
+        [violation] = _op_contract("send_packet_6", StateKind.SEND, before, CONT, 0)
+        assert violation.constraint_id == "POST"
+        assert violation.message == ("operation of 'send_packet_6' must leave "
+                                     "tx_cnt at 1, got 0")
+
+    def test_both_rounds_check_the_contract_of_the_operation_they_run(self, spec):
+        # a copy's table entry for send_packet_6 swapped for an operation
+        # that finishes a send without counting it
+        lazy = dataclasses.replace(spec)
+        kind, fired, send = opmodel._entry(lazy, "send_packet_6")
+
+        def uncounted(m):
+            return send(m)[:8] + (m.tx_cnt,)
+
+        lazy.__dict__["_operations"]["send_packet_6"] = kind, fired, uncounted
+        breach = "operation of 'send_packet_6' must leave tx_cnt at 1, got 0"
+        sending = self.at(lazy, "send_packet_6", bytes_sent=PACKET_LENGTH)
+        entering = self.at(lazy, "set_vLED", bytes_sent=PACKET_LENGTH)
+        for round_fn, m in ((step, sending), (ops_round, entering)):
+            outcome = round_fn(lazy, m)
+            assert outcome.next.tx_cnt == 0, round_fn.__name__
+            assert [(v.constraint_id, v.message) for v in outcome.post_violations] \
+                == [("POST", breach)], round_fn.__name__
+            assert round_fn(spec, m).post_violations == (), round_fn.__name__
 
 
 class TestStep:
@@ -282,19 +308,41 @@ class TestStep:
     def test_the_operation_fails_before_the_move(self, spec):
         # set_vLED has neither a packet template nor a CONT entry: step
         # operates first, ops_round moves first
-        broken = mutate_table(spec, CONT, "set_vLED", None)
-        broken = dataclasses.replace(broken, packets={
+        stuck = mutate_table(spec, CONT, "set_vLED", None)
+        broken = dataclasses.replace(stuck, packets={
             st: t for st, t in spec.packets.items() if st != "set_vLED"})
-        with pytest.raises(MissingPacketTemplate):
+        with pytest.raises(MissingPacketTemplate) as failed:
             step(broken, self.at(broken, "set_vLED"))
-        with pytest.raises(MissingTransition):
+        assert failed.value.state == "set_vLED"
+        with pytest.raises(MissingTransition) as failed:
             ops_round(broken, self.at(broken, "set_vLED"))
+        assert (failed.value.event, failed.value.state) == (CONT, "set_vLED")
+        # with its template, set_vLED operates and then has nowhere to go
+        with pytest.raises(MissingTransition) as failed:
+            step(stuck, self.at(stuck, "set_vLED"))
+        assert (failed.value.event, failed.value.state) == (CONT, "set_vLED")
+        # get_cmd dispatches LED_ON_C to set_vLED, which then cannot operate
+        with pytest.raises(MissingPacketTemplate) as failed:
+            ops_round(broken, self.at(broken, GET_CMD))
+        assert failed.value.state == "set_vLED"
+        # an event with no row in the table at all
+        rowless = dataclasses.replace(spec, fsm={
+            e: row for e, row in spec.fsm.items() if e != "SPI_TX_FINISH"})
+        sending = self.at(rowless, "send_packet_6", current_event="SPI_TX_FINISH")
+        for round_fn in (step, ops_round):
+            with pytest.raises(MissingTransition) as failed:
+                round_fn(rowless, sending)
+            assert (failed.value.event, failed.value.state) \
+                == ("SPI_TX_FINISH", "send_packet_6"), round_fn.__name__
 
     def test_get_cmd_rejects_a_command_missing_from_dispatch(self, spec):
         broken = dataclasses.replace(spec, dispatch={
             cmd: st for cmd, st in spec.dispatch.items() if cmd != "LED_ON_C"})
-        with pytest.raises(UnknownCommand):
-            step(broken, self.at(broken, GET_CMD))
+        # get_cmd's operation leaves CONT for step; ops_round moves on CONT
+        for round_fn in (step, ops_round):
+            with pytest.raises(UnknownCommand) as failed:
+                round_fn(broken, self.at(broken, GET_CMD))
+            assert failed.value.name == "LED_ON_C", round_fn.__name__
 
 
 class TestOperationTable:
@@ -330,6 +378,30 @@ class TestOperationTable:
             entering = mutate_table(extended, "EVT_6", "start", entered)
             with pytest.raises(error):
                 ops_round(entering, self.at(entering, "start", current_event="EVT_6"))
+
+    def test_each_state_is_bound_once_per_spec(self, spec, monkeypatch):
+        fresh = dataclasses.replace(spec)       # a copy starts with no operation table
+        bound, real = [], opmodel._entry
+
+        def counted(spec_, st):
+            bound.append((spec_, st))
+            return real(spec_, st)
+
+        monkeypatch.setattr(opmodel, "_entry", counted)
+        commands = spec.roster.command_names
+        # row 0 is init's state; every later row's state was entered by a round
+        entered = {row.state for cmd in commands for row in run(fresh, cmd, 500).rows[1:]}
+        assert Counter(st for _, st in bound) == Counter(entered)
+        assert all(spec_ is fresh for spec_, _ in bound)
+        bound.clear()
+        for cmd in commands:
+            run(fresh, cmd, 500)
+        assert bound == []
+        copy_ = dataclasses.replace(fresh)
+        for cmd in commands:
+            run(copy_, cmd, 500)
+        assert Counter(st for _, st in bound) == Counter(entered)
+        assert all(spec_ is copy_ for spec_, _ in bound)
 
     def test_a_state_outside_the_roster_is_unknown(self, spec):
         with pytest.raises(UnknownState):

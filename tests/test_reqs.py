@@ -41,6 +41,7 @@ from candofsm.reqs.text import (
     _NOT_PRECEDENCE,
     _PRECEDENCE,
     parse_model,
+    render_expr,
     serialize_model,
 )
 from candofsm.specio import ParseError
@@ -211,6 +212,19 @@ class TestFireRound:
         [violation] = result.violations
         assert violation.constraint_id == "EVAL"
         assert violation.message.endswith("guard is not boolean: 2")
+
+    def test_a_trigger_without_a_guard_fires_every_round(self):
+        # no text form leaves a trigger's guard out; a library-built one can
+        model = tiny_model(
+            Requirement("tick", "count every round", Template.TRIGGER_ON_EVENT,
+                        effects=(SignalAssign("x", BinOp("+", SigRead("x"), Lit(1))),)),
+            signals=[small("x", 0)])
+        env = initial_env(model)
+        for count in range(1, 4):
+            result = fire_round(model, env, None)
+            assert (result.end_env.signals["x"], result.fired, result.violations) \
+                == (count, (("tick", ("x",)),), ()), count
+            env = result.end_env
 
     def test_an_effect_that_fails_to_evaluate_keeps_the_signal(self):
         model = tiny_model(
@@ -748,6 +762,10 @@ class TestReqText:
         assert model.requirements[0].required == BinOp("=", SigRead("x"), Lit(1))
         assert serialize_model(parse_model(serialize_model(model))) \
             == serialize_model(model)
+
+    def test_a_node_the_renderer_does_not_know_is_refused(self):
+        with pytest.raises(ValueError, match=r"cannot render SignalAssign\(name='x'"):
+            render_expr(SignalAssign("x", Lit(1)))
 
     def test_comment_and_blank_lines_are_skipped(self):
         bare = ['mode lamp { off on } exclusive init=off',

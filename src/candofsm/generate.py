@@ -486,8 +486,9 @@ def generate_model(spec: SpecDocument) -> tuple[RequirementsModel, GenReport]:
 # --- prose rendering ---------------------------------------------------------
 
 def _prose(expr, defs: Mapping[str, Definition]) -> str:
-    if isinstance(expr, DefRef) and expr.name in defs:
-        return defs[expr.name].text
+    if isinstance(expr, DefRef):
+        # by its name if the model does not define it: an unvalidated model
+        return defs[expr.name].text if expr.name in defs else expr.name
     if isinstance(expr, ModeActive):
         return (f"The {expr.component} is in state {expr.mode} at the "
                 f"{expr.at} of the round")
@@ -515,7 +516,7 @@ def _prose(expr, defs: Mapping[str, Definition]) -> str:
             return (f"The {expr.left.name.replace('_', ' ')} is "
                     f"{_prose(expr.right, defs)}")
         return f"{_prose(expr.left, defs)} {expr.op} {_prose(expr.right, defs)}"
-    return str(expr)
+    raise ValueError(f"cannot render {expr!r}")
 
 
 def _one_signal(expr: BoolOp) -> str | None:

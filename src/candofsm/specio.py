@@ -20,7 +20,6 @@ well-formed documents and emits a deterministic ordering.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -30,7 +29,6 @@ from .fsm import MemberDef, Roster, StateDef, StateKind
 from .trace import TraceRow
 
 _KIND_TOKENS = {k.value: k for k in StateKind}
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class ParseError(Exception):
@@ -77,105 +75,93 @@ def _check_name(name: str, lineno: int, raw: str, token: int = 0, offset: int = 
     """``name`` if it is an identifier.  Otherwise the error's column is
     ``offset`` characters into the ``token``-th whitespace-separated token
     of ``raw``, where ``name`` starts."""
-    if not _NAME_RE.match(name):
+    if not (name.isascii() and name.isidentifier()):
         column = [m.start() for m in re.finditer(r"\S+", raw)][token] + offset + 1
         raise _err(lineno, f"invalid identifier {name!r}", raw, column)
     return name
 
 
-def _parse_member_lines(rows: list[tuple[int, str, str]], start: int, section: str,
-                        with_kind: bool) -> tuple[list, int]:
-    """Read a roster section's entries from ``rows[start]`` up to its closing
-    brace; returns the entries and the index of the row after the brace."""
-    entries = []
-    seen: set[str] = set()
-    for pos in range(start, len(rows)):
-        lineno, text, raw = rows[pos]
-        if text == "}":
-            return entries, pos + 1
-        tokens = text.replace(":", " : ").split()
-        name = _check_name(tokens[0], lineno, raw)
-        if name in seen:
-            raise _err(lineno, f"duplicate {section} entry {name!r}", raw)
-        seen.add(name)
-        rest = tokens[1:]
-        synthetic = False
-        if with_kind:
-            if len(rest) < 2 or rest[0] != ":":
-                raise _err(lineno, f"expected '{name}: <kind>'", raw)
-            kind_token = rest[1]
-            if kind_token not in _KIND_TOKENS:
-                raise _err(lineno, f"unknown state kind {kind_token!r}", raw)
-            trailer = rest[2:]
-            if trailer == ["synthetic"]:
-                synthetic = True
-            elif trailer:
-                raise _err(lineno, f"unexpected tokens {' '.join(trailer)!r}", raw)
-            entries.append(StateDef(name, _KIND_TOKENS[kind_token], synthetic))
-        else:
-            if rest == ["synthetic"]:
-                synthetic = True
-            elif rest:
-                raise _err(lineno, f"unexpected tokens {' '.join(rest)!r}", raw)
-            entries.append(MemberDef(name, synthetic))
-    # the section's header line
-    lineno, _, raw = rows[start - 1]
-    raise _err(lineno, f"unterminated {section} section", raw)
-
-
 def parse_spec(text: str) -> SpecDocument:
     """Parse spec text into a :class:`SpecDocument`; raise :class:`ParseError`.
 
-    Each line that is not blank or a comment is one row (line number,
-    stripped text, raw line); the three roster sections come first, then
-    one directive per row."""
-    rows = [(i, stripped, raw) for i, raw in enumerate(text.splitlines(), start=1)
-            if (stripped := raw.partition("#")[0].strip())]
-
-    pos = 0
-    sections: dict[str, list] = {}
+    One pass over the lines: the three roster sections come first, then
+    one directive per line.  A line's text is what precedes its first
+    ``#``; a line whose text is blank is skipped but counted."""
+    lines = enumerate(text.splitlines(), start=1)
+    brace = 0   # the line of the last section's closing brace
+    sections = []
     for section, with_kind in (("states", True), ("events", False), ("commands", False)):
-        if pos == len(rows):
-            # the line after the last row, or line 1 of an empty text
-            raise _err(rows[-1][0] + 1 if rows else 1, f"missing {section} section")
-        lineno, text_line, raw = rows[pos]
-        header = "".join(text_line.split())
+        for lineno, raw in lines:
+            header = "".join((raw.partition("#")[0] if "#" in raw else raw).split())
+            if header:
+                break
+        else:
+            # the line after the last row, a closing brace, or line 1
+            raise _err(brace + 1, f"missing {section} section")
         if not header.startswith(section + "{"):
             raise _err(lineno, f"missing {section} section", raw)
         if header != section + "{":
             raise _err(lineno, f"expected '{section} {{'", raw)
-        sections[section], pos = _parse_member_lines(rows, pos + 1, section, with_kind)
+        opened, opened_raw = lineno, raw
+        entries = []
+        seen: set[str] = set()
+        for lineno, raw in lines:
+            tokens = (raw.partition("#")[0] if "#" in raw else raw).replace(":", " : ").split()
+            if not tokens:
+                continue
+            name = tokens[0]
+            if name == "}" and len(tokens) == 1:
+                break
+            _check_name(name, lineno, raw)
+            if name in seen:
+                raise _err(lineno, f"duplicate {section} entry {name!r}", raw)
+            seen.add(name)
+            rest = tokens[1:]
+            if with_kind:
+                if len(rest) < 2 or rest[0] != ":":
+                    raise _err(lineno, f"expected '{name}: <kind>'", raw)
+                kind = _KIND_TOKENS.get(rest[1])
+                if kind is None:
+                    raise _err(lineno, f"unknown state kind {rest[1]!r}", raw)
+                rest = rest[2:]
+            if rest and rest != ["synthetic"]:
+                raise _err(lineno, f"unexpected tokens {' '.join(rest)!r}", raw)
+            entries.append(StateDef(name, kind, bool(rest)) if with_kind
+                           else MemberDef(name, bool(rest)))
+        else:
+            raise _err(opened, f"unterminated {section} section", opened_raw)
+        brace = lineno
+        sections.append((tuple(entries), seen))
 
-    roster = Roster(
-        states=tuple(sections["states"]),
-        events=tuple(sections["events"]),
-        commands=tuple(sections["commands"]),
-    )
-    state_names = set(roster.state_names)
-    event_names = set(roster.event_names)
-    command_names = set(roster.command_names)
-
+    (states, state_names), (events, _), (commands, command_names) = sections
+    roster = Roster(states=states, events=events, commands=commands)
+    # each event's row, which enters fsm at the event's first transition
+    table: dict[str, dict[str, str]] = {e.name: {} for e in events}
     fsm: dict[str, dict[str, str]] = {}
     dispatch: dict[str, str] = {}
     packets: dict[str, Packet] = {}
 
-    for lineno, text_line, raw in rows[pos:]:
-        tokens = text_line.split()
+    for lineno, raw in lines:
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
+            continue
         head = tokens[0]
         if head == "transition":
             if len(tokens) != 5 or tokens[3] != "->":
                 raise _err(lineno, "expected 'transition EVENT from -> to'", raw)
-            ev, frm, to = tokens[1], tokens[2], tokens[4]
-            if ev not in event_names:
+            _, ev, frm, _, to = tokens
+            row = table.get(ev)
+            if row is None:
                 raise _err(lineno, f"unknown event {ev!r}", raw)
             if frm not in state_names:
                 raise _err(lineno, f"unknown state {frm!r}", raw)
             if to not in state_names:
                 raise _err(lineno, f"unknown state {to!r}", raw)
-            per = fsm.setdefault(ev, {})
-            if frm in per:
+            if frm in row:
                 raise _err(lineno, f"duplicate transition for ({ev}, {frm})", raw)
-            per[frm] = to
+            if not row:
+                fsm[ev] = row
+            row[frm] = to
         elif head == "dispatch":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise _err(lineno, "expected 'dispatch COMMAND -> state'", raw)
@@ -212,36 +198,28 @@ def parse_spec(text: str) -> SpecDocument:
 
 def serialize_spec(doc: SpecDocument) -> str:
     """Render a document in the canonical order: roster order for sections,
-    transitions grouped by event name alphabetically, states in roster order."""
-    out = io.StringIO()
-    out.write("states {\n")
-    for s in doc.roster.states:
-        suffix = " synthetic" if s.synthetic else ""
-        out.write(f"  {s.name}: {s.kind.value}{suffix}\n")
-    out.write("}\n")
-    for label, members in (("events", doc.roster.events), ("commands", doc.roster.commands)):
-        out.write(f"{label} {{\n")
-        for m in members:
-            suffix = " synthetic" if m.synthetic else ""
-            out.write(f"  {m.name}{suffix}\n")
-        out.write("}\n")
-
-    state_order = {name: i for i, name in enumerate(doc.roster.state_names)}
+    transitions grouped by event name alphabetically, states in roster order
+    and then, in table order, any state the roster lacks."""
+    roster = doc.roster
+    lines = ["states {", *(f"  {s.name}: {s.kind.value}{' synthetic' if s.synthetic else ''}"
+                           for s in roster.states), "}"]
+    for label, members in (("events", roster.events), ("commands", roster.commands)):
+        lines += [f"{label} {{", *(f"  {m.name}{' synthetic' if m.synthetic else ''}"
+                                   for m in members), "}"]
+    names = roster.state_names
     for ev in sorted(doc.fsm):
-        per = doc.fsm[ev]
-        for frm in sorted(per, key=lambda n: state_order.get(n, len(state_order))):
-            out.write(f"transition {ev} {frm} -> {per[frm]}\n")
-    for cmd in doc.roster.command_names:
-        if cmd in doc.dispatch:
-            out.write(f"dispatch {cmd} -> {doc.dispatch[cmd]}\n")
-    for st in doc.roster.state_names:
-        if st in doc.packets:
-            t = doc.packets[st]
-            out.write(
-                f"packet {st} addr={t.addr or 'nil'} cmd={t.cmd or 'nil'} "
-                f"data={t.data or 'nil'}\n"
-            )
-    return out.getvalue()
+        row = doc.fsm[ev]
+        order = [frm for frm in names if frm in row]
+        if len(order) < len(row):
+            order += [frm for frm in row if frm not in order]
+        lines += [f"transition {ev} {frm} -> {row[frm]}" for frm in order]
+    dispatch, packets = doc.dispatch, doc.packets
+    lines += [f"dispatch {cmd} -> {dispatch[cmd]}" for cmd in roster.command_names
+              if cmd in dispatch]
+    lines += [f"packet {st} addr={t.addr or 'nil'} cmd={t.cmd or 'nil'} data={t.data or 'nil'}"
+              for st in names if (t := packets.get(st)) is not None]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def load_spec(path) -> SpecDocument:

@@ -24,6 +24,7 @@ from candofsm.reqs.expr import (
 )
 from candofsm.reqs.model import (
     DataDictionary, ModeAssign, ModeComponent, ModelError, Requirement, RequirementsModel,
+    SignalAssign,
 )
 from candofsm.reqs.text import parse_model, serialize_model
 from conftest import (
@@ -466,8 +467,16 @@ class TestRendering:
             "  The lamp is in state on at the end of the round",
             "holds.", "",
             "### cando/lit: stays lit", "", "At all times,",
-            "  DefRef(name='lamp_lit')",
+            "  lamp_lit",
             "holds.", "", ""])
+
+    def test_a_node_the_prose_does_not_know_is_refused(self):
+        model = RequirementsModel(
+            dictionary=DataDictionary(),
+            requirements=(Requirement("x", "sets x", Template.EVERY,
+                                      required=SignalAssign("x", Lit(1))),))
+        with pytest.raises(ValueError, match=r"cannot render SignalAssign\(name='x'"):
+            render_requirements_markdown(model)
 
     def test_markdown_is_deterministic(self, model):
         assert render_requirements_markdown(model) \

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,22 @@ def test_parse_error_positions_match_hand_count():
         assert str(found) == f"line {lineno}, column {column}: {message}"
 
 
+def test_of_two_faults_of_different_kinds_the_earlier_line_wins():
+    # (text, line, message) for the earlier fault
+    fixtures = [
+        (MINIMAL + "frobnicate\n" + "transition CONT set_vLED -> send_packet_6\n" * 2,
+         13, "unknown directive 'frobnicate'"),
+        (MINIMAL.replace("  LED_ON_C", "  9LED_ON_C") + "frobnicate\n",
+         11, "invalid identifier '9LED_ON_C'"),
+        (MINIMAL + "packet set_vLED addr=Optrode-addr cmd=nil data=nil\n"
+         + "transition CONT set_vLED -> nowhere\n", 13, "invalid identifier 'Optrode-addr'"),
+    ]
+    for text, lineno, message in fixtures:
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.message) == (lineno, message), text
+
+
 def test_unknown_names_are_rejected():
     with pytest.raises(ParseError) as err:
         parse_spec(MINIMAL + "transition CONT nowhere -> send_packet_6\n")
@@ -180,6 +197,16 @@ def test_serialize_then_parse_canonicalizes_in_one_pass(spec):
     once = serialize_spec(parse_spec(scrambled))
     assert once == canonical
     assert serialize_spec(parse_spec(once)) == once
+
+
+def test_a_state_outside_the_roster_serializes_last_in_table_order():
+    doc = SpecDocument(
+        roster=Roster(states=(StateDef("a", StateKind.CONTROL), StateDef("b", StateKind.CONTROL)),
+                      events=(MemberDef("E"),), commands=()),
+        fsm={"E": {"zz": "a", "b": "a", "yy": "b", "a": "b"}})
+    assert serialize_spec(doc).splitlines()[-4:] == [
+        "transition E a -> b", "transition E b -> a",
+        "transition E zz -> a", "transition E yy -> b"]
 
 
 def test_empty_roster_serializes_to_three_empty_sections():
@@ -256,6 +283,51 @@ def test_parse_inverts_serialize(doc):
     parsed = parse_spec(text)
     assert parsed == doc
     assert serialize_spec(parsed) == text
+
+
+SHIPPED_LINES = bundled_spec_path().read_text(encoding="utf-8").splitlines()
+DIRECTIVE_LINES = [i for i, ln in enumerate(SHIPPED_LINES)
+                   if ln.startswith(("transition ", "dispatch ", "packet "))]
+# no character that str.splitlines breaks a line at
+_comment = st.text(string.ascii_letters + string.digits + " \t#:{}->_=", max_size=10).map(
+    "#".__add__)
+# each fails on its own line, wherever it stands
+_junk = st.one_of(
+    _name.filter(lambda n: n not in ("transition", "dispatch", "packet")),
+    st.sampled_from([
+        "transition CONT start ->", "transition CONT start -> nowhere",
+        "transition NOPE start -> get_cmd", "dispatch LED_ON_C => set_vLED",
+        "dispatch NOPE_C -> set_vLED", "packet set_vLED addr=A",
+        "packet nowhere addr=A cmd=nil data=nil", "states {", "}"]))
+
+
+@st.composite
+def noisy_shipped_text_with_junk(draw):
+    """The shipped text with blank and comment lines, trailing comments,
+    mixed line endings and one directive line replaced by junk; returns
+    (text, the junk's line number, its raw line)."""
+    lines = list(SHIPPED_LINES)
+    junk = draw(st.sampled_from(DIRECTIVE_LINES))
+    lines[junk] = (draw(st.sampled_from(["", "  ", "\t"])) + draw(_junk)
+                   + draw(st.sampled_from(["", " ", "  "])))
+    for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=12)):
+        lines[i] += draw(st.sampled_from(["", " ", "\t"])) + draw(_comment)
+    for i in sorted(draw(st.sets(st.integers(0, len(lines)), max_size=12)), reverse=True):
+        lines.insert(i, draw(st.one_of(st.sampled_from(["", "   ", "\t"]), _comment)))
+        junk += i <= junk
+    endings = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    text = "".join(ln + (endings if endings != "mixed" else draw(st.sampled_from(
+        ["\n", "\r\n"]))) for ln in lines)
+    return text, junk + 1, lines[junk]
+
+
+@settings(max_examples=60, deadline=None)
+@given(noisy_shipped_text_with_junk())
+def test_noise_does_not_move_the_line_of_a_junk_directive(case):
+    text, lineno, raw = case
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.snippet) == (lineno, raw)
 
 
 def test_trace_csv_round_trip(spec):
